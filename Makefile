@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short test-race bench lint fmt staticcheck bench-gate bench-allocs bench-serve serve-gate bench-query query-gate fuzz-smoke golden-lake golden-lake-update golden-query golden-query-update serve-smoke serve-smoke-update
+.PHONY: build test test-short test-race bench lint fmt staticcheck bench-quick bench-allocs fuzz-smoke golden-lake golden-lake-update golden-query golden-query-update serve-smoke serve-smoke-update
 
 build:
 	$(GO) build ./...
@@ -28,57 +28,13 @@ test-race:
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
 
-# BENCH_extract.json: the streaming-engine benchmark report. The
-# committed baseline was measured at 16 MiB; bench-gate re-measures at
-# the same size and fails on a >20% workers=1 throughput regression of
-# the extract-mem, gen, stream-discover or apply-profile modes, on an
-# apply/extract ratio under 5x, or on any baseline mode missing from
-# the fresh report. The absolute comparison is MiB/s, so keep the
-# baseline's hardware matched to wherever the gate runs: refresh it
-# from the CI job's bench-extract-report artifact (or rerun
-# `make bench-extract` on the same machine) in the same PR whenever a
-# change is intentional.
-bench-extract:
-	$(GO) run ./cmd/experiments -bench-extract BENCH_extract.json -bench-mb 16 \
-		-cpuprofile BENCH_extract.cpu.pprof
-
-bench-gate:
-	$(GO) run ./cmd/experiments -bench-extract /tmp/BENCH_extract_new.json -bench-mb 16 \
-		-bench-baseline BENCH_extract.json \
-		-cpuprofile /tmp/BENCH_extract_new.cpu.pprof
-
-# BENCH_serve.json: the serving-path load benchmark (daemon over
-# loopback HTTP; extract + query QPS and latency percentiles at 1/4/16
-# in-flight clients). serve-gate re-measures and fails on a >20% QPS
-# drop or a >50% p99 growth in any (mode, in-flight) cell, or on any
-# baseline cell missing from the fresh report. Like the extract gate,
-# the comparison is absolute — refresh the baseline from the CI job's
-# bench-serve-report artifact (or rerun `make bench-serve` on the same
-# machine) in the same PR whenever a change is intentional.
-bench-serve:
-	$(GO) run ./cmd/experiments -bench-serve BENCH_serve.json \
-		-cpuprofile BENCH_serve.cpu.pprof
-
-serve-gate:
-	$(GO) run ./cmd/experiments -bench-serve /tmp/BENCH_serve_new.json \
-		-bench-serve-baseline BENCH_serve.json \
-		-cpuprofile /tmp/BENCH_serve_new.cpu.pprof
-
-# BENCH_query.json: the query-engine benchmark (fixture lake amplified
-# x200, crawled + compacted, store pinned open; QPS per query shape).
-# query-gate re-measures and fails on a >20% QPS drop in any mode, on a
-# baseline mode missing from the fresh report, or on the pushdown win —
-# selective-scan over the same query with pushdown disabled — falling
-# under 3x. The ratio floor is hardware-independent; the absolute QPS
-# comparison is not, so refresh the baseline from the CI job's
-# bench-query-report artifact (or rerun `make bench-query` on the same
-# machine) in the same PR whenever a change is intentional.
-bench-query:
-	$(GO) run ./cmd/experiments -bench-query BENCH_query.json
-
-query-gate:
-	$(GO) run ./cmd/experiments -bench-query /tmp/BENCH_query_new.json \
-		-bench-query-baseline BENCH_query.json
+# The benchmark (bench/, declared by BENCHMARK.json; see bench/README.md)
+# is a module of its own, so `go build ./... && go test ./...` at the root
+# never compiles it: this target does, then runs every workload once in
+# quick form, which exits 1 on any failed or incorrect operation.
+bench-quick:
+	cd bench && $(GO) vet . && $(GO) test .
+	bash bench/run.sh -quick
 
 # Allocation gate: the parser's steady-state scan benchmarks and the
 # generation engine's warm genST benchmark must stay at 0 allocs/op
@@ -116,7 +72,7 @@ golden-query-update:
 
 # Serve-daemon smoke: start `datamaran serve` on the fixture lake, hit
 # the /v1 routes (formats, both extract paths, reindex, one query) plus
-# a deprecated alias and a failing route, and diff every response
+# a failing route, and diff every response
 # against testdata/lake_golden (see scripts/serve_smoke.sh).
 serve-smoke:
 	sh scripts/serve_smoke.sh

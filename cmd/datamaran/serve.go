@@ -7,8 +7,7 @@
 //
 //	datamaran serve [flags] <dir>
 //
-// Endpoints (see internal/serve; unversioned aliases remain for one
-// release):
+// Endpoints (see internal/serve):
 //
 //	GET  /healthz                     liveness
 //	GET  /v1/status                   serving stats

@@ -4,21 +4,13 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
-	"time"
 
-	"datamaran"
-	"datamaran/internal/datagen"
 	"datamaran/internal/experiments"
-	"datamaran/internal/generation"
-	"datamaran/internal/textio"
 )
 
 func main() {
@@ -30,16 +22,7 @@ func main() {
 func run() int {
 	exp := flag.String("exp", "all", "experiment: table1|table3|table5|accuracy25|fig14a|fig14b|fig15|fig16|fig17a|fig17b|userstudy|ablation|all")
 	quick := flag.Bool("quick", false, "shrink workloads for a fast run")
-	benchExtract := flag.String("bench-extract", "", "run the streaming-engine benchmark and write the JSON report to this file")
-	benchMB := flag.Int("bench-mb", 0, "input size in MiB for -bench-extract (0 = 32, or 8 with -quick)")
-	benchBaseline := flag.String("bench-baseline", "", "with -bench-extract: compare against this baseline report and fail on a >20% throughput regression")
-	benchServe := flag.String("bench-serve", "", "run the serving-path load benchmark and write the JSON report to this file")
-	benchServeSecs := flag.Float64("bench-serve-seconds", 0, "seconds per (mode, in-flight) cell for -bench-serve (0 = 2, or 0.5 with -quick)")
-	benchServeBaseline := flag.String("bench-serve-baseline", "", "with -bench-serve: compare against this baseline report and fail on a >20% QPS or p99 regression")
-	benchQuery := flag.String("bench-query", "", "run the query-engine benchmark over the amplified fixture lake and write the JSON report to this file")
-	benchQuerySecs := flag.Float64("bench-query-seconds", 0, "seconds per query shape for -bench-query (0 = 2, or 0.5 with -quick)")
-	benchQueryBaseline := flag.String("bench-query-baseline", "", "with -bench-query: compare against this baseline report and fail on a >20% QPS regression or a pushdown ratio under 3x")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the selected run (experiments or benchmark) to this file")
+	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the selected run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile taken at the end of the run to this file")
 	flag.Parse()
 
@@ -72,66 +55,6 @@ func run() int {
 				fmt.Fprintf(os.Stderr, "experiments: -memprofile: %v\n", err)
 			}
 		}()
-	}
-
-	if *benchExtract != "" {
-		if *benchMB <= 0 {
-			*benchMB = 32
-			if *quick {
-				*benchMB = 8
-			}
-		}
-		if err := runBenchExtract(*benchExtract, *benchMB); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			return 1
-		}
-		if *benchBaseline != "" {
-			if err := gateBench(*benchBaseline, *benchExtract); err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: bench gate: %v\n", err)
-				return 1
-			}
-		}
-		return 0
-	}
-
-	if *benchServe != "" {
-		if *benchServeSecs <= 0 {
-			*benchServeSecs = 2
-			if *quick {
-				*benchServeSecs = 0.5
-			}
-		}
-		if err := runBenchServe(*benchServe, *benchServeSecs); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			return 1
-		}
-		if *benchServeBaseline != "" {
-			if err := gateServeBench(*benchServeBaseline, *benchServe); err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: serve gate: %v\n", err)
-				return 1
-			}
-		}
-		return 0
-	}
-
-	if *benchQuery != "" {
-		if *benchQuerySecs <= 0 {
-			*benchQuerySecs = 2
-			if *quick {
-				*benchQuerySecs = 0.5
-			}
-		}
-		if err := runBenchQuery(*benchQuery, *benchQuerySecs); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			return 1
-		}
-		if *benchQueryBaseline != "" {
-			if err := gateQueryBench(*benchQueryBaseline, *benchQuery); err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: query gate: %v\n", err)
-				return 1
-			}
-		}
-		return 0
 	}
 
 	w := os.Stdout
@@ -176,237 +99,4 @@ func run() int {
 		return 2
 	}
 	return 0
-}
-
-// benchRun is one timed configuration of the extraction benchmark.
-type benchRun struct {
-	Mode      string  `json:"mode"`
-	Workers   int     `json:"workers"`
-	Seconds   float64 `json:"seconds"`
-	MBPerSec  float64 `json:"mb_per_s"`
-	SpeedupW1 float64 `json:"speedup_vs_workers1"`
-}
-
-// benchReport is the BENCH_extract.json schema.
-type benchReport struct {
-	InputBytes int        `json:"input_bytes"`
-	NumCPU     int        `json:"num_cpu"`
-	GoMaxProcs int        `json:"gomaxprocs"`
-	Note       string     `json:"note"`
-	Runs       []benchRun `json:"runs"`
-}
-
-// runBenchExtract measures the streaming engine: full discovery+extract
-// runs, then the discovery-free profile-apply path (the parallelizable
-// extraction pass in isolation) at increasing worker counts.
-func runBenchExtract(path string, mb int) error {
-	block := datagen.WebServerLog(4000, 7).Data
-	data := make([]byte, 0, mb<<20)
-	for len(data) < mb<<20 {
-		data = append(data, block...)
-	}
-	learned, err := datamaran.Extract(block, datamaran.Options{})
-	if err != nil {
-		return err
-	}
-	profile := learned.Profile()
-
-	rep := benchReport{
-		InputBytes: len(data),
-		NumCPU:     runtime.NumCPU(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Note: "apply-profile isolates the parallel extraction pass; discovery cost is " +
-			"sample-bounded and input-size independent. Worker speedups require NumCPU > 1.",
-	}
-	time1 := map[string]float64{}
-	record := func(mode string, workers int, fn func() error) error {
-		t0 := time.Now()
-		if err := fn(); err != nil {
-			return err
-		}
-		sec := time.Since(t0).Seconds()
-		r := benchRun{Mode: mode, Workers: workers, Seconds: sec,
-			MBPerSec: float64(len(data)) / (1 << 20) / sec}
-		if workers == 1 {
-			time1[mode] = sec
-		}
-		if base, ok := time1[mode]; ok && sec > 0 {
-			r.SpeedupW1 = base / sec
-		}
-		rep.Runs = append(rep.Runs, r)
-		fmt.Fprintf(os.Stderr, "%-16s workers=%d: %.2fs (%.1f MiB/s)\n", mode, workers, sec, r.MBPerSec)
-		return nil
-	}
-
-	if err := record("extract-mem", 1, func() error {
-		_, err := datamaran.Extract(data, datamaran.Options{})
-		return err
-	}); err != nil {
-		return err
-	}
-	// gen isolates the generation step — the dominant discovery cost —
-	// on the 512 KiB sample the discovery pipeline draws from this
-	// corpus (core's default SampleBudget), repeated to cover the full
-	// input size so MiB/s reads as generation throughput over the
-	// benchmark corpus.
-	sample := textio.Sampler{Budget: 512 << 10, Seed: 7}.Sample(data)
-	genLines := textio.NewLines(sample)
-	genReps := (len(data) + len(sample) - 1) / len(sample)
-	if err := record("gen", 1, func() error {
-		for r := 0; r < genReps; r++ {
-			generation.Generate(genLines, generation.Config{})
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-	discard := func(datamaran.Record) error { return nil }
-	for _, w := range []int{1, 2, 4} {
-		w := w
-		if err := record("stream-discover", w, func() error {
-			_, err := datamaran.ExtractStream(bytes.NewReader(data), datamaran.Options{Workers: w}, discard)
-			return err
-		}); err != nil {
-			return err
-		}
-	}
-	for _, w := range []int{1, 2, 4} {
-		w := w
-		if err := record("apply-profile", w, func() error {
-			_, err := datamaran.ExtractStreamWithProfile(bytes.NewReader(data), profile,
-				datamaran.Options{Workers: w}, discard)
-			return err
-		}); err != nil {
-			return err
-		}
-	}
-
-	raw, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(raw, '\n'), 0o644)
-}
-
-// gateRegression is the throughput drop the bench gate tolerates before
-// failing (CI hosts are noisy; real regressions are usually larger).
-const gateRegression = 0.20
-
-// gateMinSpeedRatio is a hardware-independent floor on apply-profile
-// throughput relative to extract-mem. The committed report shows the
-// profile fast path ~13x the discovery path; a fast-path regression
-// large enough to matter drags the ratio under this floor on any
-// machine — so the gate catches it even when the absolute comparison
-// is slack because the runner outclasses the baseline host.
-const gateMinSpeedRatio = 5.0
-
-// gatedModes are the benchmark modes the gate protects with the absolute
-// throughput floor: the in-memory discovery+extraction path, the isolated
-// generation step, the streaming discovery path, and the registry fast
-// path.
-var gatedModes = []string{"extract-mem", "gen", "stream-discover", "apply-profile"}
-
-// gateBench compares a fresh benchmark report against the committed
-// baseline, failing when a gated mode's workers=1 throughput regressed
-// more than gateRegression, when the candidate's apply-profile /
-// extract-mem ratio falls below gateMinSpeedRatio, or when any mode the
-// baseline measured is missing from the candidate report (a silently
-// dropped mode would otherwise pass the gate unexamined forever). The
-// absolute check is only meaningful when the baseline was measured on
-// the gate's hardware class — refresh it from the CI artifact in the
-// same PR when a change is intentional; the ratio check holds
-// everywhere.
-func gateBench(baselinePath, candidatePath string) error {
-	baseline, err := loadBenchReport(baselinePath)
-	if err != nil {
-		return err
-	}
-	candidate, err := loadBenchReport(candidatePath)
-	if err != nil {
-		return err
-	}
-	// Every mode the baseline measured must appear in the fresh report:
-	// a missing mode is a hard failure, not a silent pass.
-	candModes := map[string]bool{}
-	for _, r := range candidate.Runs {
-		candModes[r.Mode] = true
-	}
-	var missing []string
-	seen := map[string]bool{}
-	for _, r := range baseline.Runs {
-		if !seen[r.Mode] && !candModes[r.Mode] {
-			missing = append(missing, r.Mode)
-		}
-		seen[r.Mode] = true
-	}
-	if len(missing) > 0 {
-		sort.Strings(missing)
-		return fmt.Errorf("baseline modes %v missing from candidate %s — the benchmark no longer measures them", missing, candidatePath)
-	}
-	failed := false
-	candW1 := map[string]float64{}
-	for _, mode := range gatedModes {
-		base, ok := throughputW1(baseline, mode)
-		if !ok {
-			return fmt.Errorf("baseline %s has no %q runs", baselinePath, mode)
-		}
-		cand, ok := throughputW1(candidate, mode)
-		if !ok {
-			return fmt.Errorf("candidate %s has no %q runs", candidatePath, mode)
-		}
-		candW1[mode] = cand
-		ratio := cand / base
-		verdict := "ok"
-		if ratio < 1-gateRegression {
-			verdict = "REGRESSED"
-			failed = true
-		}
-		fmt.Fprintf(os.Stderr, "bench-gate %-16s baseline %6.2f MiB/s, candidate %6.2f MiB/s (%.0f%%): %s\n",
-			mode, base, cand, ratio*100, verdict)
-	}
-	speedRatio := candW1["apply-profile"] / candW1["extract-mem"]
-	verdict := "ok"
-	if speedRatio < gateMinSpeedRatio {
-		verdict = "REGRESSED"
-		failed = true
-	}
-	fmt.Fprintf(os.Stderr, "bench-gate apply/extract speed ratio %.1fx (floor %.1fx): %s\n",
-		speedRatio, gateMinSpeedRatio, verdict)
-	if failed {
-		return fmt.Errorf("throughput regressed >%.0f%% vs %s or fast-path ratio under %.1fx (regenerate the baseline if intentional: make bench-extract)",
-			gateRegression*100, baselinePath, gateMinSpeedRatio)
-	}
-	return nil
-}
-
-// loadBenchReport reads a BENCH_extract.json report.
-func loadBenchReport(path string) (*benchReport, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep benchReport
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &rep, nil
-}
-
-// throughputW1 returns a mode's workers=1 MiB/s — the one configuration
-// whose meaning does not depend on the host's core count. A report
-// without a workers=1 run falls back to the mode's best.
-func throughputW1(rep *benchReport, mode string) (float64, bool) {
-	best, found := 0.0, false
-	for _, r := range rep.Runs {
-		if r.Mode != mode {
-			continue
-		}
-		if r.Workers == 1 {
-			return r.MBPerSec, true
-		}
-		if !found || r.MBPerSec > best {
-			best, found = r.MBPerSec, true
-		}
-	}
-	return best, found
 }

@@ -17,7 +17,7 @@
 //	for _, s := range res.Structures {
 //	    fmt.Println(s.Template, s.Records)
 //	}
-//	for _, tbl := range res.Tables() {
+//	for _, tbl := range res.TablesWith(datamaran.TablesOptions{}) {
 //	    tbl.WriteCSV(os.Stdout)
 //	}
 //
@@ -30,7 +30,6 @@
 package datamaran
 
 import (
-	"context"
 	"io"
 	"os"
 	"time"
@@ -190,8 +189,7 @@ type Result struct {
 	// Timing breaks down the run time by pipeline step.
 	Timing Timing
 
-	data []byte
-	res  *core.Result
+	res *core.Result
 }
 
 // Extract runs Datamaran on data.
@@ -200,12 +198,12 @@ func Extract(data []byte, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return wrapResult(data, res), nil
+	return wrapResult(res), nil
 }
 
 // wrapResult converts the internal result into the public form.
-func wrapResult(data []byte, res *core.Result) *Result {
-	out := &Result{data: data, res: res, NoiseLines: res.NoiseLines,
+func wrapResult(res *core.Result) *Result {
+	out := &Result{res: res, NoiseLines: res.NoiseLines,
 		Timing: Timing{
 			Generation: res.Timing.Generation,
 			Pruning:    res.Timing.Pruning,
@@ -258,18 +256,7 @@ func publicRecord(r core.RecordOut) Record {
 // For inputs no larger than the discovery budget the result's structures,
 // records and noise lines are identical to Extract's.
 func ExtractReader(r io.Reader, opts Options) (*Result, error) {
-	return ExtractReaderContext(context.Background(), r, opts)
-}
-
-// ExtractReaderContext is ExtractReader with cancellation: ctx is
-// checked between shards, so a long extraction aborts within one shard
-// of the cancel — the request-cancellation hook of the serve daemon.
-func ExtractReaderContext(ctx context.Context, r io.Reader, opts Options) (*Result, error) {
-	res, err := pipeline.RunContext(ctx, r, opts.pipelineConfig())
-	if err != nil {
-		return nil, err
-	}
-	return wrapResult(nil, res), nil
+	return extractReader(r, nil, opts, nil)
 }
 
 // ExtractStream is ExtractReader in bounded-memory form: every record is
@@ -282,32 +269,33 @@ func ExtractReaderContext(ctx context.Context, r io.Reader, opts Options) (*Resu
 // needed. Memory is bounded except for the noise line indices, which
 // still accumulate into Result.NoiseLines (8 bytes per unmatched line).
 func ExtractStream(r io.Reader, opts Options, fn func(Record) error) (*Result, error) {
-	return ExtractStreamContext(context.Background(), r, opts, fn)
+	return extractReader(r, nil, opts, fn)
 }
 
-// ExtractStreamContext is ExtractStream with cancellation (see
-// ExtractReaderContext).
-func ExtractStreamContext(ctx context.Context, r io.Reader, opts Options, fn func(Record) error) (*Result, error) {
+// extractReader is the one streaming entry point behind ExtractReader,
+// ExtractStream and their WithProfile forms: a nil profile means discover
+// first, a nil fn means accumulate the records into the Result. In
+// callback mode the per-structure MultiLine flag (normally derived from
+// Result.Records) is reconstructed from the records flowing past.
+func extractReader(r io.Reader, p *Profile, opts Options, fn func(Record) error) (*Result, error) {
 	cfg := opts.pipelineConfig()
-	return runStream(ctx, r, cfg, fn)
-}
-
-// runStream executes the pipeline in callback mode, reconstructing the
-// per-structure MultiLine flag (normally derived from Result.Records)
-// from the records flowing past.
-func runStream(ctx context.Context, r io.Reader, cfg pipeline.Config, fn func(Record) error) (*Result, error) {
-	multi := map[int]bool{}
-	cfg.OnRecord = func(ro core.RecordOut) error {
-		if ro.EndLine-ro.StartLine > 1 {
-			multi[ro.TypeID] = true
-		}
-		return fn(publicRecord(ro))
+	if p != nil {
+		cfg.Templates = p.templates
 	}
-	res, err := pipeline.RunContext(ctx, r, cfg)
+	multi := map[int]bool{}
+	if fn != nil {
+		cfg.OnRecord = func(ro core.RecordOut) error {
+			if ro.EndLine-ro.StartLine > 1 {
+				multi[ro.TypeID] = true
+			}
+			return fn(publicRecord(ro))
+		}
+	}
+	res, err := pipeline.Run(r, cfg)
 	if err != nil {
 		return nil, err
 	}
-	out := wrapResult(nil, res)
+	out := wrapResult(res)
 	for i := range out.Structures {
 		if multi[out.Structures[i].Type] {
 			out.Structures[i].MultiLine = true

@@ -97,7 +97,7 @@ func TestTablesNormalized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables := res.Tables()
+	tables := res.TablesWith(TablesOptions{})
 	if len(tables) == 0 {
 		t.Fatal("no tables")
 	}
@@ -132,7 +132,7 @@ func TestTablesWithLists(t *testing.T) {
 	if !strings.Contains(res.Structures[0].Template, ")*") {
 		t.Skipf("no array survived refinement: %s", res.Structures[0].Template)
 	}
-	tables := res.Tables()
+	tables := res.TablesWith(TablesOptions{})
 	if len(tables) < 2 {
 		t.Fatalf("tables = %d, want root + child", len(tables))
 	}
@@ -147,7 +147,7 @@ func TestDenormalizedTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tabs := res.DenormalizedTables()
+	tabs := res.TablesWith(TablesOptions{Denormalized: true})
 	if len(tabs) != 1 {
 		t.Fatalf("tables = %d", len(tabs))
 	}
@@ -162,7 +162,7 @@ func TestTableWriteCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := res.Tables()[0].WriteCSV(&buf); err != nil {
+	if err := res.TablesWith(TablesOptions{})[0].WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Count(buf.String(), "\n")
@@ -212,7 +212,7 @@ func TestTypedTablesMergeIP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tabs := res.TypedTables()
+	tabs := res.TablesWith(TablesOptions{Typed: true})
 	if len(tabs) != 1 {
 		t.Fatalf("tables = %d", len(tabs))
 	}
@@ -242,7 +242,7 @@ func TestTypedTablesNoSpuriousMerges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tabs := res.TypedTables()
+	tabs := res.TablesWith(TablesOptions{Typed: true})
 	if len(tabs) != 1 {
 		t.Fatalf("tables = %d", len(tabs))
 	}

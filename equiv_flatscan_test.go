@@ -13,6 +13,7 @@ import (
 	"datamaran/internal/core"
 	"datamaran/internal/datagen"
 	"datamaran/internal/parser"
+	"datamaran/internal/parser/parsertest"
 	"datamaran/internal/textio"
 )
 
@@ -75,89 +76,10 @@ func sortedNames(m map[string][]byte) []string {
 	return names
 }
 
-// treeScanReference reproduces the pre-arena Scan through the public tree
-// API only (offset map, Match, Flatten) — the oracle for the two-phase
-// matcher.
-type treeScanReference struct {
-	records    []parser.Record
-	fields     [][]parser.FieldOcc
-	noiseLines []int
-	coverage   int
-	fieldBytes int
-}
-
-func treeScan(m *parser.Matcher, lines *textio.Lines) *treeScanReference {
-	res := &treeScanReference{}
-	data := lines.Data()
-	n := lines.N()
-	lineOf := make(map[int]int, n)
-	for i := 0; i <= n; i++ {
-		lineOf[lines.Start(i)] = i
-	}
-	i := 0
-	for i < n {
-		pos := lines.Start(i)
-		v, end, ok := m.Match(data, pos)
-		if ok {
-			if endLine, aligned := lineOf[end]; aligned && endLine > i {
-				res.records = append(res.records, parser.Record{
-					StartLine: i, EndLine: endLine, Start: pos, End: end, Value: v,
-				})
-				occs := m.Flatten(v)
-				for _, f := range occs {
-					res.fieldBytes += f.End - f.Start
-				}
-				res.fields = append(res.fields, occs)
-				res.coverage += end - pos
-				i = endLine
-				continue
-			}
-		}
-		res.noiseLines = append(res.noiseLines, i)
-		i++
-	}
-	return res
-}
-
-func requireScanEqual(t *testing.T, label string, want *treeScanReference, got *parser.ScanResult) {
-	t.Helper()
-	if len(got.Records) != len(want.records) {
-		t.Fatalf("%s: records = %d, want %d", label, len(got.Records), len(want.records))
-	}
-	for i := range want.records {
-		g, w := got.Records[i], want.records[i]
-		if g.StartLine != w.StartLine || g.EndLine != w.EndLine || g.Start != w.Start || g.End != w.End {
-			t.Fatalf("%s: record %d spans differ: got [%d,%d)@[%d,%d), want [%d,%d)@[%d,%d)",
-				label, i, g.StartLine, g.EndLine, g.Start, g.End, w.StartLine, w.EndLine, w.Start, w.End)
-		}
-		gf, wf := got.Fields(i), want.fields[i]
-		if len(gf) != len(wf) {
-			t.Fatalf("%s: record %d fields = %d, want %d", label, i, len(gf), len(wf))
-		}
-		for j := range wf {
-			if gf[j] != wf[j] {
-				t.Fatalf("%s: record %d field %d = %+v, want %+v", label, i, j, gf[j], wf[j])
-			}
-		}
-	}
-	if len(got.NoiseLines) != len(want.noiseLines) {
-		t.Fatalf("%s: noise count = %d, want %d", label, len(got.NoiseLines), len(want.noiseLines))
-	}
-	for i := range want.noiseLines {
-		if got.NoiseLines[i] != want.noiseLines[i] {
-			t.Fatalf("%s: noise line %d = %d, want %d", label, i, got.NoiseLines[i], want.noiseLines[i])
-		}
-	}
-	if got.Coverage != want.coverage || got.FieldBytes != want.fieldBytes {
-		t.Fatalf("%s: coverage/fieldBytes = %d/%d, want %d/%d",
-			label, got.Coverage, got.FieldBytes, want.coverage, want.fieldBytes)
-	}
-}
-
 // TestTwoPhaseScanMatchesTreePathOnCorpus discovers structures on every
 // corpus input, then pins the arena-based Scan and ScanParallel (workers
-// 1, 2, 8) to the tree-path reference — records, field occurrences, noise,
-// coverage and field bytes must be identical.
+// 1, 2, 8) to the tree-building oracle — records, field occurrences, array
+// occurrences in order, noise, coverage and field bytes must be identical.
 func TestTwoPhaseScanMatchesTreePathOnCorpus(t *testing.T) {
 	inputs := equivInputs(t)
 	for _, name := range sortedNames(inputs) {
@@ -169,11 +91,11 @@ func TestTwoPhaseScanMatchesTreePathOnCorpus(t *testing.T) {
 		lines := textio.NewLines(data)
 		for _, s := range res.Structures {
 			m := parser.NewMatcher(s.Template)
-			want := treeScan(m, lines)
-			requireScanEqual(t, name+"/seq", want, m.Scan(lines))
+			want := parsertest.New(s.Template).Scan(lines)
+			parsertest.RequireScanEqual(t, name+"/seq", want, m.Scan(lines))
 			for _, workers := range []int{1, 2, 8} {
 				label := fmt.Sprintf("%s/workers%d", name, workers)
-				requireScanEqual(t, label, want, m.ScanParallel(lines, workers))
+				parsertest.RequireScanEqual(t, label, want, m.ScanParallel(lines, workers))
 			}
 		}
 	}

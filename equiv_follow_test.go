@@ -44,6 +44,13 @@ func followInputs(t *testing.T) map[string][]byte {
 	return out
 }
 
+// followGoldens names the committed CSV of each lake input.
+var followGoldens = map[string]string{
+	"job-1.log":      "testdata/lake_golden/csv/jobs__job-1.log.type0.csv",
+	"metrics-1.log":  "testdata/lake_golden/csv/metrics__metrics-1.log.type0.csv",
+	"requests-1.log": "testdata/lake_golden/csv/web__requests-1.log.type0.csv",
+}
+
 // followTemplates learns the profile of data once.
 func followTemplates(t *testing.T, data []byte) []*template.Node {
 	t.Helper()
@@ -67,18 +74,7 @@ func tablesCSV(t *testing.T, tpls []*template.Node, records []core.RecordOut) []
 	t.Helper()
 	var buf bytes.Buffer
 	for typeID, tpl := range tpls {
-		var recs [][]relational.FlatField
-		for _, r := range records {
-			if r.TypeID != typeID {
-				continue
-			}
-			fields := make([]relational.FlatField, 0, len(r.Fields))
-			for _, f := range r.Fields {
-				fields = append(fields, relational.FlatField{Col: f.Col, Rep: f.Rep, Value: f.Value})
-			}
-			recs = append(recs, fields)
-		}
-		db := relational.BuildFlat(tpl, recs, fmt.Sprintf("type%d", typeID))
+		db := relational.Build(tpl, records, typeID, fmt.Sprintf("type%d", typeID))
 		for _, tbl := range db.Tables {
 			if err := tbl.WriteCSV(&buf); err != nil {
 				t.Fatal(err)
@@ -106,6 +102,17 @@ func TestFollowResumeEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			oracleCSV := tablesCSV(t, tpls, oracle.Records)
+			// The lake files' tables are committed as literal goldens
+			// (single-type formats, so one CSV is the whole rendering).
+			if path, ok := followGoldens[name]; ok {
+				golden, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(oracleCSV, golden) {
+					t.Fatalf("one-shot CSV differs from %s", path)
+				}
+			}
 
 			// Cut mid-byte (not line-aligned) to force the resume
 			// machinery to cope with a dangling partial line.

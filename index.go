@@ -239,7 +239,7 @@ func wrapIndexResult(res *lake.Result, reg *lake.Registry) *IndexResult {
 			Err:          f.Err,
 		}
 		if f.Res != nil {
-			pf.Result = wrapResult(nil, f.Res)
+			pf.Result = wrapResult(f.Res)
 		}
 		if f.Inc != nil {
 			pf.Resume = f.Inc.Action.String()

@@ -94,7 +94,7 @@ func indexDigest(t *testing.T, res *IndexResult) string {
 			fmt.Fprintf(&b, "  record %+v\n", r)
 		}
 		fmt.Fprintf(&b, "  noise %v\n", f.Result.NoiseLines)
-		for _, tb := range f.Result.Tables() {
+		for _, tb := range f.Result.TablesWith(TablesOptions{}) {
 			fmt.Fprintf(&b, "  table %s cols=%v rows=%d\n", tb.Name, tb.Columns, len(tb.Rows))
 			var csv strings.Builder
 			if err := tb.WriteCSV(&csv); err != nil {

@@ -163,6 +163,10 @@ type RecordOut struct {
 	StartLine, EndLine int
 	// Fields lists the record's field values in template order.
 	Fields []FieldValue
+	// Arrays lists the record's array instantiations in the matcher's
+	// emission order (see parser.ArrayOcc); nil when the template has no
+	// array. Fields plus Arrays determine the record's nesting exactly.
+	Arrays []parser.ArrayOcc
 }
 
 // Structure is one discovered record type.
@@ -217,81 +221,98 @@ func Extract(data []byte, opts Options) (*Result, error) {
 	}
 
 	res := &Result{}
-	// residual maps the still-unexplained lines to original indices.
-	residLines := make([]int, lines.N())
-	for i := range residLines {
-		residLines[i] = i
-	}
-	residData := data
-
-	for typeID := 0; typeID < opts.MaxRecordTypes && len(residLines) > 0; typeID++ {
+	resid := newResidue(lines)
+	minCoverage := int(opts.Alpha * float64(len(data)))
+	for typeID := 0; typeID < opts.MaxRecordTypes && len(resid.lines) > 0; typeID++ {
 		// Assumption 1's threshold is α% of the *dataset*, not of the
 		// shrinking residue: rescale α so leftover junk lines cannot
 		// qualify as a record type once they dominate the residue.
-		effAlpha := opts.Alpha * float64(len(data)) / float64(len(residData))
+		effAlpha := opts.Alpha * float64(len(data)) / float64(len(resid.data))
 		if effAlpha > 1 {
 			break
 		}
-		st, stats, ok := discoverOne(residData, opts, effAlpha, res)
+		stats, ok := discoverOne(resid.data, opts, effAlpha, res)
 		if !ok {
 			break
 		}
-
-		// Extraction step: scan the full residue with the chosen
-		// template.
-		t0 := time.Now()
-		rl := textio.NewLines(residData)
-		m := parser.NewMatcher(st)
-		scan := opts.scan(m, rl)
-		res.Timing.Extraction += time.Since(t0)
-
-		if scan.Coverage < int(opts.Alpha*float64(len(data))) {
+		stats.TypeID = typeID
+		if !resid.apply(res, stats, opts, minCoverage) {
 			break // sampling artifact: template does not hold up on the full residue
 		}
-
-		stats.TypeID = typeID
-		stats.Records = len(scan.Records)
-		stats.Coverage = scan.Coverage
-		res.Structures = append(res.Structures, stats)
-
-		// Translate records to original coordinates and build the
-		// next residue from the noise lines.
-		origOf := residLines
-		byteShift := makeByteShift(rl, origOf, lines)
-		for ri, rec := range scan.Records {
-			out := RecordOut{
-				TypeID:    typeID,
-				StartLine: origOf[rec.StartLine],
-				EndLine:   origOf[rec.EndLine-1] + 1,
-			}
-			for _, f := range scan.Fields(ri) {
-				os, oe := byteShift(f.Start), byteShift(f.End)
-				out.Fields = append(out.Fields, FieldValue{
-					Col: f.Col, Rep: f.Rep,
-					Start: os, End: oe,
-					Value: string(residData[f.Start:f.End]),
-				})
-			}
-			res.Records = append(res.Records, out)
-		}
-
-		var nextLines []int
-		var nextData []byte
-		for _, li := range scan.NoiseLines {
-			nextLines = append(nextLines, origOf[li])
-			nextData = append(nextData, rl.Line(li)...)
-		}
-		residLines = nextLines
-		residData = nextData
 	}
 
-	res.NoiseLines = residLines
+	res.NoiseLines = resid.lines
 	return res, nil
+}
+
+// residue is the still-unexplained part of a dataset: its bytes, and per
+// residue line the index of the line it was in the original dataset.
+type residue struct {
+	orig  *textio.Lines
+	data  []byte
+	lines []int
+}
+
+func newResidue(orig *textio.Lines) *residue {
+	r := &residue{orig: orig, data: orig.Data(), lines: make([]int, orig.N())}
+	for i := range r.lines {
+		r.lines[i] = i
+	}
+	return r
+}
+
+// apply is the extraction step: it scans the residue with s.Template and,
+// unless the scan covers fewer than minCoverage bytes (then nothing
+// changes and it returns false), appends the structure and its records —
+// translated to original coordinates — to res and shrinks the residue to
+// the scan's noise lines.
+func (r *residue) apply(res *Result, s Structure, opts Options, minCoverage int) bool {
+	t0 := time.Now()
+	rl := textio.NewLines(r.data)
+	scan := opts.scan(parser.NewMatcher(s.Template), rl)
+	res.Timing.Extraction += time.Since(t0)
+	if scan.Coverage < minCoverage {
+		return false
+	}
+	s.Records = len(scan.Records)
+	s.Coverage = scan.Coverage
+	res.Structures = append(res.Structures, s)
+
+	byteShift := makeByteShift(rl, r.lines, r.orig)
+	for ri, rec := range scan.Records {
+		out := RecordOut{
+			TypeID:    s.TypeID,
+			StartLine: r.lines[rec.StartLine],
+			EndLine:   r.lines[rec.EndLine-1] + 1,
+		}
+		fields := scan.Fields(ri)
+		out.Fields = make([]FieldValue, 0, len(fields))
+		for _, f := range fields {
+			out.Fields = append(out.Fields, FieldValue{
+				Col: f.Col, Rep: f.Rep,
+				Start: byteShift(f.Start), End: byteShift(f.End),
+				Value: string(r.data[f.Start:f.End]),
+			})
+		}
+		if arrays := scan.Arrays(ri); len(arrays) > 0 {
+			out.Arrays = append([]parser.ArrayOcc(nil), arrays...)
+		}
+		res.Records = append(res.Records, out)
+	}
+
+	var nextLines []int
+	var nextData []byte
+	for _, li := range scan.NoiseLines {
+		nextLines = append(nextLines, r.lines[li])
+		nextData = append(nextData, rl.Line(li)...)
+	}
+	r.lines, r.data = nextLines, nextData
+	return true
 }
 
 // discoverOne runs generation, pruning and evaluation over one residue and
 // returns the best refined template.
-func discoverOne(residData []byte, opts Options, effAlpha float64, res *Result) (*template.Node, Structure, bool) {
+func discoverOne(residData []byte, opts Options, effAlpha float64, res *Result) (Structure, bool) {
 	sampler := textio.Sampler{Budget: opts.SampleBudget, Seed: 7}
 	if opts.SampleBudget < 0 {
 		sampler.Budget = 0
@@ -316,7 +337,7 @@ func discoverOne(residData []byte, opts Options, effAlpha float64, res *Result) 
 	res.Timing.Generation += time.Since(t0)
 	cands = filterTrivial(cands)
 	if len(cands) == 0 {
-		return nil, Structure{}, false
+		return Structure{}, false
 	}
 
 	t0 = time.Now()
@@ -370,9 +391,9 @@ func discoverOne(residData []byte, opts Options, effAlpha float64, res *Result) 
 	}
 	res.Timing.Evaluation += time.Since(t0)
 	if best == nil {
-		return nil, Structure{}, false
+		return Structure{}, false
 	}
-	return best, Structure{
+	return Structure{
 		Template:            best,
 		Score:               bestRes,
 		CandidatesGenerated: len(cands),
@@ -423,71 +444,27 @@ func makeByteShift(resid *textio.Lines, origOf []int, orig *textio.Lines) func(i
 	}
 }
 
-// ApplyTemplates runs only the extraction pass with an already-known set
-// of structure templates — the learn-once, apply-many workflow of a data
-// lake where many files share one format. Templates are applied in order;
-// each consumes its matching records from the residue left by the
-// previous ones, exactly as the discovery loop would have.
-func ApplyTemplates(data []byte, templates []*template.Node) (*Result, error) {
-	return ApplyTemplatesParallel(data, templates, 0)
-}
-
-// ApplyTemplatesParallel is ApplyTemplates with the extraction scans fanned
-// out over workers goroutines (0 or 1 sequential, negative GOMAXPROCS).
-// Output is identical to ApplyTemplates.
+// ApplyTemplatesParallel runs only the extraction pass with an
+// already-known set of structure templates — the learn-once, apply-many
+// workflow of a data lake where many files share one format. Templates are
+// applied in order; each consumes its matching records from the residue
+// left by the previous ones, exactly as the discovery loop would have. The
+// scans fan out over workers goroutines (0 or 1 sequential, negative
+// GOMAXPROCS); output is identical for any worker count.
 func ApplyTemplatesParallel(data []byte, templates []*template.Node, workers int) (*Result, error) {
-	opts := Options{Workers: workers}.withDefaults()
+	opts := Options{Workers: workers}
 	lines := textio.NewLines(data)
 	if lines.N() == 0 {
 		return nil, ErrEmptyInput
 	}
 	res := &Result{}
-	residLines := make([]int, lines.N())
-	for i := range residLines {
-		residLines[i] = i
-	}
-	residData := data
+	resid := newResidue(lines)
 	for typeID, st := range templates {
-		t0 := time.Now()
-		rl := textio.NewLines(residData)
-		m := parser.NewMatcher(st)
-		scan := opts.scan(m, rl)
-		res.Timing.Extraction += time.Since(t0)
-		res.Structures = append(res.Structures, Structure{
-			TypeID:   typeID,
-			Template: st,
-			Records:  len(scan.Records),
-			Coverage: scan.Coverage,
-		})
-		origOf := residLines
-		byteShift := makeByteShift(rl, origOf, lines)
-		for ri, rec := range scan.Records {
-			out := RecordOut{
-				TypeID:    typeID,
-				StartLine: origOf[rec.StartLine],
-				EndLine:   origOf[rec.EndLine-1] + 1,
-			}
-			for _, f := range scan.Fields(ri) {
-				out.Fields = append(out.Fields, FieldValue{
-					Col: f.Col, Rep: f.Rep,
-					Start: byteShift(f.Start), End: byteShift(f.End),
-					Value: string(residData[f.Start:f.End]),
-				})
-			}
-			res.Records = append(res.Records, out)
-		}
-		var nextLines []int
-		var nextData []byte
-		for _, li := range scan.NoiseLines {
-			nextLines = append(nextLines, origOf[li])
-			nextData = append(nextData, rl.Line(li)...)
-		}
-		residLines = nextLines
-		residData = nextData
-		if len(residLines) == 0 {
+		resid.apply(res, Structure{TypeID: typeID, Template: st}, opts, 0)
+		if len(resid.lines) == 0 {
 			break
 		}
 	}
-	res.NoiseLines = residLines
+	res.NoiseLines = resid.lines
 	return res, nil
 }

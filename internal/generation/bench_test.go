@@ -8,8 +8,8 @@ import (
 	"datamaran/internal/textio"
 )
 
-// benchLines is the generation benchmark input: the 16 MiB web-server-log
-// corpus of BENCH_extract.json, cut down to the 512 KiB sample the
+// benchLines is the generation benchmark input: a 16 MiB web-server-log
+// corpus cut down to the 512 KiB sample the
 // discovery pipeline actually hands the generation step (core's
 // SampleBudget). Throughput numbers are MiB/s over the sample.
 func benchLines(b *testing.B) *textio.Lines {

@@ -1455,17 +1455,12 @@ func (sw *segWriter) finish() ([]semtype.Kind, int, []int, error) {
 // addRecords feeds recs' rows of one record type through the writer.
 func addRecords(sw *segWriter, st *template.Node, recs []core.RecordOut, typeID int) error {
 	seps := relational.ArraySeps(st)
-	var fields []relational.FlatField
 	var row []string
 	for _, rec := range recs {
 		if rec.TypeID != typeID {
 			continue
 		}
-		fields = fields[:0]
-		for _, f := range rec.Fields {
-			fields = append(fields, relational.FlatField{Col: f.Col, Rep: f.Rep, Value: f.Value})
-		}
-		row = relational.DenormRow(st, seps, fields, row)
+		row = relational.DenormRow(st, seps, rec.Fields, row)
 		if err := sw.add(row); err != nil {
 			return err
 		}

@@ -1,134 +1,19 @@
-package parser
+package parser_test
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 
+	"datamaran/internal/parser"
+	"datamaran/internal/parser/parsertest"
 	"datamaran/internal/template"
 	"datamaran/internal/textio"
 )
 
-// refScan is the *Value-tree reference implementation of Scan: the
-// pre-arena algorithm (offset map, tree Match, Flatten) kept verbatim as
-// the oracle the two-phase matcher must reproduce byte-for-byte.
-type refScan struct {
-	records    []Record
-	fields     [][]FieldOcc
-	arrays     [][]ArrayOcc
-	noiseLines []int
-	coverage   int
-	fieldBytes int
-}
-
-func scanTreeReference(m *Matcher, lines *textio.Lines) *refScan {
-	res := &refScan{}
-	data := lines.Data()
-	n := lines.N()
-	lineOf := make(map[int]int, n) // byte offset -> line index
-	for i := 0; i <= n; i++ {
-		lineOf[lines.Start(i)] = i
-	}
-	i := 0
-	for i < n {
-		pos := lines.Start(i)
-		v, end, ok := m.Match(data, pos)
-		if ok {
-			if endLine, aligned := lineOf[end]; aligned && endLine > i {
-				res.records = append(res.records, Record{
-					StartLine: i, EndLine: endLine, Start: pos, End: end, Value: v,
-				})
-				res.coverage += end - pos
-				occs := m.Flatten(v)
-				for _, f := range occs {
-					res.fieldBytes += f.End - f.Start
-				}
-				res.fields = append(res.fields, occs)
-				res.arrays = append(res.arrays, collectTreeArrays(m, v))
-				i = endLine
-				continue
-			}
-		}
-		res.noiseLines = append(res.noiseLines, i)
-		i++
-	}
-	return res
-}
-
-// collectTreeArrays lists every array instantiation of a parse tree as
-// (dense array index, repetition count) pairs.
-func collectTreeArrays(m *Matcher, v *Value) []ArrayOcc {
-	var out []ArrayOcc
-	var walk func(v *Value)
-	walk = func(v *Value) {
-		if v.Node.Kind == template.KArray {
-			out = append(out, ArrayOcc{Arr: m.arrays[v.Node].idx, Reps: len(v.Children)})
-		}
-		for _, c := range v.Children {
-			walk(c)
-		}
-	}
-	walk(v)
-	return out
-}
-
-// sortedArrays orders array occurrences canonically: the arena emits an
-// array when it terminates (inner before outer), the tree walk in
-// pre-order (outer before inner) — the multiset must agree.
-func sortedArrays(a []ArrayOcc) []ArrayOcc {
-	out := append([]ArrayOcc(nil), a...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Arr != out[j].Arr {
-			return out[i].Arr < out[j].Arr
-		}
-		return out[i].Reps < out[j].Reps
-	})
-	return out
-}
-
-func checkScanAgainstReference(t *testing.T, label string, m *Matcher, lines *textio.Lines, got *ScanResult) {
-	t.Helper()
-	want := scanTreeReference(m, lines)
-	if len(got.Records) != len(want.records) {
-		t.Fatalf("%s: records = %d, want %d", label, len(got.Records), len(want.records))
-	}
-	for i := range want.records {
-		g, w := got.Records[i], want.records[i]
-		if g.StartLine != w.StartLine || g.EndLine != w.EndLine || g.Start != w.Start || g.End != w.End {
-			t.Fatalf("%s: record %d = [%d,%d)@[%d,%d), want [%d,%d)@[%d,%d)", label, i,
-				g.StartLine, g.EndLine, g.Start, g.End, w.StartLine, w.EndLine, w.Start, w.End)
-		}
-		gf, wf := got.Fields(i), want.fields[i]
-		if len(gf) != len(wf) {
-			t.Fatalf("%s: record %d fields = %d, want %d", label, i, len(gf), len(wf))
-		}
-		for j := range wf {
-			if gf[j] != wf[j] {
-				t.Fatalf("%s: record %d field %d = %+v, want %+v", label, i, j, gf[j], wf[j])
-			}
-		}
-		ga, wa := sortedArrays(got.Arrays(i)), sortedArrays(want.arrays[i])
-		if len(ga) != len(wa) {
-			t.Fatalf("%s: record %d arrays = %d, want %d", label, i, len(ga), len(wa))
-		}
-		for j := range wa {
-			if ga[j] != wa[j] {
-				t.Fatalf("%s: record %d array %d = %+v, want %+v", label, i, j, ga[j], wa[j])
-			}
-		}
-	}
-	if len(got.NoiseLines) != len(want.noiseLines) {
-		t.Fatalf("%s: noise = %v, want %v", label, got.NoiseLines, want.noiseLines)
-	}
-	for i := range want.noiseLines {
-		if got.NoiseLines[i] != want.noiseLines[i] {
-			t.Fatalf("%s: noise = %v, want %v", label, got.NoiseLines, want.noiseLines)
-		}
-	}
-	if got.Coverage != want.coverage || got.FieldBytes != want.fieldBytes {
-		t.Fatalf("%s: coverage/fieldBytes = %d/%d, want %d/%d", label,
-			got.Coverage, got.FieldBytes, want.coverage, want.fieldBytes)
-	}
+func fld() *template.Node         { return template.Field() }
+func lit(s string) *template.Node { return template.Lit(s) }
+func st(c ...*template.Node) *template.Node {
+	return template.Struct(c...).Normalize()
 }
 
 // flatScanCases pairs templates with inputs exercising every template
@@ -155,6 +40,13 @@ func flatScanCases() []struct {
 			"[a b c]\n[x]\njunk\n[1 2]\n"},
 		{"nested-array", arr([]*template.Node{arr([]*template.Node{fld()}, ',', ';')}, ' ', '\n'),
 			"a,b; c;\nx; y,z,w;\nnoise\n"},
+		{"sibling-arrays-in-array", arr([]*template.Node{
+			arr([]*template.Node{fld()}, ',', ';'), arr([]*template.Node{fld()}, '+', '|')}, ' ', '\n'),
+			"a,b;x+y| c;z|\nnoise\nd;e+f+g|\n"},
+		{"three-level", arr([]*template.Node{arr([]*template.Node{arr([]*template.Node{fld()}, ',', ';')}, '+', '|')}, ' ', '\n'),
+			"a,b;+c;| d;|\ne;+f,g;+h;|\n"},
+		{"fieldless-body", st(fld(), lit(":"), arr([]*template.Node{lit("x")}, ',', ';'), lit("\n")),
+			"a:x,x,x;\nb:x;\nc:y;\n"},
 		{"multi-line", st(lit("BEGIN "), fld(), lit("\nv="), fld(), lit("\nEND\n")),
 			"BEGIN a\nv=1\nEND\nnoise\nBEGIN b\nv=2\nEND\nBEGIN c\nv=3\n"},
 		{"kv-pairs", st(arr([]*template.Node{fld(), lit("="), fld()}, ';', '.'), lit("\n")),
@@ -169,17 +61,21 @@ func flatScanCases() []struct {
 }
 
 // TestScanMatchesTreeReference pins the two-phase arena scan — sequential
-// and parallel at several worker counts — to the *Value-tree reference
-// implementation across every template shape.
+// and parallel at several worker counts — to the tree-building oracle
+// across every template shape.
 func TestScanMatchesTreeReference(t *testing.T) {
 	for _, c := range flatScanCases() {
 		tm := c.tm.Normalize()
-		m := NewMatcher(tm)
+		m := parser.NewMatcher(tm)
 		lines := textio.NewLines([]byte(c.data))
-		checkScanAgainstReference(t, c.name+"/seq", m, lines, m.Scan(lines))
+		want := parsertest.New(tm).Scan(lines)
+		if c.name != "all-noise" && len(want.Records) == 0 {
+			t.Fatalf("%s: case matches no record", c.name)
+		}
+		parsertest.RequireScanEqual(t, c.name+"/seq", want, m.Scan(lines))
 		for _, workers := range []int{1, 2, 8} {
 			label := fmt.Sprintf("%s/par%d", c.name, workers)
-			checkScanAgainstReference(t, label, m, lines, m.ScanParallel(lines, workers))
+			parsertest.RequireScanEqual(t, label, want, m.ScanParallel(lines, workers))
 		}
 	}
 }
@@ -188,34 +84,50 @@ func TestScanMatchesTreeReference(t *testing.T) {
 // between datasets: scanning A, then B, must equal scanning B fresh.
 func TestScanIntoReuseIsClean(t *testing.T) {
 	cases := flatScanCases()
-	res := &ScanResult{}
+	res := &parser.ScanResult{}
 	for _, c := range cases {
-		m := NewMatcher(c.tm.Normalize())
+		tm := c.tm.Normalize()
 		lines := textio.NewLines([]byte(c.data))
-		m.ScanInto(lines, res)
-		checkScanAgainstReference(t, c.name+"/reused", m, lines, res)
+		parser.NewMatcher(tm).ScanInto(lines, res)
+		parsertest.RequireScanEqual(t, c.name+"/reused", parsertest.New(tm).Scan(lines), res)
 	}
 }
 
-// TestMatchCandidatesTwoPhase pins the tree-carrying candidate API to the
-// ends-only validate pass they now share.
+// TestMatchCandidatesTwoPhase pins the validate pass's per-line candidates
+// to the oracle's tree match at every line.
 func TestMatchCandidatesTwoPhase(t *testing.T) {
 	for _, c := range flatScanCases() {
 		tm := c.tm.Normalize()
-		m := NewMatcher(tm)
+		o := parsertest.New(tm)
 		lines := textio.NewLines([]byte(c.data))
 		n := lines.N()
-		cands := m.MatchCandidates(lines, 0, n, 2)
-		ends := m.MatchCandidateEnds(lines, 0, n, 2)
+		ends := parser.NewMatcher(tm).MatchCandidateEnds(lines, 0, n, 2)
 		for i := 0; i < n; i++ {
-			if (cands[i].Value != nil) != (ends[i].EndLine != 0) {
-				t.Fatalf("%s: line %d: tree/ends disagree on match", c.name, i)
+			_, end, ok, trunc := o.MatchTrunc(lines.Data(), lines.Start(i))
+			endLine, aligned := lines.AlignedLine(end)
+			want := parser.CandEnd{Truncated: trunc}
+			if ok && aligned && endLine > i {
+				want = parser.CandEnd{EndLine: endLine, End: end}
 			}
-			if cands[i].EndLine != ends[i].EndLine || cands[i].Truncated != ends[i].Truncated {
-				t.Fatalf("%s: line %d: cand %+v vs end %+v", c.name, i, cands[i], ends[i])
+			if ends[i] != want {
+				t.Fatalf("%s: line %d: cand %+v, oracle %+v", c.name, i, ends[i], want)
 			}
-			if cands[i].Value != nil && cands[i].End != ends[i].End {
-				t.Fatalf("%s: line %d: end %d vs %d", c.name, i, cands[i].End, ends[i].End)
+		}
+	}
+}
+
+// TestMatchTruncAgreesWithMatch: at every offset of a buffer, the validate
+// pass's ok/end/truncated must be exactly the oracle's.
+func TestMatchTruncAgreesWithMatch(t *testing.T) {
+	for _, c := range flatScanCases() {
+		tm := c.tm.Normalize()
+		m, o := parser.NewMatcher(tm), parsertest.New(tm)
+		data := []byte(c.data)
+		for pos := 0; pos <= len(data); pos++ {
+			e1, ok1, t1 := m.MatchEnds(data, pos)
+			_, e2, ok2, t2 := o.MatchTrunc(data, pos)
+			if ok1 != ok2 || e1 != e2 || t1 != t2 {
+				t.Errorf("%s pos %d: MatchEnds=(%v,%d,%v) oracle=(%v,%d,%v)", c.name, pos, ok1, e1, t1, ok2, e2, t2)
 			}
 		}
 	}

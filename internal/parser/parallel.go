@@ -7,41 +7,28 @@ import (
 	"datamaran/internal/textio"
 )
 
-// Cand is the outcome of one context-free match attempt: does a record of
-// the template start at this line, and if so where does it end. EndLine is
-// 0 (and Value nil) when no line-aligned match starts at the line.
-type Cand struct {
-	// EndLine is the exclusive end line of the match.
+// CandEnd is the outcome of one context-free match attempt by the
+// validate pass: does a record of the template start at this line, and if
+// so where does it end. EndLine is 0 when no line-aligned match starts at
+// the line.
+type CandEnd struct {
+	// EndLine is the exclusive end line of the match (0: no match).
 	EndLine int
 	// End is the exclusive end byte offset.
 	End int
-	// Value is the parse tree of the match.
-	Value *Value
 	// Truncated reports that a failed attempt ran off the end of the
 	// buffer: with more bytes the line could still start a record. Only
 	// meaningful to callers whose buffer is a window of a longer stream.
 	Truncated bool
 }
 
-// CandEnd is the allocation-free form of Cand produced by the validate
-// pass alone: the match end without a parse tree. EndLine is 0 when no
-// line-aligned match starts at the line.
-type CandEnd struct {
-	// EndLine is the exclusive end line of the match (0: no match).
-	EndLine int
-	// End is the exclusive end byte offset.
-	End int
-	// Truncated reports that a failed attempt ran off the buffer end.
-	Truncated bool
-}
-
 // MatchCandidateEnds computes, for every line in [from, to), whether a
 // line-aligned record match starts there and where it ends, fanning the
 // lines out over worker goroutines. It is the validate phase only — no
-// parse trees, no per-line heap allocations — which is what makes the
-// extraction pass "eminently parallelizable" (§1, §5.2.2 of the paper):
-// matching at a line is context-free, so any greedy walk over the
-// returned candidates reproduces the sequential Scan exactly.
+// per-line heap allocations — which is what makes the extraction pass
+// "eminently parallelizable" (§1, §5.2.2 of the paper): matching at a line
+// is context-free, so any greedy walk over the returned candidates
+// reproduces the sequential Scan exactly.
 //
 // Matches may extend past line to−1; they are resolved against the full
 // buffer behind lines. workers <= 0 selects GOMAXPROCS; the slice is
@@ -99,31 +86,6 @@ func (m *Matcher) MatchCandidateEnds(lines *textio.Lines, from, to, workers int)
 		}(lo, hi)
 	}
 	wg.Wait()
-	return cands
-}
-
-// MatchCandidates is MatchCandidateEnds additionally building the parse
-// tree of each successful candidate. It runs the zero-allocation validate
-// pass first, so lines that start no record (the common case) still cost
-// no heap allocations; only line-aligned matches pay for a tree.
-func (m *Matcher) MatchCandidates(lines *textio.Lines, from, to, workers int) []Cand {
-	if to > lines.N() {
-		to = lines.N()
-	}
-	if from < 0 {
-		from = 0
-	}
-	ends := m.MatchCandidateEnds(lines, from, to, workers)
-	cands := make([]Cand, len(ends))
-	data := lines.Data()
-	for i, c := range ends {
-		if c.EndLine == 0 {
-			cands[i] = Cand{Truncated: c.Truncated}
-			continue
-		}
-		v, end, _ := m.Match(data, lines.Start(from+i))
-		cands[i] = Cand{EndLine: c.EndLine, End: end, Value: v}
-	}
 	return cands
 }
 

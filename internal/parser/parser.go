@@ -13,9 +13,11 @@
 // (MatchEnds) answers ok/end/truncated with zero heap allocations — noise
 // lines, the common case during candidate evaluation, cost nothing — and
 // an extract pass writes field occurrences into a flat reusable arena
-// held by the ScanResult instead of building a per-record *Value tree.
-// The tree-building Match API remains for callers that need the parse
-// tree (relational normalization walks nesting structure).
+// held by the ScanResult. A record is exactly its field occurrences plus
+// its array occurrences: together they determine the parse (see ArrayOcc),
+// so no caller needs a parse tree. These are the package's only two
+// template walks; the tree-building walker they replaced lives on in
+// parsertest as the oracle the tests compare them against.
 package parser
 
 import (
@@ -23,18 +25,6 @@ import (
 	"datamaran/internal/template"
 	"datamaran/internal/textio"
 )
-
-// Value is the parse tree of one instantiated record against a template.
-type Value struct {
-	// Node is the template node this value instantiates.
-	Node *template.Node
-	// Start and End delimit the matched bytes (for all kinds).
-	Start, End int
-	// Children: for KStruct, one per template child; for KArray, one
-	// group per repetition, each group being a KStruct-shaped Value
-	// over the array body.
-	Children []*Value
-}
 
 // arrInfo is the precomputed per-array state of a matcher.
 type arrInfo struct {
@@ -90,33 +80,13 @@ func (m *Matcher) NumArrays() int { return len(m.arrNodes) }
 // template) — the inverse of ArrayOcc.Arr.
 func (m *Matcher) ArrayNode(i int) *template.Node { return m.arrNodes[i] }
 
-// Match attempts to match the template starting at data[pos]. On success
-// it returns the parse tree and the end offset (exclusive).
-func (m *Matcher) Match(data []byte, pos int) (*Value, int, bool) {
-	v, end, ok, _ := m.match(m.st, data, pos)
-	if !ok {
-		return nil, 0, false
-	}
-	return v, end, true
-}
-
-// MatchTrunc is Match, additionally reporting whether a failed attempt ran
-// off the end of data — i.e. whether appending more bytes could turn the
+// MatchEnds is the validate half of the two-phase matcher: it decides
+// whether a record of the template starts at data[pos] and where it ends,
+// without touching the heap. truncated reports that a failed attempt ran
+// off the end of data — i.e. that appending more bytes could turn the
 // failure into a match. The streaming engine uses this to defer decisions
 // for lines near a shard boundary instead of finalizing them; on a full
 // buffer the flag is irrelevant (no more bytes ever arrive).
-func (m *Matcher) MatchTrunc(data []byte, pos int) (v *Value, end int, ok, truncated bool) {
-	v, end, ok, truncated = m.match(m.st, data, pos)
-	if !ok {
-		return nil, 0, false, truncated
-	}
-	return v, end, true, false
-}
-
-// MatchEnds is the validate half of the two-phase matcher: it decides
-// whether a record of the template starts at data[pos] and where it ends,
-// without building a parse tree or touching the heap. truncated reports
-// that a failed attempt ran off the end of data (see MatchTrunc).
 func (m *Matcher) MatchEnds(data []byte, pos int) (end int, ok, truncated bool) {
 	return m.matchEnds(m.st, data, pos)
 }
@@ -184,74 +154,6 @@ func (m *Matcher) matchEnds(n *template.Node, data []byte, pos int) (int, bool, 
 	return 0, false, false
 }
 
-func (m *Matcher) match(n *template.Node, data []byte, pos int) (*Value, int, bool, bool) {
-	switch n.Kind {
-	case template.KField:
-		end := pos
-		for end < len(data) && data[end] != '\n' && !m.rtset.Contains(data[end]) {
-			end++
-		}
-		return &Value{Node: n, Start: pos, End: end}, end, true, false
-
-	case template.KLiteral:
-		lit := n.Lit
-		avail := len(lit)
-		if pos+avail > len(data) {
-			avail = len(data) - pos
-		}
-		for i := 0; i < avail; i++ {
-			if data[pos+i] != lit[i] {
-				return nil, 0, false, false
-			}
-		}
-		if avail < len(lit) {
-			return nil, 0, false, true
-		}
-		return &Value{Node: n, Start: pos, End: pos + len(lit)}, pos + len(lit), true, false
-
-	case template.KStruct:
-		v := &Value{Node: n, Start: pos, Children: make([]*Value, 0, len(n.Children))}
-		cur := pos
-		for _, c := range n.Children {
-			cv, end, ok, trunc := m.match(c, data, cur)
-			if !ok {
-				return nil, 0, false, trunc
-			}
-			v.Children = append(v.Children, cv)
-			cur = end
-		}
-		v.End = cur
-		return v, cur, true, false
-
-	case template.KArray:
-		v := &Value{Node: n, Start: pos}
-		cur := pos
-		body := m.arrays[n].body
-		for {
-			gv, end, ok, trunc := m.match(body, data, cur)
-			if !ok {
-				return nil, 0, false, trunc
-			}
-			v.Children = append(v.Children, gv)
-			cur = end
-			if cur >= len(data) {
-				return nil, 0, false, true
-			}
-			switch data[cur] {
-			case n.Sep:
-				cur++
-			case n.Term:
-				cur++
-				v.End = cur
-				return v, cur, true, false
-			default:
-				return nil, 0, false, false
-			}
-		}
-	}
-	return nil, 0, false, false
-}
-
 // FieldOcc is one field-value occurrence in a parsed record.
 type FieldOcc struct {
 	// Col is the column index of the field in the template (DFS order;
@@ -267,8 +169,12 @@ type FieldOcc struct {
 
 // ArrayOcc is one array instantiation inside a parsed record: which array
 // of the template (dense DFS index, see Matcher.ArrayNode) and how many
-// repetitions it matched. The MDL scorer and array unfolding consume
-// these instead of walking parse trees.
+// repetitions it matched. A record's occurrences are listed as each array
+// terminates (inner before outer). Instances of one array node never nest
+// inside each other, so the occurrences of one Arr appear in document
+// order: read per array node as a FIFO, they replay the record's nesting
+// exactly in a top-down template walk (relational normalization does).
+// The MDL scorer and array unfolding consume them as a multiset.
 type ArrayOcc struct {
 	Arr, Reps int
 }
@@ -287,8 +193,7 @@ func (a *arena) reset() {
 // extract is the second phase of the two-phase matcher: it re-walks a
 // record already validated by matchEnds and appends its field and array
 // occurrences to the arena. col is the column of the leftmost field under
-// n; rep the enclosing repetition ordinal. It mirrors Flatten's column
-// and repetition bookkeeping exactly.
+// n; rep the enclosing (innermost) repetition ordinal.
 func (m *Matcher) extract(n *template.Node, data []byte, pos, col, rep int, a *arena) (end, nextCol int, ok bool) {
 	switch n.Kind {
 	case template.KField:
@@ -351,58 +256,16 @@ func (m *Matcher) extract(n *template.Node, data []byte, pos, col, rep int, a *a
 	return 0, 0, false
 }
 
-// AppendFields re-parses the record starting at pos — already located by a
-// MatchEnds pass — and appends its field occurrences to occs, a caller-owned
-// reusable arena. It returns the extended slice and the record's end
-// offset. Occurrence order and contents are identical to Flatten over the
-// Match parse tree.
-func (m *Matcher) AppendFields(data []byte, pos int, occs []FieldOcc) ([]FieldOcc, int, bool) {
-	a := arena{occs: occs}
-	end, _, ok := m.extract(m.st, data, pos, 0, 0, &a)
-	if !ok {
-		return a.occs[:len(occs)], 0, false
+// AppendRecord re-parses the record starting at pos — already located by a
+// MatchEnds pass — and appends its field and array occurrences to occs and
+// arrays, caller-owned reusable slices. When no record starts at pos the
+// slices come back unextended and ok is false.
+func (m *Matcher) AppendRecord(data []byte, pos int, occs []FieldOcc, arrays []ArrayOcc) ([]FieldOcc, []ArrayOcc, bool) {
+	a := arena{occs: occs, arrays: arrays}
+	if _, _, ok := m.extract(m.st, data, pos, 0, 0, &a); !ok {
+		return a.occs[:len(occs)], a.arrays[:len(arrays)], false
 	}
-	return a.occs, end, true
-}
-
-// Flatten lists every field occurrence of a parsed record in left-to-right
-// order, with template column indices.
-func (m *Matcher) Flatten(v *Value) []FieldOcc {
-	out := make([]FieldOcc, 0, m.cols*2)
-	var walk func(n *template.Node, v *Value, col int, rep int) int
-	walk = func(n *template.Node, v *Value, col int, rep int) int {
-		switch n.Kind {
-		case template.KField:
-			out = append(out, FieldOcc{Col: col, Rep: rep, Start: v.Start, End: v.End})
-			return col + 1
-		case template.KLiteral:
-			return col
-		case template.KStruct:
-			c := col
-			for i, ch := range n.Children {
-				c = walk(ch, v.Children[i], c, rep)
-			}
-			return c
-		case template.KArray:
-			end := col
-			for r, group := range v.Children {
-				c := col
-				for i, ch := range n.Children {
-					c = walk(ch, group.Children[i], c, r)
-				}
-				end = c
-			}
-			if len(v.Children) == 0 {
-				// No repetitions: still advance the column
-				// counter past the body's fields.
-				end = col + m.arrays[n].fields
-			}
-			return end
-		}
-		return col
-	}
-	walk(m.st, v, 0, 0)
-	return out
+	return a.occs, a.arrays, true
 }
 
 // Record is a matched record within a dataset.
@@ -411,10 +274,6 @@ type Record struct {
 	StartLine, EndLine int
 	// Start and End delimit the record's bytes.
 	Start, End int
-	// Value is the parse tree when the record was built through the
-	// tree API (Match); arena-based scans leave it nil and store the
-	// field occurrences in the ScanResult instead (see Fields).
-	Value *Value
 	// fieldLo/fieldHi and arrLo/arrHi delimit the record's occurrence
 	// ranges in the owning ScanResult's arenas.
 	fieldLo, fieldHi int

@@ -47,9 +47,12 @@ func BenchmarkScanParallel4(b *testing.B) {
 func BenchmarkMatchSingleRecord(b *testing.B) {
 	data := []byte("12,alpha,3.5,OK\n")
 	m := NewMatcher(benchTemplate())
+	var occs []FieldOcc
+	var arrays []ArrayOcc
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, ok := m.Match(data, 0); !ok {
+		var ok bool
+		if occs, arrays, ok = m.AppendRecord(data, 0, occs[:0], arrays[:0]); !ok {
 			b.Fatal("no match")
 		}
 	}

@@ -15,19 +15,27 @@ func st(c ...*template.Node) *template.Node {
 	return template.Struct(c...).Normalize()
 }
 
+// matchRecord runs the two template walks on the record at data[0]: the
+// validate pass for ok/end, the extract pass for its occurrences.
+func matchRecord(m *Matcher, data []byte) (occs []FieldOcc, arrays []ArrayOcc, end int, ok bool) {
+	if end, ok, _ = m.MatchEnds(data, 0); ok {
+		occs, arrays, ok = m.AppendRecord(data, 0, nil, nil)
+	}
+	return occs, arrays, end, ok
+}
+
 func TestMatchSimpleLine(t *testing.T) {
 	// [F:F:F] F\n
 	tm := st(lit("["), fld(), lit(":"), fld(), lit(":"), fld(), lit("] "), fld(), lit("\n"))
 	m := NewMatcher(tm)
 	data := []byte("[01:05:02] 192.168.0.1\n")
-	v, end, ok := m.Match(data, 0)
+	occs, _, end, ok := matchRecord(m, data)
 	if !ok {
 		t.Fatal("expected match")
 	}
 	if end != len(data) {
 		t.Fatalf("end = %d, want %d", end, len(data))
 	}
-	occs := m.Flatten(v)
 	if len(occs) != 4 {
 		t.Fatalf("got %d field occurrences, want 4", len(occs))
 	}
@@ -46,7 +54,7 @@ func TestMatchSimpleLine(t *testing.T) {
 func TestMatchRejectsWrongLiteral(t *testing.T) {
 	tm := st(lit("["), fld(), lit("]\n"))
 	m := NewMatcher(tm)
-	if _, _, ok := m.Match([]byte("(x)\n"), 0); ok {
+	if _, ok, _ := m.MatchEnds([]byte("(x)\n"), 0); ok {
 		t.Fatal("should not match wrong bracket")
 	}
 }
@@ -56,11 +64,10 @@ func TestMatchFieldStopsAtRTChar(t *testing.T) {
 	tm := st(fld(), lit(","), fld(), lit("\n"))
 	m := NewMatcher(tm)
 	data := []byte("a,b\n")
-	v, _, ok := m.Match(data, 0)
+	occs, _, _, ok := matchRecord(m, data)
 	if !ok {
 		t.Fatal("expected match")
 	}
-	occs := m.Flatten(v)
 	if got := string(data[occs[0].Start:occs[0].End]); got != "a" {
 		t.Fatalf("field 0 = %q, want \"a\"", got)
 	}
@@ -70,11 +77,10 @@ func TestMatchEmptyField(t *testing.T) {
 	tm := st(fld(), lit(","), fld(), lit("\n"))
 	m := NewMatcher(tm)
 	data := []byte(",b\n")
-	v, _, ok := m.Match(data, 0)
+	occs, _, _, ok := matchRecord(m, data)
 	if !ok {
 		t.Fatal("empty leading field should match")
 	}
-	occs := m.Flatten(v)
 	if occs[0].Start != occs[0].End {
 		t.Fatal("first field should be empty")
 	}
@@ -86,17 +92,16 @@ func TestMatchArray(t *testing.T) {
 	m := NewMatcher(tm)
 	for _, n := range []int{1, 2, 5} {
 		line := strings.Repeat("x,", n-1) + "y\n"
-		v, end, ok := m.Match([]byte(line), 0)
+		occs, arrays, end, ok := matchRecord(m, []byte(line))
 		if !ok {
 			t.Fatalf("n=%d: expected match", n)
 		}
 		if end != len(line) {
 			t.Fatalf("n=%d: end=%d want %d", n, end, len(line))
 		}
-		if len(v.Children) != n {
-			t.Fatalf("n=%d: %d repetitions, want %d", n, len(v.Children), n)
+		if len(arrays) != 1 || arrays[0] != (ArrayOcc{Arr: 0, Reps: n}) {
+			t.Fatalf("n=%d: arrays = %+v, want one array of %d repetitions", n, arrays, n)
 		}
-		occs := m.Flatten(v)
 		for _, o := range occs {
 			if o.Col != 0 {
 				t.Fatalf("array field column = %d, want 0", o.Col)
@@ -114,11 +119,10 @@ func TestMatchArrayForeignCharStaysInField(t *testing.T) {
 	tm := template.Array([]*template.Node{fld()}, ',', '\n')
 	m := NewMatcher(tm)
 	data := []byte("a,b;c\n")
-	v, _, ok := m.Match(data, 0)
+	occs, _, _, ok := matchRecord(m, data)
 	if !ok {
 		t.Fatal("expected match")
 	}
-	occs := m.Flatten(v)
 	if len(occs) != 2 {
 		t.Fatalf("fields = %d, want 2", len(occs))
 	}
@@ -133,14 +137,13 @@ func TestMatchFigure6Template(t *testing.T) {
 	tm := st(fld(), lit(","), fld(), lit(`,"`), inner, lit(","), fld(), lit("\n"))
 	m := NewMatcher(tm)
 	data := []byte(`a,b,"1,2,3",z` + "\n")
-	v, end, ok := m.Match(data, 0)
+	occs, _, end, ok := matchRecord(m, data)
 	if !ok {
 		t.Fatal("expected match")
 	}
 	if end != len(data) {
 		t.Fatalf("end = %d, want %d", end, len(data))
 	}
-	occs := m.Flatten(v)
 	var got []string
 	for _, o := range occs {
 		got = append(got, string(data[o.Start:o.End]))
@@ -172,11 +175,10 @@ func TestColumnsAfterArray(t *testing.T) {
 		t.Fatalf("Columns = %d, want 3", m.Columns())
 	}
 	data := []byte("a,x;y:z\n")
-	v, _, ok := m.Match(data, 0)
+	occs, _, _, ok := matchRecord(m, data)
 	if !ok {
 		t.Fatal("expected match")
 	}
-	occs := m.Flatten(v)
 	wantCols := []int{0, 1, 1, 2}
 	for i, o := range occs {
 		if o.Col != wantCols[i] {
@@ -190,7 +192,7 @@ func TestMatchMultiLineRecord(t *testing.T) {
 	tm := st(lit("Name: "), fld(), lit("\nAge: "), fld(), lit("\n"))
 	m := NewMatcher(tm)
 	data := []byte("Name: bob\nAge: 42\n")
-	_, end, ok := m.Match(data, 0)
+	end, ok, _ := m.MatchEnds(data, 0)
 	if !ok || end != len(data) {
 		t.Fatalf("multi-line match failed: ok=%v end=%d", ok, end)
 	}
@@ -312,7 +314,7 @@ func TestRoundTripExtractMatch(t *testing.T) {
 	for _, r := range recs {
 		min, _ := template.MinimalFromRecord([]byte(r), chars.NewSet(" -=;[]./"))
 		m := NewMatcher(min)
-		_, end, ok := m.Match([]byte(r), 0)
+		end, ok, _ := m.MatchEnds([]byte(r), 0)
 		if !ok || end != len(r) {
 			t.Errorf("template %v does not re-match its source %q (ok=%v end=%d)", min, r, ok, end)
 		}

@@ -43,26 +43,10 @@ func TestMatchTruncDistinguishesFailures(t *testing.T) {
 		{"array bad delimiter", arrLit, "a:,b:x\n", false, false},
 	}
 	for _, c := range cases {
-		_, _, ok, trunc := c.m.MatchTrunc([]byte(c.data), 0)
+		_, ok, trunc := c.m.MatchEnds([]byte(c.data), 0)
 		if ok != c.ok || trunc != c.truncated {
-			t.Errorf("%s: MatchTrunc(%q) = ok %v, truncated %v; want %v, %v",
+			t.Errorf("%s: MatchEnds(%q) = ok %v, truncated %v; want %v, %v",
 				c.name, c.data, ok, trunc, c.ok, c.truncated)
-		}
-	}
-}
-
-// TestMatchTruncAgreesWithMatch: on any buffer, the ok/value/end results
-// must be exactly Match's.
-func TestMatchTruncAgreesWithMatch(t *testing.T) {
-	m := NewMatcher(template.Struct(
-		template.Field(), template.Lit(","), template.Field(), template.Lit("\n"),
-	).Normalize())
-	data := []byte("a,b\nxy\nc,d\ne,")
-	for pos := 0; pos <= len(data); pos++ {
-		v1, e1, ok1 := m.Match(data, pos)
-		v2, e2, ok2, _ := m.MatchTrunc(data, pos)
-		if ok1 != ok2 || e1 != e2 || (v1 == nil) != (v2 == nil) {
-			t.Errorf("pos %d: Match=(%v,%d) MatchTrunc=(%v,%d)", pos, ok1, e1, ok2, e2)
 		}
 	}
 }
@@ -74,17 +58,17 @@ func TestMatchCandidatesTruncatedFlag(t *testing.T) {
 		template.Field(), template.Lit(","), template.Field(), template.Lit("\n"),
 	).Normalize())
 	lines := textio.NewLines([]byte("a,b\n~~noise~~\nc,d\ne,f"))
-	cands := m.MatchCandidates(lines, 0, lines.N(), 2)
-	if cands[0].Value == nil || cands[0].EndLine != 1 {
+	cands := m.MatchCandidateEnds(lines, 0, lines.N(), 2)
+	if cands[0].EndLine != 1 {
 		t.Errorf("line 0: %+v, want match ending at line 1", cands[0])
 	}
-	if cands[1].Value != nil || cands[1].Truncated {
+	if cands[1].EndLine != 0 || cands[1].Truncated {
 		t.Errorf("line 1 (interior noise): %+v, want definitive failure", cands[1])
 	}
-	if cands[2].Value == nil {
+	if cands[2].EndLine != 3 {
 		t.Errorf("line 2: %+v, want match", cands[2])
 	}
-	if cands[3].Value != nil || !cands[3].Truncated {
+	if cands[3].EndLine != 0 || !cands[3].Truncated {
 		t.Errorf("line 3 (cut record): %+v, want truncated failure", cands[3])
 	}
 }

@@ -75,7 +75,7 @@ type Config struct {
 	OnNoise func(origLine int) error
 	// Templates, when non-empty, skips discovery entirely and applies
 	// the given structure templates in order — the streaming form of
-	// core.ApplyTemplates (the learn-once, apply-many data-lake
+	// core.ApplyTemplatesParallel (the learn-once, apply-many data-lake
 	// workflow). No prefix is buffered: the input streams through in
 	// one pass from the first byte.
 	Templates []*template.Node
@@ -170,7 +170,7 @@ type engine struct {
 
 // Run streams r through discovery and sharded extraction. With
 // cfg.Templates set, discovery is skipped and the templates are applied
-// directly (the streaming core.ApplyTemplates).
+// directly (the streaming core.ApplyTemplatesParallel).
 func Run(r io.Reader, cfg Config) (*core.Result, error) {
 	return RunContext(context.Background(), r, cfg)
 }
@@ -478,7 +478,8 @@ func (e *engine) finalNoise(origLine int) error {
 func (e *engine) materialize(st *stage, ls *textio.Lines, accepted []parser.Record) []core.RecordOut {
 	out := make([]core.RecordOut, len(accepted))
 	fill := func(lo, hi int) {
-		var scratch []parser.FieldOcc
+		var fields []parser.FieldOcc
+		var arrays []parser.ArrayOcc
 		for idx := lo; idx < hi; idx++ {
 			rec := accepted[idx]
 			ro := core.RecordOut{
@@ -486,8 +487,8 @@ func (e *engine) materialize(st *stage, ls *textio.Lines, accepted []parser.Reco
 				StartLine: st.meta[rec.StartLine].orig,
 				EndLine:   st.meta[rec.EndLine-1].orig + 1,
 			}
-			fields, _, ok := st.m.AppendFields(st.buf, rec.Start, scratch[:0])
-			scratch = fields[:0]
+			var ok bool
+			fields, arrays, ok = st.m.AppendRecord(st.buf, rec.Start, fields[:0], arrays[:0])
 			if !ok {
 				// Unreachable: the candidate pass validated the match.
 				continue
@@ -511,6 +512,9 @@ func (e *engine) materialize(st *stage, ls *textio.Lines, accepted []parser.Reco
 					Start: f.Start + shift, End: f.End + shift,
 					Value: string(st.buf[f.Start:f.End]),
 				})
+			}
+			if len(arrays) > 0 {
+				ro.Arrays = append([]parser.ArrayOcc(nil), arrays...)
 			}
 			out[idx] = ro
 		}

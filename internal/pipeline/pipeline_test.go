@@ -268,7 +268,7 @@ func TestBoundedMemoryLargeInput(t *testing.T) {
 }
 
 // TestTemplatesModeMatchesApplyTemplates checks the discovery-free
-// streaming path against core.ApplyTemplates: same structures, records
+// streaming path against core.ApplyTemplatesParallel: same structures, records
 // and noise, with no prefix buffering involved.
 func TestTemplatesModeMatchesApplyTemplates(t *testing.T) {
 	d := datagen.InterleavedTypes(2, 150, 11)
@@ -283,7 +283,7 @@ func TestTemplatesModeMatchesApplyTemplates(t *testing.T) {
 	for _, s := range disc.Structures {
 		tpls = append(tpls, s.Template)
 	}
-	want, err := core.ApplyTemplates(d.Data, tpls)
+	want, err := core.ApplyTemplatesParallel(d.Data, tpls, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func TestPrecompiledMatchersEquivalence(t *testing.T) {
 	}
 }
 
-// TestTemplatesModeEmptyInput mirrors ApplyTemplates' empty-input error.
+// TestTemplatesModeEmptyInput mirrors ApplyTemplatesParallel's empty-input error.
 func TestTemplatesModeEmptyInput(t *testing.T) {
 	d := datagen.CommaSepRecords(10, 1)
 	disc, err := core.Extract(d.Data, core.Options{})
@@ -379,7 +379,7 @@ func TestFieldTerminalProfileTemplate(t *testing.T) {
 		strings.Repeat("x\nYY\n", 200), // shard boundaries land after "x\n" lines
 	}
 	for _, in := range inputs {
-		want, err := core.ApplyTemplates([]byte(in), []*template.Node{tpl})
+		want, err := core.ApplyTemplatesParallel([]byte(in), []*template.Node{tpl}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,9 +15,10 @@ package relational
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
-	"datamaran/internal/parser"
+	"datamaran/internal/core"
 	"datamaran/internal/template"
 )
 
@@ -94,23 +95,28 @@ func (d *Database) Table(name string) *Table {
 	return nil
 }
 
-// schema maps template nodes to table/column slots.
+// schema lays the records of one template out as normalized tables. The
+// array with dense DFS index i (parser.ArrayOcc.Arr) owns table i+1; the
+// root scope is table 0.
 type schema struct {
-	// tableOf[arrayNode] is the table index for the array's rows; the
-	// root scope is table 0.
+	st *template.Node
+	// tableOf[arrayNode] is the table index for the array's rows.
 	tableOf map[*template.Node]int
-	// fieldSlot[fieldNode] is the (table, column) of a field.
-	fieldSlot map[*template.Node][2]int
-	tables    []*Table
+	// slots[col] is the (table, column) of template field column col.
+	slots  [][2]int
+	tables []*Table
+
+	// Walk state of the record being added (see addRecord).
+	rec    *core.RecordOut
+	field  int   // next unconsumed entry of rec.Fields
+	arrCur []int // per table: where in rec.Arrays the search for its array's next instance resumes
+	rowOf  []int // per table: row currently being filled
 }
 
 // buildSchema assigns every field of st a column in the root table or in a
 // per-array child table (Figure 7's normalized representation).
 func buildSchema(st *template.Node, rootName string) *schema {
-	s := &schema{
-		tableOf:   map[*template.Node]int{},
-		fieldSlot: map[*template.Node][2]int{},
-	}
+	s := &schema{st: st, tableOf: map[*template.Node]int{}}
 	root := &Table{Name: rootName, Columns: []string{"id"}}
 	s.tables = []*Table{root}
 	var walk func(n *template.Node, tableIdx int)
@@ -120,7 +126,7 @@ func buildSchema(st *template.Node, rootName string) *schema {
 			t := s.tables[tableIdx]
 			col := len(t.Columns)
 			t.Columns = append(t.Columns, fmt.Sprintf("f%d", col-s.metaCols(tableIdx)))
-			s.fieldSlot[n] = [2]int{tableIdx, col}
+			s.slots = append(s.slots, [2]int{tableIdx, col})
 		case template.KStruct:
 			for _, c := range n.Children {
 				walk(c, tableIdx)
@@ -140,6 +146,8 @@ func buildSchema(st *template.Node, rootName string) *schema {
 		}
 	}
 	walk(st, 0)
+	s.arrCur = make([]int, len(s.tables))
+	s.rowOf = make([]int, len(s.tables))
 	return s
 }
 
@@ -151,94 +159,128 @@ func (s *schema) metaCols(tableIdx int) int {
 	return 2 // id, parent_id
 }
 
-// Build converts a scan result into the normalized relational form: each
-// field placeholder becomes a column, each array a child table whose rows
-// reference their parent record (Figure 7 left).
-func Build(m *parser.Matcher, data []byte, scan *parser.ScanResult, rootName string) *Database {
+// Build converts the records of type typeID into the normalized relational
+// form: each field placeholder becomes a column, each array a child table
+// whose rows reference their parent row (Figure 7 left). The records must
+// have been extracted with st.
+func Build(st *template.Node, records []core.RecordOut, typeID int, rootName string) *Database {
 	if rootName == "" {
 		rootName = "records"
 	}
-	s := buildSchema(m.Template(), rootName)
-	for _, rec := range scan.Records {
-		s.addRecord(m.Template(), rec.Value, data)
+	s := buildSchema(st, rootName)
+	for i := range records {
+		if records[i].TypeID == typeID {
+			s.addRecord(&records[i])
+		}
 	}
 	return &Database{Tables: s.tables}
 }
 
-// addRecord appends one parsed record to the schema's tables.
-func (s *schema) addRecord(st *template.Node, v *parser.Value, data []byte) {
-	rowOf := make([]int, len(s.tables)) // current row index per table, -1 below
-	for i := range rowOf {
-		rowOf[i] = -1
+// addRecord appends one record to the schema's tables by walking the
+// template with two cursors into the record: fields are consumed left to
+// right, and each array node takes its repetition count from its next
+// occurrence in rec.Arrays — exact at any nesting depth, because the
+// instances of one array node occur in document order.
+func (s *schema) addRecord(rec *core.RecordOut) {
+	s.rec, s.field = rec, 0
+	for i := range s.arrCur {
+		s.arrCur[i] = 0
 	}
-	newRow := func(tableIdx, parentRow int) int {
-		t := s.tables[tableIdx]
-		row := make([]string, len(t.Columns))
-		row[0] = fmt.Sprintf("%d", len(t.Rows)+1)
-		if tableIdx != 0 {
-			row[1] = fmt.Sprintf("%d", parentRow+1)
-		}
-		t.Rows = append(t.Rows, row)
-		return len(t.Rows) - 1
-	}
-	rowOf[0] = newRow(0, -1)
-	var walk func(n *template.Node, v *parser.Value, tableIdx int)
-	walk = func(n *template.Node, v *parser.Value, tableIdx int) {
-		switch n.Kind {
-		case template.KField:
-			slot := s.fieldSlot[n]
-			s.tables[slot[0]].Rows[rowOf[slot[0]]][slot[1]] = string(data[v.Start:v.End])
-		case template.KStruct:
-			for i, c := range n.Children {
-				walk(c, v.Children[i], tableIdx)
-			}
-		case template.KArray:
-			childIdx := s.tableOf[n]
-			for _, group := range v.Children {
-				rowOf[childIdx] = newRow(childIdx, rowOf[tableIdx])
-				for i, c := range n.Children {
-					walk(c, group.Children[i], childIdx)
-				}
-			}
-		}
-	}
-	walk(st, v, 0)
+	s.rowOf[0] = s.newRow(0, -1)
+	s.walk(s.st, 0)
 }
 
-// BuildDenormalized converts a scan result into the single-table form
-// (Figure 7 right): one row per record, one column per field column of the
-// template; array repetitions are joined with the array's separator
-// character.
-func BuildDenormalized(m *parser.Matcher, data []byte, scan *parser.ScanResult, name string) *Table {
+func (s *schema) newRow(tableIdx, parentRow int) int {
+	t := s.tables[tableIdx]
+	row := make([]string, len(t.Columns))
+	row[0] = strconv.Itoa(len(t.Rows) + 1)
+	if tableIdx != 0 {
+		row[1] = strconv.Itoa(parentRow + 1)
+	}
+	t.Rows = append(t.Rows, row)
+	return len(t.Rows) - 1
+}
+
+func (s *schema) walk(n *template.Node, tableIdx int) {
+	switch n.Kind {
+	case template.KField:
+		f := &s.rec.Fields[s.field]
+		s.field++
+		slot := s.slots[f.Col]
+		s.tables[slot[0]].Rows[s.rowOf[slot[0]]][slot[1]] = f.Value
+	case template.KStruct:
+		for _, c := range n.Children {
+			s.walk(c, tableIdx)
+		}
+	case template.KArray:
+		childIdx := s.tableOf[n]
+		i := s.arrCur[childIdx]
+		for s.rec.Arrays[i].Arr != childIdx-1 {
+			i++
+		}
+		s.arrCur[childIdx] = i + 1
+		for r := 0; r < s.rec.Arrays[i].Reps; r++ {
+			s.rowOf[childIdx] = s.newRow(childIdx, s.rowOf[tableIdx])
+			for _, c := range n.Children {
+				s.walk(c, childIdx)
+			}
+		}
+	}
+}
+
+// BuildDenormalized converts the records of type typeID into the
+// single-table form (Figure 7 right): one row per record, one column per
+// field column of the template; array repetitions are joined with the
+// array's separator character.
+func BuildDenormalized(st *template.Node, records []core.RecordOut, typeID int, name string) *Table {
 	if name == "" {
 		name = "records"
 	}
-	cols := m.Columns()
 	t := &Table{Name: name}
-	for i := 0; i < cols; i++ {
+	for i := 0; i < st.NumFields(); i++ {
 		t.Columns = append(t.Columns, fmt.Sprintf("f%d", i))
 	}
-	for _, rec := range scan.Records {
-		row := make([]string, cols)
-		joined := make([]bool, cols)
-		sep := arraySepByCol(m.Template())
-		for _, f := range m.Flatten(rec.Value) {
-			val := string(data[f.Start:f.End])
-			if row[f.Col] == "" && !joined[f.Col] {
-				row[f.Col] = val
-				joined[f.Col] = true
-			} else {
-				row[f.Col] += string(sep[f.Col]) + val
-			}
+	seps := ArraySeps(st)
+	for i := range records {
+		if records[i].TypeID == typeID {
+			t.Rows = append(t.Rows, DenormRow(st, seps, records[i].Fields, nil))
 		}
-		t.Rows = append(t.Rows, row)
 	}
 	return t
 }
 
-// arraySepByCol maps each field column to the separator of its enclosing
-// array (or ';' outside arrays, unused since such columns never join).
-func arraySepByCol(st *template.Node) []byte {
+// DenormRow converts one record's fields into its denormalized row: one
+// cell per template field column, repetitions joined with the column's
+// array separator (seps from ArraySeps). row is reused when it has the
+// right length, so a streaming writer can avoid per-record allocation;
+// the returned slice is row (or a fresh one).
+func DenormRow(st *template.Node, seps []byte, fields []core.FieldValue, row []string) []string {
+	cols := st.NumFields()
+	if len(row) != cols {
+		row = make([]string, cols)
+	}
+	joined := make([]bool, cols)
+	for i := range row {
+		row[i] = ""
+	}
+	for _, f := range fields {
+		if f.Col < 0 || f.Col >= cols {
+			continue
+		}
+		if row[f.Col] == "" && !joined[f.Col] {
+			row[f.Col] = f.Value
+			joined[f.Col] = true
+		} else {
+			row[f.Col] += string(seps[f.Col]) + f.Value
+		}
+	}
+	return row
+}
+
+// ArraySeps maps each field column of st to the separator of its enclosing
+// array (or ';' outside arrays, unused since such columns never join) —
+// the join characters DenormRow takes.
+func ArraySeps(st *template.Node) []byte {
 	seps := make([]byte, 0, st.NumFields())
 	var walk func(n *template.Node, sep byte)
 	walk = func(n *template.Node, sep byte) {

@@ -5,9 +5,8 @@ import (
 	"strings"
 	"testing"
 
-	"datamaran/internal/parser"
+	"datamaran/internal/core"
 	"datamaran/internal/template"
-	"datamaran/internal/textio"
 )
 
 func fld() *template.Node         { return template.Field() }
@@ -16,30 +15,34 @@ func stc(c ...*template.Node) *template.Node {
 	return template.Struct(c...).Normalize()
 }
 
-// attachTrees re-parses each scanned record through the tree API: the
-// arena-based Scan leaves Record.Value nil, while Build/BuildDenormalized
-// walk parse trees (their production callers rebuild trees the same way).
-func attachTrees(m *parser.Matcher, b []byte, scan *parser.ScanResult) *parser.ScanResult {
-	for i := range scan.Records {
-		v, _, ok := m.Match(b, scan.Records[i].Start)
-		if !ok {
-			panic("attachTrees: record no longer matches")
-		}
-		scan.Records[i].Value = v
+// recordsOf extracts data with tm the way production does and returns the
+// records (all of type 0).
+func recordsOf(t *testing.T, tm *template.Node, data string) []core.RecordOut {
+	t.Helper()
+	res, err := core.ApplyTemplatesParallel([]byte(data), []*template.Node{tm}, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return scan
+	return res.Records
 }
 
-func scanOf(tm *template.Node, data string) (*parser.Matcher, []byte, *parser.ScanResult) {
-	m := parser.NewMatcher(tm)
-	b := []byte(data)
-	return m, b, attachTrees(m, b, m.Scan(textio.NewLines(b)))
+// render prints a database as "name(parent): row; row; ..." lines, cells
+// joined by commas, so a test can state whole expected tables literally.
+func render(db *Database) string {
+	var b strings.Builder
+	for _, t := range db.Tables {
+		b.WriteString(t.Name + "(" + t.Parent + "):")
+		for _, row := range t.Rows {
+			b.WriteString(" " + strings.Join(row, ",") + ";")
+		}
+		b.WriteString("\n")
+	}
+	return b.String()
 }
 
 func TestBuildFlatTemplate(t *testing.T) {
 	tm := stc(fld(), lit(","), fld(), lit("\n"))
-	m, data, scan := scanOf(tm, "a,b\nc,d\n")
-	db := Build(m, data, scan, "recs")
+	db := Build(tm, recordsOf(t, tm, "a,b\nc,d\n"), 0, "recs")
 	if len(db.Tables) != 1 {
 		t.Fatalf("tables = %d, want 1", len(db.Tables))
 	}
@@ -63,8 +66,7 @@ func TestBuildNormalizedArrayChildTable(t *testing.T) {
 	// Figure 7: F,F,"(F,)*F",F\n → root + one child list table with FK.
 	inner := template.Array([]*template.Node{fld()}, ',', '"')
 	tm := stc(fld(), lit(","), fld(), lit(`,"`), inner, lit(","), fld(), lit("\n"))
-	m, data, scan := scanOf(tm, "a,b,\"1,2,3\",z\nc,d,\"4\",w\n")
-	db := Build(m, data, scan, "recs")
+	db := Build(tm, recordsOf(t, tm, "a,b,\"1,2,3\",z\nc,d,\"4\",w\n"), 0, "recs")
 	if len(db.Tables) != 2 {
 		t.Fatalf("tables = %d, want 2", len(db.Tables))
 	}
@@ -96,8 +98,7 @@ func TestBuildNestedArrays(t *testing.T) {
 	// (F,F|)*F,F;\n over groups: outer array → child table of pairs.
 	outer := template.Array([]*template.Node{fld(), lit(","), fld()}, '|', ';')
 	tm := stc(outer, lit("\n"))
-	m, data, scan := scanOf(tm, "1,2|3,4;\n5,6;\n")
-	db := Build(m, data, scan, "recs")
+	db := Build(tm, recordsOf(t, tm, "1,2|3,4;\n5,6;\n"), 0, "recs")
 	if len(db.Tables) != 2 {
 		t.Fatalf("tables = %d, want 2", len(db.Tables))
 	}
@@ -113,8 +114,7 @@ func TestBuildNestedArrays(t *testing.T) {
 func TestBuildDenormalized(t *testing.T) {
 	inner := template.Array([]*template.Node{fld()}, ',', '"')
 	tm := stc(fld(), lit(`,"`), inner, lit("\n"))
-	m, data, scan := scanOf(tm, "a,\"1,2,3\"\nb,\"4,5\"\n")
-	tab := BuildDenormalized(m, data, scan, "recs")
+	tab := BuildDenormalized(tm, recordsOf(t, tm, "a,\"1,2,3\"\nb,\"4,5\"\n"), 0, "recs")
 	if tab.NumRows() != 2 {
 		t.Fatalf("rows = %d, want 2", tab.NumRows())
 	}
@@ -236,8 +236,7 @@ func TestReconstructTargetViaOps(t *testing.T) {
 	// End-to-end §9.3 scenario: extract [F:F:F] F\n, then rebuild the
 	// time target "01:05:02" via Append + Concat.
 	tm := stc(lit("["), fld(), lit(":"), fld(), lit(":"), fld(), lit("] "), fld(), lit("\n"))
-	m, data, scan := scanOf(tm, "[01:05:02] 1.2.3.4\n[23:59:59] 5.6.7.8\n")
-	db := Build(m, data, scan, "recs")
+	db := Build(tm, recordsOf(t, tm, "[01:05:02] 1.2.3.4\n[23:59:59] 5.6.7.8\n"), 0, "recs")
 	root := db.Tables[0]
 	if err := Append(root, "f0", "", ":"); err != nil {
 		t.Fatal(err)
@@ -262,9 +261,9 @@ func TestReconstructTargetViaOps(t *testing.T) {
 func TestQuickFormsAgreeOnFlatTemplates(t *testing.T) {
 	tm := stc(fld(), lit("|"), fld(), lit("\n"))
 	data := "a|b\nc|d\ne|f\n"
-	m, bts, scan := scanOf(tm, data)
-	db := Build(m, bts, scan, "r")
-	den := BuildDenormalized(m, bts, scan, "r")
+	recs := recordsOf(t, tm, data)
+	db := Build(tm, recs, 0, "r")
+	den := BuildDenormalized(tm, recs, 0, "r")
 	root := db.Tables[0]
 	if root.NumRows() != den.NumRows() {
 		t.Fatalf("row counts differ: %d vs %d", root.NumRows(), den.NumRows())
@@ -282,8 +281,7 @@ func TestQuickFormsAgreeOnFlatTemplates(t *testing.T) {
 func TestChildForeignKeysValid(t *testing.T) {
 	inner := template.Array([]*template.Node{fld()}, ';', '"')
 	tm := stc(fld(), lit(` "`), inner, lit("\n"))
-	m, bts, scan := scanOf(tm, "a \"1;2\"\nb \"3\"\nc \"4;5;6\"\n")
-	db := Build(m, bts, scan, "r")
+	db := Build(tm, recordsOf(t, tm, "a \"1;2\"\nb \"3\"\nc \"4;5;6\"\n"), 0, "r")
 	parents := map[string]bool{}
 	for _, row := range db.Tables[0].Rows {
 		parents[row[0]] = true
@@ -299,8 +297,7 @@ func TestGroupConcatAfterBuildReconstructsList(t *testing.T) {
 	// §9.3's GroupConcat over a built child table restores the list.
 	inner := template.Array([]*template.Node{fld()}, ',', ';')
 	tm := stc(lit("x "), inner, lit("\n"))
-	m, bts, scan := scanOf(tm, "x 1,2,3;\nx 9;\n")
-	db := Build(m, bts, scan, "r")
+	db := Build(tm, recordsOf(t, tm, "x 1,2,3;\nx 9;\n"), 0, "r")
 	root, child := db.Tables[0], db.Tables[1]
 	if err := GroupConcat(root, child, "parent_id", "f0", "joined"); err != nil {
 		t.Fatal(err)
@@ -313,8 +310,7 @@ func TestGroupConcatAfterBuildReconstructsList(t *testing.T) {
 
 func TestBuildEmptyScan(t *testing.T) {
 	tm := stc(fld(), lit("\n"))
-	m := parser.NewMatcher(tm)
-	db := Build(m, nil, &parser.ScanResult{}, "empty")
+	db := Build(tm, nil, 0, "empty")
 	if len(db.Tables) != 1 || db.Tables[0].NumRows() != 0 {
 		t.Fatalf("empty build = %+v", db.Tables)
 	}
@@ -322,8 +318,7 @@ func TestBuildEmptyScan(t *testing.T) {
 
 func TestDenormalizedEmptyFieldCells(t *testing.T) {
 	tm := stc(fld(), lit(","), fld(), lit("\n"))
-	m, bts, scan := scanOf(tm, ",x\ny,\n")
-	den := BuildDenormalized(m, bts, scan, "r")
+	den := BuildDenormalized(tm, recordsOf(t, tm, ",x\ny,\n"), 0, "r")
 	if den.Rows[0][0] != "" || den.Rows[0][1] != "x" {
 		t.Fatalf("row 0 = %v", den.Rows[0])
 	}
@@ -332,45 +327,60 @@ func TestDenormalizedEmptyFieldCells(t *testing.T) {
 	}
 }
 
-// TestBuildFlatNestedArrayEqualReps pins the nested-array case where
-// innermost Rep ordinals repeat across outer groups: the flat builder
-// must open a new row (column wrap detection) instead of overwriting.
+// TestBuildFlatNestedArrayEqualReps pins nesting the innermost Rep
+// ordinals alone cannot express — they repeat across outer groups, sibling
+// arrays share a parent group, a body may carry no field at all — against
+// literal expected tables: every row lands under the parent row it was
+// parsed inside.
 func TestBuildFlatNestedArrayEqualReps(t *testing.T) {
-	inner := template.Array([]*template.Node{template.Field()}, ',', ';')
-	outer := template.Array([]*template.Node{inner}, ' ', '\n')
-	m := parser.NewMatcher(outer)
-	data := []byte("a; b;\n")
-	lines := textio.NewLines(data)
-	scan := attachTrees(m, data, m.Scan(lines))
-	if len(scan.Records) != 1 {
-		t.Fatalf("records = %d", len(scan.Records))
+	arr := func(sep, term byte, body ...*template.Node) *template.Node {
+		return template.Array(body, sep, term)
 	}
-	want := Build(m, data, scan, "t")
+	cases := []struct {
+		name string
+		tm   *template.Node
+		data string
+		want string
+	}{
+		{"equal-reps", arr(' ', '\n', arr(',', ';', fld())), "a; b;\n",
+			"t():" + " 1;\n" +
+				"t_list1(t): 1,1; 2,1;\n" +
+				"t_list2(t_list1): 1,1,a; 2,2,b;\n"},
+		{"sibling-arrays-in-array", arr(' ', '\n', arr(',', ';', fld()), arr('+', '|', fld())),
+			"a,b;x+y| c;z|\nd;e+f+g|\n",
+			"t(): 1; 2;\n" +
+				"t_list1(t): 1,1; 2,1; 3,2;\n" +
+				"t_list2(t_list1): 1,1,a; 2,1,b; 3,2,c; 4,3,d;\n" +
+				"t_list3(t_list1): 1,1,x; 2,1,y; 3,2,z; 4,3,e; 5,3,f; 6,3,g;\n"},
+		{"three-level", arr(' ', '\n', arr('+', '|', arr(',', ';', fld()))),
+			"a,b;+c;| d;|\ne;|\n",
+			"t(): 1; 2;\n" +
+				"t_list1(t): 1,1; 2,1; 3,2;\n" +
+				"t_list2(t_list1): 1,1; 2,1; 3,2; 4,3;\n" +
+				"t_list3(t_list2): 1,1,a; 2,1,b; 3,2,c; 4,3,d; 5,4,e;\n"},
+		{"fieldless-body", stc(fld(), lit(":"), arr(',', ';', lit("x")), lit("\n")),
+			"a:x,x,x;\nb:x;\n",
+			"t(): 1,a; 2,b;\n" +
+				"t_list1(t): 1,1; 2,1; 3,1; 4,2;\n"},
+	}
+	for _, c := range cases {
+		tm := c.tm.Normalize()
+		if got := render(Build(tm, recordsOf(t, tm, c.data), 0, "t")); got != c.want {
+			t.Errorf("%s:\n got %q\nwant %q", c.name, got, c.want)
+		}
+	}
+}
 
-	var flat [][]FlatField
-	for _, rec := range scan.Records {
-		var fs []FlatField
-		for _, f := range m.Flatten(rec.Value) {
-			fs = append(fs, FlatField{Col: f.Col, Rep: f.Rep, Value: string(data[f.Start:f.End])})
-		}
-		flat = append(flat, fs)
+// TestBuildSkipsOtherTypes: the builders take a mixed-type record slice
+// and lay out only the requested type.
+func TestBuildSkipsOtherTypes(t *testing.T) {
+	tm := stc(fld(), lit(","), fld(), lit("\n"))
+	recs := recordsOf(t, tm, "a,b\nc,d\n")
+	recs[0].TypeID = 1
+	if got, want := render(Build(tm, recs, 0, "t")), "t(): 1,c,d;\n"; got != want {
+		t.Errorf("normalized = %q, want %q", got, want)
 	}
-	got := BuildFlat(outer, flat, "t")
-	if len(got.Tables) != len(want.Tables) {
-		t.Fatalf("tables = %d, want %d", len(got.Tables), len(want.Tables))
-	}
-	for i := range want.Tables {
-		w, g := want.Tables[i], got.Tables[i]
-		if len(g.Rows) != len(w.Rows) {
-			t.Fatalf("table %s: rows = %d, want %d (%v vs %v)", w.Name, len(g.Rows), len(w.Rows), g.Rows, w.Rows)
-		}
-		// Both "a" and "b" must survive in the innermost table.
-		for r := range w.Rows {
-			for c := range w.Rows[r] {
-				if g.Rows[r][c] != w.Rows[r][c] {
-					t.Errorf("table %s row %d col %d = %q, want %q", w.Name, r, c, g.Rows[r][c], w.Rows[r][c])
-				}
-			}
-		}
+	if den := BuildDenormalized(tm, recs, 1, "t"); len(den.Rows) != 1 || den.Rows[0][0] != "a" {
+		t.Errorf("denormalized rows = %v, want the one type-1 record", den.Rows)
 	}
 }

@@ -189,25 +189,25 @@ func TestProfileCacheServesExtracts(t *testing.T) {
 		t.Fatalf("generation after initial reindex = %d, want 2", base.Generation)
 	}
 
-	if rec := do(t, s, "POST", "/extract?format="+fp, data); rec.Code != http.StatusOK {
+	if rec := do(t, s, "POST", "/v1/extract?format="+fp, data); rec.Code != http.StatusOK {
 		t.Fatalf("extract: %d %s", rec.Code, rec.Body)
 	}
 	if st := statusOf(t, s); st.CacheMisses != 1 || st.CacheHits != 0 || st.CacheSize != 1 {
 		t.Fatalf("after first extract: %+v", st)
 	}
 	// Second body extract and the lake route both hit the same entry.
-	do(t, s, "POST", "/extract?format="+fp, data)
-	do(t, s, "GET", "/lake/extract?path=metrics/m-1.log", nil)
+	do(t, s, "POST", "/v1/extract?format="+fp, data)
+	do(t, s, "GET", "/v1/lake/extract?path=metrics/m-1.log", nil)
 	if st := statusOf(t, s); st.CacheMisses != 1 || st.CacheHits != 2 {
 		t.Fatalf("after repeats: %+v", st)
 	}
 
 	// A reindex publishes a new generation; the same format recompiles
 	// once under the new key.
-	if rec := do(t, s, "POST", "/reindex", nil); rec.Code != http.StatusOK {
+	if rec := do(t, s, "POST", "/v1/reindex", nil); rec.Code != http.StatusOK {
 		t.Fatalf("reindex: %d %s", rec.Code, rec.Body)
 	}
-	do(t, s, "POST", "/extract?format="+fp, data)
+	do(t, s, "POST", "/v1/extract?format="+fp, data)
 	if st := statusOf(t, s); st.Generation != 3 || st.CacheMisses != 2 {
 		t.Fatalf("after reindex swap: %+v", st)
 	}
@@ -222,7 +222,7 @@ func TestScopedReindexHTTP(t *testing.T) {
 	s, root := newServer(t)
 	metricsFP, webFP := fingerprints(t, s)
 
-	rec := do(t, s, "POST", "/reindex?format=ffffffffffffffff", nil)
+	rec := do(t, s, "POST", "/v1/reindex?format=ffffffffffffffff", nil)
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("unknown format reindex: %d %s", rec.Code, rec.Body)
 	}
@@ -234,16 +234,16 @@ func TestScopedReindexHTTP(t *testing.T) {
 	if !s.locks.tryLock(metricsFP) {
 		t.Fatal("could not take the metrics lock")
 	}
-	if rec := do(t, s, "POST", "/reindex?format="+metricsFP, nil); rec.Code != http.StatusConflict {
+	if rec := do(t, s, "POST", "/v1/reindex?format="+metricsFP, nil); rec.Code != http.StatusConflict {
 		t.Fatalf("same-format reindex under lock: %d %s", rec.Code, rec.Body)
 	} else if code := envelope(t, "reindex conflict", rec); code != "busy" {
 		t.Fatalf("conflict error code %q", code)
 	}
-	if rec := do(t, s, "POST", "/reindex", nil); rec.Code != http.StatusConflict {
+	if rec := do(t, s, "POST", "/v1/reindex", nil); rec.Code != http.StatusConflict {
 		t.Fatalf("global reindex under scoped lock: %d %s", rec.Code, rec.Body)
 	}
 	// A different format is unaffected by the held lock.
-	if rec := do(t, s, "POST", "/reindex?format="+webFP, nil); rec.Code != http.StatusOK {
+	if rec := do(t, s, "POST", "/v1/reindex?format="+webFP, nil); rec.Code != http.StatusOK {
 		t.Fatalf("other-format reindex under lock: %d %s", rec.Code, rec.Body)
 	}
 	s.locks.unlock(metricsFP)
@@ -251,7 +251,7 @@ func TestScopedReindexHTTP(t *testing.T) {
 	// A scoped run crawls exactly the format's claim set and reports it.
 	appendLake(t, root, "metrics/m-1.log", "metric|cpu9|99.99|\n")
 	appendLake(t, root, "web/r-1.log", "GET /api/v9/item/1 200\n")
-	rec = do(t, s, "POST", "/reindex?format="+metricsFP, nil)
+	rec = do(t, s, "POST", "/v1/reindex?format="+metricsFP, nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("scoped reindex: %d %s", rec.Code, rec.Body)
 	}
@@ -266,7 +266,7 @@ func TestScopedReindexHTTP(t *testing.T) {
 	// The out-of-scope web append is invisible until its own crawl runs.
 	qWeb := "/v1/query?q=" + url.QueryEscape("SELECT count(*) FROM "+webFP) + "&output=csv"
 	before := do(t, s, "GET", qWeb, nil).Body.String()
-	rec = do(t, s, "POST", "/reindex?format="+webFP, nil)
+	rec = do(t, s, "POST", "/v1/reindex?format="+webFP, nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("web reindex: %d %s", rec.Code, rec.Body)
 	}
@@ -290,7 +290,7 @@ func TestReindexContention(t *testing.T) {
 		"SELECT f1, count(*) FROM "+metricsFP+" GROUP BY f1 ORDER BY count(*) DESC, f1") + "&output=csv"
 	joinQ := "/v1/query?q=" + url.QueryEscape(
 		"SELECT count(*) FROM "+metricsFP+" AS a, "+metricsFP+" AS b WHERE a.f1 = b.f1 AND a.f2 = '42.00'") + "&output=csv"
-	targets := []string{groupQ, joinQ, "/formats", "/lake/extract?path=web/r-1.log&output=csv"}
+	targets := []string{groupQ, joinQ, "/v1/formats", "/v1/lake/extract?path=web/r-1.log&output=csv"}
 
 	before := make([]string, len(targets))
 	for i, target := range targets {
@@ -336,7 +336,7 @@ func TestReindexContention(t *testing.T) {
 		}
 	}
 
-	rec := do(t, s, "POST", "/reindex?format="+metricsFP, nil)
+	rec := do(t, s, "POST", "/v1/reindex?format="+metricsFP, nil)
 	close(done)
 	wg.Wait()
 	if rec.Code != http.StatusOK {
@@ -392,7 +392,7 @@ func TestInFlightBound(t *testing.T) {
 	pr, pw := io.Pipe()
 	held := make(chan *httptest.ResponseRecorder, 1)
 	go func() {
-		req := httptest.NewRequest("POST", "/extract?format="+fp, pr)
+		req := httptest.NewRequest("POST", "/v1/extract?format="+fp, pr)
 		rec := httptest.NewRecorder()
 		s.Handler().ServeHTTP(rec, req)
 		held <- rec
@@ -404,7 +404,7 @@ func TestInFlightBound(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	rec := do(t, s, "GET", "/formats", nil)
+	rec := do(t, s, "GET", "/v1/formats", nil)
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("request under saturation: %d %s", rec.Code, rec.Body)
 	}
@@ -427,7 +427,7 @@ func TestInFlightBound(t *testing.T) {
 	if rec := <-held; rec.Code != http.StatusOK {
 		t.Fatalf("held extract: %d %s", rec.Code, rec.Body)
 	}
-	if rec := do(t, s, "GET", "/formats", nil); rec.Code != http.StatusOK {
+	if rec := do(t, s, "GET", "/v1/formats", nil); rec.Code != http.StatusOK {
 		t.Fatalf("request after drain: %d %s", rec.Code, rec.Body)
 	}
 }
@@ -438,7 +438,7 @@ func TestBodyCap(t *testing.T) {
 	s, _ := newServerCfg(t, func(c *Config) { c.MaxBodyBytes = 1 << 10 })
 	fp, _ := fingerprints(t, s)
 	big := bytes.Repeat([]byte("metric|cpu1|1.00|\n"), 1024) // 18 KiB
-	rec := do(t, s, "POST", "/extract?format="+fp, big)
+	rec := do(t, s, "POST", "/v1/extract?format="+fp, big)
 	if rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body: %d %s", rec.Code, rec.Body)
 	}
@@ -447,7 +447,7 @@ func TestBodyCap(t *testing.T) {
 	}
 	// A body under the cap still extracts.
 	small := bytes.Repeat([]byte("metric|cpu1|1.00|\n"), 8)
-	if rec := do(t, s, "POST", "/extract?format="+fp, small); rec.Code != http.StatusOK {
+	if rec := do(t, s, "POST", "/v1/extract?format="+fp, small); rec.Code != http.StatusOK {
 		t.Fatalf("small body: %d %s", rec.Code, rec.Body)
 	}
 }
@@ -474,7 +474,7 @@ func (r *slowReader) Read(p []byte) (int, error) {
 func TestRequestDeadline(t *testing.T) {
 	s, _ := newServerCfg(t, func(c *Config) { c.RequestTimeout = 30 * time.Millisecond })
 	fp, _ := fingerprints(t, s)
-	req := httptest.NewRequest("POST", "/extract?format="+fp,
+	req := httptest.NewRequest("POST", "/v1/extract?format="+fp,
 		&slowReader{delay: 150 * time.Millisecond, data: []byte("metric|cpu1|1.00|\n")})
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, req)
@@ -485,7 +485,7 @@ func TestRequestDeadline(t *testing.T) {
 		t.Fatalf("deadline error code %q", code)
 	}
 	// A prompt request under the same deadline still succeeds.
-	if rec := do(t, s, "POST", "/extract?format="+fp, []byte("metric|cpu1|1.00|\n")); rec.Code != http.StatusOK {
+	if rec := do(t, s, "POST", "/v1/extract?format="+fp, []byte("metric|cpu1|1.00|\n")); rec.Code != http.StatusOK {
 		t.Fatalf("prompt request: %d %s", rec.Code, rec.Body)
 	}
 }

@@ -62,7 +62,7 @@ func newServer(t *testing.T) (*Server, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := do(t, s, "POST", "/reindex", nil)
+	rec := do(t, s, "POST", "/v1/reindex", nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("initial reindex: %d %s", rec.Code, rec.Body)
 	}
@@ -81,9 +81,9 @@ func do(t *testing.T, s *Server, method, target string, body []byte) *httptest.R
 // formats fetches and parses /formats.
 func formats(t *testing.T, s *Server) []formatJSON {
 	t.Helper()
-	rec := do(t, s, "GET", "/formats", nil)
+	rec := do(t, s, "GET", "/v1/formats", nil)
 	if rec.Code != http.StatusOK {
-		t.Fatalf("/formats: %d %s", rec.Code, rec.Body)
+		t.Fatalf("/v1/formats: %d %s", rec.Code, rec.Body)
 	}
 	var out struct {
 		Formats []formatJSON `json:"formats"`
@@ -108,7 +108,7 @@ func TestReindexAndFormats(t *testing.T) {
 		}
 	}
 
-	rec := do(t, s, "POST", "/reindex", nil)
+	rec := do(t, s, "POST", "/v1/reindex", nil)
 	var sum reindexJSON
 	if err := json.Unmarshal(rec.Body.Bytes(), &sum); err != nil {
 		t.Fatal(err)
@@ -142,9 +142,9 @@ func TestServedExtractionMatchesPublicAPI(t *testing.T) {
 		t.Fatal("metrics format not registered")
 	}
 
-	rec := do(t, s, "GET", "/formats/"+metricsFP, nil)
+	rec := do(t, s, "GET", "/v1/formats/"+metricsFP, nil)
 	if rec.Code != http.StatusOK {
-		t.Fatalf("/formats/{fp}: %d %s", rec.Code, rec.Body)
+		t.Fatalf("/v1/formats/{fp}: %d %s", rec.Code, rec.Body)
 	}
 	var p datamaran.Profile
 	if err := json.Unmarshal(rec.Body.Bytes(), &p); err != nil {
@@ -170,11 +170,11 @@ func TestServedExtractionMatchesPublicAPI(t *testing.T) {
 	// CSV via uploaded body and via lake path must both match the
 	// public API bytes.
 	for _, target := range []string{
-		"/extract?format=" + metricsFP + "&output=csv&table=type0",
-		"/lake/extract?path=metrics/m-1.log&output=csv&table=type0",
+		"/v1/extract?format=" + metricsFP + "&output=csv&table=type0",
+		"/v1/lake/extract?path=metrics/m-1.log&output=csv&table=type0",
 	} {
 		method, body := "GET", []byte(nil)
-		if strings.HasPrefix(target, "/extract") {
+		if strings.HasPrefix(target, "/v1/extract") {
 			method, body = "POST", data
 		}
 		rec := do(t, s, method, target, body)
@@ -187,7 +187,7 @@ func TestServedExtractionMatchesPublicAPI(t *testing.T) {
 	}
 
 	// NDJSON record stream must carry the same records.
-	rec = do(t, s, "POST", "/extract?format="+metricsFP+"&output=ndjson", data)
+	rec = do(t, s, "POST", "/v1/extract?format="+metricsFP+"&output=ndjson", data)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("ndjson: %d %s", rec.Code, rec.Body)
 	}
@@ -233,26 +233,22 @@ func envelope(t *testing.T, target string, rec *httptest.ResponseRecorder) strin
 }
 
 // TestLakeExtractGuards covers path traversal, hidden entries, missing
-// files, unknown formats and malformed queries — on both the /v1 and
-// the deprecated unversioned routes — and asserts every failure body is
-// the JSON error envelope.
+// files, unknown formats and malformed queries, and asserts every
+// failure body is the JSON error envelope.
 func TestLakeExtractGuards(t *testing.T) {
 	s, _ := newServer(t)
 	cases := map[string]int{
-		"/lake/extract?path=../secret":                                      http.StatusBadRequest,
-		"/lake/extract?path=/etc/passwd":                                    http.StatusBadRequest,
-		"/lake/extract?path=.hidden/x.log":                                  http.StatusBadRequest,
-		"/lake/extract?path=":                                               http.StatusBadRequest,
-		"/lake/extract?path=metrics/nope.log":                               http.StatusNotFound,
-		"/lake/extract?path=znotes.txt":                                     http.StatusUnprocessableEntity,
-		"/extract?format=0123456789abcdef":                                  http.StatusNotFound,
-		"/formats/ffffffffffffffff":                                         http.StatusNotFound,
-		"/lake/extract?path=metrics/m-1.log&format=ffffffffffffffff":        http.StatusNotFound,
-		"/v1/lake/extract?path=../secret":                                   http.StatusBadRequest,
-		"/v1/formats/ffffffffffffffff":                                      http.StatusNotFound,
-		"/v1/extract?format=0123456789abcdef":                               http.StatusNotFound,
-		"/v1/query":                                                         http.StatusBadRequest,
-		"/v1/query?q=not+a+query":                                           http.StatusBadRequest,
+		"/v1/lake/extract?path=../secret":                               http.StatusBadRequest,
+		"/v1/lake/extract?path=/etc/passwd":                             http.StatusBadRequest,
+		"/v1/lake/extract?path=.hidden/x.log":                           http.StatusBadRequest,
+		"/v1/lake/extract?path=":                                        http.StatusBadRequest,
+		"/v1/lake/extract?path=metrics/nope.log":                        http.StatusNotFound,
+		"/v1/lake/extract?path=znotes.txt":                              http.StatusUnprocessableEntity,
+		"/v1/extract?format=0123456789abcdef":                           http.StatusNotFound,
+		"/v1/formats/ffffffffffffffff":                                  http.StatusNotFound,
+		"/v1/lake/extract?path=metrics/m-1.log&format=ffffffffffffffff": http.StatusNotFound,
+		"/v1/query":               http.StatusBadRequest,
+		"/v1/query?q=not+a+query": http.StatusBadRequest,
 		"/v1/query?q=" + url.QueryEscape("SELECT * FROM nope"):              http.StatusBadRequest,
 		"/v1/query?q=" + url.QueryEscape("SELECT * FROM t") + "&output=xml": http.StatusBadRequest,
 	}
@@ -264,7 +260,7 @@ func TestLakeExtractGuards(t *testing.T) {
 	for target, want := range cases {
 		method := "GET"
 		var body []byte
-		if strings.HasPrefix(strings.TrimPrefix(target, "/v1"), "/extract") {
+		if strings.HasPrefix(target, "/v1/extract") {
 			method, body = "POST", []byte("x\n")
 		}
 		rec := do(t, s, method, target, body)
@@ -274,27 +270,6 @@ func TestLakeExtractGuards(t *testing.T) {
 		}
 		if code := envelope(t, target, rec); code != codes[want] {
 			t.Errorf("%s: error code %q, want %q", target, code, codes[want])
-		}
-	}
-}
-
-// TestV1Aliases: the unversioned routes are aliases — same handlers,
-// byte-identical bodies.
-func TestV1Aliases(t *testing.T) {
-	s, _ := newServer(t)
-	fp := formats(t, s)[0].Fingerprint
-	for _, pair := range [][2]string{
-		{"/formats", "/v1/formats"},
-		{"/formats/" + fp, "/v1/formats/" + fp},
-		{"/lake/extract?path=metrics/m-1.log", "/v1/lake/extract?path=metrics/m-1.log"},
-	} {
-		old := do(t, s, "GET", pair[0], nil)
-		v1 := do(t, s, "GET", pair[1], nil)
-		if old.Code != http.StatusOK || v1.Code != http.StatusOK {
-			t.Fatalf("%v: status %d / %d", pair, old.Code, v1.Code)
-		}
-		if !bytes.Equal(old.Body.Bytes(), v1.Body.Bytes()) {
-			t.Errorf("%v: alias bodies differ", pair)
 		}
 	}
 }
@@ -382,24 +357,24 @@ func TestQueryWithoutStore(t *testing.T) {
 // shared handles).
 func TestReindexCancellation(t *testing.T) {
 	s, _ := newServer(t)
-	before := do(t, s, "GET", "/formats", nil).Body.String()
+	before := do(t, s, "GET", "/v1/formats", nil).Body.String()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	req := httptest.NewRequest("POST", "/reindex", nil).WithContext(ctx)
+	req := httptest.NewRequest("POST", "/v1/reindex", nil).WithContext(ctx)
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, req)
 	if rec.Code != 499 {
 		t.Fatalf("cancelled reindex: %d %s", rec.Code, rec.Body)
 	}
 
-	if after := do(t, s, "GET", "/formats", nil).Body.String(); after != before {
+	if after := do(t, s, "GET", "/v1/formats", nil).Body.String(); after != before {
 		t.Fatalf("aborted reindex mutated served state:\nbefore: %s\nafter: %s", before, after)
 	}
 	// A clean reindex afterwards must still report every file unchanged
 	// — no orphaned claims, no lost checkpoints.
 	var sum reindexJSON
-	if err := json.Unmarshal(do(t, s, "POST", "/reindex", nil).Body.Bytes(), &sum); err != nil {
+	if err := json.Unmarshal(do(t, s, "POST", "/v1/reindex", nil).Body.Bytes(), &sum); err != nil {
 		t.Fatal(err)
 	}
 	if sum.Unchanged != sum.Files || sum.Failed != 0 {
@@ -411,7 +386,7 @@ func TestReindexCancellation(t *testing.T) {
 func TestEmptyBodyExtract(t *testing.T) {
 	s, _ := newServer(t)
 	fp := formats(t, s)[0].Fingerprint
-	if rec := do(t, s, "POST", "/extract?format="+fp, nil); rec.Code != http.StatusBadRequest {
+	if rec := do(t, s, "POST", "/v1/extract?format="+fp, nil); rec.Code != http.StatusBadRequest {
 		t.Fatalf("empty body: %d %s", rec.Code, rec.Body)
 	}
 }
@@ -422,7 +397,7 @@ func TestEmptyBodyExtract(t *testing.T) {
 func TestReindexSeesGrowth(t *testing.T) {
 	s, root := newServer(t)
 	path := filepath.Join(root, "metrics/m-1.log")
-	before := do(t, s, "GET", "/lake/extract?path=metrics/m-1.log", nil)
+	before := do(t, s, "GET", "/v1/lake/extract?path=metrics/m-1.log", nil)
 	nBefore := strings.Count(before.Body.String(), "\n")
 
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
@@ -432,7 +407,7 @@ func TestReindexSeesGrowth(t *testing.T) {
 	fmt.Fprintf(f, "metric|cpu9|99.99|\nmetric|cpu8|11.11|\n")
 	f.Close()
 
-	rec := do(t, s, "POST", "/reindex", nil)
+	rec := do(t, s, "POST", "/v1/reindex", nil)
 	var sum reindexJSON
 	if err := json.Unmarshal(rec.Body.Bytes(), &sum); err != nil {
 		t.Fatal(err)
@@ -441,7 +416,7 @@ func TestReindexSeesGrowth(t *testing.T) {
 		t.Fatalf("growth reindex summary: %+v", sum)
 	}
 
-	after := do(t, s, "GET", "/lake/extract?path=metrics/m-1.log", nil)
+	after := do(t, s, "GET", "/v1/lake/extract?path=metrics/m-1.log", nil)
 	if nAfter := strings.Count(after.Body.String(), "\n"); nAfter != nBefore+2 {
 		t.Fatalf("records after growth = %d, want %d", nAfter, nBefore+2)
 	}

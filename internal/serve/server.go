@@ -3,14 +3,13 @@
 // subsystem (internal/follow provides the write half). A Server owns a
 // lake directory plus an immutable registry/checkpoint snapshot;
 // request handlers stream extraction output (NDJSON or CSV) against
-// the snapshot they started on, while POST /reindex crawls on clones
+// the snapshot they started on, while POST /v1/reindex crawls on clones
 // and atomically swaps a new snapshot in — so discovery keeps
 // amortizing across requests the way the paper's learn-once,
 // apply-many workflow intends, and a crawl never blocks (or tears) a
 // concurrent read.
 //
-// Endpoints (the /v1/ prefix is the canonical surface; the unversioned
-// paths predate it and remain as deprecated aliases for one release):
+// Endpoints:
 //
 //	GET  /healthz                    liveness probe
 //	GET  /v1/status                  serving stats (generation, cache, in-flight)
@@ -242,15 +241,11 @@ func (s *Server) Handler() http.Handler {
 	}))
 	mux.HandleFunc("GET /v1/status", s.instrument("/v1/status", s.handleStatus))
 	mux.HandleFunc("GET /metrics", s.instrument("/metrics", s.handleMetrics))
-	// /v1/ is the canonical surface; the unversioned routes are
-	// deprecated aliases kept for one release.
-	for _, p := range []string{"/v1", ""} {
-		mux.HandleFunc("GET "+p+"/formats", s.instrument(p+"/formats", s.handleFormats))
-		mux.HandleFunc("GET "+p+"/formats/{fp}", s.instrument(p+"/formats/{fp}", s.handleFormat))
-		mux.HandleFunc("POST "+p+"/extract", s.instrument(p+"/extract", s.handleExtractBody))
-		mux.HandleFunc("GET "+p+"/lake/extract", s.instrument(p+"/lake/extract", s.handleExtractLake))
-		mux.HandleFunc("POST "+p+"/reindex", s.instrument(p+"/reindex", s.handleReindex))
-	}
+	mux.HandleFunc("GET /v1/formats", s.instrument("/v1/formats", s.handleFormats))
+	mux.HandleFunc("GET /v1/formats/{fp}", s.instrument("/v1/formats/{fp}", s.handleFormat))
+	mux.HandleFunc("POST /v1/extract", s.instrument("/v1/extract", s.handleExtractBody))
+	mux.HandleFunc("GET /v1/lake/extract", s.instrument("/v1/lake/extract", s.handleExtractLake))
+	mux.HandleFunc("POST /v1/reindex", s.instrument("/v1/reindex", s.handleReindex))
 	mux.HandleFunc("GET /v1/query", s.instrument("/v1/query", s.handleQuery))
 	return s.limits.wrap(mux)
 }
@@ -624,25 +619,14 @@ func (s *Server) extractCSV(w http.ResponseWriter, r *http.Request, cfg pipeline
 		httpError(w, statusFor(r.Context(), err), "extract: %v", err)
 		return
 	}
-	// This mirrors the flat-record table path of datamaran.Result.Tables
-	// (tables.go), which serve cannot call: datamaran.Result is built
-	// only by the root package's own entry points. Byte-equality of the
-	// two paths is pinned by TestServedExtractionMatchesPublicAPI and
-	// the serve-smoke golden diff against the CLI's CSVs.
+	// The same builder call as datamaran.Result.TablesWith (tables.go),
+	// which serve cannot call itself: datamaran.Result is built only by
+	// the root package's own entry points. Byte-equality is pinned by
+	// TestServedExtractionMatchesPublicAPI and the serve-smoke golden
+	// diff against the CLI's CSVs.
 	var tables []*relational.Table
 	for typeID, st := range res.Structures {
-		var records [][]relational.FlatField
-		for _, rec := range res.Records {
-			if rec.TypeID != typeID {
-				continue
-			}
-			fields := make([]relational.FlatField, 0, len(rec.Fields))
-			for _, f := range rec.Fields {
-				fields = append(fields, relational.FlatField{Col: f.Col, Rep: f.Rep, Value: f.Value})
-			}
-			records = append(records, fields)
-		}
-		db := relational.BuildFlat(st.Template, records, fmt.Sprintf("type%d", typeID))
+		db := relational.Build(st.Template, res.Records, typeID, fmt.Sprintf("type%d", typeID))
 		tables = append(tables, db.Tables...)
 	}
 	want := r.URL.Query().Get("table")

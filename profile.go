@@ -1,14 +1,13 @@
 package datamaran
 
 import (
-	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
 	"datamaran/internal/core"
 	"datamaran/internal/lake"
-	"datamaran/internal/pipeline"
 	"datamaran/internal/template"
 )
 
@@ -108,6 +107,14 @@ func (p *Profile) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
+// usable rejects a nil or template-less profile.
+func (p *Profile) usable() error {
+	if p == nil || len(p.templates) == 0 {
+		return errors.New("datamaran: empty profile")
+	}
+	return nil
+}
+
 // ExtractWithProfile extracts records from data using the already-learned
 // templates of p, skipping structure discovery entirely. It runs in one
 // linear pass per template (the O(Tdata) extraction row of Table 3).
@@ -119,55 +126,34 @@ func ExtractWithProfile(data []byte, p *Profile) (*Result, error) {
 // scans fanned out over workers goroutines (0 or 1 sequential, negative
 // all cores). Output is identical to ExtractWithProfile.
 func ExtractWithProfileParallel(data []byte, p *Profile, workers int) (*Result, error) {
-	if p == nil || len(p.templates) == 0 {
-		return nil, fmt.Errorf("datamaran: empty profile")
+	if err := p.usable(); err != nil {
+		return nil, err
 	}
 	res, err := core.ApplyTemplatesParallel(data, p.templates, workers)
 	if err != nil {
 		return nil, err
 	}
-	return wrapResult(data, res), nil
+	return wrapResult(res), nil
 }
 
 // ExtractReaderWithProfile is ExtractWithProfile over a stream: no
 // discovery, no prefix buffering — the input flows through the sharded
 // engine in a single pass from the first byte, with per-shard matching
-// parallelized across Options.Workers. Structures, records and noise
-// lines are identical to ExtractWithProfile on the same bytes.
+// parallelized across Options.Workers. Structures, records, noise lines
+// and tables are identical to ExtractWithProfile on the same bytes.
 func ExtractReaderWithProfile(r io.Reader, p *Profile, opts Options) (*Result, error) {
-	return ExtractReaderWithProfileContext(context.Background(), r, p, opts)
-}
-
-// ExtractReaderWithProfileContext is ExtractReaderWithProfile with
-// cancellation: ctx is checked between shards, so a served extraction
-// aborts within one shard of the client disconnecting.
-func ExtractReaderWithProfileContext(ctx context.Context, r io.Reader, p *Profile, opts Options) (*Result, error) {
-	if p == nil || len(p.templates) == 0 {
-		return nil, fmt.Errorf("datamaran: empty profile")
-	}
-	cfg := opts.pipelineConfig()
-	cfg.Templates = p.templates
-	res, err := pipeline.RunContext(ctx, r, cfg)
-	if err != nil {
+	if err := p.usable(); err != nil {
 		return nil, err
 	}
-	return wrapResult(nil, res), nil
+	return extractReader(r, p, opts, nil)
 }
 
 // ExtractStreamWithProfile applies a learned profile to a stream in
 // constant memory, yielding each record as its shard is finalized — the
 // highest-throughput path for data-lake files sharing one format.
 func ExtractStreamWithProfile(r io.Reader, p *Profile, opts Options, fn func(Record) error) (*Result, error) {
-	return ExtractStreamWithProfileContext(context.Background(), r, p, opts, fn)
-}
-
-// ExtractStreamWithProfileContext is ExtractStreamWithProfile with
-// cancellation (see ExtractReaderWithProfileContext).
-func ExtractStreamWithProfileContext(ctx context.Context, r io.Reader, p *Profile, opts Options, fn func(Record) error) (*Result, error) {
-	if p == nil || len(p.templates) == 0 {
-		return nil, fmt.Errorf("datamaran: empty profile")
+	if err := p.usable(); err != nil {
+		return nil, err
 	}
-	cfg := opts.pipelineConfig()
-	cfg.Templates = p.templates
-	return runStream(ctx, r, cfg, fn)
+	return extractReader(r, p, opts, fn)
 }

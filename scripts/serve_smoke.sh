@@ -4,7 +4,6 @@
 # HTTP surface against the committed goldens:
 #
 #   GET /v1/formats                    == testdata/lake_golden/serve/formats.json
-#   GET /formats (deprecated alias)    == the same bytes
 #   GET /v1/lake/extract (csv)         == the indexer's committed per-file CSV
 #   POST /v1/extract (uploaded body)   == the same committed CSV
 #   POST /v1/reindex (all unchanged)   == testdata/lake_golden/serve/reindex.json
@@ -82,7 +81,6 @@ wait_listening "$pid" "$tmp/serve.out"
 
 curl -fsS "$url/healthz" > /dev/null || fail "healthz probe failed"
 curl -fsS "$url/v1/formats" > "$tmp/formats.json" || fail "GET /v1/formats failed"
-curl -fsS "$url/formats" > "$tmp/formats_alias.json" || fail "GET /formats failed"
 curl -fsS "$url/v1/lake/extract?path=web/requests-1.log&output=csv&table=type0" > "$tmp/lake_extract.csv" \
     || fail "lake extract failed"
 curl -fsS -X POST --data-binary @testdata/lake/jobs/job-1.log \
@@ -156,7 +154,6 @@ if [ "${1:-}" = "-update" ]; then
 fi
 
 diff -u "$golden/formats.json" "$tmp/formats.json"
-diff -u "$tmp/formats.json" "$tmp/formats_alias.json"
 diff -u "$golden/reindex.json" "$tmp/reindex.json"
 diff -u testdata/lake_golden/csv/web__requests-1.log.type0.csv "$tmp/lake_extract.csv"
 diff -u testdata/lake_golden/csv/jobs__job-1.log.type0.csv "$tmp/body_extract.csv"
@@ -212,4 +209,4 @@ grep -q '"code":"deadline_exceeded"' "$tmp/held.out" \
     || fail "stalled request did not fail with deadline_exceeded: $(cat "$tmp/held.out")"
 curl -fsS "$url2/v1/formats" > /dev/null || fail "slot not freed after the deadline fired"
 
-echo "serve smoke passed: /v1 routes, the deprecated alias, /v1/query (+explain), /metrics, scoped reindex, the error envelope, 429-on-saturation and deadline-exceeded all behave"
+echo "serve smoke passed: /v1 routes, /v1/query (+explain), /metrics, scoped reindex, the error envelope, 429-on-saturation and deadline-exceeded all behave"

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"datamaran/internal/datagen"
+	"datamaran/internal/template"
 )
 
 // TestExtractReaderMatchesExtract checks the public streaming API against
@@ -38,38 +40,137 @@ func TestExtractReaderMatchesExtract(t *testing.T) {
 	}
 }
 
-// TestStreamedTablesMatchInMemory checks the buffer-free table builders
-// produce the same CSV tables as the parse-tree path.
+// tablesCSV renders tables as one comparable string.
+func tablesCSV(t *testing.T, tables []*Table) string {
+	t.Helper()
+	var b bytes.Buffer
+	for _, tab := range tables {
+		fmt.Fprintf(&b, "# table %s parent %q\n", tab.Name, tab.Parent)
+		if err := tab.WriteCSV(&b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b.String()
+}
+
+// firstDiff names the first line on which two renderings disagree.
+func firstDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(g) && i < len(w); i++ {
+		if g[i] != w[i] {
+			return fmt.Sprintf("line %d: got %q, want %q", i, g[i], w[i])
+		}
+	}
+	return fmt.Sprintf("got %d lines, want %d", len(g), len(w))
+}
+
+// checkTableLinks asserts the normalized form's invariants: one root-table
+// row per record of the type, and every child row's parent_id naming an
+// existing row of its parent table.
+func checkTableLinks(t *testing.T, label string, res *Result) {
+	t.Helper()
+	byName := map[string]*Table{}
+	for _, tab := range res.TablesWith(TablesOptions{}) {
+		byName[tab.Name] = tab
+	}
+	for _, s := range res.Structures {
+		records := 0
+		for _, r := range res.Records {
+			if r.Type == s.Type {
+				records++
+			}
+		}
+		if root := byName[fmt.Sprintf("type%d", s.Type)]; len(root.Rows) != records {
+			t.Errorf("%s: table %s has %d rows for %d records", label, root.Name, len(root.Rows), records)
+		}
+	}
+	for _, tab := range byName {
+		if tab.Parent == "" {
+			continue
+		}
+		ids := map[string]bool{}
+		for _, row := range byName[tab.Parent].Rows {
+			ids[row[0]] = true
+		}
+		for _, row := range tab.Rows {
+			if !ids[row[1]] {
+				t.Errorf("%s: table %s row %s: parent_id %s names no row of %s", label, tab.Name, row[0], row[1], tab.Parent)
+			}
+		}
+	}
+}
+
+// TestStreamedTablesMatchInMemory pins "in-memory ≡ streamed" for tables:
+// applying one profile through ExtractWithProfile and through the sharded
+// ExtractReaderWithProfile must give byte-identical normalized,
+// denormalized and typed tables at every worker count — on the shapes
+// where record nesting and record contiguity are hardest.
 func TestStreamedTablesMatchInMemory(t *testing.T) {
-	d := datagen.WebServerLog(300, 7)
-	want, err := Extract(d.Data, Options{})
+	fld, lit := template.Field, template.Lit
+	arr := func(sep, term byte, body ...*template.Node) *template.Node {
+		return template.Array(body, sep, term)
+	}
+	profile := func(tpls ...*template.Node) *Profile {
+		p := &Profile{}
+		for _, tpl := range tpls {
+			p.templates = append(p.templates, tpl.Normalize())
+		}
+		return p
+	}
+	interleaved := datagen.InterleavedTypes(2, 120, 9)
+	learned, err := Extract(interleaved.Data, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ExtractReader(bytes.NewReader(d.Data), Options{ShardSize: 1024})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		p    *Profile
+		data []byte
+	}{
+		// A type-0 line sits between the two lines of a type-1 record, so
+		// the record is contiguous only in type 0's residue.
+		{"two-line type split by another type's line",
+			profile(template.Struct(fld(), lit(","), fld(), lit("\n")),
+				template.Struct(lit("BEGIN "), fld(), lit("\nEND "), fld(), lit("\n"))),
+			bytes.Repeat([]byte("BEGIN a\nEND b\n1,2\nBEGIN c\n3,4\nEND d\nBEGIN e\nEND f\n"), 20)},
+		{"sibling arrays inside an array",
+			profile(arr(' ', '\n', arr(',', ';', fld()), arr('+', '|', fld()))),
+			bytes.Repeat([]byte("a,b;x+y| c;z|\nd;e+f+g|\nnoise\n"), 20)},
+		{"3-level nesting",
+			profile(arr(' ', '\n', arr('+', '|', arr(',', ';', fld())))),
+			bytes.Repeat([]byte("a,b;+c;| d;|\ne;+f,g;+h;|\n"), 20)},
+		{"field-less array body",
+			profile(template.Struct(fld(), lit(":"), arr(',', ';', lit("x")), lit("\n"))),
+			bytes.Repeat([]byte("a:x,x,x;\nb:x;\nc:y;\n"), 20)},
+		{"interleaved types", learned.Profile(), interleaved.Data},
 	}
-	compare := func(name string, a, b []*Table) {
-		if len(a) != len(b) {
-			t.Fatalf("%s: %d tables vs %d", name, len(b), len(a))
+	forms := []TablesOptions{{}, {Denormalized: true}, {Typed: true}}
+	for _, c := range cases {
+		want, err := ExtractWithProfile(c.data, c.p)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
 		}
-		for i := range a {
-			var wb, gb bytes.Buffer
-			if err := a[i].WriteCSV(&wb); err != nil {
-				t.Fatal(err)
+		if len(want.Records) == 0 {
+			t.Fatalf("%s: case extracts no record", c.name)
+		}
+		checkTableLinks(t, c.name+"/in-memory", want)
+		for _, workers := range []int{1, 2, 8} {
+			label := fmt.Sprintf("%s/workers%d", c.name, workers)
+			got, err := ExtractReaderWithProfile(bytes.NewReader(c.data), c.p, Options{Workers: workers, ShardSize: 64})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
 			}
-			if err := b[i].WriteCSV(&gb); err != nil {
-				t.Fatal(err)
+			if !reflect.DeepEqual(got.Records, want.Records) {
+				t.Errorf("%s: records differ (%d vs %d)", label, len(got.Records), len(want.Records))
 			}
-			if wb.String() != gb.String() {
-				t.Errorf("%s table %d (%s) differs", name, i, a[i].Name)
+			checkTableLinks(t, label, got)
+			for _, form := range forms {
+				if w, g := tablesCSV(t, want.TablesWith(form)), tablesCSV(t, got.TablesWith(form)); w != g {
+					t.Errorf("%s: %+v tables differ: %s", label, form, firstDiff(g, w))
+				}
 			}
 		}
 	}
-	compare("normalized", want.Tables(), got.Tables())
-	compare("denormalized", want.DenormalizedTables(), got.DenormalizedTables())
-	compare("typed", want.TypedTables(), got.TypedTables())
 }
 
 // TestExtractStreamYieldsRecords checks the constant-memory public mode.

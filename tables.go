@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"io"
 
-	"datamaran/internal/parser"
 	"datamaran/internal/relational"
 	"datamaran/internal/semtype"
 	"datamaran/internal/template"
-	"datamaran/internal/textio"
 )
 
 // Table is a relational table produced from an extraction (Figure 7 of
@@ -32,55 +30,7 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	return rt.WriteCSV(w)
 }
 
-// flatRecords gathers the stored field values of one type in record
-// order — the table-building path for streamed extractions, which retain
-// no input buffer to re-parse.
-func (r *Result) flatRecords(typeID int) [][]relational.FlatField {
-	var out [][]relational.FlatField
-	for _, rec := range r.res.Records {
-		if rec.TypeID != typeID {
-			continue
-		}
-		fields := make([]relational.FlatField, 0, len(rec.Fields))
-		for _, f := range rec.Fields {
-			fields = append(fields, relational.FlatField{Col: f.Col, Rep: f.Rep, Value: f.Value})
-		}
-		out = append(out, fields)
-	}
-	return out
-}
-
-// rebuildScan re-parses the already-located records of one type so the
-// relational builders can walk their parse trees.
-func (r *Result) rebuildScan(typeID int) (*parser.Matcher, *parser.ScanResult, bool) {
-	if typeID < 0 || typeID >= len(r.res.Structures) || r.data == nil {
-		return nil, nil, false
-	}
-	st := r.res.Structures[typeID].Template
-	m := parser.NewMatcher(st)
-	lines := textio.NewLines(r.data)
-	scan := &parser.ScanResult{}
-	for _, rec := range r.res.Records {
-		if rec.TypeID != typeID {
-			continue
-		}
-		v, end, ok := m.Match(r.data, lines.Start(rec.StartLine))
-		if !ok {
-			continue
-		}
-		scan.Records = append(scan.Records, parser.Record{
-			StartLine: rec.StartLine,
-			EndLine:   rec.EndLine,
-			Start:     lines.Start(rec.StartLine),
-			End:       end,
-			Value:     v,
-		})
-	}
-	return m, scan, true
-}
-
-// TablesOptions selects a relational form of an extraction —
-// the unified face of the Tables/DenormalizedTables/TypedTables trio.
+// TablesOptions selects a relational form of an extraction.
 type TablesOptions struct {
 	// Denormalized selects the single-table-per-type form: one row per
 	// record, list repetitions folded into one cell per column. The
@@ -107,25 +57,10 @@ func (r *Result) TablesWith(opts TablesOptions) []*Table {
 	}
 }
 
-// Tables returns the normalized relational form of the extraction: per
-// record type, a root table plus one child table per list, linked by
-// foreign keys.
-//
-// Deprecated: use TablesWith(TablesOptions{}).
-func (r *Result) Tables() []*Table { return r.normalizedTables() }
-
 func (r *Result) normalizedTables() []*Table {
 	var out []*Table
-	for typeID := range r.res.Structures {
-		var db *relational.Database
-		if m, scan, ok := r.rebuildScan(typeID); ok {
-			db = relational.Build(m, r.data, scan, fmt.Sprintf("type%d", typeID))
-		} else if r.data == nil {
-			db = relational.BuildFlat(r.res.Structures[typeID].Template,
-				r.flatRecords(typeID), fmt.Sprintf("type%d", typeID))
-		} else {
-			continue
-		}
+	for typeID, s := range r.res.Structures {
+		db := relational.Build(s.Template, r.res.Records, typeID, fmt.Sprintf("type%d", typeID))
 		for _, t := range db.Tables {
 			out = append(out, &Table{Name: t.Name, Parent: t.Parent, Columns: t.Columns, Rows: t.Rows})
 		}
@@ -133,54 +68,23 @@ func (r *Result) normalizedTables() []*Table {
 	return out
 }
 
-// DenormalizedTables returns the single-table-per-type form: one row per
-// record, list repetitions folded into one cell per column.
-//
-// Deprecated: use TablesWith(TablesOptions{Denormalized: true}).
-func (r *Result) DenormalizedTables() []*Table { return r.denormalizedTables() }
-
 func (r *Result) denormalizedTables() []*Table {
 	var out []*Table
-	for typeID := range r.res.Structures {
-		t := r.denormalized(typeID)
-		if t == nil {
-			continue
-		}
+	for typeID, s := range r.res.Structures {
+		t := relational.BuildDenormalized(s.Template, r.res.Records, typeID, fmt.Sprintf("type%d", typeID))
 		out = append(out, &Table{Name: t.Name, Columns: t.Columns, Rows: t.Rows})
 	}
 	return out
 }
 
-// denormalized builds the single-table form of one type via parse trees
-// when the input buffer is resident, or from the stored field values for
-// streamed extractions.
-func (r *Result) denormalized(typeID int) *relational.Table {
-	if m, scan, ok := r.rebuildScan(typeID); ok {
-		return relational.BuildDenormalized(m, r.data, scan, fmt.Sprintf("type%d", typeID))
-	}
-	if r.data == nil {
-		return relational.BuildDenormalizedFlat(r.res.Structures[typeID].Template,
-			r.flatRecords(typeID), fmt.Sprintf("type%d", typeID))
-	}
-	return nil
-}
-
-// TypedTables returns the denormalized tables with semantic-type
-// post-processing applied (the type-awareness extension of the paper's
-// §6.3): runs of adjacent fine-grained columns that reassemble into IPs,
-// times, dates, versions, emails or UUIDs — using the constant template
-// literals between them — are merged into one named column.
-//
-// Deprecated: use TablesWith(TablesOptions{Typed: true}).
-func (r *Result) TypedTables() []*Table { return r.typedTables() }
-
+// typedTables applies semantic-type post-processing to the denormalized
+// tables (the type-awareness extension of the paper's §6.3): runs of
+// adjacent fine-grained columns that reassemble into IPs, times, dates,
+// versions, emails or UUIDs — using the constant template literals
+// between them — are merged into one named column.
 func (r *Result) typedTables() []*Table {
-	var out []*Table
-	for typeID := range r.res.Structures {
-		t := r.denormalized(typeID)
-		if t == nil {
-			continue
-		}
+	out := r.denormalizedTables()
+	for typeID, t := range out {
 		seps := columnSeparators(r.res.Structures[typeID].Template)
 		cols := make([]semtype.Column, len(t.Columns))
 		for i, name := range t.Columns {
@@ -190,8 +94,7 @@ func (r *Result) typedTables() []*Table {
 			}
 		}
 		merges := semtype.Detect(cols, seps)
-		names, rows := semtype.Apply(t.Columns, t.Rows, merges)
-		out = append(out, &Table{Name: t.Name, Columns: names, Rows: rows})
+		t.Columns, t.Rows = semtype.Apply(t.Columns, t.Rows, merges)
 	}
 	return out
 }
