@@ -39,7 +39,8 @@ bench-quick:
 # Allocation gate: the parser's steady-state scan benchmarks and the
 # generation engine's warm genST benchmark must stay at 0 allocs/op
 # (noise rejection, arena-reuse scanning and transition-table window
-# accumulation never touch the heap — see scripts/bench_allocs.sh).
+# accumulation never touch the heap), and the lake's MatchSample must
+# allocate the same at two sample sizes — see scripts/bench_allocs.sh.
 bench-allocs:
 	sh scripts/bench_allocs.sh
 

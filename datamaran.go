@@ -210,6 +210,9 @@ func wrapResult(res *core.Result) *Result {
 			Evaluation: res.Timing.Evaluation,
 			Extraction: res.Timing.Extraction,
 		}}
+	if len(res.Structures) > 0 {
+		out.Structures = make([]Structure, 0, len(res.Structures))
+	}
 	for _, s := range res.Structures {
 		multi := false
 		for _, r := range res.Records {
@@ -227,20 +230,46 @@ func wrapResult(res *core.Result) *Result {
 			MultiLine: multi,
 		})
 	}
-	for _, r := range res.Records {
-		out.Records = append(out.Records, publicRecord(r))
+	if len(res.Records) == 0 {
+		return out
+	}
+	// Two allocations for the whole result: the records, and one backing
+	// array their Fields are cut from (capacity clipped, so an append to
+	// one record's Fields cannot reach its neighbour's).
+	nfields := 0
+	for i := range res.Records {
+		nfields += len(res.Records[i].Fields)
+	}
+	fields := make([]Field, 0, nfields)
+	out.Records = make([]Record, len(res.Records))
+	for i := range res.Records {
+		r := &res.Records[i]
+		lo := len(fields)
+		fields = appendFields(fields, r.Fields)
+		out.Records[i] = Record{Type: r.TypeID, StartLine: r.StartLine, EndLine: r.EndLine}
+		if hi := len(fields); hi > lo {
+			out.Records[i].Fields = fields[lo:hi:hi]
+		}
 	}
 	return out
+}
+
+// appendFields appends the public form of an internal record's fields.
+func appendFields(dst []Field, src []core.FieldValue) []Field {
+	for _, f := range src {
+		dst = append(dst, Field{
+			Column: f.Col, Repetition: f.Rep,
+			Start: f.Start, End: f.End, Value: f.Value,
+		})
+	}
+	return dst
 }
 
 // publicRecord converts one internal record to the public form.
 func publicRecord(r core.RecordOut) Record {
 	rec := Record{Type: r.TypeID, StartLine: r.StartLine, EndLine: r.EndLine}
-	for _, f := range r.Fields {
-		rec.Fields = append(rec.Fields, Field{
-			Column: f.Col, Repetition: f.Rep,
-			Start: f.Start, End: f.End, Value: f.Value,
-		})
+	if len(r.Fields) > 0 {
+		rec.Fields = appendFields(make([]Field, 0, len(r.Fields)), r.Fields)
 	}
 	return rec
 }

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
+
+	"datamaran/internal/core"
 )
 
 func sampleCSV(rows int) []byte {
@@ -248,5 +251,41 @@ func TestTypedTablesNoSpuriousMerges(t *testing.T) {
 	}
 	if len(tabs[0].Columns) == 0 || len(tabs[0].Rows) != 60 {
 		t.Fatalf("typed table malformed: %v rows=%d", tabs[0].Columns, len(tabs[0].Rows))
+	}
+}
+
+// TestWrapResultExactSizing: the public result holds exactly what the
+// per-record conversion yields — nil where there is nothing, no spare
+// capacity where there is — and the records' Fields, cut from one backing
+// array, cannot be appended into each other.
+func TestWrapResultExactSizing(t *testing.T) {
+	res, err := Extract(sampleCSV(50), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Records) != 50 || len(res.res.Records) != 50 {
+		t.Fatalf("%d public records of %d", len(res.Records), len(res.res.Records))
+	}
+	for i, r := range res.Records {
+		want := publicRecord(res.res.Records[i])
+		if !reflect.DeepEqual(r, want) {
+			t.Fatalf("record %d = %+v, publicRecord gives %+v", i, r, want)
+		}
+		if cap(r.Fields) != len(r.Fields) || cap(want.Fields) != len(want.Fields) {
+			t.Fatalf("record %d: Fields cap %d/%d for len %d", i, cap(r.Fields), cap(want.Fields), len(r.Fields))
+		}
+	}
+	next := res.Records[1].Fields[0]
+	_ = append(res.Records[0].Fields, Field{Value: "intruder"})
+	if res.Records[1].Fields[0] != next {
+		t.Fatal("appending to one record's Fields overwrote the next record's")
+	}
+
+	empty := wrapResult(&core.Result{})
+	if empty.Records != nil || empty.Structures != nil {
+		t.Fatalf("empty result wraps to %+v", empty)
+	}
+	if rec := publicRecord(core.RecordOut{TypeID: 3}); rec.Fields != nil || rec.Type != 3 {
+		t.Fatalf("fieldless record wraps to %+v", rec)
 	}
 }

@@ -147,9 +147,10 @@ type IndexResult struct {
 // paper's data-lake scenario. Structure is discovered once per format,
 // on a bounded sample of the first file exhibiting it; every other file
 // of that format is claimed by the registered profile and runs the
-// discovery-free one-pass extraction. Files are processed concurrently
-// (IndexOptions.Workers), but classification is sequential in sorted
-// path order, so the registry and every result are independent of the
+// discovery-free one-pass extraction. Files are sampled, matched and
+// extracted concurrently (IndexOptions.Workers), but every claim is
+// committed in sorted path order by the one goroutine that may change
+// the registry, so the registry and every result are independent of the
 // worker count.
 //
 // Hidden files and directories (name starting with ".") are skipped.

@@ -1,0 +1,388 @@
+package lake
+
+import (
+	"context"
+	"math"
+	"path/filepath"
+	"sync"
+	"time"
+
+	"datamaran/internal/follow"
+	"datamaran/internal/parser"
+	"datamaran/internal/textio"
+)
+
+// profileMatcher is one registry entry compiled for coverage matching:
+// one matcher per template, built once per crawl (or per MatchSample
+// call) and shared by every goroutine that scans with it.
+type profileMatcher struct {
+	entry    *Entry
+	matchers []*parser.Matcher
+}
+
+func compileProfile(e *Entry) profileMatcher {
+	p := profileMatcher{entry: e, matchers: make([]*parser.Matcher, len(e.Templates))}
+	for i, t := range e.Templates {
+		p.matchers[i] = parser.NewMatcher(t)
+	}
+	return p
+}
+
+func compileProfiles(entries []*Entry) []profileMatcher {
+	out := make([]profileMatcher, len(entries))
+	for i, e := range entries {
+		out[i] = compileProfile(e)
+	}
+	return out
+}
+
+// coverage returns how many bytes of lines the profile's templates
+// cover, applied in order, each to the residue — the uncovered lines,
+// concatenated — that the previous one left. That is the rule of
+// core.ApplyTemplatesParallel, but nothing is extracted: no record, no
+// field string. The scan gives up (ok false) once more than
+// maxUncovered bytes are certain to stay uncovered.
+func (p profileMatcher) coverage(lines *textio.Lines, maxUncovered int) (covered int, ok bool) {
+	total := len(lines.Data())
+	for k, m := range p.matchers {
+		// Only what the last template leaves behind is final: a line an
+		// earlier one rejects may still be covered further down the chain.
+		last := k == len(p.matchers)-1
+		data, n := lines.Data(), lines.N()
+		var residue []byte
+		uncovered := 0
+		for i := 0; i < n; {
+			if end, matched, _ := m.MatchEnds(data, lines.Start(i)); matched {
+				if end == lines.Start(i+1) { // a one-line record, the common case
+					i++
+					continue
+				}
+				if endLine, aligned := lines.AlignedLine(end); aligned && endLine > i {
+					i = endLine
+					continue
+				}
+			}
+			line := lines.Line(i)
+			uncovered += len(line)
+			if !last {
+				if residue == nil {
+					residue = make([]byte, 0, len(data))
+				}
+				residue = append(residue, line...)
+			} else if uncovered > maxUncovered {
+				return 0, false
+			}
+			i++
+		}
+		if last || uncovered == 0 {
+			return total - uncovered, true
+		}
+		lines = textio.NewLines(residue)
+	}
+	return 0, true // a profile without templates covers nothing
+}
+
+// minCovered returns the fewest covered bytes of a total-byte sample
+// that reach the threshold: the smallest c with c/total >= threshold in
+// the float arithmetic the threshold has always been compared in
+// (total+1, which no sample reaches, when the threshold is above 1).
+func minCovered(total int, threshold float64) int {
+	if !(threshold <= 1) {
+		return total + 1
+	}
+	reaches := func(c int) bool { return float64(c)/float64(total) >= threshold }
+	c := max(int(math.Ceil(threshold*float64(total))), 0)
+	for c > 0 && reaches(c-1) {
+		c--
+	}
+	for c <= total && !reaches(c) {
+		c++
+	}
+	return c
+}
+
+// bestProfile returns the profile that covers the most of lines and its
+// covered bytes, or (nil, floor) when none covers at least need bytes
+// and more than floor. Ties keep the earlier profile and the caller's
+// incumbent, whose coverage floor is. A profile is abandoned as soon as
+// its uncovered bytes show it can no longer win.
+func bestProfile(lines *textio.Lines, profiles []profileMatcher, need, floor int) (*Entry, int) {
+	total := len(lines.Data())
+	var best *Entry
+	for _, p := range profiles {
+		must := max(need, floor+1)
+		if must > total {
+			break // not even a full cover would win now
+		}
+		if covered, ok := p.coverage(lines, total-must); ok && covered >= must {
+			best, floor = p.entry, covered
+		}
+	}
+	return best, floor
+}
+
+// MatchSample returns the registered profile with the best sample
+// coverage at or above the threshold (ties keep the earlier entry), or
+// nil when no profile claims the sample. It only reads the registry —
+// safe to call concurrently with a crawl (the serve daemon classifies
+// ad-hoc lake paths with it).
+func MatchSample(sample []byte, reg *Registry, threshold float64) *Entry {
+	if len(sample) == 0 {
+		return nil
+	}
+	e, _ := bestProfile(textio.NewLines(sample), compileProfiles(reg.Entries()), minCovered(len(sample), threshold), 0)
+	return e
+}
+
+// indexer is the state of one IndexContext run, shared by its three
+// stages:
+//
+//   - match, on cfg.Workers goroutines, in any order: read the file's
+//     sample and find the best profile among those registered when the
+//     crawl started;
+//   - commit, on one goroutine, in sorted path order: checkpoint claims,
+//     the re-match against profiles registered earlier in this crawl,
+//     discovery for files nothing claims. It alone mutates the registry,
+//     which is why no output depends on the worker count;
+//   - extract, on cfg.Workers goroutines, fed by the commit stage: file i
+//     starts extracting the moment its claim is final, so discovery on
+//     one file overlaps extraction of every file before it.
+//
+// files, entries and resumes are indexed alike. The commit stage writes
+// slot i and then hands i to the extract stage, which owns it from there.
+type indexer struct {
+	root string
+	reg  *Registry
+	cfg  Config
+
+	files   []FileResult
+	entries []*Entry
+	resumes []*follow.Checkpoint
+
+	// base is the registry as it stood when the crawl started, fresh
+	// what this crawl registered since (commit stage only).
+	base, fresh []profileMatcher
+	newFPs      map[string]bool
+}
+
+// sampled is what the match stage learned about one file.
+type sampled struct {
+	// deferred marks a checkpointed file: whether it needs a sample at
+	// all is the commit stage's decision, so none was read. (One whose
+	// checkpoint turns out not to hold is sampled there, serially.)
+	deferred bool
+	sample   []byte
+	size     int64
+	err      error
+	lines    *textio.Lines
+	// need is the coverage that reaches the match threshold; entry the
+	// best base profile, covering covered bytes (nil, 0 when none does).
+	need, covered int
+	entry         *Entry
+}
+
+// run drives the three stages to completion. It returns ctx.Err() when
+// the crawl was cancelled, with every goroutine it started gone.
+func (ix *indexer) run(ctx context.Context, stats *crawlStats) error {
+	matchCtx, stop := context.WithCancel(ctx)
+	defer stop()
+	var stages sync.WaitGroup
+
+	// Each file is independent and its in-file pipeline runs with
+	// Workers=1, so scheduling cannot reorder or change anything. The
+	// queue holds every file, so the commit stage never waits on it.
+	queue := make(chan int, len(ix.files))
+	for w := 0; w < ix.cfg.Workers; w++ {
+		stages.Add(1)
+		go func() {
+			defer stages.Done()
+			for i := range queue {
+				if ctx.Err() == nil {
+					extractOne(ctx, ix.root, &ix.files[i], ix.entries[i], ix.resumes[i], ix.cfg)
+				}
+			}
+		}()
+	}
+
+	classifyStart := time.Now()
+	var extractStart time.Time
+	err := ix.commit(ctx, ix.startMatching(matchCtx, &stages), stats, func(i int) {
+		if extractStart.IsZero() {
+			extractStart = time.Now()
+		}
+		queue <- i
+	})
+	stats.classify = time.Since(classifyStart)
+	// The match stage has nothing left to do once commit returns: it has
+	// delivered every file, or commit gave up and stop tells it to.
+	stop()
+	close(queue)
+	stages.Wait()
+	if !extractStart.IsZero() {
+		stats.extract = time.Since(extractStart)
+	}
+	if err == nil {
+		err = ctx.Err()
+	}
+	return err
+}
+
+// startMatching starts the match stage and returns its results as one
+// future per file, in path order. The channel's capacity bounds how many
+// samples the stage holds ahead of the commit stage.
+func (ix *indexer) startMatching(ctx context.Context, wg *sync.WaitGroup) <-chan chan sampled {
+	type job struct {
+		rel     string
+		skipped bool // the walk could not reach it: nothing to sample
+		out     chan sampled
+	}
+	jobs := make(chan job)
+	futures := make(chan chan sampled, 2*ix.cfg.Workers)
+	for w := 0; w < ix.cfg.Workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range jobs {
+				var s sampled
+				switch {
+				case j.skipped:
+				case ix.cfg.Checkpoints != nil && ix.cfg.Checkpoints.Get(j.rel) != nil:
+					s.deferred = true
+				default:
+					s = ix.sample(j.rel)
+				}
+				j.out <- s
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(jobs)
+		for i := range ix.files {
+			// Slot i is read here, before its future is handed over: the
+			// commit stage writes it only after.
+			j := job{rel: ix.files[i].Path, skipped: ix.files[i].Err != nil, out: make(chan sampled, 1)}
+			select {
+			case futures <- j.out:
+			case <-ctx.Done():
+				return
+			}
+			select {
+			case jobs <- j:
+			case <-ctx.Done():
+				return
+			}
+		}
+	}()
+	return futures
+}
+
+// sample reads one file's sample and matches it against the base
+// profiles.
+func (ix *indexer) sample(rel string) sampled {
+	var s sampled
+	s.sample, s.size, s.err = ReadSample(filepath.Join(ix.root, filepath.FromSlash(rel)), ix.cfg.SampleBytes)
+	if s.err != nil || len(s.sample) == 0 {
+		return s
+	}
+	s.lines = textio.NewLines(s.sample)
+	s.need = minCovered(len(s.sample), ix.cfg.MatchThreshold)
+	s.entry, s.covered = bestProfile(s.lines, ix.base, s.need, 0)
+	return s
+}
+
+// commit is the commit stage: it takes the match results in path order,
+// settles each file's claim and hands the claimed ones to extract.
+func (ix *indexer) commit(ctx context.Context, futures <-chan chan sampled, stats *crawlStats, extract func(i int)) error {
+	for i := range ix.files {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		var future chan sampled
+		select {
+		case future = <-futures:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+		var s sampled
+		select {
+		case s = <-future:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+		if ix.commitFile(i, s, stats) {
+			extract(i)
+		}
+	}
+	return nil
+}
+
+// commitFile settles file i and reports whether it is to be extracted.
+// Checkpointed files that still pass the identity heuristics skip
+// classification entirely: their claim is the checkpointed fingerprint.
+func (ix *indexer) commitFile(i int, s sampled, stats *crawlStats) bool {
+	fr, cfg := &ix.files[i], ix.cfg
+	if fr.Err != nil {
+		return false // the walk could not reach it
+	}
+	full := filepath.Join(ix.root, filepath.FromSlash(fr.Path))
+	fullReason := ""
+	if cfg.Checkpoints != nil {
+		done, reason := classifyFromCheckpoint(full, fr.Path, ix.reg, cfg, fr, &ix.entries[i], &ix.resumes[i])
+		if done {
+			return ix.entries[i] != nil
+		}
+		fullReason = reason
+		if s.deferred { // the checkpoint no longer holds: sample it after all
+			s = ix.sample(fr.Path)
+		}
+	}
+	fr.Size = s.size
+	if s.err != nil {
+		fr.Status = StatusFailed
+		fr.Err = s.err
+		return false
+	}
+	if len(s.sample) == 0 {
+		fr.Status = StatusUnstructured
+		observeUnstructured(cfg, full, fr.Path)
+		return false
+	}
+	// A profile this crawl registered comes after every base profile in
+	// the registry, so it takes the file only by covering strictly more.
+	e, status := s.entry, StatusMatched
+	if better, _ := bestProfile(s.lines, ix.fresh, s.need, s.covered); better != nil {
+		e = better
+	}
+	if e == nil {
+		var isNew bool
+		var err error
+		e, isNew, err = discoverSample(s.sample, ix.reg, cfg.Core)
+		switch {
+		case err != nil:
+			stats.discoveries.none++
+			fr.Status = StatusFailed
+			fr.Err = err
+			return false
+		case e == nil:
+			stats.discoveries.none++
+			fr.Status = StatusUnstructured
+			observeUnstructured(cfg, full, fr.Path)
+			return false
+		case isNew:
+			stats.discoveries.new++
+			ix.newFPs[e.Fingerprint] = true
+			ix.fresh = append(ix.fresh, compileProfile(e))
+		default:
+			stats.discoveries.known++
+		}
+		status = StatusDiscovered
+	}
+	ix.reg.Claim(e)
+	ix.entries[i] = e
+	fr.Status = status
+	fr.Fingerprint = e.Fingerprint
+	markFull(cfg, fr, fullReason)
+	return true
+}

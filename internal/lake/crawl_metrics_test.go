@@ -1,0 +1,97 @@
+package lake
+
+import (
+	"bytes"
+	"encoding/json"
+	"log/slog"
+	"testing"
+
+	"datamaran/internal/lake/laketest"
+	"datamaran/internal/obsv"
+)
+
+// TestCrawlReportsStagesAndDiscoveries: a crawl observes each stage's
+// span once, counts its discoveries by outcome in the metrics registry,
+// and says the same in its log event — a lake whose crawl time goes to
+// failed discovery on prose shows it as outcome "none".
+func TestCrawlReportsStagesAndDiscoveries(t *testing.T) {
+	root := buildLake(t)
+	// One more file, and a threshold no profile reaches on it: it misses
+	// the format its own discovery registered, every crawl after the first.
+	writeFile(t, root, "c/metrics-junk.log", laketest.MetricsLog(33, 120)+"this line is not a metric\n")
+	metrics := obsv.NewRegistry()
+	var logged bytes.Buffer
+	cfg := Config{Workers: 2, MatchThreshold: 1, Metrics: metrics, Logger: slog.New(slog.NewJSONHandler(&logged, nil))}
+	reg := NewRegistry()
+
+	discoveries := func() map[string]float64 {
+		got := map[string]float64{}
+		for _, m := range metrics.Snapshot() {
+			switch m.Name {
+			case "datamaran_crawl_discoveries_total":
+				got[m.Labels] = m.Value
+			case "datamaran_crawl_stage_seconds":
+				got[m.Labels] = float64(m.Hist.Count)
+			}
+		}
+		return got
+	}
+	event := func() map[string]any {
+		var ev map[string]any
+		if err := json.Unmarshal(logged.Bytes(), &ev); err != nil {
+			t.Fatalf("crawl log event %q: %v", logged.String(), err)
+		}
+		logged.Reset()
+		return ev
+	}
+
+	if _, err := Index(root, reg, cfg); err != nil {
+		t.Fatal(err)
+	}
+	// Three formats; the prose notes and the junk-tailed file (metrics
+	// again) are the other two discoveries. The empty file needs none.
+	want := map[string]float64{
+		`{outcome="new"}`: 3, `{outcome="known"}`: 1, `{outcome="none"}`: 1,
+		`{stage="walk"}`: 1, `{stage="classify"}`: 1, `{stage="extract"}`: 1,
+	}
+	if got := discoveries(); !equalCounts(got, want) {
+		t.Fatalf("after the cold crawl: %v, want %v", got, want)
+	}
+	ev := event()
+	if d, _ := ev["discoveries"].(map[string]any); d["new"] != 3.0 || d["known"] != 1.0 || d["none"] != 1.0 {
+		t.Fatalf("cold crawl logged discoveries=%v", ev["discoveries"])
+	}
+	for _, stage := range []string{"walk", "classify", "extract"} {
+		if _, ok := ev[stage].(string); !ok {
+			t.Errorf("crawl event lacks the %s span: %v", stage, ev)
+		}
+	}
+
+	// Everything is known now: only the junk-tailed file (still short of
+	// the threshold) and the prose go through discovery again.
+	if _, err := Index(root, reg, cfg); err != nil {
+		t.Fatal(err)
+	}
+	want = map[string]float64{
+		`{outcome="new"}`: 3, `{outcome="known"}`: 2, `{outcome="none"}`: 2,
+		`{stage="walk"}`: 2, `{stage="classify"}`: 2, `{stage="extract"}`: 2,
+	}
+	if got := discoveries(); !equalCounts(got, want) {
+		t.Fatalf("after the warm crawl: %v, want %v", got, want)
+	}
+	if d, _ := event()["discoveries"].(map[string]any); d["new"] != 0.0 || d["known"] != 1.0 || d["none"] != 1.0 {
+		t.Fatalf("warm crawl logged discoveries=%v", d)
+	}
+}
+
+func equalCounts(got, want map[string]float64) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for k, v := range want {
+		if got[k] != v {
+			return false
+		}
+	}
+	return true
+}

@@ -11,7 +11,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"datamaran/internal/core"
@@ -33,8 +32,9 @@ const DefaultMatchThreshold = 0.5
 type Config struct {
 	// Core holds the discovery/extraction options applied per file.
 	Core core.Options
-	// Workers is the file-level fan-out of the extraction phase
-	// (<= 0 means GOMAXPROCS). Worker count never changes any output.
+	// Workers is the file-level fan-out of the match stage and of the
+	// extract stage (<= 0 means GOMAXPROCS). Worker count never changes
+	// any output.
 	Workers int
 	// SampleBytes caps the per-file prefix used for classification
 	// (<= 0 means DefaultSampleBytes). Samples are trimmed to the last
@@ -65,10 +65,11 @@ type Config struct {
 	// pruning applies only to accepted paths. This is the scoped-crawl
 	// hook of the serve daemon's per-format reindex.
 	Filter func(rel string) bool
-	// Metrics, when non-nil, receives the crawl's per-stage timings
-	// (walk/classify/extract histograms) and file/record/byte counters,
-	// labeled by status, incremental action and format fingerprint —
-	// all bounded label sets. Nil records nothing.
+	// Metrics, when non-nil, receives the crawl's per-stage wall spans
+	// (walk/classify/extract histograms; the stages overlap) and its
+	// file/discovery/record/byte counters, labeled by status, discovery
+	// outcome and format fingerprint — all bounded label sets. Nil
+	// records nothing.
 	Metrics *obsv.Registry
 	// Logger, when non-nil, receives one structured log/slog event per
 	// crawl with the stage timings and the run summary.
@@ -203,132 +204,77 @@ type Result struct {
 // updated in place; persisting it is the caller's concern.
 //
 // Hidden files and directories (name starting with ".") are skipped.
-// The classification phase runs sequentially in sorted path order, so
-// reg and all results are independent of cfg.Workers.
+// Samples are read and matched on the worker pool in any order, but
+// every claim is committed — and reg mutated — by one goroutine in
+// sorted path order, so reg and all results are independent of
+// cfg.Workers.
 func Index(root string, reg *Registry, cfg Config) (*Result, error) {
 	return IndexContext(context.Background(), root, reg, cfg)
 }
 
 // IndexContext is Index with cancellation: ctx is checked between files
-// in the classification phase and between files (and between shards, in
-// the per-file pipeline) in the extraction phase, so the daemon can
-// abort a long crawl within one shard of the cancel.
+// in the commit stage and between files (and between shards, in the
+// per-file pipeline) in the extract stage, so the daemon can abort a
+// long crawl within one shard of the cancel. It returns ctx.Err() only
+// after every stage's goroutines have exited.
 func IndexContext(ctx context.Context, root string, reg *Registry, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
+	var stats crawlStats
 	walkStart := time.Now()
 	paths, walkFails, err := crawl(root)
 	if err != nil {
 		return nil, err
 	}
-	walkDur := time.Since(walkStart)
+	stats.walk = time.Since(walkStart)
 
-	// A scoped crawl sees only the files its filter accepts; everything
-	// else is invisible — untouched checkpoints, untouched segments,
-	// absent from the result.
-	if cfg.Filter != nil {
-		kept := paths[:0]
-		for _, rel := range paths {
-			if cfg.Filter(rel) {
-				kept = append(kept, rel)
-			}
-		}
-		paths = kept
-		keptFails := walkFails[:0]
-		for _, wf := range walkFails {
-			if cfg.Filter(wf.rel) {
-				keptFails = append(keptFails, wf)
-			}
-		}
-		walkFails = keptFails
-	}
-
-	// Phase 1 — sequential classify/discover on bounded samples.
-	// Checkpointed files that still pass the identity heuristics skip
-	// this entirely: their claim is the checkpointed fingerprint.
-	classifyStart := time.Now()
-	files := make([]FileResult, len(paths))
-	entries := make([]*Entry, len(paths))
-	resumes := make([]*follow.Checkpoint, len(paths))
-	newFPs := map[string]bool{}
-	for i, rel := range paths {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		files[i] = FileResult{Path: rel}
-		full := filepath.Join(root, filepath.FromSlash(rel))
-		fullReason := ""
-		if cfg.Checkpoints != nil {
-			done, reason := classifyFromCheckpoint(full, rel, reg, cfg, &files[i], &entries[i], &resumes[i])
-			if done {
-				continue
-			}
-			fullReason = reason
-		}
-		sample, size, err := ReadSample(full, cfg.SampleBytes)
-		files[i].Size = size
-		if err != nil {
-			files[i].Status = StatusFailed
-			files[i].Err = err
-			continue
-		}
-		if len(sample) == 0 {
-			files[i].Status = StatusUnstructured
-			observeUnstructured(cfg, full, rel)
-			continue
-		}
-		if e := MatchSample(sample, reg, cfg.MatchThreshold); e != nil {
-			reg.Claim(e)
-			entries[i] = e
-			files[i].Status = StatusMatched
-			files[i].Fingerprint = e.Fingerprint
-			markFull(cfg, &files[i], fullReason)
-			continue
-		}
-		e, isNew, err := discoverSample(sample, reg, cfg.Core)
-		if err != nil {
-			files[i].Status = StatusFailed
-			files[i].Err = err
-			continue
-		}
-		if e == nil {
-			files[i].Status = StatusUnstructured
-			observeUnstructured(cfg, full, rel)
-			continue
-		}
-		reg.Claim(e)
-		entries[i] = e
-		files[i].Status = StatusDiscovered
-		files[i].Fingerprint = e.Fingerprint
-		markFull(cfg, &files[i], fullReason)
-		if isNew {
-			newFPs[e.Fingerprint] = true
+	// One list in sorted path order. A scoped crawl sees only the files
+	// its filter accepts; everything else is invisible — untouched
+	// checkpoints, untouched segments, absent from the result. Entries
+	// the walk itself could not reach surface as failed files rather
+	// than aborting the crawl.
+	accepted := func(rel string) bool { return cfg.Filter == nil || cfg.Filter(rel) }
+	files := make([]FileResult, 0, len(paths)+len(walkFails))
+	for _, rel := range paths {
+		if accepted(rel) {
+			files = append(files, FileResult{Path: rel})
 		}
 	}
-
-	// Entries the walk itself could not reach surface as failed files
-	// rather than aborting the crawl.
 	for _, wf := range walkFails {
-		files = append(files, FileResult{Path: wf.rel, Status: StatusFailed, Err: wf.err})
-		entries = append(entries, nil)
-		resumes = append(resumes, nil)
+		if accepted(wf.rel) {
+			files = append(files, FileResult{Path: wf.rel, Status: StatusFailed, Err: wf.err})
+		}
 	}
-	sortByPath(files, entries, resumes)
-	classifyDur := time.Since(classifyStart)
+	sort.SliceStable(files, func(a, b int) bool { return files[a].Path < files[b].Path })
 
-	// Phase 2 — parallel full-file extraction of every claimed file.
-	// Each file is independent and its in-file pipeline runs with
-	// Workers=1, so scheduling cannot reorder or change anything.
-	extractStart := time.Now()
-	extractAll(ctx, root, files, entries, resumes, cfg)
-	if err := ctx.Err(); err != nil {
+	// Match, commit and extract run as one pipeline (see classify.go):
+	// file i starts extracting the moment its claim is final.
+	ix := &indexer{
+		root:    root,
+		reg:     reg,
+		cfg:     cfg,
+		files:   files,
+		entries: make([]*Entry, len(files)),
+		resumes: make([]*follow.Checkpoint, len(files)),
+		base:    compileProfiles(reg.Entries()),
+		newFPs:  map[string]bool{},
+	}
+	if err := ix.run(ctx, &stats); err != nil {
 		return nil, err
 	}
-	extractDur := time.Since(extractStart)
+	res := settle(reg, cfg, files, ix.entries, ix.newFPs)
+	recordCrawl(cfg, res, stats)
+	return res, nil
+}
 
-	// A file that classified in phase 1 but failed extraction in phase
-	// 2 (rotated away, truncated mid-read) holds no format claim:
-	// release it so the registry and the result agree. Sequential, so
-	// no contention with the just-finished pool.
+// settle closes a crawl whose every file has reached its final status:
+// it releases the claims of files that failed extraction, prunes the
+// checkpoints and record-store rows of files that left the lake, and
+// builds the result.
+func settle(reg *Registry, cfg Config, files []FileResult, entries []*Entry, newFPs map[string]bool) *Result {
+	// A file that classified but failed extraction (rotated away,
+	// truncated mid-read) holds no format claim: release it so the
+	// registry and the result agree. Sequential, so no contention with
+	// the just-finished pool.
 	for i := range files {
 		if files[i].Status == StatusFailed && entries[i] != nil {
 			reg.Unclaim(entries[i])
@@ -366,21 +312,36 @@ func IndexContext(ctx context.Context, root string, reg *Registry, cfg Config) (
 
 	res := &Result{Files: files, NewFormats: newFPs}
 	res.Summary = summarize(files, reg, len(newFPs))
-	recordCrawl(cfg, res, walkDur, classifyDur, extractDur)
-	return res, nil
+	return res
+}
+
+// crawlStats is what one crawl measured about itself. The stages
+// overlap, so each duration is the stage's own wall span — its first
+// start to its last end — and the three do not sum to the crawl.
+type crawlStats struct {
+	walk, classify, extract time.Duration
+	// discoveries counts the template discoveries the crawl ran, by
+	// outcome: a format first registered by this run, a re-derivation of
+	// an already registered one, or no structure found.
+	discoveries struct{ new, known, none int }
 }
 
 // recordCrawl folds one finished crawl into the metrics registry and
-// the structured log. Stage timings land in one histogram family
-// labeled by stage; file counts are labeled by terminal status, and
-// record/byte counters by format fingerprint (a bounded set — the
-// lake's known formats). Both sinks are optional and independent.
-func recordCrawl(cfg Config, res *Result, walk, classify, extract time.Duration) {
+// the structured log. Stage spans land in one histogram family labeled
+// by stage; file counts are labeled by terminal status, discoveries by
+// outcome, and record/byte counters by format fingerprint (a bounded
+// set — the lake's known formats). Both sinks are optional and
+// independent.
+func recordCrawl(cfg Config, res *Result, st crawlStats) {
+	d := st.discoveries
 	if cfg.Metrics != nil {
 		m := cfg.Metrics
-		m.Histogram("datamaran_crawl_stage_seconds", obsv.DefBuckets, "stage", "walk").Observe(walk.Seconds())
-		m.Histogram("datamaran_crawl_stage_seconds", obsv.DefBuckets, "stage", "classify").Observe(classify.Seconds())
-		m.Histogram("datamaran_crawl_stage_seconds", obsv.DefBuckets, "stage", "extract").Observe(extract.Seconds())
+		m.Histogram("datamaran_crawl_stage_seconds", obsv.DefBuckets, "stage", "walk").Observe(st.walk.Seconds())
+		m.Histogram("datamaran_crawl_stage_seconds", obsv.DefBuckets, "stage", "classify").Observe(st.classify.Seconds())
+		m.Histogram("datamaran_crawl_stage_seconds", obsv.DefBuckets, "stage", "extract").Observe(st.extract.Seconds())
+		m.Counter("datamaran_crawl_discoveries_total", "outcome", "new").Add(uint64(d.new))
+		m.Counter("datamaran_crawl_discoveries_total", "outcome", "known").Add(uint64(d.known))
+		m.Counter("datamaran_crawl_discoveries_total", "outcome", "none").Add(uint64(d.none))
 		for _, f := range res.Files {
 			m.Counter("datamaran_crawl_files_total", "status", f.Status.String()).Inc()
 			if f.Fingerprint == "" {
@@ -404,9 +365,10 @@ func recordCrawl(cfg Config, res *Result, walk, classify, extract time.Duration)
 			"cacheHits", s.CacheHits,
 			"resumed", s.Resumed,
 			"unchanged", s.Unchanged,
-			"walk", walk.Round(time.Millisecond).String(),
-			"classify", classify.Round(time.Millisecond).String(),
-			"extract", extract.Round(time.Millisecond).String())
+			slog.Group("discoveries", "new", d.new, "known", d.known, "none", d.none),
+			"walk", st.walk.Round(time.Millisecond).String(),
+			"classify", st.classify.Round(time.Millisecond).String(),
+			"extract", st.extract.Round(time.Millisecond).String())
 	}
 }
 
@@ -573,27 +535,6 @@ func crawl(root string) ([]string, []walkFailure, error) {
 	return paths, fails, nil
 }
 
-// sortByPath co-sorts the file results, their registry entries and their
-// resume checkpoints.
-func sortByPath(files []FileResult, entries []*Entry, resumes []*follow.Checkpoint) {
-	order := make([]int, len(files))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return files[order[a]].Path < files[order[b]].Path })
-	sortedF := make([]FileResult, len(files))
-	sortedE := make([]*Entry, len(entries))
-	sortedR := make([]*follow.Checkpoint, len(resumes))
-	for dst, src := range order {
-		sortedF[dst] = files[src]
-		sortedE[dst] = entries[src]
-		sortedR[dst] = resumes[src]
-	}
-	copy(files, sortedF)
-	copy(entries, sortedE)
-	copy(resumes, sortedR)
-}
-
 // ReadSample reads up to limit bytes of the file, trimmed back to the
 // last complete line when the file continues past the sample (a partial
 // trailing line would distort both matching and discovery). A file
@@ -628,36 +569,11 @@ func ReadSample(path string, limit int) ([]byte, int64, error) {
 	return sample[:i+1], size, nil // i == -1: no complete line, empty sample
 }
 
-// MatchSample returns the registered profile with the best sample
-// coverage at or above the threshold (ties keep the earlier entry), or
-// nil when no profile claims the sample. It only reads the registry —
-// safe to call concurrently with a crawl (the serve daemon classifies
-// ad-hoc lake paths with it).
-func MatchSample(sample []byte, reg *Registry, threshold float64) *Entry {
-	var best *Entry
-	bestCov := 0.0
-	for _, e := range reg.Entries() {
-		res, err := core.ApplyTemplatesParallel(sample, e.Templates, 1)
-		if err != nil {
-			continue
-		}
-		covered := 0
-		for _, s := range res.Structures {
-			covered += s.Coverage
-		}
-		cov := float64(covered) / float64(len(sample))
-		if cov >= threshold && cov > bestCov {
-			best, bestCov = e, cov
-		}
-	}
-	return best
-}
-
 // discoverSample runs full template discovery on the sample and
 // registers the learned profile. It returns (nil, false, nil) when the
 // sample has no discoverable structure.
 func discoverSample(sample []byte, reg *Registry, opts core.Options) (*Entry, bool, error) {
-	opts.Workers = 1 // phase 1 is the strictly sequential phase
+	opts.Workers = 1 // parallelism lives at the file level
 	res, err := core.Extract(sample, opts)
 	if err != nil {
 		if err == core.ErrEmptyInput {
@@ -674,32 +590,6 @@ func discoverSample(sample []byte, reg *Registry, opts core.Options) (*Entry, bo
 	}
 	e, isNew := reg.Add(templates)
 	return e, isNew, nil
-}
-
-// extractAll runs the profile extraction of every claimed file over the
-// worker pool, writing results into files by index.
-func extractAll(ctx context.Context, root string, files []FileResult, entries []*Entry, resumes []*follow.Checkpoint, cfg Config) {
-	indices := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range indices {
-				extractOne(ctx, root, &files[i], entries[i], resumes[i], cfg)
-			}
-		}()
-	}
-	for i := range files {
-		if entries[i] != nil {
-			if ctx.Err() != nil {
-				break
-			}
-			indices <- i
-		}
-	}
-	close(indices)
-	wg.Wait()
 }
 
 // extractOne streams one claimed file through the discovery-free

@@ -1,0 +1,139 @@
+package lake
+
+import (
+	"context"
+	"path/filepath"
+	"sort"
+
+	"datamaran/internal/core"
+	"datamaran/internal/follow"
+)
+
+// matchSampleRef is MatchSample as it was before the coverage-only scan:
+// the sample extracted in full, records and field strings and all, under
+// every registered profile, for its coverage number. The oracle of the
+// matcher tests.
+func matchSampleRef(sample []byte, reg *Registry, threshold float64) *Entry {
+	var best *Entry
+	bestCov := 0.0
+	for _, e := range reg.Entries() {
+		res, err := core.ApplyTemplatesParallel(sample, e.Templates, 1)
+		if err != nil {
+			continue
+		}
+		covered := 0
+		for _, s := range res.Structures {
+			covered += s.Coverage
+		}
+		cov := float64(covered) / float64(len(sample))
+		if cov >= threshold && cov > bestCov {
+			best, bestCov = e, cov
+		}
+	}
+	return best
+}
+
+// indexSequential is IndexContext as it was before its three stages: one
+// goroutine classifies every file in sorted path order against the
+// registry as it stands at that file, and only then does extraction
+// start. The pipeline must reproduce every output of this loop — it is
+// the definition of "independent of the worker count".
+func indexSequential(ctx context.Context, root string, reg *Registry, cfg Config) (*Result, error) {
+	cfg = cfg.withDefaults()
+	paths, walkFails, err := crawl(root)
+	if err != nil {
+		return nil, err
+	}
+	accepted := func(rel string) bool { return cfg.Filter == nil || cfg.Filter(rel) }
+
+	var files []FileResult
+	var entries []*Entry
+	var resumes []*follow.Checkpoint
+	newFPs := map[string]bool{}
+	for _, rel := range paths {
+		if !accepted(rel) {
+			continue
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		i := len(files)
+		files = append(files, FileResult{Path: rel})
+		entries = append(entries, nil)
+		resumes = append(resumes, nil)
+		full := filepath.Join(root, filepath.FromSlash(rel))
+		fullReason := ""
+		if cfg.Checkpoints != nil {
+			done, reason := classifyFromCheckpoint(full, rel, reg, cfg, &files[i], &entries[i], &resumes[i])
+			if done {
+				continue
+			}
+			fullReason = reason
+		}
+		sample, size, err := ReadSample(full, cfg.SampleBytes)
+		files[i].Size = size
+		if err != nil {
+			files[i].Status = StatusFailed
+			files[i].Err = err
+			continue
+		}
+		if len(sample) == 0 {
+			files[i].Status = StatusUnstructured
+			observeUnstructured(cfg, full, rel)
+			continue
+		}
+		status := StatusMatched
+		e := matchSampleRef(sample, reg, cfg.MatchThreshold)
+		if e == nil {
+			var isNew bool
+			e, isNew, err = discoverSample(sample, reg, cfg.Core)
+			if err != nil {
+				files[i].Status = StatusFailed
+				files[i].Err = err
+				continue
+			}
+			if e == nil {
+				files[i].Status = StatusUnstructured
+				observeUnstructured(cfg, full, rel)
+				continue
+			}
+			status = StatusDiscovered
+			if isNew {
+				newFPs[e.Fingerprint] = true
+			}
+		}
+		reg.Claim(e)
+		entries[i] = e
+		files[i].Status = status
+		files[i].Fingerprint = e.Fingerprint
+		markFull(cfg, &files[i], fullReason)
+	}
+	for _, wf := range walkFails {
+		if accepted(wf.rel) {
+			files = append(files, FileResult{Path: wf.rel, Status: StatusFailed, Err: wf.err})
+			entries = append(entries, nil)
+			resumes = append(resumes, nil)
+		}
+	}
+	order := make([]int, len(files))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return files[order[a]].Path < files[order[b]].Path })
+	sorted := make([]FileResult, len(files))
+	sortedEntries := make([]*Entry, len(files))
+	sortedResumes := make([]*follow.Checkpoint, len(files))
+	for dst, src := range order {
+		sorted[dst], sortedEntries[dst], sortedResumes[dst] = files[src], entries[src], resumes[src]
+	}
+
+	for i := range sorted {
+		if sortedEntries[i] != nil {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			extractOne(ctx, root, &sorted[i], sortedEntries[i], sortedResumes[i], cfg)
+		}
+	}
+	return settle(reg, cfg, sorted, sortedEntries, newFPs), nil
+}

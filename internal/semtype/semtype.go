@@ -67,6 +67,9 @@ func ClassifyValues(values []string) Kind {
 		case KindFloat:
 			floats++
 		}
+		if ints+floats < nonEmpty {
+			break // one non-number rules out int and float
+		}
 	}
 	if nonEmpty == 0 {
 		return KindString
@@ -77,22 +80,25 @@ func ClassifyValues(values []string) Kind {
 	if ints+floats == nonEmpty {
 		return KindFloat
 	}
-	for _, p := range []struct {
-		kind  Kind
-		valid func(string) bool
-	}{
-		{KindIP, validIPWhole},
-		{KindUUID, validUUID},
-		{KindTime, validTime},
-		{KindDate, func(s string) bool { return validDateDash(s) || validDateSlash(s) }},
-		{KindEmail, validEmail},
-		{KindURLPath, validURLPath},
-	} {
-		if frac(values, p.valid) >= minConfidence {
+	for _, p := range scalarProbes {
+		if confident(values, p.valid) {
 			return p.kind
 		}
 	}
 	return KindString
+}
+
+// scalarProbes are the named single-column kinds, in precedence order.
+var scalarProbes = []struct {
+	kind  Kind
+	valid func(string) bool
+}{
+	{KindIP, validIP},
+	{KindUUID, validUUID},
+	{KindTime, validTime},
+	{KindDate, func(s string) bool { return validDateDash(s) || validDateSlash(s) }},
+	{KindEmail, validEmail},
+	{KindURLPath, validURLPath},
 }
 
 // MergeKinds combines the kinds of two value sets of one column (e.g.
@@ -218,8 +224,8 @@ func Detect(cols []Column, seps []string) []Merge {
 		if used[i] || len(c.Values) == 0 {
 			continue
 		}
-		if frac(c.Values, validIPWhole) >= minConfidence {
-			out = append(out, Merge{Kind: KindIP, Columns: []int{i}, Name: "ip", Confidence: frac(c.Values, validIPWhole)})
+		if frac(c.Values, validIP) >= minConfidence {
+			out = append(out, Merge{Kind: KindIP, Columns: []int{i}, Name: "ip", Confidence: frac(c.Values, validIP)})
 			used[i] = true
 			continue
 		}
@@ -341,14 +347,38 @@ func frac(values []string, valid func(string) bool) float64 {
 	return float64(ok) / float64(len(values))
 }
 
+// confident reports frac(values, valid) >= minConfidence, but stops at
+// the failure that puts the bar out of reach.
+func confident(values []string, valid func(string) bool) bool {
+	n := len(values)
+	ok := n
+	for _, v := range values {
+		if !valid(v) {
+			ok--
+			if float64(ok)/float64(n) < minConfidence {
+				return false
+			}
+		}
+	}
+	return n > 0
+}
+
 // --- validators (hand-rolled; no regexp needed) ---
 
-func splitParts(s string, sep byte, want int) ([]string, bool) {
-	parts := strings.Split(s, string(sep))
-	if len(parts) != want {
-		return nil, false
+// splitParts cuts s at every sep into parts, which must be exactly as
+// many pieces as s has; it reports whether it is. Nothing is allocated:
+// most values a validator sees are not of its kind, and the rest are
+// short.
+func splitParts(s string, sep byte, parts []string) bool {
+	for i := range parts[:len(parts)-1] {
+		j := strings.IndexByte(s, sep)
+		if j < 0 {
+			return false
+		}
+		parts[i], s = s[:j], s[j+1:]
 	}
-	return parts, true
+	parts[len(parts)-1] = s
+	return strings.IndexByte(s, sep) < 0
 }
 
 func allDigits(s string) bool {
@@ -375,8 +405,8 @@ func digitsInRange(s string, lo, hi int) bool {
 }
 
 func validIP(s string) bool {
-	parts, ok := splitParts(s, '.', 4)
-	if !ok {
+	var parts [4]string
+	if !splitParts(s, '.', parts[:]) {
 		return false
 	}
 	for _, p := range parts {
@@ -387,13 +417,14 @@ func validIP(s string) bool {
 	return true
 }
 
-func validIPWhole(s string) bool { return validIP(s) }
-
 func validTime(s string) bool {
-	parts := strings.Split(s, ":")
-	if len(parts) != 2 && len(parts) != 3 {
+	n := strings.Count(s, ":") + 1
+	if n != 2 && n != 3 {
 		return false
 	}
+	var buf [3]string
+	parts := buf[:n]
+	splitParts(s, ':', parts)
 	if !digitsInRange(parts[0], 0, 23) {
 		return false
 	}
@@ -406,8 +437,8 @@ func validTime(s string) bool {
 }
 
 func validDateDash(s string) bool {
-	parts, ok := splitParts(s, '-', 3)
-	if !ok {
+	var parts [3]string
+	if !splitParts(s, '-', parts[:]) {
 		return false
 	}
 	return len(parts[0]) == 4 && allDigits(parts[0]) &&
@@ -415,8 +446,8 @@ func validDateDash(s string) bool {
 }
 
 func validDateSlash(s string) bool {
-	parts, ok := splitParts(s, '/', 3)
-	if !ok {
+	var parts [3]string
+	if !splitParts(s, '/', parts[:]) {
 		return false
 	}
 	// dd/mm/yyyy or yyyy/mm/dd
@@ -428,10 +459,13 @@ func validDateSlash(s string) bool {
 }
 
 func validVersion(s string) bool {
-	parts := strings.Split(s, ".")
-	if len(parts) < 2 || len(parts) > 4 {
+	n := strings.Count(s, ".") + 1
+	if n < 2 || n > 4 {
 		return false
 	}
+	var buf [4]string
+	parts := buf[:n]
+	splitParts(s, '.', parts)
 	for _, p := range parts {
 		if !allDigits(p) || len(p) > 4 {
 			return false
@@ -450,11 +484,11 @@ func validEmail(s string) bool {
 }
 
 func validUUID(s string) bool {
-	parts := strings.Split(s, "-")
-	if len(parts) != 5 {
+	var parts [5]string
+	if !splitParts(s, '-', parts[:]) {
 		return false
 	}
-	want := []int{8, 4, 4, 4, 12}
+	want := [5]int{8, 4, 4, 4, 12}
 	for i, p := range parts {
 		if len(p) != want[i] || !allHex(p) {
 			return false

@@ -2,6 +2,8 @@ package semtype
 
 import (
 	"fmt"
+	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -217,5 +219,178 @@ func TestUUIDMergeBeatsShorterProbes(t *testing.T) {
 	merges := Detect(cols, seps)
 	if len(merges) != 1 || merges[0].Kind != KindUUID {
 		t.Fatalf("merges = %+v, want one uuid", merges)
+	}
+}
+
+// splitValid rebuilds a validator the way they were first written — on
+// strings.Split — as the reference for the index-walking ones.
+func splitValid(sep string, counts []int, part func(i int, p string) bool) func(string) bool {
+	return func(s string) bool {
+		parts := strings.Split(s, sep)
+		for _, n := range counts {
+			if len(parts) == n {
+				for i, p := range parts {
+					if !part(i, p) {
+						return false
+					}
+				}
+				return true
+			}
+		}
+		return false
+	}
+}
+
+// TestValidatorsMatchSplitReference: the allocation-free validators
+// accept exactly what their strings.Split originals did, on strings
+// built from each kind's alphabet (so separators land everywhere).
+func TestValidatorsMatchSplitReference(t *testing.T) {
+	uuidLen := []int{8, 4, 4, 4, 12}
+	cases := []struct {
+		name     string
+		alphabet string
+		got, ref func(string) bool
+	}{
+		{"ip", "0125.9a", validIP, splitValid(".", []int{4}, func(_ int, p string) bool { return digitsInRange(p, 0, 255) })},
+		{"time", "0123569:a", validTime, splitValid(":", []int{2, 3}, func(i int, p string) bool {
+			if i == 0 {
+				return digitsInRange(p, 0, 23)
+			}
+			return len(p) == 2 && digitsInRange(p, 0, 59)
+		})},
+		{"version", "019.a", validVersion, splitValid(".", []int{2, 3, 4}, func(_ int, p string) bool { return allDigits(p) && len(p) <= 4 })},
+		{"uuid", "0aF-g", validUUID, splitValid("-", []int{5}, func(i int, p string) bool { return len(p) == uuidLen[i] && allHex(p) })},
+		{"date-dash", "0123-a", validDateDash, splitValid("-", []int{3}, func(i int, p string) bool {
+			switch i {
+			case 0:
+				return len(p) == 4 && allDigits(p)
+			case 1:
+				return digitsInRange(p, 1, 12)
+			}
+			return digitsInRange(p, 1, 31)
+		})},
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, c := range cases {
+		accepted := 0
+		for trial := 0; trial < 20000; trial++ {
+			b := make([]byte, rng.Intn(14))
+			for i := range b {
+				b[i] = c.alphabet[rng.Intn(len(c.alphabet))]
+			}
+			s := string(b)
+			if trial%4 == 0 { // valid shapes are rare at random: build some
+				s = shaped(rng, c.name)
+			}
+			got, want := c.got(s), c.ref(s)
+			if got != want {
+				t.Fatalf("%s(%q) = %v, reference %v", c.name, s, got, want)
+			}
+			if got {
+				accepted++
+			}
+		}
+		if accepted == 0 {
+			t.Errorf("%s: no generated string was valid; the comparison proves nothing", c.name)
+		}
+	}
+}
+
+// shaped returns a string that is of the named kind, or close to it.
+func shaped(rng *rand.Rand, kind string) string {
+	num := func(max int) string { return strconv.Itoa(rng.Intn(max)) }
+	hex := func(n int) string {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = "0123456789abcdefABCDEF"[rng.Intn(22)]
+		}
+		return string(b)
+	}
+	switch kind {
+	case "ip":
+		return num(300) + "." + num(300) + "." + num(300) + "." + num(300)
+	case "time":
+		s := num(26) + ":" + fmt.Sprintf("%02d", rng.Intn(64))
+		if rng.Intn(2) == 0 {
+			s += ":" + fmt.Sprintf("%02d", rng.Intn(64))
+		}
+		return s
+	case "version":
+		s := num(20)
+		for i := rng.Intn(5); i > 0; i-- {
+			s += "." + num(20000)
+		}
+		return s
+	case "uuid":
+		return hex(8) + "-" + hex(4) + "-" + hex(4) + "-" + hex(4) + "-" + hex(11+rng.Intn(2))
+	default:
+		return fmt.Sprintf("%04d-%d-%d", rng.Intn(3000), rng.Intn(14), rng.Intn(33))
+	}
+}
+
+// TestConfidentMatchesFrac: the early-stopping bar is the same bar —
+// frac(values, valid) >= minConfidence — for every column length and
+// failure count around it.
+func TestConfidentMatchesFrac(t *testing.T) {
+	valid := func(s string) bool { return s == "ok" }
+	if confident(nil, valid) {
+		t.Error("an empty column is confident")
+	}
+	rng := rand.New(rand.NewSource(9))
+	for n := 1; n <= 300; n++ {
+		for fails := 0; fails <= n && fails <= n/10+2; fails++ {
+			values := make([]string, n)
+			for i := range values {
+				values[i] = "ok"
+			}
+			for _, i := range rng.Perm(n)[:fails] {
+				values[i] = ""
+			}
+			if got, want := confident(values, valid), frac(values, valid) >= minConfidence; got != want {
+				t.Fatalf("n=%d fails=%d: confident %v, frac>=bar %v", n, fails, got, want)
+			}
+		}
+	}
+}
+
+// TestClassifyValuesStopsEarly: a column of one kind's values with a
+// single value of no kind among them still classifies by the 95% bar,
+// and a column that is not numeric is not called numeric because the
+// number loop stopped.
+func TestClassifyValuesStopsEarly(t *testing.T) {
+	col := func(n int, v string, odd ...string) []string {
+		out := append([]string{}, odd...)
+		for len(out) < n {
+			out = append(out, v)
+		}
+		return out
+	}
+	for _, c := range []struct {
+		values []string
+		want   Kind
+	}{
+		{col(40, "10.0.0.1", "n/a"), KindIP},
+		{col(10, "10.0.0.1", "n/a"), KindString},
+		{col(40, "17", "x"), KindString},
+		{col(40, "17", "1.5"), KindFloat},
+		{col(40, "17", ""), KindInt},
+		{col(40, "", ""), KindString},
+		{col(40, "10:11:12"), KindTime},
+		{col(40, "/a/b"), KindURLPath},
+	} {
+		if got := ClassifyValues(c.values); got != c.want {
+			t.Errorf("ClassifyValues(%q...) = %s, want %s", c.values[:2], got, c.want)
+		}
+	}
+}
+
+func BenchmarkClassifyValues(b *testing.B) {
+	values := make([]string, 4096)
+	for i := range values {
+		values[i] = fmt.Sprintf("worker-%d/queue.%d", i%97, i%13)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ClassifyValues(values)
 	}
 }

@@ -57,6 +57,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"datamaran_reindex_seconds",
 		"datamaran_crawl_stage_seconds",
 		"datamaran_crawl_files_total",
+		"datamaran_crawl_discoveries_total",
 		"datamaran_crawl_records_total",
 		"datamaran_crawl_bytes_total",
 	} {
@@ -68,6 +69,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		"datamaran_reindex_total 1",
 		"datamaran_queries_total 1",
 		`datamaran_crawl_files_total{status="discovered"}`,
+		`datamaran_crawl_stage_seconds_count{stage="walk"} 1`,
+		`datamaran_crawl_stage_seconds_count{stage="classify"} 1`,
+		`datamaran_crawl_stage_seconds_count{stage="extract"} 1`,
 	} {
 		if !strings.Contains(body, nonZero) {
 			t.Errorf("expected %q in /metrics:\n%s", nonZero, body)
@@ -183,12 +187,13 @@ func TestMetricsCardinalityGuard(t *testing.T) {
 		"datamaran_reindex_seconds":            true,
 		"datamaran_crawl_stage_seconds":        true,
 		"datamaran_crawl_files_total":          true,
+		"datamaran_crawl_discoveries_total":    true,
 		"datamaran_crawl_records_total":        true,
 		"datamaran_crawl_bytes_total":          true,
 	}
 	labelKeys := map[string]bool{
 		"route": true, "class": true, "le": true, "scope": true,
-		"stage": true, "status": true, "format": true,
+		"stage": true, "status": true, "format": true, "outcome": true,
 	}
 
 	rec := do(t, s, "GET", "/metrics", nil)

@@ -7,6 +7,9 @@
 # transition-table and chain-cache traversal — never does either; a
 # regression here silently re-introduces the per-candidate allocation
 # costs the evaluation and generation engines were rebuilt to remove.
+# The lake's MatchSample is held to one ceiling at two sample sizes: it
+# allocates a line index and the compiled matchers, nothing per record —
+# a regression re-materializes records on the crawl's match stage.
 #
 # Usage: sh scripts/bench_allocs.sh
 set -eu
@@ -19,6 +22,9 @@ out=$(go test -run '^$' -bench 'BenchmarkScanNoiseReject|BenchmarkScanArenaReuse
 out="$out
 $(go test -run '^$' -bench 'BenchmarkGenSTSteadyState' \
 	-benchmem -benchtime 100x ./internal/generation)"
+out="$out
+$(go test -run '^$' -bench 'BenchmarkMatchSample' \
+	-benchmem -benchtime 100x ./internal/lake)"
 echo "$out"
 
 fail=0
@@ -43,5 +49,7 @@ check() {
 check ScanNoiseReject 0
 check ScanArenaReuse 0
 check GenSTSteadyState 0
+check MatchSample/records=500 16
+check MatchSample/records=8000 16
 
 exit $fail
