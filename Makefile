@@ -39,18 +39,25 @@ bench-quick:
 # Allocation gate: the parser's steady-state scan benchmarks and the
 # generation engine's warm genST benchmark must stay at 0 allocs/op
 # (noise rejection, arena-reuse scanning and transition-table window
-# accumulation never touch the heap), and the lake's MatchSample must
-# allocate the same at two sample sizes — see scripts/bench_allocs.sh.
+# accumulation never touch the heap), the lake's MatchSample must
+# allocate the same at two sample sizes, and the query engine's five
+# shapes must allocate per query and per block decoded, never per row —
+# see scripts/bench_allocs.sh.
 bench-allocs:
 	sh scripts/bench_allocs.sh
 
 # Fuzz smoke: run each native fuzz target briefly so CI exercises the
 # generation-engine oracle (FuzzGenerate pins the shape-interned engine
-# to the reference) and the reduction invariants (FuzzReduce) on
-# fuzzer-mutated inputs, not just the committed corpora.
+# to the reference), the reduction invariants (FuzzReduce) and the
+# segment reader on hostile bytes (FuzzSegmentScan: no panic, no
+# allocation out of proportion to the file, row view ≡ batch view) on
+# fuzzer-mutated inputs, not just the committed corpora. The segment
+# target caps the minimizer, which would otherwise spend the whole ten
+# seconds shrinking the first interesting input.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzGenerate$$' -fuzztime 10s ./internal/generation
 	$(GO) test -run '^$$' -fuzz '^FuzzReduce$$' -fuzztime 10s ./internal/template
+	$(GO) test -run '^$$' -fuzz '^FuzzSegmentScan$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/lake
 
 # Golden-corpus check: the fixture lake must index byte-identically to
 # the committed outputs (see scripts/golden_lake.sh).

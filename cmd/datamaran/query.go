@@ -47,7 +47,7 @@ func runQuery(args []string) {
 	outFile := fs.String("o", "", "output file (default stdout)")
 	output := fs.String("output", "ndjson", "output form: ndjson or csv")
 	tables := fs.Bool("tables", false, "list the store's tables (name, columns, rows, segments) from the manifest — no scan — instead of running a query")
-	explain := fs.String("explain", "", "instead of results, emit the query plan: \"plan\" (no execution, deterministic) or \"analyze\" (executes; adds per-operator rows, timings and blocks decoded/pruned)")
+	explain := fs.String("explain", "", "instead of results, emit the query plan: \"plan\" (no execution, deterministic) or \"analyze\" (executes; adds per-operator rows, batches, timings and blocks decoded/pruned)")
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: datamaran query [flags] <query>")
 		fmt.Fprintln(os.Stderr, "       datamaran query [flags] -tables")

@@ -1,0 +1,130 @@
+package lake
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+)
+
+// fuzzScan opens a three-column scan over one segment file whose
+// manifest entry promises more rows than any input holds, so the scan
+// runs until the bytes do.
+func fuzzScan(t *testing.T, path string, opts ScanOptions) *SegmentScan {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := newScanPlan(3, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	span := manSeg{File: path, Rows: 1 << 30}
+	return newSegmentScan(columnNames(3), []manSeg{span}, map[string]*os.File{path: f}, plan)
+}
+
+// FuzzSegmentScan feeds the segment reader arbitrary bytes after a
+// valid magic, with and without a pushed predicate (which also sends a
+// v2 file through the footer decoder). Whatever the bytes, a scan ends
+// in rows then an error or EOF — never a panic, and never having
+// allocated more than a constant factor over the input: a length prefix
+// is believed only as far as the file could honour it. The row view and
+// the batch view must agree on everything that decodes.
+func FuzzSegmentScan(f *testing.F) {
+	// Two blocks of short cells: a small seed keeps the fuzzer's
+	// minimizer, which reruns every shrink of an interesting input, quick.
+	rows := make([][]string, segBlockRows+40)
+	for i := range rows {
+		rows[i] = []string{fmt.Sprint(i % 97), fmt.Sprint(i % 13), fmt.Sprintf("h%d", i%7)}
+	}
+	var v2 bytes.Buffer
+	sw := newSegWriter(bufio.NewWriter(&v2), 3)
+	for _, row := range rows {
+		if err := sw.add(row); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if _, _, _, err := sw.finish(); err != nil {
+		f.Fatal(err)
+	}
+	// The same rows as v1 blocks: a row count, then each column's
+	// length-prefixed cells, no header lengths and no footer.
+	var v1 []byte
+	for _, block := range [][][]string{rows[:segBlockRows], rows[segBlockRows:]} {
+		v1 = binary.AppendUvarint(v1, uint64(len(block)))
+		for c := 0; c < 3; c++ {
+			for _, row := range block {
+				v1 = binary.AppendUvarint(v1, uint64(len(row[c])))
+				v1 = append(v1, row[c]...)
+			}
+		}
+	}
+	f.Add(v2.Bytes(), true, true)
+	f.Add(v2.Bytes(), true, false)
+	f.Add(v1, false, true)
+	// A header promising 2³¹-byte columns, and a v1 cell promising 2³⁰.
+	f.Add([]byte{0x01, 0x80, 0x80, 0x80, 0x80, 0x08, 0x01, 0x01, 'a', 'b', 'c'}, true, false)
+	f.Add([]byte{0x01, 0x80, 0x80, 0x80, 0x80, 0x04, 'a'}, false, false)
+
+	path := filepath.Join(f.TempDir(), "fuzz.seg")
+	f.Fuzz(func(t *testing.T, body []byte, isV2, pushed bool) {
+		magic := segMagicV1
+		if isV2 {
+			magic = segMagicV2
+		}
+		if err := os.WriteFile(path, append(append([]byte(nil), magic...), body...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var opts ScanOptions
+		if pushed {
+			opts = ScanOptions{Columns: []int{0, 2}, Preds: []ScanPred{{Col: 1, Op: ">", Lit: "5", Numeric: true}}}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+
+		byRow := fuzzScan(t, path, opts)
+		defer byRow.Close()
+		var viaRows [][]string
+		var rowErr error
+		for {
+			var row []string
+			if row, rowErr = byRow.Next(); rowErr != nil {
+				break
+			}
+			viaRows = append(viaRows, row)
+		}
+		byBatch := fuzzScan(t, path, opts)
+		defer byBatch.Close()
+		var viaBatches [][]string
+		var batchErr error
+		for {
+			var b *Batch
+			if b, batchErr = byBatch.NextBatch(); batchErr != nil {
+				break
+			}
+			for i := 0; i < b.Rows; i++ {
+				row := make([]string, len(b.Cols))
+				for c, col := range b.Cols {
+					if col != nil {
+						row[c] = col[i]
+					}
+				}
+				viaBatches = append(viaBatches, row)
+			}
+		}
+
+		runtime.ReadMemStats(&after)
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(256*len(body)+8<<20); grew > limit {
+			t.Fatalf("scanning %d bytes allocated %d (limit %d)", len(body), grew, limit)
+		}
+		if (rowErr == io.EOF) != (batchErr == io.EOF) || !equalRows(viaRows, viaBatches) {
+			t.Fatalf("row view: %d rows then %v; batch view: %d rows then %v", len(viaRows), rowErr, len(viaBatches), batchErr)
+		}
+	})
+}

@@ -45,6 +45,14 @@ import (
 // renames them in and swaps the manifest — the same
 // only-completed-crawls-publish discipline the serve daemon applies to
 // the registry and checkpoint store.
+//
+// Reads go through a SegmentScan, whose unit is the block: one decoder
+// (decodeBlock) turns a block into a column Batch — pushed predicates
+// and zone-map pruning applied, one string allocated per requested
+// column — and everything that reads segments is a view of those
+// batches: the query engine consumes them as they are, Next hands them
+// out as rows, and the store's own rewrites (Append's replay,
+// Compact) copy rows through Next.
 
 // manifestVersion is the on-disk manifest format this package reads and
 // writes.
@@ -356,7 +364,7 @@ func storeTableNames(man *manifest) string {
 // executor's comparison rule: when true (the column's kind is numeric),
 // an ordering comparison is numeric whenever both sides parse as
 // floats and lexicographic otherwise — exactly internal/query's
-// compareVals, so a pushed scan selects the same rows the executor
+// compareKeyed, so a pushed scan selects the same rows the executor
 // would have selected above it.
 type ScanPred struct {
 	Col     int
@@ -368,8 +376,9 @@ type ScanPred struct {
 // ScanOptions narrows a scan. Columns lists the column indexes the
 // caller will actually read (nil means all); Preds are conjunctive row
 // filters evaluated inside the scan, against raw cell bytes, before
-// any row materializes. Rows still come back at full table width —
-// columns outside the pushed set are empty strings, never decoded.
+// any row materializes. Rows and batches still come back at full table
+// width — columns outside the pushed set are never read: a nil vector
+// in a Batch, empty strings in a row.
 type ScanOptions struct {
 	Columns []int
 	Preds   []ScanPred
@@ -388,14 +397,13 @@ type scanPred struct {
 // scanPlan is the normalized form of ScanOptions for one table width.
 type scanPlan struct {
 	width   int
-	need    []bool // materialize into output rows
-	read    []bool // need, or carries a predicate
+	need    []bool // materialize into the batch
 	preds   [][]scanPred
 	hasPred bool
 }
 
 func newScanPlan(ncols int, opts ScanOptions) (*scanPlan, error) {
-	p := &scanPlan{width: ncols, need: make([]bool, ncols), read: make([]bool, ncols)}
+	p := &scanPlan{width: ncols, need: make([]bool, ncols)}
 	if opts.Columns == nil {
 		for c := range p.need {
 			p.need[c] = true
@@ -408,7 +416,6 @@ func newScanPlan(ncols int, opts ScanOptions) (*scanPlan, error) {
 			p.need[c] = true
 		}
 	}
-	copy(p.read, p.need)
 	p.preds = make([][]scanPred, ncols)
 	for _, sp := range opts.Preds {
 		if sp.Col < 0 || sp.Col >= ncols {
@@ -424,19 +431,43 @@ func newScanPlan(ncols int, opts ScanOptions) (*scanPlan, error) {
 			cp.litF, cp.litIsNum = f, true
 		}
 		p.preds[sp.Col] = append(p.preds[sp.Col], cp)
-		p.read[sp.Col] = true
 		p.hasPred = true
 	}
 	return p, nil
 }
 
+// Batch is one decoded block of a scan: the rows that passed the pushed
+// predicates, column-major. Cols has one vector per table column. A
+// requested column's vector holds Rows cells, every one a substring of
+// the single string the scan allocated for that column of that block —
+// the selected cells' bytes and nothing else, so a batch never wastes
+// the memory it keeps alive. An unrequested column's vector is nil (its
+// cells read as "").
+//
+// The vectors belong to the scan and are overwritten by the next
+// NextBatch or Next. The cell strings are immutable and may be kept,
+// but one kept cell keeps its block's whole column string alive: clone
+// a few cells that must outlive many batches.
+type Batch struct {
+	Rows int
+	Cols [][]string
+}
+
 // SegmentScan streams one table's rows across its segments in sorted
-// path order, applying any pushed projection and predicates inside the
-// block decode. Memory is bounded by one block (segBlockRows rows)
-// plus one open descriptor per distinct segment file: Scan opens every
-// file eagerly, so the scan owns its bytes for its whole lifetime — a
-// concurrent commit that unlinks a superseded segment file cannot pull
-// data out from under a reader that already resolved it.
+// path order, a block (at most segBlockRows rows) at a time. NextBatch
+// is the decode path: it applies the pushed projection and predicates
+// inside the block and yields what survives as a column Batch. Next is
+// a row view carved from the same batches, for callers that want rows;
+// use one or the other on a scan (a NextBatch drops the rows Next has
+// not handed out yet).
+//
+// Memory is bounded by one block plus one open descriptor per distinct
+// segment file: Scan opens every file eagerly, so the scan owns its
+// bytes for its whole lifetime — a concurrent commit that unlinks a
+// superseded segment file cannot pull data out from under a reader that
+// already resolved it. Blocks are read by offset: a pruned block, an
+// unrequested column and the columns of a block no row of which passed
+// its predicates cost no I/O.
 type SegmentScan struct {
 	columns []string
 	segs    []manSeg
@@ -452,17 +483,39 @@ type SegmentScan struct {
 	segIdx   int
 	cur      *segReader
 	rowsLeft int
-	block    [][]string
-	blockAt  int
 
-	sel    []bool
-	outIdx []int
+	batch Batch
+	// The row view: the current batch transposed into one slab, and how
+	// many of its rows Next has yet to return.
+	rows     []string
+	viewLeft int
+
+	sel  []bool // scratch: per block row, passed the predicates so far
+	ends []int  // scratch: where each selected cell ends once packed
 
 	// Scan-lifetime observability counters (single-goroutine; read via
 	// BlockStats after — or during — the scan).
 	blocksDecoded int
 	blocksPruned  int
 	rowsScanned   int
+}
+
+// newSegmentScan assembles a scan over segs, whose files the caller has
+// opened into files.
+func newSegmentScan(columns []string, segs []manSeg, files map[string]*os.File, plan *scanPlan) *SegmentScan {
+	sc := &SegmentScan{
+		columns: columns,
+		segs:    segs,
+		files:   files,
+		lastUse: map[string]int{},
+		readers: map[string]*segReader{},
+		plan:    plan,
+		batch:   Batch{Cols: make([][]string, len(columns))},
+	}
+	for i, seg := range segs {
+		sc.lastUse[seg.File] = i
+	}
+	return sc
 }
 
 // BlockStats reports how many blocks this scan decoded versus skipped
@@ -473,19 +526,29 @@ func (sc *SegmentScan) BlockStats() (decoded, pruned, rows int) {
 	return sc.blocksDecoded, sc.blocksPruned, sc.rowsScanned
 }
 
-// segReader is the streaming state over one segment file. Several
+// segReader is the read position inside one segment file. Several
 // spans of a compacted table share a file, so the reader persists
 // across the spans that reference it, tracking its absolute row
 // position and block index (the footer's zone maps are block-indexed).
+// Headers come through a small read-ahead window; column bytes are read
+// straight from their offsets.
 type segReader struct {
-	file     string
-	r        *bufio.Reader
+	file string
+	f    *os.File
+	// size is the file's length, taken once at open: every length prefix
+	// is checked against the bytes left before anything is allocated for
+	// it, so a corrupt header cannot ask for more memory than the file
+	// could fill.
+	size     int64
+	pos      int64  // offset of the next unread byte
+	win      []byte // file bytes [winOff, winOff+len(win))
+	winOff   int64
 	version  int
 	ncols    int
 	rowPos   int
 	blockIdx int
 	foot     *segFooter // v2 + pushed predicates only
-	colBytes []uint64   // scratch: v2 block header
+	colBytes []int64    // the current block's per-column byte lengths
 	bufs     [][]byte   // scratch: raw per-column cell bytes
 }
 
@@ -538,16 +601,8 @@ func openScan(dir string, man *manifest, name string, opts ScanOptions) (*Segmen
 	if err != nil {
 		return nil, err
 	}
-	sc := &SegmentScan{
-		columns: append([]string(nil), t.Columns...),
-		segs:    append([]manSeg(nil), t.Segments...),
-		files:   map[string]*os.File{},
-		lastUse: map[string]int{},
-		readers: map[string]*segReader{},
-		plan:    plan,
-	}
-	for i, seg := range sc.segs {
-		sc.lastUse[seg.File] = i
+	sc := newSegmentScan(append([]string(nil), t.Columns...), append([]manSeg(nil), t.Segments...), map[string]*os.File{}, plan)
+	for _, seg := range sc.segs {
 		if _, ok := sc.files[seg.File]; ok {
 			continue
 		}
@@ -610,15 +665,36 @@ func (sc *SegmentScan) Columns() []string { return sc.columns }
 
 // Next returns the next row passing the pushed predicates, or io.EOF
 // after the last. Rows are full table width; columns outside the
-// pushed set are empty strings. The returned slice is owned by the
-// caller (rows are materialized per block).
+// pushed set are empty strings. The returned slice is the caller's: it
+// is carved from a slab allocated per block, its cells the batch's
+// substrings (see Batch for what keeping one keeps alive).
 func (sc *SegmentScan) Next() ([]string, error) {
-	for {
-		if sc.blockAt < len(sc.block) {
-			row := sc.block[sc.blockAt]
-			sc.blockAt++
-			return row, nil
+	w := sc.plan.width
+	if sc.viewLeft == 0 {
+		b, err := sc.NextBatch()
+		if err != nil {
+			return nil, err
 		}
+		sc.rows = make([]string, b.Rows*w)
+		for c, col := range b.Cols {
+			for i, cell := range col {
+				sc.rows[i*w+c] = cell
+			}
+		}
+		sc.viewLeft = b.Rows
+	}
+	sc.viewLeft--
+	row := sc.rows[:w:w]
+	sc.rows = sc.rows[w:]
+	return row, nil
+}
+
+// NextBatch decodes blocks until one has rows passing the pushed
+// predicates and returns them, or io.EOF after the last block. The
+// batch is valid until the next NextBatch or Next.
+func (sc *SegmentScan) NextBatch() (*Batch, error) {
+	sc.viewLeft = 0
+	for {
 		if sc.rowsLeft == 0 {
 			// The current span is done: release its file unless a later
 			// span continues in it, then position for the next span.
@@ -646,29 +722,47 @@ func (sc *SegmentScan) Next() ([]string, error) {
 			sc.rowsLeft = seg.Rows
 			continue
 		}
-		rows, consumed, err := sc.readBlock()
+		consumed, err := sc.decodeBlock()
 		if err != nil {
 			return nil, fmt.Errorf("lake: segment %s: %w", sc.cur.file, err)
 		}
 		sc.rowsLeft -= consumed
-		sc.block, sc.blockAt = rows, 0
+		if sc.batch.Rows > 0 {
+			return &sc.batch, nil
+		}
 	}
 }
 
-// reader returns (creating if needed) the streaming reader over one
-// segment file, validating the magic and, when predicates are pushed
-// against a v2 segment, loading the zone-map footer.
+// segWindow is the read-ahead window's size: enough for any block
+// header of a table of ordinary width in one read.
+const segWindow = 4096
+
+// reader returns (creating if needed) the reader over one segment file,
+// validating the magic and, when predicates are pushed against a v2
+// segment, loading the zone-map footer.
 func (sc *SegmentScan) reader(file string) (*segReader, error) {
 	if sr, ok := sc.readers[file]; ok {
 		return sr, nil
 	}
 	f := sc.files[file]
-	sr := &segReader{file: file, r: bufio.NewReader(f), ncols: len(sc.columns)}
-	magic := make([]byte, len(segMagicV1))
-	if _, err := io.ReadFull(sr.r, magic); err != nil {
-		return nil, errors.New("bad magic")
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
 	}
+	ncols := len(sc.columns)
+	sr := &segReader{
+		file:     file,
+		f:        f,
+		size:     st.Size(),
+		win:      make([]byte, 0, max(segWindow, binary.MaxVarintLen64*(ncols+1))),
+		ncols:    ncols,
+		colBytes: make([]int64, ncols),
+		bufs:     make([][]byte, ncols),
+	}
+	magic, err := sr.peek(len(segMagicV1))
 	switch {
+	case err != nil:
+		return nil, errors.New("bad magic")
 	case bytes.Equal(magic, segMagicV1):
 		sr.version = 1
 	case bytes.Equal(magic, segMagicV2):
@@ -676,16 +770,62 @@ func (sc *SegmentScan) reader(file string) (*segReader, error) {
 	default:
 		return nil, errors.New("bad magic")
 	}
+	sr.pos += int64(len(magic))
 	if sc.plan.hasPred && sr.version >= 2 {
-		foot, err := readFooter(f)
+		foot, err := readFooter(f, sr.size)
 		if err != nil {
 			return nil, fmt.Errorf("stats footer: %w", err)
 		}
 		sr.foot = foot
 	}
-	sr.bufs = make([][]byte, sr.ncols)
 	sc.readers[file] = sr
 	return sr, nil
+}
+
+// peek returns the n bytes at the reader's position without consuming
+// them — fewer only where the file ends first. n is at most the
+// window's capacity.
+func (sr *segReader) peek(n int) ([]byte, error) {
+	lo := sr.pos - sr.winOff
+	if lo < 0 || lo+int64(n) > int64(len(sr.win)) {
+		sr.win = sr.win[:min(int64(cap(sr.win)), sr.size-sr.pos)]
+		if _, err := sr.f.ReadAt(sr.win, sr.pos); err != nil {
+			sr.win = sr.win[:0]
+			return nil, unexpectedEOF(err)
+		}
+		sr.winOff, lo = sr.pos, 0
+	}
+	return sr.win[lo:min(lo+int64(n), int64(len(sr.win)))], nil
+}
+
+// uvarint consumes one uvarint.
+func (sr *segReader) uvarint() (uint64, error) {
+	b, err := sr.peek(binary.MaxVarintLen64)
+	if err != nil {
+		return 0, err
+	}
+	v, w := binary.Uvarint(b)
+	switch {
+	case w == 0:
+		return 0, io.ErrUnexpectedEOF
+	case w < 0:
+		return 0, errors.New("bad varint")
+	}
+	sr.pos += int64(w)
+	return v, nil
+}
+
+// length consumes a length prefix, rejecting one that promises more
+// bytes than the file has left.
+func (sr *segReader) length() (int64, error) {
+	v, err := sr.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if left := sr.size - sr.pos; v > uint64(left) {
+		return 0, fmt.Errorf("length %d overruns the file (%d bytes left)", v, left)
+	}
+	return int64(v), nil
 }
 
 // skipTo advances the reader to absolute row rowOff — the start of the
@@ -694,18 +834,14 @@ func (sc *SegmentScan) reader(file string) (*segReader, error) {
 // means the file and manifest disagree.
 func (sr *segReader) skipTo(rowOff int) error {
 	for sr.rowPos < rowOff {
-		nrows, err := sr.readBlockRows()
+		nrows, err := sr.blockHeader()
 		if err != nil {
 			return err
 		}
 		if nrows == 0 {
 			return fmt.Errorf("ends at row %d, span starts at %d", sr.rowPos, rowOff)
 		}
-		if err := sr.skipBlockData(nrows); err != nil {
-			return err
-		}
-		sr.rowPos += nrows
-		sr.blockIdx++
+		sr.skipBlock(nrows)
 	}
 	if sr.rowPos != rowOff {
 		return fmt.Errorf("span at row %d is not block-aligned (reader at row %d)", rowOff, sr.rowPos)
@@ -713,259 +849,239 @@ func (sr *segReader) skipTo(rowOff int) error {
 	return nil
 }
 
-// readBlockRows reads a block's row-count header; 0 is the v2
-// end-of-blocks sentinel (the stats footer follows).
-func (sr *segReader) readBlockRows() (int, error) {
-	nrows, err := binary.ReadUvarint(sr.r)
+// blockHeader consumes the next block's header, leaving the reader at
+// the block's first column and its per-column byte lengths in colBytes.
+// It returns the block's row count; 0 is the v2 end-of-blocks sentinel
+// (the stats footer follows). A v2 header carries the lengths; a v1
+// block has none, so its cells are walked once to measure its columns —
+// after which both versions decode, and skip, the same way.
+func (sr *segReader) blockHeader() (int, error) {
+	n, err := sr.uvarint()
 	if err != nil {
-		return 0, unexpectedEOF(err)
+		return 0, err
 	}
-	if nrows == 0 && sr.version < 2 {
+	if n == 0 && sr.version < 2 {
 		return 0, errors.New("bad block row count 0")
 	}
-	if nrows > segBlockRows {
-		return 0, fmt.Errorf("bad block row count %d", nrows)
+	if n > segBlockRows {
+		return 0, fmt.Errorf("bad block row count %d", n)
 	}
-	return int(nrows), nil
-}
-
-// readColBytes reads a v2 block's per-column byte-length header.
-func (sr *segReader) readColBytes() error {
-	if sr.colBytes == nil {
-		sr.colBytes = make([]uint64, sr.ncols)
+	if n == 0 {
+		return 0, nil
 	}
-	for c := 0; c < sr.ncols; c++ {
-		n, err := binary.ReadUvarint(sr.r)
-		if err != nil {
-			return unexpectedEOF(err)
-		}
-		if n > 1<<31 {
-			return fmt.Errorf("bad column byte length %d", n)
-		}
-		sr.colBytes[c] = n
-	}
-	return nil
-}
-
-// skipBlockData discards a block's payload (the row-count header is
-// already consumed): byte-counted for v2, cell walk for v1.
-func (sr *segReader) skipBlockData(nrows int) error {
 	if sr.version >= 2 {
-		if err := sr.readColBytes(); err != nil {
-			return err
+		var total int64
+		for c := range sr.colBytes {
+			if sr.colBytes[c], err = sr.length(); err != nil {
+				return 0, err
+			}
+			total += sr.colBytes[c]
 		}
-		total := 0
-		for _, n := range sr.colBytes {
-			total += int(n)
+		if left := sr.size - sr.pos; total > left {
+			return 0, fmt.Errorf("block of %d bytes overruns the file (%d bytes left)", total, left)
 		}
-		_, err := sr.r.Discard(total)
-		return unexpectedEOF(err)
+		return int(n), nil
 	}
-	for c := 0; c < sr.ncols; c++ {
-		if err := sr.skipCells(nrows); err != nil {
-			return err
+	start := sr.pos
+	for c := range sr.colBytes {
+		colStart := sr.pos
+		for i := 0; i < int(n); i++ {
+			cell, err := sr.length()
+			if err != nil {
+				return 0, err
+			}
+			sr.pos += cell
 		}
+		sr.colBytes[c] = sr.pos - colStart
 	}
-	return nil
+	sr.pos = start
+	return int(n), nil
 }
 
-// skipCells discards nrows length-prefixed cells.
-func (sr *segReader) skipCells(nrows int) error {
-	for i := 0; i < nrows; i++ {
-		n, err := binary.ReadUvarint(sr.r)
-		if err != nil {
-			return unexpectedEOF(err)
-		}
-		if n > 1<<30 {
-			return fmt.Errorf("bad cell length %d", n)
-		}
-		if _, err := sr.r.Discard(int(n)); err != nil {
-			return unexpectedEOF(err)
-		}
+// skipBlock steps over the nrows-row block whose header was just
+// consumed, reading nothing.
+func (sr *segReader) skipBlock(nrows int) {
+	for _, n := range sr.colBytes {
+		sr.pos += n
 	}
-	return nil
+	sr.rowPos += nrows
+	sr.blockIdx++
 }
 
-// readColumn reads one column's raw cell bytes (uvarint-length-prefixed
-// values) into the column's scratch buffer. v2 knows the byte count up
-// front; v1 re-encodes cell by cell into the same shape, so the
-// filter/materialize walkers see one format.
-func (sr *segReader) readColumn(c, nrows int) ([]byte, error) {
-	buf := sr.bufs[c][:0]
-	if sr.version >= 2 {
-		n := int(sr.colBytes[c])
-		if cap(buf) < n {
-			buf = make([]byte, 0, n)
-		}
-		buf = buf[:n]
-		if _, err := io.ReadFull(sr.r, buf); err != nil {
-			return nil, unexpectedEOF(err)
-		}
-		sr.bufs[c] = buf
-		return buf, nil
+// readColumn reads column c's raw cell bytes (uvarint-length-prefixed
+// values) from file offset off into the column's scratch buffer.
+func (sr *segReader) readColumn(c int, off int64) ([]byte, error) {
+	n := int(sr.colBytes[c])
+	if cap(sr.bufs[c]) < n {
+		sr.bufs[c] = make([]byte, n)
 	}
-	var tmp [binary.MaxVarintLen64]byte
-	for i := 0; i < nrows; i++ {
-		n, err := binary.ReadUvarint(sr.r)
-		if err != nil {
-			return nil, unexpectedEOF(err)
-		}
-		if n > 1<<30 {
-			return nil, fmt.Errorf("bad cell length %d", n)
-		}
-		w := binary.PutUvarint(tmp[:], n)
-		buf = append(buf, tmp[:w]...)
-		start := len(buf)
-		if need := start + int(n); need > cap(buf) {
-			grown := make([]byte, start, 2*cap(buf)+need)
-			copy(grown, buf)
-			buf = grown
-		}
-		buf = buf[:start+int(n)]
-		if _, err := io.ReadFull(sr.r, buf[start:]); err != nil {
-			return nil, unexpectedEOF(err)
-		}
-	}
+	buf := sr.bufs[c][:n]
 	sr.bufs[c] = buf
+	if _, err := sr.f.ReadAt(buf, off); err != nil {
+		return nil, unexpectedEOF(err)
+	}
 	return buf, nil
 }
 
-// readBlock reads the current span's next block, applying the pushed
-// predicates and projection: a block whose zone map cannot match skips
-// on its byte lengths alone, predicate columns decode first and an
-// empty selection discards the rest of the block undecoded, and only
-// surviving rows materialize (at full table width; unrequested columns
-// stay ""). Returns the selected rows plus the input rows consumed.
-func (sc *SegmentScan) readBlock() ([][]string, int, error) {
+// decodeBlock decodes the current span's next block into sc.batch,
+// applying the pushed predicates and projection: a block whose zone map
+// cannot match is stepped over on its byte lengths alone, predicate
+// columns are read and evaluated first, an empty selection reads
+// nothing else, and only the selected cells of the requested columns
+// materialize. Returns the input rows consumed; sc.batch.Rows is 0 when
+// none of them survived.
+func (sc *SegmentScan) decodeBlock() (int, error) {
 	sr, plan := sc.cur, sc.plan
-	nrows, err := sr.readBlockRows()
+	sc.batch.Rows = 0
+	nrows, err := sr.blockHeader()
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	if nrows == 0 || nrows > sc.rowsLeft {
-		return nil, 0, fmt.Errorf("block of %d rows overruns span (%d rows expected)", nrows, sc.rowsLeft)
+		return 0, fmt.Errorf("block of %d rows overruns span (%d rows expected)", nrows, sc.rowsLeft)
 	}
-	blockIdx := sr.blockIdx
-	sr.blockIdx++
-	sr.rowPos += nrows
-	if sr.version >= 2 {
-		if err := sr.readColBytes(); err != nil {
-			return nil, 0, err
-		}
-	}
+	blockIdx, base := sr.blockIdx, sr.pos
+	sr.skipBlock(nrows)
 	sc.rowsScanned += nrows
 	if sr.foot != nil && blockIdx < len(sr.foot.blocks) && zonePruned(&sr.foot.blocks[blockIdx], plan) {
 		sc.blocksPruned++
-		total := 0
-		for _, n := range sr.colBytes {
-			total += int(n)
-		}
-		if _, err := sr.r.Discard(total); err != nil {
-			return nil, 0, unexpectedEOF(err)
-		}
-		return nil, nrows, nil
+		return nrows, nil
 	}
 	sc.blocksDecoded++
-	if cap(sc.sel) < nrows {
-		sc.sel = make([]bool, nrows)
-		sc.outIdx = make([]int, nrows)
-	}
-	sel := sc.sel[:nrows]
-	for i := range sel {
-		sel[i] = true
-	}
+	var sel []bool
 	selCount := nrows
-	for c := 0; c < sr.ncols; c++ {
-		if !plan.read[c] || selCount == 0 {
-			if sr.version >= 2 {
-				if _, err := sr.r.Discard(int(sr.colBytes[c])); err != nil {
-					return nil, 0, unexpectedEOF(err)
+	if plan.hasPred {
+		if cap(sc.sel) < nrows {
+			sc.sel = make([]bool, nrows)
+		}
+		sel = sc.sel[:nrows]
+		for i := range sel {
+			sel[i] = true
+		}
+		off := base
+		for c := 0; c < sr.ncols && selCount > 0; c++ {
+			if preds := plan.preds[c]; len(preds) > 0 {
+				buf, err := sr.readColumn(c, off)
+				if err != nil {
+					return 0, err
 				}
-			} else if err := sr.skipCells(nrows); err != nil {
-				return nil, 0, err
+				if selCount, err = filterColumn(buf, nrows, preds, sel, selCount); err != nil {
+					return 0, err
+				}
 			}
-			continue
+			off += sr.colBytes[c]
 		}
-		buf, err := sr.readColumn(c, nrows)
-		if err != nil {
-			return nil, 0, err
+		if selCount == 0 {
+			return nrows, nil
 		}
-		if preds := plan.preds[c]; len(preds) > 0 {
-			selCount, err = filterColumn(buf, nrows, preds, sel, selCount)
-			if err != nil {
-				return nil, 0, err
+	}
+	off := base
+	for c := 0; c < sr.ncols; c++ {
+		if plan.need[c] {
+			buf := sr.bufs[c]
+			if len(plan.preds[c]) == 0 {
+				if buf, err = sr.readColumn(c, off); err != nil {
+					return 0, err
+				}
+			}
+			if sc.batch.Cols[c], err = sc.carve(buf, nrows, sel, sc.batch.Cols[c][:0]); err != nil {
+				return 0, err
 			}
 		}
+		off += sr.colBytes[c]
 	}
-	if selCount == 0 {
-		return nil, nrows, nil
-	}
-	rows := make([][]string, selCount)
-	cells := make([]string, selCount*plan.width)
-	j := 0
-	for i := 0; i < nrows; i++ {
-		if !sel[i] {
-			sc.outIdx[i] = -1
-			continue
-		}
-		sc.outIdx[i] = j
-		rows[j] = cells[j*plan.width : (j+1)*plan.width : (j+1)*plan.width]
-		j++
-	}
-	for c := 0; c < plan.width; c++ {
-		if !plan.need[c] {
-			continue
-		}
-		err := eachCell(sr.bufs[c], nrows, func(i int, cell []byte) {
-			if sel[i] {
-				rows[sc.outIdx[i]][c] = string(cell)
-			}
-		})
-		if err != nil {
-			return nil, 0, err
-		}
-	}
-	return rows, nrows, nil
+	sc.batch.Rows = selCount
+	return nrows, nil
 }
 
-// eachCell walks a raw column buffer (uvarint-length-prefixed cells),
-// calling fn with each cell's bytes.
-func eachCell(buf []byte, nrows int, fn func(i int, cell []byte)) error {
+var errCorruptCells = errors.New("corrupt column cells")
+
+// cellAt decodes the length prefix at buf[off:] and returns the cell's
+// bounds, or ok=false when the prefix or the cell overruns the buffer.
+func cellAt(buf []byte, off int) (start, end int, ok bool) {
+	if off < len(buf) && buf[off] < 0x80 {
+		start = off + 1
+		end = start + int(buf[off])
+		return start, end, end <= len(buf)
+	}
+	n, w := binary.Uvarint(buf[off:])
+	if w <= 0 || n > uint64(len(buf)-off-w) {
+		return 0, 0, false
+	}
+	return off + w, off + w + int(n), true
+}
+
+// carve appends the selected cells (all when sel is nil) of a raw
+// column to cells, as substrings of one new string. When predicates
+// ran, the survivors' bytes are packed to the front of buf first, so
+// the string holds them and nothing else.
+func (sc *SegmentScan) carve(buf []byte, nrows int, sel []bool, cells []string) ([]string, error) {
 	off := 0
-	for i := 0; i < nrows; i++ {
-		n, w := binary.Uvarint(buf[off:])
-		if w <= 0 || off+w+int(n) > len(buf) {
-			return errors.New("corrupt column cells")
+	if sel == nil {
+		data := string(buf)
+		for i := 0; i < nrows; i++ {
+			start, end, ok := cellAt(buf, off)
+			if !ok {
+				return nil, errCorruptCells
+			}
+			cells = append(cells, data[start:end])
+			off = end
 		}
-		fn(i, buf[off+w:off+w+int(n)])
-		off += w + int(n)
+	} else {
+		ends, w := sc.ends[:0], 0
+		for i := 0; i < nrows; i++ {
+			start, end, ok := cellAt(buf, off)
+			if !ok {
+				return nil, errCorruptCells
+			}
+			if sel[i] {
+				w += copy(buf[w:], buf[start:end])
+				ends = append(ends, w)
+			}
+			off = end
+		}
+		sc.ends = ends
+		data, start := string(buf[:w]), 0
+		for _, end := range ends {
+			cells = append(cells, data[start:end])
+			start = end
+		}
 	}
 	if off != len(buf) {
-		return fmt.Errorf("column has %d trailing bytes", len(buf)-off)
+		return nil, fmt.Errorf("column has %d trailing bytes", len(buf)-off)
 	}
-	return nil
+	return cells, nil
 }
 
 // filterColumn evaluates one column's predicates over its raw cells,
 // clearing selection bits for rows that fail.
 func filterColumn(buf []byte, nrows int, preds []scanPred, sel []bool, selCount int) (int, error) {
-	err := eachCell(buf, nrows, func(i int, cell []byte) {
+	off := 0
+	for i := 0; i < nrows; i++ {
+		start, end, ok := cellAt(buf, off)
+		if !ok {
+			return 0, errCorruptCells
+		}
+		off = end
 		if !sel[i] {
-			return
+			continue
 		}
 		for j := range preds {
-			if !predMatch(cell, &preds[j]) {
+			if !predMatch(buf[start:end], &preds[j]) {
 				sel[i] = false
 				selCount--
-				return
+				break
 			}
 		}
-	})
-	return selCount, err
+	}
+	if off != len(buf) {
+		return 0, fmt.Errorf("column has %d trailing bytes", len(buf)-off)
+	}
+	return selCount, nil
 }
 
 // predMatch evaluates one predicate against a raw cell, mirroring the
-// executor's compareVals: equality is exact bytes; ordering is numeric
+// executor's compareKeyed: equality is exact bytes; ordering is numeric
 // only when the column kind is numeric and both sides parse as floats,
 // lexicographic otherwise.
 func predMatch(cell []byte, p *scanPred) bool {
@@ -1175,15 +1291,9 @@ func encodeFooter(blocks []footBlock, distincts []int) []byte {
 	return b
 }
 
-// readFooter locates and decodes a v2 segment's stats footer via the
-// 8-byte length trailer at the end of the file; ReadAt leaves the
-// streaming reader's position untouched.
-func readFooter(f *os.File) (*segFooter, error) {
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	size := st.Size()
+// readFooter locates and decodes the stats footer of a v2 segment of
+// size bytes via the 8-byte length trailer at the end of the file.
+func readFooter(f *os.File, size int64) (*segFooter, error) {
 	if size < int64(len(segMagicV2))+9 {
 		return nil, errors.New("file too short")
 	}
@@ -1203,20 +1313,19 @@ func readFooter(f *os.File) (*segFooter, error) {
 }
 
 func decodeFooter(blob []byte) (*segFooter, error) {
+	text := string(blob) // every zone bound is a substring of this one copy
 	r := bytes.NewReader(blob)
 	readS := func() (string, error) {
 		n, err := binary.ReadUvarint(r)
 		if err != nil {
 			return "", unexpectedEOF(err)
 		}
-		if int64(n) > int64(r.Len()) {
+		if n > uint64(r.Len()) {
 			return "", fmt.Errorf("bad footer string length %d", n)
 		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return "", unexpectedEOF(err)
-		}
-		return string(buf), nil
+		off := len(blob) - r.Len()
+		_, _ = r.Seek(int64(n), io.SeekCurrent) // within the blob: cannot fail
+		return text[off : off+int(n)], nil
 	}
 	readF := func() (float64, error) {
 		var fb [8]byte
@@ -1233,16 +1342,21 @@ func decodeFooter(blob []byte) (*segFooter, error) {
 	if err != nil {
 		return nil, unexpectedEOF(err)
 	}
-	if nblocks > 1<<24 || ncols > 1<<20 {
-		return nil, fmt.Errorf("implausible footer shape (%d blocks, %d columns)", nblocks, ncols)
+	// A block entry is a row count plus, per column, a flags byte and two
+	// length prefixes: a shape that needs more bytes than the footer has
+	// is rejected before anything is allocated for it.
+	if left := uint64(r.Len()); ncols > left || nblocks > left/(1+3*ncols) {
+		return nil, fmt.Errorf("implausible footer shape (%d blocks, %d columns in %d bytes)", nblocks, ncols, left)
 	}
 	foot := &segFooter{blocks: make([]footBlock, nblocks)}
+	zones := make([]colZone, nblocks*ncols)
 	for bi := range foot.blocks {
 		rows, err := binary.ReadUvarint(r)
 		if err != nil {
 			return nil, unexpectedEOF(err)
 		}
-		fb := footBlock{rows: int(rows), cols: make([]colZone, ncols)}
+		fb := footBlock{rows: int(rows), cols: zones[:ncols:ncols]}
+		zones = zones[ncols:]
 		for c := range fb.cols {
 			flags, err := r.ReadByte()
 			if err != nil {
@@ -1638,7 +1752,7 @@ func (t *StoreTxn) Append(relPath, fp string, templates []*template.Node, recs [
 			t.mu.Unlock()
 			return fmt.Errorf("lake: append to %s type %d: no base segment for %s", fp, typeID, relPath)
 		}
-		keep := seg.Rows - seg.Provisional
+		spanRows, keep := seg.Rows, seg.Rows-seg.Provisional
 		skip := seg.RowOff
 		oldName := seg.File
 		src, isStaged := t.staged[oldName]
@@ -1663,7 +1777,7 @@ func (t *StoreTxn) Append(relPath, fp string, templates []*template.Node, recs [
 				return err
 			}
 			sw := newSegWriter(bufio.NewWriter(tmp), st.NumFields())
-			if err := copyRows(sw, in, st.NumFields(), skip, keep); err != nil {
+			if err := copyRows(sw, in, st.NumFields(), skip, spanRows, keep); err != nil {
 				return err
 			}
 			if err := addRecords(sw, st, recs, typeID); err != nil {
@@ -1708,103 +1822,29 @@ func (t *StoreTxn) Append(relPath, fp string, templates []*template.Node, recs [
 	return nil
 }
 
-// copyRows replays limit rows of a segment file (either format
-// version) into the writer, skipping the first skip rows — the span
-// offset of a source inside a compacted shared file.
-func copyRows(sw *segWriter, in *os.File, ncols, skip, limit int) error {
-	r := bufio.NewReader(in)
-	magic := make([]byte, len(segMagicV1))
-	if _, err := io.ReadFull(r, magic); err != nil {
-		return fmt.Errorf("bad segment magic in %s", in.Name())
+// copyRows replays the first limit rows of a span — rows rows starting
+// at row skip of a segment file of either format version — into the
+// writer.
+func copyRows(sw *segWriter, in *os.File, ncols, skip, rows, limit int) error {
+	plan, err := newScanPlan(ncols, ScanOptions{})
+	if err != nil {
+		return err
 	}
-	var v2 bool
-	switch {
-	case bytes.Equal(magic, segMagicV1):
-	case bytes.Equal(magic, segMagicV2):
-		v2 = true
-	default:
-		return fmt.Errorf("bad segment magic in %s", in.Name())
-	}
-	copied := 0
-	for copied < limit {
-		block, err := readBlockAny(r, ncols, v2)
+	span := manSeg{File: in.Name(), RowOff: skip, Rows: rows}
+	sc := newSegmentScan(make([]string, ncols), []manSeg{span}, map[string]*os.File{span.File: in}, plan)
+	for copied := 0; copied < limit; copied++ {
+		row, err := sc.Next()
 		if err == io.EOF {
-			return fmt.Errorf("segment %s: %d rows, expected at least %d", in.Name(), copied, limit)
+			return fmt.Errorf("segment %s: %d rows, expected at least %d", span.File, copied, limit)
 		}
 		if err != nil {
 			return err
 		}
-		for _, row := range block {
-			if skip > 0 {
-				skip--
-				continue
-			}
-			if copied >= limit {
-				break
-			}
-			if err := sw.add(row); err != nil {
-				return err
-			}
-			copied++
+		if err := sw.add(row); err != nil {
+			return err
 		}
 	}
 	return nil
-}
-
-// readBlockAny fully decodes one block of either segment version:
-// uvarint row count, the v2 per-column byte lengths if present, then
-// per column, per row, a uvarint-length-prefixed value. io.EOF (clean)
-// at end of file — for v2, at the end-of-blocks sentinel.
-func readBlockAny(r *bufio.Reader, ncols int, v2 bool) ([][]string, error) {
-	nrows, err := binary.ReadUvarint(r)
-	if err == io.EOF {
-		return nil, io.EOF
-	}
-	if err != nil {
-		return nil, err
-	}
-	if nrows == 0 {
-		if v2 {
-			return nil, io.EOF
-		}
-		return nil, errors.New("bad block row count 0")
-	}
-	if nrows > segBlockRows {
-		return nil, fmt.Errorf("bad block row count %d", nrows)
-	}
-	if v2 {
-		for c := 0; c < ncols; c++ {
-			if _, err := binary.ReadUvarint(r); err != nil {
-				return nil, unexpectedEOF(err)
-			}
-		}
-	}
-	rows := make([][]string, nrows)
-	cells := make([]string, int(nrows)*ncols)
-	for i := range rows {
-		rows[i] = cells[i*ncols : (i+1)*ncols : (i+1)*ncols]
-	}
-	var buf []byte
-	for c := 0; c < ncols; c++ {
-		for i := 0; i < int(nrows); i++ {
-			n, err := binary.ReadUvarint(r)
-			if err != nil {
-				return nil, unexpectedEOF(err)
-			}
-			if n > 1<<30 {
-				return nil, fmt.Errorf("bad cell length %d", n)
-			}
-			if int(n) > cap(buf) {
-				buf = make([]byte, n)
-			}
-			b := buf[:n]
-			if _, err := io.ReadFull(r, b); err != nil {
-				return nil, unexpectedEOF(err)
-			}
-			rows[i][c] = string(b)
-		}
-	}
-	return rows, nil
 }
 
 // Covers reports whether the transaction's view holds a segment of
@@ -2052,7 +2092,7 @@ func (s *SegmentStore) Compact(maxFiles int) (int, error) {
 				if err != nil {
 					return err
 				}
-				err = copyRows(sw, in, len(tbl.Columns), seg.RowOff, seg.Rows)
+				err = copyRows(sw, in, len(tbl.Columns), seg.RowOff, seg.Rows, seg.Rows)
 				in.Close()
 				if err != nil {
 					return err

@@ -1,40 +1,38 @@
 package query
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
-	"io"
-	"sort"
 	"strconv"
 	"strings"
 
+	"datamaran/internal/lake"
 	"datamaran/internal/semtype"
 )
 
-// The executor. Plans are trees of pull iterators over a "wide row":
-// one cell slot per column of every FROM table (block per table, in
-// FROM order), so predicate and projection offsets are stable no matter
-// which join order the planner picks. Scans fill their table's block;
-// hash joins merge a streamed probe row with the matching build rows.
+// The planner. Plans are trees of batch operators (ops.go) over a "wide
+// row" layout: one column slot per column of every FROM table (block
+// per table, in FROM order), so predicate and projection offsets are
+// stable no matter which join order the planner picks. Scans fill their
+// table's block of slots; hash joins add the build table's.
 //
 // Comparison semantics: equality is exact string match (hash-join
 // compatible); ordering operators compare numerically when the column's
 // kind is numeric and both values parse, lexicographically otherwise.
 
-// iter is the internal pull iterator: Next returns io.EOF after the
-// last row.
-type iter interface {
-	Next() ([]string, error)
-	Close() error
-}
-
-// Rows is an open query result stream.
+// Rows is an open query result stream: a row cursor over the plan's
+// output batches.
 type Rows struct {
 	columns []string
 	kinds   []semtype.Kind
 	it      iter
-	scans   []*scanIter // base-table scans, for Stats()
+	scans   []*scanOp // base-table scans, for Stats()
+
+	// The current output batch as rows: one slab, handed out a row at a
+	// time.
+	slab []string
+	left int
+	tmp  []string
 }
 
 // Columns returns the output column names (the SELECT list as
@@ -44,8 +42,40 @@ func (r *Rows) Columns() []string { return r.columns }
 // Kinds returns the output columns' scalar kinds.
 func (r *Rows) Kinds() []semtype.Kind { return r.kinds }
 
-// Next returns the next result row, or io.EOF after the last.
-func (r *Rows) Next() ([]string, error) { return r.it.Next() }
+// Next returns the next result row, or io.EOF after the last. The row
+// and its cells are the caller's to keep: rows are carved from one slab
+// per batch, and cells that would otherwise keep a mostly-dropped block
+// alive (the batch lost rows to a filter, a join or a limit above the
+// scan) are cloned.
+func (r *Rows) Next() ([]string, error) {
+	w := len(r.columns)
+	if r.left == 0 {
+		b, err := r.it.Next()
+		if err != nil {
+			return nil, err
+		}
+		r.left = len(b.sel)
+		r.slab = make([]string, r.left*w)
+		for c, col := range b.cols[:w] {
+			switch {
+			case col == nil:
+			case b.tight:
+				for i, j := range b.sel {
+					r.slab[i*w+c] = col[j]
+				}
+			default:
+				r.tmp = appendCloned(r.tmp[:0], col, b.sel)
+				for i, cell := range r.tmp {
+					r.slab[i*w+c] = cell
+				}
+			}
+		}
+	}
+	r.left--
+	row := r.slab[:w:w]
+	r.slab = r.slab[w:]
+	return row, nil
+}
 
 // Close releases the underlying scans.
 func (r *Rows) Close() error { return r.it.Close() }
@@ -70,12 +100,14 @@ type compiledPred struct {
 	rOff    int
 	op      string
 	numeric bool
+	litKey  numKey // the literal parsed once, for ordering operators
 	lTab    int
 	rTab    int // -1 for literals
 	applied bool
 }
 
 type planner struct {
+	ctx    context.Context
 	cat    Catalog
 	push   PushCatalog // non-nil when cat supports scan pushdown
 	q      *Query
@@ -84,13 +116,13 @@ type planner struct {
 	preds  []compiledPred
 	need   [][]bool    // per table, per column: referenced by the query
 	mode   ExplainMode // ExplainAnalyze wraps operators with recorders
-	scans  []*scanIter // every base-table scan opened by this plan
+	scans  []*scanOp   // every base-table scan opened by this plan
 }
 
 // Run plans q against the catalog and opens its result stream. The
-// stream is pull-based — selection, projection and join probing are
-// row-at-a-time (hash-join build sides, group-by and order-by
-// materialize only what they must) — and ctx cancels it mid-stream.
+// stream is pull-based and batch-at-a-time — hash-join build sides,
+// group-by and order-by materialize only what they must — and ctx
+// cancels it between batches.
 func Run(ctx context.Context, cat Catalog, q *Query) (*Rows, error) {
 	return RunWith(ctx, cat, q, Options{})
 }
@@ -113,6 +145,7 @@ func (pl *planner) compilePred(p Predicate) (compiledPred, error) {
 		cp.isLit = true
 		cp.lit = p.Lit
 		cp.numeric = lKind.Numeric()
+		cp.litKey = parseKey(p.Lit, cp.numeric)
 		return cp, nil
 	}
 	rt, rc, err := pl.resolveRef(p.Right)
@@ -314,7 +347,7 @@ func (pl *planner) greedyOrder() []int {
 // applying each predicate at the earliest point all its tables are
 // present. The returned PlanNode mirrors the iterator tree for
 // EXPLAIN.
-func (pl *planner) buildJoinTree(ctx context.Context, order []int) (iter, *PlanNode, error) {
+func (pl *planner) buildJoinTree(order []int) (iter, *PlanNode, error) {
 	joined := make([]bool, len(pl.tables))
 	covered := func(cp *compiledPred) bool {
 		return joined[cp.lTab] && (cp.rTab < 0 || joined[cp.rTab])
@@ -331,13 +364,13 @@ func (pl *planner) buildJoinTree(ctx context.Context, order []int) (iter, *PlanN
 	}
 
 	joined[order[0]] = true
-	cur, node, err := pl.scan(ctx, order[0])
+	cur, node, err := pl.scan(order[0])
 	if err != nil {
 		return nil, nil, err
 	}
 	if preds := takePreds(); len(preds) > 0 {
 		node = &PlanNode{op: "filter", detail: predsDetail(preds), children: []*PlanNode{node}}
-		cur = pl.attach(&filterIter{src: cur, preds: preds}, node)
+		cur = pl.attach(&filterOp{src: cur, preds: preds}, node)
 	}
 	for _, next := range order[1:] {
 		// Equality predicates connecting next to the joined set become
@@ -355,7 +388,7 @@ func (pl *planner) buildJoinTree(ctx context.Context, order []int) (iter, *PlanN
 			}
 		}
 		joined[next] = true
-		build, bnode, err := pl.scan(ctx, next)
+		build, bnode, err := pl.scan(next)
 		if err != nil {
 			cur.Close()
 			return nil, nil, err
@@ -373,7 +406,7 @@ func (pl *planner) buildJoinTree(ctx context.Context, order []int) (iter, *PlanN
 		}
 		if len(buildPreds) > 0 {
 			bnode = &PlanNode{op: "filter", detail: predsDetail(buildPreds), children: []*PlanNode{bnode}}
-			build = pl.attach(&filterIter{src: build, preds: buildPreds}, bnode)
+			build = pl.attach(&filterOp{src: build, preds: buildPreds}, bnode)
 		}
 		var probeOffs, buildOffs []int
 		for _, k := range keys {
@@ -390,29 +423,33 @@ func (pl *planner) buildJoinTree(ctx context.Context, order []int) (iter, *PlanN
 			jnode.op = "hash join"
 			jnode.detail = "on " + predsDetail(keys)
 		}
-		cur = pl.attach(&hashJoinIter{
-			probe:      cur,
-			build:      build,
-			probeOffs:  probeOffs,
-			buildOffs:  buildOffs,
-			buildBlock: [2]int{pl.tables[next].offset, pl.tables[next].offset + len(pl.tables[next].meta.Columns)},
-			width:      pl.width,
+		cur = pl.attach(&hashJoinOp{
+			ctx:       pl.ctx,
+			probe:     cur,
+			build:     build,
+			probeOffs: probeOffs,
+			buildOffs: buildOffs,
+			buildLo:   pl.tables[next].offset,
+			buildHi:   pl.tables[next].offset + len(pl.tables[next].meta.Columns),
+			out:       batch{cols: make([][]string, pl.width)},
 		}, jnode)
 		node = jnode
 		if len(residual) > 0 {
 			node = &PlanNode{op: "filter", detail: predsDetail(residual), children: []*PlanNode{node}}
-			cur = pl.attach(&filterIter{src: cur, preds: residual}, node)
+			cur = pl.attach(&filterOp{src: cur, preds: residual}, node)
 		}
 	}
 	return cur, node, nil
 }
 
-// scan opens one table's scan, widened to the plan's row layout, with
-// cancellation checks. Against a pushdown-capable catalog it hands the
-// scan the query's needed columns for the table plus its single-table
-// literal predicates, marking those predicates applied so no filter
-// re-evaluates them above the scan.
-func (pl *planner) scan(ctx context.Context, ti int) (iter, *PlanNode, error) {
+// scan opens one table's scan, placed in the plan's column layout, with
+// a cancellation check per batch. Against a pushdown-capable catalog it
+// hands the scan the query's needed columns for the table plus its
+// single-table literal predicates, marking those predicates applied so
+// no filter re-evaluates them above the scan. A scan that yields column
+// batches (the record store's) is read as is; a row-only one is packed
+// into batches by rowBatcher.
+func (pl *planner) scan(ti int) (iter, *PlanNode, error) {
 	t := &pl.tables[ti]
 	detail := "table=" + t.meta.Name
 	if t.item.Alias != t.meta.Name {
@@ -453,12 +490,16 @@ func (pl *planner) scan(ctx context.Context, ti int) (iter, *PlanNode, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	si := &scanIter{
-		ctx:    ctx,
+	src, ok := rows.(batchSource)
+	if !ok {
+		src = &rowBatcher{rows: rows, b: lake.Batch{Cols: make([][]string, len(t.meta.Columns))}}
+	}
+	si := &scanOp{
+		ctx:    pl.ctx,
 		rows:   rows,
+		src:    src,
 		offset: t.offset,
-		ncols:  len(t.meta.Columns),
-		width:  pl.width,
+		out:    batch{cols: make([][]string, pl.width), tight: true},
 	}
 	pl.scans = append(pl.scans, si)
 	node := &PlanNode{op: "scan", detail: detail, scan: si}
@@ -479,7 +520,7 @@ func (pl *planner) buildHead(it iter, node *PlanNode) (*Rows, *PlanNode, error) 
 	var columns []string
 	var kinds []semtype.Kind
 	if hasAgg || len(q.GroupBy) > 0 {
-		g := &groupIter{src: it}
+		g := &groupOp{ctx: pl.ctx, src: it}
 		for _, ref := range q.GroupBy {
 			ti, ci, err := pl.resolveRef(ref)
 			if err != nil {
@@ -487,7 +528,6 @@ func (pl *planner) buildHead(it iter, node *PlanNode) (*Rows, *PlanNode, error) 
 				return nil, nil, err
 			}
 			g.groupOffs = append(g.groupOffs, pl.tables[ti].offset+ci)
-			g.groupKinds = append(g.groupKinds, pl.tables[ti].meta.Kinds[ci])
 		}
 		for _, e := range q.Select {
 			columns = append(columns, e.String())
@@ -544,8 +584,8 @@ func (pl *planner) buildHead(it iter, node *PlanNode) (*Rows, *PlanNode, error) 
 					kind = colKind
 				}
 			}
-			g.outs = append(g.outs, groupOut{isAgg: true, slot: len(g.aggSpecs)})
-			g.aggSpecs = append(g.aggSpecs, spec)
+			g.outs = append(g.outs, groupOut{isAgg: true, slot: len(g.aggs)})
+			g.aggs = append(g.aggs, aggAcc{aggSpec: spec})
 			kinds = append(kinds, kind)
 		}
 		node = &PlanNode{op: "group", detail: groupDetail(q), children: []*PlanNode{node}}
@@ -578,7 +618,7 @@ func (pl *planner) buildHead(it iter, node *PlanNode) (*Rows, *PlanNode, error) 
 			}
 		}
 		node = &PlanNode{op: "project", detail: strings.Join(columns, ", "), children: []*PlanNode{node}}
-		it = pl.attach(&projectIter{src: it, offs: offs}, node)
+		it = pl.attach(&projectOp{src: it, offs: offs, out: batch{cols: make([][]string, len(offs))}}, node)
 	}
 
 	if len(q.OrderBy) > 0 {
@@ -595,14 +635,14 @@ func (pl *planner) buildHead(it iter, node *PlanNode) (*Rows, *PlanNode, error) 
 			// ORDER BY + LIMIT: a bounded heap holds the best k rows
 			// instead of materializing and sorting the whole input.
 			node = &PlanNode{op: "top-k", detail: fmt.Sprintf("by %s limit %d", orderDetail(q), q.Limit), children: []*PlanNode{node}}
-			it = pl.attach(&topKIter{src: it, h: topKHeap{keys: keys}, k: q.Limit}, node)
+			it = pl.attach(&topKOp{ctx: pl.ctx, src: it, keys: keys, k: q.Limit}, node)
 		} else {
 			node = &PlanNode{op: "sort", detail: "by " + orderDetail(q), children: []*PlanNode{node}}
-			it = pl.attach(&sortIter{src: it, keys: keys}, node)
+			it = pl.attach(&sortOp{ctx: pl.ctx, src: it, keys: keys}, node)
 		}
 	} else if q.Limit >= 0 {
 		node = &PlanNode{op: "limit", detail: strconv.Itoa(q.Limit), children: []*PlanNode{node}}
-		it = pl.attach(&limitIter{src: it, left: q.Limit}, node)
+		it = pl.attach(&limitOp{src: it, left: q.Limit}, node)
 	}
 	return &Rows{columns: columns, kinds: kinds, it: it}, node, nil
 }
@@ -658,594 +698,3 @@ func findOutputCol(columns []string, e SelectExpr) (int, error) {
 	return 0, fmt.Errorf("query: ORDER BY %s does not name an output column (have %s)",
 		name, strings.Join(columns, ", "))
 }
-
-// compareVals orders two cell values: numerically when asked and both
-// parse, lexicographically otherwise.
-func compareVals(l, r string, numeric bool) int {
-	if numeric {
-		lf, lerr := strconv.ParseFloat(l, 64)
-		rf, rerr := strconv.ParseFloat(r, 64)
-		if lerr == nil && rerr == nil {
-			switch {
-			case lf < rf:
-				return -1
-			case lf > rf:
-				return 1
-			default:
-				return 0
-			}
-		}
-	}
-	return strings.Compare(l, r)
-}
-
-// eval applies one compiled predicate to a wide row.
-func (cp *compiledPred) eval(row []string) bool {
-	l := row[cp.lOff]
-	r := cp.lit
-	if !cp.isLit {
-		r = row[cp.rOff]
-	}
-	switch cp.op {
-	case "=":
-		return l == r
-	case "!=":
-		return l != r
-	}
-	c := compareVals(l, r, cp.numeric)
-	switch cp.op {
-	case "<":
-		return c < 0
-	case "<=":
-		return c <= 0
-	case ">":
-		return c > 0
-	default: // ">="
-		return c >= 0
-	}
-}
-
-// scanIter adapts a catalog RowIter into the wide-row layout, checking
-// cancellation between rows.
-type scanIter struct {
-	ctx      context.Context
-	rows     RowIter
-	offset   int
-	ncols    int
-	width    int
-	n        int
-	produced int // rows successfully returned, for Rows.Stats
-}
-
-func (s *scanIter) Next() ([]string, error) {
-	if s.n++; s.n&63 == 0 {
-		if err := s.ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	row, err := s.rows.Next()
-	if err != nil {
-		return nil, err
-	}
-	s.produced++
-	wide := make([]string, s.width)
-	copy(wide[s.offset:s.offset+s.ncols], row)
-	return wide, nil
-}
-
-func (s *scanIter) Close() error { return s.rows.Close() }
-
-// filterIter drops rows failing any predicate.
-type filterIter struct {
-	src   iter
-	preds []*compiledPred
-}
-
-func (f *filterIter) Next() ([]string, error) {
-	for {
-		row, err := f.src.Next()
-		if err != nil {
-			return nil, err
-		}
-		ok := true
-		for _, cp := range f.preds {
-			if !cp.eval(row) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return row, nil
-		}
-	}
-}
-
-func (f *filterIter) Close() error { return f.src.Close() }
-
-// hashJoinIter materializes the (filtered) build side into a hash table
-// and streams the probe side through it. With no keys it degenerates to
-// a cross product. Empty intermediates terminate early on both sides:
-// the build runs only after the first probe row arrives (an empty probe
-// never scans the build table), and an empty build stops the probe
-// after that one row.
-type hashJoinIter struct {
-	probe      iter
-	build      iter
-	probeOffs  []int
-	buildOffs  []int
-	buildBlock [2]int // [start, end) of the build table's cells
-	width      int
-
-	started bool
-	built   bool
-	ht      map[string][][]string // key → build blocks
-	all     [][]string            // cross product: every build block
-	cur     []string              // current probe row
-	matches [][]string
-	mi      int
-	done    bool
-}
-
-// joinKey renders the composite key (length-prefixed, so ("a","bc") and
-// ("ab","c") differ).
-func joinKey(row []string, offs []int) string {
-	var b strings.Builder
-	for _, off := range offs {
-		fmt.Fprintf(&b, "%d:", len(row[off]))
-		b.WriteString(row[off])
-	}
-	return b.String()
-}
-
-func (h *hashJoinIter) buildTable() error {
-	h.built = true
-	h.ht = map[string][][]string{}
-	for {
-		row, err := h.build.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		block := make([]string, h.buildBlock[1]-h.buildBlock[0])
-		copy(block, row[h.buildBlock[0]:h.buildBlock[1]])
-		if len(h.buildOffs) == 0 {
-			h.all = append(h.all, block)
-			continue
-		}
-		key := joinKey(row, h.buildOffs)
-		h.ht[key] = append(h.ht[key], block)
-	}
-	h.build.Close()
-	if len(h.ht) == 0 && len(h.all) == 0 {
-		// Empty intermediate: the whole join is empty, skip the probe.
-		h.done = true
-	}
-	return nil
-}
-
-// lookup sets the match list for the current probe row.
-func (h *hashJoinIter) lookup() {
-	if len(h.buildOffs) == 0 {
-		h.matches = h.all
-	} else {
-		h.matches = h.ht[joinKey(h.cur, h.probeOffs)]
-	}
-	h.mi = 0
-}
-
-func (h *hashJoinIter) Next() ([]string, error) {
-	if !h.started {
-		h.started = true
-		row, err := h.probe.Next()
-		if err == io.EOF {
-			// Empty intermediate: never scan the build table.
-			h.done = true
-			h.built = true
-			h.build.Close()
-			return nil, io.EOF
-		}
-		if err != nil {
-			return nil, err
-		}
-		h.cur = row
-		if err := h.buildTable(); err != nil {
-			return nil, err
-		}
-		h.lookup()
-	}
-	for {
-		if h.done {
-			return nil, io.EOF
-		}
-		if h.mi < len(h.matches) {
-			block := h.matches[h.mi]
-			h.mi++
-			out := make([]string, h.width)
-			copy(out, h.cur)
-			copy(out[h.buildBlock[0]:h.buildBlock[1]], block)
-			return out, nil
-		}
-		row, err := h.probe.Next()
-		if err == io.EOF {
-			h.done = true
-			return nil, io.EOF
-		}
-		if err != nil {
-			return nil, err
-		}
-		h.cur = row
-		h.lookup()
-	}
-}
-
-func (h *hashJoinIter) Close() error {
-	err := h.probe.Close()
-	if !h.built {
-		h.build.Close()
-	}
-	return err
-}
-
-// projectIter narrows wide rows to the selected offsets.
-type projectIter struct {
-	src  iter
-	offs []int
-}
-
-func (p *projectIter) Next() ([]string, error) {
-	row, err := p.src.Next()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, len(p.offs))
-	for i, off := range p.offs {
-		out[i] = row[off]
-	}
-	return out, nil
-}
-
-func (p *projectIter) Close() error { return p.src.Close() }
-
-// aggSpec is one aggregate output.
-type aggSpec struct {
-	agg     string // count, sum, avg, min, max
-	off     int    // source offset (-1 for count(*))
-	numeric bool
-	isInt   bool
-}
-
-// groupOut maps one output column to a group-key slot or an aggregate.
-type groupOut struct {
-	isAgg bool
-	slot  int // index into keyVals or aggSpecs
-}
-
-// groupAcc accumulates one group.
-type groupAcc struct {
-	keyVals []string
-	count   []int64
-	sumI    []int64
-	sumF    []float64
-	minMax  []string
-	seen    []bool
-}
-
-// groupIter hash-aggregates the input, emitting groups in first-seen
-// order (deterministic: the input order is deterministic). A query with
-// aggregates but no GROUP BY emits exactly one row, even over empty
-// input.
-type groupIter struct {
-	src        iter
-	groupOffs  []int
-	groupKinds []semtype.Kind
-	aggSpecs   []aggSpec
-	outs       []groupOut
-
-	built  bool
-	groups []*groupAcc
-	pos    int
-}
-
-func (g *groupIter) run() error {
-	g.built = true
-	index := map[string]*groupAcc{}
-	for {
-		row, err := g.src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		key := joinKey(row, g.groupOffs)
-		acc := index[key]
-		if acc == nil {
-			acc = &groupAcc{
-				keyVals: make([]string, len(g.groupOffs)),
-				count:   make([]int64, len(g.aggSpecs)),
-				sumI:    make([]int64, len(g.aggSpecs)),
-				sumF:    make([]float64, len(g.aggSpecs)),
-				minMax:  make([]string, len(g.aggSpecs)),
-				seen:    make([]bool, len(g.aggSpecs)),
-			}
-			for i, off := range g.groupOffs {
-				acc.keyVals[i] = row[off]
-			}
-			index[key] = acc
-			g.groups = append(g.groups, acc)
-		}
-		for i, spec := range g.aggSpecs {
-			g.accumulate(acc, i, spec, row)
-		}
-	}
-	if len(g.groupOffs) == 0 && len(g.groups) == 0 {
-		// Global aggregate over empty input: one all-defaults group.
-		g.groups = append(g.groups, &groupAcc{
-			count:  make([]int64, len(g.aggSpecs)),
-			sumI:   make([]int64, len(g.aggSpecs)),
-			sumF:   make([]float64, len(g.aggSpecs)),
-			minMax: make([]string, len(g.aggSpecs)),
-			seen:   make([]bool, len(g.aggSpecs)),
-		})
-	}
-	return nil
-}
-
-func (g *groupIter) accumulate(acc *groupAcc, i int, spec aggSpec, row []string) {
-	if spec.agg == "count" && spec.off < 0 { // count(*)
-		acc.count[i]++
-		return
-	}
-	v := row[spec.off]
-	if v == "" {
-		return // empty cells don't feed aggregates
-	}
-	switch spec.agg {
-	case "count":
-		acc.count[i]++
-	case "sum", "avg":
-		if spec.isInt {
-			if n, err := strconv.ParseInt(v, 10, 64); err == nil {
-				acc.sumI[i] += n
-				acc.count[i]++
-			}
-		} else if f, err := strconv.ParseFloat(v, 64); err == nil {
-			acc.sumF[i] += f
-			acc.count[i]++
-		}
-	case "min":
-		if !acc.seen[i] || compareVals(v, acc.minMax[i], spec.numeric) < 0 {
-			acc.minMax[i] = v
-		}
-		acc.seen[i] = true
-	case "max":
-		if !acc.seen[i] || compareVals(v, acc.minMax[i], spec.numeric) > 0 {
-			acc.minMax[i] = v
-		}
-		acc.seen[i] = true
-	}
-}
-
-// render formats one aggregate's final value.
-func (g *groupIter) render(acc *groupAcc, i int) string {
-	spec := g.aggSpecs[i]
-	switch spec.agg {
-	case "count":
-		return strconv.FormatInt(acc.count[i], 10)
-	case "sum":
-		if acc.count[i] == 0 {
-			return ""
-		}
-		if spec.isInt {
-			return strconv.FormatInt(acc.sumI[i], 10)
-		}
-		return strconv.FormatFloat(acc.sumF[i], 'g', -1, 64)
-	case "avg":
-		if acc.count[i] == 0 {
-			return ""
-		}
-		total := acc.sumF[i]
-		if spec.isInt {
-			total = float64(acc.sumI[i])
-		}
-		return strconv.FormatFloat(total/float64(acc.count[i]), 'g', -1, 64)
-	default: // min, max
-		return acc.minMax[i]
-	}
-}
-
-func (g *groupIter) Next() ([]string, error) {
-	if !g.built {
-		if err := g.run(); err != nil {
-			return nil, err
-		}
-	}
-	if g.pos >= len(g.groups) {
-		return nil, io.EOF
-	}
-	acc := g.groups[g.pos]
-	g.pos++
-	out := make([]string, len(g.outs))
-	for i, o := range g.outs {
-		if o.isAgg {
-			out[i] = g.render(acc, o.slot)
-		} else {
-			out[i] = acc.keyVals[o.slot]
-		}
-	}
-	return out, nil
-}
-
-func (g *groupIter) Close() error { return g.src.Close() }
-
-// sortKey is one ORDER BY key over output columns.
-type sortKey struct {
-	col     int
-	desc    bool
-	numeric bool
-}
-
-// sortIter materializes and stably sorts the input.
-type sortIter struct {
-	src   iter
-	keys  []sortKey
-	built bool
-	rows  [][]string
-	pos   int
-}
-
-func (s *sortIter) Next() ([]string, error) {
-	if !s.built {
-		s.built = true
-		for {
-			row, err := s.src.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return nil, err
-			}
-			s.rows = append(s.rows, row)
-		}
-		sort.SliceStable(s.rows, func(a, b int) bool {
-			for _, k := range s.keys {
-				c := compareVals(s.rows[a][k.col], s.rows[b][k.col], k.numeric)
-				if k.desc {
-					c = -c
-				}
-				if c != 0 {
-					return c < 0
-				}
-			}
-			return false
-		})
-	}
-	if s.pos >= len(s.rows) {
-		return nil, io.EOF
-	}
-	row := s.rows[s.pos]
-	s.pos++
-	return row, nil
-}
-
-func (s *sortIter) Close() error { return s.src.Close() }
-
-// topKRow is one heap entry: the row plus its input sequence number,
-// the final ordering key that reproduces a stable sort's tie handling.
-type topKRow struct {
-	row []string
-	seq int
-}
-
-// topKHeap is a max-heap under (sort keys, input sequence): the root
-// is the worst retained row, the one a better arrival evicts.
-type topKHeap struct {
-	rows []topKRow
-	keys []sortKey
-}
-
-func (h *topKHeap) Len() int { return len(h.rows) }
-
-// after reports a ordering strictly after b.
-func (h *topKHeap) after(a, b topKRow) bool {
-	for _, k := range h.keys {
-		c := compareVals(a.row[k.col], b.row[k.col], k.numeric)
-		if k.desc {
-			c = -c
-		}
-		if c != 0 {
-			return c > 0
-		}
-	}
-	return a.seq > b.seq
-}
-
-func (h *topKHeap) Less(a, b int) bool { return h.after(h.rows[a], h.rows[b]) }
-func (h *topKHeap) Swap(a, b int)      { h.rows[a], h.rows[b] = h.rows[b], h.rows[a] }
-func (h *topKHeap) Push(x any)         { h.rows = append(h.rows, x.(topKRow)) }
-func (h *topKHeap) Pop() any {
-	last := h.rows[len(h.rows)-1]
-	h.rows = h.rows[:len(h.rows)-1]
-	return last
-}
-
-// topKIter keeps the k first rows of the sorted output using a bounded
-// heap — ORDER BY + LIMIT without materializing the input. The input
-// sequence number is the last ordering key, so the emitted rows are
-// exactly a stable full sort's first k.
-type topKIter struct {
-	src   iter
-	h     topKHeap
-	k     int
-	built bool
-	rows  [][]string
-	pos   int
-}
-
-func (t *topKIter) run() error {
-	t.built = true
-	seq := 0
-	for {
-		row, err := t.src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		if t.k <= 0 {
-			continue
-		}
-		tr := topKRow{row: row, seq: seq}
-		seq++
-		if len(t.h.rows) < t.k {
-			heap.Push(&t.h, tr)
-		} else if t.h.after(t.h.rows[0], tr) {
-			t.h.rows[0] = tr
-			heap.Fix(&t.h, 0)
-		}
-	}
-	t.rows = make([][]string, len(t.h.rows))
-	for i := len(t.rows) - 1; i >= 0; i-- {
-		t.rows[i] = heap.Pop(&t.h).(topKRow).row
-	}
-	return nil
-}
-
-func (t *topKIter) Next() ([]string, error) {
-	if !t.built {
-		if err := t.run(); err != nil {
-			return nil, err
-		}
-	}
-	if t.pos >= len(t.rows) {
-		return nil, io.EOF
-	}
-	row := t.rows[t.pos]
-	t.pos++
-	return row, nil
-}
-
-func (t *topKIter) Close() error { return t.src.Close() }
-
-// limitIter stops after n rows.
-type limitIter struct {
-	src  iter
-	left int
-}
-
-func (l *limitIter) Next() ([]string, error) {
-	if l.left <= 0 {
-		return nil, io.EOF
-	}
-	row, err := l.src.Next()
-	if err != nil {
-		return nil, err
-	}
-	l.left--
-	return row, nil
-}
-
-func (l *limitIter) Close() error { return l.src.Close() }

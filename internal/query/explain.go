@@ -16,9 +16,9 @@ import (
 // rows (a single "plan" column, one row per line), so all three query
 // surfaces — the Go API, the CLI and /v1/query — emit byte-identical,
 // golden-pinnable plans through the existing CSV/NDJSON writers. Under
-// ExplainAnalyze every operator is wrapped with a row/wall-time
-// recorder, the query drains fully, and the same tree renders with
-// per-operator rows, wall time and — for scans — blocks decoded vs
+// ExplainAnalyze every operator is wrapped with a recorder, the query
+// drains fully, and the same tree renders with per-operator rows and
+// batches handed upward, wall time and — for scans — blocks decoded vs
 // zone-map-pruned. Timings appear only in analyze output, never in a
 // plan-only explain and never in normal results.
 
@@ -33,8 +33,8 @@ const (
 	// and close, but no rows are read). Output is deterministic.
 	ExplainPlan
 	// ExplainAnalyze executes the query to completion and returns the
-	// plan tree annotated with per-operator rows, timings and scan
-	// block counters. Output contains wall times and is not golden.
+	// plan tree annotated with per-operator rows, batches, timings and
+	// scan block counters. Output contains wall times and is not golden.
 	ExplainAnalyze
 )
 
@@ -63,10 +63,11 @@ type PlanNode struct {
 	detail   string
 	children []*PlanNode
 
-	// analyze-time stats, filled by statIter wrappers
-	rows int
-	wall time.Duration
-	scan *scanIter // scan nodes only: source of block counters
+	// analyze-time stats, filled by statOp wrappers
+	rows    int
+	batches int
+	wall    time.Duration
+	scan    *scanOp // scan nodes only: source of block counters
 }
 
 // blockStatser is implemented by scan backends that can report block
@@ -82,7 +83,7 @@ func (n *PlanNode) label(analyze bool) string {
 		s += " " + n.detail
 	}
 	if analyze {
-		s += fmt.Sprintf(" rows=%d", n.rows)
+		s += fmt.Sprintf(" rows=%d batches=%d", n.rows, n.batches)
 		if n.scan != nil {
 			if bs, ok := n.scan.rows.(blockStatser); ok {
 				d, p, _ := bs.BlockStats()
@@ -113,31 +114,33 @@ func fmtDur(d time.Duration) string {
 	return d.Round(time.Microsecond).String()
 }
 
-// statIter wraps an operator under ExplainAnalyze, accumulating rows
-// produced and inclusive wall time into its plan node.
-type statIter struct {
+// statOp wraps an operator under ExplainAnalyze, accumulating the rows
+// and batches it hands upward and its inclusive wall time into its plan
+// node.
+type statOp struct {
 	src  iter
 	node *PlanNode
 }
 
-func (s *statIter) Next() ([]string, error) {
+func (s *statOp) Next() (*batch, error) {
 	t0 := time.Now()
-	row, err := s.src.Next()
+	b, err := s.src.Next()
 	s.node.wall += time.Since(t0)
 	if err == nil {
-		s.node.rows++
+		s.node.rows += len(b.sel)
+		s.node.batches++
 	}
-	return row, err
+	return b, err
 }
 
-func (s *statIter) Close() error { return s.src.Close() }
+func (s *statOp) Close() error { return s.src.Close() }
 
 // attach wraps it with a stat recorder when analyzing; otherwise the
-// iterator passes through untouched (zero overhead on the normal
+// operator passes through untouched (zero overhead on the normal
 // path).
 func (pl *planner) attach(it iter, n *PlanNode) iter {
 	if pl.mode == ExplainAnalyze {
-		return &statIter{src: it, node: n}
+		return &statOp{src: it, node: n}
 	}
 	return it
 }
@@ -163,22 +166,12 @@ func orderDetail(q *Query) string {
 	return strings.Join(parts, ", ")
 }
 
-// sliceIter streams pre-rendered single-column rows (plan output).
-type sliceIter struct {
-	rows []string
-	pos  int
-}
+// linesOp yields pre-rendered plan lines as one single-column batch.
+type linesOp struct{ res chunks }
 
-func (s *sliceIter) Next() ([]string, error) {
-	if s.pos >= len(s.rows) {
-		return nil, io.EOF
-	}
-	row := []string{s.rows[s.pos]}
-	s.pos++
-	return row, nil
-}
+func (l *linesOp) Next() (*batch, error) { return l.res.next() }
 
-func (s *sliceIter) Close() error { return nil }
+func (l *linesOp) Close() error { return nil }
 
 // planRows packages rendered plan lines as a result stream with a
 // single "plan" column, so explain output flows through the same
@@ -187,14 +180,16 @@ func planRows(lines []string) *Rows {
 	return &Rows{
 		columns: []string{"plan"},
 		kinds:   []semtype.Kind{semtype.KindString},
-		it:      &sliceIter{rows: lines},
+		it:      &linesOp{chunks{cols: [][]string{lines}, order: iota32(0, len(lines))}},
 	}
 }
 
 // ExecStats aggregates a finished (or in-flight) query's scan-side
 // work: rows pulled out of base tables and — against a zone-mapped
 // store — blocks decoded vs pruned. Cheap to collect (plain per-scan
-// counters), so callers can record it on every query.
+// counters), so callers can record it on every query. Scans hand rows
+// upward a block at a time, so a query that stops early (a plain LIMIT)
+// counts the whole of the block that satisfied it.
 type ExecStats struct {
 	RowsScanned   int
 	BlocksDecoded int
@@ -223,7 +218,7 @@ func RunWith(ctx context.Context, cat Catalog, q *Query, opts Options) (*Rows, e
 	if len(q.From) == 0 {
 		return nil, fmt.Errorf("query: no FROM tables")
 	}
-	pl := &planner{cat: cat, q: q, mode: opts.Explain}
+	pl := &planner{ctx: ctx, cat: cat, q: q, mode: opts.Explain}
 	for _, item := range q.From {
 		meta, err := cat.Resolve(item.Table)
 		if err != nil {
@@ -257,7 +252,7 @@ func RunWith(ctx context.Context, cat Catalog, q *Query, opts Options) (*Rows, e
 	}
 
 	order := pl.greedyOrder()
-	it, node, err := pl.buildJoinTree(ctx, order)
+	it, node, err := pl.buildJoinTree(order)
 	if err != nil {
 		return nil, err
 	}
@@ -275,14 +270,15 @@ func RunWith(ctx context.Context, cat Catalog, q *Query, opts Options) (*Rows, e
 		t0 := time.Now()
 		n := 0
 		for {
-			if _, err := rows.Next(); err != nil {
-				if err == io.EOF {
-					break
-				}
+			b, err := rows.it.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
 				rows.Close()
 				return nil, err
 			}
-			n++
+			n += len(b.sel)
 		}
 		total := time.Since(t0)
 		lines := renderPlan(root, true)

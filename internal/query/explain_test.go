@@ -67,13 +67,13 @@ func TestExplainPlan(t *testing.T) {
 	}
 }
 
-// TestExplainAnalyze: the analyzed tree reports per-operator rows and
-// wall time plus a total line, and the row counts are real.
+// TestExplainAnalyze: the analyzed tree reports per-operator rows,
+// batches and wall time plus a total line, and the counts are real.
 func TestExplainAnalyze(t *testing.T) {
 	cat := fixtureCatalog()
 	lines := drainPlan(t, cat, "SELECT f0, f1 FROM jobs WHERE f2 = 'DONE'", ExplainAnalyze)
 	joined := strings.Join(lines, "\n")
-	for _, want := range []string{"rows=", "time=", "total: rows=3 "} {
+	for _, want := range []string{"rows=", "batches=", "time=", "total: rows=3 "} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("analyze missing %q:\n%s", want, joined)
 		}
@@ -88,10 +88,10 @@ func TestExplainAnalyze(t *testing.T) {
 			projLine = l
 		}
 	}
-	if !strings.Contains(scanLine, "rows=5") {
+	if !strings.Contains(scanLine, "rows=5 batches=1 ") {
 		t.Errorf("scan row count wrong: %q", scanLine)
 	}
-	if !strings.Contains(projLine, "rows=3") {
+	if !strings.Contains(projLine, "rows=3 batches=1 ") {
 		t.Errorf("project row count wrong: %q", projLine)
 	}
 }

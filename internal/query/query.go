@@ -1,12 +1,28 @@
 // Package query is a streaming relational query engine over the lake's
-// columnar record store: selection, projection, equi-join, group-by
-// and top-k as composable pull-based iterators, with cost-based greedy
-// join ordering (stored row counts × predicate selectivities from
+// columnar record store: selection, projection, equi-join, group-by,
+// sort and top-k as composable pull-based operators, with cost-based
+// greedy join ordering (stored row counts × predicate selectivities from
 // per-column distinct estimates, natural-join paths through shared
 // columns, early termination on empty intermediates). Against a
 // pushdown-capable catalog (see PushCatalog) the planner pushes each
 // table's needed columns and single-table literal predicates into the
 // scan itself.
+//
+// Execution is block-at-a-time. What an operator's Next returns is a
+// batch (ops.go): the rows of at most one store block as column
+// vectors — the store's own, re-referenced, never copied or widened —
+// plus a selection vector naming the live rows. A filter narrows the
+// selection, a projection re-references columns, group and join keys
+// hash the cell bytes in place, sort and top-k parse a numeric key once
+// per cell. The memory contract is one sentence: a batch is valid until
+// the operator that returned it is asked for the next, and whatever
+// must outlive it (a join's build side, heap entries, group keys, the
+// rows handed to the caller) is copied out, column-wise, so no kept
+// cell keeps a block alive. Rows, the public cursor, carves rows from
+// each output batch; a row-only Catalog enters through rowBatcher,
+// which packs rows into batches. Allocations therefore follow blocks
+// decoded and rows kept, not rows seen, and cancellation is polled once
+// per batch by every scan and every blocking operator.
 //
 // Queries are written in a minimal SELECT-like text form:
 //
@@ -590,7 +606,10 @@ type TableMeta struct {
 	Distincts []int
 }
 
-// RowIter streams rows; Next returns io.EOF after the last row.
+// RowIter streams rows; Next returns io.EOF after the last row. A
+// RowIter that also has the record store's
+// NextBatch() (*lake.Batch, error) is read a column batch at a time
+// instead, and its Next is never called.
 type RowIter interface {
 	Next() ([]string, error)
 	Close() error
@@ -608,7 +627,7 @@ type Catalog interface {
 
 // PushPred is one single-table literal predicate the planner pushes
 // into a scan: column index Op literal, with the executor's comparison
-// semantics (Numeric mirrors compareVals — ordering is numeric only
+// semantics (Numeric mirrors compareKeyed — ordering is numeric only
 // when the column kind is numeric and both sides parse).
 type PushPred struct {
 	Col     int

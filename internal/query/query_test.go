@@ -3,6 +3,7 @@ package query
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -350,6 +351,87 @@ func TestContextCancellation(t *testing.T) {
 	}
 	if !sawErr {
 		t.Fatal("cancelled scan kept going")
+	}
+}
+
+// pollCtx is a context that reports cancellation from its n-th Err
+// poll on: a deterministic stand-in for a deadline that passes while
+// the query is deep inside an operator.
+type pollCtx struct {
+	context.Context
+	polls, cancelAt int
+}
+
+func (c *pollCtx) Err() error {
+	if c.polls++; c.polls > c.cancelAt {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCancellationInsideBlockingOperators: a cross join fans two
+// one-batch tables out into a thousand output batches, so once its
+// inputs are read no scan runs again for the rest of the query — only
+// the operators' own per-batch polls can notice a cancellation. Under
+// an aggregate, a sort and a top-k alike the query must come back with
+// the context's error, not run to completion (the serve daemon's 504
+// path waits on exactly this).
+func TestCancellationInsideBlockingOperators(t *testing.T) {
+	rows := make([][]string, 1000)
+	for i := range rows {
+		rows[i] = []string{fmt.Sprint(i)}
+	}
+	cat := memCatalog{
+		"l": mkTable("l", []string{"f0"}, []semtype.Kind{semtype.KindInt}, rows...),
+		"r": mkTable("r", []string{"f0"}, []semtype.Kind{semtype.KindInt}, rows...),
+	}
+	for _, text := range []string{
+		"SELECT count(*) FROM l, r",
+		"SELECT l.f0, count(*) FROM l, r GROUP BY l.f0",
+		"SELECT l.f0 FROM l, r ORDER BY l.f0",
+		"SELECT l.f0 FROM l, r ORDER BY l.f0 DESC LIMIT 3",
+	} {
+		q, err := Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The scans poll four times in all (a batch and the end, each);
+		// the budget lets them finish and the join start expanding.
+		ctx := &pollCtx{Context: context.Background(), cancelAt: 50}
+		out, err := Run(ctx, cat, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for err == nil {
+			_, err = out.Next()
+			n++
+		}
+		out.Close()
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: ended with %v after %d rows, want context.Canceled", text, err, n-1)
+		}
+	}
+}
+
+// TestLimitStopsAtTheBatchThatSatisfiesIt: a plain LIMIT pulls one
+// batch from its scan, not the table.
+func TestLimitStopsAtTheBatchThatSatisfiesIt(t *testing.T) {
+	big := make([][]string, 10*batchRows)
+	for i := range big {
+		big[i] = []string{fmt.Sprint(i)}
+	}
+	it := &memIter{rows: big}
+	cat := trackingCatalog{
+		inner: memCatalog{"big": mkTable("big", []string{"f0"}, []semtype.Kind{semtype.KindInt}, big...)},
+		track: map[string]*memIter{"big": it},
+	}
+	_, rows := collect(t, cat, "SELECT f0 FROM big LIMIT 5")
+	if len(rows) != 5 || rows[4][0] != "4" {
+		t.Fatalf("rows: %v", rows)
+	}
+	if it.reads > batchRows {
+		t.Fatalf("LIMIT 5 read %d rows from the scan, want at most one batch (%d)", it.reads, batchRows)
 	}
 }
 

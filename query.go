@@ -24,7 +24,7 @@ type QueryOptions struct {
 	// Explain selects an explain mode instead of result rows: "plan"
 	// returns the plan tree without executing (deterministic), and
 	// "analyze" executes the query and annotates the tree with
-	// per-operator rows, wall times, and scan blocks decoded vs
+	// per-operator rows, batches, wall times, and scan blocks decoded vs
 	// zone-map-pruned. Either way the output is a single-column "plan"
 	// row stream, byte-identical across the Go API, the CLI and
 	// /v1/query. Empty ("" or "none") runs the query normally.
@@ -110,10 +110,11 @@ func (r *QueryRows) WriteNDJSON(w io.Writer) error { return query.WriteNDJSON(w,
 // Tables are format fingerprints (unique prefixes accepted, "_<k>"
 // suffix for record types beyond the first); columns are the
 // denormalized f0..fN. Predicates compare a column to a literal or to
-// another column (equi-joins). Execution streams: selection, projection,
-// hash equi-join and group-by run as pull iterators over segment scans,
+// another column (equi-joins). Execution streams a block at a time:
+// selection, projection, hash equi-join, group-by, sort and top-k run
+// as pull operators over the column batches the segment scans decode,
 // joins ordered greedily by visible selectivity, and ctx cancels the
-// run between rows.
+// run between batches.
 func Query(ctx context.Context, text string, opts QueryOptions) (*QueryRows, error) {
 	explain, err := query.ParseExplainMode(opts.Explain)
 	if err != nil {

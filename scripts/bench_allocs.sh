@@ -10,6 +10,12 @@
 # The lake's MatchSample is held to one ceiling at two sample sizes: it
 # allocates a line index and the compiled matchers, nothing per record —
 # a regression re-materializes records on the crawl's match stage.
+# The query engine's five shapes run at two table sizes against one
+# ceiling of the form constant + per-block × blocks: its allocations are
+# per query (plan, files, footers, groups, heap entries) and per block
+# decoded (one string per column, one row slab per output batch), never
+# per row — an operator that goes back to allocating per row adds a
+# thousand a block and fails at either size.
 #
 # Usage: sh scripts/bench_allocs.sh
 set -eu
@@ -25,6 +31,9 @@ $(go test -run '^$' -bench 'BenchmarkGenSTSteadyState' \
 out="$out
 $(go test -run '^$' -bench 'BenchmarkMatchSample' \
 	-benchmem -benchtime 100x ./internal/lake)"
+out="$out
+$(go test -run '^$' -bench 'BenchmarkQueryShapes' \
+	-benchmem -benchtime 20x ./internal/query)"
 echo "$out"
 
 fail=0
@@ -46,10 +55,22 @@ check() {
 	fi
 }
 
+# check_blocks <shape> <allocs-per-query> <allocs-per-block>
+check_blocks() {
+	for blocks in 16 64; do
+		check "QueryShapes/$1/blocks=$blocks" $(($2 + $3 * blocks))
+	done
+}
+
 check ScanNoiseReject 0
 check ScanArenaReuse 0
 check GenSTSteadyState 0
 check MatchSample/records=500 16
 check MatchSample/records=8000 16
+check_blocks scan 400 12
+check_blocks wide 250 12
+check_blocks join 700 20
+check_blocks topk 800 6
+check_blocks groupby 450 3
 
 exit $fail
