@@ -16,8 +16,8 @@ test:
 test-short:
 	$(GO) test -short ./...
 
-# Race job over the concurrent packages (parser fan-out, streaming
-# pipeline, chunk reader, lake crawl, incremental follow, serve daemon)
+# Race job over the concurrent packages (parser fan-out, extraction
+# engine, chunk reader, lake crawl, incremental follow, serve daemon)
 # plus the generation/template hot path (single-goroutine, but its oracle
 # equivalence suite must also hold under the race runtime's different
 # allocation and scheduling behavior) and the query engine (its
@@ -48,16 +48,21 @@ bench-allocs:
 
 # Fuzz smoke: run each native fuzz target briefly so CI exercises the
 # generation-engine oracle (FuzzGenerate pins the shape-interned engine
-# to the reference), the reduction invariants (FuzzReduce) and the
+# to the reference), the reduction invariants (FuzzReduce), the
 # segment reader on hostile bytes (FuzzSegmentScan: no panic, no
-# allocation out of proportion to the file, row view ≡ batch view) on
-# fuzzer-mutated inputs, not just the committed corpora. The segment
-# target caps the minimizer, which would otherwise spend the whole ten
-# seconds shrinking the first interesting input.
+# allocation out of proportion to the file, row view ≡ batch view) and
+# the profile loader plus the extraction engine behind it
+# (FuzzProfileApply: arbitrary profile JSON × arbitrary data — no panic,
+# slice door ≡ reader door at 64-byte shards ≡ the tree-walking oracle's
+# residue chain) on fuzzer-mutated inputs, not just the committed
+# corpora. The segment and profile targets cap the minimizer, which
+# would otherwise spend the whole ten seconds shrinking the first
+# interesting input.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzGenerate$$' -fuzztime 10s ./internal/generation
 	$(GO) test -run '^$$' -fuzz '^FuzzReduce$$' -fuzztime 10s ./internal/template
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentScan$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/lake
+	$(GO) test -run '^$$' -fuzz '^FuzzProfileApply$$' -fuzztime 10s -fuzzminimizetime 1s .
 
 # Golden-corpus check: the fixture lake must index byte-identically to
 # the committed outputs (see scripts/golden_lake.sh).

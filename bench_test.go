@@ -12,6 +12,7 @@ package datamaran
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"testing"
 
@@ -21,12 +22,19 @@ import (
 	"datamaran/internal/experiments"
 	"datamaran/internal/generation"
 	"datamaran/internal/parser"
+	"datamaran/internal/pipeline"
 	"datamaran/internal/recordbreaker"
 	"datamaran/internal/score"
 	"datamaran/internal/template"
 	"datamaran/internal/textio"
 	"datamaran/internal/wrangler"
 )
+
+// extractCore runs the full path with discovery options only: discovery on
+// all of data, then the extraction engine, through its in-memory door.
+func extractCore(data []byte, opts core.Options) (*core.Result, error) {
+	return pipeline.RunBytes(context.Background(), data, pipeline.Config{Core: opts})
+}
 
 // --- §5.2.1: the 25 manually collected datasets (E1) ---
 
@@ -36,7 +44,7 @@ func BenchmarkManualDatasets25(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ok := 0
 		for _, d := range datasets {
-			res, err := core.Extract(d.Data, core.Options{})
+			res, err := extractCore(d.Data, core.Options{})
 			if err != nil {
 				continue
 			}
@@ -57,7 +65,7 @@ func benchSize(b *testing.B, rows int, mode generation.SearchMode) {
 	b.SetBytes(int64(len(d.Data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Extract(d.Data, core.Options{Search: mode}); err != nil {
+		if _, err := extractCore(d.Data, core.Options{Search: mode}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -74,7 +82,7 @@ func benchComplexity(b *testing.B, k int, mode generation.SearchMode) {
 	d := datagen.InterleavedTypes(k, 200, 500)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Extract(d.Data, core.Options{Search: mode}); err != nil {
+		if _, err := extractCore(d.Data, core.Options{Search: mode}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -91,7 +99,7 @@ func benchParams(b *testing.B, opts core.Options) {
 	d := datagen.LogFile2(400, 91)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Extract(d.Data, opts); err != nil {
+		if _, err := extractCore(d.Data, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -143,13 +151,13 @@ func benchCorpus(b *testing.B, run func(d *datagen.Dataset)) {
 
 func BenchmarkFig17CorpusExhaustive(b *testing.B) {
 	benchCorpus(b, func(d *datagen.Dataset) {
-		core.Extract(d.Data, core.Options{Search: generation.Exhaustive})
+		extractCore(d.Data, core.Options{Search: generation.Exhaustive})
 	})
 }
 
 func BenchmarkFig17CorpusGreedy(b *testing.B) {
 	benchCorpus(b, func(d *datagen.Dataset) {
-		core.Extract(d.Data, core.Options{Search: generation.Greedy})
+		extractCore(d.Data, core.Options{Search: generation.Greedy})
 	})
 }
 
@@ -163,7 +171,7 @@ func BenchmarkFig17CorpusRecordBreaker(b *testing.B) {
 
 func BenchmarkUserStudy(b *testing.B) {
 	d := datagen.LogFile5(80, 64)
-	res, err := core.Extract(d.Data, core.Options{})
+	res, err := extractCore(d.Data, core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -298,14 +306,15 @@ func BenchmarkStreamExtract16MBWorkers1(b *testing.B) { benchStream(b, streamBen
 func BenchmarkStreamExtract16MBWorkers2(b *testing.B) { benchStream(b, streamBenchInput(16), 2) }
 func BenchmarkStreamExtract16MBWorkers4(b *testing.B) { benchStream(b, streamBenchInput(16), 4) }
 
-// BenchmarkStreamVsInMemory16MB is the sequential in-memory baseline for
-// the worker-scaling benches above.
+// BenchmarkStreamVsInMemory16MB is the baseline for the worker-scaling
+// benches above: the same input through the slice door on one worker,
+// discovered whole instead of from a prefix.
 func BenchmarkStreamVsInMemory16MB(b *testing.B) {
 	data := streamBenchInput(16)
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Extract(data, Options{}); err != nil {
+		if _, err := Extract(data, Options{Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -53,9 +53,9 @@ func main() {
 	typed := flag.Bool("typed", false, "emit denormalized tables with semantic type merging (IPs, times, ...)")
 	saveProfile := flag.String("save-profile", "", "write the learned structure profile (JSON) to this file")
 	useProfile := flag.String("profile", "", "skip discovery: apply a previously saved profile")
-	stream := flag.Bool("stream", false, "use the streaming sharded engine (bounded memory; discovery on a prefix)")
-	workers := flag.Int("workers", 0, "extraction parallelism (0 = all cores for -stream, sequential otherwise)")
-	shardSize := flag.Int("shard-size", 0, "streaming shard size in bytes (0 = 1 MiB)")
+	stream := flag.Bool("stream", false, "read the file as a stream: discover on a bounded prefix instead of the whole file (bounded memory)")
+	workers := flag.Int("workers", 0, "extraction parallelism (0 = all cores)")
+	shardSize := flag.Int("shard-size", 0, "extraction shard size in bytes (0 = 1 MiB)")
 	quiet := flag.Bool("q", false, "suppress the structure summary")
 	flag.Parse()
 
@@ -81,10 +81,10 @@ func main() {
 	var res *datamaran.Result
 	var err error
 	switch {
-	case *useProfile != "" && *stream:
-		res, err = streamWithSavedProfile(flag.Arg(0), *useProfile, opts)
 	case *useProfile != "":
-		res, err = extractWithSavedProfile(flag.Arg(0), *useProfile, opts)
+		// Nothing is discovered, so reading the file whole would change
+		// no byte of output: a profile is always applied as a stream.
+		res, err = streamWithSavedProfile(flag.Arg(0), *useProfile, opts)
 	case *stream:
 		res, err = streamFile(flag.Arg(0), opts)
 	default:
@@ -148,8 +148,8 @@ func main() {
 	}
 }
 
-// streamFile extracts through the streaming sharded engine: the file is
-// consumed shard by shard instead of being read whole.
+// streamFile extracts the file as a stream: it is consumed shard by shard
+// instead of being read whole, and discovery sees a bounded prefix.
 func streamFile(path string, opts datamaran.Options) (*datamaran.Result, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -194,17 +194,4 @@ func writeProfile(res *datamaran.Result, path string) error {
 		return err
 	}
 	return os.WriteFile(path, raw, 0o644)
-}
-
-// extractWithSavedProfile applies a saved profile, skipping discovery.
-func extractWithSavedProfile(logPath, profilePath string, opts datamaran.Options) (*datamaran.Result, error) {
-	p, err := loadProfile(profilePath)
-	if err != nil {
-		return nil, err
-	}
-	data, err := os.ReadFile(logPath)
-	if err != nil {
-		return nil, err
-	}
-	return datamaran.ExtractWithProfileParallel(data, p, opts.Workers)
 }

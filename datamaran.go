@@ -30,6 +30,7 @@
 package datamaran
 
 import (
+	"context"
 	"io"
 	"os"
 	"time"
@@ -77,51 +78,40 @@ type Options struct {
 	// DisableRefinement turns off array unfolding and structure
 	// shifting (exposed for ablation studies).
 	DisableRefinement bool
-	// Workers sets the goroutine parallelism of the extraction scans
-	// and of the streaming engine's per-shard matching. 0 means
-	// GOMAXPROCS for ExtractReader/ExtractStream and sequential for
-	// Extract; 1 forces sequential everywhere.
+	// Workers sets the goroutine parallelism of the extraction engine's
+	// per-shard matching, for every Extract* entry point: 0 means
+	// GOMAXPROCS, 1 is sequential. The output never depends on it.
 	Workers int
-	// ShardSize is the target shard size in bytes for the streaming
-	// engine (ExtractReader, ExtractStream). 0 means 1 MiB.
+	// ShardSize is the extraction engine's batch granularity in bytes.
+	// 0 means 1 MiB. The output never depends on it.
 	ShardSize int
-	// DiscoveryBudget caps the input prefix buffered by the streaming
-	// engine for structure discovery. 0 means 8 MiB. Inputs no larger
-	// than the budget produce results identical to Extract.
+	// DiscoveryBudget caps the input prefix ExtractReader and
+	// ExtractStream buffer for structure discovery. 0 means 8 MiB.
+	// Inputs no larger than the budget produce results identical to
+	// Extract, which always discovers on the whole input.
 	DiscoveryBudget int
 }
 
-func (o Options) internal() core.Options {
-	opts := core.Options{
-		Alpha:             o.Alpha,
-		MaxSpan:           o.MaxSpan,
-		TopM:              o.TopM,
-		MaxRecordTypes:    o.MaxRecordTypes,
-		SampleBudget:      o.SampleBudget,
-		EvalBudget:        o.EvalBudget,
-		DisableRefinement: o.DisableRefinement,
-		Workers:           o.Workers,
-	}
-	if o.Search == Greedy {
-		opts.Search = generation.Greedy
-	}
-	return opts
-}
-
-// pipelineConfig maps the public options onto the streaming engine.
-func (o Options) pipelineConfig() pipeline.Config {
-	workers := o.Workers
-	if workers == 0 {
-		workers = -1 // streaming default: use all cores
-	}
-	co := o.internal()
-	co.Workers = workers
-	return pipeline.Config{
-		Core:            co,
+// config maps the public options onto the extraction engine.
+func (o Options) config() pipeline.Config {
+	cfg := pipeline.Config{
+		Core: core.Options{
+			Alpha:             o.Alpha,
+			MaxSpan:           o.MaxSpan,
+			TopM:              o.TopM,
+			MaxRecordTypes:    o.MaxRecordTypes,
+			SampleBudget:      o.SampleBudget,
+			EvalBudget:        o.EvalBudget,
+			DisableRefinement: o.DisableRefinement,
+		},
 		ShardSize:       o.ShardSize,
-		Workers:         workers,
+		Workers:         o.Workers,
 		DiscoveryBudget: o.DiscoveryBudget,
 	}
+	if o.Search == Greedy {
+		cfg.Core.Search = generation.Greedy
+	}
+	return cfg
 }
 
 // Field is one extracted field value.
@@ -192,13 +182,10 @@ type Result struct {
 	res *core.Result
 }
 
-// Extract runs Datamaran on data.
+// Extract runs Datamaran on data: structure discovery on the whole input,
+// then the extraction engine over it.
 func Extract(data []byte, opts Options) (*Result, error) {
-	res, err := core.Extract(data, opts.internal())
-	if err != nil {
-		return nil, err
-	}
-	return wrapResult(res), nil
+	return extract(nil, data, nil, opts, nil)
 }
 
 // wrapResult converts the internal result into the public form.
@@ -274,10 +261,10 @@ func publicRecord(r core.RecordOut) Record {
 	return rec
 }
 
-// ExtractReader runs the streaming, sharded extraction engine on r: the
-// input is consumed as line-aligned shards, structure discovery runs on a
-// bounded prefix (Options.DiscoveryBudget), and extraction fans per-shard
-// template matching out over Options.Workers goroutines. The input is
+// ExtractReader is Extract over a stream: the input is consumed as
+// line-aligned shards, structure discovery runs on a bounded prefix
+// (Options.DiscoveryBudget), and extraction fans per-shard template
+// matching out over Options.Workers goroutines. The input is
 // never buffered whole — memory stays bounded by a few shards per record
 // type (the extracted records themselves are still materialized into the
 // Result; use ExtractStream to bound that too).
@@ -285,7 +272,7 @@ func publicRecord(r core.RecordOut) Record {
 // For inputs no larger than the discovery budget the result's structures,
 // records and noise lines are identical to Extract's.
 func ExtractReader(r io.Reader, opts Options) (*Result, error) {
-	return extractReader(r, nil, opts, nil)
+	return extract(r, nil, nil, opts, nil)
 }
 
 // ExtractStream is ExtractReader in bounded-memory form: every record is
@@ -298,16 +285,16 @@ func ExtractReader(r io.Reader, opts Options) (*Result, error) {
 // needed. Memory is bounded except for the noise line indices, which
 // still accumulate into Result.NoiseLines (8 bytes per unmatched line).
 func ExtractStream(r io.Reader, opts Options, fn func(Record) error) (*Result, error) {
-	return extractReader(r, nil, opts, fn)
+	return extract(r, nil, nil, opts, fn)
 }
 
-// extractReader is the one streaming entry point behind ExtractReader,
-// ExtractStream and their WithProfile forms: a nil profile means discover
+// extract is the one entry point behind every Extract* function. The
+// input is r, or the slice data when r is nil; a nil profile means discover
 // first, a nil fn means accumulate the records into the Result. In
 // callback mode the per-structure MultiLine flag (normally derived from
 // Result.Records) is reconstructed from the records flowing past.
-func extractReader(r io.Reader, p *Profile, opts Options, fn func(Record) error) (*Result, error) {
-	cfg := opts.pipelineConfig()
+func extract(r io.Reader, data []byte, p *Profile, opts Options, fn func(Record) error) (*Result, error) {
+	cfg := opts.config()
 	if p != nil {
 		cfg.Templates = p.templates
 	}
@@ -320,7 +307,14 @@ func extractReader(r io.Reader, p *Profile, opts Options, fn func(Record) error)
 			return fn(publicRecord(ro))
 		}
 	}
-	res, err := pipeline.Run(r, cfg)
+	var res *core.Result
+	var err error
+	ctx := context.TODO() // the Extract* signatures carry none
+	if r != nil {
+		res, err = pipeline.RunContext(ctx, r, cfg)
+	} else {
+		res, err = pipeline.RunBytes(ctx, data, cfg)
+	}
 	if err != nil {
 		return nil, err
 	}

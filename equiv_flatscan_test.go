@@ -2,6 +2,7 @@ package datamaran_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -14,6 +15,8 @@ import (
 	"datamaran/internal/datagen"
 	"datamaran/internal/parser"
 	"datamaran/internal/parser/parsertest"
+	"datamaran/internal/pipeline"
+	"datamaran/internal/template"
 	"datamaran/internal/textio"
 )
 
@@ -77,27 +80,34 @@ func sortedNames(m map[string][]byte) []string {
 }
 
 // TestTwoPhaseScanMatchesTreePathOnCorpus discovers structures on every
-// corpus input, then pins the arena-based Scan and ScanParallel (workers
-// 1, 2, 8) to the tree-building oracle — records, field occurrences, array
-// occurrences in order, noise, coverage and field bytes must be identical.
+// corpus input, then pins the arena-based Scan to the tree-building oracle
+// — records, field occurrences, array occurrences in order, noise,
+// coverage and field bytes must be identical — and the extraction engine,
+// at 64-byte shards on eight workers, to the oracle's residue chain over
+// all of the input's templates.
 func TestTwoPhaseScanMatchesTreePathOnCorpus(t *testing.T) {
 	inputs := equivInputs(t)
 	for _, name := range sortedNames(inputs) {
 		data := inputs[name]
-		res, err := core.Extract(data, core.Options{})
+		structures, _, err := core.Discover(context.Background(), data, core.Options{})
 		if err != nil {
 			t.Fatalf("%s: discovery: %v", name, err)
 		}
 		lines := textio.NewLines(data)
-		for _, s := range res.Structures {
-			m := parser.NewMatcher(s.Template)
+		var tpls []*template.Node
+		for _, s := range structures {
+			tpls = append(tpls, s.Template)
 			want := parsertest.New(s.Template).Scan(lines)
-			parsertest.RequireScanEqual(t, name+"/seq", want, m.Scan(lines))
-			for _, workers := range []int{1, 2, 8} {
-				label := fmt.Sprintf("%s/workers%d", name, workers)
-				parsertest.RequireScanEqual(t, label, want, m.ScanParallel(lines, workers))
-			}
+			parsertest.RequireScanEqual(t, name+"/seq", want, parser.NewMatcher(s.Template).Scan(lines))
 		}
+		if len(tpls) == 0 {
+			continue
+		}
+		got, err := pipeline.RunBytes(context.Background(), data, pipeline.Config{Templates: tpls, ShardSize: 64, Workers: 8})
+		if err != nil {
+			t.Fatalf("%s: engine: %v", name, err)
+		}
+		parsertest.RequireResultEqual(t, name+"/engine", parsertest.Apply(tpls, data), got)
 	}
 }
 
@@ -124,7 +134,7 @@ func extractionFingerprint(t *testing.T, r *datamaran.Result) []byte {
 
 // TestExtractWorkerInvariantOnCorpus pins the end-to-end output — records,
 // field values and CSV tables — to be byte-identical across worker counts
-// on every corpus input (the parallel scan path vs the sequential one).
+// on every corpus input.
 // Each input costs three full discovery runs, so it halves the input set
 // on top of equivInputs' own trimming, and skips under the race detector
 // (the scan-level sweep above and the parser/pipeline race suites carry

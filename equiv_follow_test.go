@@ -12,7 +12,7 @@ import (
 	"datamaran/internal/core"
 	"datamaran/internal/datagen"
 	"datamaran/internal/follow"
-	"datamaran/internal/pipeline"
+	"datamaran/internal/parser/parsertest"
 	"datamaran/internal/relational"
 	"datamaran/internal/template"
 )
@@ -54,15 +54,15 @@ var followGoldens = map[string]string{
 // followTemplates learns the profile of data once.
 func followTemplates(t *testing.T, data []byte) []*template.Node {
 	t.Helper()
-	disc, err := core.Extract(data, core.Options{})
+	structures, _, err := core.Discover(context.Background(), data, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(disc.Structures) == 0 {
+	if len(structures) == 0 {
 		t.Fatal("test is vacuous: no structure")
 	}
 	var tpls []*template.Node
-	for _, s := range disc.Structures {
+	for _, s := range structures {
 		tpls = append(tpls, s.Template)
 	}
 	return tpls
@@ -97,10 +97,7 @@ func TestFollowResumeEquivalence(t *testing.T) {
 	for name, data := range followInputs(t) {
 		t.Run(name, func(t *testing.T) {
 			tpls := followTemplates(t, data)
-			oracle, err := pipeline.Run(bytes.NewReader(data), pipeline.Config{Templates: tpls})
-			if err != nil {
-				t.Fatal(err)
-			}
+			oracle := parsertest.Apply(tpls, data)
 			oracleCSV := tablesCSV(t, tpls, oracle.Records)
 			// The lake files' tables are committed as literal goldens
 			// (single-type formats, so one CSV is the whole rendering).

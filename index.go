@@ -190,7 +190,7 @@ func IndexDirContext(ctx context.Context, dir string, opts IndexOptions) (*Index
 		txn = store.Begin()
 	}
 	res, err := lake.IndexContext(ctx, dir, reg, lake.Config{
-		Core:           opts.Extract.internal(),
+		Core:           opts.Extract.config().Core,
 		Workers:        opts.Workers,
 		SampleBytes:    opts.SampleBytes,
 		MatchThreshold: opts.MatchThreshold,

@@ -1,11 +1,21 @@
-// Package core orchestrates the Datamaran pipeline (§4, Figure 9):
-// generation → pruning → evaluation (with structure refinement), followed
-// by the linear-time extraction pass, and the multi-record-type loop of
-// §9.1 that re-runs the pipeline on the unexplained residue until no
-// structure template reaches the coverage threshold.
+// Package core is structure discovery (§4, Figure 9): generation →
+// pruning → evaluation (with structure refinement) over a dataset, and the
+// multi-record-type loop of §9.1 that re-runs the three steps on the
+// unexplained residue until no structure template reaches the coverage
+// threshold. Discover returns the templates it found and where the time
+// went; it extracts nothing. Between rounds it shrinks the residue with a
+// coverage-only walk (parser.Matcher.Residue: covered bytes counted,
+// uncovered lines kept), which is all the loop needs to know about a
+// template's records.
+//
+// Turning bytes into records — the linear extraction pass of §5.2.2 — is
+// internal/pipeline's job, for slices and readers alike. This package
+// keeps the types that pass produces (Result, RecordOut, FieldValue) so
+// every consumer of records shares them, but builds none of them.
 package core
 
 import (
+	"context"
 	"errors"
 	"sort"
 	"time"
@@ -19,8 +29,8 @@ import (
 	"datamaran/internal/textio"
 )
 
-// Options are the user-facing parameters of the pipeline. The zero value
-// selects the paper's defaults: α=10%, L=10, M=50, exhaustive search.
+// Options are the parameters of discovery. The zero value selects the
+// paper's defaults: α=10%, L=10, M=50, exhaustive search.
 type Options struct {
 	// Alpha is the minimum coverage threshold as a fraction (α).
 	Alpha float64
@@ -34,7 +44,8 @@ type Options struct {
 	// MaxRecordTypes bounds the multi-record-type loop. Default 8.
 	MaxRecordTypes int
 	// SampleBudget caps the bytes examined by the generation step
-	// (§9.1 sampling); extraction always runs on the full dataset.
+	// (§9.1 sampling); the residue walk between rounds always runs on
+	// the full dataset.
 	// 0 means the default of 512 KiB; negative disables sampling.
 	SampleBudget int
 	// EvalBudget caps the bytes used to score and refine candidates in
@@ -60,19 +71,6 @@ type Options struct {
 	// score plus the RefineTop best by assimilation rank (an ablation
 	// knob).
 	RefineTop int
-	// Workers sets the goroutine parallelism of the extraction scans
-	// (the "eminently parallelizable" pass of §5.2.2). 0 or 1 keeps the
-	// sequential scan; negative means GOMAXPROCS.
-	Workers int
-}
-
-// scan partitions lines with the template, in parallel when opts.Workers
-// asks for it. ScanParallel is output-identical to Scan.
-func (o Options) scan(m *parser.Matcher, lines *textio.Lines) *parser.ScanResult {
-	if o.Workers == 0 || o.Workers == 1 {
-		return m.Scan(lines)
-	}
-	return m.ScanParallel(lines, o.Workers)
 }
 
 func (o Options) withDefaults() Options {
@@ -178,9 +176,10 @@ type Structure struct {
 	// Score is the regularity score on the (sampled) residue the
 	// structure was discovered in.
 	Score score.Result
-	// Records is the number of records extracted on the full dataset.
-	Records int
-	// Coverage is the byte coverage on the full dataset.
+	// Records is the number of records extracted on the full dataset
+	// and Coverage their byte total. The extraction engine fills both;
+	// Discover leaves them zero.
+	Records  int
 	Coverage int
 	// CandidatesGenerated is K, the number of coverage-surviving
 	// candidates in this round's generation step.
@@ -200,7 +199,7 @@ func (t Timing) Total() time.Duration {
 	return t.Generation + t.Pruning + t.Evaluation + t.Extraction
 }
 
-// Result is the outcome of a full extraction.
+// Result is the outcome of a full extraction (see internal/pipeline).
 type Result struct {
 	Structures []Structure
 	Records    []RecordOut
@@ -212,107 +211,59 @@ type Result struct {
 // ErrEmptyInput is returned when the dataset has no lines.
 var ErrEmptyInput = errors.New("core: empty input")
 
-// Extract runs the full Datamaran pipeline on data.
-func Extract(data []byte, opts Options) (*Result, error) {
+// Discover runs structure discovery on data: per residue round one
+// generation → pruning → evaluation pass, then a coverage-only walk of the
+// winning template over the full residue, whose uncovered lines are the
+// next round's input. It returns the structures in discovery order — the
+// order the extraction engine must apply them in — and the time each step
+// took; the residue walks are charged to Timing.Extraction.
+//
+// ctx is polled between record types and before each candidate is refined,
+// so a cancelled search returns ctx.Err() within one refinement. The
+// generation step of a round is not interruptible.
+func Discover(ctx context.Context, data []byte, opts Options) ([]Structure, Timing, error) {
 	opts = opts.withDefaults()
-	lines := textio.NewLines(data)
-	if lines.N() == 0 {
-		return nil, ErrEmptyInput
+	var timing Timing
+	if len(data) == 0 {
+		return nil, timing, ErrEmptyInput
 	}
-
-	res := &Result{}
-	resid := newResidue(lines)
+	var structures []Structure
 	minCoverage := int(opts.Alpha * float64(len(data)))
-	for typeID := 0; typeID < opts.MaxRecordTypes && len(resid.lines) > 0; typeID++ {
+	resid := data
+	for typeID := 0; typeID < opts.MaxRecordTypes && len(resid) > 0; typeID++ {
+		if err := ctx.Err(); err != nil {
+			return nil, timing, err
+		}
 		// Assumption 1's threshold is α% of the *dataset*, not of the
 		// shrinking residue: rescale α so leftover junk lines cannot
 		// qualify as a record type once they dominate the residue.
-		effAlpha := opts.Alpha * float64(len(data)) / float64(len(resid.data))
+		effAlpha := opts.Alpha * float64(len(data)) / float64(len(resid))
 		if effAlpha > 1 {
 			break
 		}
-		stats, ok := discoverOne(resid.data, opts, effAlpha, res)
+		s, ok, err := discoverOne(ctx, resid, opts, effAlpha, &timing)
+		if err != nil {
+			return nil, timing, err
+		}
 		if !ok {
 			break
 		}
-		stats.TypeID = typeID
-		if !resid.apply(res, stats, opts, minCoverage) {
+		t0 := time.Now()
+		next, _, ok := parser.NewMatcher(s.Template).Residue(textio.NewLines(resid), true, len(resid)-minCoverage)
+		timing.Extraction += time.Since(t0)
+		if !ok {
 			break // sampling artifact: template does not hold up on the full residue
 		}
+		s.TypeID = typeID
+		structures = append(structures, s)
+		resid = next
 	}
-
-	res.NoiseLines = resid.lines
-	return res, nil
-}
-
-// residue is the still-unexplained part of a dataset: its bytes, and per
-// residue line the index of the line it was in the original dataset.
-type residue struct {
-	orig  *textio.Lines
-	data  []byte
-	lines []int
-}
-
-func newResidue(orig *textio.Lines) *residue {
-	r := &residue{orig: orig, data: orig.Data(), lines: make([]int, orig.N())}
-	for i := range r.lines {
-		r.lines[i] = i
-	}
-	return r
-}
-
-// apply is the extraction step: it scans the residue with s.Template and,
-// unless the scan covers fewer than minCoverage bytes (then nothing
-// changes and it returns false), appends the structure and its records —
-// translated to original coordinates — to res and shrinks the residue to
-// the scan's noise lines.
-func (r *residue) apply(res *Result, s Structure, opts Options, minCoverage int) bool {
-	t0 := time.Now()
-	rl := textio.NewLines(r.data)
-	scan := opts.scan(parser.NewMatcher(s.Template), rl)
-	res.Timing.Extraction += time.Since(t0)
-	if scan.Coverage < minCoverage {
-		return false
-	}
-	s.Records = len(scan.Records)
-	s.Coverage = scan.Coverage
-	res.Structures = append(res.Structures, s)
-
-	byteShift := makeByteShift(rl, r.lines, r.orig)
-	for ri, rec := range scan.Records {
-		out := RecordOut{
-			TypeID:    s.TypeID,
-			StartLine: r.lines[rec.StartLine],
-			EndLine:   r.lines[rec.EndLine-1] + 1,
-		}
-		fields := scan.Fields(ri)
-		out.Fields = make([]FieldValue, 0, len(fields))
-		for _, f := range fields {
-			out.Fields = append(out.Fields, FieldValue{
-				Col: f.Col, Rep: f.Rep,
-				Start: byteShift(f.Start), End: byteShift(f.End),
-				Value: string(r.data[f.Start:f.End]),
-			})
-		}
-		if arrays := scan.Arrays(ri); len(arrays) > 0 {
-			out.Arrays = append([]parser.ArrayOcc(nil), arrays...)
-		}
-		res.Records = append(res.Records, out)
-	}
-
-	var nextLines []int
-	var nextData []byte
-	for _, li := range scan.NoiseLines {
-		nextLines = append(nextLines, r.lines[li])
-		nextData = append(nextData, rl.Line(li)...)
-	}
-	r.lines, r.data = nextLines, nextData
-	return true
+	return structures, timing, nil
 }
 
 // discoverOne runs generation, pruning and evaluation over one residue and
-// returns the best refined template.
-func discoverOne(residData []byte, opts Options, effAlpha float64, res *Result) (Structure, bool) {
+// returns the best refined template (false when the residue has none).
+func discoverOne(ctx context.Context, residData []byte, opts Options, effAlpha float64, timing *Timing) (Structure, bool, error) {
 	sampler := textio.Sampler{Budget: opts.SampleBudget, Seed: 7}
 	if opts.SampleBudget < 0 {
 		sampler.Budget = 0
@@ -334,15 +285,15 @@ func discoverOne(residData []byte, opts Options, effAlpha float64, res *Result) 
 		MaxExhaustive:  opts.MaxExhaustive,
 		MaxRecordBytes: opts.MaxRecordBytes,
 	})
-	res.Timing.Generation += time.Since(t0)
+	timing.Generation += time.Since(t0)
 	cands = filterTrivial(cands)
 	if len(cands) == 0 {
-		return Structure{}, false
+		return Structure{}, false, nil
 	}
 
 	t0 = time.Now()
 	top := generation.Prune(cands, opts.TopM)
-	res.Timing.Pruning += time.Since(t0)
+	timing.Pruning += time.Since(t0)
 
 	t0 = time.Now()
 	scorer := newCachingScorer(opts.Scorer)
@@ -375,6 +326,9 @@ func discoverOne(residData []byte, opts Options, effAlpha float64, res *Result) 
 	var best *template.Node
 	var bestRes score.Result
 	for _, s := range plain {
+		if err := ctx.Err(); err != nil {
+			return Structure{}, false, err
+		}
 		tpl, r := s.tpl, s.res
 		if !opts.DisableRefinement && refineSet[tpl.Key()] {
 			tpl, r = refine.Refine(s.tpl, evalLines, scorer)
@@ -389,15 +343,15 @@ func discoverOne(residData []byte, opts Options, effAlpha float64, res *Result) 
 			best, bestRes = tpl, r
 		}
 	}
-	res.Timing.Evaluation += time.Since(t0)
+	timing.Evaluation += time.Since(t0)
 	if best == nil {
-		return Structure{}, false
+		return Structure{}, false, nil
 	}
 	return Structure{
 		Template:            best,
 		Score:               bestRes,
 		CandidatesGenerated: len(cands),
-	}, true
+	}, true, nil
 }
 
 // filterTrivial drops templates that impose no real structure: templates
@@ -419,52 +373,4 @@ func filterTrivial(cands []generation.Candidate) []generation.Candidate {
 		out = append(out, c)
 	}
 	return out
-}
-
-// makeByteShift returns a function translating byte offsets in the residue
-// buffer to offsets in the original dataset. Field spans never cross line
-// boundaries, so a per-line delta suffices; offsets at a line's end
-// (exclusive) translate with the same line's delta.
-func makeByteShift(resid *textio.Lines, origOf []int, orig *textio.Lines) func(int) int {
-	return func(off int) int {
-		// Binary search for the line containing off (or ending at it).
-		lo, hi := 0, resid.N()-1
-		for lo < hi {
-			mid := (lo + hi + 1) / 2
-			if resid.Start(mid) <= off {
-				lo = mid
-			} else {
-				hi = mid - 1
-			}
-		}
-		// Field spans end strictly before their line's trailing
-		// newline, so off always lies within line lo (or at the very
-		// end of the buffer, still inside the last line).
-		return orig.Start(origOf[lo]) + (off - resid.Start(lo))
-	}
-}
-
-// ApplyTemplatesParallel runs only the extraction pass with an
-// already-known set of structure templates — the learn-once, apply-many
-// workflow of a data lake where many files share one format. Templates are
-// applied in order; each consumes its matching records from the residue
-// left by the previous ones, exactly as the discovery loop would have. The
-// scans fan out over workers goroutines (0 or 1 sequential, negative
-// GOMAXPROCS); output is identical for any worker count.
-func ApplyTemplatesParallel(data []byte, templates []*template.Node, workers int) (*Result, error) {
-	opts := Options{Workers: workers}
-	lines := textio.NewLines(data)
-	if lines.N() == 0 {
-		return nil, ErrEmptyInput
-	}
-	res := &Result{}
-	resid := newResidue(lines)
-	for typeID, st := range templates {
-		resid.apply(res, Structure{TypeID: typeID, Template: st}, opts, 0)
-		if len(resid.lines) == 0 {
-			break
-		}
-	}
-	res.NoiseLines = resid.lines
-	return res, nil
 }

@@ -1,16 +1,30 @@
-package core
+package core_test
+
+// The tests of discovery's outcome look at records, so they run the full
+// path: core.Discover inside the extraction engine (internal/pipeline),
+// through its in-memory door.
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"datamaran/internal/core"
 	"datamaran/internal/generation"
+	"datamaran/internal/pipeline"
+	"datamaran/internal/template"
 )
 
+// extract discovers on all of data and extracts it.
+func extract(data []byte, opts core.Options) (*core.Result, error) {
+	return pipeline.RunBytes(context.Background(), data, pipeline.Config{Core: opts})
+}
+
 func TestExtractEmptyInput(t *testing.T) {
-	if _, err := Extract(nil, Options{}); err != ErrEmptyInput {
+	if _, err := extract(nil, core.Options{}); err != core.ErrEmptyInput {
 		t.Fatalf("err = %v, want ErrEmptyInput", err)
 	}
 }
@@ -23,7 +37,7 @@ func TestExtractCSV(t *testing.T) {
 	for i := 0; i < 150; i++ {
 		fmt.Fprintf(&b, "%d,%d.%d,tag%d\n", i, rng.Intn(9), rng.Intn(7), rng.Intn(3))
 	}
-	res, err := Extract([]byte(b.String()), Options{})
+	res, err := extract([]byte(b.String()), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +67,7 @@ func TestExtractFieldPositionsPointIntoOriginal(t *testing.T) {
 		fmt.Fprintf(&b, "%03d|%03d\n", i, i*2)
 	}
 	data := []byte(b.String())
-	res, err := Extract(data, Options{})
+	res, err := extract(data, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +89,7 @@ func TestExtractMultiLineRecordsWithNoise(t *testing.T) {
 		}
 	}
 	data := []byte(b.String())
-	res, err := Extract(data, Options{})
+	res, err := extract(data, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +121,7 @@ func TestExtractInterleavedTwoTypes(t *testing.T) {
 		}
 	}
 	data := []byte(b.String())
-	res, err := Extract(data, Options{})
+	res, err := extract(data, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +159,7 @@ func TestExtractPureNoiseFindsNothing(t *testing.T) {
 		}
 		b.WriteString("\n")
 	}
-	res, err := Extract([]byte(b.String()), Options{})
+	res, err := extract([]byte(b.String()), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +181,7 @@ func TestExtractNoiseLineIndicesAreOriginal(t *testing.T) {
 		fmt.Fprintf(&b, "%d,%d\n", i, i*3)
 	}
 	b.WriteString("~~~ trailing junk ~~~\n")
-	res, err := Extract([]byte(b.String()), Options{})
+	res, err := extract([]byte(b.String()), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +199,7 @@ func TestExtractGreedyMode(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		fmt.Fprintf(&b, "[%d] status=%d\n", i, i%4)
 	}
-	res, err := Extract([]byte(b.String()), Options{Search: generation.Greedy})
+	res, err := extract([]byte(b.String()), core.Options{Search: generation.Greedy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,21 +208,54 @@ func TestExtractGreedyMode(t *testing.T) {
 	}
 }
 
+// TestExtractTimingPopulated: a run that discovers reports every step at
+// both doors of the engine, with Extraction holding discovery's residue
+// walks plus the engine's own time; a run given its templates reports
+// extraction alone.
 func TestExtractTimingPopulated(t *testing.T) {
 	var b strings.Builder
 	for i := 0; i < 100; i++ {
 		fmt.Fprintf(&b, "%d,%d\n", i, i)
 	}
-	res, err := Extract([]byte(b.String()), Options{})
+	data := []byte(b.String())
+	structures, disc, err := core.Discover(context.Background(), data, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Timing.Generation <= 0 || res.Timing.Evaluation <= 0 {
-		t.Fatalf("timing not populated: %+v", res.Timing)
+	if disc.Generation <= 0 || disc.Evaluation <= 0 || disc.Extraction <= 0 {
+		t.Fatalf("discovery timing not populated: %+v", disc)
 	}
-	if res.Timing.Total() < res.Timing.Generation {
-		t.Fatal("Total < Generation")
+	for name, run := range map[string]func() (*core.Result, error){
+		"bytes":  func() (*core.Result, error) { return extract(data, core.Options{}) },
+		"reader": func() (*core.Result, error) { return pipeline.Run(bytes.NewReader(data), pipeline.Config{}) },
+	} {
+		res, err := run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tm := res.Timing
+		if tm.Generation <= 0 || tm.Evaluation <= 0 || tm.Extraction <= 0 {
+			t.Fatalf("%s: timing not populated: %+v", name, tm)
+		}
+		if tm.Total() != tm.Generation+tm.Pruning+tm.Evaluation+tm.Extraction {
+			t.Fatalf("%s: Total() is not the sum of the steps: %+v", name, tm)
+		}
 	}
+	res, err := pipeline.Run(bytes.NewReader(data), pipeline.Config{Templates: templatesOf(structures)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tm := res.Timing; tm.Generation != 0 || tm.Pruning != 0 || tm.Evaluation != 0 || tm.Extraction <= 0 {
+		t.Fatalf("templates mode: timing = %+v, want extraction only", tm)
+	}
+}
+
+func templatesOf(structures []core.Structure) []*template.Node {
+	tpls := make([]*template.Node, len(structures))
+	for i, s := range structures {
+		tpls[i] = s.Template
+	}
+	return tpls
 }
 
 func TestExtractMaxRecordTypesBounds(t *testing.T) {
@@ -216,7 +263,7 @@ func TestExtractMaxRecordTypesBounds(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		fmt.Fprintf(&b, "A;%d\nB|%d\nC:%d\n", i, i, i)
 	}
-	res, err := Extract([]byte(b.String()), Options{MaxRecordTypes: 1})
+	res, err := extract([]byte(b.String()), core.Options{MaxRecordTypes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +288,7 @@ func TestExtractRespectsMaxSpanFailure(t *testing.T) {
 		}
 		b.WriteString("#end#\n")
 	}
-	res, err := Extract([]byte(b.String()), Options{})
+	res, err := extract([]byte(b.String()), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,11 +304,11 @@ func TestExtractDeterministic(t *testing.T) {
 	for i := 0; i < 80; i++ {
 		fmt.Fprintf(&b, "%d|%d|%d\n", i, i*2, i*3)
 	}
-	r1, err := Extract([]byte(b.String()), Options{})
+	r1, err := extract([]byte(b.String()), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Extract([]byte(b.String()), Options{})
+	r2, err := extract([]byte(b.String()), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,20 +322,6 @@ func TestExtractDeterministic(t *testing.T) {
 	}
 }
 
-func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
-	if o.Alpha != 0.10 || o.MaxSpan != 10 || o.TopM != 50 {
-		t.Fatalf("defaults = %+v", o)
-	}
-	if o.Scorer == nil {
-		t.Fatal("nil scorer after defaults")
-	}
-	noPrune := Options{TopM: -1}.withDefaults()
-	if noPrune.TopM != 0 {
-		t.Fatalf("TopM=-1 should map to 0 (keep all), got %d", noPrune.TopM)
-	}
-}
-
 func TestExtractDisableRefinement(t *testing.T) {
 	// Ablation knob: without refinement the CSV stays in array form.
 	rng := rand.New(rand.NewSource(6))
@@ -296,7 +329,7 @@ func TestExtractDisableRefinement(t *testing.T) {
 	for i := 0; i < 120; i++ {
 		fmt.Fprintf(&b, "%d,%d,%d\n", rng.Intn(100), rng.Intn(100), rng.Intn(100))
 	}
-	res, err := Extract([]byte(b.String()), Options{DisableRefinement: true})
+	res, err := extract([]byte(b.String()), core.Options{DisableRefinement: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +348,7 @@ func TestExtractRefineTopCap(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		fmt.Fprintf(&b, "%d;%d\n", rng.Intn(100), rng.Intn(100))
 	}
-	res, err := Extract([]byte(b.String()), Options{RefineTop: 2})
+	res, err := extract([]byte(b.String()), core.Options{RefineTop: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +363,7 @@ func TestExtractSamplingBudgets(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		fmt.Fprintf(&b, "%d|%s|%d\n", rng.Intn(100000), []string{"a", "bb", "ccc"}[rng.Intn(3)], rng.Intn(999))
 	}
-	res, err := Extract([]byte(b.String()), Options{SampleBudget: 8 << 10, EvalBudget: 4 << 10})
+	res, err := extract([]byte(b.String()), core.Options{SampleBudget: 8 << 10, EvalBudget: 4 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +380,7 @@ func TestExtractCRLFTolerance(t *testing.T) {
 	for i := 0; i < 80; i++ {
 		fmt.Fprintf(&b, "%d,%d\r\n", i, i*2)
 	}
-	res, err := Extract([]byte(b.String()), Options{})
+	res, err := extract([]byte(b.String()), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +390,7 @@ func TestExtractCRLFTolerance(t *testing.T) {
 }
 
 func TestExtractSingleLineFile(t *testing.T) {
-	res, err := Extract([]byte("only one line, no structure\n"), Options{})
+	res, err := extract([]byte("only one line, no structure\n"), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +422,7 @@ func TestExtractRecordsAndNoisePartitionLines(t *testing.T) {
 		fmt.Fprintf(&b, "x=%d y=%d\n", rng.Intn(100), rng.Intn(100))
 		lines++
 	}
-	res, err := Extract([]byte(b.String()), Options{})
+	res, err := extract([]byte(b.String()), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 // Failure-injection tests: corrupted records, truncation, binary bytes
 // and adversarial shapes must degrade gracefully (records lost become
@@ -9,6 +9,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"datamaran/internal/core"
 )
 
 func cleanCSV(rows int, seed int64) []byte {
@@ -32,7 +34,7 @@ func TestCorruptedRecordsBecomeNoise(t *testing.T) {
 			corrupted++
 		}
 	}
-	res, err := Extract([]byte(strings.Join(lines, "\n")), Options{})
+	res, err := extract([]byte(strings.Join(lines, "\n")), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +50,7 @@ func TestTruncatedFinalRecord(t *testing.T) {
 	data := cleanCSV(100, 3)
 	// Truncate mid-way through the last line (no trailing newline).
 	data = data[:len(data)-4]
-	res, err := Extract(data, Options{})
+	res, err := extract(data, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +63,7 @@ func TestBinaryGarbageLines(t *testing.T) {
 	data := cleanCSV(150, 4)
 	garbage := []byte{0x00, 0x01, 0xFF, 0xFE, 0x80, 0x7F, '\n'}
 	mixed := append(append(append([]byte{}, garbage...), data...), garbage...)
-	res, err := Extract(mixed, Options{})
+	res, err := extract(mixed, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +93,7 @@ func TestVeryLongSingleLine(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		fmt.Fprintf(&b, "%d,%d\n", i, i*3)
 	}
-	res, err := Extract([]byte(b.String()), Options{})
+	res, err := extract([]byte(b.String()), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +106,7 @@ func TestAllIdenticalLines(t *testing.T) {
 	// Zero-entropy data: the enum typing collapses every column to one
 	// value; extraction must still identify per-line records.
 	data := strings.Repeat("a,b,c\n", 200)
-	res, err := Extract([]byte(data), Options{})
+	res, err := extract([]byte(data), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +131,7 @@ func TestEmptyLinesInterspersed(t *testing.T) {
 		}
 		fmt.Fprintf(&b, "k=%d v=%d\n", rng.Intn(100), rng.Intn(100))
 	}
-	res, err := Extract([]byte(b.String()), Options{})
+	res, err := extract([]byte(b.String()), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +154,7 @@ func TestRecordsWithEmptyFields(t *testing.T) {
 		}
 		fmt.Fprintf(&b, "%s,%s,%d\n", a, c, rng.Intn(10))
 	}
-	res, err := Extract([]byte(b.String()), Options{})
+	res, err := extract([]byte(b.String()), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,12 +166,12 @@ func TestRecordsWithEmptyFields(t *testing.T) {
 func TestAlphaExtremes(t *testing.T) {
 	data := cleanCSV(100, 7)
 	// α so high nothing qualifies: no structures, all noise.
-	res, err := Extract(data, Options{Alpha: 0.999})
+	res, err := extract(data, core.Options{Alpha: 0.999})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// α=0.999 still admits a 100%-coverage template; α beyond 1 cannot.
-	res2, err := Extract(data, Options{Alpha: 1.5})
+	res2, err := extract(data, core.Options{Alpha: 1.5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,12 @@
 package evaluate
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
 
-	"datamaran/internal/core"
+	"datamaran/internal/pipeline"
 )
 
 func TestTargetAligned(t *testing.T) {
@@ -191,7 +192,7 @@ func TestFromCoreAndEndToEnd(t *testing.T) {
 		b.WriteString(line)
 		pos += len(line)
 	}
-	res, err := core.Extract([]byte(b.String()), core.Options{})
+	res, err := pipeline.RunBytes(context.Background(), []byte(b.String()), pipeline.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

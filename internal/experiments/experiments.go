@@ -10,6 +10,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -18,6 +19,7 @@ import (
 	"datamaran/internal/datagen"
 	"datamaran/internal/evaluate"
 	"datamaran/internal/generation"
+	"datamaran/internal/pipeline"
 	"datamaran/internal/recordbreaker"
 )
 
@@ -32,10 +34,16 @@ type Outcome struct {
 	Types   int
 }
 
+// extract runs the full path on an in-memory dataset: discovery on all of
+// it, then the extraction engine.
+func extract(data []byte, opts core.Options) (*core.Result, error) {
+	return pipeline.RunBytes(context.Background(), data, pipeline.Config{Core: opts})
+}
+
 // runDatamaran extracts with the given options and evaluates success.
 func runDatamaran(d *datagen.Dataset, opts core.Options) Outcome {
 	t0 := time.Now()
-	res, err := core.Extract(d.Data, opts)
+	res, err := extract(d.Data, opts)
 	out := Outcome{Dataset: d.Name, Label: d.Label, Elapsed: time.Since(t0)}
 	if err != nil {
 		out.Detail = err.Error()

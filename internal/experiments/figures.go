@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -126,9 +127,9 @@ func Fig16Sensitivity(scale float64, ms []int, w io.Writer) []Fig16Point {
 	// Reference: best template with pruning disabled.
 	optimal := make([]string, len(datasets))
 	for i, d := range datasets {
-		res, err := core.Extract(d.Data, core.Options{TopM: -1, MaxRecordTypes: 1})
-		if err == nil && len(res.Structures) > 0 {
-			optimal[i] = res.Structures[0].Template.Key()
+		found, _, err := core.Discover(context.Background(), d.Data, core.Options{TopM: -1, MaxRecordTypes: 1})
+		if err == nil && len(found) > 0 {
+			optimal[i] = found[0].Template.Key()
 		}
 	}
 	fmt.Fprintf(w, "== Fig 16: %% of datasets where the optimal structure is found ==\n")
@@ -140,8 +141,8 @@ func Fig16Sensitivity(scale float64, ms []int, w io.Writer) []Fig16Point {
 				continue
 			}
 			total++
-			res, err := core.Extract(d.Data, core.Options{TopM: m, MaxRecordTypes: 1})
-			if err == nil && len(res.Structures) > 0 && res.Structures[0].Template.Key() == optimal[i] {
+			got, _, err := core.Discover(context.Background(), d.Data, core.Options{TopM: m, MaxRecordTypes: 1})
+			if err == nil && len(got) > 0 && got[0].Template.Key() == optimal[i] {
 				found++
 			}
 		}

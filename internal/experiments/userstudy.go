@@ -40,7 +40,7 @@ func UserStudy(w io.Writer) []StudyOutcome {
 	var out []StudyOutcome
 	var sumA, sumB, sumR float64
 	for i, d := range datasets {
-		res, err := core.Extract(d.Data, core.Options{})
+		res, err := extract(d.Data, core.Options{})
 		var exA evaluate.Extraction
 		if err == nil {
 			exA = evaluate.FromCore(res)

@@ -10,36 +10,33 @@ import (
 
 	"datamaran/internal/core"
 	"datamaran/internal/datagen"
-	"datamaran/internal/pipeline"
+	"datamaran/internal/parser/parsertest"
 	"datamaran/internal/template"
 )
 
 // learn discovers the template set of data.
 func learn(t *testing.T, data []byte) []*template.Node {
 	t.Helper()
-	disc, err := core.Extract(data, core.Options{})
+	structures, _, err := core.Discover(context.Background(), data, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(disc.Structures) == 0 {
+	if len(structures) == 0 {
 		t.Fatal("test is vacuous: no structures discovered")
 	}
 	var tpls []*template.Node
-	for _, s := range disc.Structures {
+	for _, s := range structures {
 		tpls = append(tpls, s.Template)
 	}
 	return tpls
 }
 
-// oneShot is the oracle: profile extraction of the whole file in one
-// pass.
+// oneShot is the oracle: the whole file in one pass through the
+// reference residue chain, which shares nothing with the engine the
+// incremental runs go through.
 func oneShot(t *testing.T, data []byte, tpls []*template.Node) *core.Result {
 	t.Helper()
-	res, err := pipeline.Run(bytes.NewReader(data), pipeline.Config{Templates: tpls})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	return parsertest.Apply(tpls, data)
 }
 
 // incrementalRuns grows path through the given cut points and extracts

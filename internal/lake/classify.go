@@ -38,44 +38,25 @@ func compileProfiles(entries []*Entry) []profileMatcher {
 
 // coverage returns how many bytes of lines the profile's templates
 // cover, applied in order, each to the residue — the uncovered lines,
-// concatenated — that the previous one left. That is the rule of
-// core.ApplyTemplatesParallel, but nothing is extracted: no record, no
-// field string. The scan gives up (ok false) once more than
+// concatenated — that the previous one left. That is the extraction
+// engine's rule, but nothing is extracted: no record, no field string
+// (parser.Matcher.Residue). The scan gives up (ok false) once more than
 // maxUncovered bytes are certain to stay uncovered.
 func (p profileMatcher) coverage(lines *textio.Lines, maxUncovered int) (covered int, ok bool) {
 	total := len(lines.Data())
 	for k, m := range p.matchers {
 		// Only what the last template leaves behind is final: a line an
 		// earlier one rejects may still be covered further down the chain.
-		last := k == len(p.matchers)-1
-		data, n := lines.Data(), lines.N()
-		var residue []byte
-		uncovered := 0
-		for i := 0; i < n; {
-			if end, matched, _ := m.MatchEnds(data, lines.Start(i)); matched {
-				if end == lines.Start(i+1) { // a one-line record, the common case
-					i++
-					continue
-				}
-				if endLine, aligned := lines.AlignedLine(end); aligned && endLine > i {
-					i = endLine
-					continue
-				}
-			}
-			line := lines.Line(i)
-			uncovered += len(line)
-			if !last {
-				if residue == nil {
-					residue = make([]byte, 0, len(data))
-				}
-				residue = append(residue, line...)
-			} else if uncovered > maxUncovered {
+		if k == len(p.matchers)-1 {
+			_, uncovered, ok := m.Residue(lines, false, maxUncovered)
+			if !ok {
 				return 0, false
 			}
-			i++
-		}
-		if last || uncovered == 0 {
 			return total - uncovered, true
+		}
+		residue, _, _ := m.Residue(lines, true, total)
+		if len(residue) == 0 {
+			return total, true
 		}
 		lines = textio.NewLines(residue)
 	}
@@ -311,7 +292,7 @@ func (ix *indexer) commit(ctx context.Context, futures <-chan chan sampled, stat
 		case <-ctx.Done():
 			return ctx.Err()
 		}
-		if ix.commitFile(i, s, stats) {
+		if ix.commitFile(ctx, i, s, stats) {
 			extract(i)
 		}
 	}
@@ -321,7 +302,7 @@ func (ix *indexer) commit(ctx context.Context, futures <-chan chan sampled, stat
 // commitFile settles file i and reports whether it is to be extracted.
 // Checkpointed files that still pass the identity heuristics skip
 // classification entirely: their claim is the checkpointed fingerprint.
-func (ix *indexer) commitFile(i int, s sampled, stats *crawlStats) bool {
+func (ix *indexer) commitFile(ctx context.Context, i int, s sampled, stats *crawlStats) bool {
 	fr, cfg := &ix.files[i], ix.cfg
 	if fr.Err != nil {
 		return false // the walk could not reach it
@@ -358,7 +339,7 @@ func (ix *indexer) commitFile(i int, s sampled, stats *crawlStats) bool {
 	if e == nil {
 		var isNew bool
 		var err error
-		e, isNew, err = discoverSample(s.sample, ix.reg, cfg.Core)
+		e, isNew, err = discoverSample(ctx, s.sample, ix.reg, cfg.Core)
 		switch {
 		case err != nil:
 			stats.discoveries.none++

@@ -5,11 +5,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
-	"datamaran/internal/core"
 	"datamaran/internal/follow"
+	"datamaran/internal/pipeline"
 	"datamaran/internal/template"
 )
 
@@ -299,7 +300,7 @@ func TestRegistryConcurrentUse(t *testing.T) {
 	if reg.FilesClaimed(base) != 4*50 {
 		t.Fatalf("claims = %d, want %d", reg.FilesClaimed(base), 4*50)
 	}
-	if _, err := core.ApplyTemplatesParallel([]byte("x,\n"), reg.Entries()[0].Templates, 1); err != nil {
+	if _, err := pipeline.Run(strings.NewReader("x,\n"), pipeline.Config{Templates: reg.Entries()[0].Templates}); err != nil {
 		t.Fatalf("entry unusable after concurrent churn: %v", err)
 	}
 }

@@ -30,7 +30,7 @@ const DefaultMatchThreshold = 0.5
 
 // Config parameterizes an Index run.
 type Config struct {
-	// Core holds the discovery/extraction options applied per file.
+	// Core holds the discovery options applied to each file nothing claims.
 	Core core.Options
 	// Workers is the file-level fan-out of the match stage and of the
 	// extract stage (<= 0 means GOMAXPROCS). Worker count never changes
@@ -569,23 +569,23 @@ func ReadSample(path string, limit int) ([]byte, int64, error) {
 	return sample[:i+1], size, nil // i == -1: no complete line, empty sample
 }
 
-// discoverSample runs full template discovery on the sample and
-// registers the learned profile. It returns (nil, false, nil) when the
-// sample has no discoverable structure.
-func discoverSample(sample []byte, reg *Registry, opts core.Options) (*Entry, bool, error) {
-	opts.Workers = 1 // parallelism lives at the file level
-	res, err := core.Extract(sample, opts)
+// discoverSample runs template discovery on the sample and registers the
+// learned profile. It returns (nil, false, nil) when the sample has no
+// discoverable structure, and ctx.Err() when the crawl was cancelled
+// mid-search.
+func discoverSample(ctx context.Context, sample []byte, reg *Registry, opts core.Options) (*Entry, bool, error) {
+	structures, _, err := core.Discover(ctx, sample, opts)
 	if err != nil {
 		if err == core.ErrEmptyInput {
 			return nil, false, nil
 		}
 		return nil, false, err
 	}
-	if len(res.Structures) == 0 {
+	if len(structures) == 0 {
 		return nil, false, nil
 	}
-	templates := make([]*template.Node, 0, len(res.Structures))
-	for _, s := range res.Structures {
+	templates := make([]*template.Node, 0, len(structures))
+	for _, s := range structures {
 		templates = append(templates, s.Template)
 	}
 	e, isNew := reg.Add(templates)
@@ -629,7 +629,6 @@ func extractOne(ctx context.Context, root string, fr *FileResult, e *Entry, resu
 	}
 	defer f.Close()
 	res, err := pipeline.RunContext(ctx, f, pipeline.Config{
-		Core:      cfg.Core,
 		Templates: e.Templates,
 		Workers:   1, // parallelism lives at the file level
 	})

@@ -2,6 +2,7 @@ package lake
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -11,6 +12,7 @@ import (
 	"datamaran/internal/core"
 	"datamaran/internal/datagen"
 	"datamaran/internal/lake/laketest"
+	"datamaran/internal/parser/parsertest"
 	"datamaran/internal/template"
 	"datamaran/internal/textio"
 )
@@ -30,7 +32,7 @@ func matchPool(t testing.TB) [][]*template.Node {
 	for _, e := range golden.Entries() {
 		pool = append(pool, e.Templates)
 	}
-	two, _, err := discoverSample([]byte(mixedLog(2, 60, 100)), NewRegistry(), core.Options{})
+	two, _, err := discoverSample(context.Background(), []byte(mixedLog(2, 60, 100)), NewRegistry(), core.Options{})
 	if err != nil || two == nil || len(two.Templates) != 2 {
 		t.Fatalf("interleaved file gave %v, %v; want a two-template profile", two, err)
 	}
@@ -84,9 +86,9 @@ func matchSamples(t testing.TB) map[string][]byte {
 
 // TestCoverageMatchesFullExtraction: for every sample and every profile
 // of the pool, the coverage-only scan covers exactly the bytes a full
-// extraction reports — the sum of ApplyTemplatesParallel's per-structure
-// Coverage — and a scan given a budget gives up exactly when the final
-// uncovered bytes exceed it.
+// extraction reports — the sum of the per-structure Coverage of the
+// reference residue chain, parsertest.Apply — and a scan given a budget
+// gives up exactly when the final uncovered bytes exceed it.
 func TestCoverageMatchesFullExtraction(t *testing.T) {
 	pool := matchPool(t)
 	rng := rand.New(rand.NewSource(3))
@@ -94,10 +96,7 @@ func TestCoverageMatchesFullExtraction(t *testing.T) {
 	for name, data := range matchSamples(t) {
 		lines := textio.NewLines(data)
 		for pi, templates := range pool {
-			res, err := core.ApplyTemplatesParallel(data, templates, 1)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
+			res := parsertest.Apply(templates, data)
 			want := 0
 			for _, s := range res.Structures {
 				want += s.Coverage

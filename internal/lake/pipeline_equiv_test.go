@@ -171,7 +171,7 @@ func TestPipelineColdLake(t *testing.T) {
 // is covered in full by both and stays with the earlier, known one.
 func TestPipelineFreshEntryBeatsBase(t *testing.T) {
 	reg := NewRegistry()
-	known, _, err := discoverSample([]byte(laketest.MetricsLog(1, 100)), reg, core.Options{})
+	known, _, err := discoverSample(context.Background(), []byte(laketest.MetricsLog(1, 100)), reg, core.Options{})
 	if err != nil || known == nil {
 		t.Fatalf("no profile for the metrics format: %v", err)
 	}
@@ -281,6 +281,18 @@ func (c *countdownCtx) Err() error {
 	return c.Context.Err()
 }
 
+// TestDiscoverSampleCancelled: a crawl cancelled while a file waits for
+// discovery must not run the search, nor register anything.
+func TestDiscoverSampleCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	reg := NewRegistry()
+	e, _, err := discoverSample(ctx, []byte(laketest.MetricsLog(1, 100)), reg, core.Options{})
+	if err != context.Canceled || e != nil || reg.Len() != 0 {
+		t.Fatalf("discoverSample on a cancelled context = %v, %v (registry %d), want context.Canceled and nothing registered", e, err, reg.Len())
+	}
+}
+
 // TestPipelineCancelledMidCrawl: cancellation in the middle of the commit
 // stage returns ctx.Err() and leaves no goroutine of any stage behind.
 func TestPipelineCancelledMidCrawl(t *testing.T) {
@@ -289,7 +301,7 @@ func TestPipelineCancelledMidCrawl(t *testing.T) {
 		writeFile(t, root, fmt.Sprintf("m/metrics-%02d.log", f), laketest.MetricsLog(int64(f), 400))
 	}
 	reg := NewRegistry()
-	if _, _, err := discoverSample([]byte(laketest.MetricsLog(1, 100)), reg, core.Options{}); err != nil {
+	if _, _, err := discoverSample(context.Background(), []byte(laketest.MetricsLog(1, 100)), reg, core.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	before := runtime.NumGoroutine()

@@ -5,22 +5,23 @@ import (
 	"path/filepath"
 	"sort"
 
-	"datamaran/internal/core"
 	"datamaran/internal/follow"
+	"datamaran/internal/parser/parsertest"
 )
 
 // matchSampleRef is MatchSample as it was before the coverage-only scan:
 // the sample extracted in full, records and field strings and all, under
-// every registered profile, for its coverage number. The oracle of the
-// matcher tests.
+// every registered profile, for its coverage number — by the reference
+// residue chain (parsertest.Apply), which shares no code with the scan.
+// The oracle of the matcher tests.
 func matchSampleRef(sample []byte, reg *Registry, threshold float64) *Entry {
+	if len(sample) == 0 {
+		return nil
+	}
 	var best *Entry
 	bestCov := 0.0
 	for _, e := range reg.Entries() {
-		res, err := core.ApplyTemplatesParallel(sample, e.Templates, 1)
-		if err != nil {
-			continue
-		}
+		res := parsertest.Apply(e.Templates, sample)
 		covered := 0
 		for _, s := range res.Structures {
 			covered += s.Coverage
@@ -86,7 +87,7 @@ func indexSequential(ctx context.Context, root string, reg *Registry, cfg Config
 		e := matchSampleRef(sample, reg, cfg.MatchThreshold)
 		if e == nil {
 			var isNew bool
-			e, isNew, err = discoverSample(sample, reg, cfg.Core)
+			e, isNew, err = discoverSample(ctx, sample, reg, cfg.Core)
 			if err != nil {
 				files[i].Status = StatusFailed
 				files[i].Err = err

@@ -1,7 +1,7 @@
 package parser_test
 
 import (
-	"fmt"
+	"bytes"
 	"testing"
 
 	"datamaran/internal/parser"
@@ -60,9 +60,9 @@ func flatScanCases() []struct {
 	}
 }
 
-// TestScanMatchesTreeReference pins the two-phase arena scan — sequential
-// and parallel at several worker counts — to the tree-building oracle
-// across every template shape.
+// TestScanMatchesTreeReference pins the two-phase arena scan, and the
+// coverage-only Residue walk beside it, to the tree-building oracle across
+// every template shape.
 func TestScanMatchesTreeReference(t *testing.T) {
 	for _, c := range flatScanCases() {
 		tm := c.tm.Normalize()
@@ -73,10 +73,32 @@ func TestScanMatchesTreeReference(t *testing.T) {
 			t.Fatalf("%s: case matches no record", c.name)
 		}
 		parsertest.RequireScanEqual(t, c.name+"/seq", want, m.Scan(lines))
-		for _, workers := range []int{1, 2, 8} {
-			label := fmt.Sprintf("%s/par%d", c.name, workers)
-			parsertest.RequireScanEqual(t, label, want, m.ScanParallel(lines, workers))
-		}
+		requireResidue(t, c.name, want, m, lines)
+	}
+}
+
+// requireResidue checks Residue against the oracle's scan: the uncovered
+// byte total, the kept lines, and giving up exactly past the allowance.
+func requireResidue(t *testing.T, label string, want *parsertest.ScanRef, m *parser.Matcher, lines *textio.Lines) {
+	t.Helper()
+	total := len(lines.Data())
+	var wantResidue []byte
+	for _, li := range want.NoiseLines {
+		wantResidue = append(wantResidue, lines.Line(li)...)
+	}
+	uncovered := total - want.Coverage
+	if len(wantResidue) != uncovered {
+		t.Fatalf("%s: oracle's noise lines hold %d bytes, its coverage leaves %d", label, len(wantResidue), uncovered)
+	}
+	residue, got, ok := m.Residue(lines, true, total)
+	if !ok || got != uncovered || !bytes.Equal(residue, wantResidue) {
+		t.Fatalf("%s: Residue = %q, %d, %v; want %q, %d", label, residue, got, ok, wantResidue, uncovered)
+	}
+	if residue, got, ok := m.Residue(lines, false, uncovered); !ok || got != uncovered || residue != nil {
+		t.Fatalf("%s: Residue without keep, allowance %d = %q, %d, %v", label, uncovered, residue, got, ok)
+	}
+	if _, _, ok := m.Residue(lines, true, uncovered-1); ok {
+		t.Fatalf("%s: Residue did not give up with %d uncovered and %d allowed", label, uncovered, uncovered-1)
 	}
 }
 

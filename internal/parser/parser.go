@@ -426,6 +426,41 @@ func (m *Matcher) ScanInto(lines *textio.Lines, res *ScanResult) {
 	}
 }
 
+// Residue is the coverage-only form of Scan: the same greedy walk, with
+// nothing extracted — no record, no field occurrence. It returns what the
+// template leaves behind: uncovered is the byte total of the lines no
+// record covers, and residue is those lines concatenated in order (nil
+// unless keep), i.e. the input the next template of a residue chain sees.
+// The walk gives up — ok false, the other results meaningless — as soon as
+// more than maxUncovered bytes are certain to stay uncovered.
+func (m *Matcher) Residue(lines *textio.Lines, keep bool, maxUncovered int) (residue []byte, uncovered int, ok bool) {
+	data, n := lines.Data(), lines.N()
+	for i := 0; i < n; {
+		if end, matched, _ := m.matchEnds(m.st, data, lines.Start(i)); matched {
+			if end == lines.Start(i+1) { // a one-line record, the common case
+				i++
+				continue
+			}
+			if endLine, aligned := lines.AlignedLine(end); aligned && endLine > i {
+				i = endLine
+				continue
+			}
+		}
+		line := lines.Line(i)
+		if uncovered += len(line); uncovered > maxUncovered {
+			return nil, 0, false
+		}
+		if keep {
+			if residue == nil {
+				residue = make([]byte, 0, len(data)-lines.Start(i)) // all that can still join it
+			}
+			residue = append(residue, line...)
+		}
+		i++
+	}
+	return residue, uncovered, uncovered <= maxUncovered
+}
+
 // EndsWithNewline reports whether every complete match of the template
 // necessarily ends with '\n' — required for a template to describe
 // newline-delimited blocks (Definition 2.4).

@@ -34,16 +34,6 @@ func BenchmarkScanSequential(b *testing.B) {
 	}
 }
 
-func BenchmarkScanParallel4(b *testing.B) {
-	lines := benchLines(5000)
-	m := NewMatcher(benchTemplate())
-	b.SetBytes(int64(len(lines.Data())))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.ScanParallel(lines, 4)
-	}
-}
-
 func BenchmarkMatchSingleRecord(b *testing.B) {
 	data := []byte("12,alpha,3.5,OK\n")
 	m := NewMatcher(benchTemplate())

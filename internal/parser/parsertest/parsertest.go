@@ -1,15 +1,19 @@
-// Package parsertest is the tests' oracle for the parser: the
-// tree-building template walker the arena matcher replaced, kept as an
-// independent reference implementation. It shares no code with the
-// parser's validate/extract walks — it works from the template alone — so
-// "arena scan ≡ tree scan" compares two implementations, not one with
-// itself. Nothing outside _test.go files may import it.
+// Package parsertest is the tests' oracle for the parser and for the
+// extraction engine built on it: the tree-building template walker the
+// arena matcher replaced, kept as an independent reference implementation,
+// and Apply, the whole-input residue chain over that walker. It shares no
+// code with the parser's validate/extract walks or with the engine's
+// staged windows — it works from the templates alone — so "arena scan ≡
+// tree scan" and "engine ≡ Apply" each compare two implementations, not
+// one with itself. Nothing outside _test.go files may import it.
 package parsertest
 
 import (
+	"reflect"
 	"testing"
 
 	"datamaran/internal/chars"
+	"datamaran/internal/core"
 	"datamaran/internal/parser"
 	"datamaran/internal/template"
 	"datamaran/internal/textio"
@@ -286,5 +290,104 @@ func RequireScanEqual(t testing.TB, label string, want *ScanRef, got *parser.Sca
 	if got.Coverage != want.Coverage || got.FieldBytes != want.FieldBytes {
 		t.Fatalf("%s: coverage/fieldBytes = %d/%d, want %d/%d", label,
 			got.Coverage, got.FieldBytes, want.Coverage, want.FieldBytes)
+	}
+}
+
+// Apply is the reference for the extraction engine: the residue chain of
+// §9.1 over the tree-walking Scan, on the whole input at once. Template k
+// scans the lines templates 0..k−1 left uncovered, concatenated; its
+// records come back in the coordinates of data, and the lines the last
+// template leaves are the noise. The result carries one Structure per
+// template (records and coverage filled), the records grouped by type in
+// template order, and no timing.
+func Apply(templates []*template.Node, data []byte) *core.Result {
+	res := &core.Result{}
+	orig := textio.NewLines(data)
+	// origLine[i] is where line i of the current residue sits in data.
+	origLine := make([]int, orig.N())
+	for i := range origLine {
+		origLine[i] = i
+	}
+	resid := data
+	for typeID, tpl := range templates {
+		o := New(tpl)
+		lines := textio.NewLines(resid)
+		scan := o.Scan(lines)
+		res.Structures = append(res.Structures, core.Structure{
+			TypeID: typeID, Template: tpl, Records: len(scan.Records), Coverage: scan.Coverage,
+		})
+		for i, rec := range scan.Records {
+			out := core.RecordOut{
+				TypeID:    typeID,
+				StartLine: origLine[rec.StartLine],
+				EndLine:   origLine[rec.EndLine-1] + 1,
+				Fields:    make([]core.FieldValue, 0, len(scan.Fields[i])),
+			}
+			for _, f := range scan.Fields[i] {
+				// A field lies within one line: the last line of the record
+				// that starts at or before it.
+				li := rec.EndLine - 1
+				for li > rec.StartLine && lines.Start(li) > f.Start {
+					li--
+				}
+				shift := orig.Start(origLine[li]) - lines.Start(li)
+				out.Fields = append(out.Fields, core.FieldValue{
+					Col: f.Col, Rep: f.Rep,
+					Start: f.Start + shift, End: f.End + shift,
+					Value: string(resid[f.Start:f.End]),
+				})
+			}
+			if len(scan.Arrays[i]) > 0 {
+				out.Arrays = scan.Arrays[i]
+			}
+			res.Records = append(res.Records, out)
+		}
+		var nextLine []int
+		var next []byte
+		for _, li := range scan.NoiseLines {
+			nextLine = append(nextLine, origLine[li])
+			next = append(next, lines.Line(li)...)
+		}
+		origLine, resid = nextLine, next
+	}
+	res.NoiseLines = origLine
+	return res
+}
+
+// RequireResultEqual fails t unless got equals want on everything an
+// extraction decides: per structure the template, record count and
+// coverage; every record (lines, field spans and values, array
+// occurrences); the noise lines. Timing and discovery's scores are not
+// compared.
+func RequireResultEqual(t testing.TB, label string, want, got *core.Result) {
+	t.Helper()
+	if len(got.Structures) != len(want.Structures) {
+		t.Fatalf("%s: structures = %d, want %d", label, len(got.Structures), len(want.Structures))
+	}
+	for i := range want.Structures {
+		w, g := want.Structures[i], got.Structures[i]
+		if w.Template.Key() != g.Template.Key() {
+			t.Fatalf("%s: type %d template = %s, want %s", label, i, g.Template, w.Template)
+		}
+		if w.TypeID != g.TypeID || w.Records != g.Records || w.Coverage != g.Coverage {
+			t.Fatalf("%s: type %d id/records/coverage = %d/%d/%d, want %d/%d/%d",
+				label, i, g.TypeID, g.Records, g.Coverage, w.TypeID, w.Records, w.Coverage)
+		}
+	}
+	if len(got.Records) != len(want.Records) {
+		t.Fatalf("%s: records = %d, want %d", label, len(got.Records), len(want.Records))
+	}
+	for i := range want.Records {
+		if !reflect.DeepEqual(got.Records[i], want.Records[i]) {
+			t.Fatalf("%s: record %d = %+v, want %+v", label, i, got.Records[i], want.Records[i])
+		}
+	}
+	if len(got.NoiseLines) != len(want.NoiseLines) {
+		t.Fatalf("%s: noise lines = %v, want %v", label, got.NoiseLines, want.NoiseLines)
+	}
+	for i := range want.NoiseLines {
+		if got.NoiseLines[i] != want.NoiseLines[i] {
+			t.Fatalf("%s: noise lines = %v, want %v", label, got.NoiseLines, want.NoiseLines)
+		}
 	}
 }

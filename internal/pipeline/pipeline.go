@@ -1,22 +1,28 @@
-// Package pipeline implements the streaming, sharded extraction engine —
-// the production-scale form of the paper's observation that the
-// extraction pass "is eminently parallelizable" (§1, §5.2.2). Input
-// arrives as line-aligned shards from a textio.ChunkReader; structure
-// discovery runs once on a bounded prefix reservoir; and extraction flows
-// through one stage per discovered template, each stage fanning per-line
-// template matching out over a worker pool and reproducing the in-memory
-// greedy scan with a cheap sequential merge.
+// Package pipeline is the extraction engine: the one piece of code that
+// turns bytes into core.RecordOut, for slices (RunBytes) and readers
+// (Run, RunContext) alike — the production-scale form of the paper's
+// observation that the extraction pass "is eminently parallelizable" (§1,
+// §5.2.2). Input reaches it as line-aligned shards; unless templates are
+// given, structure discovery (core.Discover) runs once on a bounded prefix
+// — the whole input for a slice; and extraction flows through one stage
+// per template, each stage fanning per-line template matching out over a
+// worker pool and deciding records and noise with a cheap sequential
+// greedy walk.
 //
-// Equivalence. Per-line matching is context-free, so a stage's sharded
-// scan finalizes exactly the decisions the sequential scan would make:
-// matches are deferred (not failed) when an attempt runs off the end of
-// the resident window, and resume when the next shard arrives. Noise
-// lines cascade into the next stage's window carrying their original
-// line/byte coordinates, which reproduces core.Extract's residue
-// construction. The result is byte-identical to core.Extract whenever the
-// discovery prefix holds the whole input (inputs up to DiscoveryBudget);
-// for larger inputs the only divergence is that templates are learned
-// from the prefix rather than from stratified whole-file samples.
+// Shard invariance. Per-line matching is context-free, so a stage's
+// sharded walk finalizes exactly the decisions one walk over the whole
+// input would make: matches are deferred (not failed) when an attempt runs
+// off the end of the resident window, and resume when the next shard
+// arrives. Noise lines cascade into the next stage's window carrying their
+// original line/byte coordinates — the residue chain of §9.1. The output
+// therefore depends on the templates and the bytes alone, never on
+// ShardSize, Workers or where a reader's chunks happened to end. The tests
+// pin that two ways: against parsertest.Apply, an independent residue
+// chain over the tree-walking oracle, and as whole-input × one worker ≡
+// 64-byte shards × eight workers. Reader and slice differ only in what
+// discovery sees: inputs up to DiscoveryBudget are discovered whole either
+// way, and a longer stream learns its templates from the prefix rather
+// than from stratified whole-input samples.
 //
 // Memory. Each stage retains at most about two shards of residue (plus
 // any single record still being completed across a shard boundary), so
@@ -43,23 +49,23 @@ import (
 // DefaultShardSize is the per-stage batch granularity of the engine.
 const DefaultShardSize = 1 << 20
 
-// DefaultDiscoveryBudget bounds the prefix buffered for template
-// discovery. Inputs no larger than this extract identically to the
-// in-memory core.Extract.
+// DefaultDiscoveryBudget bounds the prefix a reader run buffers for
+// template discovery. Inputs no larger than this extract identically
+// through Run and RunBytes.
 const DefaultDiscoveryBudget = 8 << 20
 
 // Config parameterizes a streaming run.
 type Config struct {
-	// Core holds the discovery/extraction options, forwarded to the
-	// template search on the discovery prefix.
+	// Core holds the discovery options, forwarded to the template search
+	// on the discovery prefix.
 	Core core.Options
 	// ShardSize is the target shard size in bytes (default 1 MiB).
 	ShardSize int
 	// Workers is the matching/materialization parallelism per batch.
 	// 0 means GOMAXPROCS, 1 is sequential.
 	Workers int
-	// DiscoveryBudget caps the bytes buffered for structure discovery
-	// (default 8 MiB).
+	// DiscoveryBudget caps the bytes a reader run buffers for structure
+	// discovery (default 8 MiB).
 	DiscoveryBudget int
 	// OnRecord, when non-nil, receives every record as its shard is
 	// finalized instead of the record being accumulated into
@@ -74,10 +80,10 @@ type Config struct {
 	// the run.
 	OnNoise func(origLine int) error
 	// Templates, when non-empty, skips discovery entirely and applies
-	// the given structure templates in order — the streaming form of
-	// core.ApplyTemplatesParallel (the learn-once, apply-many data-lake
-	// workflow). No prefix is buffered: the input streams through in
-	// one pass from the first byte.
+	// the given structure templates in order, each to the residue the
+	// previous one left (the learn-once, apply-many data-lake workflow).
+	// No prefix is buffered: the input streams through in one pass from
+	// the first byte.
 	Templates []*template.Node
 	// Matchers, when non-empty, supplies precompiled matchers for
 	// Templates (Matchers[i] compiled from Templates[i]) so a serving
@@ -126,12 +132,6 @@ func (c Config) withDefaults() Config {
 	if c.DiscoveryBudget <= 0 {
 		c.DiscoveryBudget = DefaultDiscoveryBudget
 	}
-	if c.Workers == 0 {
-		// Normalize the documented all-cores default so the discovery
-		// pass (core.Options, where 0 means sequential) agrees with
-		// the shard matchers.
-		c.Workers = -1
-	}
 	return c
 }
 
@@ -161,91 +161,82 @@ type stage struct {
 
 // engine drives the staged streaming scan.
 type engine struct {
-	cfg      Config
-	stages   []*stage
-	noise    []int
-	nextLine int // original line counter of the input feed
-	nextByte int // original byte counter of the input feed
+	cfg        Config
+	structures []core.Structure // one per stage, in application order
+	stages     []*stage
+	noise      []int
+	nextLine   int // original line counter of the input feed
+	nextByte   int // original byte counter of the input feed
+	// timing is what discovery spent (zero with cfg.Templates); began is
+	// when extraction started.
+	timing core.Timing
+	began  time.Time
 }
 
 // Run streams r through discovery and sharded extraction. With
 // cfg.Templates set, discovery is skipped and the templates are applied
-// directly (the streaming core.ApplyTemplatesParallel).
+// directly.
 func Run(r io.Reader, cfg Config) (*core.Result, error) {
 	return RunContext(context.Background(), r, cfg)
 }
 
-// RunContext is Run with cancellation: ctx is checked between shards and
-// between per-stage batches, so a long crawl or a served extraction
-// aborts within one shard of the cancel. The discovery pass on the
-// bounded prefix is not interruptible mid-search.
+// RunContext is Run with cancellation: ctx is checked before the first
+// read, between record types and refined candidates of the discovery pass
+// (see core.Discover), between shards and between per-stage batches, so a
+// long crawl or a served extraction aborts within one shard of the cancel.
 func RunContext(ctx context.Context, r io.Reader, cfg Config) (*core.Result, error) {
-	cfg = cfg.withDefaults()
-	cr := textio.NewChunkReader(r, cfg.ShardSize)
+	return run(ctx, nil, r, cfg)
+}
 
-	var structures []core.Structure
-	var discTiming core.Timing
-	var prefix []byte
-	readErr := error(nil)
-	if len(cfg.Templates) > 0 {
-		if len(cfg.Matchers) > 0 && len(cfg.Matchers) != len(cfg.Templates) {
-			return nil, fmt.Errorf("pipeline: %d precompiled matchers for %d templates", len(cfg.Matchers), len(cfg.Templates))
-		}
-		for i, tpl := range cfg.Templates {
-			structures = append(structures, core.Structure{TypeID: i, Template: tpl})
-		}
-	} else {
-		// Phase 1: buffer the discovery prefix (a reservoir of
-		// leading shards, whole input when it fits the budget).
-		for len(prefix) < cfg.DiscoveryBudget {
-			chunk, err := cr.Next()
-			prefix = append(prefix, chunk...)
-			if err != nil {
-				readErr = err
-				break
+// RunBytes is RunContext for an input already in memory — the same engine
+// behind a second front door. Without cfg.Templates the whole slice is the
+// discovery prefix (cfg.DiscoveryBudget does not apply), so structures are
+// learned from stratified samples of all of data. The slice then reaches
+// stage 0 in line-aligned pieces of about cfg.ShardSize, straight from
+// data: no reader, no chunk buffer, no second full copy of the input.
+func RunBytes(ctx context.Context, data []byte, cfg Config) (*core.Result, error) {
+	return run(ctx, data, nil, cfg)
+}
+
+// run is the engine behind both doors: the input is data followed by
+// whatever r (nil for a slice) still holds.
+func run(ctx context.Context, data []byte, r io.Reader, cfg Config) (*core.Result, error) {
+	cfg = cfg.withDefaults()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	var rest *textio.ChunkReader
+	if r != nil {
+		rest = textio.NewChunkReader(r, cfg.ShardSize)
+		// Without templates, buffer the discovery prefix first: a
+		// reservoir of leading shards, the whole input when it fits the
+		// budget.
+		for len(cfg.Templates) == 0 && rest != nil && len(data) < cfg.DiscoveryBudget {
+			chunk, err := rest.Next()
+			data = append(data, chunk...)
+			if err == io.EOF {
+				rest = nil
+			} else if err != nil {
+				return nil, err
 			}
 		}
-		if readErr != nil && readErr != io.EOF {
-			return nil, readErr
-		}
-
-		// Phase 2: template discovery on the prefix.
-		discOpts := cfg.Core
-		discOpts.Workers = cfg.Workers
-		disc, err := core.Extract(prefix, discOpts)
-		if err != nil {
-			return nil, err
-		}
-		structures = disc.Structures
-		discTiming = disc.Timing
 	}
-
-	// Phase 3: staged streaming extraction over prefix + remainder.
-	e := &engine{cfg: cfg, nextLine: cfg.BaseLine, nextByte: cfg.BaseByte}
-	for i, s := range structures {
-		m := (*parser.Matcher)(nil)
-		if i < len(cfg.Matchers) && len(cfg.Templates) > 0 {
-			m = cfg.Matchers[i]
-		}
-		if m == nil {
-			m = parser.NewMatcher(s.Template)
-		}
-		e.stages = append(e.stages, &stage{m: m, typeID: i})
+	e, err := start(ctx, cfg, data)
+	if err != nil {
+		return nil, err
 	}
-
-	t0 := time.Now()
-	if len(prefix) > 0 {
-		if err := e.feed(prefix); err != nil {
-			return nil, err
-		}
+	if err := e.feedAll(ctx, data); err != nil {
+		return nil, err
 	}
-	for readErr == nil {
+	for rest != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		chunk, err := cr.Next()
-		if err != nil {
-			readErr = err
+		chunk, err := rest.Next()
+		if err == io.EOF {
+			rest = nil
+		} else if err != nil {
+			return nil, err
 		}
 		if len(chunk) > 0 {
 			if err := e.feed(chunk); err != nil {
@@ -253,9 +244,64 @@ func RunContext(ctx context.Context, r io.Reader, cfg Config) (*core.Result, err
 			}
 		}
 	}
-	if readErr != io.EOF {
-		return nil, readErr
+	return e.finish(ctx)
+}
+
+// start builds the engine: one stage per template, the templates being
+// cfg.Templates or, without them, what discovery finds in prefix.
+func start(ctx context.Context, cfg Config, prefix []byte) (*engine, error) {
+	e := &engine{cfg: cfg, nextLine: cfg.BaseLine, nextByte: cfg.BaseByte}
+	if len(cfg.Templates) > 0 {
+		if len(cfg.Matchers) > 0 && len(cfg.Matchers) != len(cfg.Templates) {
+			return nil, fmt.Errorf("pipeline: %d precompiled matchers for %d templates", len(cfg.Matchers), len(cfg.Templates))
+		}
+		for i, tpl := range cfg.Templates {
+			e.structures = append(e.structures, core.Structure{TypeID: i, Template: tpl})
+		}
+	} else {
+		var err error
+		if e.structures, e.timing, err = core.Discover(ctx, prefix, cfg.Core); err != nil {
+			return nil, err
+		}
 	}
+	for i, s := range e.structures {
+		var m *parser.Matcher
+		if len(cfg.Templates) > 0 && i < len(cfg.Matchers) {
+			m = cfg.Matchers[i]
+		}
+		if m == nil {
+			m = parser.NewMatcher(s.Template)
+		}
+		e.stages = append(e.stages, &stage{m: m, typeID: i})
+	}
+	e.began = time.Now()
+	return e, nil
+}
+
+// feedAll feeds resident input to stage 0 in line-aligned pieces of about
+// ShardSize, so a stage window never holds more of it than a streamed
+// run's would.
+func (e *engine) feedAll(ctx context.Context, data []byte) error {
+	for len(data) > 0 {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		n := len(data)
+		if last := e.cfg.ShardSize - 1; last < n {
+			n = last + lineLen(data[last:]) // through the line holding byte ShardSize-1
+		}
+		if err := e.feed(data[:n]); err != nil {
+			return err
+		}
+		data = data[n:]
+	}
+	return nil
+}
+
+// finish flushes every stage — the input has ended — and assembles the
+// result.
+func (e *engine) finish(ctx context.Context) (*core.Result, error) {
+	cfg := e.cfg
 	if e.nextLine == cfg.BaseLine {
 		return nil, core.ErrEmptyInput
 	}
@@ -287,9 +333,11 @@ func RunContext(ctx context.Context, r io.Reader, cfg Config) (*core.Result, err
 		}
 	}
 
-	res := &core.Result{NoiseLines: e.noise, Timing: discTiming}
-	res.Timing.Extraction = time.Since(t0)
-	for i, s := range structures {
+	// Discovery charged its residue walks to Extraction; the engine's own
+	// time adds to them.
+	res := &core.Result{NoiseLines: e.noise, Timing: e.timing}
+	res.Timing.Extraction += time.Since(e.began)
+	for i, s := range e.structures {
 		st := e.stages[i]
 		s.Records = st.records
 		s.Coverage = st.coverage

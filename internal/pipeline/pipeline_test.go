@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"reflect"
@@ -13,17 +14,25 @@ import (
 	"datamaran/internal/core"
 	"datamaran/internal/datagen"
 	"datamaran/internal/parser"
+	"datamaran/internal/parser/parsertest"
 	"datamaran/internal/template"
 )
 
-// runBoth extracts d in memory and through the streaming engine (forcing
-// many shards) and returns both results.
+// templatesOf lists a result's templates in application order.
+func templatesOf(res *core.Result) []*template.Node {
+	var tpls []*template.Node
+	for _, s := range res.Structures {
+		tpls = append(tpls, s.Template)
+	}
+	return tpls
+}
+
+// runBoth streams data through discovery and the sharded engine (forcing
+// many shards) and returns the result next to its reference: the oracle's
+// whole-input residue chain (parsertest.Apply) over the templates the run
+// discovered.
 func runBoth(t *testing.T, data []byte, shardSize int, workers int) (*core.Result, *core.Result) {
 	t.Helper()
-	want, err := core.Extract(data, core.Options{})
-	if err != nil {
-		t.Fatalf("core.Extract: %v", err)
-	}
 	got, err := Run(bytes.NewReader(data), Config{
 		ShardSize: shardSize,
 		Workers:   workers,
@@ -31,45 +40,13 @@ func runBoth(t *testing.T, data []byte, shardSize int, workers int) (*core.Resul
 	if err != nil {
 		t.Fatalf("pipeline.Run: %v", err)
 	}
-	return want, got
-}
-
-// assertEquivalent checks the streaming result is byte-identical to the
-// in-memory one on everything but timing.
-func assertEquivalent(t *testing.T, name string, want, got *core.Result) {
-	t.Helper()
-	if len(got.Structures) != len(want.Structures) {
-		t.Fatalf("%s: structures = %d, want %d", name, len(got.Structures), len(want.Structures))
-	}
-	for i := range want.Structures {
-		w, g := want.Structures[i], got.Structures[i]
-		if w.Template.Key() != g.Template.Key() {
-			t.Errorf("%s: type %d template = %s, want %s", name, i, g.Template, w.Template)
-		}
-		if w.Records != g.Records || w.Coverage != g.Coverage {
-			t.Errorf("%s: type %d records/coverage = %d/%d, want %d/%d",
-				name, i, g.Records, g.Coverage, w.Records, w.Coverage)
-		}
-	}
-	if !reflect.DeepEqual(got.Records, want.Records) {
-		if len(got.Records) != len(want.Records) {
-			t.Fatalf("%s: records = %d, want %d", name, len(got.Records), len(want.Records))
-		}
-		for i := range want.Records {
-			if !reflect.DeepEqual(got.Records[i], want.Records[i]) {
-				t.Fatalf("%s: record %d = %+v, want %+v", name, i, got.Records[i], want.Records[i])
-			}
-		}
-	}
-	if !reflect.DeepEqual(got.NoiseLines, want.NoiseLines) {
-		t.Errorf("%s: noise lines = %v, want %v", name, got.NoiseLines, want.NoiseLines)
-	}
+	return parsertest.Apply(templatesOf(got), data), got
 }
 
 // TestStreamEquivalenceCorpus is the property test of the engine: on the
 // datagen corpus, the sharded streaming extraction must produce the same
-// structures, records and noise lines as the in-memory pipeline, even
-// with shards far smaller than a record.
+// structures, records and noise lines as the oracle's whole-input residue
+// chain, even with shards far smaller than a record.
 func TestStreamEquivalenceCorpus(t *testing.T) {
 	// The 25 Table-5 analogs at reduced scale cover every structure
 	// class (single/multi-line, interleaved, noisy) while keeping the
@@ -89,7 +66,7 @@ func TestStreamEquivalenceCorpus(t *testing.T) {
 			name := fmt.Sprintf("%s/shard%d", d.Name, shard)
 			t.Run(name, func(t *testing.T) {
 				want, got := runBoth(t, d.Data, shard, 4)
-				assertEquivalent(t, name, want, got)
+				parsertest.RequireResultEqual(t, name, want, got)
 			})
 		}
 	}
@@ -105,7 +82,7 @@ func TestRecordSpansShardCut(t *testing.T) {
 	}
 	data := []byte(b.String())
 	want, got := runBoth(t, data, 48, 2)
-	assertEquivalent(t, "span", want, got)
+	parsertest.RequireResultEqual(t, "span", want, got)
 	if len(want.Records) == 0 {
 		t.Fatal("test is vacuous: no records extracted")
 	}
@@ -129,9 +106,9 @@ func TestNoiseAtShardEdges(t *testing.T) {
 	data := []byte(b.String())
 	for _, shard := range []int{16, 57, 256, 4096} {
 		want, got := runBoth(t, data, shard, 3)
-		assertEquivalent(t, fmt.Sprintf("shard%d", shard), want, got)
+		parsertest.RequireResultEqual(t, fmt.Sprintf("shard%d", shard), want, got)
 	}
-	if res, _ := core.Extract(data, core.Options{}); len(res.NoiseLines) == 0 {
+	if want, _ := runBoth(t, data, 4096, 1); len(want.NoiseLines) == 0 {
 		t.Fatal("test is vacuous: no noise lines")
 	}
 }
@@ -145,13 +122,16 @@ func TestNoTrailingNewline(t *testing.T) {
 	}
 	b.WriteString("tail,without,newline")
 	want, got := runBoth(t, []byte(b.String()), 32, 2)
-	assertEquivalent(t, "notrailing", want, got)
+	parsertest.RequireResultEqual(t, "notrailing", want, got)
 }
 
-// TestEmptyInput mirrors core.Extract's error.
+// TestEmptyInput: an input without a byte is an error at both doors.
 func TestEmptyInput(t *testing.T) {
 	if _, err := Run(bytes.NewReader(nil), Config{}); err != core.ErrEmptyInput {
-		t.Fatalf("err = %v, want ErrEmptyInput", err)
+		t.Fatalf("Run: err = %v, want ErrEmptyInput", err)
+	}
+	if _, err := RunBytes(context.Background(), nil, Config{}); err != core.ErrEmptyInput {
+		t.Fatalf("RunBytes: err = %v, want ErrEmptyInput", err)
 	}
 }
 
@@ -160,10 +140,7 @@ func TestEmptyInput(t *testing.T) {
 // aborts the run.
 func TestOnRecordStreams(t *testing.T) {
 	d := datagen.CommaSepRecords(500, 3)
-	want, err := core.Extract(d.Data, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := parsertest.Apply(discoverTemplates(t, d.Data), d.Data)
 	var got []core.RecordOut
 	res, err := Run(bytes.NewReader(d.Data), Config{
 		ShardSize: 256,
@@ -175,7 +152,7 @@ func TestOnRecordStreams(t *testing.T) {
 	if len(res.Records) != 0 {
 		t.Errorf("Result.Records = %d, want 0 in callback mode", len(res.Records))
 	}
-	// Single-type data: callback order must equal the in-memory order.
+	// Single-type data: callback order must equal the reference's order.
 	if !reflect.DeepEqual(got, want.Records) {
 		t.Fatalf("streamed records differ: %d vs %d", len(got), len(want.Records))
 	}
@@ -267,26 +244,17 @@ func TestBoundedMemoryLargeInput(t *testing.T) {
 	t.Logf("streamed %d MiB, %d records, %d structures", total>>20, records, len(res.Structures))
 }
 
-// TestTemplatesModeMatchesApplyTemplates checks the discovery-free
-// streaming path against core.ApplyTemplatesParallel: same structures, records
-// and noise, with no prefix buffering involved.
+// TestTemplatesModeMatchesApplyTemplates checks the discovery-free path
+// against the oracle's residue chain (parsertest.Apply) on a two-type
+// input: same structures, records and noise, with no prefix buffering
+// involved.
 func TestTemplatesModeMatchesApplyTemplates(t *testing.T) {
 	d := datagen.InterleavedTypes(2, 150, 11)
-	disc, err := core.Extract(d.Data, core.Options{})
-	if err != nil {
-		t.Fatal(err)
+	tpls := discoverTemplates(t, d.Data)
+	if len(tpls) < 2 {
+		t.Fatalf("test is vacuous: %d structures", len(tpls))
 	}
-	if len(disc.Structures) < 2 {
-		t.Fatalf("test is vacuous: %d structures", len(disc.Structures))
-	}
-	var tpls []*template.Node
-	for _, s := range disc.Structures {
-		tpls = append(tpls, s.Template)
-	}
-	want, err := core.ApplyTemplatesParallel(d.Data, tpls, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := parsertest.Apply(tpls, d.Data)
 	for _, shard := range []int{128, 8 << 10} {
 		got, err := Run(bytes.NewReader(d.Data), Config{
 			ShardSize: shard,
@@ -296,72 +264,58 @@ func TestTemplatesModeMatchesApplyTemplates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertEquivalent(t, fmt.Sprintf("apply/shard%d", shard), want, got)
+		parsertest.RequireResultEqual(t, fmt.Sprintf("apply/shard%d", shard), want, got)
 	}
 }
 
 // TestPrecompiledMatchersEquivalence runs the templates mode with a
 // shared precompiled matcher set — the serve daemon's hot-profile cache
 // path — concurrently, and checks every run is byte-identical to the
-// per-run-compiled form. Also covers the length-mismatch rejection.
+// reference. Also covers the length-mismatch rejection.
 func TestPrecompiledMatchersEquivalence(t *testing.T) {
 	d := datagen.InterleavedTypes(2, 150, 11)
-	disc, err := core.Extract(d.Data, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tpls []*template.Node
-	for _, s := range disc.Structures {
-		tpls = append(tpls, s.Template)
-	}
-	want, err := Run(bytes.NewReader(d.Data), Config{ShardSize: 8 << 10, Workers: 2, Templates: tpls})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tpls := discoverTemplates(t, d.Data)
+	want := parsertest.Apply(tpls, d.Data)
 	matchers := make([]*parser.Matcher, len(tpls))
 	for i, tpl := range tpls {
 		matchers[i] = parser.NewMatcher(tpl)
 	}
 	var wg sync.WaitGroup
 	errs := make([]error, 4)
+	results := make([]*core.Result, 4)
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			got, err := Run(bytes.NewReader(d.Data), Config{
+			results[g], errs[g] = Run(bytes.NewReader(d.Data), Config{
 				ShardSize: 8 << 10,
 				Workers:   2,
 				Templates: tpls,
 				Matchers:  matchers,
 			})
-			if err != nil {
-				errs[g] = err
-				return
-			}
-			assertEquivalent(t, fmt.Sprintf("precompiled/run%d", g), want, got)
 		}(g)
 	}
 	wg.Wait()
-	for _, err := range errs {
+	for g, err := range errs {
 		if err != nil {
 			t.Fatal(err)
 		}
+		parsertest.RequireResultEqual(t, fmt.Sprintf("precompiled/run%d", g), want, results[g])
 	}
 	if _, err := Run(bytes.NewReader(d.Data), Config{Templates: tpls, Matchers: matchers[:1]}); err == nil {
 		t.Fatal("matcher/template length mismatch accepted")
 	}
 }
 
-// TestTemplatesModeEmptyInput mirrors ApplyTemplatesParallel's empty-input error.
+// TestTemplatesModeEmptyInput: templates do not make an empty input
+// extractable.
 func TestTemplatesModeEmptyInput(t *testing.T) {
-	d := datagen.CommaSepRecords(10, 1)
-	disc, err := core.Extract(d.Data, core.Options{})
-	if err != nil {
-		t.Fatal(err)
+	tpls := discoverTemplates(t, datagen.CommaSepRecords(10, 1).Data)
+	if _, err := Run(bytes.NewReader(nil), Config{Templates: tpls}); err != core.ErrEmptyInput {
+		t.Fatalf("Run: err = %v, want ErrEmptyInput", err)
 	}
-	_, err = Run(bytes.NewReader(nil), Config{Templates: []*template.Node{disc.Structures[0].Template}})
-	if err != core.ErrEmptyInput {
-		t.Fatalf("err = %v, want ErrEmptyInput", err)
+	if _, err := RunBytes(context.Background(), nil, Config{Templates: tpls}); err != core.ErrEmptyInput {
+		t.Fatalf("RunBytes: err = %v, want ErrEmptyInput", err)
 	}
 }
 
@@ -369,7 +323,7 @@ func TestTemplatesModeEmptyInput(t *testing.T) {
 // '\n' — never produced by discovery, but legal in hand-written profiles
 // (Profile.UnmarshalJSON does not require newline termination). The
 // engine must neither panic on zero-length fields at the window end nor
-// finalize boundary matches the sequential scan would decide differently.
+// finalize boundary matches a whole-input scan would decide differently.
 func TestFieldTerminalProfileTemplate(t *testing.T) {
 	tpl := template.Struct(template.Lit("x\n"), template.Field()).Normalize()
 	inputs := []string{
@@ -379,10 +333,7 @@ func TestFieldTerminalProfileTemplate(t *testing.T) {
 		strings.Repeat("x\nYY\n", 200), // shard boundaries land after "x\n" lines
 	}
 	for _, in := range inputs {
-		want, err := core.ApplyTemplatesParallel([]byte(in), []*template.Node{tpl}, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := parsertest.Apply([]*template.Node{tpl}, []byte(in))
 		for _, shard := range []int{2, 5, 64} {
 			got, err := Run(strings.NewReader(in), Config{
 				ShardSize: shard,
@@ -391,7 +342,7 @@ func TestFieldTerminalProfileTemplate(t *testing.T) {
 			if err != nil {
 				t.Fatalf("shard %d: %v", shard, err)
 			}
-			assertEquivalent(t, fmt.Sprintf("fieldterm/%q/shard%d", in[:min(len(in), 12)], shard), want, got)
+			parsertest.RequireResultEqual(t, fmt.Sprintf("fieldterm/%q/shard%d", in[:min(len(in), 12)], shard), want, got)
 		}
 	}
 }
@@ -407,10 +358,7 @@ func TestOnNoiseStreams(t *testing.T) {
 		}
 	}
 	data := []byte(b.String())
-	want, err := core.Extract(data, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := parsertest.Apply(discoverTemplates(t, data), data)
 	if len(want.NoiseLines) == 0 {
 		t.Fatal("test is vacuous: no noise")
 	}
@@ -438,3 +386,117 @@ func TestOnNoiseStreams(t *testing.T) {
 		t.Fatalf("err = %v, want callback error", err)
 	}
 }
+
+// TestShardWorkerInvariance pins the engine's own guarantee, separately
+// from its agreement with the oracle: the whole input in one batch on one
+// worker ≡ 64-byte shards on eight workers, through either door.
+func TestShardWorkerInvariance(t *testing.T) {
+	inputs := map[string][]byte{
+		"interleaved":  datagen.InterleavedTypes(2, 150, 11).Data,
+		"noisy":        noisyCommaData(300),
+		"unterminated": append(datagen.CommaSepRecords(50, 2).Data, []byte("7,8")...),
+	}
+	for name, data := range inputs {
+		tpls := discoverTemplates(t, data)
+		whole, err := RunBytes(context.Background(), data, Config{ShardSize: len(data) + 1, Workers: 1, Templates: tpls})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(whole.Records) == 0 {
+			t.Fatalf("%s: test is vacuous: no records", name)
+		}
+		sliced, err := RunBytes(context.Background(), data, Config{ShardSize: 64, Workers: 8, Templates: tpls})
+		if err != nil {
+			t.Fatal(err)
+		}
+		parsertest.RequireResultEqual(t, name+"/bytes", whole, sliced)
+		streamed, err := Run(bytes.NewReader(data), Config{ShardSize: 64, Workers: 8, Templates: tpls})
+		if err != nil {
+			t.Fatal(err)
+		}
+		parsertest.RequireResultEqual(t, name+"/reader", whole, streamed)
+	}
+}
+
+// TestRunBytesMatchesRun: with the input inside the discovery budget, the
+// slice door and the reader door discover the same templates and extract
+// the same result; past the budget the reader learns from its prefix only,
+// which is the one place the two may part.
+func TestRunBytesMatchesRun(t *testing.T) {
+	d := datagen.InterleavedTypes(2, 150, 11)
+	mem, err := RunBytes(context.Background(), d.Data, Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(mem.Structures) < 2 {
+		t.Fatalf("test is vacuous: %d structures", len(mem.Structures))
+	}
+	parsertest.RequireResultEqual(t, "bytes/oracle", parsertest.Apply(templatesOf(mem), d.Data), mem)
+	streamed, err := Run(bytes.NewReader(d.Data), Config{ShardSize: 128, Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parsertest.RequireResultEqual(t, "reader", mem, streamed)
+
+	// A budget of one shard: discovery sees a prefix, extraction all of it.
+	short, err := Run(bytes.NewReader(d.Data), Config{ShardSize: 1 << 10, DiscoveryBudget: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parsertest.RequireResultEqual(t, "prefix/oracle", parsertest.Apply(templatesOf(short), d.Data), short)
+}
+
+// failAfterCancel fails the test when the engine reads from it once the
+// context it watches is done.
+type failAfterCancel struct {
+	t   *testing.T
+	ctx context.Context
+	r   io.Reader
+}
+
+func (f *failAfterCancel) Read(p []byte) (int, error) {
+	if f.ctx.Err() != nil {
+		f.t.Error("Read called after the context was cancelled")
+	}
+	return f.r.Read(p)
+}
+
+// TestCancelledBeforeStartReadsNothing: a run whose context is already
+// done must not read the discovery prefix, let alone search it.
+func TestCancelledBeforeStartReadsNothing(t *testing.T) {
+	d := datagen.CommaSepRecords(500, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := RunContext(ctx, &failAfterCancel{t: t, ctx: ctx, r: bytes.NewReader(d.Data)}, Config{})
+	if err != context.Canceled {
+		t.Fatalf("RunContext: err = %v, want context.Canceled", err)
+	}
+	if _, err := RunBytes(ctx, d.Data, Config{}); err != context.Canceled {
+		t.Fatalf("RunBytes: err = %v, want context.Canceled", err)
+	}
+}
+
+// TestCancelDuringDiscovery cancels from inside the reader, at the read
+// that ends the prefix: discovery must notice instead of searching to the
+// end and extracting.
+func TestCancelDuringDiscovery(t *testing.T) {
+	d := datagen.CommaSepRecords(500, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	r := io.MultiReader(bytes.NewReader(d.Data), readerFunc(func([]byte) (int, error) {
+		cancel()
+		return 0, io.EOF
+	}))
+	records := 0
+	_, err := RunContext(ctx, r, Config{OnRecord: func(core.RecordOut) error { records++; return nil }})
+	if err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if records != 0 {
+		t.Fatalf("%d records extracted after the cancel", records)
+	}
+}
+
+type readerFunc func([]byte) (int, error)
+
+func (f readerFunc) Read(p []byte) (int, error) { return f(p) }

@@ -10,6 +10,7 @@ import (
 
 	"datamaran/internal/core"
 	"datamaran/internal/datagen"
+	"datamaran/internal/parser/parsertest"
 	"datamaran/internal/template"
 	"datamaran/internal/textio"
 )
@@ -18,15 +19,15 @@ import (
 // tests.
 func discoverTemplates(t *testing.T, data []byte) []*template.Node {
 	t.Helper()
-	disc, err := core.Extract(data, core.Options{})
+	structures, _, err := core.Discover(context.Background(), data, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(disc.Structures) == 0 {
+	if len(structures) == 0 {
 		t.Fatal("test is vacuous: no structures")
 	}
 	var tpls []*template.Node
-	for _, s := range disc.Structures {
+	for _, s := range structures {
 		tpls = append(tpls, s.Template)
 	}
 	return tpls
@@ -50,15 +51,12 @@ func TestRunContextCancelled(t *testing.T) {
 
 // TestBaseOffsetsShiftCoordinates checks the resume-at-offset entry
 // point: extracting a suffix with BaseLine/BaseByte set reproduces the
-// whole-file run's records and noise for that suffix, in whole-file
+// whole-file reference's records and noise for that suffix, in whole-file
 // coordinates.
 func TestBaseOffsetsShiftCoordinates(t *testing.T) {
 	d := datagen.CommaSepRecords(200, 7)
 	tpls := discoverTemplates(t, d.Data)
-	full, err := Run(bytes.NewReader(d.Data), Config{ShardSize: 256, Templates: tpls})
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := parsertest.Apply(tpls, d.Data)
 	lines := textio.NewLines(d.Data)
 	cutLine := lines.N() / 3
 	cutByte := lines.Start(cutLine)
@@ -116,10 +114,7 @@ func TestBoundarySnapshotInvariance(t *testing.T) {
 	}
 	for name, data := range inputs {
 		tpls := discoverTemplates(t, data)
-		want, err := Run(bytes.NewReader(data), Config{ShardSize: 512, Templates: tpls})
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := parsertest.Apply(tpls, data)
 		var b Boundary
 		got, err := Run(bytes.NewReader(data), Config{
 			ShardSize: 512,
@@ -129,7 +124,7 @@ func TestBoundarySnapshotInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertEquivalent(t, name+"/with-boundary", want, got)
+		parsertest.RequireResultEqual(t, name+"/with-boundary", want, got)
 
 		lines := textio.NewLines(data)
 		if b.Line < 0 || b.Line > lines.N() {

@@ -2,10 +2,13 @@ package relational
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
 	"datamaran/internal/core"
+	"datamaran/internal/parser/parsertest"
+	"datamaran/internal/pipeline"
 	"datamaran/internal/template"
 )
 
@@ -15,14 +18,17 @@ func stc(c ...*template.Node) *template.Node {
 	return template.Struct(c...).Normalize()
 }
 
-// recordsOf extracts data with tm the way production does and returns the
-// records (all of type 0).
+// recordsOf extracts data with tm the way production does — through the
+// extraction engine, checked here against the tree-walking reference — and
+// returns the records (all of type 0).
 func recordsOf(t *testing.T, tm *template.Node, data string) []core.RecordOut {
 	t.Helper()
-	res, err := core.ApplyTemplatesParallel([]byte(data), []*template.Node{tm}, 0)
+	tpls := []*template.Node{tm}
+	res, err := pipeline.RunBytes(context.Background(), []byte(data), pipeline.Config{Templates: tpls})
 	if err != nil {
 		t.Fatal(err)
 	}
+	parsertest.RequireResultEqual(t, "records", parsertest.Apply(tpls, []byte(data)), res)
 	return res.Records
 }
 

@@ -1,11 +1,12 @@
 package wrangler
 
 import (
+	"context"
 	"testing"
 
-	"datamaran/internal/core"
 	"datamaran/internal/datagen"
 	"datamaran/internal/evaluate"
+	"datamaran/internal/pipeline"
 	"datamaran/internal/recordbreaker"
 )
 
@@ -59,7 +60,7 @@ func TestPlanDatamaranFewestOpsNeverFails(t *testing.T) {
 		t.Skip("full pipeline over the five study datasets")
 	}
 	for _, d := range studySets() {
-		res, err := core.Extract(d.Data, core.Options{})
+		res, err := pipeline.RunBytes(context.Background(), d.Data, pipeline.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +114,7 @@ func TestDifficultyOrdering(t *testing.T) {
 	// §6.3: average difficulty A < B < R.
 	var sumA, sumB, sumR float64
 	for _, d := range studySets() {
-		res, err := core.Extract(d.Data, core.Options{})
+		res, err := pipeline.RunBytes(context.Background(), d.Data, pipeline.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 
-	"datamaran/internal/core"
 	"datamaran/internal/lake"
 	"datamaran/internal/template"
 )
@@ -117,23 +116,13 @@ func (p *Profile) usable() error {
 
 // ExtractWithProfile extracts records from data using the already-learned
 // templates of p, skipping structure discovery entirely. It runs in one
-// linear pass per template (the O(Tdata) extraction row of Table 3).
+// linear pass per template (the O(Tdata) extraction row of Table 3), on
+// all cores; the reader forms take Options when that needs bounding.
 func ExtractWithProfile(data []byte, p *Profile) (*Result, error) {
-	return ExtractWithProfileParallel(data, p, 0)
-}
-
-// ExtractWithProfileParallel is ExtractWithProfile with the per-template
-// scans fanned out over workers goroutines (0 or 1 sequential, negative
-// all cores). Output is identical to ExtractWithProfile.
-func ExtractWithProfileParallel(data []byte, p *Profile, workers int) (*Result, error) {
 	if err := p.usable(); err != nil {
 		return nil, err
 	}
-	res, err := core.ApplyTemplatesParallel(data, p.templates, workers)
-	if err != nil {
-		return nil, err
-	}
-	return wrapResult(res), nil
+	return extract(nil, data, p, Options{}, nil)
 }
 
 // ExtractReaderWithProfile is ExtractWithProfile over a stream: no
@@ -145,7 +134,7 @@ func ExtractReaderWithProfile(r io.Reader, p *Profile, opts Options) (*Result, e
 	if err := p.usable(); err != nil {
 		return nil, err
 	}
-	return extractReader(r, p, opts, nil)
+	return extract(r, nil, p, opts, nil)
 }
 
 // ExtractStreamWithProfile applies a learned profile to a stream in
@@ -155,5 +144,5 @@ func ExtractStreamWithProfile(r io.Reader, p *Profile, opts Options, fn func(Rec
 	if err := p.usable(); err != nil {
 		return nil, err
 	}
-	return extractReader(r, p, opts, fn)
+	return extract(r, nil, p, opts, fn)
 }

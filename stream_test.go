@@ -8,11 +8,40 @@ import (
 	"testing"
 
 	"datamaran/internal/datagen"
+	"datamaran/internal/parser/parsertest"
 	"datamaran/internal/template"
 )
 
-// TestExtractReaderMatchesExtract checks the public streaming API against
-// the in-memory one, forcing many small shards through the engine.
+// reference is the expected extraction of data under p: the tree-walking
+// oracle's residue chain (parsertest.Apply) in the public form — what
+// every Extract* door of the one engine must return.
+func reference(p *Profile, data []byte) *Result {
+	return wrapResult(parsertest.Apply(p.templates, data))
+}
+
+// requireSameExtraction fails t unless got has want's structures, records
+// and noise lines.
+func requireSameExtraction(t *testing.T, label string, want, got *Result) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Structures, want.Structures) {
+		t.Fatalf("%s: structures differ:\n got %+v\nwant %+v", label, got.Structures, want.Structures)
+	}
+	if len(got.Records) != len(want.Records) {
+		t.Fatalf("%s: %d records, want %d", label, len(got.Records), len(want.Records))
+	}
+	for i := range want.Records {
+		if !reflect.DeepEqual(got.Records[i], want.Records[i]) {
+			t.Fatalf("%s: record %d = %+v, want %+v", label, i, got.Records[i], want.Records[i])
+		}
+	}
+	if len(got.NoiseLines) != len(want.NoiseLines) || (len(want.NoiseLines) > 0 && !reflect.DeepEqual(got.NoiseLines, want.NoiseLines)) {
+		t.Fatalf("%s: noise lines = %v, want %v", label, got.NoiseLines, want.NoiseLines)
+	}
+}
+
+// TestExtractReaderMatchesExtract checks both discovering doors — the
+// slice and the reader, the latter forced through many small shards —
+// against the oracle, and that they discover the same templates.
 func TestExtractReaderMatchesExtract(t *testing.T) {
 	datasets := []*datagen.Dataset{
 		datagen.WebServerLog(400, 7),
@@ -24,19 +53,12 @@ func TestExtractReaderMatchesExtract(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", d.Name, err)
 		}
+		requireSameExtraction(t, d.Name+"/slice", reference(want.Profile(), d.Data), want)
 		got, err := ExtractReader(bytes.NewReader(d.Data), Options{ShardSize: 512, Workers: 2})
 		if err != nil {
 			t.Fatalf("%s: %v", d.Name, err)
 		}
-		if !reflect.DeepEqual(got.Structures, want.Structures) {
-			t.Errorf("%s: structures differ:\n got %+v\nwant %+v", d.Name, got.Structures, want.Structures)
-		}
-		if !reflect.DeepEqual(got.Records, want.Records) {
-			t.Errorf("%s: records differ (%d vs %d)", d.Name, len(got.Records), len(want.Records))
-		}
-		if !reflect.DeepEqual(got.NoiseLines, want.NoiseLines) {
-			t.Errorf("%s: noise lines differ", d.Name)
-		}
+		requireSameExtraction(t, d.Name+"/reader", want, got)
 	}
 }
 
@@ -102,9 +124,10 @@ func checkTableLinks(t *testing.T, label string, res *Result) {
 
 // TestStreamedTablesMatchInMemory pins "in-memory ≡ streamed" for tables:
 // applying one profile through ExtractWithProfile and through the sharded
-// ExtractReaderWithProfile must give byte-identical normalized,
-// denormalized and typed tables at every worker count — on the shapes
-// where record nesting and record contiguity are hardest.
+// ExtractReaderWithProfile must give the oracle's records and
+// byte-identical normalized, denormalized and typed tables at every worker
+// count — on the shapes where record nesting and record contiguity are
+// hardest.
 func TestStreamedTablesMatchInMemory(t *testing.T) {
 	fld, lit := template.Field, template.Lit
 	arr := func(sep, term byte, body ...*template.Node) *template.Node {
@@ -153,6 +176,7 @@ func TestStreamedTablesMatchInMemory(t *testing.T) {
 		if len(want.Records) == 0 {
 			t.Fatalf("%s: case extracts no record", c.name)
 		}
+		requireSameExtraction(t, c.name+"/in-memory", reference(c.p, c.data), want)
 		checkTableLinks(t, c.name+"/in-memory", want)
 		for _, workers := range []int{1, 2, 8} {
 			label := fmt.Sprintf("%s/workers%d", c.name, workers)
@@ -160,9 +184,7 @@ func TestStreamedTablesMatchInMemory(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			if !reflect.DeepEqual(got.Records, want.Records) {
-				t.Errorf("%s: records differ (%d vs %d)", label, len(got.Records), len(want.Records))
-			}
+			requireSameExtraction(t, label, want, got)
 			checkTableLinks(t, label, got)
 			for _, form := range forms {
 				if w, g := tablesCSV(t, want.TablesWith(form)), tablesCSV(t, got.TablesWith(form)); w != g {
@@ -199,8 +221,8 @@ func TestExtractStreamYieldsRecords(t *testing.T) {
 	}
 }
 
-// TestExtractReaderWithProfileMatches checks the single-pass profile
-// application over a stream against the in-memory form.
+// TestExtractReaderWithProfileMatches checks single-pass profile
+// application, over a slice and over a stream, against the oracle.
 func TestExtractReaderWithProfileMatches(t *testing.T) {
 	d := datagen.WebServerLog(500, 7)
 	learned, err := Extract(d.Data, Options{})
@@ -213,19 +235,12 @@ func TestExtractReaderWithProfileMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireSameExtraction(t, "slice", reference(p, sibling.Data), want)
 	got, err := ExtractReaderWithProfile(bytes.NewReader(sibling.Data), p, Options{ShardSize: 2048, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Structures, want.Structures) {
-		t.Errorf("structures differ:\n got %+v\nwant %+v", got.Structures, want.Structures)
-	}
-	if !reflect.DeepEqual(got.Records, want.Records) {
-		t.Errorf("records differ (%d vs %d)", len(got.Records), len(want.Records))
-	}
-	if !reflect.DeepEqual(got.NoiseLines, want.NoiseLines) {
-		t.Errorf("noise differs")
-	}
+	requireSameExtraction(t, "reader", want, got)
 
 	if _, err := ExtractReaderWithProfile(bytes.NewReader(sibling.Data), nil, Options{}); err == nil {
 		t.Error("nil profile: expected error")
