@@ -20,10 +20,13 @@ test-short:
 # engine, chunk reader, lake crawl, incremental follow, serve daemon)
 # plus the generation/template hot path (single-goroutine, but its oracle
 # equivalence suite must also hold under the race runtime's different
-# allocation and scheduling behavior) and the query engine (its
-# join-order property suite must hold under the race runtime too).
+# allocation and scheduling behavior), the query engine (its
+# join-order property suite must hold under the race runtime too) and
+# the evaluation step (score, refine, core: one scan arena reused by
+# every variant of a round, held to the exhaustive fresh-scan oracle on
+# a trimmed set of inputs).
 test-race:
-	$(GO) test -race -short ./internal/parser ./internal/pipeline ./internal/textio ./internal/lake ./internal/follow ./internal/serve ./internal/query ./internal/obsv ./internal/generation ./internal/template .
+	$(GO) test -race -short ./internal/parser ./internal/pipeline ./internal/textio ./internal/lake ./internal/follow ./internal/serve ./internal/query ./internal/obsv ./internal/generation ./internal/template ./internal/score ./internal/refine ./internal/core .
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
@@ -39,7 +42,8 @@ bench-quick:
 # Allocation gate: the parser's steady-state scan benchmarks and the
 # generation engine's warm genST benchmark must stay at 0 allocs/op
 # (noise rejection, arena-reuse scanning and transition-table window
-# accumulation never touch the heap), the lake's MatchSample must
+# accumulation never touch the heap), refinement's variant score must
+# allocate a dozen objects whatever the data size, the lake's MatchSample must
 # allocate the same at two sample sizes, and the query engine's five
 # shapes must allocate per query and per block decoded, never per row —
 # see scripts/bench_allocs.sh.
@@ -49,6 +53,8 @@ bench-allocs:
 # Fuzz smoke: run each native fuzz target briefly so CI exercises the
 # generation-engine oracle (FuzzGenerate pins the shape-interned engine
 # to the reference), the reduction invariants (FuzzReduce), the
+# refinement lower bound (FuzzRefineLowerBound: nothing Refine scores
+# undercuts the noise floor evaluation prunes its candidates by), the
 # segment reader on hostile bytes (FuzzSegmentScan: no panic, no
 # allocation out of proportion to the file, row view ≡ batch view) and
 # the profile loader plus the extraction engine behind it
@@ -61,6 +67,7 @@ bench-allocs:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzGenerate$$' -fuzztime 10s ./internal/generation
 	$(GO) test -run '^$$' -fuzz '^FuzzReduce$$' -fuzztime 10s ./internal/template
+	$(GO) test -run '^$$' -fuzz '^FuzzRefineLowerBound$$' -fuzztime 10s ./internal/refine
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentScan$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/lake
 	$(GO) test -run '^$$' -fuzz '^FuzzProfileApply$$' -fuzztime 10s -fuzzminimizetime 1s .
 

@@ -107,6 +107,12 @@ func main() {
 	if !*quiet {
 		fmt.Fprintf(os.Stderr, "extracted %d record type(s) in %v (%d noise lines)\n",
 			len(res.Structures), time.Since(t0).Round(time.Millisecond), len(res.NoiseLines))
+		if tm := res.Timing; tm.Generation > 0 { // zero when a profile supplied the templates
+			fmt.Fprintf(os.Stderr, "  generation %v, pruning %v, evaluation %v (refinement %v), extraction %v\n",
+				tm.Generation.Round(time.Millisecond), tm.Pruning.Round(time.Microsecond),
+				tm.Evaluation.Round(time.Millisecond), tm.Refinement.Round(time.Millisecond),
+				tm.Extraction.Round(time.Millisecond))
+		}
 		for _, s := range res.Structures {
 			kind := "single-line"
 			if s.MultiLine {

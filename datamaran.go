@@ -160,10 +160,13 @@ type Timing struct {
 	Generation time.Duration
 	Pruning    time.Duration
 	Evaluation time.Duration
+	// Refinement is the part of Evaluation spent refining candidates
+	// (array unfolding and structure shifting).
+	Refinement time.Duration
 	Extraction time.Duration
 }
 
-// Total returns the summed step time.
+// Total returns the summed step time (Refinement is inside Evaluation).
 func (t Timing) Total() time.Duration {
 	return t.Generation + t.Pruning + t.Evaluation + t.Extraction
 }
@@ -195,6 +198,7 @@ func wrapResult(res *core.Result) *Result {
 			Generation: res.Timing.Generation,
 			Pruning:    res.Timing.Pruning,
 			Evaluation: res.Timing.Evaluation,
+			Refinement: res.Timing.Refinement,
 			Extraction: res.Timing.Extraction,
 		}}
 	if len(res.Structures) > 0 {

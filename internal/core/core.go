@@ -104,12 +104,14 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// cachingScorer memoizes scores by template key for one residue round:
-// refinement re-scores the same variant trees many times across
-// candidates (most candidates refine toward the same few templates). It
-// also carries the round's scan cache, so every consumer of scan results
-// — the scorer itself, repetition statistics, structure shifting — scans
-// each unique template at most once per round instead of once per use.
+// cachingScorer is the scorer of one residue round. It memoizes scores by
+// template key, which spares refinement the one scan it would repeat: every
+// Refine call opens by scoring its candidate, already plain-scored by the
+// round (hits beyond that are rare — measured 1.2% of calls on the Table-5
+// analogs: candidates do not, as a rule, refine toward each other's
+// variants). It also carries the round's score.ScanCache: the one arena
+// all of the round's scans are written into, and the repetition histogram
+// of each scored template, which is what refinement reads back.
 type cachingScorer struct {
 	inner score.Scorer
 	cache map[string]score.Result
@@ -118,7 +120,7 @@ type cachingScorer struct {
 
 // newCachingScorer wraps inner for one evaluation round. When inner is
 // the default MDL scorer without its own cache, it is rebound onto the
-// round's shared scan cache so scoring and refinement share scans.
+// round's scan cache so scoring and refinement share its arena.
 func newCachingScorer(inner score.Scorer) *cachingScorer {
 	scans := score.NewScanCache()
 	if mdl, ok := inner.(score.MDL); ok && mdl.Cache == nil {
@@ -138,8 +140,16 @@ func (c *cachingScorer) Score(m *parser.Matcher, lines *textio.Lines) score.Resu
 	return r
 }
 
-// ScanCache exposes the round's shared scan memo (see refine's use).
+// ScanCache exposes the round's scan cache (see refine's use).
 func (c *cachingScorer) ScanCache() *score.ScanCache { return c.scans }
+
+// noiseBudgeter is implemented by scorers that can say how much noise a
+// score leaves room for (score.MDL): a template that leaves NoiseBudget(bits)
+// or more bytes of lines uncovered scores bits or worse. Evaluation uses it
+// to skip refining candidates that cannot beat the best found so far.
+type noiseBudgeter interface {
+	NoiseBudget(bits float64) int
+}
 
 // FieldValue is one extracted field occurrence.
 type FieldValue struct {
@@ -191,10 +201,13 @@ type Timing struct {
 	Generation time.Duration
 	Pruning    time.Duration
 	Evaluation time.Duration
+	// Refinement is the part of Evaluation spent inside refine.Refine;
+	// the rest is plain scoring and deciding which candidates to refine.
+	Refinement time.Duration
 	Extraction time.Duration
 }
 
-// Total returns the summed step time.
+// Total returns the summed step time (Refinement is inside Evaluation).
 func (t Timing) Total() time.Duration {
 	return t.Generation + t.Pruning + t.Evaluation + t.Extraction
 }
@@ -222,6 +235,17 @@ var ErrEmptyInput = errors.New("core: empty input")
 // so a cancelled search returns ctx.Err() within one refinement. The
 // generation step of a round is not interruptible.
 func Discover(ctx context.Context, data []byte, opts Options) ([]Structure, Timing, error) {
+	return discover(ctx, data, opts, evaluate)
+}
+
+// evaluator is the evaluation step of a residue round: it picks, among the
+// round's pruned candidates and what refinement makes of them, the template
+// that scores best on lines (nil when none qualifies). Discovery always
+// runs evaluate; the parameter exists so the tests can run the exhaustive
+// loop it replaced beside it, round by round.
+type evaluator func(ctx context.Context, top []generation.Candidate, lines *textio.Lines, opts Options, timing *Timing) (*template.Node, score.Result, error)
+
+func discover(ctx context.Context, data []byte, opts Options, eval evaluator) ([]Structure, Timing, error) {
 	opts = opts.withDefaults()
 	var timing Timing
 	if len(data) == 0 {
@@ -241,7 +265,7 @@ func Discover(ctx context.Context, data []byte, opts Options) ([]Structure, Timi
 		if effAlpha > 1 {
 			break
 		}
-		s, ok, err := discoverOne(ctx, resid, opts, effAlpha, &timing)
+		s, ok, err := discoverOne(ctx, resid, opts, effAlpha, &timing, eval)
 		if err != nil {
 			return nil, timing, err
 		}
@@ -263,7 +287,7 @@ func Discover(ctx context.Context, data []byte, opts Options) ([]Structure, Timi
 
 // discoverOne runs generation, pruning and evaluation over one residue and
 // returns the best refined template (false when the residue has none).
-func discoverOne(ctx context.Context, residData []byte, opts Options, effAlpha float64, timing *Timing) (Structure, bool, error) {
+func discoverOne(ctx context.Context, residData []byte, opts Options, effAlpha float64, timing *Timing, eval evaluator) (Structure, bool, error) {
 	sampler := textio.Sampler{Budget: opts.SampleBudget, Seed: 7}
 	if opts.SampleBudget < 0 {
 		sampler.Budget = 0
@@ -295,7 +319,24 @@ func discoverOne(ctx context.Context, residData []byte, opts Options, effAlpha f
 	top := generation.Prune(cands, opts.TopM)
 	timing.Pruning += time.Since(t0)
 
-	t0 = time.Now()
+	best, bestRes, err := eval(ctx, top, evalLines, opts, timing)
+	if err != nil || best == nil {
+		return Structure{}, false, err
+	}
+	return Structure{
+		Template:            best,
+		Score:               bestRes,
+		CandidatesGenerated: len(cands),
+	}, true, nil
+}
+
+// evaluate is the evaluation step (§4.3): plain-score the pruned
+// candidates, refine those that can still win, keep the best. Its time goes
+// to timing.Evaluation, the part inside refine.Refine to timing.Refinement
+// as well.
+func evaluate(ctx context.Context, top []generation.Candidate, evalLines *textio.Lines, opts Options, timing *Timing) (*template.Node, score.Result, error) {
+	t0 := time.Now()
+	defer func() { timing.Evaluation += time.Since(t0) }()
 	scorer := newCachingScorer(opts.Scorer)
 	// Plain-score every retained candidate, then refine the RefineTop
 	// most promising (refinement costs many scoring passes each).
@@ -323,15 +364,23 @@ func discoverOne(ctx context.Context, residData []byte, opts Options, effAlpha f
 	for i := 0; i < opts.RefineTop && i < len(plain); i++ {
 		refineSet[plain[i].tpl.Key()] = true
 	}
+	// plain is sorted by score, so a good best arrives early, and from then
+	// on a candidate is refined only if refinement could make it win.
+	budgeter, _ := opts.Scorer.(noiseBudgeter)
 	var best *template.Node
 	var bestRes score.Result
 	for _, s := range plain {
 		if err := ctx.Err(); err != nil {
-			return Structure{}, false, err
+			return nil, score.Result{}, err
 		}
 		tpl, r := s.tpl, s.res
 		if !opts.DisableRefinement && refineSet[tpl.Key()] {
+			if best != nil && budgeter != nil && cannotBeat(budgeter.NoiseBudget(bestRes.Bits), tpl, r, evalLines) {
+				continue
+			}
+			tr := time.Now()
 			tpl, r = refine.Refine(s.tpl, evalLines, scorer)
+			timing.Refinement += time.Since(tr)
 		}
 		// A template that is (or refined into) a k-fold stack of a
 		// shorter template describes the same data with wrong record
@@ -343,15 +392,21 @@ func discoverOne(ctx context.Context, residData []byte, opts Options, effAlpha f
 			best, bestRes = tpl, r
 		}
 	}
-	timing.Evaluation += time.Since(t0)
-	if best == nil {
-		return Structure{}, false, nil
+	return best, bestRes, nil
+}
+
+// cannotBeat reports whether nothing refinement can turn tpl into leaves
+// fewer than budget bytes of lines uncovered — budget being the noise the
+// best score so far leaves room for, so that refining tpl is pointless. The
+// lines no template of tpl's lineage can cover (refine.CertainNoise) decide
+// it; tpl's own greedy noise, known from its plain score, bounds them from
+// above, so the walk runs only when that reaches the budget.
+func cannotBeat(budget int, tpl *template.Node, plain score.Result, lines *textio.Lines) bool {
+	if len(lines.Data())-plain.Coverage < budget {
+		return false
 	}
-	return Structure{
-		Template:            best,
-		Score:               bestRes,
-		CandidatesGenerated: len(cands),
-	}, true, nil
+	noise, ok := refine.CertainNoise(tpl, lines, budget)
+	return ok && noise >= budget
 }
 
 // filterTrivial drops templates that impose no real structure: templates

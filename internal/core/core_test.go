@@ -81,15 +81,7 @@ func TestExtractFieldPositionsPointIntoOriginal(t *testing.T) {
 }
 
 func TestExtractMultiLineRecordsWithNoise(t *testing.T) {
-	var b strings.Builder
-	for i := 0; i < 80; i++ {
-		fmt.Fprintf(&b, "id: %d\nval= %d.%d\n", i, i%5, i%9)
-		if i%10 == 0 {
-			b.WriteString("### noise noise noise\n")
-		}
-	}
-	data := []byte(b.String())
-	res, err := extract(data, core.Options{})
+	res, err := extract(multiLineNoisyInput(), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,19 +101,7 @@ func TestExtractMultiLineRecordsWithNoise(t *testing.T) {
 }
 
 func TestExtractInterleavedTwoTypes(t *testing.T) {
-	// Example 2 of the paper: two record types randomly interleaved
-	// (truly aperiodic, so no stacked template can describe the mix).
-	rng := rand.New(rand.NewSource(9))
-	var b strings.Builder
-	for i := 0; i < 120; i++ {
-		if rng.Intn(3) == 0 {
-			fmt.Fprintf(&b, "B|%d|%d\n", i, rng.Intn(10000))
-		} else {
-			fmt.Fprintf(&b, "A;%d;%d.%d\n", i, rng.Intn(7), rng.Intn(3))
-		}
-	}
-	data := []byte(b.String())
-	res, err := extract(data, core.Options{})
+	res, err := extract(interleavedTwoTypesInput(), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,15 +153,7 @@ func TestExtractPureNoiseFindsNothing(t *testing.T) {
 }
 
 func TestExtractNoiseLineIndicesAreOriginal(t *testing.T) {
-	// Junk must stay below the α=10% coverage threshold, otherwise it
-	// legitimately qualifies as a record type under Assumption 1.
-	var b strings.Builder
-	b.WriteString("&&& leading junk &&&\n")
-	for i := 0; i < 200; i++ {
-		fmt.Fprintf(&b, "%d,%d\n", i, i*3)
-	}
-	b.WriteString("~~~ trailing junk ~~~\n")
-	res, err := extract([]byte(b.String()), core.Options{})
+	res, err := extract(junkEndsInput(), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +182,8 @@ func TestExtractGreedyMode(t *testing.T) {
 
 // TestExtractTimingPopulated: a run that discovers reports every step at
 // both doors of the engine, with Extraction holding discovery's residue
-// walks plus the engine's own time; a run given its templates reports
+// walks plus the engine's own time and Refinement a part of Evaluation
+// that Total does not add again; a run given its templates reports
 // extraction alone.
 func TestExtractTimingPopulated(t *testing.T) {
 	var b strings.Builder
@@ -225,6 +198,12 @@ func TestExtractTimingPopulated(t *testing.T) {
 	if disc.Generation <= 0 || disc.Evaluation <= 0 || disc.Extraction <= 0 {
 		t.Fatalf("discovery timing not populated: %+v", disc)
 	}
+	if disc.Refinement <= 0 || disc.Refinement > disc.Evaluation {
+		t.Fatalf("refinement %v is not a part of evaluation %v", disc.Refinement, disc.Evaluation)
+	}
+	if _, plain, err := core.Discover(context.Background(), data, core.Options{DisableRefinement: true}); err != nil || plain.Refinement != 0 || plain.Evaluation <= 0 {
+		t.Fatalf("refinement disabled: timing = %+v (err %v), want evaluation without refinement", plain, err)
+	}
 	for name, run := range map[string]func() (*core.Result, error){
 		"bytes":  func() (*core.Result, error) { return extract(data, core.Options{}) },
 		"reader": func() (*core.Result, error) { return pipeline.Run(bytes.NewReader(data), pipeline.Config{}) },
@@ -234,7 +213,7 @@ func TestExtractTimingPopulated(t *testing.T) {
 			t.Fatal(err)
 		}
 		tm := res.Timing
-		if tm.Generation <= 0 || tm.Evaluation <= 0 || tm.Extraction <= 0 {
+		if tm.Generation <= 0 || tm.Evaluation <= 0 || tm.Extraction <= 0 || tm.Refinement <= 0 || tm.Refinement > tm.Evaluation {
 			t.Fatalf("%s: timing not populated: %+v", name, tm)
 		}
 		if tm.Total() != tm.Generation+tm.Pruning+tm.Evaluation+tm.Extraction {
@@ -245,7 +224,7 @@ func TestExtractTimingPopulated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tm := res.Timing; tm.Generation != 0 || tm.Pruning != 0 || tm.Evaluation != 0 || tm.Extraction <= 0 {
+	if tm := res.Timing; tm.Generation != 0 || tm.Pruning != 0 || tm.Evaluation != 0 || tm.Refinement != 0 || tm.Extraction <= 0 {
 		t.Fatalf("templates mode: timing = %+v, want extraction only", tm)
 	}
 }

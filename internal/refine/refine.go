@@ -25,10 +25,11 @@ import (
 // array node.
 const maxPartialPrefix = 8
 
-// scanCacher is implemented by scorers that share a round-level scan
-// cache (core's caching scorer, score.MDL with a Cache). Refinement uses
-// it so repetition statistics reuse the scan the scorer just performed
-// instead of re-scanning per round.
+// scanCacher is implemented by scorers that score through a round-level
+// score.ScanCache (core's caching scorer). Refinement asks it for the
+// repetition histogram of the template it is about to unfold, which the
+// scorer kept when it scored that template — the scan itself is gone, its
+// arena reused by every scan since.
 type scanCacher interface {
 	ScanCache() *score.ScanCache
 }
@@ -129,38 +130,25 @@ type repStat struct {
 	any     bool
 }
 
-// allRepStats scans lines once with st (through the shared cache when one
-// is available) and collects the repetition-count distribution of every
-// array node in the tree, read off the scan's flat ArrayOcc arena — no
-// parse trees are built or walked.
+// allRepStats collects the repetition-count distribution of every array
+// node in the tree from st's repetition histogram over lines: the one the
+// shared cache kept when st was scored, or that of a fresh scan when there
+// is no cache or st was never scored through it.
 func allRepStats(st *template.Node, lines *textio.Lines, cache *score.ScanCache) map[*template.Node]repStat {
 	m := parser.NewMatcher(st)
-	scan := cache.Scan(m, lines)
-	counts := make([]map[int]int, m.NumArrays())
-	for _, a := range scan.AllArrays() {
-		cm := counts[a.Arr]
-		if cm == nil {
-			cm = map[int]int{}
-			counts[a.Arr] = cm
-		}
-		cm[a.Reps]++
-	}
-	out := make(map[*template.Node]repStat, len(counts))
-	for idx, cm := range counts {
-		if cm == nil {
-			continue
-		}
-		s := repStat{min: -1, any: true, uniform: len(cm) == 1}
-		bestN := -1
-		for c, n := range cm {
-			if n > bestN || (n == bestN && c < s.modal) {
-				bestN, s.modal = n, c
-			}
-			if s.min < 0 || c < s.min {
-				s.min = c
+	out := make(map[*template.Node]repStat, m.NumArrays())
+	// Bars arrive grouped by array, counts ascending: a group's first bar
+	// is its minimum, and a strict > keeps the smallest of tied modes.
+	reps := cache.RepCounts(m, lines)
+	for lo := 0; lo < len(reps); {
+		hi, modal := lo+1, reps[lo]
+		for ; hi < len(reps) && reps[hi].Arr == modal.Arr; hi++ {
+			if reps[hi].N > modal.N {
+				modal = reps[hi]
 			}
 		}
-		out[m.ArrayNode(idx)] = s
+		out[m.ArrayNode(modal.Arr)] = repStat{modal: modal.Reps, min: reps[lo].Reps, uniform: hi-lo == 1, any: true}
+		lo = hi
 	}
 	return out
 }
@@ -257,11 +245,7 @@ func Shift(st *template.Node, lines *textio.Lines) *template.Node {
 		bestLine = lines.N() + 1
 	}
 	for r := 1; r < len(segs); r++ {
-		rotated := make([]*template.Node, 0, 16)
-		for k := 0; k < len(segs); k++ {
-			rotated = append(rotated, segs[(r+k)%len(segs)]...)
-		}
-		cand := template.Struct(rotated...).Normalize()
+		cand := rotation(segs, r)
 		line := firstOccurrence(cand, lines)
 		if line >= 0 && line < bestLine {
 			bestLine = line
@@ -269,6 +253,16 @@ func Shift(st *template.Node, lines *textio.Lines) *template.Node {
 		}
 	}
 	return bestTpl
+}
+
+// rotation returns the template whose line segments are segs rotated left
+// by r.
+func rotation(segs [][]*template.Node, r int) *template.Node {
+	rotated := make([]*template.Node, 0, 16)
+	for k := 0; k < len(segs); k++ {
+		rotated = append(rotated, segs[(r+k)%len(segs)]...)
+	}
+	return template.Struct(rotated...).Normalize()
 }
 
 // lineSegments splits the template's token sequence at newline boundaries:

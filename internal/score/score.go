@@ -286,51 +286,139 @@ type Scorer interface {
 	Score(m *parser.Matcher, lines *textio.Lines) Result
 }
 
-// ScanCache memoizes full scan results by template key over one dataset,
-// so the many overlapping evaluation passes of a discovery round —
-// plain scoring, refinement variants, repetition statistics — each scan a
-// given template exactly once. Scan results are positional (byte offsets
-// and dense array indices), so a cached result is valid for any Matcher
-// whose template has the same key. A nil *ScanCache is valid and simply
-// scans every time.
+// RepCount is one bar of a template's repetition histogram over a scan:
+// N instantiations of array Arr (dense index, see parser.ArrayOcc) matched
+// Reps repetitions.
+type RepCount struct {
+	Arr, Reps, N int
+}
+
+// ScanCache is the scan state the evaluation passes of one discovery round
+// share — plain scoring, refinement variants, repetition statistics. It owns
+// one scan arena that every scan of the round is written into, the MDL
+// scorer's per-column scratch, and, per template key, the one thing
+// refinement reads back after a template has been scored: its repetition
+// histogram. No scan outlives the next one; a round that scores tens of
+// thousands of variants holds one ScanResult, not one per variant. A nil
+// *ScanCache is valid: every scan is then made fresh and nothing is kept.
+// A ScanCache is not safe for concurrent use.
 type ScanCache struct {
 	lines *textio.Lines
-	byKey map[string]*parser.ScanResult
+	reps  map[string][]RepCount
+	scan  parser.ScanResult
+	// Scratch of MDL.Score and repCounts, reused across calls.
+	cols     []colStats
+	perVal   []float64
+	arrayMax []int
+	arrayOff []int
+	counts   []int
 }
 
 // NewScanCache returns an empty cache.
 func NewScanCache() *ScanCache {
-	return &ScanCache{byKey: map[string]*parser.ScanResult{}}
+	return &ScanCache{reps: map[string][]RepCount{}}
 }
 
-// Scan returns the (possibly memoized) scan of m's template over lines.
-// Callers must treat the result as immutable. Changing datasets resets
-// the cache.
-func (c *ScanCache) Scan(m *parser.Matcher, lines *textio.Lines) *parser.ScanResult {
-	if c == nil {
-		return m.Scan(lines)
-	}
+// scanInto scans m's template over lines into the cache's arena. The result
+// is valid until the next scan through the cache. Changing datasets drops
+// the histograms kept for the previous one.
+func (c *ScanCache) scanInto(m *parser.Matcher, lines *textio.Lines) *parser.ScanResult {
 	if c.lines != lines {
 		c.lines = lines
-		if len(c.byKey) > 0 {
-			c.byKey = map[string]*parser.ScanResult{}
+		clear(c.reps)
+	}
+	m.ScanInto(lines, &c.scan)
+	return &c.scan
+}
+
+// arrayMaxOf fills the arrayMax scratch with the largest repetition count
+// of each of m's arrays in scan.
+func (c *ScanCache) arrayMaxOf(m *parser.Matcher, scan *parser.ScanResult) []int {
+	c.arrayMax = append(c.arrayMax[:0], make([]int, m.NumArrays())...)
+	for _, a := range scan.AllArrays() {
+		if a.Reps > c.arrayMax[a.Arr] {
+			c.arrayMax[a.Arr] = a.Reps
 		}
 	}
-	key := m.Template().Key()
-	if r, ok := c.byKey[key]; ok {
-		return r
+	return c.arrayMax
+}
+
+// repCounts builds scan's repetition histogram, ordered by array and then
+// by repetition count. arrayMax is arrayMaxOf the same scan: it sizes the
+// dense counters the occurrences are tallied in.
+func (c *ScanCache) repCounts(scan *parser.ScanResult, arrayMax []int) []RepCount {
+	if len(scan.AllArrays()) == 0 {
+		return nil
 	}
-	r := m.Scan(lines)
-	c.byKey[key] = r
-	return r
+	c.arrayOff = c.arrayOff[:0]
+	total := 0
+	for _, max := range arrayMax {
+		c.arrayOff = append(c.arrayOff, total)
+		total += max + 1
+	}
+	c.counts = append(c.counts[:0], make([]int, total)...)
+	bars := 0
+	for _, a := range scan.AllArrays() {
+		i := c.arrayOff[a.Arr] + a.Reps
+		if c.counts[i] == 0 {
+			bars++
+		}
+		c.counts[i]++
+	}
+	out := make([]RepCount, 0, bars)
+	for arr, max := range arrayMax {
+		for reps, n := range c.counts[c.arrayOff[arr] : c.arrayOff[arr]+max+1] {
+			if n > 0 {
+				out = append(out, RepCount{Arr: arr, Reps: reps, N: n})
+			}
+		}
+	}
+	return out
+}
+
+// RepCounts returns the repetition histogram of m's template over lines:
+// the one MDL.Score kept when it scored the template through this cache,
+// else the histogram of a scan made now.
+func (c *ScanCache) RepCounts(m *parser.Matcher, lines *textio.Lines) []RepCount {
+	if c == nil {
+		c = new(ScanCache) // keeps nothing: its reps map is nil
+	}
+	key := m.Template().Key()
+	if reps, ok := c.reps[key]; ok && c.lines == lines {
+		return reps
+	}
+	scan := c.scanInto(m, lines)
+	reps := c.repCounts(scan, c.arrayMaxOf(m, scan))
+	if c.reps != nil {
+		c.reps[key] = reps
+	}
+	return reps
 }
 
 // MDL is the default minimum-description-length Scorer (§9.2). The zero
-// value scans directly; set Cache to share scan results across the
-// templates of one evaluation round.
+// value scans into a fresh arena per call; set Cache to score the templates
+// of one evaluation round through one reused arena (see ScanCache).
 type MDL struct {
-	// Cache, when non-nil, memoizes scans by template key (see ScanCache).
+	// Cache, when non-nil, owns the arena and scratch Score works in and
+	// keeps each scored template's repetition histogram.
 	Cache *ScanCache
+}
+
+// NoiseBudget returns the number of uncovered line bytes a template must
+// stay below to score under bits: Score charges 32 bits for the block
+// count and 8 per byte of noise line, and every other term is
+// non-negative, so a template leaving NoiseBudget(bits) bytes or more as
+// noise has Bits ≥ bits. Evaluation prunes its refinement set with it (see
+// refine.CertainNoise).
+func (MDL) NoiseBudget(bits float64) int {
+	switch budget := math.Ceil((bits - 32) / 8); {
+	case budget <= 0:
+		return 0
+	case budget >= math.MaxInt:
+		return math.MaxInt
+	default:
+		return int(budget)
+	}
 }
 
 // Score parses the dataset with the template and computes the total
@@ -344,26 +432,30 @@ type MDL struct {
 // describes field values under per-column types. It consumes the scan's
 // flat occurrence arenas directly — no parse trees are walked.
 func (s MDL) Score(m *parser.Matcher, lines *textio.Lines) Result {
-	scan := s.Cache.Scan(m, lines)
+	c := s.Cache
+	if c == nil {
+		c = new(ScanCache)
+	}
+	scan := c.scanInto(m, lines)
 	data := lines.Data()
 	st := m.Template()
 
 	// Pass 1: per-column stats and per-array repetition stats.
-	cols := make([]colStats, m.Columns())
+	c.cols = append(c.cols[:0], make([]colStats, m.Columns())...)
+	cols := c.cols
 	for i := range cols {
 		cols[i].init()
 	}
 	for _, f := range scan.AllFields() {
 		cols[f.Col].add(data[f.Start:f.End])
 	}
-	arrayMax := make([]int, m.NumArrays())
-	for _, a := range scan.AllArrays() {
-		if a.Reps > arrayMax[a.Arr] {
-			arrayMax[a.Arr] = a.Reps
-		}
+	arrayMax := c.arrayMaxOf(m, scan)
+	if c.reps != nil {
+		c.reps[st.Key()] = c.repCounts(scan, arrayMax)
 	}
 	types := make([]FieldType, len(cols))
-	perVal := make([]float64, len(cols))
+	c.perVal = append(c.perVal[:0], make([]float64, len(cols))...)
+	perVal := c.perVal
 	var modelBits float64
 	for i := range cols {
 		types[i] = cols[i].resolve()

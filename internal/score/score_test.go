@@ -2,6 +2,8 @@ package score
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -312,4 +314,65 @@ func TestPipelineWithAlternativeScorer(t *testing.T) {
 	// Scoring interface compatibility is verified at compile time:
 	var _ Scorer = CoverageScorer{}
 	var _ Scorer = MDL{}
+}
+
+// TestMDLNoiseBudget: the budget is the exact inverse of the noise floor —
+// a template scores below bits only if it leaves fewer than
+// NoiseBudget(bits) bytes uncovered — and every score respects its own.
+func TestMDLNoiseBudget(t *testing.T) {
+	for _, c := range []struct {
+		bits float64
+		want int
+	}{{-5, 0}, {32, 0}, {33, 1}, {40, 1}, {41, 2}, {32 + 8*700, 700}, {math.Inf(1), math.MaxInt}} {
+		if got := (MDL{}).NoiseBudget(c.bits); got != c.want {
+			t.Errorf("NoiseBudget(%v) = %d, want %d", c.bits, got, c.want)
+		}
+	}
+	tm := st(fld(), lit(","), fld(), lit("\n"))
+	data := "a,b\nc,d\nTHISNOISE\n1,2\nmore noise here\n"
+	res := scoreOf(tm, data)
+	noise := len(data) - res.Coverage
+	if noise != len("THISNOISE\nmore noise here\n") {
+		t.Fatalf("noise = %d B", noise)
+	}
+	if budget := (MDL{}).NoiseBudget(res.Bits); noise >= budget {
+		t.Fatalf("scored %v bits leaving %d B of noise, but the budget at that score is %d B", res.Bits, noise, budget)
+	}
+}
+
+// TestScanCacheKeepsHistogramNotScan: scoring through a cache gives the
+// scores of the zero-value MDL whatever was scanned into the arena before,
+// and RepCounts returns the histogram of the template asked about — kept at
+// scoring time, or rebuilt for a template the cache never scored — not of
+// the arena's last occupant.
+func TestScanCacheKeepsHistogramNotScan(t *testing.T) {
+	lines := textio.NewLines([]byte("1,2,3\n4,5\n6,7,8\njunk;x\n9,1,2\n3;4;5;6\n"))
+	comma := template.Array([]*template.Node{fld()}, ',', '\n')
+	semi := template.Array([]*template.Node{fld()}, ';', '\n')
+	wantComma := []RepCount{{Arr: 0, Reps: 1, N: 2}, {Arr: 0, Reps: 2, N: 1}, {Arr: 0, Reps: 3, N: 3}}
+	wantSemi := []RepCount{{Arr: 0, Reps: 1, N: 4}, {Arr: 0, Reps: 2, N: 1}, {Arr: 0, Reps: 4, N: 1}}
+
+	cache := NewScanCache()
+	for i, tm := range []*template.Node{comma, semi, st(fld(), lit("\n")), comma} {
+		got := MDL{Cache: cache}.Score(parser.NewMatcher(tm), lines)
+		if want := (MDL{}).Score(parser.NewMatcher(tm), lines); !reflect.DeepEqual(got, want) {
+			t.Fatalf("score %d through the cache = %+v, fresh = %+v", i, got, want)
+		}
+	}
+	for name, c := range map[string]*ScanCache{"scored": cache, "never scored": NewScanCache(), "nil": nil} {
+		if got := c.RepCounts(parser.NewMatcher(semi), lines); !reflect.DeepEqual(got, wantSemi) {
+			t.Errorf("%s cache: RepCounts(%v) = %v, want %v", name, semi, got, wantSemi)
+		}
+		if got := c.RepCounts(parser.NewMatcher(comma), lines); !reflect.DeepEqual(got, wantComma) {
+			t.Errorf("%s cache: RepCounts(%v) = %v, want %v", name, comma, got, wantComma)
+		}
+	}
+	// Another dataset: what was kept for the first must not answer for it.
+	other := textio.NewLines([]byte("1,2\n3,4\n"))
+	if got, want := cache.RepCounts(parser.NewMatcher(comma), other), []RepCount{{Arr: 0, Reps: 2, N: 2}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("after a change of dataset: RepCounts = %v, want %v", got, want)
+	}
+	if got := cache.RepCounts(parser.NewMatcher(st(fld(), lit("\n"))), other); got != nil {
+		t.Errorf("template without arrays: RepCounts = %v, want none", got)
+	}
 }

@@ -10,6 +10,11 @@
 # The lake's MatchSample is held to one ceiling at two sample sizes: it
 # allocates a line index and the compiled matchers, nothing per record —
 # a regression re-materializes records on the crawl's match stage.
+# Refinement's unit of cost — compile one unfold variant, score it through
+# the round's scan cache — allocates the matcher, the template key and
+# what the score keeps (column types, repetition histogram): a dozen
+# objects whatever the data size. A regression goes back to a ScanResult
+# and a column-stats table per variant, tens of thousands of times a round.
 # The query engine's five shapes run at two table sizes against one
 # ceiling of the form constant + per-block × blocks: its allocations are
 # per query (plan, files, footers, groups, heap entries) and per block
@@ -28,6 +33,9 @@ out=$(go test -run '^$' -bench 'BenchmarkScanNoiseReject|BenchmarkScanArenaReuse
 out="$out
 $(go test -run '^$' -bench 'BenchmarkGenSTSteadyState' \
 	-benchmem -benchtime 100x ./internal/generation)"
+out="$out
+$(go test -run '^$' -bench 'BenchmarkRefineVariantScore' \
+	-benchmem -benchtime 100x ./internal/refine)"
 out="$out
 $(go test -run '^$' -bench 'BenchmarkMatchSample' \
 	-benchmem -benchtime 100x ./internal/lake)"
@@ -65,6 +73,7 @@ check_blocks() {
 check ScanNoiseReject 0
 check ScanArenaReuse 0
 check GenSTSteadyState 0
+check RefineVariantScore 12
 check MatchSample/records=500 16
 check MatchSample/records=8000 16
 check_blocks scan 400 12
