@@ -44,8 +44,9 @@ bench-quick:
 # (noise rejection, arena-reuse scanning and transition-table window
 # accumulation never touch the heap), refinement's variant score must
 # allocate a dozen objects whatever the data size, the lake's MatchSample must
-# allocate the same at two sample sizes, and the query engine's five
-# shapes must allocate per query and per block decoded, never per row —
+# allocate the same at two sample sizes, the query engine's five
+# shapes must allocate per query and per block decoded, never per row,
+# and the streaming apply path per shard, never per record or field —
 # see scripts/bench_allocs.sh.
 bench-allocs:
 	sh scripts/bench_allocs.sh

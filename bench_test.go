@@ -287,17 +287,29 @@ func streamBenchInput(mb int) []byte {
 	return out
 }
 
+// benchStream times the apply path alone: the profile is learned once from
+// a small sample of the same generator, outside the timer, and every
+// iteration streams data through it at the default shard size. allocs/op is
+// therefore the engine's own — a constant plus a few per 1 MiB shard
+// (scripts/bench_allocs.sh pins it).
 func benchStream(b *testing.B, data []byte, workers int) {
+	learned, err := Extract(datagen.WebServerLog(300, 7).Data, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := learned.Profile()
 	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := ExtractStream(bytes.NewReader(data), Options{Workers: workers},
-			func(Record) error { return nil })
+		records := 0
+		res, err := ExtractStreamWithProfile(bytes.NewReader(data), p, Options{Workers: workers},
+			func(Record) error { records++; return nil })
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(res.Structures) == 0 {
-			b.Fatal("no structures")
+		if records == 0 || len(res.NoiseLines) > 0 {
+			b.Fatalf("%d records, %d noise lines: the learned profile does not cover the input", records, len(res.NoiseLines))
 		}
 	}
 }

@@ -114,27 +114,35 @@ func (o Options) config() pipeline.Config {
 	return cfg
 }
 
-// Field is one extracted field value.
-type Field struct {
-	// Column is the field's column index in its record type's template.
-	// Fields inside a list share a column across repetitions.
-	Column int
-	// Repetition is the ordinal within a list (0 outside lists).
-	Repetition int
-	// Start and End are byte offsets into the input.
-	Start, End int
-	// Value is the field text.
-	Value string
-}
+// Field is one extracted field value: its Column in the record type's
+// template, its Repetition ordinal inside a list (0 outside lists), its
+// Start and End byte offsets in the input, and its text, Value. It is the
+// extraction engine's own field type, so records reach the caller without
+// their fields being copied.
+//
+// Value is a substring of its batch's record text: keeping it (or the
+// Record it came from) keeps that batch's storage reachable — see Record.
+type Field = core.FieldValue
 
 // Record is one extracted record.
+//
+// Retention. The engine allocates per batch, not per record: the Fields of
+// the records a worker materialized for one batch are runs of one slice,
+// and their Values substrings of one string holding those records' text.
+// A Record stays valid for as long as it is referenced — nothing is reused
+// or overwritten — but a retained Record, Fields slice or Value keeps its
+// whole batch's storage reachable: at most about Options.ShardSize of
+// record text plus the field slice over it. Keeping every record, or none,
+// costs nothing extra; to keep a few out of many, copy what is kept
+// (strings.Clone for a Value).
 type Record struct {
 	// Type identifies the record's structure (index into
 	// Result.Structures).
 	Type int
 	// StartLine and EndLine delimit the record's lines [StartLine, EndLine).
 	StartLine, EndLine int
-	// Fields lists the record's field values in template order.
+	// Fields lists the record's field values in template order. Appending
+	// to it never reaches another record's fields (cap == len).
 	Fields []Field
 }
 
@@ -175,7 +183,9 @@ func (t Timing) Total() time.Duration {
 type Result struct {
 	// Structures lists the discovered record types, best first.
 	Structures []Structure
-	// Records lists every extracted record in input order per type.
+	// Records lists every extracted record in input order per type. The
+	// records' Fields share storage with what TablesWith reads: treat
+	// them as read-only.
 	Records []Record
 	// NoiseLines lists input line indices not covered by any record.
 	NoiseLines []int
@@ -201,66 +211,41 @@ func wrapResult(res *core.Result) *Result {
 			Refinement: res.Timing.Refinement,
 			Extraction: res.Timing.Extraction,
 		}}
+	// One pass over the records, one allocation: the record headers.
+	// Their Fields are views of the engine's (capacity-clipped, so an
+	// append to one record's Fields cannot reach its neighbour's).
+	multi := make([]bool, len(res.Structures)) // by record type
+	if len(res.Records) > 0 {
+		out.Records = make([]Record, len(res.Records))
+	}
+	for i, r := range res.Records {
+		out.Records[i] = publicRecord(r)
+		if r.EndLine-r.StartLine > 1 && r.TypeID < len(multi) {
+			multi[r.TypeID] = true
+		}
+	}
 	if len(res.Structures) > 0 {
 		out.Structures = make([]Structure, 0, len(res.Structures))
 	}
 	for _, s := range res.Structures {
-		multi := false
-		for _, r := range res.Records {
-			if r.TypeID == s.TypeID && r.EndLine-r.StartLine > 1 {
-				multi = true
-				break
-			}
-		}
 		out.Structures = append(out.Structures, Structure{
 			Type:      s.TypeID,
 			Template:  s.Template.String(),
 			Columns:   s.Template.NumFields(),
 			Records:   s.Records,
 			Coverage:  s.Coverage,
-			MultiLine: multi,
+			MultiLine: s.TypeID < len(multi) && multi[s.TypeID],
 		})
-	}
-	if len(res.Records) == 0 {
-		return out
-	}
-	// Two allocations for the whole result: the records, and one backing
-	// array their Fields are cut from (capacity clipped, so an append to
-	// one record's Fields cannot reach its neighbour's).
-	nfields := 0
-	for i := range res.Records {
-		nfields += len(res.Records[i].Fields)
-	}
-	fields := make([]Field, 0, nfields)
-	out.Records = make([]Record, len(res.Records))
-	for i := range res.Records {
-		r := &res.Records[i]
-		lo := len(fields)
-		fields = appendFields(fields, r.Fields)
-		out.Records[i] = Record{Type: r.TypeID, StartLine: r.StartLine, EndLine: r.EndLine}
-		if hi := len(fields); hi > lo {
-			out.Records[i].Fields = fields[lo:hi:hi]
-		}
 	}
 	return out
 }
 
-// appendFields appends the public form of an internal record's fields.
-func appendFields(dst []Field, src []core.FieldValue) []Field {
-	for _, f := range src {
-		dst = append(dst, Field{
-			Column: f.Col, Repetition: f.Rep,
-			Start: f.Start, End: f.End, Value: f.Value,
-		})
-	}
-	return dst
-}
-
-// publicRecord converts one internal record to the public form.
+// publicRecord is the public view of one internal record: a header copy
+// whose Fields are the engine's own (nil when there are none).
 func publicRecord(r core.RecordOut) Record {
 	rec := Record{Type: r.TypeID, StartLine: r.StartLine, EndLine: r.EndLine}
-	if len(r.Fields) > 0 {
-		rec.Fields = appendFields(make([]Field, 0, len(r.Fields)), r.Fields)
+	if n := len(r.Fields); n > 0 {
+		rec.Fields = r.Fields[:n:n]
 	}
 	return rec
 }
@@ -283,7 +268,11 @@ func ExtractReader(r io.Reader, opts Options) (*Result, error) {
 // yielded to fn as soon as its shard is finalized instead of being
 // accumulated. Records of one type arrive in input order; different types
 // interleave at shard granularity. A non-nil error from fn aborts the
-// run. The returned Result carries the structures, noise lines and
+// run. A Record may be kept after fn returns — nothing is reused — but
+// storage is per batch, so a kept Record (or one Value of it) keeps about
+// Options.ShardSize of record text and its field slice reachable: keep
+// all, keep none, or strings.Clone the few values worth keeping (see
+// Record). The returned Result carries the structures, noise lines and
 // timing, with Records empty — so the table builders return schema-only
 // tables for a streamed result; use ExtractReader when tables are
 // needed. Memory is bounded except for the noise line indices, which
@@ -302,10 +291,13 @@ func extract(r io.Reader, data []byte, p *Profile, opts Options, fn func(Record)
 	if p != nil {
 		cfg.Templates = p.templates
 	}
-	multi := map[int]bool{}
+	var multi []bool // by record type: one of its records spans lines
 	if fn != nil {
 		cfg.OnRecord = func(ro core.RecordOut) error {
 			if ro.EndLine-ro.StartLine > 1 {
+				for len(multi) <= ro.TypeID {
+					multi = append(multi, false)
+				}
 				multi[ro.TypeID] = true
 			}
 			return fn(publicRecord(ro))
@@ -324,7 +316,7 @@ func extract(r io.Reader, data []byte, p *Profile, opts Options, fn func(Record)
 	}
 	out := wrapResult(res)
 	for i := range out.Structures {
-		if multi[out.Structures[i].Type] {
+		if t := out.Structures[i].Type; t < len(multi) && multi[t] {
 			out.Structures[i].MultiLine = true
 		}
 	}

@@ -256,8 +256,9 @@ func TestTypedTablesNoSpuriousMerges(t *testing.T) {
 
 // TestWrapResultExactSizing: the public result holds exactly what the
 // per-record conversion yields — nil where there is nothing, no spare
-// capacity where there is — and the records' Fields, cut from one backing
-// array, cannot be appended into each other.
+// capacity where there is — as views of the engine's own fields, not a
+// second copy of them; and the records' Fields, runs of one backing array,
+// cannot be appended into each other.
 func TestWrapResultExactSizing(t *testing.T) {
 	res, err := Extract(sampleCSV(50), Options{})
 	if err != nil {
@@ -273,6 +274,9 @@ func TestWrapResultExactSizing(t *testing.T) {
 		}
 		if cap(r.Fields) != len(r.Fields) || cap(want.Fields) != len(want.Fields) {
 			t.Fatalf("record %d: Fields cap %d/%d for len %d", i, cap(r.Fields), cap(want.Fields), len(r.Fields))
+		}
+		if len(r.Fields) == 0 || &r.Fields[0] != &res.res.Records[i].Fields[0] {
+			t.Fatalf("record %d: public Fields are not a view of the engine's", i)
 		}
 	}
 	next := res.Records[1].Fields[0]

@@ -151,14 +151,20 @@ type noiseBudgeter interface {
 	NoiseBudget(bits float64) int
 }
 
-// FieldValue is one extracted field occurrence.
+// FieldValue is one extracted field occurrence. It is the engine's field
+// type and the public one: datamaran.Field is an alias of it, so a record
+// crosses the API boundary without its fields being copied.
 type FieldValue struct {
-	// Col is the template column; Rep the repetition ordinal inside an
-	// array (0 outside arrays).
-	Col, Rep int
-	// Start and End are byte offsets into the original dataset.
+	// Column is the field's column index in its record type's template.
+	// Fields inside a list share a column across repetitions.
+	Column int
+	// Repetition is the ordinal within a list (0 outside lists; inside
+	// nested lists, the innermost repetition index).
+	Repetition int
+	// Start and End are byte offsets into the input.
 	Start, End int
-	// Value is the extracted text.
+	// Value is the field text. It is a substring of its batch's record
+	// text (see internal/pipeline, "Memory").
 	Value string
 }
 

@@ -82,7 +82,7 @@ func digest(t *testing.T, res *Result, reg *Registry) string {
 		for _, r := range f.Res.Records {
 			fmt.Fprintf(&b, "  record %d [%d,%d)", r.TypeID, r.StartLine, r.EndLine)
 			for _, fv := range r.Fields {
-				fmt.Fprintf(&b, " %d.%d@%d-%d=%q", fv.Col, fv.Rep, fv.Start, fv.End, fv.Value)
+				fmt.Fprintf(&b, " %d.%d@%d-%d=%q", fv.Column, fv.Repetition, fv.Start, fv.End, fv.Value)
 			}
 			b.WriteByte('\n')
 		}

@@ -2,6 +2,7 @@ package parser
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 
 	"datamaran/internal/textio"
@@ -34,6 +35,13 @@ type CandEnd struct {
 // buffer behind lines. workers <= 0 selects GOMAXPROCS; the slice is
 // indexed by line−from.
 func (m *Matcher) MatchCandidateEnds(lines *textio.Lines, from, to, workers int) []CandEnd {
+	return m.MatchCandidateEndsInto(nil, lines, from, to, workers)
+}
+
+// MatchCandidateEndsInto is MatchCandidateEnds writing into dst's storage
+// when it is large enough (every returned entry is overwritten), so a
+// caller matching batch after batch keeps one candidate slice.
+func (m *Matcher) MatchCandidateEndsInto(dst []CandEnd, lines *textio.Lines, from, to, workers int) []CandEnd {
 	if to > lines.N() {
 		to = lines.N()
 	}
@@ -41,26 +49,26 @@ func (m *Matcher) MatchCandidateEnds(lines *textio.Lines, from, to, workers int)
 		from = 0
 	}
 	if from >= to {
-		return nil
+		return dst[:0]
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	n := to - from
-	cands := make([]CandEnd, n)
+	cands := slices.Grow(dst[:0], n)[:n]
 	data := lines.Data()
 
 	matchRange := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			pos := lines.Start(from + i)
 			matchEnd, ok, trunc := m.MatchEnds(data, pos)
-			if !ok {
-				cands[i] = CandEnd{Truncated: trunc}
-				continue
+			c := CandEnd{Truncated: trunc}
+			if ok {
+				if endLine, aligned := lines.AlignedLine(matchEnd); aligned && endLine > from+i {
+					c = CandEnd{EndLine: endLine, End: matchEnd}
+				}
 			}
-			if endLine, aligned := lines.AlignedLine(matchEnd); aligned && endLine > from+i {
-				cands[i] = CandEnd{EndLine: endLine, End: matchEnd}
-			}
+			cands[i] = c
 		}
 	}
 

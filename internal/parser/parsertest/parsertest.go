@@ -332,7 +332,7 @@ func Apply(templates []*template.Node, data []byte) *core.Result {
 				}
 				shift := orig.Start(origLine[li]) - lines.Start(li)
 				out.Fields = append(out.Fields, core.FieldValue{
-					Col: f.Col, Rep: f.Rep,
+					Column: f.Col, Repetition: f.Rep,
 					Start: f.Start + shift, End: f.End + shift,
 					Value: string(resid[f.Start:f.End]),
 				})

@@ -25,18 +25,33 @@
 // than from stratified whole-input samples.
 //
 // Memory. Each stage retains at most about two shards of residue (plus
-// any single record still being completed across a shard boundary), so
-// the input streams through in bounded space. The outputs accumulate in
-// the Result unless streamed away: use OnRecord for records and OnNoise
-// for noise line indices to keep the whole run bounded.
+// any single record still being completed across a shard boundary) and
+// its batch scratch — line index, candidates, accepted records and their
+// occurrences, sized by the largest batch so far — so the input streams
+// through in bounded space. The outputs accumulate in the Result unless
+// streamed away: use OnRecord for records and OnNoise for noise line
+// indices to keep the whole run bounded.
+//
+// Records are allocated per batch, not per record (see materialize): the
+// records one worker materialized for one batch share one string of their
+// text and one slice of field values, which nothing reuses or overwrites.
+// A RecordOut handed to OnRecord therefore stays valid after the callback
+// returns, for as long as it is referenced; the granularity of retention
+// is the batch — a kept record, Fields slice or Value keeps its worker's
+// share of the batch reachable (at most about ShardSize of record text
+// plus the field slice over it). Keeping all records or none costs nothing
+// extra; to keep a few out of many, clone what is kept (strings.Clone).
 package pipeline
 
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -71,7 +86,9 @@ type Config struct {
 	// finalized instead of the record being accumulated into
 	// Result.Records — the bounded-memory mode. Records of one type
 	// arrive in input order; types interleave at shard granularity.
-	// A non-nil error aborts the run.
+	// A record may be kept past the call (it keeps its batch's storage
+	// reachable: see the package comment, "Memory"). A non-nil error
+	// aborts the run.
 	OnRecord func(core.RecordOut) error
 	// OnNoise, when non-nil, receives each final noise line's original
 	// index as it is decided instead of the index being accumulated
@@ -141,11 +158,21 @@ type lineMeta struct {
 	start int // original byte offset of the line's first byte
 }
 
+// recordMatcher is what a stage asks of its compiled template: the validate
+// pass over a window's lines, then the extract pass over each record the
+// greedy walk accepted. *parser.Matcher implements it; a test substitutes
+// one whose two passes disagree.
+type recordMatcher interface {
+	Columns() int
+	MatchCandidateEndsInto(dst []parser.CandEnd, lines *textio.Lines, from, to, workers int) []parser.CandEnd
+	AppendRecord(data []byte, pos int, occs []parser.FieldOcc, arrays []parser.ArrayOcc) ([]parser.FieldOcc, []parser.ArrayOcc, bool)
+}
+
 // stage applies one template to its residue stream. buf holds the
 // resident window of still-undecided residue lines; meta maps each
 // resident line back to original coordinates.
 type stage struct {
-	m        *parser.Matcher
+	m        recordMatcher
 	typeID   int
 	buf      []byte
 	meta     []lineMeta
@@ -157,6 +184,27 @@ type stage struct {
 	// grow past it before matching is attempted again, keeping the
 	// rework linear instead of quadratic.
 	minRetry int
+
+	// Batch scratch, overwritten by every batch and never handed out: the
+	// window's line index, the candidate ends, the accepted records, their
+	// RecordOut headers, and per materialize worker the occurrences of its
+	// range. What a batch hands out — the slabs the headers point into —
+	// is allocated fresh (see materialize).
+	lines    textio.Lines
+	cands    []parser.CandEnd
+	accepted []parser.Record
+	out      []core.RecordOut
+	ranges   []rangeScratch
+}
+
+// rangeScratch holds the extract pass's output for one worker's range of a
+// batch's accepted records: every field and array occurrence, flat, and per
+// record where its occurrences end in both.
+type rangeScratch struct {
+	fields []parser.FieldOcc
+	arrays []parser.ArrayOcc
+	ends   [][2]int // len(fields), len(arrays) after each record
+	err    error    // what the range's worker goroutine returned
 }
 
 // engine drives the staged streaming scan.
@@ -413,22 +461,26 @@ func lineLen(b []byte) int {
 // process runs one batch of stage t: parallel per-line candidates, the
 // sequential greedy walk, parallel record materialization, then window
 // compaction. final means no more input can arrive, so every decision is
-// safe to finalize.
+// safe to finalize. The sequential half works in the stage's own scratch
+// (line index, candidates, accepted records), so a batch allocates only
+// what it hands out.
 func (e *engine) process(t int, final bool) error {
 	st := e.stages[t]
-	ls := textio.NewLines(st.buf)
+	ls := &st.lines
+	ls.Reset(st.buf)
 	n := ls.N()
 	if n == 0 {
 		return nil
 	}
-	cands := st.m.MatchCandidateEnds(ls, 0, n, e.cfg.Workers)
+	st.cands = st.m.MatchCandidateEndsInto(st.cands, ls, 0, n, e.cfg.Workers)
+	cands := st.cands
 
 	// Greedy walk — identical decisions to the sequential Scan. Near
 	// the window's end (when more input may arrive), decisions that
 	// could change with more bytes are deferred to the next batch:
 	// attempts that ran off the buffer, and matches that consumed the
 	// buffer's unterminated tail.
-	var accepted []parser.Record
+	accepted := slices.Grow(st.accepted[:0], n) // at most one record per line
 	i := 0
 	for i < n {
 		c := cands[i]
@@ -460,11 +512,15 @@ func (e *engine) process(t int, final bool) error {
 		st.coverage += c.End - ls.Start(i)
 		i = c.EndLine
 	}
+	st.accepted = accepted
 	consumed := i
 
 	if len(accepted) > 0 {
 		st.records += len(accepted)
-		recs := e.materialize(st, ls, accepted)
+		recs, err := e.materialize(st)
+		if err != nil {
+			return err
+		}
 		if e.cfg.OnRecord != nil {
 			for _, r := range recs {
 				if err := e.cfg.OnRecord(r); err != nil {
@@ -474,6 +530,9 @@ func (e *engine) process(t int, final bool) error {
 		} else {
 			st.recs = append(st.recs, recs...)
 		}
+		// The headers were copied out; drop the scratch's references so
+		// the stage keeps no batch's slabs alive past the batch.
+		clear(recs)
 	}
 
 	// Compact: drop the finalized prefix, keep the deferred tail.
@@ -516,38 +575,71 @@ func (e *engine) finalNoise(origLine int) error {
 	return nil
 }
 
-// materialize converts accepted window-local records into original-stream
-// coordinates, fanning the field extraction and value copies out over the
-// worker pool. Each worker re-parses its records through the arena-based
-// extract pass into a private reusable scratch — the validate pass already
-// vetted every accepted record, so extraction touches only record bytes
-// and allocates nothing per record beyond the output values. Output order
-// matches the accepted order.
-func (e *engine) materialize(st *stage, ls *textio.Lines, accepted []parser.Record) []core.RecordOut {
-	out := make([]core.RecordOut, len(accepted))
-	fill := func(lo, hi int) {
-		var fields []parser.FieldOcc
-		var arrays []parser.ArrayOcc
-		for idx := lo; idx < hi; idx++ {
-			rec := accepted[idx]
-			ro := core.RecordOut{
-				TypeID:    st.typeID,
-				StartLine: st.meta[rec.StartLine].orig,
-				EndLine:   st.meta[rec.EndLine-1].orig + 1,
-			}
+// errInconsistent reports that the extract pass refused a record the
+// validate pass accepted: the two walks of one template disagree, which
+// only a matcher bug can cause. The run stops rather than emit a record
+// with no fields.
+var errInconsistent = errors.New("pipeline: internal inconsistency: the extract pass rejects a record the validate pass matched")
+
+// materialize turns the batch's accepted window-local records into records
+// in original-stream coordinates, fanning contiguous ranges of them out
+// over the worker pool. The returned headers are the stage's scratch, valid
+// until its next batch; the slabs they point into are allocated here and
+// belong to whoever keeps a record. Per range a worker allocates one set
+// of slabs — one string holding the bytes of the range's
+// records back to back (a single copy of record text, nothing of the noise
+// between), one []core.FieldValue and, when the template has arrays, one
+// []parser.ArrayOcc — and every record's Fields and Arrays are
+// capacity-clipped runs of those slabs, every Value a substring of the
+// string. Slabs are never reused, so a record stays valid for as long as
+// anything refers to it, and nothing is allocated per record or per field.
+// The extract pass (validated already, so it touches only record bytes)
+// runs first into the range's reusable scratch, which sizes the slabs
+// exactly. Output order matches the accepted order.
+func (e *engine) materialize(st *stage) ([]core.RecordOut, error) {
+	accepted, ls := st.accepted, &st.lines
+	st.out = slices.Grow(st.out[:0], len(accepted))[:len(accepted)]
+	out := st.out
+	fill := func(sc *rangeScratch, lo, hi int) error {
+		recs := accepted[lo:hi]
+		sc.fields, sc.arrays, sc.ends = sc.fields[:0], sc.arrays[:0], sc.ends[:0]
+		// A record has a field per template column, more where an array
+		// repeats: exact for the array-free template, a floor otherwise.
+		sc.fields = slices.Grow(sc.fields, len(recs)*st.m.Columns())
+		sc.ends = slices.Grow(sc.ends, len(recs))
+		textLen := 0
+		for _, rec := range recs {
+			textLen += rec.End - rec.Start
+		}
+		var text strings.Builder
+		text.Grow(textLen)
+		for _, rec := range recs {
 			var ok bool
-			fields, arrays, ok = st.m.AppendRecord(st.buf, rec.Start, fields[:0], arrays[:0])
+			sc.fields, sc.arrays, ok = st.m.AppendRecord(st.buf, rec.Start, sc.fields, sc.arrays)
 			if !ok {
-				// Unreachable: the candidate pass validated the match.
-				continue
+				return fmt.Errorf("%w (type %d, line %d)", errInconsistent, st.typeID, st.meta[rec.StartLine].orig)
 			}
-			ro.Fields = make([]core.FieldValue, 0, len(fields))
+			sc.ends = append(sc.ends, [2]int{len(sc.fields), len(sc.arrays)})
+			text.Write(st.buf[rec.Start:rec.End])
+		}
+		values := text.String()
+		fields := make([]core.FieldValue, len(sc.fields))
+		var arrays []parser.ArrayOcc
+		if len(sc.arrays) > 0 {
+			arrays = make([]parser.ArrayOcc, len(sc.arrays))
+			copy(arrays, sc.arrays)
+		}
+
+		f0, a0, textOff := 0, 0, 0
+		for k, rec := range recs {
+			f1, a1 := sc.ends[k][0], sc.ends[k][1]
 			// Fields arrive left to right and never cross line
 			// boundaries, so the containing line advances
 			// monotonically from the record's first line and one
 			// per-line delta translates both span ends.
 			li := rec.StartLine
-			for _, f := range fields {
+			toText := textOff - rec.Start
+			for j, f := range sc.fields[f0:f1] {
 				// li+1 < N() guards the sentinel: a zero-length
 				// field at the very end of the window belongs to
 				// the last line.
@@ -555,25 +647,39 @@ func (e *engine) materialize(st *stage, ls *textio.Lines, accepted []parser.Reco
 					li++
 				}
 				shift := st.meta[li].start - ls.Start(li)
-				ro.Fields = append(ro.Fields, core.FieldValue{
-					Col: f.Col, Rep: f.Rep,
+				fields[f0+j] = core.FieldValue{
+					Column: f.Col, Repetition: f.Rep,
 					Start: f.Start + shift, End: f.End + shift,
-					Value: string(st.buf[f.Start:f.End]),
-				})
+					Value: values[f.Start+toText : f.End+toText],
+				}
 			}
-			if len(arrays) > 0 {
-				ro.Arrays = append([]parser.ArrayOcc(nil), arrays...)
+			ro := core.RecordOut{
+				TypeID:    st.typeID,
+				StartLine: st.meta[rec.StartLine].orig,
+				EndLine:   st.meta[rec.EndLine-1].orig + 1,
+				Fields:    fields[f0:f1:f1],
 			}
-			out[idx] = ro
+			if a1 > a0 {
+				ro.Arrays = arrays[a0:a1:a1]
+			}
+			out[lo+k] = ro
+			f0, a0 = f1, a1
+			textOff += rec.End - rec.Start
 		}
+		return nil
 	}
 	workers := e.cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers <= 1 || len(accepted) < workers*4 {
-		fill(0, len(accepted))
-		return out
+		workers = 1
+	}
+	if len(st.ranges) < workers {
+		st.ranges = append(st.ranges, make([]rangeScratch, workers-len(st.ranges))...)
+	}
+	if workers == 1 {
+		return out, fill(&st.ranges[0], 0, len(accepted))
 	}
 	chunk := (len(accepted) + workers - 1) / workers
 	var wg sync.WaitGroup
@@ -582,16 +688,18 @@ func (e *engine) materialize(st *stage, ls *textio.Lines, accepted []parser.Reco
 		if lo >= len(accepted) {
 			break
 		}
-		hi := lo + chunk
-		if hi > len(accepted) {
-			hi = len(accepted)
-		}
+		hi := min(lo+chunk, len(accepted))
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func(sc *rangeScratch, lo, hi int) {
 			defer wg.Done()
-			fill(lo, hi)
-		}(lo, hi)
+			sc.err = fill(sc, lo, hi)
+		}(&st.ranges[w], lo, hi)
 	}
 	wg.Wait()
-	return out
+	for w := range st.ranges[:workers] {
+		if err := st.ranges[w].err; err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"reflect"
@@ -500,3 +501,116 @@ func TestCancelDuringDiscovery(t *testing.T) {
 type readerFunc func([]byte) (int, error)
 
 func (f readerFunc) Read(p []byte) (int, error) { return f(p) }
+
+// disagreeingMatcher validates like the matcher it wraps but refuses to
+// extract the record starting at byte refuse of a window — the two passes
+// of one template disagreeing, which the real matcher never does.
+type disagreeingMatcher struct {
+	*parser.Matcher
+	refuse int
+}
+
+func (d disagreeingMatcher) AppendRecord(data []byte, pos int, occs []parser.FieldOcc, arrays []parser.ArrayOcc) ([]parser.FieldOcc, []parser.ArrayOcc, bool) {
+	if pos == d.refuse {
+		return occs, arrays, false
+	}
+	return d.Matcher.AppendRecord(data, pos, occs, arrays)
+}
+
+// TestExtractRefusalIsAnError: a record the validate pass accepted and the
+// extract pass rejects stops the run with errInconsistent — at any worker
+// count, whichever worker's range holds it — instead of reaching the
+// caller as a type-0 record with no fields that is still counted.
+func TestExtractRefusalIsAnError(t *testing.T) {
+	d := datagen.CommaSepRecords(400, 5)
+	tpls := discoverTemplates(t, d.Data)
+	lineStarts := []int{0}
+	for i, b := range d.Data[:len(d.Data)-1] {
+		if b == '\n' {
+			lineStarts = append(lineStarts, i+1)
+		}
+	}
+	for _, workers := range []int{1, 2, 8} {
+		for _, line := range []int{0, len(lineStarts) / 2, len(lineStarts) - 1} {
+			cfg := Config{Templates: tpls, Workers: workers}.withDefaults()
+			cfg.OnRecord = func(r core.RecordOut) error {
+				if len(r.Fields) == 0 {
+					t.Errorf("workers %d: record without fields emitted: %+v", workers, r)
+				}
+				return nil
+			}
+			e, err := start(context.Background(), cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The whole input is one window, so window offsets are input offsets.
+			e.stages[0].m = disagreeingMatcher{e.stages[0].m.(*parser.Matcher), lineStarts[line]}
+			if err := e.feedAll(context.Background(), d.Data); err != nil {
+				t.Fatalf("workers %d: feed: %v", workers, err)
+			}
+			if _, err := e.finish(context.Background()); !errors.Is(err, errInconsistent) {
+				t.Fatalf("workers %d, refusing line %d: err = %v, want errInconsistent", workers, line, err)
+			}
+		}
+	}
+}
+
+// TestRecordsOutliveTheirBatch pins the slab contract at the engine's own
+// door: every record handed to OnRecord is kept, compared only after the
+// run — when every later batch has been through the stage's scratch — and
+// must still equal the oracle's; Fields and Arrays are capacity-clipped,
+// so appending to one record's never writes into the next record's.
+func TestRecordsOutliveTheirBatch(t *testing.T) {
+	fld := template.Field
+	nested := template.Array([]*template.Node{
+		template.Array([]*template.Node{template.Array([]*template.Node{fld()}, ',', ';')}, '+', '|'),
+	}, ' ', '\n').Normalize()
+	interleaved := datagen.InterleavedTypes(2, 200, 9)
+	cases := []struct {
+		name string
+		tpls []*template.Node
+		data []byte
+	}{
+		{"interleaved types", discoverTemplates(t, interleaved.Data), interleaved.Data},
+		{"nested arrays", []*template.Node{nested},
+			bytes.Repeat([]byte("a,b;+c;| d;|\ne;+f,g;+h;|\nnoise line\nk;|\n"), 150)},
+	}
+	for _, c := range cases {
+		want := parsertest.Apply(c.tpls, c.data)
+		for _, cfg := range []Config{{ShardSize: 64, Workers: 8}, {}} {
+			cfg.Templates = c.tpls
+			byType := make([][]core.RecordOut, len(c.tpls))
+			cfg.OnRecord = func(r core.RecordOut) error {
+				byType[r.TypeID] = append(byType[r.TypeID], r)
+				return nil
+			}
+			if _, err := RunBytes(context.Background(), c.data, cfg); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			var kept []core.RecordOut
+			for _, recs := range byType {
+				kept = append(kept, recs...)
+			}
+			label := fmt.Sprintf("%s/shard%d", c.name, cfg.ShardSize)
+			if len(kept) != len(want.Records) || len(kept) < 2 {
+				t.Fatalf("%s: kept %d records, want %d", label, len(kept), len(want.Records))
+			}
+			for i := range kept {
+				if !reflect.DeepEqual(kept[i], want.Records[i]) {
+					t.Fatalf("%s: kept record %d = %+v, want %+v", label, i, kept[i], want.Records[i])
+				}
+				if cap(kept[i].Fields) != len(kept[i].Fields) || cap(kept[i].Arrays) != len(kept[i].Arrays) {
+					t.Fatalf("%s: record %d: Fields cap %d len %d, Arrays cap %d len %d", label, i,
+						cap(kept[i].Fields), len(kept[i].Fields), cap(kept[i].Arrays), len(kept[i].Arrays))
+				}
+			}
+			for i := range kept[:len(kept)-1] {
+				_ = append(kept[i].Fields, core.FieldValue{Value: "intruder"})
+				_ = append(kept[i].Arrays, parser.ArrayOcc{Arr: -1})
+				if !reflect.DeepEqual(kept[i+1], want.Records[i+1]) {
+					t.Fatalf("%s: appending to record %d changed record %d", label, i, i+1)
+				}
+			}
+		}
+	}
+}

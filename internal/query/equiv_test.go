@@ -61,7 +61,7 @@ func writeStoreTable(tb testing.TB, store *lake.SegmentStore, name string, ncols
 		for _, row := range rows[seg*segRows : min((seg+1)*segRows, len(rows))] {
 			rec := core.RecordOut{}
 			for c, v := range row {
-				rec.Fields = append(rec.Fields, core.FieldValue{Col: c, Value: v})
+				rec.Fields = append(rec.Fields, core.FieldValue{Column: c, Value: v})
 			}
 			recs = append(recs, rec)
 		}

@@ -206,7 +206,7 @@ func (s *schema) walk(n *template.Node, tableIdx int) {
 	case template.KField:
 		f := &s.rec.Fields[s.field]
 		s.field++
-		slot := s.slots[f.Col]
+		slot := s.slots[f.Column]
 		s.tables[slot[0]].Rows[s.rowOf[slot[0]]][slot[1]] = f.Value
 	case template.KStruct:
 		for _, c := range n.Children {
@@ -264,14 +264,14 @@ func DenormRow(st *template.Node, seps []byte, fields []core.FieldValue, row []s
 		row[i] = ""
 	}
 	for _, f := range fields {
-		if f.Col < 0 || f.Col >= cols {
+		if f.Column < 0 || f.Column >= cols {
 			continue
 		}
-		if row[f.Col] == "" && !joined[f.Col] {
-			row[f.Col] = f.Value
-			joined[f.Col] = true
+		if row[f.Column] == "" && !joined[f.Column] {
+			row[f.Column] = f.Value
+			joined[f.Column] = true
 		} else {
-			row[f.Col] += string(seps[f.Col]) + f.Value
+			row[f.Column] += string(seps[f.Column]) + f.Value
 		}
 	}
 	return row

@@ -10,13 +10,16 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"datamaran"
 	"datamaran/internal/lake"
 	"datamaran/internal/lake/laketest"
+	"datamaran/internal/pipeline"
 	"datamaran/internal/query"
+	"datamaran/internal/template"
 )
 
 // buildLake writes a small two-format lake plus noise.
@@ -379,6 +382,32 @@ func TestReindexCancellation(t *testing.T) {
 	}
 	if sum.Unchanged != sum.Files || sum.Failed != 0 {
 		t.Fatalf("reindex after abort: %+v", sum)
+	}
+}
+
+// TestNDJSONFieldScratchReuse: the NDJSON stream encodes every record from
+// one reused field scratch, so a record must carry its own fields only —
+// none of its predecessor's — and a record without fields must still
+// encode "fields":[] rather than null.
+func TestNDJSONFieldScratchReuse(t *testing.T) {
+	fld, lit := template.Field, template.Lit
+	cfg := pipeline.Config{Templates: []*template.Node{
+		template.Struct(fld(), lit(","), fld(), lit(","), fld(), lit("\n")).Normalize(),
+		template.Struct(fld(), lit("="), fld(), lit("\n")).Normalize(),
+		template.Struct(lit("--\n")).Normalize(),
+	}}
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest("POST", "/v1/extract", nil)
+	(&Server{}).extractNDJSON(rec, req, cfg, strings.NewReader("a,b,c\n--\nk=v\nd,e,f\n--\n"))
+	want := []string{
+		`{"type":0,"startLine":0,"endLine":1,"fields":[{"col":0,"rep":0,"start":0,"end":1,"value":"a"},{"col":1,"rep":0,"start":2,"end":3,"value":"b"},{"col":2,"rep":0,"start":4,"end":5,"value":"c"}]}`,
+		`{"type":0,"startLine":3,"endLine":4,"fields":[{"col":0,"rep":0,"start":13,"end":14,"value":"d"},{"col":1,"rep":0,"start":15,"end":16,"value":"e"},{"col":2,"rep":0,"start":17,"end":18,"value":"f"}]}`,
+		`{"type":1,"startLine":2,"endLine":3,"fields":[{"col":0,"rep":0,"start":9,"end":10,"value":"k"},{"col":1,"rep":0,"start":11,"end":12,"value":"v"}]}`,
+		`{"type":2,"startLine":1,"endLine":2,"fields":[]}`,
+		`{"type":2,"startLine":4,"endLine":5,"fields":[]}`,
+	}
+	if got := strings.Split(strings.TrimSuffix(rec.Body.String(), "\n"), "\n"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("ndjson:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 

@@ -582,11 +582,16 @@ func (s *Server) extractNDJSON(w http.ResponseWriter, r *http.Request, cfg pipel
 	enc := json.NewEncoder(w)
 	n := 0
 	var writeErr error
+	// One field scratch for the whole response: a record is encoded before
+	// the next callback. Non-nil from the start, so a field-less record
+	// encodes "fields":[] and not null.
+	fields := []fieldJSON{}
 	cfg.OnRecord = func(ro core.RecordOut) error {
-		rj := recordJSON{Type: ro.TypeID, StartLine: ro.StartLine, EndLine: ro.EndLine, Fields: []fieldJSON{}}
+		fields = fields[:0]
 		for _, f := range ro.Fields {
-			rj.Fields = append(rj.Fields, fieldJSON{Col: f.Col, Rep: f.Rep, Start: f.Start, End: f.End, Value: f.Value})
+			fields = append(fields, fieldJSON{Col: f.Column, Rep: f.Repetition, Start: f.Start, End: f.End, Value: f.Value})
 		}
+		rj := recordJSON{Type: ro.TypeID, StartLine: ro.StartLine, EndLine: ro.EndLine, Fields: fields}
 		if err := enc.Encode(&rj); err != nil {
 			writeErr = err
 			return err

@@ -23,18 +23,35 @@ type Lines struct {
 // NewLines builds a line index for data. A trailing line without a final
 // '\n' is still counted as a line.
 func NewLines(data []byte) *Lines {
-	starts := make([]int, 0, bytes.Count(data, []byte{'\n'})+2)
+	l := &Lines{}
+	l.Reset(data)
+	return l
+}
+
+// Reset re-indexes l over data in place, so a caller that indexes one
+// buffer after another (the extraction engine, once per batch) keeps one
+// index instead of allocating one per buffer. The zero Lines is ready for
+// Reset. A first use sizes the index exactly with one count of the
+// newlines; a reused index grows by appending, and in the steady state of
+// same-sized buffers does not grow at all.
+func (l *Lines) Reset(data []byte) {
+	starts := l.starts[:0]
+	if starts == nil {
+		starts = make([]int, 0, bytes.Count(data, []byte{'\n'})+2)
+	}
 	if len(data) > 0 {
 		starts = append(starts, 0)
-		for i := 0; i < len(data)-1; i++ {
-			if data[i] == '\n' {
-				starts = append(starts, i+1)
+		// A '\n' in the last byte ends the last line; it starts no new one.
+		for off := 0; ; {
+			i := bytes.IndexByte(data[off:len(data)-1], '\n')
+			if i < 0 {
+				break
 			}
+			off += i + 1
+			starts = append(starts, off)
 		}
 	}
-	starts = append(starts, len(data))
-	l := &Lines{data: data, starts: starts}
-	return l
+	l.data, l.starts = data, append(starts, len(data))
 }
 
 // N returns the number of lines.

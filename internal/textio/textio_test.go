@@ -240,3 +240,57 @@ func TestSamplerNoNewlines(t *testing.T) {
 		t.Fatal("sample empty for newline-free data")
 	}
 }
+
+// TestLinesResetMatchesNewLines: one index Reset over a sequence of buffers
+// — shrinking, then growing past anything it held — reads exactly like a
+// fresh NewLines of each, and both like the byte-at-a-time definition (a
+// line starts at 0 and after every '\n' but the last byte's).
+func TestLinesResetMatchesNewLines(t *testing.T) {
+	inputs := []string{
+		"a\nbb\nccc\n",
+		"",
+		"tail without newline",
+		"x\nunterminated",
+		"\n",
+		"\n\n\n",
+		strings.Repeat("shrinking from here\n", 40),
+		"two\nlines\n",
+		"",
+		"\n",
+		strings.Repeat("growing past every earlier index\n\n", 200) + "end",
+	}
+	var reused Lines
+	for i, in := range inputs {
+		data := []byte(in)
+		var want []int
+		for j := range data {
+			if j == 0 || data[j-1] == '\n' {
+				want = append(want, j)
+			}
+		}
+		want = append(want, len(data))
+
+		reused.Reset(data)
+		for name, l := range map[string]*Lines{"Reset": &reused, "NewLines": NewLines(data)} {
+			if l.N() != len(want)-1 {
+				t.Fatalf("input %d, %s: N() = %d, want %d", i, name, l.N(), len(want)-1)
+			}
+			for k, w := range want {
+				if l.Start(k) != w {
+					t.Fatalf("input %d, %s: Start(%d) = %d, want %d", i, name, k, l.Start(k), w)
+				}
+				if line, ok := l.AlignedLine(w); !ok || line != k {
+					t.Fatalf("input %d, %s: AlignedLine(%d) = %d, %v, want %d", i, name, w, line, ok, k)
+				}
+			}
+			for k := 0; k < l.N(); k++ {
+				if got := string(l.Line(k)); got != in[want[k]:want[k+1]] {
+					t.Fatalf("input %d, %s: Line(%d) = %q", i, name, k, got)
+				}
+			}
+			if !bytes.Equal(l.Data(), data) {
+				t.Fatalf("input %d, %s: Data() is not the buffer it indexes", i, name)
+			}
+		}
+	}
+}

@@ -21,6 +21,11 @@
 # decoded (one string per column, one row slab per output batch), never
 # per row — an operator that goes back to allocating per row adds a
 # thousand a block and fails at either size.
+# The apply path — a learned profile streamed over 16 MiB at the default
+# 1 MiB shard, one worker — is held to constant + per-shard × 16: a batch
+# allocates its chunk, one set of record slabs (text, field values, array
+# occurrences) and nothing per record or per field; a regression to one
+# string per field is two million allocations over the ceiling.
 #
 # Usage: sh scripts/bench_allocs.sh
 set -eu
@@ -42,6 +47,9 @@ $(go test -run '^$' -bench 'BenchmarkMatchSample' \
 out="$out
 $(go test -run '^$' -bench 'BenchmarkQueryShapes' \
 	-benchmem -benchtime 20x ./internal/query)"
+out="$out
+$(go test -run '^$' -bench 'BenchmarkStreamExtract16MBWorkers1$' \
+	-benchmem -benchtime 3x .)"
 echo "$out"
 
 fail=0
@@ -81,5 +89,6 @@ check_blocks wide 250 12
 check_blocks join 700 20
 check_blocks topk 800 6
 check_blocks groupby 450 3
+check StreamExtract16MBWorkers1 $((100 + 6 * 16))
 
 exit $fail

@@ -3,11 +3,14 @@ package datamaran
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"datamaran/internal/datagen"
+	"datamaran/internal/lake"
 	"datamaran/internal/parser/parsertest"
 	"datamaran/internal/template"
 )
@@ -265,5 +268,99 @@ func TestExtractStreamMultiLineFlag(t *testing.T) {
 	}
 	if !res.Structures[0].MultiLine {
 		t.Errorf("MultiLine = false for a multi-line record type: %+v", res.Structures[0])
+	}
+}
+
+// lakeCorpus returns every file of testdata/lake and one profile chaining
+// the templates of all its golden-registry formats (single- and multi-line;
+// each template sees the residue of those before it) — a corpus that needs
+// no discovery.
+func lakeCorpus(t *testing.T) (*Profile, map[string][]byte) {
+	t.Helper()
+	reg, err := lake.LoadRegistry(filepath.Join("testdata", "lake_golden", "registry.json"))
+	if err != nil || reg.Len() == 0 {
+		t.Fatalf("golden registry: %d entries, %v", reg.Len(), err)
+	}
+	p := &Profile{}
+	for _, e := range reg.Entries() {
+		p.templates = append(p.templates, e.Templates...)
+	}
+	files := map[string][]byte{}
+	paths, err := filepath.Glob(filepath.Join(fixtureLake, "*", "*"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("fixture lake: %d files, %v", len(paths), err)
+	}
+	for _, path := range paths {
+		if files[path], err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return p, files
+}
+
+// TestStreamedRecordsOutliveTheRun pins the retention contract of the
+// callback door: every Record handed to fn may be kept. All of them are,
+// and only after the run — when each batch's scratch has been overwritten
+// by every batch after it — are they compared to the oracle's; and a
+// record's Fields cannot be appended into its neighbour's, though both are
+// runs of one slice.
+func TestStreamedRecordsOutliveTheRun(t *testing.T) {
+	type input struct {
+		name string
+		p    *Profile
+		data []byte
+	}
+	var inputs []input
+	lakeProfile, files := lakeCorpus(t)
+	for path, data := range files {
+		inputs = append(inputs, input{path, lakeProfile, data})
+	}
+	interleaved := datagen.InterleavedTypes(2, 120, 9)
+	learned, err := Extract(interleaved.Data, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs = append(inputs, input{"interleaved types", learned.Profile(), interleaved.Data})
+	nested := template.Array([]*template.Node{
+		template.Array([]*template.Node{template.Array([]*template.Node{template.Field()}, ',', ';')}, '+', '|'),
+	}, ' ', '\n').Normalize()
+	inputs = append(inputs, input{"nested arrays", &Profile{templates: []*template.Node{nested}},
+		bytes.Repeat([]byte("a,b;+c;| d;|\ne;+f,g;+h;|\nnoise line\nk;|\n"), 100)})
+
+	records := 0
+	for _, in := range inputs {
+		want := reference(in.p, in.data)
+		for _, opts := range []Options{{ShardSize: 64, Workers: 8}, {}} {
+			label := fmt.Sprintf("%s/shard%d", in.name, opts.ShardSize)
+			byType := make([][]Record, len(in.p.templates))
+			res, err := ExtractStreamWithProfile(bytes.NewReader(in.data), in.p, opts, func(r Record) error {
+				byType[r.Type] = append(byType[r.Type], r)
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			var kept []Record
+			for _, recs := range byType {
+				kept = append(kept, recs...)
+			}
+			res.Records = kept
+			requireSameExtraction(t, label, want, res)
+			for i, r := range kept {
+				if cap(r.Fields) != len(r.Fields) {
+					t.Fatalf("%s: record %d: Fields cap %d for len %d", label, i, cap(r.Fields), len(r.Fields))
+				}
+				if i+1 < len(kept) {
+					_ = append(r.Fields, Field{Value: "intruder"})
+					if !reflect.DeepEqual(kept[i+1], want.Records[i+1]) {
+						t.Fatalf("%s: appending to record %d's Fields changed record %d", label, i, i+1)
+					}
+				}
+			}
+			records += len(kept)
+		}
+	}
+	if records < 1000 {
+		t.Fatalf("only %d records retained over all inputs: the corpus no longer exercises the contract", records)
 	}
 }
