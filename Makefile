@@ -42,9 +42,12 @@ bench-quick:
 # Allocation gate: the parser's steady-state scan benchmarks and the
 # generation engine's warm genST benchmark must stay at 0 allocs/op
 # (noise rejection, arena-reuse scanning and transition-table window
-# accumulation never touch the heap), refinement's variant score must
-# allocate a dozen objects whatever the data size, the lake's MatchSample must
-# allocate the same at two sample sizes, the query engine's five
+# accumulation never touch the heap), a whole Generate on the inputs
+# with the most distinct templates must allocate per template interned
+# and per candidate returned, never a tree per window, refinement's
+# variant score must allocate a dozen objects whatever the data size,
+# the lake's MatchSample must allocate the same at two sample sizes, the
+# query engine's five
 # shapes must allocate per query and per block decoded, never per row,
 # and the streaming apply path per shard, never per record or field —
 # see scripts/bench_allocs.sh.
@@ -53,7 +56,9 @@ bench-allocs:
 
 # Fuzz smoke: run each native fuzz target briefly so CI exercises the
 # generation-engine oracle (FuzzGenerate pins the shape-interned engine
-# to the reference), the reduction invariants (FuzzReduce), the
+# to the reference), the id-level reducer generation runs on (FuzzReduce
+# holds it to the tree reducer: Build of the reduced ids ≡ Reduce, what
+# the ids answer ≡ what the tree answers, equal ids ⟺ equal keys), the
 # refinement lower bound (FuzzRefineLowerBound: nothing Refine scores
 # undercuts the noise floor evaluation prunes its candidates by), the
 # segment reader on hostile bytes (FuzzSegmentScan: no panic, no

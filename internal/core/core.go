@@ -237,9 +237,10 @@ var ErrEmptyInput = errors.New("core: empty input")
 // order the extraction engine must apply them in — and the time each step
 // took; the residue walks are charged to Timing.Extraction.
 //
-// ctx is polled between record types and before each candidate is refined,
-// so a cancelled search returns ctx.Err() within one refinement. The
-// generation step of a round is not interruptible.
+// ctx is polled between record types, once per RT-CharSet value the
+// generation step tries and before each candidate is refined, so a
+// cancelled search returns ctx.Err() within one charset trial or one
+// refinement.
 func Discover(ctx context.Context, data []byte, opts Options) ([]Structure, Timing, error) {
 	return discover(ctx, data, opts, evaluate)
 }
@@ -307,7 +308,7 @@ func discoverOne(ctx context.Context, residData []byte, opts Options, effAlpha f
 	evalLines := textio.NewLines(evalSampler.Sample(residData))
 
 	t0 := time.Now()
-	cands := generation.Generate(sampleLines, generation.Config{
+	cands, err := generation.GenerateContext(ctx, sampleLines, generation.Config{
 		Alpha:          effAlpha,
 		MaxSpan:        opts.MaxSpan,
 		Search:         opts.Search,
@@ -316,6 +317,9 @@ func discoverOne(ctx context.Context, residData []byte, opts Options, effAlpha f
 		MaxRecordBytes: opts.MaxRecordBytes,
 	})
 	timing.Generation += time.Since(t0)
+	if err != nil {
+		return Structure{}, false, err
+	}
 	cands = filterTrivial(cands)
 	if len(cands) == 0 {
 		return Structure{}, false, nil

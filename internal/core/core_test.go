@@ -420,3 +420,39 @@ func TestExtractRecordsAndNoisePartitionLines(t *testing.T) {
 		}
 	}
 }
+
+// cancelAfter reports cancelled from its (polls+1)-th Err call on.
+type cancelAfter struct {
+	context.Context
+	polls int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.polls == 0 {
+		return context.Canceled
+	}
+	c.polls--
+	return nil
+}
+
+// TestDiscoverCancelledInsideGeneration: the generation step polls the
+// context it is given, so a search cancelled a few charset trials into its
+// first round returns ctx.Err() from there — before pruning and evaluation
+// have run at all — instead of waiting the step out.
+func TestDiscoverCancelledInsideGeneration(t *testing.T) {
+	var b strings.Builder
+	for i := 0; i < 100; i++ {
+		fmt.Fprintf(&b, "%d,%d;%d=%d\n", i, i, i, i)
+	}
+	for _, search := range []generation.SearchMode{generation.Exhaustive, generation.Greedy} {
+		// One poll is Discover's, before the round; the rest are trials.
+		ctx := &cancelAfter{Context: context.Background(), polls: 3}
+		structures, tm, err := core.Discover(ctx, []byte(b.String()), core.Options{Search: search})
+		if err != context.Canceled || structures != nil {
+			t.Fatalf("%v: Discover = %d structures, %v; want none, context.Canceled", search, len(structures), err)
+		}
+		if tm.Generation <= 0 || tm.Pruning != 0 || tm.Evaluation != 0 {
+			t.Fatalf("%v: timing %+v, want the cancel to land inside generation", search, tm)
+		}
+	}
+}

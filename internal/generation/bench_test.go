@@ -55,3 +55,29 @@ func BenchmarkGenerationReference(b *testing.B) {
 		generation.GenerateReference(lines, generation.Config{})
 	}
 }
+
+// BenchmarkGenerationManyShapes runs Generate where it is slow: three of
+// the benchmark's Table-5 analogs, at its scale and seed-1 variant, whose
+// windows reduce to tens of thousands of distinct templates (heterogeneous
+// lines, long records) — the homogeneous web log above has a few hundred.
+// Nearly all of those templates never reach α, so what this pins
+// (scripts/bench_allocs.sh) is that a template costs its table entry, not a
+// tree: a tree per distinct window is 4.8–6.1 M allocations on each input.
+func BenchmarkGenerationManyShapes(b *testing.B) {
+	for _, in := range []struct {
+		name string
+		d    *datagen.Dataset
+	}{
+		{"MacASL", datagen.MacASLLog(150, 6003)},
+		{"LogFile5", datagen.LogFile5(75, 6024)},
+		{"Netstat", datagen.NetstatOutput(150, 6008)},
+	} {
+		lines := textio.NewLines(in.d.Data)
+		b.Run(in.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				generation.Generate(lines, generation.Config{})
+			}
+		})
+	}
+}

@@ -24,6 +24,16 @@
 //     the 10·n window loop. The reduction of each distinct window
 //     identity to a minimal structure template is memoized across all
 //     charset trials.
+//   - A template is an id until it survives. A distinct window reduces,
+//     in the reducer's own buffer, to a sequence of interned ids
+//     (template.FlatReducer: flat tokens and arrays interned by body ids;
+//     id sequence ↔ normalized tree is a bijection), and the template
+//     table is keyed by that sequence. Fields, length, the closing
+//     newline and periodic stacks are read off the ids; bins, the global
+//     table and the greedy search's assimilation carry a template id.
+//     Of the distinct templates of a discovery pass a quarter ever reach
+//     α and a tenth are returned, so a *template.Node is built last, in
+//     results, for the candidates that survive filter, sort and cut.
 //   - Window-id chains are cached per start line and reused as long as
 //     no line in the span changed shape since the chain was resolved —
 //     a trial that re-tokenizes k lines re-resolves at most k·L window
@@ -35,9 +45,11 @@
 //     exhaustive search enumerates subsets in Gray-code order
 //     (chars.Subsets) so consecutive masks also differ by exactly one
 //     character.
-//   - Per-trial accumulators (bins, kept candidates) are flat slices
-//     reused across genST calls, pre-sized by the first trial, so the
-//     steady state allocates nothing.
+//   - Per-trial accumulators (bins, kept finds) are flat slices reused
+//     across genST calls, pre-sized by the first trial, so the steady
+//     state allocates nothing — and neither does resolving a new window
+//     whose template the table already holds; a new template allocates
+//     its table entry.
 //
 // Output — candidate set, order, Coverage, FieldBytes — is identical to
 // the reference engine in reference.go, pinned by equivalence tests.
@@ -47,6 +59,7 @@
 package generation
 
 import (
+	"context"
 	"sort"
 
 	"datamaran/internal/chars"
@@ -152,9 +165,19 @@ func (c Candidate) Assimilation() float64 {
 // with at least α% coverage, ordered by assimilation score (best first)
 // and capped at MaxCandidates.
 func Generate(lines *textio.Lines, cfg Config) []Candidate {
+	cands, _ := GenerateContext(context.Background(), lines, cfg)
+	return cands
+}
+
+// GenerateContext is Generate under a context: ctx is polled once per
+// RT-CharSet value tried, and a cancelled generation returns ctx.Err() and
+// no candidates within one charset trial.
+func GenerateContext(ctx context.Context, lines *textio.Lines, cfg Config) ([]Candidate, error) {
 	g := newGenerator(lines, cfg)
-	g.search()
-	return g.results()
+	if err := g.search(ctx); err != nil {
+		return nil, err
+	}
+	return g.results(), nil
 }
 
 // CharsetsTried runs a generation and reports how many RT-CharSet values
@@ -163,7 +186,7 @@ func Generate(lines *textio.Lines, cfg Config) []Candidate {
 // experiment reports is by construction that of the real path.
 func CharsetsTried(lines *textio.Lines, cfg Config) int {
 	g := newGenerator(lines, cfg)
-	g.search()
+	_ = g.search(context.Background()) // never cancelled
 	return g.charsetsTried
 }
 
@@ -214,6 +237,17 @@ type binAcc struct {
 	fb      int
 	lastEnd int
 }
+
+// found is what a Candidate says of its template — the charset it met the
+// coverage threshold under, and by how much — while the template is still
+// an id (generator.global is indexed by it).
+type found struct {
+	charSet chars.Set
+	cov     int
+	fb      int
+}
+
+func (f found) assimilation() float64 { return score.Assimilation(f.cov, f.fb) }
 
 // generator holds the engine state. Everything below the per-trial
 // section lives for the generator's lifetime: shapes, window identities
@@ -272,9 +306,14 @@ type generator struct {
 	widCache   []int32
 	startStale []bool
 
-	// Interned reduced templates (tplIDs owns the canonical keys).
-	tplIDs map[string]int32
-	tpls   []*template.Node
+	// Interned reduced templates. A template is the id sequence red
+	// reduces a window to (template.FlatReducer: id sequence ↔ normalized
+	// tree is a bijection), keyed by the ids' raw bytes; tplKeys[id] is
+	// that key, from which results decodes the ids of the few templates it
+	// returns. No tree exists before results builds one.
+	tplIDs  map[string]int32
+	tplKeys []string
+	built   int // trees results has built (laziness tests)
 
 	// Derived-shape state for the exhaustive search (initDerived /
 	// toggleChar): after the first full-charset trial tokenizes every
@@ -296,13 +335,13 @@ type generator struct {
 	// steady state allocates nothing).
 	binOf []int32
 	bins  []binAcc
-	kept  []Candidate
+	kept  []found
 
-	// Best candidate per template across charsets (the global hash
-	// table of Algorithm 1): same template from different charsets keeps
-	// the higher-coverage estimate.
-	globalSet []bool
-	global    []Candidate
+	// Best find per template id across charsets (the global hash table of
+	// Algorithm 1): same template from different charsets keeps the
+	// higher-coverage estimate. cov is 0 until a charset finds the
+	// template (a bin holds at least one non-empty window).
+	global []found
 }
 
 func newGenerator(lines *textio.Lines, cfg Config) *generator {
@@ -346,12 +385,12 @@ func newGenerator(lines *textio.Lines, cfg Config) *generator {
 
 // search dispatches on the configured search mode. Generate and
 // CharsetsTried share this one driver.
-func (g *generator) search() {
+func (g *generator) search(ctx context.Context) error {
 	switch g.cfg.Search {
 	case Greedy:
-		g.greedySearch()
+		return g.greedySearch(ctx)
 	default:
-		g.exhaustiveSearch()
+		return g.exhaustiveSearch(ctx)
 	}
 }
 
@@ -372,12 +411,16 @@ const maxDerivedChars = 16
 // shape from its full-charset shape without touching the line's bytes
 // (every other line's charset intersection, and so its shape, is
 // provably unchanged).
-func (g *generator) exhaustiveSearch() {
+func (g *generator) exhaustiveSearch(ctx context.Context) error {
 	present := capCharset(g.lines, g.cfg, g.present)
 	derived := present.Len() <= maxDerivedChars && g.n > 0
 	first := true
 	var prev chars.Set
+	var err error
 	chars.Subsets(present, func(s chars.Set) bool {
+		if err = ctx.Err(); err != nil {
+			return false
+		}
 		if first {
 			first = false
 			g.genST(s)
@@ -400,6 +443,7 @@ func (g *generator) exhaustiveSearch() {
 		prev = s
 		return true
 	})
+	return err
 }
 
 // fullShapeInfo is the derived-shape memo of one full-charset shape:
@@ -551,7 +595,10 @@ func (g *generator) deriveShape(full int32, info *fullShapeInfo, mask uint16) in
 // coverage. Each trial charset is the current charset plus one character,
 // so only that character's postings are re-tokenized; every other line
 // keeps its shape id from the current-charset snapshot.
-func (g *generator) greedySearch() {
+func (g *generator) greedySearch(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	var cur chars.Set
 	g.genST(cur) // the empty charset still yields line templates F\n etc.
 
@@ -565,15 +612,17 @@ func (g *generator) greedySearch() {
 		bestScore := -1.0
 		bestIdx := -1
 		for i, c := range remaining {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 			trial := cur
 			trial.Add(c)
 			posted := g.lineIdx.Lines(c)
 			for _, li := range posted {
 				g.shapeLine(int(li), trial)
 			}
-			found := g.accumulate(trial)
-			for _, cand := range found {
-				if a := cand.Assimilation(); a > bestScore {
+			for _, f := range g.accumulate(trial) {
+				if a := f.assimilation(); a > bestScore {
 					bestScore = a
 					bestIdx = i
 				}
@@ -600,6 +649,7 @@ func (g *generator) greedySearch() {
 		}
 		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
 	}
+	return nil
 }
 
 // capCharset restricts an oversized charset to the most frequent
@@ -694,7 +744,7 @@ func (g *generator) markStale(i int) {
 
 // genST is Algorithm 1's GenST for one RT-CharSet value: tokenize every
 // line (shape-memoized), then run the window accumulation.
-func (g *generator) genST(rtset chars.Set) []Candidate {
+func (g *generator) genST(rtset chars.Set) []found {
 	for i := 0; i < g.n; i++ {
 		g.shapeLine(i, rtset)
 	}
@@ -711,7 +761,7 @@ func (g *generator) genST(rtset chars.Set) []Candidate {
 // line in the span changed shape since the previous trial, so the 10·n
 // loop below is indexed loads and flat slices — no hashing at all on the
 // steady path.
-func (g *generator) accumulate(rtset chars.Set) []Candidate {
+func (g *generator) accumulate(rtset chars.Set) []found {
 	g.charsetsTried++
 	if len(g.data) == 0 {
 		return nil
@@ -771,16 +821,10 @@ func (g *generator) accumulate(rtset chars.Set) []Candidate {
 		if b.cov < g.threshold {
 			continue
 		}
-		cand := Candidate{
-			Template:   g.tpls[b.tpl],
-			CharSet:    rtset,
-			Coverage:   b.cov,
-			FieldBytes: b.fb,
-		}
-		kept = append(kept, cand)
-		if !g.globalSet[b.tpl] || cand.Coverage > g.global[b.tpl].Coverage {
-			g.globalSet[b.tpl] = true
-			g.global[b.tpl] = cand
+		f := found{charSet: rtset, cov: b.cov, fb: b.fb}
+		kept = append(kept, f)
+		if f.cov > g.global[b.tpl].cov {
+			g.global[b.tpl] = f
 		}
 	}
 	g.bins = g.bins[:0]
@@ -846,10 +890,12 @@ func (g *generator) insertTrans(prev, shape, wid int32) {
 	row[idx] = wid
 }
 
-// resolveWindow reduces the window of lines [i, j) to its minimal
-// structure template and interns it, returning the template id or -1 when
-// the window is not a valid record template (no fields, or not
-// newline-terminated). Called once per distinct window identity.
+// resolveWindow reduces the window of lines [i, j) to the id sequence of
+// its minimal structure template and interns it, returning the template id
+// or -1 when the window is not a valid record template (no fields, or not
+// newline-terminated). Called once per distinct window identity; a window
+// whose template is already interned allocates nothing, a new template its
+// table entry.
 func (g *generator) resolveWindow(i, j int) int32 {
 	if g.data[g.lines.Start(j)-1] != '\n' {
 		return -1 // final line without a trailing newline
@@ -860,46 +906,110 @@ func (g *generator) resolveWindow(i, j int) int32 {
 		w = append(w, g.toks[g.shapeOff[sid]:g.shapeOff[sid+1]]...)
 	}
 	g.winBuf = w
-	tpl := g.red.Reduce(w)
-	if tpl.NumFields() == 0 || !endsWithNewline(tpl) {
+	ids := g.red.ReduceIDs(w)
+	if len(ids) == 0 || !g.red.EndsLine(ids[len(ids)-1]) {
 		return -1
 	}
-	key := tpl.Key()
-	id, ok := g.tplIDs[key]
+	hasField := false
+	for _, id := range ids {
+		if g.red.NumFields(id) > 0 {
+			hasField = true
+			break
+		}
+	}
+	if !hasField {
+		return -1
+	}
+	g.keyBuf = template.AppendIDKey(g.keyBuf[:0], ids)
+	id, ok := g.tplIDs[string(g.keyBuf)]
 	if !ok {
-		id = int32(len(g.tpls))
+		id = int32(len(g.tplKeys))
+		key := string(g.keyBuf)
 		g.tplIDs[key] = id
-		g.tpls = append(g.tpls, tpl)
+		g.tplKeys = append(g.tplKeys, key)
 		g.binOf = append(g.binOf, -1)
-		g.globalSet = append(g.globalSet, false)
-		g.global = append(g.global, Candidate{})
+		g.global = append(g.global, found{})
 	}
 	return id
 }
 
+// results turns the global table into the candidate list, on ids until the
+// last step: drop the periodic stacks, order by assimilation, cut to
+// MaxCandidates, and only then build a tree per survivor.
 func (g *generator) results() []Candidate {
-	out := make([]Candidate, 0, len(g.tpls))
-	for ti := range g.tpls {
-		if !g.globalSet[ti] {
+	// ranked is a found template with what the order needs: its ids
+	// (ids[lo:hi]), its Len, and its Key once a tie has asked for it.
+	type ranked struct {
+		found
+		lo, hi int
+		assim  float64
+		length int
+		key    string
+	}
+	n := 0
+	for _, f := range g.global {
+		if f.cov > 0 {
+			n++
+		}
+	}
+	out := make([]ranked, 0, n)
+	var ids []int32
+	for ti, f := range g.global {
+		if f.cov == 0 {
 			continue
 		}
-		c := g.global[ti]
-		if template.IsPeriodicStack(c.Template) {
+		lo := len(ids)
+		ids = template.DecodeIDs(ids, g.tplKeys[ti])
+		if g.red.IsPeriodicStack(ids[lo:]) {
 			// A k-fold stack of a shorter template (its 1-period
 			// form is a separate bin with at least the same
 			// coverage). Stacks flood the top-M pool with
 			// near-duplicates of every popular one-record shape.
+			ids = ids[:lo]
 			continue
 		}
-		out = append(out, c)
+		r := ranked{found: f, lo: lo, hi: len(ids), assim: f.assimilation()}
+		for _, id := range ids[lo:] {
+			r.length += g.red.Len(id)
+		}
+		out = append(out, r)
 	}
-	sortCandidates(out)
+	keyOf := func(r *ranked) string {
+		if r.key == "" {
+			g.keyBuf = g.red.AppendKey(g.keyBuf[:0], ids[r.lo:r.hi])
+			r.key = string(g.keyBuf)
+		}
+		return r.key
+	}
+	// The order of sortCandidates; Template.Len and Template.Key come
+	// from the ids.
+	sort.Slice(out, func(i, j int) bool {
+		a, b := &out[i], &out[j]
+		if a.assim != b.assim {
+			return a.assim > b.assim
+		}
+		if a.length != b.length {
+			return a.length < b.length
+		}
+		return keyOf(a) < keyOf(b)
+	})
 	if len(out) > g.cfg.MaxCandidates {
 		out = out[:g.cfg.MaxCandidates]
 	}
-	return out
+	cands := make([]Candidate, len(out))
+	for k, r := range out {
+		g.built++
+		cands[k] = Candidate{
+			Template:   g.red.Build(ids[r.lo:r.hi]),
+			CharSet:    r.charSet,
+			Coverage:   r.cov,
+			FieldBytes: r.fb,
+		}
+	}
+	return cands
 }
 
+// sortCandidates orders candidates by assimilation, best first.
 func sortCandidates(cands []Candidate) {
 	sort.Slice(cands, func(i, j int) bool {
 		ai, aj := cands[i].Assimilation(), cands[j].Assimilation()
@@ -915,19 +1025,4 @@ func sortCandidates(cands []Candidate) {
 		}
 		return cands[i].Template.Key() < cands[j].Template.Key()
 	})
-}
-
-func endsWithNewline(st *template.Node) bool {
-	switch st.Kind {
-	case template.KLiteral:
-		return len(st.Lit) > 0 && st.Lit[len(st.Lit)-1] == '\n'
-	case template.KArray:
-		return st.Term == '\n'
-	case template.KStruct:
-		if len(st.Children) == 0 {
-			return false
-		}
-		return endsWithNewline(st.Children[len(st.Children)-1])
-	}
-	return false
 }

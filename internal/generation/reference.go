@@ -218,3 +218,20 @@ func rawKey(toks []*template.Node) string {
 	}
 	return b.String()
 }
+
+// endsWithNewline reports whether a template's last character is the
+// newline: the record-template condition the engine reads off the last id.
+func endsWithNewline(st *template.Node) bool {
+	switch st.Kind {
+	case template.KLiteral:
+		return len(st.Lit) > 0 && st.Lit[len(st.Lit)-1] == '\n'
+	case template.KArray:
+		return st.Term == '\n'
+	case template.KStruct:
+		if len(st.Children) == 0 {
+			return false
+		}
+		return endsWithNewline(st.Children[len(st.Children)-1])
+	}
+	return false
+}

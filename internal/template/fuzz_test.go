@@ -1,27 +1,35 @@
 package template
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"datamaran/internal/chars"
 )
 
-// FuzzReduce cross-checks the two reduction entry points — the tree-token
-// Reduce over ExtractRecordTemplate and the flat-token FlatReducer over
-// AppendFlatTokens — on arbitrary records and charsets, and asserts the
-// reduction invariants: the result is normalized (idempotent under
-// Normalize), canonical keys agree with structural equality, and field
-// byte counts agree between the extraction paths.
+// FuzzReduce holds the id-level reducer to the tree reducer on arbitrary
+// records and charsets. For a record: Build of the reduced ids is the tree
+// Reduce returns, cold and through a warm reducer, with the same Key, and
+// AppendKey spells that Key without the tree; what generation reads off
+// the ids — fields, length, the closing newline, periodic stacks — is what
+// the tree says. For two records through one reducer: equal id sequences
+// exactly when equal Keys, the bijection generation's template table rests
+// on. Plus the reduction invariants: the result is normalized (idempotent
+// under Normalize) and field byte counts agree between the extraction
+// paths.
 func FuzzReduce(f *testing.F) {
-	f.Add([]byte("a,b,c,d\n"), ",")
-	f.Add([]byte("k=v k=v k=v\n"), "= ")
-	f.Add([]byte("BEGIN 1\nv=7\nEND\n"), "= ")
-	f.Add([]byte("[12:08] (a,b) x\n[12:09] (c,d) y\n"), "[]:(), ")
-	f.Add([]byte("no specials at all"), "")
-	f.Add([]byte(""), ",;")
+	f.Add([]byte("a,b,c,d\n"), []byte("a,b\n"), ",")
+	f.Add([]byte("k=v k=v k=v\n"), []byte("k=v k=v\n"), "= ")
+	f.Add([]byte("BEGIN 1\nv=7\nEND\n"), []byte("BEGIN 1\nv=7\nv=8\nEND\n"), "= ")
+	f.Add([]byte("[12:08] (a,b) x\n[12:09] (c,d) y\n"), []byte("[12:08] (a,b) x\n"), "[]:(), ")
+	f.Add([]byte("a,b;c,d;e\n"), []byte("a;b;c\n"), ",;")
+	f.Add([]byte("x\ny\nx\ny\n"), []byte("x\ny\n"), "")
+	f.Add([]byte("no specials at all"), []byte(",,"), "")
+	f.Add([]byte(""), []byte("\n"), ",;")
 
-	f.Fuzz(func(t *testing.T, record []byte, charset string) {
-		if len(record) > 4096 {
+	f.Fuzz(func(t *testing.T, record, other []byte, charset string) {
+		if len(record) > 4096 || len(other) > 4096 {
 			t.Skip("bounded so the quadratic repeat search stays fast")
 		}
 		// Restrict the charset to the candidate alphabet real charsets
@@ -30,6 +38,12 @@ func FuzzReduce(f *testing.F) {
 
 		toks, fb := ExtractRecordTemplate(record, rtset)
 		tree := Reduce(toks)
+		if norm := tree.Normalize(); norm != nil && !tree.Equal(norm) {
+			t.Fatalf("Reduce result not normalized: %v vs %v", tree, norm)
+		}
+		if nf := tree.NumFields(); nf < 0 || (fb > 0 && nf == 0) {
+			t.Fatalf("field bytes %d but %d fields in %v", fb, nf, tree)
+		}
 
 		flat, flatFB := AppendFlatTokens(nil, record, rtset)
 		if fb != flatFB {
@@ -39,24 +53,73 @@ func FuzzReduce(f *testing.F) {
 			t.Fatalf("token counts diverge: tree %d, flat %d", len(toks), len(flat))
 		}
 		var fr FlatReducer
-		viaFlat := fr.Reduce(flat)
-		if !tree.Equal(viaFlat) {
-			t.Fatalf("reductions diverge:\n tree: %v\n flat: %v", tree, viaFlat)
+		ids := slices.Clone(fr.ReduceIDs(flat))
+		checkIDsAgainstTree(t, &fr, ids, tree)
+
+		// The other record warms the reducer (its arrays take ids first on
+		// a second pass over record) and is the second side of the
+		// bijection.
+		otherFlat, _ := AppendFlatTokens(nil, other, rtset)
+		otherIDs := slices.Clone(fr.ReduceIDs(otherFlat))
+		otherToks, _ := ExtractRecordTemplate(other, rtset)
+		otherTree := Reduce(otherToks)
+		checkIDsAgainstTree(t, &fr, otherIDs, otherTree)
+		if sameIDs, sameKey := slices.Equal(ids, otherIDs), tree.Key() == otherTree.Key(); sameIDs != sameKey {
+			t.Fatalf("ids equal = %v but keys equal = %v:\n %v %v\n %v %v", sameIDs, sameKey, ids, tree, otherIDs, otherTree)
 		}
-		// A second reduction through the same FlatReducer (warm interner)
-		// must not change the result.
+		if warm := fr.ReduceIDs(flat); !slices.Equal(warm, ids) {
+			t.Fatalf("warm reducer changed the ids of a record: %v, then %v", ids, warm)
+		}
 		if again := fr.Reduce(flat); !tree.Equal(again) {
 			t.Fatalf("warm FlatReducer diverges: %v vs %v", tree, again)
 		}
-
-		if norm := tree.Normalize(); norm != nil && !tree.Equal(norm) {
-			t.Fatalf("Reduce result not normalized: %v vs %v", tree, norm)
-		}
-		if tree.Key() != viaFlat.Key() {
-			t.Fatalf("equal trees with different keys: %q vs %q", tree.Key(), viaFlat.Key())
-		}
-		if nf := tree.NumFields(); nf < 0 || (fb > 0 && nf == 0) {
-			t.Fatalf("field bytes %d but %d fields in %v", fb, nf, tree)
-		}
 	})
+}
+
+// checkIDsAgainstTree checks everything a FlatReducer answers about a
+// reduced id sequence against the tree the reference reduced the same
+// tokens to.
+func checkIDsAgainstTree(t *testing.T, fr *FlatReducer, ids []int32, tree *Node) {
+	t.Helper()
+	built := fr.Build(ids)
+	if !tree.Equal(built) {
+		t.Fatalf("reductions diverge:\n tree: %v\n  ids: %v", tree, built)
+	}
+	if tree.Key() != built.Key() {
+		t.Fatalf("equal trees with different keys: %q vs %q", tree.Key(), built.Key())
+	}
+	if key := string(fr.AppendKey(nil, ids)); key != tree.Key() {
+		t.Fatalf("AppendKey = %q, tree key %q", key, tree.Key())
+	}
+	if back := DecodeIDs(nil, string(AppendIDKey(nil, ids))); !slices.Equal(back, ids) {
+		t.Fatalf("id key round trip: %v became %v", ids, back)
+	}
+	fields, length := 0, 0
+	for _, id := range ids {
+		fields += fr.NumFields(id)
+		length += fr.Len(id)
+	}
+	if fields != tree.NumFields() || length != tree.Len() {
+		t.Fatalf("ids say %d fields, length %d; tree %v says %d, %d", fields, length, tree, tree.NumFields(), tree.Len())
+	}
+	if got := len(ids) > 0 && fr.EndsLine(ids[len(ids)-1]); got != endsLine(tree) {
+		t.Fatalf("EndsLine(last id) = %v for %v", got, tree)
+	}
+	if got, want := fr.IsPeriodicStack(ids), IsPeriodicStack(tree); got != want {
+		t.Fatalf("IsPeriodicStack on ids = %v, on the tree %v = %v", got, tree, want)
+	}
+}
+
+// endsLine reports whether the last character a template matches is the
+// newline.
+func endsLine(n *Node) bool {
+	switch n.Kind {
+	case KLiteral:
+		return strings.HasSuffix(n.Lit, "\n")
+	case KArray:
+		return n.Term == '\n'
+	case KStruct:
+		return len(n.Children) > 0 && endsLine(n.Children[len(n.Children)-1])
+	}
+	return false
 }

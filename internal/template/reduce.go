@@ -82,9 +82,10 @@ func AppendFlatTokens(dst []uint16, record []byte, rtset chars.Set) ([]uint16, i
 // leftmost position first), matching the paper's "choose one arbitrarily".
 //
 // Tokens are interned to integer ids so the quadratic repeat search
-// compares ints rather than recursing over trees — the generation step
-// calls Reduce on every distinct candidate window, making this the
-// pipeline's hottest loop.
+// compares ints rather than recursing over trees. Every fold builds an
+// Array node and the result is a fresh tree; the generation step, which
+// reduces every distinct candidate window, goes through FlatReducer
+// instead, and this function is the oracle FlatReducer is held to.
 func Reduce(tokens []*Node) *Node {
 	r := reducer{byKey: map[string]int32{}}
 	seq := make([]int32, len(tokens))
@@ -110,42 +111,10 @@ func (r *reducer) reduceSeq(seq []int32) *Node {
 	return Struct(nodes...).Normalize()
 }
 
-// FlatReducer reduces flat token sequences (see TokField) to minimal
-// structure templates, keeping its token-interning tables alive across
-// calls. Interned nodes are immutable and ids are compared only for
-// equality, so reusing the tables across windows changes no result — it
-// only makes the per-window cost proportional to the window, not to the
-// interner. The zero value is ready to use. Not safe for concurrent use.
-type FlatReducer struct {
-	r   reducer
-	seq []int32
-}
-
-// Reduce reduces a flat token sequence to its minimal structure template.
-// The result is identical to Reduce over the equivalent []*Node tokens.
-func (fr *FlatReducer) Reduce(toks []uint16) *Node {
-	if fr.r.byKey == nil {
-		fr.r.byKey = map[string]int32{}
-	}
-	if cap(fr.seq) < len(toks) {
-		fr.seq = make([]int32, 0, len(toks)*2)
-	}
-	seq := fr.seq[:len(toks)]
-	for i, t := range toks {
-		seq[i] = fr.r.internTok(t)
-	}
-	return fr.r.reduceSeq(seq)
-}
-
-// ReduceFlat reduces a flat token sequence with a throwaway reducer; use a
-// FlatReducer to amortize interning across many sequences.
-func ReduceFlat(toks []uint16) *Node {
-	var fr FlatReducer
-	return fr.Reduce(toks)
-}
-
-// reducer interns template tokens: equal tokens (deep equality) share one
-// id. charOf[id] holds the byte of single-char literal tokens, or -1.
+// reducer is the tree-building reducer behind Reduce. It interns template
+// tokens by Key: equal tokens (deep equality) share one id, and every id
+// has its node. charOf[id] holds the byte of single-char literal tokens,
+// or -1. FlatReducer is the same fold search with no node behind an id.
 type reducer struct {
 	byKey  map[string]int32
 	nodes  []*Node
@@ -183,21 +152,6 @@ func (r *reducer) intern(n *Node) int32 {
 	}
 	r.charOf = append(r.charOf, c)
 	return id
-}
-
-// internTok interns a flat token, building the backing Node only the
-// first time a token value is seen.
-func (r *reducer) internTok(t uint16) int32 {
-	if t == TokField {
-		if r.fieldID != 0 {
-			return r.fieldID - 1
-		}
-		return r.intern(Field())
-	}
-	if id := r.charIDs[byte(t)]; id != 0 {
-		return id - 1
-	}
-	return r.intern(Lit(string([]byte{byte(t)})))
 }
 
 // reduceOnce applies the first applicable fold and reports whether one was

@@ -12,11 +12,13 @@
 //	Field:  the placeholder 'F'
 //	Literal: a run of formatting characters
 //
-// The package provides construction, canonical serialization (used as the
-// hash key in the generation step), structural equality, extraction of a
+// The package provides construction, canonical serialization (a template's
+// identity as a string: score memos, candidate tie-breaks, the reference
+// generation engine's hash key), structural equality, extraction of a
 // record template from an instantiated record given an RT-CharSet
 // (Assumption 2), and reduction of a record template to its minimal
-// structure template (step 4 of the generation step, §9.1).
+// structure template (step 4 of the generation step, §9.1) — as a tree
+// (Reduce) or, for the generation step, as interned ids (FlatReducer).
 package template
 
 import (
@@ -233,9 +235,9 @@ func writeDisplayByte(b *strings.Builder, c byte) {
 	}
 }
 
-// Key returns a canonical serialization usable as a hash-table key in the
-// generation step. Unlike String it is unambiguous: structural markers are
-// escaped so literal parentheses cannot collide with array syntax.
+// Key returns a canonical serialization usable as a hash-table key.
+// Unlike String it is unambiguous: structural markers are escaped so
+// literal parentheses cannot collide with array syntax.
 func (n *Node) Key() string {
 	var b strings.Builder
 	n.key(&b)

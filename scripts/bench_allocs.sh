@@ -7,6 +7,12 @@
 # transition-table and chain-cache traversal — never does either; a
 # regression here silently re-introduces the per-candidate allocation
 # costs the evaluation and generation engines were rebuilt to remove.
+# A whole Generate is held, on the three bench-scale inputs where windows
+# reduce to the most distinct templates, to about twice what it allocates
+# with templates kept as interned id sequences and trees built only for
+# the candidates returned (what is left is the table's key strings, the
+# transition rows and those trees); a tree per distinct window is 4.8–6.1
+# million allocations on each, an order of magnitude over any ceiling.
 # The lake's MatchSample is held to one ceiling at two sample sizes: it
 # allocates a line index and the compiled matchers, nothing per record —
 # a regression re-materializes records on the crawl's match stage.
@@ -38,6 +44,9 @@ out=$(go test -run '^$' -bench 'BenchmarkScanNoiseReject|BenchmarkScanArenaReuse
 out="$out
 $(go test -run '^$' -bench 'BenchmarkGenSTSteadyState' \
 	-benchmem -benchtime 100x ./internal/generation)"
+out="$out
+$(go test -run '^$' -bench 'BenchmarkGenerationManyShapes' \
+	-benchmem -benchtime 1x ./internal/generation)"
 out="$out
 $(go test -run '^$' -bench 'BenchmarkRefineVariantScore' \
 	-benchmem -benchtime 100x ./internal/refine)"
@@ -81,6 +90,9 @@ check_blocks() {
 check ScanNoiseReject 0
 check ScanArenaReuse 0
 check GenSTSteadyState 0
+check GenerationManyShapes/MacASL 3500
+check GenerationManyShapes/LogFile5 350000
+check GenerationManyShapes/Netstat 450000
 check RefineVariantScore 12
 check MatchSample/records=500 16
 check MatchSample/records=8000 16
