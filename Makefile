@@ -47,7 +47,9 @@ bench-quick:
 # and per candidate returned, never a tree per window, refinement's
 # variant score must allocate a dozen objects whatever the data size,
 # the lake's MatchSample must allocate the same at two sample sizes, the
-# query engine's five
+# store's compaction must allocate per input file and per footer entry
+# carried over, never per cell or per decoded column (it relocates
+# blocks; it does not replay rows), the query engine's five
 # shapes must allocate per query and per block decoded, never per row,
 # and the streaming apply path per shard, never per record or field —
 # see scripts/bench_allocs.sh.
@@ -62,7 +64,8 @@ bench-allocs:
 # refinement lower bound (FuzzRefineLowerBound: nothing Refine scores
 # undercuts the noise floor evaluation prunes its candidates by), the
 # segment reader on hostile bytes (FuzzSegmentScan: no panic, no
-# allocation out of proportion to the file, row view ≡ batch view) and
+# allocation out of proportion to the file, row view ≡ batch view, and
+# compaction's splice refuses the file or reproduces its rows) and
 # the profile loader plus the extraction engine behind it
 # (FuzzProfileApply: arbitrary profile JSON × arbitrary data — no panic,
 # slice door ≡ reader door at 64-byte shards ≡ the tree-walking oracle's

@@ -207,12 +207,6 @@ func IndexDirContext(ctx context.Context, dir string, opts IndexOptions) (*Index
 		if err := txn.Commit(); err != nil {
 			return nil, err
 		}
-		// Repeated crawls accumulate one segment file per (format,
-		// run); compaction folds tables back under the bound so scan
-		// cost stays flat across runs.
-		if _, err := store.Compact(lake.DefaultCompactFiles); err != nil {
-			return nil, err
-		}
 	}
 	if opts.RegistryPath != "" {
 		if err := reg.Save(opts.RegistryPath); err != nil {
@@ -221,6 +215,17 @@ func IndexDirContext(ctx context.Context, dir string, opts IndexOptions) (*Index
 	}
 	if opts.CheckpointPath != "" {
 		if err := checkpoints.Save(opts.CheckpointPath); err != nil {
+			return nil, err
+		}
+	}
+	if store != nil {
+		// Repeated crawls accumulate one segment file per (format,
+		// run); compaction folds tables back under the bound so scan
+		// cost stays flat across runs. It runs last: the store has
+		// committed, so the checkpoints that say which bytes it holds
+		// must be on disk whatever an optimisation step does next — a
+		// crawl resumed from older ones would append those rows again.
+		if _, err := store.Compact(lake.DefaultCompactFiles); err != nil {
 			return nil, err
 		}
 	}

@@ -2,10 +2,14 @@ package datamaran
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"datamaran/internal/follow"
+	"datamaran/internal/lake"
 )
 
 const fixtureLake = "testdata/lake"
@@ -181,5 +185,143 @@ func TestIndexDirFormatsUsableAsProfiles(t *testing.T) {
 func TestIndexDirMissingDir(t *testing.T) {
 	if _, err := IndexDir(filepath.Join(t.TempDir(), "absent"), IndexOptions{}); err == nil {
 		t.Fatal("missing directory should error")
+	}
+}
+
+// storeDump renders every table of the store at path, rows in scan
+// order.
+func storeDump(t *testing.T, path string) string {
+	t.Helper()
+	store, err := lake.OpenSegmentStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, ti := range store.Tables() {
+		fmt.Fprintf(&b, "table %s rows=%d\n", ti.Name, ti.Rows)
+		sc, err := store.Scan(ti.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			row, err := sc.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&b, "  %q\n", row)
+		}
+		sc.Close()
+	}
+	return b.String()
+}
+
+// TestIndexDirPersistsBeforeCompacting: compaction is an optimisation
+// that runs after the store transaction has committed, so its failure
+// must not keep the crawl's checkpoints off the disk — a next crawl
+// resumed from the older ones would append rows the store already
+// holds. The crawl still reports the error.
+func TestIndexDirPersistsBeforeCompacting(t *testing.T) {
+	root, state := t.TempDir(), t.TempDir()
+	paths := []string{"metrics-1.log", "metrics-2.log", "metrics-3.log"}
+	for _, name := range paths {
+		raw, err := os.ReadFile(filepath.Join(fixtureLake, "metrics", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(root, name), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grow := func(name, line string) {
+		t.Helper()
+		f, err := os.OpenFile(filepath.Join(root, name), os.O_APPEND|os.O_WRONLY, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteString(line); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	opts := IndexOptions{
+		RegistryPath:   filepath.Join(state, "registry.json"),
+		CheckpointPath: filepath.Join(state, "checkpoints.json"),
+		StorePath:      filepath.Join(state, "store"),
+		Workers:        2,
+	}
+	crawl := func() (*IndexResult, error) { return IndexDir(root, opts) }
+	offsets := func() map[string]int64 {
+		t.Helper()
+		cps, err := follow.LoadStore(opts.CheckpointPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]int64{}
+		for _, p := range paths {
+			out[p] = cps.Get(p).Offset
+		}
+		return out
+	}
+
+	// Three files fold into one shared file; growing the first then moves
+	// it into a file of its own, and two files need no compaction.
+	if _, err := crawl(); err != nil {
+		t.Fatal(err)
+	}
+	grow(paths[0], "metric|cpu1|10.00|db01|\nmetric|cpu2|20.00|db01|\n")
+	if res, err := crawl(); err != nil || res.Summary.Resumed != 1 {
+		t.Fatalf("second crawl: %+v, %v", res, err)
+	}
+	segs, err := filepath.Glob(filepath.Join(opts.StorePath, "*.r*.seg"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("want one per-path segment after the second crawl, have %v (%v)", segs, err)
+	}
+	// Damage that file where only a header walk looks: its first block's
+	// row count becomes the end-of-blocks mark. The next crawl does not
+	// touch the path, so nothing but compaction reads it.
+	pristine, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	damaged := append([]byte(nil), pristine...)
+	damaged[len("dmseg2\n")] = 0
+	if err := os.WriteFile(segs[0], damaged, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// Growing the other two spreads the table over three files: the crawl
+	// commits, then compacts, and the compaction fails.
+	before := offsets()
+	grow(paths[1], "metric|cpu3|30.00|web02|\nmetric|cpu4|40.00|web02|\n")
+	grow(paths[2], "metric|cpu5|50.00|db01|\nmetric|cpu6|60.00|db01|\n")
+	if _, err := crawl(); err == nil {
+		t.Fatal("crawl over a damaged segment reported no compaction error")
+	}
+	after := offsets()
+	for _, p := range paths[1:] {
+		if after[p] <= before[p] {
+			t.Fatalf("%s: checkpoint offset %d on disk after the failed compaction, %d before — the store committed the new rows but the checkpoint does not say so", p, after[p], before[p])
+		}
+	}
+
+	// Repaired, the next crawl has nothing to extract and compacts; the
+	// store holds each row once, as a one-shot crawl would have it.
+	if err := os.WriteFile(segs[0], pristine, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := crawl(); err != nil || res.Summary.Resumed != 0 || res.Summary.Unchanged != len(paths) {
+		t.Fatalf("crawl after the repair: %+v, %v", res, err)
+	}
+	fresh := t.TempDir()
+	if _, err := IndexDir(root, IndexOptions{StorePath: filepath.Join(fresh, "store"), Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := storeDump(t, opts.StorePath), storeDump(t, filepath.Join(fresh, "store")); got != want {
+		t.Fatalf("store after the failed compaction differs from a one-shot crawl:\n%s\n--- vs ---\n%s", got, want)
 	}
 }

@@ -13,9 +13,9 @@ import (
 )
 
 // fuzzScan opens a three-column scan over one segment file whose
-// manifest entry promises more rows than any input holds, so the scan
-// runs until the bytes do.
-func fuzzScan(t *testing.T, path string, opts ScanOptions) *SegmentScan {
+// manifest entry promises rows rows; given more than any input holds,
+// the scan runs until the bytes do.
+func fuzzScan(t *testing.T, path string, opts ScanOptions, rows int) *SegmentScan {
 	t.Helper()
 	f, err := os.Open(path)
 	if err != nil {
@@ -25,8 +25,50 @@ func fuzzScan(t *testing.T, path string, opts ScanOptions) *SegmentScan {
 	if err != nil {
 		t.Fatal(err)
 	}
-	span := manSeg{File: path, Rows: 1 << 30}
+	span := manSeg{File: path, Rows: rows}
 	return newSegmentScan(columnNames(3), []manSeg{span}, map[string]*os.File{path: f}, plan)
+}
+
+// spliceFile relocates the first rows rows of the v2 segment at src into
+// a fresh segment file at dst, the way compaction moves a span: header
+// walk, byte copy, zone maps from the source footer.
+func spliceFile(src, dst string, ncols, rows int) error {
+	in, err := os.Open(src)
+	if err != nil {
+		return err
+	}
+	defer in.Close()
+	sr, err := openSpliceReader(src, in, ncols)
+	if err != nil {
+		return err
+	}
+	out, err := os.Create(dst)
+	if err != nil {
+		return err
+	}
+	defer out.Close()
+	if _, err := out.Write(segMagicV2); err != nil {
+		return err
+	}
+	sw := newSegWriter(bufio.NewWriter(out), ncols)
+	if err := spliceSpan(sw, sr, &manSeg{Rows: rows}); err != nil {
+		return err
+	}
+	return sw.writeFooter(make([]int, ncols))
+}
+
+// drainFuzzScan reads a scan to its end and returns the rows, the
+// terminal error and how many rows' worth of block headers it consumed.
+func drainFuzzScan(sc *SegmentScan) (rows [][]string, consumed int, err error) {
+	defer sc.Close()
+	for {
+		var row []string
+		if row, err = sc.Next(); err != nil {
+			_, _, consumed = sc.BlockStats()
+			return rows, consumed, err
+		}
+		rows = append(rows, row)
+	}
 }
 
 // FuzzSegmentScan feeds the segment reader arbitrary bytes after a
@@ -35,7 +77,10 @@ func fuzzScan(t *testing.T, path string, opts ScanOptions) *SegmentScan {
 // in rows then an error or EOF — never a panic, and never having
 // allocated more than a constant factor over the input: a length prefix
 // is believed only as far as the file could honour it. The row view and
-// the batch view must agree on everything that decodes.
+// the batch view must agree on everything that decodes. A v2 input is
+// then relocated the way compaction relocates a span, under the same
+// two bars: the splice either refuses the file or produces one whose
+// scan yields the rows of the source span and ends the way it ends.
 func FuzzSegmentScan(f *testing.F) {
 	// Two blocks of short cells: a small seed keeps the fuzzer's
 	// minimizer, which reruns every shrink of an interesting input, quick.
@@ -43,16 +88,20 @@ func FuzzSegmentScan(f *testing.F) {
 	for i := range rows {
 		rows[i] = []string{fmt.Sprint(i % 97), fmt.Sprint(i % 13), fmt.Sprintf("h%d", i%7)}
 	}
-	var v2 bytes.Buffer
-	sw := newSegWriter(bufio.NewWriter(&v2), 3)
-	for _, row := range rows {
-		if err := sw.add(row); err != nil {
+	encodeV2 := func(rows [][]string) []byte {
+		var buf bytes.Buffer
+		sw := newSegWriter(bufio.NewWriter(&buf), 3)
+		for _, row := range rows {
+			if err := sw.add(row); err != nil {
+				f.Fatal(err)
+			}
+		}
+		if _, _, _, err := sw.finish(); err != nil {
 			f.Fatal(err)
 		}
+		return buf.Bytes()
 	}
-	if _, _, _, err := sw.finish(); err != nil {
-		f.Fatal(err)
-	}
+	v2 := encodeV2(rows)
 	// The same rows as v1 blocks: a row count, then each column's
 	// length-prefixed cells, no header lengths and no footer.
 	var v1 []byte
@@ -65,14 +114,25 @@ func FuzzSegmentScan(f *testing.F) {
 			}
 		}
 	}
-	f.Add(v2.Bytes(), true, true)
-	f.Add(v2.Bytes(), true, false)
+	f.Add(v2, true, true)
+	f.Add(v2, true, false)
 	f.Add(v1, false, true)
+	// One three-row block, whole and with a footer that counts two: what
+	// the splice relocates and what it must refuse.
+	small := encodeV2(rows[:3])
+	f.Add(small, true, false)
+	body, foot, err := cutFooter(small)
+	if err != nil {
+		f.Fatal(err)
+	}
+	foot.blocks[0].rows--
+	f.Add(withFooter(body, foot), true, true)
 	// A header promising 2³¹-byte columns, and a v1 cell promising 2³⁰.
 	f.Add([]byte{0x01, 0x80, 0x80, 0x80, 0x80, 0x08, 0x01, 0x01, 'a', 'b', 'c'}, true, false)
 	f.Add([]byte{0x01, 0x80, 0x80, 0x80, 0x80, 0x04, 'a'}, false, false)
 
 	path := filepath.Join(f.TempDir(), "fuzz.seg")
+	spliced := filepath.Join(f.TempDir(), "spliced.seg")
 	f.Fuzz(func(t *testing.T, body []byte, isV2, pushed bool) {
 		magic := segMagicV1
 		if isV2 {
@@ -88,7 +148,7 @@ func FuzzSegmentScan(f *testing.F) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 
-		byRow := fuzzScan(t, path, opts)
+		byRow := fuzzScan(t, path, opts, 1<<30)
 		defer byRow.Close()
 		var viaRows [][]string
 		var rowErr error
@@ -99,7 +159,7 @@ func FuzzSegmentScan(f *testing.F) {
 			}
 			viaRows = append(viaRows, row)
 		}
-		byBatch := fuzzScan(t, path, opts)
+		byBatch := fuzzScan(t, path, opts, 1<<30)
 		defer byBatch.Close()
 		var viaBatches [][]string
 		var batchErr error
@@ -125,6 +185,27 @@ func FuzzSegmentScan(f *testing.F) {
 		}
 		if (rowErr == io.EOF) != (batchErr == io.EOF) || !equalRows(viaRows, viaBatches) {
 			t.Fatalf("row view: %d rows then %v; batch view: %d rows then %v", len(viaRows), rowErr, len(viaBatches), batchErr)
+		}
+		if !isV2 {
+			return
+		}
+
+		// The span to relocate: every row whose block header an unpushed
+		// scan gets through before the bytes stop making sense.
+		_, spanRows, _ := drainFuzzScan(fuzzScan(t, path, ScanOptions{}, 1<<30))
+		runtime.ReadMemStats(&before)
+		spliceErr := spliceFile(path, spliced, 3, spanRows)
+		runtime.ReadMemStats(&after)
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(256*len(body)+8<<20); grew > limit {
+			t.Fatalf("splicing %d bytes allocated %d (limit %d)", len(body), grew, limit)
+		}
+		if spliceErr != nil {
+			return
+		}
+		want, _, wantErr := drainFuzzScan(fuzzScan(t, path, opts, spanRows))
+		got, _, gotErr := drainFuzzScan(fuzzScan(t, spliced, opts, spanRows))
+		if (wantErr == io.EOF) != (gotErr == io.EOF) || !equalRows(got, want) {
+			t.Fatalf("source span: %d rows then %v; spliced: %d rows then %v", len(want), wantErr, len(got), gotErr)
 		}
 	})
 }

@@ -218,7 +218,7 @@ func mustScan(t *testing.T, s *SegmentStore, name string, opts ScanOptions) *Seg
 // writeV1Segment hand-writes a pre-stats segment file: the v1 magic,
 // then blocks of uvarint row count followed by each column's
 // uvarint-length-prefixed cells, ending at EOF with no footer.
-func writeV1Segment(t *testing.T, path string, blocks [][][]string, ncols int) {
+func writeV1Segment(t testing.TB, path string, blocks [][][]string, ncols int) {
 	t.Helper()
 	f, err := os.Create(path)
 	if err != nil {

@@ -36,9 +36,12 @@ import (
 // the denormalized records (one row per record, columns f0..fN, array
 // repetitions joined with the array separator) of every claimed file,
 // concatenated in sorted path order. Segments are block-structured and
-// column-major inside each block, so an incremental crawl extends a
-// grown file's segment by appending blocks — the follow layer's resume
-// never rewrites bytes that are already on disk.
+// column-major inside each block, and a block is self-contained: its
+// header carries its own lengths and nothing in it points outside it,
+// so an encoded block can be moved between files as bytes, its zone map
+// moving with it from one footer to the next. Published bytes are never
+// mutated: a grown file's segment is rewritten under a fresh revision
+// (Append), and what that costs per kept block is below.
 //
 // Mutations go through a StoreTxn: the crawl stages new segment bytes
 // in the store directory and nothing becomes visible until Commit
@@ -49,10 +52,21 @@ import (
 // Reads go through a SegmentScan, whose unit is the block: one decoder
 // (decodeBlock) turns a block into a column Batch — pushed predicates
 // and zone-map pruning applied, one string allocated per requested
-// column — and everything that reads segments is a view of those
-// batches: the query engine consumes them as they are, Next hands them
-// out as rows, and the store's own rewrites (Append's replay,
-// Compact) copy rows through Next.
+// column — and everything that reads cells is a view of those batches:
+// the query engine consumes them as they are and Next hands them out as
+// rows.
+//
+// The store's own rewrites encode a block once. Compact (compact.go)
+// relocates blocks: it walks block headers, copies each span's byte
+// range into the shared file and carries the span's zone maps over from
+// the source footer, decoding nothing. Append's replay of a grown
+// file's kept rows (copyRows) reads batches: a whole kept block is
+// decoded once, because the segment's kinds and distinct counts are
+// folded over the values, and is then written back as the column bytes
+// and zone map it arrived with; only the last, partial kept block is
+// buffered again and re-encoded together with the new rows. A v1 span
+// has neither header lengths nor a footer and is replayed cell by cell
+// on both paths.
 
 // manifestVersion is the on-disk manifest format this package reads and
 // writes.
@@ -547,7 +561,7 @@ type segReader struct {
 	ncols    int
 	rowPos   int
 	blockIdx int
-	foot     *segFooter // v2 + pushed predicates only
+	foot     *segFooter // v2 only: loaded to prune blocks (pushed predicates) or to relocate them
 	colBytes []int64    // the current block's per-column byte lengths
 	bufs     [][]byte   // scratch: raw per-column cell bytes
 }
@@ -744,12 +758,28 @@ func (sc *SegmentScan) reader(file string) (*segReader, error) {
 	if sr, ok := sc.readers[file]; ok {
 		return sr, nil
 	}
-	f := sc.files[file]
+	sr, err := newSegReader(file, sc.files[file], len(sc.columns))
+	if err != nil {
+		return nil, err
+	}
+	if sc.plan.hasPred && sr.version >= 2 {
+		foot, err := readFooter(sr.f, sr.size)
+		if err != nil {
+			return nil, fmt.Errorf("stats footer: %w", err)
+		}
+		sr.foot = foot
+	}
+	sc.readers[file] = sr
+	return sr, nil
+}
+
+// newSegReader positions a reader at the first block of an open segment
+// file of ncols columns, having validated the magic.
+func newSegReader(file string, f *os.File, ncols int) (*segReader, error) {
 	st, err := f.Stat()
 	if err != nil {
 		return nil, err
 	}
-	ncols := len(sc.columns)
 	sr := &segReader{
 		file:     file,
 		f:        f,
@@ -771,14 +801,6 @@ func (sc *SegmentScan) reader(file string) (*segReader, error) {
 		return nil, errors.New("bad magic")
 	}
 	sr.pos += int64(len(magic))
-	if sc.plan.hasPred && sr.version >= 2 {
-		foot, err := readFooter(f, sr.size)
-		if err != nil {
-			return nil, fmt.Errorf("stats footer: %w", err)
-		}
-		sr.foot = foot
-	}
-	sc.readers[file] = sr
 	return sr, nil
 }
 
@@ -1181,10 +1203,31 @@ type footBlock struct {
 	cols []colZone
 }
 
-// segFooter is a v2 segment's decoded stats footer.
+// segFooter is a v2 segment's decoded stats footer. distincts is
+// informational — planning reads the manifest's per-span Distincts, not
+// this line: in a per-path file it is the count over the file's values
+// (exact up to segDistinctCap), in a compacted file the per-column max
+// over the spans' manifest Distincts, the fold TableInfo.Distincts
+// documents (relocated blocks are not decoded, so there are no values to
+// count).
 type segFooter struct {
 	blocks    []footBlock
 	distincts []int
+}
+
+// zonesOf returns the footer entry of block idx for a caller about to
+// move that block's bytes and keep this entry as its zone map: the
+// entry must describe the nrows-row, ncols-column block the header
+// announced, or file and footer disagree.
+func (foot *segFooter) zonesOf(idx, nrows, ncols int) (footBlock, error) {
+	if idx >= len(foot.blocks) {
+		return footBlock{}, fmt.Errorf("stats footer has %d blocks, file has more", len(foot.blocks))
+	}
+	fb := foot.blocks[idx]
+	if fb.rows != nrows || len(fb.cols) != ncols {
+		return footBlock{}, fmt.Errorf("stats footer describes block %d as %d rows × %d columns, its header as %d × %d", idx, fb.rows, len(fb.cols), nrows, ncols)
+	}
+	return fb, nil
 }
 
 // zonePruned reports whether a block's zone maps prove that no row can
@@ -1401,7 +1444,10 @@ func decodeFooter(blob []byte) (*segFooter, error) {
 // batch their writes, so an incremental append that replays the kept
 // rows re-derives exactly the kinds a from-scratch write would. It
 // also collects the per-block zone maps and per-column distinct
-// estimates that finish writes into the stats footer.
+// estimates that finish writes into the stats footer. Blocks that
+// already exist encoded enter through passBlock (a resume: observed,
+// not re-encoded) or spliceBlocks (compaction: not even decoded, which
+// is why it ends its file with writeFooter instead of finish).
 type segWriter struct {
 	w        *bufio.Writer
 	ncols    int
@@ -1430,14 +1476,42 @@ func (sw *segWriter) putUvarint(v uint64) error {
 	return err
 }
 
+// buffered is the number of rows waiting in the block buffer.
+func (sw *segWriter) buffered() int {
+	if sw.ncols == 0 {
+		return 0
+	}
+	return len(sw.cols[0])
+}
+
 // add buffers one row, flushing a block when full.
 func (sw *segWriter) add(row []string) error {
 	for c := 0; c < sw.ncols; c++ {
 		sw.cols[c] = append(sw.cols[c], row[c])
 	}
 	sw.rows++
-	if sw.ncols > 0 && len(sw.cols[0]) >= segBlockRows {
+	if sw.buffered() >= segBlockRows {
 		return sw.flushBlock()
+	}
+	return nil
+}
+
+// addColumns buffers the first n rows of a column-major batch, flushing
+// at every block boundary — what add would do with the same rows one at
+// a time, without the transpose.
+func (sw *segWriter) addColumns(cols [][]string, n int) error {
+	for lo := 0; lo < n; {
+		take := min(n-lo, segBlockRows-sw.buffered())
+		for c := range sw.cols {
+			sw.cols[c] = append(sw.cols[c], cols[c][lo:lo+take]...)
+		}
+		sw.rows += take
+		lo += take
+		if sw.buffered() >= segBlockRows {
+			if err := sw.flushBlock(); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
@@ -1474,17 +1548,11 @@ func blockZones(cols [][]string) footBlock {
 	return fb
 }
 
-func (sw *segWriter) flushBlock() error {
-	n := 0
-	if sw.ncols > 0 {
-		n = len(sw.cols[0])
-	}
-	if n == 0 {
-		return nil
-	}
-	sw.kinds = foldKinds(sw.kinds, sw.cols)
-	sw.blocks = append(sw.blocks, blockZones(sw.cols))
-	for c, vals := range sw.cols {
+// observe folds one block's values into what a segment derives from
+// values rather than bytes: the running kinds and the distinct sets.
+func (sw *segWriter) observe(cols [][]string) {
+	sw.kinds = foldKinds(sw.kinds, cols)
+	for c, vals := range cols {
 		m := sw.distinct[c]
 		if m == nil {
 			m = make(map[string]struct{})
@@ -1497,9 +1565,15 @@ func (sw *segWriter) flushBlock() error {
 			m[v] = struct{}{}
 		}
 	}
-	if err := sw.putUvarint(uint64(n)); err != nil {
-		return err
+}
+
+func (sw *segWriter) flushBlock() error {
+	n := sw.buffered()
+	if n == 0 {
+		return nil
 	}
+	sw.observe(sw.cols)
+	sw.blocks = append(sw.blocks, blockZones(sw.cols))
 	// Encode each column's cells up front so the block header can carry
 	// their byte lengths — what lets a reader skip a column unread.
 	var tmp [binary.MaxVarintLen64]byte
@@ -1511,17 +1585,55 @@ func (sw *segWriter) flushBlock() error {
 			buf = append(buf, v...)
 		}
 		sw.colBuf[c] = buf
-		if err := sw.putUvarint(uint64(len(buf))); err != nil {
-			return err
-		}
-	}
-	for c := 0; c < sw.ncols; c++ {
-		if _, err := sw.w.Write(sw.colBuf[c]); err != nil {
-			return err
-		}
 		sw.cols[c] = sw.cols[c][:0]
 	}
+	return sw.writeBlock(n, sw.colBuf)
+}
+
+// writeBlock writes one block: its row count, each column's byte
+// length, then the columns' encoded cells.
+func (sw *segWriter) writeBlock(n int, encoded [][]byte) error {
+	if err := sw.putUvarint(uint64(n)); err != nil {
+		return err
+	}
+	for _, col := range encoded {
+		if err := sw.putUvarint(uint64(len(col))); err != nil {
+			return err
+		}
+	}
+	for _, col := range encoded {
+		if _, err := sw.w.Write(col); err != nil {
+			return err
+		}
+	}
 	return nil
+}
+
+// passBlock writes a block that is already encoded: cols are its decoded
+// cells, encoded the column bytes they were decoded from and zones the
+// zone map the source footer held for it. The caller guarantees the
+// block buffer is empty and the block full, so these are the bytes
+// flushBlock would have produced from cols.
+func (sw *segWriter) passBlock(cols [][]string, encoded [][]byte, zones footBlock) error {
+	sw.observe(cols)
+	sw.blocks = append(sw.blocks, zones)
+	sw.rows += zones.rows
+	return sw.writeBlock(zones.rows, encoded)
+}
+
+// spliceBlocks appends blocks that exist encoded in another file,
+// unseen: size bytes of whole blocks from encoded, holding rows rows,
+// and the zone maps their source footer held for them. Nothing is
+// decoded, so nothing is observed — the caller already has the kinds
+// and distinct counts of these rows. The block buffer must be empty.
+func (sw *segWriter) spliceBlocks(encoded io.Reader, size int64, zones []footBlock, rows int) error {
+	copied, err := io.Copy(sw.w, encoded)
+	if err == nil && copied != size {
+		err = io.ErrUnexpectedEOF
+	}
+	sw.blocks = append(sw.blocks, zones...)
+	sw.rows += rows
+	return err
 }
 
 // distincts snapshots the per-column distinct estimates.
@@ -1533,27 +1645,15 @@ func (sw *segWriter) distincts() []int {
 	return out
 }
 
-// finish flushes the residual block, writes the end-of-blocks sentinel
-// plus the stats footer and its length trailer, and returns the folded
-// kinds, the total row count and the distinct estimates.
+// finish flushes the residual block and closes the file with the stats
+// footer, and returns the folded kinds, the total row count and the
+// distinct estimates.
 func (sw *segWriter) finish() ([]semtype.Kind, int, []int, error) {
 	if err := sw.flushBlock(); err != nil {
 		return nil, 0, nil, err
 	}
 	dist := sw.distincts()
-	if err := sw.putUvarint(0); err != nil {
-		return nil, 0, nil, err
-	}
-	foot := encodeFooter(sw.blocks, dist)
-	if _, err := sw.w.Write(foot); err != nil {
-		return nil, 0, nil, err
-	}
-	var tr [8]byte
-	binary.LittleEndian.PutUint64(tr[:], uint64(len(foot)))
-	if _, err := sw.w.Write(tr[:]); err != nil {
-		return nil, 0, nil, err
-	}
-	if err := sw.w.Flush(); err != nil {
+	if err := sw.writeFooter(dist); err != nil {
 		return nil, 0, nil, err
 	}
 	kinds := sw.kinds
@@ -1564,6 +1664,24 @@ func (sw *segWriter) finish() ([]semtype.Kind, int, []int, error) {
 		}
 	}
 	return kinds, sw.rows, dist, nil
+}
+
+// writeFooter ends the file: the end-of-blocks sentinel, the stats
+// footer over every block written and its length trailer.
+func (sw *segWriter) writeFooter(distincts []int) error {
+	if err := sw.putUvarint(0); err != nil {
+		return err
+	}
+	foot := encodeFooter(sw.blocks, distincts)
+	if _, err := sw.w.Write(foot); err != nil {
+		return err
+	}
+	var tr [8]byte
+	binary.LittleEndian.PutUint64(tr[:], uint64(len(foot)))
+	if _, err := sw.w.Write(tr[:]); err != nil {
+		return err
+	}
+	return sw.w.Flush()
 }
 
 // addRecords feeds recs' rows of one record type through the writer.
@@ -1769,6 +1887,19 @@ func (t *StoreTxn) Append(relPath, fp string, templates []*template.Node, recs [
 		rows := 0
 		err = func() error {
 			in, err := os.Open(src)
+			for attempt := 0; errors.Is(err, os.ErrNotExist) && !isStaged && attempt < scanOpenRetries; attempt++ {
+				// A compaction published since Begin moved the span and
+				// unlinked the file it was in: the same rows under a new
+				// (File, RowOff) in the store's current manifest. A span
+				// that changed in any other way was rewritten by another
+				// transaction, which is not this one's to merge.
+				cur := segOf(t.s.snapshot().table(fp, typeID), relPath)
+				if cur == nil || cur.Rows != spanRows || cur.Provisional != spanRows-keep {
+					break
+				}
+				oldName, skip = cur.File, cur.RowOff
+				in, err = os.Open(filepath.Join(t.s.dir, oldName))
+			}
 			if err != nil {
 				return err
 			}
@@ -1824,7 +1955,12 @@ func (t *StoreTxn) Append(relPath, fp string, templates []*template.Node, recs [
 
 // copyRows replays the first limit rows of a span — rows rows starting
 // at row skip of a segment file of either format version — into the
-// writer.
+// writer, a block at a time. A full v2 block that lies within the limit
+// and meets an empty block buffer is passed through: decoded for the
+// writer's kinds and distinct sets, then written as the column bytes
+// the reader holds under the zone map of the source footer. Everything
+// else — v1 blocks, a partial block, the block the limit cuts — is
+// buffered and encoded again.
 func copyRows(sw *segWriter, in *os.File, ncols, skip, rows, limit int) error {
 	plan, err := newScanPlan(ncols, ScanOptions{})
 	if err != nil {
@@ -1832,17 +1968,38 @@ func copyRows(sw *segWriter, in *os.File, ncols, skip, rows, limit int) error {
 	}
 	span := manSeg{File: in.Name(), RowOff: skip, Rows: rows}
 	sc := newSegmentScan(make([]string, ncols), []manSeg{span}, map[string]*os.File{span.File: in}, plan)
-	for copied := 0; copied < limit; copied++ {
-		row, err := sc.Next()
+	var foot *segFooter
+	for copied := 0; copied < limit; {
+		b, err := sc.NextBatch()
 		if err == io.EOF {
 			return fmt.Errorf("segment %s: %d rows, expected at least %d", span.File, copied, limit)
 		}
 		if err != nil {
 			return err
 		}
-		if err := sw.add(row); err != nil {
+		sr := sc.cur
+		if sr.version < 2 || b.Rows != segBlockRows || copied+b.Rows > limit || sw.buffered() > 0 {
+			n := min(b.Rows, limit-copied)
+			if err := sw.addColumns(b.Cols, n); err != nil {
+				return err
+			}
+			copied += n
+			continue
+		}
+		if foot == nil {
+			if foot, err = readFooter(in, sr.size); err != nil {
+				return fmt.Errorf("lake: segment %s: stats footer: %w", span.File, err)
+			}
+		}
+		// The scan read every column: sr.bufs holds the block's bytes.
+		zones, err := foot.zonesOf(sr.blockIdx-1, b.Rows, ncols)
+		if err != nil {
+			return fmt.Errorf("lake: segment %s: %w", span.File, err)
+		}
+		if err := sw.passBlock(b.Cols, sr.bufs, zones); err != nil {
 			return err
 		}
+		copied += b.Rows
 	}
 	return nil
 }
@@ -2011,153 +2168,6 @@ func mergeManifest(cur, txn *manifest, touched map[string]bool) *manifest {
 	}
 	out.normalize()
 	return out
-}
-
-// DefaultCompactFiles is the per-table segment-file bound the crawl
-// passes to Compact: a table spread over more files than this is
-// rewritten into one shared file.
-const DefaultCompactFiles = 2
-
-// compactFileName names a table's compacted shared segment file. gen
-// rises past every revision the table has published (and the spans it
-// writes carry Rev=gen), so repeated compactions and interleaved
-// appends never reuse a live filename.
-func compactFileName(fp string, typeID, gen int) string {
-	sum := sha256.Sum256([]byte("compact\x00" + fp))
-	return fmt.Sprintf("%x.t%d.c%d.seg", sum[:12], typeID, gen)
-}
-
-// Compact rewrites every table whose rows are spread across more than
-// maxFiles segment files into one fresh shared v2 file per table: the
-// paths' spans are copied in sorted path order, the block buffer
-// flushing at each path boundary so every span stays block-aligned
-// (zone maps never mix paths), and each span keeps its original row
-// count, provisional tail, kinds and distinct estimates under a new
-// (File, Rev, RowOff). Logical table contents are untouched — only the
-// file layout changes — so Compact is an optimization the crawl runs
-// after committing: it publishes via compare-and-swap against the
-// manifest it read and simply skips (returning 0) if a concurrent
-// commit got there first; the next crawl retries. Superseded segment
-// files are deleted once the new manifest is published. Returns the
-// number of tables rewritten.
-func (s *SegmentStore) Compact(maxFiles int) (int, error) {
-	if maxFiles < 1 {
-		maxFiles = 1
-	}
-	base := s.snapshot()
-	var targets []int
-	for i := range base.Tables {
-		files := map[string]bool{}
-		for _, seg := range base.Tables[i].Segments {
-			files[seg.File] = true
-		}
-		if len(files) > maxFiles {
-			targets = append(targets, i)
-		}
-	}
-	if len(targets) == 0 {
-		return 0, nil
-	}
-	next := base.clone()
-	type stagedFile struct{ tmp, final string }
-	var staged []stagedFile
-	cleanup := func() {
-		for _, sf := range staged {
-			os.Remove(sf.tmp)
-		}
-	}
-	for _, ti := range targets {
-		tbl := &next.Tables[ti]
-		gen := 0
-		for _, seg := range tbl.Segments {
-			if seg.Rev >= gen {
-				gen = seg.Rev + 1
-			}
-		}
-		final := compactFileName(tbl.Fingerprint, tbl.Type, gen)
-		tmp, err := os.CreateTemp(s.dir, ".stage-*")
-		if err != nil {
-			cleanup()
-			return 0, err
-		}
-		err = func() error {
-			if _, err := tmp.Write(segMagicV2); err != nil {
-				return err
-			}
-			sw := newSegWriter(bufio.NewWriter(tmp), len(tbl.Columns))
-			rowOff := 0
-			for si := range tbl.Segments {
-				seg := &tbl.Segments[si]
-				in, err := os.Open(filepath.Join(s.dir, seg.File))
-				if err != nil {
-					return err
-				}
-				err = copyRows(sw, in, len(tbl.Columns), seg.RowOff, seg.Rows, seg.Rows)
-				in.Close()
-				if err != nil {
-					return err
-				}
-				if err := sw.flushBlock(); err != nil {
-					return err
-				}
-				seg.File, seg.Rev, seg.RowOff = final, gen, rowOff
-				rowOff += seg.Rows
-			}
-			_, rows, _, err := sw.finish()
-			if err != nil {
-				return err
-			}
-			if rows != rowOff {
-				return fmt.Errorf("lake: compaction wrote %d rows, manifest names %d", rows, rowOff)
-			}
-			return nil
-		}()
-		if cerr := tmp.Close(); err == nil {
-			err = cerr
-		}
-		if err == nil {
-			err = os.Chmod(tmp.Name(), 0o644)
-		}
-		if err != nil {
-			os.Remove(tmp.Name())
-			cleanup()
-			return 0, err
-		}
-		staged = append(staged, stagedFile{tmp: tmp.Name(), final: final})
-	}
-	next.normalize()
-	s.mu.Lock()
-	if s.man != base {
-		// A commit published while we were rewriting; our inputs are
-		// stale. Drop the work — the next crawl re-triggers compaction.
-		s.mu.Unlock()
-		cleanup()
-		return 0, nil
-	}
-	for i, sf := range staged {
-		if err := os.Rename(sf.tmp, filepath.Join(s.dir, sf.final)); err != nil {
-			s.mu.Unlock()
-			for _, rest := range staged[i:] {
-				os.Remove(rest.tmp)
-			}
-			return 0, err
-		}
-	}
-	err := saveManifest(s.dir, next)
-	if err == nil {
-		s.man = next
-	}
-	s.mu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	live := referencedFiles(next)
-	for name := range referencedFiles(base) {
-		if !live[name] {
-			os.Remove(filepath.Join(s.dir, name))
-		}
-	}
-	return len(targets), nil
 }
 
 // Abort discards the transaction's staged files; the store is

@@ -1,0 +1,177 @@
+package lake
+
+import (
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"datamaran/internal/core"
+	"datamaran/internal/pipeline"
+	"datamaran/internal/template"
+)
+
+// The store's write side at the scale of the repo benchmark's 8 MiB lake
+// (bench/: ≈90 files, ≈230 k rows): compaction of a freshly crawled
+// table, and the resume of one grown file.
+
+const benchCols = 10
+
+// benchRow draws one ten-column access-log row: a monotone timestamp,
+// low-cardinality strings, integers, a float.
+func benchRow(rng *rand.Rand, ts *int64) []string {
+	*ts += 1 + rng.Int63n(3)
+	return []string{
+		fmt.Sprint(*ts),
+		fmt.Sprintf("host%02d", rng.Intn(16)),
+		[]string{"GET", "PUT", "POST", "DELETE"}[rng.Intn(4)],
+		fmt.Sprintf("/api/v%d/item/%d", 1+rng.Intn(3), rng.Intn(10000)),
+		fmt.Sprint([]int{200, 201, 204, 404, 500}[rng.Intn(5)]),
+		fmt.Sprint(1 + rng.Intn(900)),
+		fmt.Sprint(100 + rng.Intn(50000)),
+		[]string{"east", "west"}[rng.Intn(2)],
+		fmt.Sprintf("%d.%02d", rng.Intn(100), rng.Intn(100)),
+		fmt.Sprintf("req-%06x", rng.Intn(1<<24)),
+	}
+}
+
+// writeBenchTable lays out one table of files per-path segment files of
+// rowsPerFile rows each and returns the bytes they hold.
+func writeBenchTable(b *testing.B, dir string, files, rowsPerFile int) int64 {
+	b.Helper()
+	rng, ts := rand.New(rand.NewSource(1)), int64(1_700_000_000)
+	tbl := manTable{Fingerprint: "bench0bench0bench", Columns: columnNames(benchCols)}
+	var total int64
+	for i := 0; i < files; i++ {
+		rows := make([][]string, rowsPerFile)
+		for r := range rows {
+			rows[r] = benchRow(rng, &ts)
+		}
+		seg := writeSynthSpan(b, dir, synthSpan{path: fmt.Sprintf("web/requests-%03d.log", i), rows: rows, provisional: 1}, 0, benchCols)
+		st, err := os.Stat(filepath.Join(dir, seg.File))
+		if err != nil {
+			b.Fatal(err)
+		}
+		total += st.Size()
+		tbl.Segments = append(tbl.Segments, seg)
+	}
+	if err := saveManifest(dir, &manifest{Tables: []manTable{tbl}}); err != nil {
+		b.Fatal(err)
+	}
+	return total
+}
+
+// BenchmarkStoreCompact folds a table of per-path files into one shared
+// file. Compaction relocates blocks — headers walked, bytes copied, zone
+// maps carried over from the source footers — so what it allocates is
+// per call and per input file (a reader, a decoded footer, a copy
+// buffer), and per block only the footer entries it carries. The
+// allocation gate (scripts/bench_allocs.sh) holds both sizes to one
+// ceiling of that form; replaying the rows instead allocates a string
+// per column per block, a row slab per block and the distinct sets, and
+// fails it at either size.
+func BenchmarkStoreCompact(b *testing.B) {
+	for _, files := range []int{30, 90} {
+		const rowsPerFile = 2*segBlockRows + segBlockRows/2
+		blocks := files * 3
+		b.Run(fmt.Sprintf("files=%d/blocks=%d", files, blocks), func(b *testing.B) {
+			src := b.TempDir()
+			total := writeBenchTable(b, src, files, rowsPerFile)
+			entries, err := os.ReadDir(src)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(total)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				// Compaction consumes its inputs: each round gets the table
+				// again, as hard links.
+				b.StopTimer()
+				dir := filepath.Join(b.TempDir(), fmt.Sprint(i))
+				if err := os.Mkdir(dir, 0o755); err != nil {
+					b.Fatal(err)
+				}
+				for _, e := range entries {
+					if err := os.Link(filepath.Join(src, e.Name()), filepath.Join(dir, e.Name())); err != nil {
+						b.Fatal(err)
+					}
+				}
+				s, err := OpenSegmentStore(dir)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if n, err := s.Compact(DefaultCompactFiles); n != 1 || err != nil {
+					b.Fatalf("Compact = (%d, %v), want the one table rewritten", n, err)
+				}
+				b.StopTimer()
+				if err := os.RemoveAll(dir); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+		})
+	}
+}
+
+// BenchmarkStoreAppendResume is the resume of one grown file: a 25 k-row
+// segment with a provisional tail extended by a fifth. The kept rows are
+// 24 whole blocks, decoded once for kinds and distinct counts and
+// written back as they are, and one partial block that is re-encoded
+// with the new rows.
+func BenchmarkStoreAppendResume(b *testing.B) {
+	fields := make([]*template.Node, 0, 2*benchCols)
+	for c := 0; c < benchCols; c++ {
+		sep := "|"
+		if c == benchCols-1 {
+			sep = "|\n"
+		}
+		fields = append(fields, template.Field(), template.Lit(sep))
+	}
+	templates := []*template.Node{template.Struct(fields...).Normalize()}
+	const fp, rel = "bench0bench0bench", "web/requests-000.log"
+	const baseRows, growRows = 25000, 5000
+	rng, ts := rand.New(rand.NewSource(1)), int64(1_700_000_000)
+	extract := func(rows int) []core.RecordOut {
+		var text strings.Builder
+		for r := 0; r < rows; r++ {
+			text.WriteString(strings.Join(benchRow(rng, &ts), "|"))
+			text.WriteString("|\n")
+		}
+		res, err := pipeline.Run(strings.NewReader(text.String()), pipeline.Config{Templates: templates, Workers: 1})
+		if err != nil || len(res.Records) != rows {
+			b.Fatalf("extracted %d of %d rows: %v", len(res.Records), rows, err)
+		}
+		return res.Records
+	}
+	s, err := OpenSegmentStore(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	txn := s.Begin()
+	if err := txn.Rewrite(rel, fp, templates, extract(baseRows), 1); err != nil {
+		b.Fatal(err)
+	}
+	if err := txn.Commit(); err != nil {
+		b.Fatal(err)
+	}
+	st, err := os.Stat(filepath.Join(s.Dir(), segFileName(rel, 0, 0)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	// The resume re-emits the provisional row, then the growth.
+	grown := extract(1 + growRows)
+	b.SetBytes(st.Size())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		txn := s.Begin()
+		if err := txn.Append(rel, fp, templates, grown, 1); err != nil {
+			b.Fatal(err)
+		}
+		txn.Abort()
+	}
+}

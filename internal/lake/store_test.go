@@ -1,6 +1,7 @@
 package lake
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"datamaran/internal/follow"
+	"datamaran/internal/lake/laketest"
 	"datamaran/internal/semtype"
 )
 
@@ -47,8 +49,13 @@ func storeRows(t *testing.T, s *SegmentStore) string {
 // it.
 func crawlWithStore(t *testing.T, root string, reg *Registry, cps *follow.Store, s *SegmentStore) *Result {
 	t.Helper()
+	return crawlWithStoreWorkers(t, root, reg, cps, s, 2)
+}
+
+func crawlWithStoreWorkers(t *testing.T, root string, reg *Registry, cps *follow.Store, s *SegmentStore, workers int) *Result {
+	t.Helper()
 	txn := s.Begin()
-	res, err := Index(root, reg, Config{Workers: 2, Checkpoints: cps, Segments: txn})
+	res, err := Index(root, reg, Config{Workers: workers, Checkpoints: cps, Segments: txn})
 	if err != nil {
 		txn.Abort()
 		t.Fatal(err)
@@ -125,6 +132,72 @@ func TestSegmentStoreRoundTrip(t *testing.T) {
 	}
 }
 
+// spanStats renders what the manifest records per span beyond its
+// location: the statistics an incremental write must re-derive exactly.
+func spanStats(s *SegmentStore) string {
+	var b strings.Builder
+	for _, tbl := range s.snapshot().Tables {
+		for _, seg := range tbl.Segments {
+			fmt.Fprintf(&b, "%s %s rows=%d provisional=%d kinds=%v distincts=%v\n",
+				tableName(tbl.Fingerprint, tbl.Type), seg.Path, seg.Rows, seg.Provisional, seg.Kinds, seg.Distincts)
+		}
+	}
+	return b.String()
+}
+
+// compactedBytes compacts every table to one file and returns the
+// files' bytes by table name — segment bytes up to the filenames, which
+// carry the revision history.
+func compactedBytes(t *testing.T, s *SegmentStore) map[string][]byte {
+	t.Helper()
+	if _, err := s.Compact(1); err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]byte{}
+	for _, tbl := range s.snapshot().Tables {
+		name := tableName(tbl.Fingerprint, tbl.Type)
+		for _, seg := range tbl.Segments {
+			if seg.File != tbl.Segments[0].File {
+				t.Fatalf("table %s spans several files after Compact(1)", name)
+			}
+		}
+		raw, err := os.ReadFile(filepath.Join(s.Dir(), tbl.Segments[0].File))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = raw
+	}
+	return out
+}
+
+// requireStoreMatchesScratch holds an incrementally built store to a
+// one-shot crawl of the same tree at every level: rendered rows, the
+// per-span statistics of the manifest, and — once both are compacted —
+// the segment bytes themselves.
+func requireStoreMatchesScratch(t *testing.T, root string, s *SegmentStore) {
+	t.Helper()
+	scratch, err := OpenSegmentStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	crawlWithStore(t, root, NewRegistry(), follow.NewStore(), scratch)
+	if got, want := storeRows(t, s), storeRows(t, scratch); got != want {
+		t.Fatalf("incremental store differs from scratch:\n%s\n--- vs ---\n%s", got, want)
+	}
+	if got, want := spanStats(s), spanStats(scratch); got != want {
+		t.Fatalf("incremental span statistics differ from scratch:\n%s\n--- vs ---\n%s", got, want)
+	}
+	got, want := compactedBytes(t, s), compactedBytes(t, scratch)
+	if len(got) != len(want) {
+		t.Fatalf("%d tables, scratch has %d", len(got), len(want))
+	}
+	for name := range want {
+		if !bytes.Equal(got[name], want[name]) {
+			t.Fatalf("table %s: compacted segment bytes differ from scratch (%d vs %d bytes)", name, len(got[name]), len(want[name]))
+		}
+	}
+}
+
 func TestSegmentStoreIncrementalMatchesScratch(t *testing.T) {
 	root := buildLake(t)
 
@@ -147,15 +220,57 @@ func TestSegmentStoreIncrementalMatchesScratch(t *testing.T) {
 	}
 	crawlWithStore(t, root, reg, cps, s)
 
-	// A from-scratch crawl of the same tree must yield identical rows.
-	scratch, err := OpenSegmentStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	crawlWithStore(t, root, NewRegistry(), follow.NewStore(), scratch)
-	got, want := storeRows(t, s), storeRows(t, scratch)
-	if got != want {
-		t.Fatalf("incremental store differs from scratch:\n%s\n--- vs ---\n%s", got, want)
+	// A from-scratch crawl of the same tree must yield an identical
+	// store.
+	requireStoreMatchesScratch(t, root, s)
+}
+
+// TestAppendAcrossBlocksMatchesScratch grows files whose kept rows span
+// several blocks, so one Append meets every case of the replay: whole
+// kept blocks (passed through as the bytes and zone maps they arrived
+// with), the partial block the provisional tail is cut from (buffered
+// again), and the new rows that complete it — once out of a per-path
+// file and, after a compaction, out of a span of the shared file. The
+// result must be the store a one-shot crawl builds, at any worker count.
+func TestAppendAcrossBlocksMatchesScratch(t *testing.T) {
+	verbs := []string{"GET", "PUT", "POST"}
+	codes := []int{200, 404, 500}
+	for _, workers := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			root := buildLake(t)
+			writeFile(t, root, "b/req-big.log", laketest.RequestsLog(41, 2*segBlockRows+452, verbs, 10000, codes))
+			writeFile(t, root, "c/metrics-big.log", laketest.MetricsLog(42, 3*segBlockRows))
+			reg, cps := NewRegistry(), follow.NewStore()
+			s, err := OpenSegmentStore(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			crawlWithStoreWorkers(t, root, reg, cps, s, workers)
+			for _, tbl := range s.snapshot().Tables {
+				for _, seg := range tbl.Segments {
+					if strings.Contains(seg.Path, "-big") && (seg.Rows <= 2*segBlockRows || seg.Provisional == 0) {
+						t.Fatalf("%s: %d rows, %d provisional; the case needs whole kept blocks and a provisional tail", seg.Path, seg.Rows, seg.Provisional)
+					}
+				}
+			}
+			// First growth: out of the per-path files.
+			appendTo(t, root, "b/req-big.log", laketest.RequestsLog(43, 700, verbs, 10000, codes))
+			appendTo(t, root, "c/metrics-big.log", laketest.MetricsLog(44, 5))
+			if res := crawlWithStoreWorkers(t, root, reg, cps, s, workers); res.Summary.Resumed != 2 {
+				t.Fatalf("first growth: %+v", res.Summary)
+			}
+			// Second growth: out of spans of the compacted files, at row
+			// offsets above zero.
+			if _, err := s.Compact(1); err != nil {
+				t.Fatal(err)
+			}
+			appendTo(t, root, "b/req-big.log", laketest.RequestsLog(45, 30, verbs, 10000, codes))
+			appendTo(t, root, "c/metrics-big.log", laketest.MetricsLog(46, 1500))
+			if res := crawlWithStoreWorkers(t, root, reg, cps, s, workers); res.Summary.Resumed != 2 {
+				t.Fatalf("second growth: %+v", res.Summary)
+			}
+			requireStoreMatchesScratch(t, root, s)
+		})
 	}
 }
 

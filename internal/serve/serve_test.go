@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"datamaran"
+	"datamaran/internal/follow"
 	"datamaran/internal/lake"
 	"datamaran/internal/lake/laketest"
 	"datamaran/internal/pipeline"
@@ -125,6 +126,46 @@ func TestReindexAndFormats(t *testing.T) {
 		if _, err := os.Stat(p); err != nil {
 			t.Fatalf("state not persisted: %v", err)
 		}
+	}
+}
+
+// TestReindexPersistsBeforeCompacting: the reindex commits the store,
+// publishes the snapshot and only then compacts. A compaction that
+// fails must still find the checkpoints on disk — a daemon restarted
+// from older ones would resume behind its own store and append rows it
+// already holds — and the reindex still reports the failure.
+func TestReindexPersistsBeforeCompacting(t *testing.T) {
+	s, root := newServer(t)
+	// Two files per table need no compaction; a third one does. Damage a
+	// segment the next crawl has no reason to read: its first block's row
+	// count becomes the end-of-blocks mark, which only a header walk sees.
+	segs, err := filepath.Glob(filepath.Join(s.cfg.StorePath, "*.seg"))
+	if err != nil || len(segs) != 4 {
+		t.Fatalf("want four per-path segments after the first reindex, have %v (%v)", segs, err)
+	}
+	for _, seg := range segs {
+		raw, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw[len("dmseg2\n")] = 0
+		if err := os.WriteFile(seg, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := filepath.Join(root, "metrics", "m-3.log")
+	if err := os.WriteFile(p, []byte(laketest.MetricsLog(3, 150)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if rec := do(t, s, "POST", "/v1/reindex", nil); rec.Code != http.StatusInternalServerError {
+		t.Fatalf("reindex over damaged segments: %d %s, want the compaction's failure", rec.Code, rec.Body)
+	}
+	cps, err := follow.LoadStore(s.cfg.CheckpointPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cps.Get("metrics/m-3.log") == nil {
+		t.Fatal("the store committed metrics/m-3.log but its checkpoint is not on disk")
 	}
 }
 

@@ -787,17 +787,21 @@ func (s *Server) Reindex(ctx context.Context, format string) (*lake.Result, erro
 	s.cur = next
 	s.mu.Unlock()
 	s.swapMu.Unlock()
+	// Persist before anything optional: the store has committed, and a
+	// restart that loaded older checkpoints would resume behind it and
+	// append rows it already holds.
+	if err := s.Persist(); err != nil {
+		return nil, err
+	}
 	if s.store != nil {
 		// Compaction after publish keeps per-table segment-file counts
 		// bounded across repeated reindexes. A commit racing the
-		// compaction makes it a harmless no-op (it CASes the manifest),
-		// never a conflict.
+		// compaction makes it a harmless no-op (it CASes the manifest,
+		// and treats inputs the commit unlinked the same way), never a
+		// conflict.
 		if _, err := s.store.Compact(lake.DefaultCompactFiles); err != nil {
 			return nil, err
 		}
-	}
-	if err := s.Persist(); err != nil {
-		return nil, err
 	}
 	s.obs.reindexes.Inc()
 	elapsed := span.End()

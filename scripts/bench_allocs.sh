@@ -32,6 +32,13 @@
 # allocates its chunk, one set of record slabs (text, field values, array
 # occurrences) and nothing per record or per field; a regression to one
 # string per field is two million allocations over the ceiling.
+# The store's compaction runs at two table sizes against one ceiling of
+# the form constant + per-file × files + per-block × blocks: it relocates
+# encoded blocks, so it allocates per input file (descriptor, reader,
+# decoded footer, copy buffer, the manifest's span) and per block only
+# the footer entry it carries over. Replaying the rows instead — a
+# string per column per block, a row slab per block, the distinct sets —
+# is about four times either ceiling.
 #
 # Usage: sh scripts/bench_allocs.sh
 set -eu
@@ -53,6 +60,9 @@ $(go test -run '^$' -bench 'BenchmarkRefineVariantScore' \
 out="$out
 $(go test -run '^$' -bench 'BenchmarkMatchSample' \
 	-benchmem -benchtime 100x ./internal/lake)"
+out="$out
+$(go test -run '^$' -bench 'BenchmarkStoreCompact' \
+	-benchmem -benchtime 5x ./internal/lake)"
 out="$out
 $(go test -run '^$' -bench 'BenchmarkQueryShapes' \
 	-benchmem -benchtime 20x ./internal/query)"
@@ -87,6 +97,14 @@ check_blocks() {
 	done
 }
 
+# check_compact <allocs-per-call> <allocs-per-file> <allocs-per-block>
+check_compact() {
+	for files in 30 90; do
+		blocks=$((files * 3))
+		check "StoreCompact/files=$files/blocks=$blocks" $(($1 + $2 * files + $3 * blocks))
+	done
+}
+
 check ScanNoiseReject 0
 check ScanArenaReuse 0
 check GenSTSteadyState 0
@@ -96,6 +114,7 @@ check GenerationManyShapes/Netstat 450000
 check RefineVariantScore 12
 check MatchSample/records=500 16
 check MatchSample/records=8000 16
+check_compact 150 60 2
 check_blocks scan 400 12
 check_blocks wide 250 12
 check_blocks join 700 20
