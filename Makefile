@@ -51,8 +51,10 @@ bench-quick:
 # carried over, never per cell or per decoded column (it relocates
 # blocks; it does not replay rows), the query engine's five
 # shapes must allocate per query and per block decoded, never per row,
-# and the streaming apply path per shard, never per record or field —
-# see scripts/bench_allocs.sh.
+# the streaming apply path per shard, never per record or field, and a
+# crawl of small files must cost each file its own bytes, not a fresh set
+# of extraction and segment-writer buffers (a B/op ceiling of the form
+# constant + per-file × files) — see scripts/bench_allocs.sh.
 bench-allocs:
 	sh scripts/bench_allocs.sh
 

@@ -307,26 +307,28 @@ func discoverOne(ctx context.Context, residData []byte, opts Options, effAlpha f
 	}
 	evalLines := textio.NewLines(evalSampler.Sample(residData))
 
+	// Generation hands over the candidates that pass the coverage
+	// threshold and impose a structure, already cut to the top M by
+	// assimilation: only those become trees (see GeneratePruned).
 	t0 := time.Now()
-	cands, err := generation.GenerateContext(ctx, sampleLines, generation.Config{
+	top, generated, err := generation.GeneratePruned(ctx, sampleLines, generation.Config{
 		Alpha:          effAlpha,
 		MaxSpan:        opts.MaxSpan,
 		Search:         opts.Search,
 		Candidates:     opts.Candidates,
 		MaxExhaustive:  opts.MaxExhaustive,
 		MaxRecordBytes: opts.MaxRecordBytes,
-	})
+	}, opts.TopM)
 	timing.Generation += time.Since(t0)
 	if err != nil {
 		return Structure{}, false, err
 	}
-	cands = filterTrivial(cands)
-	if len(cands) == 0 {
+	if len(top) == 0 {
 		return Structure{}, false, nil
 	}
 
 	t0 = time.Now()
-	top := generation.Prune(cands, opts.TopM)
+	top = generation.Prune(top, opts.TopM)
 	timing.Pruning += time.Since(t0)
 
 	best, bestRes, err := eval(ctx, top, evalLines, opts, timing)
@@ -336,7 +338,7 @@ func discoverOne(ctx context.Context, residData []byte, opts Options, effAlpha f
 	return Structure{
 		Template:            best,
 		Score:               bestRes,
-		CandidatesGenerated: len(cands),
+		CandidatesGenerated: generated,
 	}, true, nil
 }
 
@@ -417,25 +419,4 @@ func cannotBeat(budget int, tpl *template.Node, plain score.Result, lines *texti
 	}
 	noise, ok := refine.CertainNoise(tpl, lines, budget)
 	return ok && noise >= budget
-}
-
-// filterTrivial drops templates that impose no real structure: templates
-// whose only formatting character is the newline (F\n and its stacks) and
-// templates containing a free-line array (F\n)* — both can absorb
-// arbitrary lines, including noise and the other record types of an
-// interleaved dataset.
-func filterTrivial(cands []generation.Candidate) []generation.Candidate {
-	out := cands[:0]
-	var nl chars.Set
-	nl.Add('\n')
-	for _, c := range cands {
-		if c.Template.RTCharSet().Minus(nl).Empty() {
-			continue
-		}
-		if template.HasFreeLineArray(c.Template) {
-			continue
-		}
-		out = append(out, c)
-	}
-	return out
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync"
 
 	"datamaran/internal/core"
 	"datamaran/internal/pipeline"
@@ -104,11 +105,21 @@ func hashPrefix(path string, n int64) (string, error) {
 // another file's identity hash.
 func hashPrefixAt(f *os.File, n int64) (string, error) {
 	h := sha256.New()
-	if _, err := io.Copy(h, io.NewSectionReader(f, 0, n)); err != nil {
+	buf := hashBufs.Get().(*[]byte)
+	defer hashBufs.Put(buf)
+	if _, err := io.CopyBuffer(h, io.NewSectionReader(f, 0, n), *buf); err != nil {
 		return "", err
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
+
+// hashBufs holds the read buffers of hashPrefixAt: every planned and every
+// extracted file is hashed, and a buffer allocated per call (io.Copy's) was
+// more than most small files' own bytes.
+var hashBufs = sync.Pool{New: func() any {
+	buf := make([]byte, 32<<10)
+	return &buf
+}}
 
 // Config parameterizes an incremental extraction.
 type Config struct {

@@ -157,5 +157,13 @@ func TestGenerateBuildsOnlyWhatItReturns(t *testing.T) {
 		if err := sameCandidates(out, generateReference(lines, Config{Search: search, MaxCandidates: 7})); err != nil {
 			t.Fatalf("%v: %v", search, err)
 		}
+		// A caller that keeps the top M has M trees built, not MaxCandidates.
+		g = newGenerator(lines, Config{Search: search})
+		if err := g.search(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if top, generated := g.pruned(3); len(top) != 3 || generated <= 3 || g.built != 3 {
+			t.Fatalf("%v: %d trees built for the top %d of %d structured candidates", search, g.built, len(top), generated)
+		}
 	}
 }

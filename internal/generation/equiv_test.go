@@ -1,9 +1,11 @@
 package generation_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -11,6 +13,7 @@ import (
 	"datamaran/internal/chars"
 	"datamaran/internal/datagen"
 	"datamaran/internal/generation"
+	"datamaran/internal/template"
 	"datamaran/internal/textio"
 )
 
@@ -125,7 +128,32 @@ func TestGenerateMatchesReferenceOnCorpus(t *testing.T) {
 			got := generation.Generate(lines, cfg)
 			want := generation.GenerateReference(lines, cfg)
 			diffCandidates(t, name, cfg, got, want)
+			requirePrunedMatches(t, name, lines, cfg, got)
 		}
+	}
+}
+
+// requirePrunedMatches holds GeneratePruned to its definition: at the M
+// discovery keeps and at a small one, it returns Prune of the candidates
+// Generate returned (all) less the structureless ones, and counts them.
+func requirePrunedMatches(t *testing.T, name string, lines *textio.Lines, cfg generation.Config, all []generation.Candidate) {
+	t.Helper()
+	var structured []generation.Candidate
+	for _, c := range all {
+		if !template.Structureless(c.Template) {
+			structured = append(structured, c)
+		}
+	}
+	for _, topM := range []int{50, 3} {
+		top, generated, err := generation.GeneratePruned(context.Background(), lines, cfg, topM)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if generated != len(structured) {
+			t.Fatalf("%s %v span=%d: GeneratePruned counts %d structured candidates, Generate returns %d",
+				name, cfg.Search, cfg.MaxSpan, generated, len(structured))
+		}
+		diffCandidates(t, name+" pruned", cfg, top, generation.Prune(slices.Clone(structured), topM))
 	}
 }
 

@@ -180,6 +180,39 @@ func GenerateContext(ctx context.Context, lines *textio.Lines, cfg Config) ([]Ca
 	return g.results(), nil
 }
 
+// GeneratePruned is the generation step and the pruning step in one, for a
+// caller that keeps only the top M structured candidates: of what Generate
+// returns it drops the templates that impose no structure
+// (template.Structureless), counts the rest — generated, the K of Table 3 —
+// and returns the first topM of them (all when topM <= 0). The result is
+// Prune of that filtered list, candidate for candidate; the difference is
+// that filter, count and cut happen while templates are still ids, so a
+// tree is built for topM candidates and not for MaxCandidates.
+func GeneratePruned(ctx context.Context, lines *textio.Lines, cfg Config, topM int) (top []Candidate, generated int, err error) {
+	g := newGenerator(lines, cfg)
+	if err := g.search(ctx); err != nil {
+		return nil, 0, err
+	}
+	top, generated = g.pruned(topM)
+	return top, generated, nil
+}
+
+// pruned is results for a caller that keeps topM structured candidates.
+func (g *generator) pruned(topM int) (top []Candidate, generated int) {
+	ranked, ids := g.rank()
+	kept := ranked[:0]
+	for _, r := range ranked {
+		if !g.red.Structureless(ids[r.lo:r.hi]) {
+			kept = append(kept, r)
+		}
+	}
+	generated = len(kept)
+	if topM > 0 && len(kept) > topM {
+		kept = kept[:topM]
+	}
+	return g.build(kept, ids), generated
+}
+
 // CharsetsTried runs a generation and reports how many RT-CharSet values
 // were enumerated — the step-complexity experiment of Table 3. It drives
 // the same generator and search code as Generate, so the complexity the
@@ -933,19 +966,27 @@ func (g *generator) resolveWindow(i, j int) int32 {
 	return id
 }
 
+// ranked is a found template while it is still an id sequence, with what
+// the candidate order needs: its ids (ids[lo:hi] of the slice rank returns
+// beside it), its Len, and its Key once a tie has asked for it.
+type ranked struct {
+	found
+	lo, hi int
+	assim  float64
+	length int
+	key    string
+}
+
 // results turns the global table into the candidate list, on ids until the
 // last step: drop the periodic stacks, order by assimilation, cut to
 // MaxCandidates, and only then build a tree per survivor.
 func (g *generator) results() []Candidate {
-	// ranked is a found template with what the order needs: its ids
-	// (ids[lo:hi]), its Len, and its Key once a tie has asked for it.
-	type ranked struct {
-		found
-		lo, hi int
-		assim  float64
-		length int
-		key    string
-	}
+	return g.build(g.rank())
+}
+
+// rank returns the found templates in candidate order, periodic stacks
+// dropped and the list cut to MaxCandidates, as runs of ids.
+func (g *generator) rank() ([]ranked, []int32) {
 	n := 0
 	for _, f := range g.global {
 		if f.cov > 0 {
@@ -996,6 +1037,11 @@ func (g *generator) results() []Candidate {
 	if len(out) > g.cfg.MaxCandidates {
 		out = out[:g.cfg.MaxCandidates]
 	}
+	return out, ids
+}
+
+// build makes the candidates of ranked templates: a tree each.
+func (g *generator) build(out []ranked, ids []int32) []Candidate {
 	cands := make([]Candidate, len(out))
 	for k, r := range out {
 		g.built++

@@ -5,10 +5,12 @@ import (
 	"math"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"datamaran/internal/follow"
 	"datamaran/internal/parser"
+	"datamaran/internal/template"
 	"datamaran/internal/textio"
 )
 
@@ -120,14 +122,27 @@ func MatchSample(sample []byte, reg *Registry, threshold float64) *Entry {
 //
 //   - match, on cfg.Workers goroutines, in any order: read the file's
 //     sample and find the best profile among those registered when the
-//     crawl started;
+//     crawl started and those this crawl had published when the worker
+//     looked. A file nothing claims goes straight into discovery, on the
+//     worker that sampled it — a speculation: discovery is a pure function
+//     of the sample and cfg.Core, so running it early changes nothing but
+//     when its answer is ready;
 //   - commit, on one goroutine, in sorted path order: checkpoint claims,
-//     the re-match against profiles registered earlier in this crawl,
-//     discovery for files nothing claims. It alone mutates the registry,
+//     the re-match against the profiles registered since the match stage
+//     looked, and the verdict on the file's speculation — kept, its
+//     templates registered here, or cancelled and discarded because a
+//     profile registered meanwhile claims the file. It alone mutates the
+//     registry, and it decides as if discovery had run at the file's turn,
 //     which is why no output depends on the worker count;
 //   - extract, on cfg.Workers goroutines, fed by the commit stage: file i
 //     starts extracting the moment its claim is final, so discovery on
 //     one file overlaps extraction of every file before it.
+//
+// What a crawl can waste is bounded by how far the match stage runs ahead
+// of the commit stage — the 2×Workers futures of startMatching: files of
+// one undiscovered format that are sampled before the first of them has
+// registered it each start a discovery, all but the first discarded at
+// their turn; files sampled later see the published profile and start none.
 //
 // files, entries and resumes are indexed alike. The commit stage writes
 // slot i and then hands i to the extract stage, which owns it from there.
@@ -141,8 +156,11 @@ type indexer struct {
 	resumes []*follow.Checkpoint
 
 	// base is the registry as it stood when the crawl started, fresh
-	// what this crawl registered since (commit stage only).
+	// what this crawl registered since, in registration order. The commit
+	// stage alone appends to fresh, and publishes every new length to the
+	// match stage as a slice over the same elements, which never change.
 	base, fresh []profileMatcher
+	published   atomic.Pointer[[]profileMatcher]
 	newFPs      map[string]bool
 }
 
@@ -157,9 +175,24 @@ type sampled struct {
 	err      error
 	lines    *textio.Lines
 	// need is the coverage that reaches the match threshold; entry the
-	// best base profile, covering covered bytes (nil, 0 when none does).
+	// best profile among base and the first freshSeen of fresh, covering
+	// covered bytes (nil, 0 when none does).
 	need, covered int
 	entry         *Entry
+	freshSeen     int
+	// spec is the discovery started because entry is nil.
+	spec *speculation
+}
+
+// speculation is one discovery run ahead of its file's turn. The match
+// worker that started it fills in the outcome and closes done; the commit
+// stage either waits for done and reads the outcome, or calls cancel and
+// never looks again.
+type speculation struct {
+	cancel    context.CancelFunc
+	done      chan struct{}
+	templates []*template.Node
+	err       error
 }
 
 // run drives the three stages to completion. It returns ctx.Err() when
@@ -232,7 +265,15 @@ func (ix *indexer) startMatching(ctx context.Context, wg *sync.WaitGroup) <-chan
 				default:
 					s = ix.sample(j.rel)
 				}
+				specCtx := ix.speculate(ctx, &s)
+				// The commit stage gets the sample first: by the file's
+				// turn it may know a profile this worker could not, and
+				// cancel the discovery below while it runs.
 				j.out <- s
+				if spec := s.spec; spec != nil {
+					spec.templates, spec.err = discoverTemplates(specCtx, s.sample, ix.cfg.Core)
+					close(spec.done)
+				}
 			}
 		}()
 	}
@@ -271,6 +312,29 @@ func (ix *indexer) sample(rel string) sampled {
 	s.need = minCovered(len(s.sample), ix.cfg.MatchThreshold)
 	s.entry, s.covered = bestProfile(s.lines, ix.base, s.need, 0)
 	return s
+}
+
+// speculate continues a match-stage sample past the base profiles: the
+// profiles this crawl has published so far get their turn — after base, as
+// in the registry — and a sample still unclaimed gets a speculation, which
+// the caller runs, under the context returned, once the sample is on its
+// way to the commit stage.
+func (ix *indexer) speculate(ctx context.Context, s *sampled) context.Context {
+	if s.err != nil || len(s.sample) == 0 {
+		return nil
+	}
+	if fresh := ix.published.Load(); fresh != nil {
+		s.freshSeen = len(*fresh)
+		if better, covered := bestProfile(s.lines, *fresh, s.need, s.covered); better != nil {
+			s.entry, s.covered = better, covered
+		}
+	}
+	if s.entry != nil {
+		return nil
+	}
+	specCtx, cancel := context.WithCancel(ctx)
+	s.spec = &speculation{cancel: cancel, done: make(chan struct{})}
+	return specCtx
 }
 
 // commit is the commit stage: it takes the match results in path order,
@@ -332,14 +396,24 @@ func (ix *indexer) commitFile(ctx context.Context, i int, s sampled, stats *craw
 	}
 	// A profile this crawl registered comes after every base profile in
 	// the registry, so it takes the file only by covering strictly more.
+	// The match stage has been through the first freshSeen of them.
 	e, status := s.entry, StatusMatched
-	if better, _ := bestProfile(s.lines, ix.fresh, s.need, s.covered); better != nil {
+	if better, _ := bestProfile(s.lines, ix.fresh[s.freshSeen:], s.need, s.covered); better != nil {
 		e = better
 	}
+	if s.spec != nil && e != nil {
+		// Registered since the match stage looked: the discovery, finished
+		// or not, is of no use — at this file's turn the sequential crawl
+		// would not have run one.
+		s.spec.cancel()
+		stats.speculations.discarded++
+	}
 	if e == nil {
+		templates, err := ix.discovered(ctx, s, stats)
 		var isNew bool
-		var err error
-		e, isNew, err = discoverSample(ctx, s.sample, ix.reg, cfg.Core)
+		if err == nil && len(templates) > 0 {
+			e, isNew = ix.reg.Add(templates)
+		}
 		switch {
 		case err != nil:
 			stats.discoveries.none++
@@ -355,6 +429,8 @@ func (ix *indexer) commitFile(ctx context.Context, i int, s sampled, stats *craw
 			stats.discoveries.new++
 			ix.newFPs[e.Fingerprint] = true
 			ix.fresh = append(ix.fresh, compileProfile(e))
+			published := ix.fresh[:len(ix.fresh):len(ix.fresh)]
+			ix.published.Store(&published)
 		default:
 			stats.discoveries.known++
 		}
@@ -366,4 +442,22 @@ func (ix *indexer) commitFile(ctx context.Context, i int, s sampled, stats *craw
 	fr.Fingerprint = e.Fingerprint
 	markFull(cfg, fr, fullReason)
 	return true
+}
+
+// discovered returns the templates discovery finds in a sample no profile
+// claims: what the file's speculation found, once it has finished, or —
+// for the file the match stage did not sample, a checkpointed one whose
+// checkpoint no longer holds — a discovery run here and now.
+func (ix *indexer) discovered(ctx context.Context, s sampled, stats *crawlStats) ([]*template.Node, error) {
+	if s.spec == nil {
+		return discoverTemplates(ctx, s.sample, ix.cfg.Core)
+	}
+	defer s.spec.cancel()
+	select {
+	case <-s.spec.done:
+		stats.speculations.used++
+		return s.spec.templates, s.spec.err
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
 }

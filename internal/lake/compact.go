@@ -1,7 +1,6 @@
 package lake
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"fmt"
 	"io"
@@ -181,7 +180,8 @@ func compactTable(dir string, tbl *manTable, inputs map[string]*os.File) (staged
 		if _, err := tmp.Write(segMagicV2); err != nil {
 			return err
 		}
-		sw := newSegWriter(bufio.NewWriter(tmp), ncols)
+		sw := newSegWriter(tmp, ncols)
+		defer sw.release()
 		// Spans that share a source file (an earlier compaction's output)
 		// follow each other in it in path order, so one forward-only
 		// reader per file serves them all.

@@ -1,7 +1,6 @@
 package lake
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -65,7 +64,7 @@ func compactReplayReference(s *SegmentStore, maxFiles int) (int, error) {
 			if _, err := tmp.Write(segMagicV2); err != nil {
 				return err
 			}
-			sw := newSegWriter(bufio.NewWriter(tmp), len(tbl.Columns))
+			sw := newSegWriter(tmp, len(tbl.Columns))
 			rowOff := 0
 			for si := range tbl.Segments {
 				seg := &tbl.Segments[si]
@@ -182,7 +181,7 @@ func cutFooter(raw []byte) ([]byte, *segFooter, error) {
 
 // withFooter is cutFooter's inverse: the block region closed with foot.
 func withFooter(body []byte, foot *segFooter) []byte {
-	blob := encodeFooter(foot.blocks, foot.distincts)
+	blob := appendFooter(nil, foot.blocks, foot.distincts)
 	out := append(append([]byte(nil), body...), blob...)
 	return binary.LittleEndian.AppendUint64(out, uint64(len(blob)))
 }
@@ -394,7 +393,7 @@ func writeSynthSpan(t testing.TB, dir string, sp synthSpan, rev, ncols int) manS
 	if _, err := f.Write(segMagicV2); err != nil {
 		t.Fatal(err)
 	}
-	sw := newSegWriter(bufio.NewWriter(f), ncols)
+	sw := newSegWriter(f, ncols)
 	for _, row := range sp.rows {
 		if err := sw.add(row); err != nil {
 			t.Fatal(err)

@@ -13,7 +13,10 @@ import (
 // TestCrawlReportsStagesAndDiscoveries: a crawl observes each stage's
 // span once, counts its discoveries by outcome in the metrics registry,
 // and says the same in its log event — a lake whose crawl time goes to
-// failed discovery on prose shows it as outcome "none".
+// failed discovery on prose shows it as outcome "none". Next to them it
+// counts the speculations of the match stage: every discovery here is one
+// that was used, and what a cold crawl started and threw away — the only
+// place its waste shows — is the count beside it.
 func TestCrawlReportsStagesAndDiscoveries(t *testing.T) {
 	root := buildLake(t)
 	// One more file, and a threshold no profile reaches on it: it misses
@@ -30,6 +33,10 @@ func TestCrawlReportsStagesAndDiscoveries(t *testing.T) {
 			switch m.Name {
 			case "datamaran_crawl_discoveries_total":
 				got[m.Labels] = m.Value
+			case "datamaran_crawl_speculations_total":
+				if m.Labels == `{outcome="used"}` {
+					got["speculations used"] = m.Value
+				}
 			case "datamaran_crawl_stage_seconds":
 				got[m.Labels] = float64(m.Hist.Count)
 			}
@@ -51,7 +58,7 @@ func TestCrawlReportsStagesAndDiscoveries(t *testing.T) {
 	// Three formats; the prose notes and the junk-tailed file (metrics
 	// again) are the other two discoveries. The empty file needs none.
 	want := map[string]float64{
-		`{outcome="new"}`: 3, `{outcome="known"}`: 1, `{outcome="none"}`: 1,
+		`{outcome="new"}`: 3, `{outcome="known"}`: 1, `{outcome="none"}`: 1, "speculations used": 5,
 		`{stage="walk"}`: 1, `{stage="classify"}`: 1, `{stage="extract"}`: 1,
 	}
 	if got := discoveries(); !equalCounts(got, want) {
@@ -60,6 +67,9 @@ func TestCrawlReportsStagesAndDiscoveries(t *testing.T) {
 	ev := event()
 	if d, _ := ev["discoveries"].(map[string]any); d["new"] != 3.0 || d["known"] != 1.0 || d["none"] != 1.0 {
 		t.Fatalf("cold crawl logged discoveries=%v", ev["discoveries"])
+	}
+	if sp, _ := ev["speculations"].(map[string]any); sp["used"] != 5.0 || sp["discarded"] == nil {
+		t.Fatalf("cold crawl logged speculations=%v, want 5 used and a discarded count", ev["speculations"])
 	}
 	for _, stage := range []string{"walk", "classify", "extract"} {
 		if _, ok := ev[stage].(string); !ok {
@@ -73,7 +83,7 @@ func TestCrawlReportsStagesAndDiscoveries(t *testing.T) {
 		t.Fatal(err)
 	}
 	want = map[string]float64{
-		`{outcome="new"}`: 3, `{outcome="known"}`: 2, `{outcome="none"}`: 2,
+		`{outcome="new"}`: 3, `{outcome="known"}`: 2, `{outcome="none"}`: 2, "speculations used": 7,
 		`{stage="walk"}`: 2, `{stage="classify"}`: 2, `{stage="extract"}`: 2,
 	}
 	if got := discoveries(); !equalCounts(got, want) {

@@ -1,7 +1,6 @@
 package lake
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -50,7 +49,7 @@ func spliceFile(src, dst string, ncols, rows int) error {
 	if _, err := out.Write(segMagicV2); err != nil {
 		return err
 	}
-	sw := newSegWriter(bufio.NewWriter(out), ncols)
+	sw := newSegWriter(out, ncols)
 	if err := spliceSpan(sw, sr, &manSeg{Rows: rows}); err != nil {
 		return err
 	}
@@ -90,7 +89,7 @@ func FuzzSegmentScan(f *testing.F) {
 	}
 	encodeV2 := func(rows [][]string) []byte {
 		var buf bytes.Buffer
-		sw := newSegWriter(bufio.NewWriter(&buf), 3)
+		sw := newSegWriter(&buf, 3)
 		for _, row := range rows {
 			if err := sw.add(row); err != nil {
 				f.Fatal(err)

@@ -304,3 +304,74 @@ func TestRegistryConcurrentUse(t *testing.T) {
 		t.Fatalf("entry unusable after concurrent churn: %v", err)
 	}
 }
+
+// TestMultiTypeResumeMatchesOneShot: a file of two interleaved record
+// types is crawled, grows, and is crawled again. The rows the first crawl
+// left provisional — past its checkpoint, to be re-emitted by the resume —
+// belong to both types, and the store must truncate each table by its own
+// share of them: charged to the wrong table, one type keeps rows the resume
+// then appends a second time and the other loses rows nothing brings back.
+// The incremental store must equal a one-shot crawl of the grown file, row
+// for row and span statistic for span statistic, at every worker count.
+func TestMultiTypeResumeMatchesOneShot(t *testing.T) {
+	lines := strings.SplitAfter(mixedLog(5, 200, 200), "\n")
+	// firstCrawl crawls the first cut lines into a fresh store and reports
+	// whether that left provisional rows in both tables.
+	firstCrawl := func(cut, workers int) (root string, reg *Registry, cps *follow.Store, s *SegmentStore, both bool) {
+		root = t.TempDir()
+		writeFile(t, root, "x/mixed.log", strings.Join(lines[:cut], ""))
+		reg, cps = NewRegistry(), follow.NewStore()
+		s, err := OpenSegmentStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := crawlWithStoreWorkers(t, root, reg, cps, s, workers)
+		// Counted from the extraction itself, not read back from the
+		// store whose count is under test: the records of each type that
+		// start at or past the checkpoint's line.
+		past := map[int]int{}
+		for _, r := range fileByPath(t, res, "x/mixed.log").Res.Records {
+			if r.StartLine >= cps.Get("x/mixed.log").Line {
+				past[r.TypeID]++
+			}
+		}
+		both = len(s.Tables()) == 2 && past[0] > 0 && past[1] > 0
+		return root, reg, cps, s, both
+	}
+	// The scenario the test is about: the file ends on a line of the first
+	// record type with one of the second just before it, so each stage of
+	// the extraction is left holding an unfinalized record.
+	cut := 0
+	for c := 240; c < 270 && cut == 0; c++ {
+		if _, _, _, _, both := firstCrawl(c, 2); both {
+			cut = c
+		}
+	}
+	if cut == 0 {
+		t.Fatal("no prefix of the file leaves provisional rows in both tables: the resume would not exercise the count")
+	}
+	for _, workers := range []int{1, 2, 8} {
+		root, reg, cps, s, both := firstCrawl(cut, workers)
+		if !both {
+			t.Fatalf("workers=%d: the first crawl's provisional rows depend on the worker count", workers)
+		}
+		learned := cloneRegistry(t, reg)
+		appendTo(t, root, "x/mixed.log", strings.Join(lines[cut:], ""))
+		res := crawlWithStoreWorkers(t, root, reg, cps, s, workers)
+		if res.Summary.Resumed != 1 {
+			t.Fatalf("workers=%d: the grown file was not resumed: %+v", workers, res.Summary)
+		}
+
+		oneShot, err := OpenSegmentStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		crawlWithStoreWorkers(t, root, learned, follow.NewStore(), oneShot, workers)
+		if got, want := storeRows(t, s), storeRows(t, oneShot); got != want {
+			t.Fatalf("workers=%d: the resumed store differs from a one-shot crawl of the grown file:\n%s", workers, firstDiff(got, want))
+		}
+		if got, want := spanStats(s), spanStats(oneShot); got != want {
+			t.Fatalf("workers=%d: span statistics differ from the one-shot crawl:\n%s\n--- vs ---\n%s", workers, got, want)
+		}
+	}
+}

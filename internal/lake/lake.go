@@ -204,10 +204,11 @@ type Result struct {
 // updated in place; persisting it is the caller's concern.
 //
 // Hidden files and directories (name starting with ".") are skipped.
-// Samples are read and matched on the worker pool in any order, but
-// every claim is committed — and reg mutated — by one goroutine in
-// sorted path order, so reg and all results are independent of
-// cfg.Workers.
+// Samples are read and matched on the worker pool in any order, and a
+// sample nothing claims is put through discovery there, ahead of its
+// file's turn; but every claim is committed — a discovery's templates
+// registered or thrown away, reg mutated — by one goroutine in sorted
+// path order, so reg and all results are independent of cfg.Workers.
 func Index(root string, reg *Registry, cfg Config) (*Result, error) {
 	return IndexContext(context.Background(), root, reg, cfg)
 }
@@ -324,6 +325,12 @@ type crawlStats struct {
 	// outcome: a format first registered by this run, a re-derivation of
 	// an already registered one, or no structure found.
 	discoveries struct{ new, known, none int }
+	// speculations counts the discoveries the match stage started ahead
+	// of their file's turn, by what the commit stage made of them: used
+	// (each is also one of discoveries), or discarded because a profile
+	// registered in the meantime claimed the file — what the crawl
+	// wasted. A discovery the commit stage ran itself is in neither.
+	speculations struct{ used, discarded int }
 }
 
 // recordCrawl folds one finished crawl into the metrics registry and
@@ -342,6 +349,8 @@ func recordCrawl(cfg Config, res *Result, st crawlStats) {
 		m.Counter("datamaran_crawl_discoveries_total", "outcome", "new").Add(uint64(d.new))
 		m.Counter("datamaran_crawl_discoveries_total", "outcome", "known").Add(uint64(d.known))
 		m.Counter("datamaran_crawl_discoveries_total", "outcome", "none").Add(uint64(d.none))
+		m.Counter("datamaran_crawl_speculations_total", "outcome", "used").Add(uint64(st.speculations.used))
+		m.Counter("datamaran_crawl_speculations_total", "outcome", "discarded").Add(uint64(st.speculations.discarded))
 		for _, f := range res.Files {
 			m.Counter("datamaran_crawl_files_total", "status", f.Status.String()).Inc()
 			if f.Fingerprint == "" {
@@ -366,6 +375,7 @@ func recordCrawl(cfg Config, res *Result, st crawlStats) {
 			"resumed", s.Resumed,
 			"unchanged", s.Unchanged,
 			slog.Group("discoveries", "new", d.new, "known", d.known, "none", d.none),
+			slog.Group("speculations", "used", st.speculations.used, "discarded", st.speculations.discarded),
 			"walk", st.walk.Round(time.Millisecond).String(),
 			"classify", st.classify.Round(time.Millisecond).String(),
 			"extract", st.extract.Round(time.Millisecond).String())
@@ -569,27 +579,23 @@ func ReadSample(path string, limit int) ([]byte, int64, error) {
 	return sample[:i+1], size, nil // i == -1: no complete line, empty sample
 }
 
-// discoverSample runs template discovery on the sample and registers the
-// learned profile. It returns (nil, false, nil) when the sample has no
-// discoverable structure, and ctx.Err() when the crawl was cancelled
-// mid-search.
-func discoverSample(ctx context.Context, sample []byte, reg *Registry, opts core.Options) (*Entry, bool, error) {
+// discoverTemplates runs template discovery on the sample. It returns no
+// templates when the sample has no discoverable structure, and ctx.Err()
+// when the search was cancelled. A pure function of the sample and opts:
+// it reads no registry and changes none.
+func discoverTemplates(ctx context.Context, sample []byte, opts core.Options) ([]*template.Node, error) {
 	structures, _, err := core.Discover(ctx, sample, opts)
 	if err != nil {
 		if err == core.ErrEmptyInput {
-			return nil, false, nil
+			return nil, nil
 		}
-		return nil, false, err
-	}
-	if len(structures) == 0 {
-		return nil, false, nil
+		return nil, err
 	}
 	templates := make([]*template.Node, 0, len(structures))
 	for _, s := range structures {
 		templates = append(templates, s.Template)
 	}
-	e, isNew := reg.Add(templates)
-	return e, isNew, nil
+	return templates, nil
 }
 
 // extractOne streams one claimed file through the discovery-free
@@ -608,7 +614,8 @@ func extractOne(ctx context.Context, root string, fr *FileResult, e *Entry, resu
 		}
 		// Rows past the new checkpoint's finalized boundary are
 		// provisional: the next resume re-emits them, so the store
-		// remembers how many to truncate before appending.
+		// remembers, per record type, how many to truncate before
+		// appending.
 		prov := fr.Inc.BaseRecords + len(res.Records) - ncp.Records
 		if err := storeRecords(cfg, fr, e, res, resume != nil, prov); err != nil {
 			fr.Status = StatusFailed
@@ -648,7 +655,7 @@ func extractOne(ctx context.Context, root string, fr *FileResult, e *Entry, resu
 // storeRecords stages one extracted file's rows into the record store:
 // resumed extractions (which cover only [checkpoint, EOF)) append to
 // the file's segments, full ones rewrite them. provisional counts the
-// trailing records the new checkpoint did not finalize.
+// records past the new checkpoint, which it did not finalize.
 func storeRecords(cfg Config, fr *FileResult, e *Entry, res *core.Result, resumed bool, provisional int) error {
 	if cfg.Segments == nil {
 		return nil

@@ -15,6 +15,7 @@ import (
 	"datamaran/internal/core"
 	"datamaran/internal/follow"
 	"datamaran/internal/lake/laketest"
+	"datamaran/internal/obsv"
 )
 
 // crawlFunc is IndexContext or its sequential oracle.
@@ -50,12 +51,10 @@ func (s crawlStart) copy(t *testing.T) (*Registry, *follow.Store, *SegmentStore)
 	return cloneRegistry(t, s.reg), cloneStore(t, s.cps), store
 }
 
-// crawlOutcome runs one crawl from a copy of start and renders all it
-// produced: the registry (order, fingerprints, claim counts), the
-// summary, every file's status, fingerprint, error, extraction result and
-// incremental bookkeeping, the checkpoints, and the committed store's
-// rows.
-func crawlOutcome(t *testing.T, crawl crawlFunc, root string, start crawlStart, cfg Config) string {
+// runCrawl runs one crawl from a copy of start, with checkpoints and a
+// store transaction it commits, and returns what the crawl returned and
+// what it left behind.
+func runCrawl(t *testing.T, crawl crawlFunc, root string, start crawlStart, cfg Config) (*Result, *Registry, *follow.Store, *SegmentStore) {
 	t.Helper()
 	reg, cps, store := start.copy(t)
 	txn := store.Begin()
@@ -68,6 +67,17 @@ func crawlOutcome(t *testing.T, crawl crawlFunc, root string, start crawlStart, 
 	if err := txn.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	return res, reg, cps, store
+}
+
+// crawlOutcome runs one crawl from a copy of start and renders all it
+// produced: the registry (order, fingerprints, claim counts), the
+// summary, every file's status, fingerprint, error, extraction result and
+// incremental bookkeeping, the checkpoints, and the committed store's
+// rows.
+func crawlOutcome(t *testing.T, crawl crawlFunc, root string, start crawlStart, cfg Config) string {
+	t.Helper()
+	res, reg, cps, store := runCrawl(t, crawl, root, start, cfg)
 	var b strings.Builder
 	b.WriteString(digest(t, res, reg))
 	for _, f := range res.Files {
@@ -93,6 +103,71 @@ func requirePipelineMatchesOracle(t *testing.T, root string, start crawlStart, c
 		}
 	}
 	return want
+}
+
+// crawlState runs one crawl from a copy of start and leaves on disk what
+// IndexDir leaves: registry.json and checkpoints.json next to the committed
+// store's manifest and segments, all under the directory it returns. The
+// counters are what the crawl reported to a metrics registry of its own:
+// datamaran_crawl_discoveries_total and datamaran_crawl_speculations_total,
+// by label.
+func crawlState(t *testing.T, crawl crawlFunc, root string, start crawlStart, cfg Config) (dir string, discoveries, speculations map[string]float64) {
+	t.Helper()
+	metrics := obsv.NewRegistry()
+	cfg.Metrics = metrics
+	_, reg, cps, store := runCrawl(t, crawl, root, start, cfg)
+	dir = store.Dir()
+	if err := reg.Save(filepath.Join(dir, "registry.json")); err != nil {
+		t.Fatal(err)
+	}
+	if err := cps.Save(filepath.Join(dir, "checkpoints.json")); err != nil {
+		t.Fatal(err)
+	}
+	discoveries, speculations = map[string]float64{}, map[string]float64{}
+	for _, m := range metrics.Snapshot() {
+		switch m.Name {
+		case "datamaran_crawl_discoveries_total":
+			discoveries[m.Labels] = m.Value
+		case "datamaran_crawl_speculations_total":
+			speculations[m.Labels] = m.Value
+		}
+	}
+	return dir, discoveries, speculations
+}
+
+// requireSameTree is diff -r: the two directories hold the same files
+// with the same bytes.
+func requireSameTree(t *testing.T, got, want string) {
+	t.Helper()
+	read := func(dir string) map[string]string {
+		files := map[string]string{}
+		err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			raw, err := os.ReadFile(path)
+			rel, _ := filepath.Rel(dir, path)
+			files[rel] = string(raw)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return files
+	}
+	g, w := read(got), read(want)
+	for rel, content := range w {
+		if have, ok := g[rel]; !ok {
+			t.Fatalf("%s is missing", rel)
+		} else if have != content {
+			t.Fatalf("%s differs:\n%s", rel, firstDiff(have, content))
+		}
+	}
+	for rel := range g {
+		if _, ok := w[rel]; !ok {
+			t.Fatalf("%s is not in the reference's state", rel)
+		}
+	}
 }
 
 // firstDiff shows the first line two outcomes disagree on.
@@ -160,6 +235,60 @@ func TestPipelineColdLake(t *testing.T) {
 		if !strings.Contains(outcome, want) {
 			t.Errorf("outcome lacks %q", want)
 		}
+	}
+}
+
+// speculationLake is a cold lake made to tempt the match stage: eight
+// files of one format nobody knows yet, adjacent in path order, so every
+// worker that samples one before the first has registered the format
+// starts a discovery of its own; two prose notes between them, whose
+// discoveries find nothing; and two more formats behind.
+func speculationLake(t *testing.T) string {
+	root := t.TempDir()
+	verbs, codes := []string{"GET", "PUT", "POST"}, []int{200, 404, 500}
+	for f := 0; f < 8; f++ {
+		writeFile(t, root, fmt.Sprintf("a/req-%d.log", f), laketest.RequestsLog(int64(50+f), 120, verbs, 10000, codes))
+	}
+	writeFile(t, root, "a/req-2-notes.txt", noiseProse)
+	writeFile(t, root, "a/req-5-notes.txt", laketest.Prose("requests",
+		"jobs/ holds the scheduler dumps -- multi-line, one stanza per job",
+		"web/ is the edge tier; latency units are milliseconds"))
+	for f := 0; f < 3; f++ {
+		writeFile(t, root, fmt.Sprintf("b/jobs-%d.log", f), laketest.JobsLog(int64(60+f), 50, 90000, 6, []string{"DONE", "FAILED", "RUNNING"}))
+		writeFile(t, root, fmt.Sprintf("c/metrics-%d.log", f), laketest.MetricsLog(int64(70+f), 120))
+	}
+	return root
+}
+
+// TestPipelineSpeculativeDiscovery is the licence of the match stage's
+// speculations: on a lake where they are started in numbers and mostly
+// thrown away, every worker count leaves the state directory — registry,
+// checkpoints, manifest, segments — byte for byte as the sequential loop
+// leaves it, reports the discoveries that loop ran and no other (a
+// discarded speculation is counted as that, and nowhere else), and has put
+// every one of them through the match stage.
+func TestPipelineSpeculativeDiscovery(t *testing.T) {
+	root := speculationLake(t)
+	start := crawlStart{reg: NewRegistry(), cps: follow.NewStore()}
+	requirePipelineMatchesOracle(t, root, start, Config{})
+
+	wantDir, wantDisc, seqSpec := crawlState(t, indexSequential, root, start, Config{})
+	if want := map[string]float64{`{outcome="new"}`: 3, `{outcome="known"}`: 0, `{outcome="none"}`: 2}; !equalCounts(wantDisc, want) {
+		t.Fatalf("the sequential crawl ran discoveries %v, the lake was built for %v", wantDisc, want)
+	}
+	if seqSpec[`{outcome="used"}`] != 0 || seqSpec[`{outcome="discarded"}`] != 0 {
+		t.Fatalf("the sequential crawl speculates: %v", seqSpec)
+	}
+	for _, workers := range []int{1, 2, 8} {
+		dir, disc, spec := crawlState(t, IndexContext, root, start, Config{Workers: workers})
+		requireSameTree(t, dir, wantDir)
+		if !equalCounts(disc, wantDisc) {
+			t.Fatalf("workers=%d: discoveries %v, the sequential crawl ran %v", workers, disc, wantDisc)
+		}
+		if spec[`{outcome="used"}`] != 5 {
+			t.Fatalf("workers=%d: %v speculations used for 5 discoveries: the commit stage ran some itself", workers, spec)
+		}
+		t.Logf("workers=%d: speculations %v", workers, spec)
 	}
 }
 
@@ -304,12 +433,20 @@ func TestPipelineCancelledMidCrawl(t *testing.T) {
 	if _, _, err := discoverSample(context.Background(), []byte(laketest.MetricsLog(1, 100)), reg, core.Options{}); err != nil {
 		t.Fatal(err)
 	}
+	speculative := speculationLake(t)
 	before := runtime.NumGoroutine()
 	for _, workers := range []int{1, 2, 8} {
 		for _, at := range []int32{1, 3, 17, 40} {
 			res, err := IndexContext(cancelAfter(at), root, cloneRegistry(t, reg), Config{Workers: workers, Checkpoints: follow.NewStore()})
 			if err != context.Canceled || res != nil {
 				t.Fatalf("workers=%d cancel at %d: res=%v err=%v, want context.Canceled", workers, at, res, err)
+			}
+			// Nothing known: the cancel finds discoveries running on the
+			// match stage, for the file at its turn and for files ahead
+			// of it, and must wait for every one of them to stop.
+			res, err = IndexContext(cancelAfter(at), speculative, NewRegistry(), Config{Workers: workers})
+			if err != context.Canceled || res != nil {
+				t.Fatalf("cold lake, workers=%d cancel at %d: res=%v err=%v, want context.Canceled", workers, at, res, err)
 			}
 		}
 	}

@@ -281,7 +281,7 @@ func TestScanMixedV1V2Segments(t *testing.T) {
 	if _, err := f.Write(segMagicV2); err != nil {
 		t.Fatal(err)
 	}
-	sw := newSegWriter(bufio.NewWriter(f), ncols)
+	sw := newSegWriter(f, ncols)
 	for _, row := range v2rows {
 		if err := sw.add(row); err != nil {
 			t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"sort"
 
+	"datamaran/internal/core"
 	"datamaran/internal/follow"
 	"datamaran/internal/parser/parsertest"
 )
@@ -34,6 +35,20 @@ func matchSampleRef(sample []byte, reg *Registry, threshold float64) *Entry {
 	return best
 }
 
+// discoverSample runs template discovery on the sample and registers the
+// learned profile, in one step on the caller's goroutine — the commit stage
+// as it was before discovery moved to the match stage, and how the tests
+// seed a registry. It returns (nil, false, nil) when the sample has no
+// discoverable structure, and ctx.Err() when the search was cancelled.
+func discoverSample(ctx context.Context, sample []byte, reg *Registry, opts core.Options) (*Entry, bool, error) {
+	templates, err := discoverTemplates(ctx, sample, opts)
+	if err != nil || len(templates) == 0 {
+		return nil, false, err
+	}
+	e, isNew := reg.Add(templates)
+	return e, isNew, nil
+}
+
 // indexSequential is IndexContext as it was before its three stages: one
 // goroutine classifies every file in sorted path order against the
 // registry as it stands at that file, and only then does extraction
@@ -51,6 +66,10 @@ func indexSequential(ctx context.Context, root string, reg *Registry, cfg Config
 	var entries []*Entry
 	var resumes []*follow.Checkpoint
 	newFPs := map[string]bool{}
+	// What the crawl reports of itself, as IndexContext counts it: every
+	// discovery this loop runs is one the pipeline must run and count, and
+	// it runs none it then throws away.
+	var stats crawlStats
 	for _, rel := range paths {
 		if !accepted(rel) {
 			continue
@@ -89,18 +108,23 @@ func indexSequential(ctx context.Context, root string, reg *Registry, cfg Config
 			var isNew bool
 			e, isNew, err = discoverSample(ctx, sample, reg, cfg.Core)
 			if err != nil {
+				stats.discoveries.none++
 				files[i].Status = StatusFailed
 				files[i].Err = err
 				continue
 			}
 			if e == nil {
+				stats.discoveries.none++
 				files[i].Status = StatusUnstructured
 				observeUnstructured(cfg, full, rel)
 				continue
 			}
 			status = StatusDiscovered
 			if isNew {
+				stats.discoveries.new++
 				newFPs[e.Fingerprint] = true
+			} else {
+				stats.discoveries.known++
 			}
 		}
 		reg.Claim(e)
@@ -136,5 +160,7 @@ func indexSequential(ctx context.Context, root string, reg *Registry, cfg Config
 			extractOne(ctx, root, &sorted[i], sortedEntries[i], sortedResumes[i], cfg)
 		}
 	}
-	return settle(reg, cfg, sorted, sortedEntries, newFPs), nil
+	res := settle(reg, cfg, sorted, sortedEntries, newFPs)
+	recordCrawl(cfg, res, stats)
+	return res, nil
 }

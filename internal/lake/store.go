@@ -12,6 +12,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -1288,14 +1289,13 @@ func zoneExcludes(z *colZone, p *scanPred) bool {
 	return false
 }
 
-// encodeFooter renders the stats footer: uvarint block and column
+// appendFooter appends the stats footer to b: uvarint block and column
 // counts, then per block its row count and per column a flags byte,
 // length-prefixed lexicographic min/max (full values, raw bytes — the
 // footer is binary precisely so that non-UTF-8 cells round-trip), and,
 // for allNumeric columns, little-endian float64 numeric bounds; then
 // the per-column distinct estimates.
-func encodeFooter(blocks []footBlock, distincts []int) []byte {
-	var b []byte
+func appendFooter(b []byte, blocks []footBlock, distincts []int) []byte {
 	var tmp [binary.MaxVarintLen64]byte
 	putU := func(v uint64) {
 		n := binary.PutUvarint(tmp[:], v)
@@ -1448,25 +1448,74 @@ func decodeFooter(blob []byte) (*segFooter, error) {
 // already exist encoded enter through passBlock (a resume: observed,
 // not re-encoded) or spliceBlocks (compaction: not even decoded, which
 // is why it ends its file with writeFooter instead of finish).
+//
+// A writer is borrowed (newSegWriter) and given back (release): the
+// column buffers, the encode buffers, the distinct sets, the zone-map
+// and footer storage and the file buffer are what a crawl worker writes
+// every file of the crawl through, sized by the widest table and the
+// fullest block it has seen. What a segment hands out — the kinds and
+// distinct counts that go into the manifest — is allocated for it.
 type segWriter struct {
-	w        *bufio.Writer
-	ncols    int
-	cols     [][]string
-	colBuf   [][]byte
-	kinds    []semtype.Kind
-	rows     int
-	blocks   []footBlock
+	w      *bufio.Writer
+	ncols  int
+	cols   [][]string
+	colBuf [][]byte
+	kinds  []semtype.Kind
+	rows   int
+	blocks []footBlock
+	// zones is the storage of the zone maps this writer computed: block
+	// k's are a run of it (blocks that arrive encoded bring their own).
+	zones    []colZone
 	distinct []map[string]struct{}
+	foot     []byte
 }
 
-func newSegWriter(w *bufio.Writer, ncols int) *segWriter {
-	return &segWriter{
-		w:        w,
-		ncols:    ncols,
-		cols:     make([][]string, ncols),
-		colBuf:   make([][]byte, ncols),
-		distinct: make([]map[string]struct{}, ncols),
+var segWriterPool = sync.Pool{New: func() any { return &segWriter{w: bufio.NewWriter(nil)} }}
+
+// newSegWriter borrows a writer of ncols-column rows onto w. The caller
+// gives it back with release once the segment is finished or given up.
+func newSegWriter(w io.Writer, ncols int) *segWriter {
+	return segWriterPool.Get().(*segWriter).reset(w, ncols)
+}
+
+// reset points the writer at a new segment.
+func (sw *segWriter) reset(w io.Writer, ncols int) *segWriter {
+	sw.w.Reset(w)
+	sw.ncols, sw.rows, sw.kinds = ncols, 0, nil
+	sw.cols, sw.colBuf, sw.distinct = widen(sw.cols, ncols), widen(sw.colBuf, ncols), widen(sw.distinct, ncols)
+	return sw
+}
+
+// widen returns s with length n, keeping what its capacity already holds:
+// a column's buffer survives a narrower table in between.
+func widen[T any](s []T, n int) []T {
+	s = s[:cap(s)]
+	if len(s) < n {
+		s = append(s, make([]T, n-len(s))...)
 	}
+	return s[:n]
+}
+
+// release gives the writer back, holding on to nothing of the segment.
+func (sw *segWriter) release() {
+	sw.forget()
+	segWriterPool.Put(sw)
+}
+
+// forget drops every string the writer kept of its segment — buffered
+// cells, zone bounds, distinct values: each is a substring of some batch's
+// record text, and a pooled writer that still pointed at one would keep
+// that whole slab alive.
+func (sw *segWriter) forget() {
+	for c := range sw.cols {
+		clear(sw.cols[c])
+		sw.cols[c] = sw.cols[c][:0]
+		clear(sw.distinct[c])
+	}
+	clear(sw.blocks)
+	clear(sw.zones)
+	sw.blocks, sw.zones = sw.blocks[:0], sw.zones[:0]
+	sw.w.Reset(nil)
 }
 
 func (sw *segWriter) putUvarint(v uint64) error {
@@ -1516,9 +1565,45 @@ func (sw *segWriter) addColumns(cols [][]string, n int) error {
 	return nil
 }
 
-// blockZones computes the zone maps of one buffered block.
-func blockZones(cols [][]string) footBlock {
-	fb := footBlock{rows: len(cols[0]), cols: make([]colZone, len(cols))}
+// zoneNumber is strconv.ParseFloat(v, 64) for the values a zone map can
+// use — ok is false where ParseFloat fails or yields NaN. An optionally
+// signed run of at most 15 decimal digits is below 2^53, so its float64
+// is exact and is the integer itself: most numeric cells of a log are
+// such, and skip the general parser. A negative zero is left to it
+// ("-0" parses to -0.0, which the integer path would lose).
+func zoneNumber(v string) (f float64, ok bool) {
+	digits := v
+	if len(digits) > 0 && (digits[0] == '-' || digits[0] == '+') {
+		digits = digits[1:]
+	}
+	if n := len(digits); n > 0 && n <= 15 {
+		u := uint64(0)
+		for i := 0; i < n; i++ {
+			d := digits[i] - '0'
+			if d > 9 {
+				return zoneNumberSlow(v)
+			}
+			u = u*10 + uint64(d)
+		}
+		if v[0] != '-' {
+			return float64(u), true
+		}
+		if u != 0 {
+			return -float64(u), true
+		}
+	}
+	return zoneNumberSlow(v)
+}
+
+func zoneNumberSlow(v string) (float64, bool) {
+	f, err := strconv.ParseFloat(v, 64)
+	return f, err == nil && !math.IsNaN(f)
+}
+
+// blockZones computes the zone maps of one buffered block into zones,
+// one per column.
+func blockZones(cols [][]string, zones []colZone) footBlock {
+	fb := footBlock{rows: len(cols[0]), cols: zones}
 	for c, vals := range cols {
 		z := colZone{allNumeric: true}
 		for i, v := range vals {
@@ -1531,8 +1616,8 @@ func blockZones(cols [][]string) footBlock {
 			if !z.allNumeric {
 				continue
 			}
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || math.IsNaN(f) {
+			f, ok := zoneNumber(v)
+			if !ok {
 				z.allNumeric = false
 				continue
 			}
@@ -1549,20 +1634,45 @@ func blockZones(cols [][]string) footBlock {
 }
 
 // observe folds one block's values into what a segment derives from
-// values rather than bytes: the running kinds and the distinct sets.
+// values rather than bytes: the running kinds and the distinct sets. A
+// value equal to the one before it is in its set already — runs are what
+// log columns are made of (a host, a status, a date), and the comparison
+// is a fraction of the hash and probe it saves.
 func (sw *segWriter) observe(cols [][]string) {
-	sw.kinds = foldKinds(sw.kinds, cols)
+	sw.foldKinds(cols)
 	for c, vals := range cols {
 		m := sw.distinct[c]
 		if m == nil {
 			m = make(map[string]struct{})
 			sw.distinct[c] = m
 		}
-		for _, v := range vals {
+		for i, v := range vals {
 			if len(m) >= segDistinctCap {
 				break
 			}
+			if i > 0 && v == vals[i-1] {
+				continue
+			}
 			m[v] = struct{}{}
+		}
+	}
+}
+
+// foldKinds classifies the block's column values and merges them into
+// the running kinds.
+func (sw *segWriter) foldKinds(cols [][]string) {
+	if len(cols) == 0 || len(cols[0]) == 0 {
+		return
+	}
+	first := sw.kinds == nil
+	if first {
+		sw.kinds = make([]semtype.Kind, len(cols))
+	}
+	for c, vals := range cols {
+		if k := semtype.ClassifyValues(vals); first {
+			sw.kinds[c] = k
+		} else {
+			sw.kinds[c] = semtype.MergeKinds(sw.kinds[c], k)
 		}
 	}
 }
@@ -1573,7 +1683,9 @@ func (sw *segWriter) flushBlock() error {
 		return nil
 	}
 	sw.observe(sw.cols)
-	sw.blocks = append(sw.blocks, blockZones(sw.cols))
+	lo := len(sw.zones)
+	sw.zones = slices.Grow(sw.zones, sw.ncols)[:lo+sw.ncols]
+	sw.blocks = append(sw.blocks, blockZones(sw.cols, sw.zones[lo:lo+sw.ncols:lo+sw.ncols]))
 	// Encode each column's cells up front so the block header can carry
 	// their byte lengths — what lets a reader skip a column unread.
 	var tmp [binary.MaxVarintLen64]byte
@@ -1585,6 +1697,8 @@ func (sw *segWriter) flushBlock() error {
 			buf = append(buf, v...)
 		}
 		sw.colBuf[c] = buf
+		// Emptied, not just truncated: see forget.
+		clear(sw.cols[c])
 		sw.cols[c] = sw.cols[c][:0]
 	}
 	return sw.writeBlock(n, sw.colBuf)
@@ -1672,12 +1786,12 @@ func (sw *segWriter) writeFooter(distincts []int) error {
 	if err := sw.putUvarint(0); err != nil {
 		return err
 	}
-	foot := encodeFooter(sw.blocks, distincts)
-	if _, err := sw.w.Write(foot); err != nil {
+	sw.foot = appendFooter(sw.foot[:0], sw.blocks, distincts)
+	if _, err := sw.w.Write(sw.foot); err != nil {
 		return err
 	}
 	var tr [8]byte
-	binary.LittleEndian.PutUint64(tr[:], uint64(len(foot)))
+	binary.LittleEndian.PutUint64(tr[:], uint64(len(sw.foot)))
 	if _, err := sw.w.Write(tr[:]); err != nil {
 		return err
 	}
@@ -1686,13 +1800,13 @@ func (sw *segWriter) writeFooter(distincts []int) error {
 
 // addRecords feeds recs' rows of one record type through the writer.
 func addRecords(sw *segWriter, st *template.Node, recs []core.RecordOut, typeID int) error {
-	seps := relational.ArraySeps(st)
+	dn := relational.NewDenormalizer(st)
 	var row []string
-	for _, rec := range recs {
-		if rec.TypeID != typeID {
+	for i := range recs {
+		if recs[i].TypeID != typeID {
 			continue
 		}
-		row = relational.DenormRow(st, seps, rec.Fields, row)
+		row = dn.Row(recs[i].Fields, row)
 		if err := sw.add(row); err != nil {
 			return err
 		}
@@ -1700,36 +1814,38 @@ func addRecords(sw *segWriter, st *template.Node, recs []core.RecordOut, typeID 
 	return nil
 }
 
-// provisionalByType counts, per record type, how many of the trailing
-// k records each type contributes — the not-yet-finalized rows the
-// next resume will re-emit, which Append truncates before appending.
+// provisionalByType counts, per record type, how many of the k
+// provisional records each type contributes — the not-yet-finalized rows
+// the next resume will re-emit, which Append truncates before appending.
+// What an extraction's checkpoint finalizes is a prefix of the file's
+// lines, so the k provisional records are the k that start last, whatever
+// their types and wherever they sit in recs (which holds one type after
+// the other, each in line order): walking recs backwards, the first k
+// records met of each type are that type's last k, and the k latest
+// starts among those are the provisional ones.
 func provisionalByType(recs []core.RecordOut, ntypes, k int) []int {
 	counts := make([]int, ntypes)
-	for i := len(recs) - k; i < len(recs); i++ {
-		if i >= 0 && recs[i].TypeID >= 0 && recs[i].TypeID < ntypes {
-			counts[recs[i].TypeID]++
+	if k <= 0 {
+		return counts
+	}
+	type tail struct{ start, typeID int }
+	var tails []tail
+	seen := make([]int, ntypes)
+	for i, full := len(recs)-1, 0; i >= 0 && full < ntypes; i-- {
+		t := recs[i].TypeID
+		if t < 0 || t >= ntypes || seen[t] == k {
+			continue
 		}
+		if seen[t]++; seen[t] == k {
+			full++
+		}
+		tails = append(tails, tail{recs[i].StartLine, t})
+	}
+	slices.SortFunc(tails, func(a, b tail) int { return b.start - a.start })
+	for _, tl := range tails[:min(k, len(tails))] {
+		counts[tl.typeID]++
 	}
 	return counts
-}
-
-// foldKinds classifies the buffered column values and merges them into
-// the running kinds.
-func foldKinds(kinds []semtype.Kind, colVals [][]string) []semtype.Kind {
-	if len(colVals) == 0 || len(colVals[0]) == 0 {
-		return kinds
-	}
-	fresh := make([]semtype.Kind, len(colVals))
-	for c, vals := range colVals {
-		fresh[c] = semtype.ClassifyValues(vals)
-	}
-	if kinds == nil {
-		return fresh
-	}
-	for c := range kinds {
-		kinds[c] = semtype.MergeKinds(kinds[c], fresh[c])
-	}
-	return kinds
 }
 
 // segFileName derives the segment filename of one (source file, type,
@@ -1779,8 +1895,9 @@ func (s *SegmentStore) Begin() *StoreTxn {
 // Rewrite replaces relPath's contribution with recs: one staged segment
 // per record type of the format (empty segments included, so later
 // appends and truncations have a base). provisional is the count of
-// trailing records not yet finalized by the extraction's checkpoint (0
-// outside incremental crawls).
+// records, of whatever type, that start at or past the extraction's
+// checkpoint and are not yet final (0 outside incremental crawls);
+// provisionalByType gives each segment its share.
 func (t *StoreTxn) Rewrite(relPath, fp string, templates []*template.Node, recs []core.RecordOut, provisional int) error {
 	t.mu.Lock()
 	rev := t.nextRevLocked(relPath)
@@ -1789,31 +1906,14 @@ func (t *StoreTxn) Rewrite(relPath, fp string, templates []*template.Node, recs 
 	prov := provisionalByType(recs, len(templates), provisional)
 	for typeID, st := range templates {
 		name := segFileName(relPath, typeID, rev)
-		tmp, err := os.CreateTemp(t.s.dir, ".stage-*")
+		tmp, kinds, rows, dist, err := t.stageSegment(st.NumFields(), func(sw *segWriter) error {
+			return addRecords(sw, st, recs, typeID)
+		})
 		if err != nil {
-			return err
-		}
-		var kinds []semtype.Kind
-		var dist []int
-		rows := 0
-		if _, err = tmp.Write(segMagicV2); err == nil {
-			sw := newSegWriter(bufio.NewWriter(tmp), st.NumFields())
-			if err = addRecords(sw, st, recs, typeID); err == nil {
-				kinds, rows, dist, err = sw.finish()
-			}
-		}
-		if cerr := tmp.Close(); err == nil {
-			err = cerr
-		}
-		if err == nil {
-			err = os.Chmod(tmp.Name(), 0o644)
-		}
-		if err != nil {
-			os.Remove(tmp.Name())
 			return err
 		}
 		t.mu.Lock()
-		t.staged[name] = tmp.Name()
+		t.staged[name] = tmp
 		delete(t.doomed, name)
 		tbl := t.man.table(fp, typeID)
 		if tbl == nil {
@@ -1831,6 +1931,35 @@ func (t *StoreTxn) Rewrite(relPath, fp string, templates []*template.Node, recs 
 		t.mu.Unlock()
 	}
 	return nil
+}
+
+// stageSegment writes one segment of ncols columns to a temp file in the
+// store directory — the magic, the rows fill feeds the writer, the stats
+// footer — and returns the file's path with what the segment derived from
+// its rows. A failed write leaves no file behind.
+func (t *StoreTxn) stageSegment(ncols int, fill func(*segWriter) error) (path string, kinds []semtype.Kind, rows int, dist []int, err error) {
+	tmp, err := os.CreateTemp(t.s.dir, ".stage-*")
+	if err != nil {
+		return "", nil, 0, nil, err
+	}
+	sw := newSegWriter(tmp, ncols)
+	if _, err = sw.w.Write(segMagicV2); err == nil {
+		if err = fill(sw); err == nil {
+			kinds, rows, dist, err = sw.finish()
+		}
+	}
+	sw.release()
+	if err == nil {
+		err = tmp.Chmod(0o644)
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return "", nil, 0, nil, err
+	}
+	return tmp.Name(), kinds, rows, dist, nil
 }
 
 // nextRevLocked picks the write revision for relPath's next segment
@@ -1854,8 +1983,8 @@ func (t *StoreTxn) nextRevLocked(relPath string) int {
 // previously-provisional tail rows are truncated (the resume re-emits
 // them) and the new rows appended, replaying the kept rows so the
 // result is byte-identical to a from-scratch rewrite of the whole
-// file. provisional is the trailing-record count not finalized by the
-// new checkpoint. The crawl only plans a resume when Covers is true,
+// file. provisional is the count of recs not finalized by the new
+// checkpoint. The crawl only plans a resume when Covers is true,
 // so a missing base segment is an invariant violation, not a fallback.
 func (t *StoreTxn) Append(relPath, fp string, templates []*template.Node, recs []core.RecordOut, provisional int) error {
 	prov := provisionalByType(recs, len(templates), provisional)
@@ -1878,53 +2007,31 @@ func (t *StoreTxn) Append(relPath, fp string, templates []*template.Node, recs [
 		if !isStaged {
 			src = filepath.Join(t.s.dir, oldName)
 		}
-		tmp, err := os.CreateTemp(t.s.dir, ".stage-*")
+		in, err := os.Open(src)
+		for attempt := 0; errors.Is(err, os.ErrNotExist) && !isStaged && attempt < scanOpenRetries; attempt++ {
+			// A compaction published since Begin moved the span and
+			// unlinked the file it was in: the same rows under a new
+			// (File, RowOff) in the store's current manifest. A span
+			// that changed in any other way was rewritten by another
+			// transaction, which is not this one's to merge.
+			cur := segOf(t.s.snapshot().table(fp, typeID), relPath)
+			if cur == nil || cur.Rows != spanRows || cur.Provisional != spanRows-keep {
+				break
+			}
+			oldName, skip = cur.File, cur.RowOff
+			in, err = os.Open(filepath.Join(t.s.dir, oldName))
+		}
 		if err != nil {
 			return err
 		}
-		var kinds []semtype.Kind
-		var dist []int
-		rows := 0
-		err = func() error {
-			in, err := os.Open(src)
-			for attempt := 0; errors.Is(err, os.ErrNotExist) && !isStaged && attempt < scanOpenRetries; attempt++ {
-				// A compaction published since Begin moved the span and
-				// unlinked the file it was in: the same rows under a new
-				// (File, RowOff) in the store's current manifest. A span
-				// that changed in any other way was rewritten by another
-				// transaction, which is not this one's to merge.
-				cur := segOf(t.s.snapshot().table(fp, typeID), relPath)
-				if cur == nil || cur.Rows != spanRows || cur.Provisional != spanRows-keep {
-					break
-				}
-				oldName, skip = cur.File, cur.RowOff
-				in, err = os.Open(filepath.Join(t.s.dir, oldName))
-			}
-			if err != nil {
-				return err
-			}
-			defer in.Close()
-			if _, err := tmp.Write(segMagicV2); err != nil {
-				return err
-			}
-			sw := newSegWriter(bufio.NewWriter(tmp), st.NumFields())
+		tmp, kinds, rows, dist, err := t.stageSegment(st.NumFields(), func(sw *segWriter) error {
 			if err := copyRows(sw, in, st.NumFields(), skip, spanRows, keep); err != nil {
 				return err
 			}
-			if err := addRecords(sw, st, recs, typeID); err != nil {
-				return err
-			}
-			kinds, rows, dist, err = sw.finish()
-			return err
-		}()
-		if cerr := tmp.Close(); err == nil {
-			err = cerr
-		}
-		if err == nil {
-			err = os.Chmod(tmp.Name(), 0o644)
-		}
+			return addRecords(sw, st, recs, typeID)
+		})
+		in.Close()
 		if err != nil {
-			os.Remove(tmp.Name())
 			return err
 		}
 		t.mu.Lock()
@@ -1937,7 +2044,7 @@ func (t *StoreTxn) Append(relPath, fp string, templates []*template.Node, recs [
 		} else {
 			t.doomed[oldName] = true
 		}
-		t.staged[name] = tmp.Name()
+		t.staged[name] = tmp
 		delete(t.doomed, name)
 		seg = segOf(t.man.table(fp, typeID), relPath)
 		seg.File = name

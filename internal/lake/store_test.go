@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -439,5 +442,112 @@ func TestMergeKindsAndClassify(t *testing.T) {
 	}
 	if k := semtype.MergeKinds(semtype.KindInt, semtype.KindString); k != semtype.KindString {
 		t.Fatalf("int+string merged to %s", k)
+	}
+}
+
+// TestZoneNumberIsParseFloat holds the zone maps' integer fast path to
+// the parser it stands in for, bit for bit (the footer stores the bits):
+// on the boundary cases of what the fast path accepts — signs, leading
+// zeros, the 15- and 16-digit edge, negative zero — on what it must
+// leave alone, and on random digit strings of every length around the
+// edge.
+func TestZoneNumberIsParseFloat(t *testing.T) {
+	cases := []string{
+		"", "0", "-0", "+0", "-00", "000", "7", "+7", "-7", "007", "-007", "42", "1700000000",
+		"999999999999999", "-999999999999999", "+999999999999999", "1000000000000000",
+		"9007199254740993", "99999999999999999999", "-", "+", "+-1", "--1", "1-", "1+1",
+		"1.5", "-1.5", "1e3", "1E3", ".5", "5.", "0x10", "1_000", "１２", " 1", "1 ", "1\n",
+		"NaN", "nan", "-nan", "Inf", "-inf", "+Inf", "infinity", "1e400", "-1e400", "4.9e-324",
+		"12a", "a12", "٣", "1\x00",
+	}
+	rng := rand.New(rand.NewSource(23))
+	for i := 0; i < 5000; i++ {
+		var b strings.Builder
+		if s := rng.Intn(4); s < 2 {
+			b.WriteByte("+-"[s])
+		}
+		for n := rng.Intn(19); n > 0; n-- {
+			b.WriteByte("0000123456789.e"[rng.Intn(15)])
+		}
+		cases = append(cases, b.String())
+	}
+	for _, v := range cases {
+		want, err := strconv.ParseFloat(v, 64)
+		wantOK := err == nil && !math.IsNaN(want)
+		got, ok := zoneNumber(v)
+		if ok != wantOK || (ok && math.Float64bits(got) != math.Float64bits(want)) {
+			t.Fatalf("zoneNumber(%q) = %v, %v; ParseFloat gives %v, %v", v, got, ok, want, err)
+		}
+	}
+}
+
+// TestSegWriterReuse puts three segments of different widths through one
+// writer, as a crawl worker does: each must come out as the bytes, kinds
+// and counts a writer of its own produces, and between segments the writer
+// must hold none of the strings it was fed — every one is a substring of a
+// record slab a pooled writer would otherwise keep alive.
+func TestSegWriterReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	type segment struct {
+		ncols int
+		rows  [][]string
+	}
+	var segs []segment
+	for _, ncols := range []int{5, 2, 7} {
+		rows := make([][]string, 2*segBlockRows+37)
+		for r := range rows {
+			rows[r] = make([]string, ncols)
+			for c := range rows[r] {
+				rows[r][c] = fmt.Sprintf("%d-%d", c, rng.Intn(50+700*c))
+			}
+		}
+		segs = append(segs, segment{ncols, rows})
+	}
+	write := func(sw *segWriter, seg segment) (string, string) {
+		var buf bytes.Buffer
+		sw.reset(&buf, seg.ncols)
+		for _, row := range seg.rows {
+			if err := sw.add(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		kinds, rows, dist, err := sw.finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf.String(), fmt.Sprint(kinds, rows, dist)
+	}
+	fresh := func() *segWriter { return segWriterPool.New().(*segWriter) }
+	shared := fresh()
+	for i, seg := range segs {
+		gotBytes, gotStats := write(shared, seg)
+		wantBytes, wantStats := write(fresh(), seg)
+		if gotBytes != wantBytes || gotStats != wantStats {
+			t.Fatalf("segment %d (%d columns): a reused writer wrote %d bytes, %s; a fresh one %d bytes, %s",
+				i, seg.ncols, len(gotBytes), gotStats, len(wantBytes), wantStats)
+		}
+		shared.forget()
+		for c, col := range shared.cols[:cap(shared.cols)] {
+			for _, v := range col[:cap(col)] {
+				if v != "" {
+					t.Fatalf("after segment %d the writer still holds cell %q of column %d", i, v, c)
+				}
+			}
+		}
+		for _, z := range shared.zones[:cap(shared.zones)] {
+			if z.lexMin != "" || z.lexMax != "" {
+				t.Fatalf("after segment %d the writer still holds zone bounds %q..%q", i, z.lexMin, z.lexMax)
+			}
+		}
+		for _, fb := range shared.blocks[:cap(shared.blocks)] {
+			if fb.cols != nil {
+				t.Fatalf("after segment %d the writer still holds a block's zone map", i)
+			}
+		}
+		for c, m := range shared.distinct[:cap(shared.distinct)] {
+			if len(m) != 0 {
+				t.Fatalf("after segment %d the writer still holds %d distinct values of column %d", i, len(m), c)
+			}
+		}
 	}
 }

@@ -25,22 +25,38 @@
 // than from stratified whole-input samples.
 //
 // Memory. Each stage retains at most about two shards of residue (plus
-// any single record still being completed across a shard boundary) and
-// its batch scratch — line index, candidates, accepted records and their
-// occurrences, sized by the largest batch so far — so the input streams
-// through in bounded space. The outputs accumulate in the Result unless
-// streamed away: use OnRecord for records and OnNoise for noise line
-// indices to keep the whole run bounded.
+// any single record still being completed across a shard boundary), so the
+// input streams through in bounded space. The outputs accumulate in the
+// Result unless streamed away: use OnRecord for records and OnNoise for
+// noise line indices to keep the whole run bounded.
 //
-// Records are allocated per batch, not per record (see materialize): the
+// What a run works in is borrowed, not built. The chunk buffer the reader
+// is read through and, per stage, the residue window, its line metadata
+// and line index, the candidate ends, the accepted records, their
+// RecordOut headers and each materialize worker's occurrence lists — all
+// of it overwritten batch after batch and none of it ever handed out —
+// come from a pool (scratch) and go back to it when the run ends, sized by
+// the largest batch any run has put through them. A crawl's extract
+// workers and a daemon's extract handlers therefore allocate it once per
+// goroutine, not once per file or request; a run's cost follows its bytes.
+// The exception is a scratch grown past maxPooledScratch, which a run of
+// several full shards does: that run has paid for it out of its own bytes,
+// and it is dropped rather than left in the pool for the rest of the
+// process to carry.
+//
+// What a run hands out is allocated for that purpose and never reused:
+// records are allocated per batch, not per record (see materialize) — the
 // records one worker materialized for one batch share one string of their
-// text and one slice of field values, which nothing reuses or overwrites.
-// A RecordOut handed to OnRecord therefore stays valid after the callback
-// returns, for as long as it is referenced; the granularity of retention
-// is the batch — a kept record, Fields slice or Value keeps its worker's
-// share of the batch reachable (at most about ShardSize of record text
-// plus the field slice over it). Keeping all records or none costs nothing
-// extra; to keep a few out of many, clone what is kept (strings.Clone).
+// text and one slice of field values — and Result.Records is the slice the
+// first stage accumulated them in. Pooling those slabs would save the
+// largest allocations left and break the one promise callers rely on: a
+// RecordOut handed to OnRecord (or found in a Result) stays valid for as
+// long as it is referenced, across later batches, later runs and runs on
+// other goroutines. The granularity of retention is the batch — a kept
+// record, Fields slice or Value keeps its worker's share of the batch
+// reachable (at most about ShardSize of record text plus the field slice
+// over it). Keeping all records or none costs nothing extra; to keep a few
+// out of many, clone what is kept (strings.Clone).
 package pipeline
 
 import (
@@ -54,6 +70,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unsafe"
 
 	"datamaran/internal/core"
 	"datamaran/internal/parser"
@@ -174,8 +191,6 @@ type recordMatcher interface {
 type stage struct {
 	m        recordMatcher
 	typeID   int
-	buf      []byte
-	meta     []lineMeta
 	records  int
 	coverage int
 	recs     []core.RecordOut // collected when Config.OnRecord is nil
@@ -185,16 +200,99 @@ type stage struct {
 	// rework linear instead of quadratic.
 	minRetry int
 
-	// Batch scratch, overwritten by every batch and never handed out: the
-	// window's line index, the candidate ends, the accepted records, their
-	// RecordOut headers, and per materialize worker the occurrences of its
-	// range. What a batch hands out — the slabs the headers point into —
-	// is allocated fresh (see materialize).
+	*stageScratch
+}
+
+// stageScratch is the storage one stage works in, borrowed from the pool
+// for the length of a run: the residue window and its line metadata, and
+// the batch scratch — the window's line index, the candidate ends, the
+// accepted records, their RecordOut headers and, per materialize worker,
+// the occurrences of its range. Every batch overwrites it and none of it is
+// handed out; what a batch hands out — the slabs the headers point into —
+// is allocated fresh (see materialize).
+type stageScratch struct {
+	buf      []byte
+	meta     []lineMeta
 	lines    textio.Lines
 	cands    []parser.CandEnd
 	accepted []parser.Record
 	out      []core.RecordOut
 	ranges   []rangeScratch
+}
+
+// scratch is what one run borrows: the buffer its reader's chunks are read
+// into and a stageScratch per stage. Nothing in it outlives the run that
+// holds it — the engine copies every chunk into a stage window and every
+// record's bytes into a fresh slab — so the next run, on whichever
+// goroutine, may overwrite all of it.
+type scratch struct {
+	chunk  []byte
+	stages []*stageScratch
+}
+
+// scratchPool holds the scratch of finished runs. A goroutine that runs
+// one extraction after another (a crawl's extract worker, a daemon's
+// handler) gets its own back, grown to its largest batch.
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// maxPooledScratch is the largest scratch a finished run gives back. A
+// scratch weighs about ten times the window it has held (per line: its
+// metadata, candidate end, record, header and field occurrences), so a run
+// that streamed several full shards leaves one of 20–40 MB, and has spread
+// that over its own bytes; kept, it would sit in the pool through the next
+// collection, a live heap several times the process's own that whatever
+// runs next — a query, not an extraction — pays the pacing of. Sixteen
+// shards' worth keeps every run that stayed within one shard: the runs
+// pooling exists for, a lake's files and a daemon's request bodies, work
+// in 1–4 MB.
+const maxPooledScratch = 16 * DefaultShardSize
+
+// release ends a run's hold on sc: back to the pool, unless the run grew
+// it past what the pool keeps.
+func (sc *scratch) release() {
+	if sc.footprint() <= maxPooledScratch {
+		scratchPool.Put(sc)
+	}
+}
+
+// next reads r's next chunk into the chunk buffer, keeping the buffer's
+// growth. The chunk is valid until the next call: whoever takes it copies
+// it (the discovery prefix into data, feed into stage 0's window).
+func (sc *scratch) next(r *textio.ChunkReader) ([]byte, error) {
+	chunk, err := r.NextInto(sc.chunk)
+	if chunk != nil {
+		sc.chunk = chunk
+	}
+	return chunk, err
+}
+
+// stage returns the scratch of stage t, emptied.
+func (sc *scratch) stage(t int) *stageScratch {
+	for len(sc.stages) <= t {
+		sc.stages = append(sc.stages, new(stageScratch))
+	}
+	s := sc.stages[t]
+	s.buf, s.meta = s.buf[:0], s.meta[:0]
+	return s
+}
+
+// footprint returns the bytes of storage sc holds.
+func (sc *scratch) footprint() int {
+	n := cap(sc.chunk)
+	for _, s := range sc.stages {
+		n += cap(s.buf) + s.lines.IndexBytes() +
+			cap(s.meta)*int(unsafe.Sizeof(lineMeta{})) +
+			cap(s.cands)*int(unsafe.Sizeof(parser.CandEnd{})) +
+			cap(s.accepted)*int(unsafe.Sizeof(parser.Record{})) +
+			cap(s.out)*int(unsafe.Sizeof(core.RecordOut{}))
+		for i := range s.ranges {
+			r := &s.ranges[i]
+			n += cap(r.fields)*int(unsafe.Sizeof(parser.FieldOcc{})) +
+				cap(r.arrays)*int(unsafe.Sizeof(parser.ArrayOcc{})) +
+				cap(r.ends)*int(unsafe.Sizeof([2]int{}))
+		}
+	}
+	return n
 }
 
 // rangeScratch holds the extract pass's output for one worker's range of a
@@ -253,6 +351,8 @@ func run(ctx context.Context, data []byte, r io.Reader, cfg Config) (*core.Resul
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	sc := scratchPool.Get().(*scratch)
+	defer sc.release()
 	var rest *textio.ChunkReader
 	if r != nil {
 		rest = textio.NewChunkReader(r, cfg.ShardSize)
@@ -260,7 +360,7 @@ func run(ctx context.Context, data []byte, r io.Reader, cfg Config) (*core.Resul
 		// reservoir of leading shards, the whole input when it fits the
 		// budget.
 		for len(cfg.Templates) == 0 && rest != nil && len(data) < cfg.DiscoveryBudget {
-			chunk, err := rest.Next()
+			chunk, err := sc.next(rest)
 			data = append(data, chunk...)
 			if err == io.EOF {
 				rest = nil
@@ -269,7 +369,7 @@ func run(ctx context.Context, data []byte, r io.Reader, cfg Config) (*core.Resul
 			}
 		}
 	}
-	e, err := start(ctx, cfg, data)
+	e, err := start(ctx, cfg, sc, data)
 	if err != nil {
 		return nil, err
 	}
@@ -280,7 +380,7 @@ func run(ctx context.Context, data []byte, r io.Reader, cfg Config) (*core.Resul
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		chunk, err := rest.Next()
+		chunk, err := sc.next(rest)
 		if err == io.EOF {
 			rest = nil
 		} else if err != nil {
@@ -295,9 +395,10 @@ func run(ctx context.Context, data []byte, r io.Reader, cfg Config) (*core.Resul
 	return e.finish(ctx)
 }
 
-// start builds the engine: one stage per template, the templates being
-// cfg.Templates or, without them, what discovery finds in prefix.
-func start(ctx context.Context, cfg Config, prefix []byte) (*engine, error) {
+// start builds the engine over the borrowed scratch sc: one stage per
+// template, the templates being cfg.Templates or, without them, what
+// discovery finds in prefix.
+func start(ctx context.Context, cfg Config, sc *scratch, prefix []byte) (*engine, error) {
 	e := &engine{cfg: cfg, nextLine: cfg.BaseLine, nextByte: cfg.BaseByte}
 	if len(cfg.Templates) > 0 {
 		if len(cfg.Matchers) > 0 && len(cfg.Matchers) != len(cfg.Templates) {
@@ -320,7 +421,7 @@ func start(ctx context.Context, cfg Config, prefix []byte) (*engine, error) {
 		if m == nil {
 			m = parser.NewMatcher(s.Template)
 		}
-		e.stages = append(e.stages, &stage{m: m, typeID: i})
+		e.stages = append(e.stages, &stage{m: m, typeID: i, stageScratch: sc.stage(i)})
 	}
 	e.began = time.Now()
 	return e, nil
@@ -390,7 +491,13 @@ func (e *engine) finish(ctx context.Context) (*core.Result, error) {
 		s.Records = st.records
 		s.Coverage = st.coverage
 		res.Structures = append(res.Structures, s)
-		res.Records = append(res.Records, st.recs...)
+		if i == 0 {
+			// The slice the first stage accumulated is the result's: for
+			// a one-template format nothing is copied a second time.
+			res.Records = st.recs
+		} else {
+			res.Records = append(res.Records, st.recs...)
+		}
 	}
 	return res, nil
 }
@@ -517,22 +624,17 @@ func (e *engine) process(t int, final bool) error {
 
 	if len(accepted) > 0 {
 		st.records += len(accepted)
-		recs, err := e.materialize(st)
+		err := e.materialize(st)
+		if err == nil {
+			err = e.deliver(st)
+		}
+		// The headers were copied out (or the run is over); drop the
+		// scratch's references so it keeps no batch's slabs alive past
+		// the batch, in this run or from the pool.
+		clear(st.out)
 		if err != nil {
 			return err
 		}
-		if e.cfg.OnRecord != nil {
-			for _, r := range recs {
-				if err := e.cfg.OnRecord(r); err != nil {
-					return err
-				}
-			}
-		} else {
-			st.recs = append(st.recs, recs...)
-		}
-		// The headers were copied out; drop the scratch's references so
-		// the stage keeps no batch's slabs alive past the batch.
-		clear(recs)
 	}
 
 	// Compact: drop the finalized prefix, keep the deferred tail.
@@ -549,6 +651,21 @@ func (e *engine) process(t int, final bool) error {
 		st.minRetry = len(st.buf) + e.cfg.ShardSize
 	} else {
 		st.minRetry = 0
+	}
+	return nil
+}
+
+// deliver hands the batch's materialized records on: to OnRecord when
+// set, into the stage's share of Result.Records otherwise.
+func (e *engine) deliver(st *stage) error {
+	if e.cfg.OnRecord == nil {
+		st.recs = append(st.recs, st.out...)
+		return nil
+	}
+	for _, r := range st.out {
+		if err := e.cfg.OnRecord(r); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -583,8 +700,8 @@ var errInconsistent = errors.New("pipeline: internal inconsistency: the extract 
 
 // materialize turns the batch's accepted window-local records into records
 // in original-stream coordinates, fanning contiguous ranges of them out
-// over the worker pool. The returned headers are the stage's scratch, valid
-// until its next batch; the slabs they point into are allocated here and
+// over the worker pool. The headers land in st.out — scratch, valid until
+// the stage's next batch; the slabs they point into are allocated here and
 // belong to whoever keeps a record. Per range a worker allocates one set
 // of slabs — one string holding the bytes of the range's
 // records back to back (a single copy of record text, nothing of the noise
@@ -596,7 +713,7 @@ var errInconsistent = errors.New("pipeline: internal inconsistency: the extract 
 // The extract pass (validated already, so it touches only record bytes)
 // runs first into the range's reusable scratch, which sizes the slabs
 // exactly. Output order matches the accepted order.
-func (e *engine) materialize(st *stage) ([]core.RecordOut, error) {
+func (e *engine) materialize(st *stage) error {
 	accepted, ls := st.accepted, &st.lines
 	st.out = slices.Grow(st.out[:0], len(accepted))[:len(accepted)]
 	out := st.out
@@ -679,7 +796,12 @@ func (e *engine) materialize(st *stage) ([]core.RecordOut, error) {
 		st.ranges = append(st.ranges, make([]rangeScratch, workers-len(st.ranges))...)
 	}
 	if workers == 1 {
-		return out, fill(&st.ranges[0], 0, len(accepted))
+		return fill(&st.ranges[0], 0, len(accepted))
+	}
+	// The scratch may come from a run a refusal ended: start every range
+	// of this batch clean, also those the loop below leaves idle.
+	for w := range st.ranges[:workers] {
+		st.ranges[w].err = nil
 	}
 	chunk := (len(accepted) + workers - 1) / workers
 	var wg sync.WaitGroup
@@ -698,8 +820,8 @@ func (e *engine) materialize(st *stage) ([]core.RecordOut, error) {
 	wg.Wait()
 	for w := range st.ranges[:workers] {
 		if err := st.ranges[w].err; err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return out, nil
+	return nil
 }

@@ -539,7 +539,7 @@ func TestExtractRefusalIsAnError(t *testing.T) {
 				}
 				return nil
 			}
-			e, err := start(context.Background(), cfg, nil)
+			e, err := start(context.Background(), cfg, new(scratch), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -613,4 +613,142 @@ func TestRecordsOutliveTheirBatch(t *testing.T) {
 			}
 		}
 	}
+}
+
+// runIn is RunBytes in a scratch of the caller's choosing, so a test can
+// put two runs through the very same storage whatever the pool would have
+// handed out (under the race detector a sync.Pool drops entries at random).
+func runIn(t *testing.T, sc *scratch, data []byte, cfg Config) *core.Result {
+	t.Helper()
+	e, err := start(context.Background(), cfg.withDefaults(), sc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.feedAll(context.Background(), data); err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.finish(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestLargeScratchIsNotPooled holds the pool to what it is for: the scratch
+// of a file-sized run goes back to it, a scratch grown to tens of megabytes
+// — which its run has spread over its own bytes — does not, so a long
+// extraction leaves no heap behind for whatever the process does next to
+// be paced by.
+func TestLargeScratchIsNotPooled(t *testing.T) {
+	small := datagen.WebServerLog(150, 3).Data
+	tpls := discoverTemplates(t, small)
+	sc := new(scratch)
+	runIn(t, sc, small, Config{Templates: tpls})
+	if fp := sc.footprint(); fp < cap(sc.stages[0].buf) || fp > maxPooledScratch {
+		t.Fatalf("a %d-byte run's scratch weighs %d: want its window counted and at most %d", len(small), fp, maxPooledScratch)
+	}
+	// One batch of three default shards' bytes grows the scratch a long
+	// run over a many-field format leaves behind, some 35 MB.
+	large := datagen.WebServerLog(40000, 3).Data
+	runIn(t, sc, large, Config{Templates: tpls, Workers: 2, ShardSize: 4 * DefaultShardSize})
+	if fp := sc.footprint(); fp <= maxPooledScratch {
+		t.Fatalf("a %d-byte run's scratch weighs %d: the test needs one past %d", len(large), fp, maxPooledScratch)
+	}
+	sc.release()
+	// Empty the pool as far as this goroutine can see into it: New's
+	// scratch, which holds nothing, marks the end.
+	for {
+		got := scratchPool.Get().(*scratch)
+		if got == sc {
+			t.Fatalf("the pool kept a scratch of %d bytes", sc.footprint())
+		}
+		if got.footprint() == 0 {
+			break
+		}
+	}
+}
+
+// TestRecordsOutliveTheScratchOfTheirRun is the third of the retention
+// tests: what a run borrows from the pool goes back to it and is
+// overwritten by whichever run takes it next, so nothing a run hands out —
+// Result.Records, Result.NoiseLines, a record kept from OnRecord — may lean
+// on it. Run A's outputs are kept, run B (other data, same and other
+// templates, smaller and larger batches) is put through A's own scratch,
+// and only then is A compared to the oracle; then the same through the
+// public door from several goroutines at once, which is what the race
+// detector is given to look at.
+func TestRecordsOutliveTheScratchOfTheirRun(t *testing.T) {
+	interleaved := datagen.InterleavedTypes(2, 200, 9)
+	tpls := discoverTemplates(t, interleaved.Data)
+	other := datagen.InterleavedTypes(2, 300, 4).Data
+	web := datagen.WebServerLog(150, 3).Data
+	webTpls := discoverTemplates(t, web)
+
+	t.Run("same goroutine", func(t *testing.T) {
+		want := parsertest.Apply(tpls, interleaved.Data)
+		for _, shard := range []int{64, 0} {
+			sc := new(scratch)
+			var streamed []core.RecordOut
+			a := runIn(t, sc, interleaved.Data, Config{Templates: tpls, ShardSize: shard})
+			runIn(t, sc, interleaved.Data, Config{Templates: tpls, ShardSize: shard, OnRecord: func(r core.RecordOut) error {
+				streamed = append(streamed, r)
+				return nil
+			}})
+			if len(sc.stages) != len(tpls) || cap(sc.stages[0].buf) == 0 {
+				t.Fatalf("shard %d: the runs left no trace in their scratch: it is not what they worked in", shard)
+			}
+			// B: twice over, so that every buffer A used is written again.
+			runIn(t, sc, other, Config{Templates: tpls, ShardSize: shard})
+			runIn(t, sc, web, Config{Templates: webTpls, ShardSize: 256})
+			if !reflect.DeepEqual(a.Records, want.Records) || !reflect.DeepEqual(a.NoiseLines, want.NoiseLines) {
+				t.Fatalf("shard %d: run A's result changed once its scratch was reused", shard)
+			}
+			byType := make([][]core.RecordOut, len(tpls))
+			for _, r := range streamed {
+				byType[r.TypeID] = append(byType[r.TypeID], r)
+			}
+			var kept []core.RecordOut
+			for _, recs := range byType {
+				kept = append(kept, recs...)
+			}
+			if !reflect.DeepEqual(kept, want.Records) {
+				t.Fatalf("shard %d: records kept from OnRecord changed once the scratch was reused", shard)
+			}
+		}
+	})
+
+	t.Run("concurrently", func(t *testing.T) {
+		inputs := []struct {
+			data []byte
+			tpls []*template.Node
+		}{{interleaved.Data, tpls}, {other, tpls}, {web, webTpls}}
+		const goroutines, rounds = 4, 6
+		kept := make([][]*core.Result, goroutines)
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for r := 0; r < rounds; r++ {
+					in := inputs[(g+r)%len(inputs)]
+					res, err := RunBytes(context.Background(), in.data, Config{Templates: in.tpls, Workers: 1 + r%2, ShardSize: 512 << (r % 3)})
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					kept[g] = append(kept[g], res)
+				}
+			}(g)
+		}
+		wg.Wait()
+		for g := range kept {
+			for r, res := range kept[g] {
+				in := inputs[(g+r)%len(inputs)]
+				want := parsertest.Apply(in.tpls, in.data)
+				if !reflect.DeepEqual(res.Records, want.Records) || !reflect.DeepEqual(res.NoiseLines, want.NoiseLines) {
+					t.Fatalf("goroutine %d, run %d: result differs from the oracle after the runs that followed it", g, r)
+				}
+			}
+		}
+	})
 }

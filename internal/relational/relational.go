@@ -240,47 +240,60 @@ func BuildDenormalized(st *template.Node, records []core.RecordOut, typeID int, 
 	for i := 0; i < st.NumFields(); i++ {
 		t.Columns = append(t.Columns, fmt.Sprintf("f%d", i))
 	}
-	seps := ArraySeps(st)
+	dn := NewDenormalizer(st)
 	for i := range records {
 		if records[i].TypeID == typeID {
-			t.Rows = append(t.Rows, DenormRow(st, seps, records[i].Fields, nil))
+			t.Rows = append(t.Rows, dn.Row(records[i].Fields, nil))
 		}
 	}
 	return t
 }
 
-// DenormRow converts one record's fields into its denormalized row: one
-// cell per template field column, repetitions joined with the column's
-// array separator (seps from ArraySeps). row is reused when it has the
-// right length, so a streaming writer can avoid per-record allocation;
-// the returned slice is row (or a fresh one).
-func DenormRow(st *template.Node, seps []byte, fields []core.FieldValue, row []string) []string {
-	cols := st.NumFields()
+// Denormalizer turns the records of one template into denormalized rows:
+// one cell per template field column, an array's repetitions joined with
+// the array's separator. What depends on the template alone — the column
+// count, each column's separator — is worked out once, so a row costs
+// nothing that does not depend on its record. Not safe for concurrent use.
+type Denormalizer struct {
+	seps []byte
+	// seen[c]: the row being built already holds a value in column c (an
+	// empty first value must still be joined to, so the cell cannot say).
+	seen []bool
+}
+
+// NewDenormalizer returns the denormalizer of st's records.
+func NewDenormalizer(st *template.Node) *Denormalizer {
+	seps := arraySeps(st)
+	return &Denormalizer{seps: seps, seen: make([]bool, len(seps))}
+}
+
+// Row converts one record's fields into its denormalized row. row is
+// reused when it has the right length, so a streaming writer allocates no
+// row per record; the returned slice is row (or a fresh one).
+func (d *Denormalizer) Row(fields []core.FieldValue, row []string) []string {
+	cols := len(d.seps)
 	if len(row) != cols {
 		row = make([]string, cols)
 	}
-	joined := make([]bool, cols)
-	for i := range row {
-		row[i] = ""
-	}
+	clear(row)
+	clear(d.seen)
 	for _, f := range fields {
 		if f.Column < 0 || f.Column >= cols {
 			continue
 		}
-		if row[f.Column] == "" && !joined[f.Column] {
+		if !d.seen[f.Column] {
 			row[f.Column] = f.Value
-			joined[f.Column] = true
+			d.seen[f.Column] = true
 		} else {
-			row[f.Column] += string(seps[f.Column]) + f.Value
+			row[f.Column] += string(d.seps[f.Column]) + f.Value
 		}
 	}
 	return row
 }
 
-// ArraySeps maps each field column of st to the separator of its enclosing
-// array (or ';' outside arrays, unused since such columns never join) —
-// the join characters DenormRow takes.
-func ArraySeps(st *template.Node) []byte {
+// arraySeps maps each field column of st to the separator of its enclosing
+// array (or ';' outside arrays, unused since such columns never join).
+func arraySeps(st *template.Node) []byte {
 	seps := make([]byte, 0, st.NumFields())
 	var walk func(n *template.Node, sep byte)
 	walk = func(n *template.Node, sep byte) {

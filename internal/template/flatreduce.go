@@ -43,6 +43,9 @@ type flatArray struct {
 	sep, term byte
 	fields    int32
 	length    int32
+	// onlyNewlines: no formatting character but '\n' anywhere in the
+	// array; freeLine: the array is (F\n)* or holds one (see Structureless).
+	onlyNewlines, freeLine bool
 }
 
 // ReduceIDs reduces a flat token sequence to the id sequence of its
@@ -111,10 +114,19 @@ func (fr *FlatReducer) internArray(body []int32, sep, term byte) int32 {
 	id := firstArrayID + int32(len(fr.arrays))
 	fr.arrayID[string(key)] = id
 	a := flatArray{off: int32(len(fr.bodies)), n: int32(len(body)), sep: sep, term: term}
+	a.onlyNewlines = sep == '\n' && term == '\n'
+	a.freeLine = sep == '\n' && len(body) == 1 && body[0] == fieldID
 	bodyLen := 0
 	for _, b := range body {
 		a.fields += int32(fr.NumFields(b))
 		bodyLen += fr.Len(b)
+		switch {
+		case b < fieldID:
+			a.onlyNewlines = a.onlyNewlines && b == '\n'
+		case b > fieldID:
+			a.onlyNewlines = a.onlyNewlines && fr.array(b).onlyNewlines
+			a.freeLine = a.freeLine || fr.array(b).freeLine
+		}
 	}
 	a.length = int32(1 + bodyLen + 1 + 2 + bodyLen + 1) // as Node.Len
 	fr.bodies = append(fr.bodies, body...)
@@ -184,6 +196,24 @@ func (fr *FlatReducer) IsPeriodicStack(ids []int32) bool {
 		}
 	}
 	return false
+}
+
+// Structureless is Structureless(fr.Build(ids)) computed on the ids.
+func (fr *FlatReducer) Structureless(ids []int32) bool {
+	onlyNewlines := true
+	for _, id := range ids {
+		switch {
+		case id < fieldID:
+			onlyNewlines = onlyNewlines && id == '\n'
+		case id > fieldID:
+			a := fr.array(id)
+			if a.freeLine {
+				return true
+			}
+			onlyNewlines = onlyNewlines && a.onlyNewlines
+		}
+	}
+	return onlyNewlines
 }
 
 // Build returns the normalized tree of a reduced id sequence: what Reduce

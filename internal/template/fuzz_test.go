@@ -27,6 +27,7 @@ func FuzzReduce(f *testing.F) {
 	f.Add([]byte("x\ny\nx\ny\n"), []byte("x\ny\n"), "")
 	f.Add([]byte("no specials at all"), []byte(",,"), "")
 	f.Add([]byte(""), []byte("\n"), ",;")
+	f.Add([]byte("a\nb\nc;\n"), []byte("k=a\nb\nc;x\n"), ";=") // a free-line array (F\n)*F;, bare and inside a struct
 
 	f.Fuzz(func(t *testing.T, record, other []byte, charset string) {
 		if len(record) > 4096 || len(other) > 4096 {
@@ -107,6 +108,9 @@ func checkIDsAgainstTree(t *testing.T, fr *FlatReducer, ids []int32, tree *Node)
 	}
 	if got, want := fr.IsPeriodicStack(ids), IsPeriodicStack(tree); got != want {
 		t.Fatalf("IsPeriodicStack on ids = %v, on the tree %v = %v", got, tree, want)
+	}
+	if got, want := fr.Structureless(ids), Structureless(tree); got != want {
+		t.Fatalf("Structureless on ids = %v, on the tree %v = %v", got, tree, want)
 	}
 }
 

@@ -382,6 +382,17 @@ func IsPeriodicStack(st *Node) bool {
 	return false
 }
 
+// Structureless reports whether the template imposes no real structure on
+// the lines it matches: its only formatting character is the newline (F\n
+// and its stacks), or it contains a free-line array (F\n)*. Both absorb
+// arbitrary lines — noise, and the other record types of an interleaved
+// dataset — so neither is a candidate structure.
+func Structureless(st *Node) bool {
+	var nl chars.Set
+	nl.Add('\n')
+	return st.RTCharSet().Minus(nl).Empty() || HasFreeLineArray(st)
+}
+
 // HasFreeLineArray reports whether the template contains an array of the
 // form (F\n)* — a single bare field repeated with the newline separator.
 // Such an array absorbs arbitrary whole lines, imposing no structure on

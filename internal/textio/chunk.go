@@ -3,6 +3,7 @@ package textio
 import (
 	"bytes"
 	"io"
+	"slices"
 )
 
 // ChunkReader slices a byte stream into line-aligned chunks of roughly a
@@ -14,10 +15,17 @@ import (
 //
 // A line longer than the target size is returned as one oversized chunk
 // rather than being split.
+//
+// Who owns a chunk's bytes is the caller's choice: Next allocates each
+// chunk and never touches it again; NextInto fills a buffer the caller
+// lends and may lend again once it is done with the chunk, which is what a
+// caller that copies every chunk elsewhere (the engine, into its stage
+// window) wants. The reader keeps no reference to either.
 type ChunkReader struct {
 	r    io.Reader
 	size int
-	// carry holds the partial trailing line of the previous read.
+	// carry holds the partial trailing line of the previous read, in
+	// storage of the reader's own.
 	carry []byte
 	err   error
 }
@@ -42,9 +50,24 @@ func (c *ChunkReader) Next() ([]byte, error) {
 	if c.err != nil && len(c.carry) == 0 {
 		return nil, c.err
 	}
-	buf := make([]byte, 0, c.size+len(c.carry))
+	return c.fill(make([]byte, 0, c.size+len(c.carry)))
+}
+
+// NextInto is Next into the caller's buffer: the chunk is written over
+// buf[:0], growing it when the chunk is longer than its capacity, and the
+// returned slice aliases it — valid until the caller's next use of that
+// storage, which is typically the next call: chunk, err = NextInto(chunk).
+func (c *ChunkReader) NextInto(buf []byte) ([]byte, error) {
+	if c.err != nil && len(c.carry) == 0 {
+		return nil, c.err
+	}
+	return c.fill(buf[:0])
+}
+
+// fill appends the next chunk to buf, which is empty.
+func (c *ChunkReader) fill(buf []byte) ([]byte, error) {
 	buf = append(buf, c.carry...)
-	c.carry = nil
+	c.carry = c.carry[:0]
 	// scanned marks the prefix already known to contain no '\n', so an
 	// oversized line costs one linear scan rather than one per round.
 	scanned := 0
@@ -62,9 +85,11 @@ func (c *ChunkReader) Next() ([]byte, error) {
 			scanned = len(buf)
 			need = c.size
 		}
+		// Read straight into the buffer's spare capacity: what a lent
+		// buffer held before is overwritten, never zeroed first.
 		off := len(buf)
-		buf = append(buf, make([]byte, need)...)
-		n, err := c.r.Read(buf[off : off+need])
+		buf = slices.Grow(buf, need)[:off+need]
+		n, err := c.r.Read(buf[off:])
 		buf = buf[:off+n]
 		if err != nil {
 			c.err = err

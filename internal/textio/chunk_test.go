@@ -133,3 +133,71 @@ func TestAlignedLine(t *testing.T) {
 		}
 	}
 }
+
+// TestNextIntoMatchesNext: filling one lent buffer over and over cuts the
+// stream into exactly the chunks Next allocates, whatever the buffer held
+// before — each chunk is scribbled over once compared, so a chunk that
+// still leaned on the previous one's bytes (the carried partial line)
+// would come out wrong.
+func TestNextIntoMatchesNext(t *testing.T) {
+	var b strings.Builder
+	for i := 0; i < 400; i++ {
+		fmt.Fprintf(&b, "line %d %s\n", i, strings.Repeat("x", i%37))
+	}
+	b.WriteString(strings.Repeat("y", 500) + "\nunterminated tail")
+	in := b.String()
+	for _, size := range []int{1, 7, 64, 300, 1 << 20} {
+		want := readAllChunks(t, NewChunkReader(strings.NewReader(in), size))
+		cr := NewChunkReader(strings.NewReader(in), size)
+		var buf []byte
+		for i := 0; ; i++ {
+			chunk, err := cr.NextInto(buf)
+			if len(chunk) > 0 {
+				if i >= len(want) || !bytes.Equal(chunk, want[i]) {
+					t.Fatalf("size %d: chunk %d = %q, Next cuts %d chunks and this one as %q", size, i, chunk, len(want), want[min(i, len(want)-1)])
+				}
+				for k := range chunk {
+					chunk[k] = '#'
+				}
+				buf = chunk
+			}
+			if err == io.EOF {
+				if i+1 < len(want) {
+					t.Fatalf("size %d: %d chunks, Next cuts %d", size, i+1, len(want))
+				}
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestNextIntoReusesTheBuffer: a lent buffer of the chunk size is all the
+// chunk storage a stream of any length needs — a reader allocates itself
+// and the few bytes of the carried line, nothing per chunk (68 here).
+func TestNextIntoReusesTheBuffer(t *testing.T) {
+	in := strings.Repeat("0123456789abcdef\n", 4096)
+	buf := make([]byte, 0, 2048)
+	allocs := testing.AllocsPerRun(3, func() {
+		cr := NewChunkReader(strings.NewReader(in), 1024)
+		total := 0
+		for {
+			chunk, err := cr.NextInto(buf)
+			total += len(chunk)
+			if cap(chunk) != cap(buf) && len(chunk) > 0 {
+				t.Fatalf("a %d-byte chunk left the %d-byte buffer", len(chunk), cap(buf))
+			}
+			if err != nil {
+				break
+			}
+		}
+		if total != len(in) {
+			t.Fatalf("read %d of %d bytes", total, len(in))
+		}
+	})
+	if allocs > 5 {
+		t.Fatalf("%.0f allocations for 68 chunks: NextInto allocates per chunk", allocs)
+	}
+}

@@ -60,6 +60,10 @@ func (l *Lines) N() int { return len(l.starts) - 1 }
 // Data returns the underlying buffer.
 func (l *Lines) Data() []byte { return l.data }
 
+// IndexBytes returns the size of the index storage l holds across Resets
+// (not of the data it indexes): what keeping l around keeps allocated.
+func (l *Lines) IndexBytes() int { return cap(l.starts) * 8 }
+
 // Line returns the content of line i including its trailing '\n' when
 // present.
 func (l *Lines) Line(i int) []byte {
