@@ -17,7 +17,8 @@ test-short:
 	$(GO) test -short ./...
 
 # Race job over the concurrent packages (parser fan-out, extraction
-# engine, chunk reader, lake crawl, incremental follow, serve daemon)
+# engine, chunk reader, lake crawl and its state transactions with the
+# atomic file writer under them, incremental follow, serve daemon)
 # plus the generation/template hot path (single-goroutine, but its oracle
 # equivalence suite must also hold under the race runtime's different
 # allocation and scheduling behavior), the query engine (its
@@ -26,7 +27,7 @@ test-short:
 # every variant of a round, held to the exhaustive fresh-scan oracle on
 # a trimmed set of inputs).
 test-race:
-	$(GO) test -race -short ./internal/parser ./internal/pipeline ./internal/textio ./internal/lake ./internal/follow ./internal/serve ./internal/query ./internal/obsv ./internal/generation ./internal/template ./internal/score ./internal/refine ./internal/core .
+	$(GO) test -race -short ./internal/parser ./internal/pipeline ./internal/textio ./internal/atomicfile ./internal/lake ./internal/follow ./internal/serve ./internal/query ./internal/obsv ./internal/generation ./internal/template ./internal/score ./internal/refine ./internal/core .
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
@@ -111,8 +112,14 @@ serve-smoke:
 serve-smoke-update:
 	sh scripts/serve_smoke.sh -update
 
+# Besides gofmt and vet: internal/atomicfile is the only non-test code
+# (outside bench/, a module of its own) that may create a temp file — a
+# file a reader may be looking at is written through it, so what a write
+# guarantees is decided in one function.
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build 'os\.CreateTemp(' . | grep -v '^\./internal/atomicfile/atomicfile\.go:'); \
+	if [ -n "$$out" ]; then echo "os.CreateTemp outside internal/atomicfile (use atomicfile.Write or Stage):"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 
 # staticcheck is optional locally (CI installs it); the target fails

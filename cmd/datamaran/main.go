@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"datamaran"
+	"datamaran/internal/atomicfile"
 )
 
 func main() {
@@ -193,11 +194,13 @@ func loadProfile(path string) (*datamaran.Profile, error) {
 	return &p, nil
 }
 
-// writeProfile saves the learned structure profile as JSON.
+// writeProfile saves the learned structure profile as JSON. The write is
+// atomic: an interrupted or out-of-space save leaves a profile already at
+// path as it was.
 func writeProfile(res *datamaran.Result, path string) error {
 	raw, err := json.MarshalIndent(res.Profile(), "", "  ")
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, raw, 0o644)
+	return atomicfile.WriteBytes(path, raw)
 }

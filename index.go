@@ -3,7 +3,6 @@ package datamaran
 import (
 	"context"
 
-	"datamaran/internal/follow"
 	"datamaran/internal/lake"
 )
 
@@ -159,77 +158,25 @@ func IndexDir(dir string, opts IndexOptions) (*IndexResult, error) {
 }
 
 // IndexDirContext is IndexDir with cancellation: ctx aborts the crawl
-// between files and, within a file, between shards. On cancellation
-// nothing is written back — the registry and checkpoint store on disk
-// stay as the last completed run left them.
+// between files and, within a file, between shards. The crawl is one
+// lake.State transaction: on cancellation or failure nothing is written
+// back — registry, checkpoints and record store stay as the last
+// completed run left them.
 func IndexDirContext(ctx context.Context, dir string, opts IndexOptions) (*IndexResult, error) {
-	reg := lake.NewRegistry()
-	if opts.RegistryPath != "" {
-		var err error
-		reg, err = lake.LoadRegistry(opts.RegistryPath)
-		if err != nil {
-			return nil, err
-		}
+	st, err := lake.OpenState(opts.RegistryPath, opts.CheckpointPath, opts.StorePath, opts.CheckpointPath != "")
+	if err != nil {
+		return nil, err
 	}
-	var checkpoints *follow.Store
-	if opts.CheckpointPath != "" {
-		var err error
-		checkpoints, err = follow.LoadStore(opts.CheckpointPath)
-		if err != nil {
-			return nil, err
-		}
-	}
-	var store *lake.SegmentStore
-	var txn *lake.StoreTxn
-	if opts.StorePath != "" {
-		var err error
-		store, err = lake.OpenSegmentStore(opts.StorePath)
-		if err != nil {
-			return nil, err
-		}
-		txn = store.Begin()
-	}
-	res, err := lake.IndexContext(ctx, dir, reg, lake.Config{
+	res, err := st.Crawl(ctx, dir, lake.Config{
 		Core:           opts.Extract.config().Core,
 		Workers:        opts.Workers,
 		SampleBytes:    opts.SampleBytes,
 		MatchThreshold: opts.MatchThreshold,
-		Checkpoints:    checkpoints,
-		Segments:       txn,
-	})
+	}, "")
 	if err != nil {
-		if txn != nil {
-			txn.Abort()
-		}
 		return nil, err
 	}
-	if txn != nil {
-		if err := txn.Commit(); err != nil {
-			return nil, err
-		}
-	}
-	if opts.RegistryPath != "" {
-		if err := reg.Save(opts.RegistryPath); err != nil {
-			return nil, err
-		}
-	}
-	if opts.CheckpointPath != "" {
-		if err := checkpoints.Save(opts.CheckpointPath); err != nil {
-			return nil, err
-		}
-	}
-	if store != nil {
-		// Repeated crawls accumulate one segment file per (format,
-		// run); compaction folds tables back under the bound so scan
-		// cost stays flat across runs. It runs last: the store has
-		// committed, so the checkpoints that say which bytes it holds
-		// must be on disk whatever an optimisation step does next — a
-		// crawl resumed from older ones would append those rows again.
-		if _, err := store.Compact(lake.DefaultCompactFiles); err != nil {
-			return nil, err
-		}
-	}
-	return wrapIndexResult(res, reg), nil
+	return wrapIndexResult(res, st.Snapshot().Registry), nil
 }
 
 // wrapIndexResult converts the internal crawl result to the public form.
@@ -248,10 +195,7 @@ func wrapIndexResult(res *lake.Result, reg *lake.Registry) *IndexResult {
 			pf.Result = wrapResult(f.Res)
 		}
 		if f.Inc != nil {
-			pf.Resume = f.Inc.Action.String()
-			if f.Inc.Action == follow.ActionFull {
-				pf.Resume = f.Inc.Reason
-			}
+			pf.Resume = f.Inc.Resume()
 			pf.PriorRecords = f.Inc.BaseRecords
 			pf.PriorNoise = f.Inc.BaseNoise
 			pf.TotalRecords = f.Inc.TotalRecords

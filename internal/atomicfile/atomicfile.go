@@ -1,0 +1,62 @@
+// Package atomicfile is the one way this repository puts a file where a
+// reader may be looking: the bytes go to a temp file in the target
+// directory, and only a complete, closed file is renamed over the
+// destination — a reader sees the old file or the new one, never a torn
+// one, and a failed write leaves the old one as it was. The registry, the
+// checkpoint store, the record store's manifest and segments, and the
+// CLI's saved profiles are all written through here, so what a write
+// guarantees (and, later, what it syncs) is decided in one function.
+package atomicfile
+
+import (
+	"io"
+	"os"
+	"path/filepath"
+)
+
+// Write replaces path with what fill writes. On any failure — creating
+// the temp file, fill itself, a short write surfacing at close, the
+// rename — path is untouched, the temp file is gone and the error is
+// returned.
+func Write(path string, fill func(io.Writer) error) error {
+	tmp, err := Stage(filepath.Dir(path), fill)
+	if err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return nil
+}
+
+// WriteBytes is Write of a buffer already in hand.
+func WriteBytes(path string, data []byte) error {
+	return Write(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+}
+
+// Stage is Write without the rename: it fills a hidden temp file in dir
+// (mode 0644 — CreateTemp's 0600 would make shared state unreadable to
+// other users) and returns its path for the caller to rename into place
+// or remove. On failure nothing is left in dir.
+func Stage(dir string, fill func(io.Writer) error) (string, error) {
+	f, err := os.CreateTemp(dir, ".stage-*")
+	if err != nil {
+		return "", err
+	}
+	err = f.Chmod(0o644)
+	if err == nil {
+		err = fill(f)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(f.Name())
+		return "", err
+	}
+	return f.Name(), nil
+}

@@ -189,11 +189,6 @@ func Subsets(set Set, fn func(Set) bool) {
 	}
 }
 
-// MaxExhaustiveChars bounds the exhaustive charset search: beyond this many
-// distinct present candidates, 2^c enumeration is intractable and callers
-// should fall back to greedy search.
-const MaxExhaustiveChars = 16
-
 // LineIndex is a per-line character presence index: for every line of a
 // dataset it records the set of candidate characters the line contains,
 // and for every candidate character the ascending list of lines containing

@@ -20,7 +20,6 @@ import (
 	"sort"
 	"time"
 
-	"datamaran/internal/chars"
 	"datamaran/internal/generation"
 	"datamaran/internal/parser"
 	"datamaran/internal/refine"
@@ -51,26 +50,9 @@ type Options struct {
 	// EvalBudget caps the bytes used to score and refine candidates in
 	// the evaluation step. 0 means 128 KiB; negative disables sampling.
 	EvalBudget int
-	// Scorer is the regularity score; nil means score.MDL{}.
-	Scorer score.Scorer
-	// Candidates overrides RT-CharSet-Candidate when non-empty.
-	Candidates chars.Set
-	// MaxExhaustive caps exhaustive charset enumeration (see
-	// generation.Config).
-	MaxExhaustive int
-	// MaxRecordBytes skips potential records longer than this many
-	// bytes during generation (guards pathological spans; see
-	// generation.Config). 0 means the generation default (16 KiB).
-	MaxRecordBytes int
 	// DisableRefinement turns off array unfolding and structure
 	// shifting (for ablation experiments).
 	DisableRefinement bool
-	// RefineTop bounds how many of the top-M candidates receive full
-	// structure refinement. 0 (the default) refines all M, as in the
-	// paper; a positive value refines only the RefineTop best by plain
-	// score plus the RefineTop best by assimilation rank (an ablation
-	// knob).
-	RefineTop int
 }
 
 func (o Options) withDefaults() Options {
@@ -95,39 +77,27 @@ func (o Options) withDefaults() Options {
 	if o.EvalBudget == 0 {
 		o.EvalBudget = 128 << 10
 	}
-	if o.Scorer == nil {
-		o.Scorer = score.MDL{}
-	}
-	if o.RefineTop <= 0 {
-		o.RefineTop = int(^uint(0) >> 1)
-	}
 	return o
 }
 
-// cachingScorer is the scorer of one residue round. It memoizes scores by
-// template key, which spares refinement the one scan it would repeat: every
-// Refine call opens by scoring its candidate, already plain-scored by the
-// round (hits beyond that are rare — measured 1.2% of calls on the Table-5
-// analogs: candidates do not, as a rule, refine toward each other's
-// variants). It also carries the round's score.ScanCache: the one arena
-// all of the round's scans are written into, and the repetition histogram
-// of each scored template, which is what refinement reads back.
+// cachingScorer is the scorer of one residue round: the MDL score (§4.3),
+// memoized by template key, which spares refinement the one scan it would
+// repeat: every Refine call opens by scoring its candidate, already
+// plain-scored by the round (hits beyond that are rare — measured 1.2% of
+// calls on the Table-5 analogs: candidates do not, as a rule, refine toward
+// each other's variants). It also carries the round's score.ScanCache: the
+// one arena all of the round's scans are written into, and the repetition
+// histogram of each scored template, which is what refinement reads back.
 type cachingScorer struct {
-	inner score.Scorer
+	inner score.MDL
 	cache map[string]score.Result
-	scans *score.ScanCache
 }
 
-// newCachingScorer wraps inner for one evaluation round. When inner is
-// the default MDL scorer without its own cache, it is rebound onto the
-// round's scan cache so scoring and refinement share its arena.
-func newCachingScorer(inner score.Scorer) *cachingScorer {
-	scans := score.NewScanCache()
-	if mdl, ok := inner.(score.MDL); ok && mdl.Cache == nil {
-		mdl.Cache = scans
-		inner = mdl
-	}
-	return &cachingScorer{inner: inner, cache: map[string]score.Result{}, scans: scans}
+// newCachingScorer returns the scorer of one evaluation round, its MDL
+// bound to the round's scan cache so scoring and refinement share the
+// arena.
+func newCachingScorer() *cachingScorer {
+	return &cachingScorer{inner: score.MDL{Cache: score.NewScanCache()}, cache: map[string]score.Result{}}
 }
 
 func (c *cachingScorer) Score(m *parser.Matcher, lines *textio.Lines) score.Result {
@@ -141,15 +111,7 @@ func (c *cachingScorer) Score(m *parser.Matcher, lines *textio.Lines) score.Resu
 }
 
 // ScanCache exposes the round's scan cache (see refine's use).
-func (c *cachingScorer) ScanCache() *score.ScanCache { return c.scans }
-
-// noiseBudgeter is implemented by scorers that can say how much noise a
-// score leaves room for (score.MDL): a template that leaves NoiseBudget(bits)
-// or more bytes of lines uncovered scores bits or worse. Evaluation uses it
-// to skip refining candidates that cannot beat the best found so far.
-type noiseBudgeter interface {
-	NoiseBudget(bits float64) int
-}
+func (c *cachingScorer) ScanCache() *score.ScanCache { return c.inner.Cache }
 
 // FieldValue is one extracted field occurrence. It is the engine's field
 // type and the public one: datamaran.Field is an alias of it, so a record
@@ -312,12 +274,9 @@ func discoverOne(ctx context.Context, residData []byte, opts Options, effAlpha f
 	// assimilation: only those become trees (see GeneratePruned).
 	t0 := time.Now()
 	top, generated, err := generation.GeneratePruned(ctx, sampleLines, generation.Config{
-		Alpha:          effAlpha,
-		MaxSpan:        opts.MaxSpan,
-		Search:         opts.Search,
-		Candidates:     opts.Candidates,
-		MaxExhaustive:  opts.MaxExhaustive,
-		MaxRecordBytes: opts.MaxRecordBytes,
+		Alpha:   effAlpha,
+		MaxSpan: opts.MaxSpan,
+		Search:  opts.Search,
 	}, opts.TopM)
 	timing.Generation += time.Since(t0)
 	if err != nil {
@@ -349,9 +308,8 @@ func discoverOne(ctx context.Context, residData []byte, opts Options, effAlpha f
 func evaluate(ctx context.Context, top []generation.Candidate, evalLines *textio.Lines, opts Options, timing *Timing) (*template.Node, score.Result, error) {
 	t0 := time.Now()
 	defer func() { timing.Evaluation += time.Since(t0) }()
-	scorer := newCachingScorer(opts.Scorer)
-	// Plain-score every retained candidate, then refine the RefineTop
-	// most promising (refinement costs many scoring passes each).
+	scorer := newCachingScorer()
+	// Plain-score every retained candidate.
 	type scored struct {
 		tpl *template.Node
 		res score.Result
@@ -364,21 +322,12 @@ func evaluate(ctx context.Context, top []generation.Candidate, evalLines *textio
 		}
 		plain = append(plain, scored{cand.Template, r})
 	}
-	// Refine the union of the best candidates by plain score and by
-	// assimilation rank: plain scoring favors partially-unfolded k-line
-	// variants, while the folded minimal template (which refinement
-	// would turn into the true winner) ranks high on assimilation.
-	refineSet := map[string]bool{}
-	for i := 0; i < opts.RefineTop && i < len(plain); i++ {
-		refineSet[plain[i].tpl.Key()] = true // assimilation order (pre-sort)
-	}
+	// Every one of them is a candidate for refinement, as in the paper;
+	// sorted by plain score a good best arrives early, and from then on a
+	// candidate is refined only if refinement could make it win: a
+	// template that leaves NoiseBudget(bits) or more bytes of lines
+	// uncovered scores bits or worse.
 	sort.SliceStable(plain, func(i, j int) bool { return plain[i].res.Bits < plain[j].res.Bits })
-	for i := 0; i < opts.RefineTop && i < len(plain); i++ {
-		refineSet[plain[i].tpl.Key()] = true
-	}
-	// plain is sorted by score, so a good best arrives early, and from then
-	// on a candidate is refined only if refinement could make it win.
-	budgeter, _ := opts.Scorer.(noiseBudgeter)
 	var best *template.Node
 	var bestRes score.Result
 	for _, s := range plain {
@@ -386,8 +335,8 @@ func evaluate(ctx context.Context, top []generation.Candidate, evalLines *textio
 			return nil, score.Result{}, err
 		}
 		tpl, r := s.tpl, s.res
-		if !opts.DisableRefinement && refineSet[tpl.Key()] {
-			if best != nil && budgeter != nil && cannotBeat(budgeter.NoiseBudget(bestRes.Bits), tpl, r, evalLines) {
+		if !opts.DisableRefinement {
+			if best != nil && cannotBeat(scorer.inner.NoiseBudget(bestRes.Bits), tpl, r, evalLines) {
 				continue
 			}
 			tr := time.Now()

@@ -321,21 +321,6 @@ func TestExtractDisableRefinement(t *testing.T) {
 	}
 }
 
-func TestExtractRefineTopCap(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var b strings.Builder
-	for i := 0; i < 100; i++ {
-		fmt.Fprintf(&b, "%d;%d\n", rng.Intn(100), rng.Intn(100))
-	}
-	res, err := extract([]byte(b.String()), core.Options{RefineTop: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Structures) == 0 || res.Structures[0].Records != 100 {
-		t.Fatalf("RefineTop=2 extraction failed: %+v", res.Structures)
-	}
-}
-
 func TestExtractSamplingBudgets(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	var b strings.Builder

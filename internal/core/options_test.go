@@ -7,9 +7,6 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.Alpha != 0.10 || o.MaxSpan != 10 || o.TopM != 50 {
 		t.Fatalf("defaults = %+v", o)
 	}
-	if o.Scorer == nil {
-		t.Fatal("nil scorer after defaults")
-	}
 	noPrune := Options{TopM: -1}.withDefaults()
 	if noPrune.TopM != 0 {
 		t.Fatalf("TopM=-1 should map to 0 (keep all), got %d", noPrune.TopM)

@@ -21,10 +21,9 @@ import (
 
 // evaluateReference is the evaluation step as it stood before candidates
 // were pruned by refine.CertainNoise and scans shared an arena: every
-// candidate of the refinement set is refined, in plain-score order, and
-// every variant is scored by opts.Scorer as given — for the default MDL a
-// fresh Matcher.Scan into a fresh ScanResult, no memo of any kind. It is
-// the oracle evaluate is held to.
+// candidate is refined, in plain-score order, and every variant is scored
+// by a bare score.MDL — a fresh Matcher.Scan into a fresh ScanResult, no
+// memo of any kind. It is the oracle evaluate is held to.
 func evaluateReference(ctx context.Context, top []generation.Candidate, evalLines *textio.Lines, opts core.Options, _ *core.Timing) (*template.Node, score.Result, error) {
 	type scored struct {
 		tpl *template.Node
@@ -32,24 +31,17 @@ func evaluateReference(ctx context.Context, top []generation.Candidate, evalLine
 	}
 	var plain []scored
 	for _, cand := range top {
-		if r := opts.Scorer.Score(parser.NewMatcher(cand.Template), evalLines); r.Records > 0 {
+		if r := (score.MDL{}).Score(parser.NewMatcher(cand.Template), evalLines); r.Records > 0 {
 			plain = append(plain, scored{cand.Template, r})
 		}
 	}
-	refineSet := map[string]bool{}
-	for i := 0; i < opts.RefineTop && i < len(plain); i++ {
-		refineSet[plain[i].tpl.Key()] = true
-	}
 	sort.SliceStable(plain, func(i, j int) bool { return plain[i].res.Bits < plain[j].res.Bits })
-	for i := 0; i < opts.RefineTop && i < len(plain); i++ {
-		refineSet[plain[i].tpl.Key()] = true
-	}
 	var best *template.Node
 	var bestRes score.Result
 	for _, s := range plain {
 		tpl, r := s.tpl, s.res
-		if !opts.DisableRefinement && refineSet[tpl.Key()] {
-			tpl, r = refine.Refine(s.tpl, evalLines, opts.Scorer)
+		if !opts.DisableRefinement {
+			tpl, r = refine.Refine(s.tpl, evalLines, score.MDL{})
 		}
 		if template.IsPeriodicStack(tpl) {
 			continue

@@ -18,10 +18,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
+
+	"datamaran/internal/atomicfile"
 )
 
 // storeVersion is the on-disk checkpoint format version this package
@@ -131,6 +133,15 @@ func (s *Store) Retain(keep func(path string) bool) {
 	}
 }
 
+// Clone returns an independent store holding the same checkpoints — what
+// a crawl works on while readers keep the original. The checkpoints
+// themselves are shared: they are immutable once stored.
+func (s *Store) Clone() *Store {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return &Store{byPath: maps.Clone(s.byPath)}
+}
+
 // storeJSON is the serialized store.
 type storeJSON struct {
 	Version int           `json:"version"`
@@ -210,9 +221,9 @@ func LoadStore(path string) (*Store, error) {
 	return s, nil
 }
 
-// Save writes the store atomically (temp file + rename in the target
-// directory), indented for human inspection — the same discipline as
-// the lake registry it lives next to.
+// Save writes the store atomically (see atomicfile), indented for human
+// inspection — the same discipline as the lake registry it lives next
+// to.
 func (s *Store) Save(path string) error {
 	compact, err := json.Marshal(s)
 	if err != nil {
@@ -222,31 +233,5 @@ func (s *Store) Save(path string) error {
 	if err := json.Indent(&buf, compact, "", "  "); err != nil {
 		return err
 	}
-	raw := append(buf.Bytes(), '\n')
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".checkpoints-*")
-	if err != nil {
-		return err
-	}
-	// CreateTemp's 0600 would make shared checkpoints unreadable to
-	// other users; match the 0644 of every other artifact we write.
-	if err := tmp.Chmod(0o644); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if _, err := tmp.Write(raw); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
+	return atomicfile.WriteBytes(path, append(buf.Bytes(), '\n'))
 }

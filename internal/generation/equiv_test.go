@@ -18,7 +18,7 @@ import (
 )
 
 // This file pins the shape-interned engine to the reference engine in
-// reference.go: over the datagen corpus and the fixture lake, at greedy
+// reference_test.go: over the datagen corpus and the fixture lake, at greedy
 // and exhaustive search and MaxSpan 1/4/10, Generate must return the
 // exact candidate list generateReference returns — same templates, same
 // order, same Coverage and FieldBytes. This is the property that lets the

@@ -52,7 +52,7 @@
 //     its table entry.
 //
 // Output — candidate set, order, Coverage, FieldBytes — is identical to
-// the reference engine in reference.go, pinned by equivalence tests.
+// the reference engine in reference_test.go, pinned by equivalence tests.
 //
 // The pruning step orders the surviving candidates by the assimilation
 // score G(T,S) = Cov × NonFieldCov and keeps the top M.
@@ -103,7 +103,8 @@ type Config struct {
 	Candidates chars.Set
 	// MaxExhaustive caps the number of distinct present special
 	// characters enumerated exhaustively; beyond it, the most frequent
-	// MaxExhaustive characters are used. Default 10.
+	// MaxExhaustive characters are used. Default 10, at most
+	// maxDerivedChars.
 	MaxExhaustive int
 	// MaxCandidates caps the number of candidates returned (K).
 	// Default 4096.
@@ -126,6 +127,7 @@ func (c Config) withDefaults() Config {
 	if c.MaxExhaustive == 0 {
 		c.MaxExhaustive = 10
 	}
+	c.MaxExhaustive = min(c.MaxExhaustive, maxDerivedChars)
 	if c.MaxCandidates == 0 {
 		c.MaxCandidates = 4096
 	}
@@ -427,12 +429,11 @@ func (g *generator) search(ctx context.Context) error {
 	}
 }
 
-// maxDerivedChars bounds the charset width the derived-shape exhaustive
-// path handles (local masks are uint16, and per-shape memo rows are 2^k
-// entries for a shape with k literal characters). capCharset keeps
-// exhaustive charsets at MaxExhaustive (default 10) members, so the
-// fallback below only triggers on configs that would enumerate 2^17+
-// subsets anyway.
+// maxDerivedChars bounds the charset width the exhaustive search handles
+// (local masks are uint16, and per-shape memo rows are 2^k entries for a
+// shape with k literal characters). Config.withDefaults holds
+// MaxExhaustive (default 10) to it: past it a search would enumerate 2^17+
+// subsets.
 const maxDerivedChars = 16
 
 // exhaustiveSearch enumerates all subsets of the present candidates
@@ -446,7 +447,6 @@ const maxDerivedChars = 16
 // provably unchanged).
 func (g *generator) exhaustiveSearch(ctx context.Context) error {
 	present := capCharset(g.lines, g.cfg, g.present)
-	derived := present.Len() <= maxDerivedChars && g.n > 0
 	first := true
 	var prev chars.Set
 	var err error
@@ -457,19 +457,11 @@ func (g *generator) exhaustiveSearch(ctx context.Context) error {
 		if first {
 			first = false
 			g.genST(s)
-			if derived {
-				g.initDerived(present)
-			}
+			g.initDerived(present)
 		} else {
 			diff := s.Minus(prev).Union(prev.Minus(s))
 			for _, c := range diff.Bytes() {
-				if derived {
-					g.toggleChar(c, s.Contains(c))
-				} else {
-					for _, li := range g.lineIdx.Lines(c) {
-						g.shapeLine(int(li), s)
-					}
-				}
+				g.toggleChar(c, s.Contains(c))
 			}
 			g.accumulate(s)
 		}

@@ -6,6 +6,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+
+	"datamaran/internal/atomicfile"
 )
 
 // DefaultCompactFiles is the per-table segment-file bound the crawl
@@ -171,16 +173,12 @@ func compactTable(dir string, tbl *manTable, inputs map[string]*os.File) (staged
 		}
 	}
 	sf := stagedFile{final: compactFileName(tbl.Fingerprint, tbl.Type, gen)}
-	tmp, err := os.CreateTemp(dir, ".stage-*")
-	if err != nil {
-		return sf, err
-	}
-	sf.tmp = tmp.Name()
-	err = func() error {
-		if _, err := tmp.Write(segMagicV2); err != nil {
+	var err error
+	sf.tmp, err = atomicfile.Stage(dir, func(w io.Writer) error {
+		if _, err := w.Write(segMagicV2); err != nil {
 			return err
 		}
-		sw := newSegWriter(tmp, ncols)
+		sw := newSegWriter(w, ncols)
 		defer sw.release()
 		// Spans that share a source file (an earlier compaction's output)
 		// follow each other in it in path order, so one forward-only
@@ -222,16 +220,7 @@ func compactTable(dir string, tbl *manTable, inputs map[string]*os.File) (staged
 			distincts = make([]int, ncols)
 		}
 		return sw.writeFooter(distincts)
-	}()
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Chmod(sf.tmp, 0o644)
-	}
-	if err != nil {
-		os.Remove(sf.tmp)
-	}
+	})
 	return sf, err
 }
 

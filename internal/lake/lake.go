@@ -162,6 +162,15 @@ type IncInfo struct {
 	TotalRecords, TotalNoise int
 }
 
+// Resume names the handling for reports: "resumed", "unchanged", or —
+// for a full extraction — the reason it was one.
+func (i *IncInfo) Resume() string {
+	if i.Action == follow.ActionFull {
+		return i.Reason
+	}
+	return i.Action.String()
+}
+
 // Summary aggregates one Index run.
 type Summary struct {
 	// Files is the number of regular files crawled.

@@ -5,9 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 
+	"datamaran/internal/atomicfile"
 	"datamaran/internal/template"
 )
 
@@ -108,10 +108,10 @@ func (r *Registry) Unclaim(e *Entry) {
 }
 
 // Adjust adds delta to the claim counter of the fingerprint's entry (a
-// no-op for unknown fingerprints). This is the commit hook of the serve
-// daemon's scoped reindex: a crawl restricted to one format runs on a
-// cloned registry, and its claim deltas are rebased onto the latest
-// served registry at swap time — claims over disjoint file sets compose
+// no-op for unknown fingerprints). This is the commit hook of State's
+// scoped crawl: a crawl restricted to one format runs on a cloned
+// registry, and its claim deltas are rebased onto the latest published
+// registry at swap time — claims over disjoint file sets compose
 // additively, so concurrent per-format crawls never lose each other's
 // counts.
 func (r *Registry) Adjust(fp string, delta int) {
@@ -127,6 +127,21 @@ func (r *Registry) FilesClaimed(e *Entry) int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return e.Files
+}
+
+// Clone returns an independent registry with the same formats and claim
+// counts — what a crawl works on while readers keep the original. The
+// template sets are shared: they are immutable once registered.
+func (r *Registry) Clone() *Registry {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	out := &Registry{entries: make([]*Entry, len(r.entries)), byFP: make(map[string]*Entry, len(r.entries))}
+	for i, e := range r.entries {
+		c := *e
+		out.entries[i] = &c
+		out.byFP[c.Fingerprint] = &c
+	}
+	return out
 }
 
 // FormatInfo is a point-in-time copy of one registry entry, safe to use
@@ -252,8 +267,8 @@ func LoadRegistry(path string) (*Registry, error) {
 	return r, nil
 }
 
-// Save writes the registry atomically (temp file + rename in the target
-// directory), indented for human inspection.
+// Save writes the registry atomically (see atomicfile), indented for
+// human inspection.
 func (r *Registry) Save(path string) error {
 	compact, err := json.Marshal(r)
 	if err != nil {
@@ -263,31 +278,5 @@ func (r *Registry) Save(path string) error {
 	if err := json.Indent(&buf, compact, "", "  "); err != nil {
 		return err
 	}
-	raw := append(buf.Bytes(), '\n')
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".registry-*")
-	if err != nil {
-		return err
-	}
-	// CreateTemp's 0600 would make a shared registry unreadable to
-	// other users; match the 0644 of every other artifact we write.
-	if err := tmp.Chmod(0o644); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if _, err := tmp.Write(raw); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
+	return atomicfile.WriteBytes(path, append(buf.Bytes(), '\n'))
 }

@@ -18,6 +18,7 @@ import (
 	"strings"
 	"sync"
 
+	"datamaran/internal/atomicfile"
 	"datamaran/internal/core"
 	"datamaran/internal/relational"
 	"datamaran/internal/semtype"
@@ -1938,28 +1939,20 @@ func (t *StoreTxn) Rewrite(relPath, fp string, templates []*template.Node, recs 
 // footer — and returns the file's path with what the segment derived from
 // its rows. A failed write leaves no file behind.
 func (t *StoreTxn) stageSegment(ncols int, fill func(*segWriter) error) (path string, kinds []semtype.Kind, rows int, dist []int, err error) {
-	tmp, err := os.CreateTemp(t.s.dir, ".stage-*")
-	if err != nil {
-		return "", nil, 0, nil, err
-	}
-	sw := newSegWriter(tmp, ncols)
-	if _, err = sw.w.Write(segMagicV2); err == nil {
-		if err = fill(sw); err == nil {
-			kinds, rows, dist, err = sw.finish()
+	path, err = atomicfile.Stage(t.s.dir, func(w io.Writer) error {
+		sw := newSegWriter(w, ncols)
+		defer sw.release()
+		if _, err := sw.w.Write(segMagicV2); err != nil {
+			return err
 		}
-	}
-	sw.release()
-	if err == nil {
-		err = tmp.Chmod(0o644)
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-		return "", nil, 0, nil, err
-	}
-	return tmp.Name(), kinds, rows, dist, nil
+		if err := fill(sw); err != nil {
+			return err
+		}
+		var err error
+		kinds, rows, dist, err = sw.finish()
+		return err
+	})
+	return path, kinds, rows, dist, err
 }
 
 // nextRevLocked picks the write revision for relPath's next segment
@@ -2296,8 +2289,8 @@ func (t *StoreTxn) abortLocked() {
 	t.staged = map[string]string{}
 }
 
-// saveManifest writes the manifest atomically (temp + rename),
-// indented, 0644 — the same discipline as the registry.
+// saveManifest writes the manifest atomically (see atomicfile),
+// indented — the same discipline as the registry.
 func saveManifest(dir string, man *manifest) error {
 	mj := manifestJSON{Version: manifestVersion, Tables: man.Tables}
 	if mj.Tables == nil {
@@ -2307,27 +2300,7 @@ func saveManifest(dir string, man *manifest) error {
 	if err != nil {
 		return err
 	}
-	raw = append(raw, '\n')
-	path := filepath.Join(dir, "manifest.json")
-	tmp, err := os.CreateTemp(dir, ".manifest-*")
-	if err != nil {
-		return err
-	}
-	if err := tmp.Chmod(0o644); err == nil {
-		_, err = tmp.Write(raw)
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
+	return atomicfile.WriteBytes(filepath.Join(dir, "manifest.json"), append(raw, '\n'))
 }
 
 // segOf finds relPath's segment in a table, or nil.

@@ -1,10 +1,11 @@
 // Package serve exposes a data lake's profile registry and extraction
 // engine over HTTP — the query half of the incremental ingestion
-// subsystem (internal/follow provides the write half). A Server owns a
-// lake directory plus an immutable registry/checkpoint snapshot;
-// request handlers stream extraction output (NDJSON or CSV) against
-// the snapshot they started on, while POST /v1/reindex crawls on clones
-// and atomically swaps a new snapshot in — so discovery keeps
+// subsystem (internal/follow provides the write half). A Server serves
+// a lake directory from a lake.State, which owns the registry, the
+// checkpoints and the record store: request handlers stream extraction
+// output (NDJSON or CSV) against the immutable snapshot they started on,
+// while POST /v1/reindex runs the state's crawl transaction, which works
+// on clones and atomically swaps a new snapshot in — so discovery keeps
 // amortizing across requests the way the paper's learn-once,
 // apply-many workflow intends, and a crawl never blocks (or tears) a
 // concurrent read.
@@ -23,11 +24,11 @@
 //
 // Every failure body is the JSON envelope {"error": {"code", "message"}}.
 //
-// Concurrency model. The served state (registry + checkpoints) is a
-// copy-on-write snapshot: handlers take it once per request and the
-// snapshot is immutable, so an in-flight request finishes against the
-// exact state it started on no matter how many reindexes land
-// meanwhile. Reindexes lock per format — POST /v1/reindex?format=fp
+// Concurrency model. The served state (registry + checkpoints) is
+// lake.State's copy-on-write snapshot: handlers take it once per request
+// and the snapshot is immutable, so an in-flight request finishes
+// against the exact state it started on no matter how many reindexes
+// land meanwhile. Reindexes lock per format — POST /v1/reindex?format=fp
 // crawls only fp's files and runs concurrently with scoped reindexes
 // of other formats (and with all reads); only crawls of the same
 // format, or a global crawl, conflict (409). Hot compiled profiles
@@ -53,11 +54,9 @@ import (
 	"path"
 	"path/filepath"
 	"strings"
-	"sync"
 	"time"
 
 	"datamaran/internal/core"
-	"datamaran/internal/follow"
 	"datamaran/internal/lake"
 	"datamaran/internal/obsv"
 	"datamaran/internal/parser"
@@ -114,41 +113,20 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// state is one immutable served snapshot: handlers take it once per
-// request, reindexes build the next one on clones and swap. gen counts
-// swaps — it versions the profile cache, so matchers compiled under an
-// old snapshot can never serve a new one.
-type state struct {
-	gen uint64
-	reg *lake.Registry
-	cps *follow.Store
-}
-
-// Server is the long-running daemon state: an immutable served
-// snapshot, the per-format crawl locks, the hot-profile cache and the
-// request limiter.
+// Server is the long-running daemon state: the lake's state, the
+// per-format crawl locks, the hot-profile cache and the request limiter.
 type Server struct {
 	cfg Config
-	// mu guards only the snapshot pointer. The snapshot itself is
-	// immutable once published — a crawl builds the next one on clones
-	// and swaps, so an aborted /reindex (client disconnect mid-crawl)
-	// can never leave the served state partially mutated, and an
-	// in-flight request keeps reading its old snapshot across any
-	// number of swaps.
-	mu  sync.RWMutex
-	cur *state
-	// store is the record store handle (nil without a StorePath). It
-	// needs no guarding here: scans pin a manifest snapshot and commits
-	// merge-and-swap it whole.
-	store *lake.SegmentStore
-	// locks coordinates crawls per format (see formatLocks); swapMu
-	// serializes snapshot swaps, so a scoped crawl rebases its deltas
-	// onto whatever concurrent crawls already published; persistMu
-	// serializes saves of the registry/checkpoint files.
-	locks     formatLocks
-	swapMu    sync.Mutex
-	persistMu sync.Mutex
-	// cache holds hot compiled profiles (nil when disabled).
+	// st owns the registry, the checkpoints and the record store.
+	// Handlers take its snapshot once per request; a reindex is its crawl
+	// transaction, so an aborted /reindex (client disconnect mid-crawl)
+	// can never leave the served state partially mutated.
+	st *lake.State
+	// locks coordinates crawls per format (see formatLocks).
+	locks formatLocks
+	// cache holds hot compiled profiles (nil when disabled), keyed by
+	// fingerprint + snapshot generation, so matchers compiled under an
+	// old snapshot can never serve a new one.
 	cache *profileCache
 	// limits enforces the per-request bounds around every handler.
 	limits *limiter
@@ -169,29 +147,14 @@ func New(cfg Config) (*Server, error) {
 	if !info.IsDir() {
 		return nil, fmt.Errorf("serve: root %s is not a directory", cfg.Root)
 	}
-	reg := lake.NewRegistry()
-	if cfg.RegistryPath != "" {
-		if reg, err = lake.LoadRegistry(cfg.RegistryPath); err != nil {
-			return nil, err
-		}
-	}
-	cps := follow.NewStore()
-	if cfg.CheckpointPath != "" {
-		if cps, err = follow.LoadStore(cfg.CheckpointPath); err != nil {
-			return nil, err
-		}
-	}
-	var store *lake.SegmentStore
-	if cfg.StorePath != "" {
-		if store, err = lake.OpenSegmentStore(cfg.StorePath); err != nil {
-			return nil, err
-		}
+	st, err := lake.OpenState(cfg.RegistryPath, cfg.CheckpointPath, cfg.StorePath, true)
+	if err != nil {
+		return nil, err
 	}
 	obs := newServeMetrics(cfg.Metrics)
 	return &Server{
 		cfg:   cfg,
-		cur:   &state{gen: 1, reg: reg, cps: cps},
-		store: store,
+		st:    st,
 		cache: newProfileCache(cfg.ProfileCacheSize),
 		limits: &limiter{
 			maxInFlight: int64(cfg.MaxInFlight),
@@ -205,23 +168,10 @@ func New(cfg Config) (*Server, error) {
 	}, nil
 }
 
-// Registry exposes the current registry snapshot (for tests and
-// embedding).
-func (s *Server) Registry() *lake.Registry { return s.state().reg }
-
-// state takes the current served snapshot. The snapshot is immutable;
-// take it once per request and every read within the request is
-// consistent.
-func (s *Server) state() *state {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.cur
-}
-
 // matchersFor returns the compiled matcher set of one format under one
 // snapshot, from the hot-profile LRU when resident.
-func (s *Server) matchersFor(st *state, e *lake.Entry) []*parser.Matcher {
-	key := profileKey{fp: e.Fingerprint, gen: st.gen}
+func (s *Server) matchersFor(snap *lake.Snapshot, e *lake.Entry) []*parser.Matcher {
+	key := profileKey{fp: e.Fingerprint, gen: snap.Generation}
 	if m := s.cache.get(key); m != nil {
 		return m
 	}
@@ -290,18 +240,18 @@ type statusTable struct {
 // handleStatus reports the serving gauges. Exempt from the in-flight
 // bound, so it answers even under saturation.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	st := s.state()
+	snap := s.st.Snapshot()
 	size, hits, misses := s.cache.stats()
 	var tables []statusTable
-	if s.store != nil {
-		for _, ti := range s.store.Tables() {
+	if store := s.st.Store(); store != nil {
+		for _, ti := range store.Tables() {
 			tables = append(tables, statusTable{Name: ti.Name, Columns: len(ti.Columns), Rows: ti.Rows, Segments: ti.Segments})
 		}
 	}
 	version, revision := buildInfo()
 	writeJSON(w, http.StatusOK, statusJSON{
-		Generation:     st.gen,
-		Formats:        st.reg.Len(),
+		Generation:     snap.Generation,
+		Formats:        snap.Registry.Len(),
 		InFlight:       s.limits.inFlight.Load(),
 		MaxInFlight:    s.cfg.MaxInFlight,
 		Shed:           s.limits.shed.Load(),
@@ -325,7 +275,8 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 // CSV, the same writers the CLI uses, so served bytes match the CLI's
 // for the same store and query.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if s.store == nil {
+	store := s.st.Store()
+	if store == nil {
 		httpError(w, http.StatusNotFound, "no record store configured (restart serve with a store path)")
 		return
 	}
@@ -359,7 +310,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// streamed yet, so re-pin and re-plan.
 	var rows *query.Rows
 	for attempt := 0; ; attempt++ {
-		rows, err = query.RunWith(r.Context(), query.ViewCatalog(s.store.View()), q, query.Options{Explain: explain})
+		rows, err = query.RunWith(r.Context(), query.ViewCatalog(store.View()), q, query.Options{Explain: explain})
 		if err == nil || !errors.Is(err, lake.ErrStaleView) || attempt >= 8 {
 			break
 		}
@@ -423,7 +374,7 @@ func (s *Server) handleFormats(w http.ResponseWriter, r *http.Request) {
 	out := struct {
 		Formats []formatJSON `json:"formats"`
 	}{Formats: []formatJSON{}}
-	for _, fi := range s.state().reg.Snapshot() {
+	for _, fi := range s.st.Snapshot().Registry.Snapshot() {
 		fj := formatJSON{Fingerprint: fi.Fingerprint, Files: fi.Files, Templates: []string{}}
 		for _, t := range fi.Templates {
 			fj.Templates = append(fj.Templates, t.String())
@@ -443,7 +394,7 @@ type profileJSON struct {
 
 // handleFormat serves one profile by fingerprint.
 func (s *Server) handleFormat(w http.ResponseWriter, r *http.Request) {
-	e := s.state().reg.Lookup(r.PathValue("fp"))
+	e := s.st.Snapshot().Registry.Lookup(r.PathValue("fp"))
 	if e == nil {
 		httpError(w, http.StatusNotFound, "unknown format %s", r.PathValue("fp"))
 		return
@@ -467,13 +418,13 @@ func (s *Server) handleExtractBody(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "missing format parameter")
 		return
 	}
-	st := s.state()
-	e := st.reg.Lookup(fp)
+	snap := s.st.Snapshot()
+	e := snap.Registry.Lookup(fp)
 	if e == nil {
 		httpError(w, http.StatusNotFound, "unknown format %s", fp)
 		return
 	}
-	s.extract(w, r, st, e, r.Body)
+	s.extract(w, r, snap, e, r.Body)
 }
 
 // handleExtractLake extracts one lake file. The format comes from (in
@@ -499,15 +450,15 @@ func (s *Server) handleExtractLake(w http.ResponseWriter, r *http.Request) {
 
 	// One snapshot for the whole request: the registry lookup and the
 	// checkpoint lookup can never mix two reindex generations.
-	st := s.state()
+	snap := s.st.Snapshot()
 	var e *lake.Entry
 	if fp := r.URL.Query().Get("format"); fp != "" {
-		if e = st.reg.Lookup(fp); e == nil {
+		if e = snap.Registry.Lookup(fp); e == nil {
 			httpError(w, http.StatusNotFound, "unknown format %s", fp)
 			return
 		}
-	} else if cp := st.cps.Get(rel); cp != nil && cp.Fingerprint != "" {
-		e = st.reg.Lookup(cp.Fingerprint)
+	} else if cp := snap.Checkpoints.Get(rel); cp != nil && cp.Fingerprint != "" {
+		e = snap.Registry.Lookup(cp.Fingerprint)
 	}
 	if e == nil {
 		sampleBytes := s.cfg.SampleBytes
@@ -523,27 +474,27 @@ func (s *Server) handleExtractLake(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusInternalServerError, "sample %s: %v", rel, err)
 			return
 		}
-		if e = lake.MatchSample(sample, st.reg, threshold); e == nil {
+		if e = lake.MatchSample(sample, snap.Registry, threshold); e == nil {
 			httpError(w, http.StatusUnprocessableEntity,
 				"no registered format claims %s (reindex first, or pass format=)", rel)
 			return
 		}
 	}
-	s.extract(w, r, st, e, f)
+	s.extract(w, r, snap, e, f)
 }
 
 // extract streams src through the profile pipeline in the requested
 // output form, using the snapshot's cached compiled matchers. NDJSON
 // streams record by record; CSV buffers the result to build relational
 // tables.
-func (s *Server) extract(w http.ResponseWriter, r *http.Request, st *state, e *lake.Entry, src io.Reader) {
+func (s *Server) extract(w http.ResponseWriter, r *http.Request, snap *lake.Snapshot, e *lake.Entry, src io.Reader) {
 	output := r.URL.Query().Get("output")
 	if output == "" {
 		output = "ndjson"
 	}
 	cfg := pipeline.Config{
 		Templates: e.Templates,
-		Matchers:  s.matchersFor(st, e),
+		Matchers:  s.matchersFor(snap, e),
 		Workers:   s.cfg.Workers,
 	}
 	switch output {
@@ -680,25 +631,17 @@ type reindexJSON struct {
 // flight.
 var ErrBusy = errors.New("serve: a conflicting reindex is already running")
 
-// ErrUnknownFormat reports a scoped reindex of a fingerprint the
-// registry does not know.
-var ErrUnknownFormat = errors.New("serve: unknown format")
-
-// Reindex runs one incremental crawl over the lake and persists the
-// outcome. format empty crawls everything; a fingerprint restricts the
-// crawl to that format's checkpointed files — scoped crawls of
-// different formats run concurrently, and neither ever blocks a read
-// (reads serve the previous snapshot until the swap).
-//
-// The crawl works on clones of the snapshot it started from; only a
-// completed crawl publishes, so a cancelled or failed crawl leaves both
-// the served state and the on-disk state exactly as the last completed
-// run left them. A scoped crawl's commit rebases its deltas — its
-// files' checkpoints, claim-count changes, record-store segments — onto
-// whatever snapshot is current by then, so concurrent scoped crawls
-// compose instead of clobbering each other. Conflicting calls (same
+// Reindex runs one incremental crawl over the lake — lake.State's crawl
+// transaction: only a completed crawl publishes and persists, so a
+// cancelled or failed one leaves both the served state and the on-disk
+// state exactly as the last completed run left them. format empty
+// crawls everything; a fingerprint restricts the crawl to that format's
+// checkpointed files — scoped crawls of different formats run
+// concurrently and compose, and neither ever blocks a read (reads serve
+// the previous snapshot until the swap). Conflicting calls (same
 // format, or anything against a global crawl) return ErrBusy rather
-// than queueing unbounded work.
+// than queueing unbounded work; an unknown fingerprint is
+// lake.ErrUnknownFormat.
 func (s *Server) Reindex(ctx context.Context, format string) (*lake.Result, error) {
 	if !s.locks.tryLock(format) {
 		return nil, ErrBusy
@@ -709,99 +652,16 @@ func (s *Server) Reindex(ctx context.Context, format string) (*lake.Result, erro
 		hist = s.obs.reindexScoped
 	}
 	span := obsv.StartSpan(hist)
-
-	base := s.state()
-	var scope map[string]bool
-	if format != "" {
-		if base.reg.Lookup(format) == nil {
-			return nil, fmt.Errorf("%w: %s", ErrUnknownFormat, format)
-		}
-		// The scope is the format's current claim set: every checkpointed
-		// path the fingerprint owns. Files that rotated into a different
-		// format since their checkpoint reclassify within the scoped
-		// crawl (possibly discovering a new format); brand-new files wait
-		// for a global crawl.
-		scope = map[string]bool{}
-		for _, p := range base.cps.Paths() {
-			if cp := base.cps.Get(p); cp != nil && cp.Fingerprint == format {
-				scope[p] = true
-			}
-		}
-	}
-
-	reg, err := cloneRegistry(base.reg)
-	if err != nil {
-		return nil, err
-	}
-	cps, err := cloneStore(base.cps)
-	if err != nil {
-		return nil, err
-	}
-	// The record store follows the same discipline as the snapshot: the
-	// crawl stages segments in a transaction, and only a completed crawl
-	// commits them (the commit itself rebases by touched path).
-	var txn *lake.StoreTxn
-	if s.store != nil {
-		txn = s.store.Begin()
-	}
-	cfg := lake.Config{
+	res, err := s.st.Crawl(ctx, s.cfg.Root, lake.Config{
 		Core:           s.cfg.Core,
 		Workers:        s.cfg.Workers,
 		SampleBytes:    s.cfg.SampleBytes,
 		MatchThreshold: s.cfg.MatchThreshold,
-		Checkpoints:    cps,
-		Segments:       txn,
 		Metrics:        s.obs.reg,
 		Logger:         s.logger,
-	}
-	if scope != nil {
-		cfg.Filter = func(rel string) bool { return scope[rel] }
-	}
-	res, err := lake.IndexContext(ctx, s.cfg.Root, reg, cfg)
+	}, format)
 	if err != nil {
-		if txn != nil {
-			txn.Abort()
-		}
 		return nil, err
-	}
-
-	// Publish: rebase the crawl's outcome onto the current snapshot and
-	// swap. swapMu serializes the rebase-and-swap windows of concurrent
-	// scoped crawls, so each sees the other's published state.
-	s.swapMu.Lock()
-	next, err := s.rebase(base, reg, cps, scope)
-	if err != nil {
-		s.swapMu.Unlock()
-		if txn != nil {
-			txn.Abort()
-		}
-		return nil, err
-	}
-	if txn != nil {
-		if err := txn.Commit(); err != nil {
-			s.swapMu.Unlock()
-			return nil, err
-		}
-	}
-	s.mu.Lock()
-	s.cur = next
-	s.mu.Unlock()
-	s.swapMu.Unlock()
-	// Persist before anything optional: the store has committed, and a
-	// restart that loaded older checkpoints would resume behind it and
-	// append rows it already holds.
-	if err := s.Persist(); err != nil {
-		return nil, err
-	}
-	if s.store != nil {
-		// Compaction after publish keeps per-table segment-file counts
-		// bounded across repeated reindexes. A commit racing the
-		// compaction makes it a harmless no-op (it CASes the manifest,
-		// and treats inputs the commit unlinked the same way), never a
-		// conflict.
-		if _, err := s.store.Compact(lake.DefaultCompactFiles); err != nil {
-			return nil, err
-		}
 	}
 	s.obs.reindexes.Inc()
 	elapsed := span.End()
@@ -824,83 +684,6 @@ func (s *Server) Reindex(ctx context.Context, format string) (*lake.Result, erro
 	return res, nil
 }
 
-// rebase builds the next served snapshot from a finished crawl. A
-// global crawl (scope nil) excludes every other crawl by lock, so its
-// clones are the next snapshot wholesale — as they are when nothing
-// was published since the crawl began. A scoped crawl may find the
-// snapshot advanced by other formats' crawls: its deltas (checkpoints
-// of its scope paths, per-fingerprint claim changes, newly discovered
-// formats) are applied to fresh clones of the current snapshot. Scopes
-// are disjoint — each path's checkpoint names one owning fingerprint —
-// so the deltas of concurrent scoped crawls compose. Callers hold
-// swapMu.
-func (s *Server) rebase(base *state, reg *lake.Registry, cps *follow.Store, scope map[string]bool) (*state, error) {
-	cur := s.state()
-	if scope == nil || cur == base {
-		return &state{gen: cur.gen + 1, reg: reg, cps: cps}, nil
-	}
-	nreg, err := cloneRegistry(cur.reg)
-	if err != nil {
-		return nil, err
-	}
-	ncps, err := cloneStore(cur.cps)
-	if err != nil {
-		return nil, err
-	}
-	// Checkpoint deltas: the crawl was authoritative for exactly the
-	// scope paths (departed files lost their checkpoints, everything
-	// else in scope re-checkpointed).
-	for p := range scope {
-		if cp := cps.Get(p); cp != nil {
-			ncps.Put(cp)
-		} else {
-			ncps.Delete(p)
-		}
-	}
-	// Registry deltas: per-fingerprint claim-count changes, plus any
-	// format first discovered by this crawl (a scoped file rotated into
-	// a brand-new structure). Claims count disjoint file sets across
-	// scopes, so addition composes.
-	for _, fi := range reg.Snapshot() {
-		baseFiles := 0
-		if e := base.reg.Lookup(fi.Fingerprint); e != nil {
-			baseFiles = base.reg.FilesClaimed(e)
-		}
-		if delta := fi.Files - baseFiles; delta != 0 || nreg.Lookup(fi.Fingerprint) == nil {
-			nreg.Add(fi.Templates) // no-op for known fingerprints
-			nreg.Adjust(fi.Fingerprint, delta)
-		}
-	}
-	return &state{gen: cur.gen + 1, reg: nreg, cps: ncps}, nil
-}
-
-// cloneRegistry deep-copies a registry through its canonical
-// serialization.
-func cloneRegistry(reg *lake.Registry) (*lake.Registry, error) {
-	raw, err := json.Marshal(reg)
-	if err != nil {
-		return nil, err
-	}
-	out := lake.NewRegistry()
-	if err := json.Unmarshal(raw, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// cloneStore deep-copies a checkpoint store.
-func cloneStore(cps *follow.Store) (*follow.Store, error) {
-	raw, err := json.Marshal(cps)
-	if err != nil {
-		return nil, err
-	}
-	out := follow.NewStore()
-	if err := json.Unmarshal(raw, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // handleReindex is Reindex over HTTP, reporting the run summary. An
 // optional format={fp} parameter scopes the crawl to one format.
 func (s *Server) handleReindex(w http.ResponseWriter, r *http.Request) {
@@ -910,7 +693,7 @@ func (s *Server) handleReindex(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusConflict, "%v", err)
 		return
 	}
-	if errors.Is(err, ErrUnknownFormat) {
+	if errors.Is(err, lake.ErrUnknownFormat) {
 		httpError(w, http.StatusNotFound, "%v", err)
 		return
 	}
@@ -931,25 +714,6 @@ func (s *Server) handleReindex(w http.ResponseWriter, r *http.Request) {
 		Resumed:           sum.Resumed,
 		Unchanged:         sum.Unchanged,
 	})
-}
-
-// Persist writes the current snapshot's registry and checkpoint store
-// back to their configured paths (no-ops for in-memory handles).
-func (s *Server) Persist() error {
-	s.persistMu.Lock()
-	defer s.persistMu.Unlock()
-	st := s.state()
-	if s.cfg.RegistryPath != "" {
-		if err := st.reg.Save(s.cfg.RegistryPath); err != nil {
-			return err
-		}
-	}
-	if s.cfg.CheckpointPath != "" {
-		if err := st.cps.Save(s.cfg.CheckpointPath); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // cleanLakePath normalizes a client-supplied relative path and rejects
