@@ -64,6 +64,10 @@ bench-allocs:
 # to the reference), the id-level reducer generation runs on (FuzzReduce
 # holds it to the tree reducer: Build of the reduced ids ≡ Reduce, what
 # the ids answer ≡ what the tree answers, equal ids ⟺ equal keys), the
+# compiled matcher (FuzzMatcher: on a reduced fuzz record and its full and
+# partial unfolds over fuzz data, MatchEnds ≡ the tree oracle's
+# end/ok/truncated at every line start, AppendRecord ≡ its occurrences,
+# the one-pass ScanInto ≡ its scan, Residue ≡ its noise lines), the
 # refinement lower bound (FuzzRefineLowerBound: nothing Refine scores
 # undercuts the noise floor evaluation prunes its candidates by), the
 # segment reader on hostile bytes (FuzzSegmentScan: no panic, no
@@ -79,6 +83,7 @@ bench-allocs:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzGenerate$$' -fuzztime 10s ./internal/generation
 	$(GO) test -run '^$$' -fuzz '^FuzzReduce$$' -fuzztime 10s ./internal/template
+	$(GO) test -run '^$$' -fuzz '^FuzzMatcher$$' -fuzztime 10s ./internal/parser
 	$(GO) test -run '^$$' -fuzz '^FuzzRefineLowerBound$$' -fuzztime 10s ./internal/refine
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentScan$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/lake
 	$(GO) test -run '^$$' -fuzz '^FuzzProfileApply$$' -fuzztime 10s -fuzzminimizetime 1s .

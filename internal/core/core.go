@@ -101,7 +101,7 @@ func newCachingScorer() *cachingScorer {
 }
 
 func (c *cachingScorer) Score(m *parser.Matcher, lines *textio.Lines) score.Result {
-	key := m.Template().Key()
+	key := m.Key()
 	if r, ok := c.cache[key]; ok {
 		return r
 	}

@@ -1,0 +1,132 @@
+package parser_test
+
+import (
+	"bytes"
+	"slices"
+	"testing"
+
+	"datamaran/internal/chars"
+	"datamaran/internal/parser"
+	"datamaran/internal/parser/parsertest"
+	"datamaran/internal/template"
+	"datamaran/internal/textio"
+)
+
+// FuzzMatcher holds the compiled matcher to the tree-building oracle on
+// the templates discovery works with: a fuzz record reduced under a fuzz
+// charset (ExtractRecordTemplate + Reduce, as FuzzReduce builds them), plus
+// every full and partial unfold of each of its arrays, run over fuzz data.
+// At every line start MatchEnds ≡ Oracle.MatchTrunc (end, ok, truncated) ≡
+// the tree walkers, and AppendRecord ≡ Flatten/Arrays; the one-pass
+// ScanInto ≡ Oracle.Scan; Residue(keep) ≡ the scan's noise lines
+// concatenated.
+func FuzzMatcher(f *testing.F) {
+	for _, c := range flatScanCases() {
+		data := []byte(c.data)
+		record := textio.NewLines(data).Line(0)
+		if scan := parsertest.New(c.tm).Scan(textio.NewLines(data)); len(scan.Records) > 0 {
+			record = data[scan.Records[0].Start:scan.Records[0].End]
+		}
+		f.Add(record, string(c.tm.RTCharSet().Bytes()), data)
+	}
+	f.Fuzz(func(t *testing.T, record []byte, charset string, data []byte) {
+		if len(record) > 512 || len(data) > 4096 {
+			t.Skip("bounded so the quadratic reduction and the oracle's trees stay fast")
+		}
+		toks, _ := template.ExtractRecordTemplate(record, chars.NewSet(charset))
+		tm := template.Reduce(toks)
+		for _, v := range append([]*template.Node{tm}, unfolds(tm)...) {
+			requireMatcher(t, v, data)
+		}
+	})
+}
+
+// requireMatcher checks every property FuzzMatcher states for tm on data.
+func requireMatcher(t *testing.T, tm *template.Node, data []byte) {
+	t.Helper()
+	m, o, tree := parser.NewMatcher(tm), parsertest.New(tm), parser.NewTreeMatcher(tm)
+	lines := textio.NewLines(data)
+	for i := 0; i < lines.N(); i++ {
+		pos := lines.Start(i)
+		end, ok, trunc := m.MatchEnds(data, pos)
+		v, wantEnd, wantOK, wantTrunc := o.MatchTrunc(data, pos)
+		if end != wantEnd || ok != wantOK || trunc != wantTrunc {
+			t.Fatalf("%v line %d: MatchEnds = (%d,%v,%v), oracle (%d,%v,%v)", tm, i, end, ok, trunc, wantEnd, wantOK, wantTrunc)
+		}
+		if e, ok, tr := tree.MatchEnds(data, pos); e != end || ok != wantOK || tr != trunc {
+			t.Fatalf("%v line %d: MatchEnds = (%d,%v,%v), tree walk (%d,%v,%v)", tm, i, end, wantOK, trunc, e, ok, tr)
+		}
+		occs, arrays, ok := m.AppendRecord(data, pos, nil, nil)
+		if ok != wantOK {
+			t.Fatalf("%v line %d: AppendRecord ok = %v, MatchEnds %v", tm, i, ok, wantOK)
+		}
+		if ok && (!slices.Equal(occs, o.Flatten(v)) || !slices.Equal(arrays, o.Arrays(v))) {
+			t.Fatalf("%v line %d: AppendRecord = %v %v, oracle %v %v", tm, i, occs, arrays, o.Flatten(v), o.Arrays(v))
+		}
+	}
+	want := o.Scan(lines)
+	parsertest.RequireScanEqual(t, tm.String(), want, m.Scan(lines))
+	var wantResidue []byte
+	for _, li := range want.NoiseLines {
+		wantResidue = append(wantResidue, lines.Line(li)...)
+	}
+	residue, uncovered, ok := m.Residue(lines, true, len(data))
+	if !ok || uncovered != len(wantResidue) || !bytes.Equal(residue, wantResidue) {
+		t.Fatalf("%v: Residue = %q, %d, %v; want %q", tm, residue, uncovered, ok, wantResidue)
+	}
+}
+
+// unfolds returns tm with one array replaced by one of its unfoldings —
+// full at one to three units, partial with a one- or two-unit prefix — for
+// every array, built from the template constructors the way refinement
+// builds them. The variants share nodes with tm and stay unnormalized: a
+// full unfold of an array whose body holds an array holds that node once
+// per unit, and the unit structs put literals side by side for the
+// compiler to merge.
+func unfolds(tm *template.Node) []*template.Node {
+	var out []*template.Node
+	var walk func(n *template.Node, wrap func(*template.Node) *template.Node)
+	walk = func(n *template.Node, wrap func(*template.Node) *template.Node) {
+		if n.Kind == template.KArray {
+			for k := 1; k <= 3; k++ {
+				out = append(out, wrap(fullUnfold(n, k)))
+			}
+			for p := 1; p <= 2; p++ {
+				out = append(out, wrap(partialUnfold(n, p)))
+			}
+		}
+		for i := range n.Children {
+			walk(n.Children[i], func(r *template.Node) *template.Node {
+				children := slices.Clone(n.Children)
+				children[i] = r
+				if n.Kind == template.KArray {
+					return wrap(template.Array(children, n.Sep, n.Term))
+				}
+				return wrap(template.Struct(children...))
+			})
+		}
+	}
+	walk(tm, func(r *template.Node) *template.Node { return r })
+	return out
+}
+
+// fullUnfold is U sep U … sep U term with k units U.
+func fullUnfold(arr *template.Node, k int) *template.Node {
+	var children []*template.Node
+	for i := 0; i < k; i++ {
+		if i > 0 {
+			children = append(children, template.Lit(string(arr.Sep)))
+		}
+		children = append(children, template.Struct(arr.Children...))
+	}
+	return template.Struct(append(children, template.Lit(string(arr.Term)))...)
+}
+
+// partialUnfold is U sep … U sep (U sep)*U term with a prefix of p units.
+func partialUnfold(arr *template.Node, p int) *template.Node {
+	var children []*template.Node
+	for i := 0; i < p; i++ {
+		children = append(children, template.Struct(arr.Children...), template.Lit(string(arr.Sep)))
+	}
+	return template.Struct(append(children, arr)...)
+}

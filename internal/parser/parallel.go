@@ -64,7 +64,7 @@ func (m *Matcher) MatchCandidateEndsInto(dst []CandEnd, lines *textio.Lines, fro
 			matchEnd, ok, trunc := m.MatchEnds(data, pos)
 			c := CandEnd{Truncated: trunc}
 			if ok {
-				if endLine, aligned := lines.AlignedLine(matchEnd); aligned && endLine > from+i {
+				if endLine, ok := recordEnd(lines, from+i, matchEnd); ok {
 					c = CandEnd{EndLine: endLine, End: matchEnd}
 				}
 			}

@@ -9,149 +9,224 @@
 // grammar is LL(1) — at an array boundary the next byte is either the
 // separator or the (distinct) terminator.
 //
-// The scan hot path is two-phase: a pointer-free validate pass
-// (MatchEnds) answers ok/end/truncated with zero heap allocations — noise
-// lines, the common case during candidate evaluation, cost nothing — and
-// an extract pass writes field occurrences into a flat reusable arena
-// held by the ScanResult. A record is exactly its field occurrences plus
-// its array occurrences: together they determine the parse (see ArrayOcc),
-// so no caller needs a parse tree. These are the package's only two
-// template walks; the tree-building walker they replaced lives on in
-// parsertest as the oracle the tests compare them against.
+// NewMatcher compiles a template once into a flat program (see op):
+// literals merged, fields stopping at one table, each array a loop over an
+// op range. Two interpreters run it for every caller. match answers
+// ok/end/truncated without touching the heap — the validate pass of
+// MatchEnds, MatchCandidateEnds and Residue. extract writes a record's
+// field and array occurrences into a flat reusable arena: AppendRecord
+// and Scan, which makes one extract attempt per line and rolls back the
+// occurrences of a failed one, so a line is matched once, not validated
+// and then re-walked. A record is exactly its field occurrences plus its
+// array occurrences: together they determine the parse (see ArrayOcc), so
+// no caller needs a parse tree. Only the compiler reads the template tree;
+// the tree walkers the program replaced live on in the tests, and the
+// tree-building walker in parsertest, as the oracles the interpreters are
+// compared against.
 package parser
 
 import (
-	"datamaran/internal/chars"
+	"sync"
+
 	"datamaran/internal/template"
 	"datamaran/internal/textio"
 )
 
-// arrInfo is the precomputed per-array state of a matcher.
-type arrInfo struct {
-	// body is the KStruct wrapper over the array's children, so the hot
-	// match loop does not allocate one per attempt.
-	body *template.Node
-	// fields is the number of field columns in one repetition of body.
-	fields int
-	// idx is the array's dense index in DFS order (see ArrayNode).
-	idx int
+// opKind is the instruction set of a compiled template.
+type opKind uint8
+
+const (
+	// opLit matches lit byte for byte.
+	opLit opKind = iota
+	// opField matches a field value: the maximal run of bytes outside
+	// the matcher's stop table.
+	opField
+	// opArray matches ({body}sep)*{body}term, body being the ops after it
+	// up to end.
+	opArray
+)
+
+// op is one instruction of a compiled template. A program is the
+// template's leaves in document order, adjacent literals merged, with an
+// array's body following the array's own op.
+type op struct {
+	// lit is an opLit's text.
+	lit string
+	// col is an opField's column (static: a field inside an array body
+	// has one column across repetitions).
+	col int32
+	// arr is an opArray's occurrence index in DFS order (ArrayOcc.Arr).
+	arr int32
+	// end is the index of the op after an opArray's body.
+	end int32
+	// kind is the instruction.
+	kind opKind
+	// sep and term are an opArray's separator and terminator.
+	sep, term byte
 }
 
-// Matcher matches one structure template. It precomputes the RT-CharSet
-// and the per-array body nodes, and is safe for concurrent use.
+// Matcher matches one structure template through its compiled program.
+// It is immutable once built (its key is built on first use) and safe for
+// concurrent use.
 type Matcher struct {
-	st       *template.Node
-	rtset    chars.Set
+	st      *template.Node
+	keyOnce sync.Once
+	key     string
+	prog    []op
+	// stop marks the bytes a field value cannot hold: the RT-CharSet and
+	// '\n'.
+	stop     [256]bool
 	cols     int
-	arrays   map[*template.Node]arrInfo
 	arrNodes []*template.Node
 }
 
-// NewMatcher builds a matcher for st.
+// NewMatcher compiles st.
 func NewMatcher(st *template.Node) *Matcher {
-	m := &Matcher{st: st, rtset: st.RTCharSet(), cols: st.NumFields(),
-		arrays: map[*template.Node]arrInfo{}}
-	var walk func(n *template.Node)
-	walk = func(n *template.Node) {
-		if n.Kind == template.KArray {
-			body := &template.Node{Kind: template.KStruct, Children: n.Children}
-			m.arrays[n] = arrInfo{body: body, fields: body.NumFields(), idx: len(m.arrNodes)}
-			m.arrNodes = append(m.arrNodes, n)
-		}
-		for _, c := range n.Children {
-			walk(c)
-		}
+	m := &Matcher{st: st}
+	rtset := st.RTCharSet()
+	for b := range m.stop {
+		m.stop[b] = b == '\n' || rtset.Contains(byte(b))
 	}
-	walk(st)
+	ops, arrays := programSize(st)
+	m.prog = make([]op, 0, ops)
+	m.arrNodes = make([]*template.Node, 0, arrays)
+	c := compiler{m: m}
+	m.cols = c.compile(st, 0)
 	return m
+}
+
+// programSize bounds the length of n's program — an op per leaf and per
+// array, before literals merge — and counts its arrays, so the program is
+// allocated once.
+func programSize(n *template.Node) (ops, arrays int) {
+	switch n.Kind {
+	case template.KStruct:
+	case template.KArray:
+		ops, arrays = 1, 1
+	default:
+		return 1, 0
+	}
+	for _, c := range n.Children {
+		o, a := programSize(c)
+		ops, arrays = ops+o, arrays+a
+	}
+	return ops, arrays
+}
+
+// compiler appends a template's ops to its matcher's program.
+type compiler struct {
+	m *Matcher
+	// sealed is the length the program had when an array body last
+	// closed: a literal merges only into an opLit at or past it, so the
+	// literal after an array never joins the array's body.
+	sealed int
+}
+
+// compile appends n's ops; col is the column of n's leftmost field, and
+// the column after n's fields is returned.
+func (c *compiler) compile(n *template.Node, col int) int {
+	m := c.m
+	switch n.Kind {
+	case template.KField:
+		m.prog = append(m.prog, op{kind: opField, col: int32(col)})
+		return col + 1
+	case template.KLiteral:
+		if last := len(m.prog) - 1; last >= c.sealed && m.prog[last].kind == opLit {
+			m.prog[last].lit += n.Lit
+		} else if n.Lit != "" {
+			m.prog = append(m.prog, op{kind: opLit, lit: n.Lit})
+		}
+	case template.KStruct:
+		for _, ch := range n.Children {
+			col = c.compile(ch, col)
+		}
+	case template.KArray:
+		i := len(m.prog)
+		m.prog = append(m.prog, op{kind: opArray, sep: n.Sep, term: n.Term, arr: int32(len(m.arrNodes))})
+		m.arrNodes = append(m.arrNodes, n)
+		for _, ch := range n.Children {
+			col = c.compile(ch, col)
+		}
+		m.prog[i].end = int32(len(m.prog))
+		c.sealed = len(m.prog)
+	}
+	return col
 }
 
 // Template returns the matcher's structure template.
 func (m *Matcher) Template() *template.Node { return m.st }
 
+// Key returns the template's canonical key (template.Node.Key), built
+// once, on the first call: scoring keys its memos by it, extraction never
+// asks.
+func (m *Matcher) Key() string {
+	m.keyOnce.Do(func() { m.key = m.st.Key() })
+	return m.key
+}
+
 // Columns returns the number of field columns of the template (fields
 // inside an array body count once).
 func (m *Matcher) Columns() int { return m.cols }
 
-// NumArrays returns the number of array nodes in the template.
+// NumArrays returns the number of array occurrences in the template.
 func (m *Matcher) NumArrays() int { return len(m.arrNodes) }
 
-// ArrayNode returns the array node with dense index i (DFS order over the
-// template) — the inverse of ArrayOcc.Arr.
+// ArrayNode returns the array node at occurrence index i (DFS order over
+// the template) — the inverse of ArrayOcc.Arr.
 func (m *Matcher) ArrayNode(i int) *template.Node { return m.arrNodes[i] }
 
-// MatchEnds is the validate half of the two-phase matcher: it decides
-// whether a record of the template starts at data[pos] and where it ends,
-// without touching the heap. truncated reports that a failed attempt ran
-// off the end of data — i.e. that appending more bytes could turn the
-// failure into a match. The streaming engine uses this to defer decisions
-// for lines near a shard boundary instead of finalizing them; on a full
-// buffer the flag is irrelevant (no more bytes ever arrive).
+// MatchEnds decides whether a record of the template starts at data[pos]
+// and where it ends, without touching the heap. truncated reports that a
+// failed attempt ran off the end of data — i.e. that appending more bytes
+// could turn the failure into a match. The streaming engine uses this to
+// defer decisions for lines near a shard boundary instead of finalizing
+// them; on a full buffer the flag is irrelevant (no more bytes ever
+// arrive).
 func (m *Matcher) MatchEnds(data []byte, pos int) (end int, ok, truncated bool) {
-	return m.matchEnds(m.st, data, pos)
+	return m.match(0, len(m.prog), data, pos)
 }
 
-func (m *Matcher) matchEnds(n *template.Node, data []byte, pos int) (int, bool, bool) {
-	switch n.Kind {
-	case template.KField:
-		end := pos
-		for end < len(data) && data[end] != '\n' && !m.rtset.Contains(data[end]) {
-			end++
-		}
-		return end, true, false
-
-	case template.KLiteral:
-		lit := n.Lit
-		avail := len(lit)
-		if pos+avail > len(data) {
-			avail = len(data) - pos
-		}
-		for i := 0; i < avail; i++ {
-			if data[pos+i] != lit[i] {
+// match runs ops [lo, hi) from data[pos]: the validate interpreter.
+func (m *Matcher) match(lo, hi int, data []byte, pos int) (int, bool, bool) {
+	for i := lo; i < hi; i++ {
+		o := &m.prog[i]
+		switch o.kind {
+		case opField:
+			for pos < len(data) && !m.stop[data[pos]] {
+				pos++
+			}
+		case opLit:
+			if avail := len(data) - pos; avail < len(o.lit) {
+				// Running off the buffer after matching every resident
+				// byte is not a definitive mismatch.
+				return 0, false, string(data[pos:]) == o.lit[:avail]
+			}
+			if string(data[pos:pos+len(o.lit)]) != o.lit {
 				return 0, false, false
 			}
-		}
-		if avail < len(lit) {
-			// Running off the buffer after matching every resident
-			// byte is not a definitive mismatch.
-			return 0, false, true
-		}
-		return pos + len(lit), true, false
-
-	case template.KStruct:
-		cur := pos
-		for _, c := range n.Children {
-			end, ok, trunc := m.matchEnds(c, data, cur)
-			if !ok {
-				return 0, false, trunc
+			pos += len(o.lit)
+		case opArray:
+			for {
+				end, ok, trunc := m.match(i+1, int(o.end), data, pos)
+				if !ok {
+					return 0, false, trunc
+				}
+				if end >= len(data) {
+					return 0, false, true
+				}
+				pos = end + 1
+				if data[end] == o.sep {
+					continue
+				}
+				if data[end] != o.term {
+					return 0, false, false
+				}
+				break
 			}
-			cur = end
-		}
-		return cur, true, false
-
-	case template.KArray:
-		cur := pos
-		body := m.arrays[n].body
-		for {
-			end, ok, trunc := m.matchEnds(body, data, cur)
-			if !ok {
-				return 0, false, trunc
-			}
-			cur = end
-			if cur >= len(data) {
-				return 0, false, true
-			}
-			switch data[cur] {
-			case n.Sep:
-				cur++
-			case n.Term:
-				return cur + 1, true, false
-			default:
-				return 0, false, false
-			}
+			i = int(o.end) - 1
 		}
 	}
-	return 0, false, false
+	return pos, true, false
 }
 
 // FieldOcc is one field-value occurrence in a parsed record.
@@ -168,18 +243,20 @@ type FieldOcc struct {
 }
 
 // ArrayOcc is one array instantiation inside a parsed record: which array
-// of the template (dense DFS index, see Matcher.ArrayNode) and how many
-// repetitions it matched. A record's occurrences are listed as each array
-// terminates (inner before outer). Instances of one array node never nest
-// inside each other, so the occurrences of one Arr appear in document
-// order: read per array node as a FIFO, they replay the record's nesting
-// exactly in a top-down template walk (relational normalization does).
-// The MDL scorer and array unfolding consume them as a multiset.
+// of the template (dense DFS occurrence index, see Matcher.ArrayNode) and
+// how many repetitions it matched. A record's occurrences are listed as
+// each array terminates (inner before outer). Instances of one array
+// occurrence never nest inside each other, so the occurrences of one Arr
+// appear in document order: read per array as a FIFO, they replay the
+// record's nesting exactly in a top-down template walk (relational
+// normalization does). The MDL scorer and array unfolding consume them as
+// a multiset.
 type ArrayOcc struct {
 	Arr, Reps int
 }
 
-// arena is the flat occurrence storage the extract pass appends into.
+// arena is the flat occurrence storage the extract interpreter appends
+// into.
 type arena struct {
 	occs   []FieldOcc
 	arrays []ArrayOcc
@@ -190,79 +267,53 @@ func (a *arena) reset() {
 	a.arrays = a.arrays[:0]
 }
 
-// extract is the second phase of the two-phase matcher: it re-walks a
-// record already validated by matchEnds and appends its field and array
-// occurrences to the arena. col is the column of the leftmost field under
-// n; rep the enclosing (innermost) repetition ordinal.
-func (m *Matcher) extract(n *template.Node, data []byte, pos, col, rep int, a *arena) (end, nextCol int, ok bool) {
-	switch n.Kind {
-	case template.KField:
-		e := pos
-		for e < len(data) && data[e] != '\n' && !m.rtset.Contains(data[e]) {
-			e++
-		}
-		a.occs = append(a.occs, FieldOcc{Col: col, Rep: rep, Start: pos, End: e})
-		return e, col + 1, true
-
-	case template.KLiteral:
-		lit := n.Lit
-		if pos+len(lit) > len(data) {
-			return 0, 0, false
-		}
-		for i := 0; i < len(lit); i++ {
-			if data[pos+i] != lit[i] {
-				return 0, 0, false
+// extract runs ops [lo, hi) from data[pos] like match, appending the
+// field occurrences (at repetition rep) and array occurrences it passes
+// to a. ok is match's ok; on failure a holds the occurrences of the
+// partial attempt, which the caller rolls back.
+func (m *Matcher) extract(lo, hi int, data []byte, pos, rep int, a *arena) (int, bool) {
+	for i := lo; i < hi; i++ {
+		o := &m.prog[i]
+		switch o.kind {
+		case opField:
+			start := pos
+			for pos < len(data) && !m.stop[data[pos]] {
+				pos++
 			}
-		}
-		return pos + len(lit), col, true
-
-	case template.KStruct:
-		cur := pos
-		c := col
-		for _, ch := range n.Children {
-			e, nc, ok := m.extract(ch, data, cur, c, rep, a)
-			if !ok {
-				return 0, 0, false
+			a.occs = append(a.occs, FieldOcc{Col: int(o.col), Rep: rep, Start: start, End: pos})
+		case opLit:
+			if len(data)-pos < len(o.lit) || string(data[pos:pos+len(o.lit)]) != o.lit {
+				return 0, false
 			}
-			cur, c = e, nc
-		}
-		return cur, c, true
-
-	case template.KArray:
-		info := m.arrays[n]
-		cur := pos
-		reps := 0
-		for {
-			e, _, ok := m.extract(info.body, data, cur, col, reps, a)
-			if !ok {
-				return 0, 0, false
+			pos += len(o.lit)
+		case opArray:
+			for r := 0; ; r++ {
+				end, ok := m.extract(i+1, int(o.end), data, pos, r, a)
+				if !ok || end >= len(data) {
+					return 0, false
+				}
+				pos = end + 1
+				if data[end] == o.sep {
+					continue
+				}
+				if data[end] != o.term {
+					return 0, false
+				}
+				a.arrays = append(a.arrays, ArrayOcc{Arr: int(o.arr), Reps: r + 1})
+				break
 			}
-			cur = e
-			reps++
-			if cur >= len(data) {
-				return 0, 0, false
-			}
-			switch data[cur] {
-			case n.Sep:
-				cur++
-			case n.Term:
-				a.arrays = append(a.arrays, ArrayOcc{Arr: info.idx, Reps: reps})
-				return cur + 1, col + info.fields, true
-			default:
-				return 0, 0, false
-			}
+			i = int(o.end) - 1
 		}
 	}
-	return 0, 0, false
+	return pos, true
 }
 
-// AppendRecord re-parses the record starting at pos — already located by a
-// MatchEnds pass — and appends its field and array occurrences to occs and
-// arrays, caller-owned reusable slices. When no record starts at pos the
-// slices come back unextended and ok is false.
+// AppendRecord parses the record starting at pos and appends its field and
+// array occurrences to occs and arrays, caller-owned reusable slices. When
+// no record starts at pos the slices come back unextended and ok is false.
 func (m *Matcher) AppendRecord(data []byte, pos int, occs []FieldOcc, arrays []ArrayOcc) ([]FieldOcc, []ArrayOcc, bool) {
 	a := arena{occs: occs, arrays: arrays}
-	if _, _, ok := m.extract(m.st, data, pos, 0, 0, &a); !ok {
+	if _, ok := m.extract(0, len(m.prog), data, pos, 0, &a); !ok {
 		return a.occs[:len(occs)], a.arrays[:len(arrays)], false
 	}
 	return a.occs, a.arrays, true
@@ -366,27 +417,15 @@ func (s *ScanResult) reserve(done, total int) {
 	}
 }
 
-// appendRecord extracts the record spanning lines [startLine, endLine)
-// at byte pos into the result's arenas and accounts coverage.
-func (m *Matcher) appendRecord(res *ScanResult, data []byte, startLine, endLine, pos int) {
-	fieldLo, arrLo := len(res.ar.occs), len(res.ar.arrays)
-	end, _, ok := m.extract(m.st, data, pos, 0, 0, &res.ar)
-	if !ok {
-		// Unreachable after a successful MatchEnds (both phases follow
-		// the same LL(1) walk); drop the partial occurrences defensively.
-		res.ar.occs = res.ar.occs[:fieldLo]
-		res.ar.arrays = res.ar.arrays[:arrLo]
-		return
+// recordEnd reports whether a match starting at line i and ending at byte
+// end is a record — it must end on a later line boundary — and the line
+// it ends before.
+func recordEnd(lines *textio.Lines, i, end int) (int, bool) {
+	if end == lines.Start(i+1) { // a one-line record, the common case
+		return i + 1, true
 	}
-	res.Records = append(res.Records, Record{
-		StartLine: startLine, EndLine: endLine, Start: pos, End: end,
-		fieldLo: fieldLo, fieldHi: len(res.ar.occs),
-		arrLo: arrLo, arrHi: len(res.ar.arrays),
-	})
-	res.Coverage += end - pos
-	for _, f := range res.ar.occs[fieldLo:] {
-		res.FieldBytes += f.End - f.Start
-	}
+	endLine, aligned := lines.AlignedLine(end)
+	return endLine, aligned && endLine > i
 }
 
 // Scan greedily partitions the dataset into records and noise: at each
@@ -401,47 +440,54 @@ func (m *Matcher) Scan(lines *textio.Lines) *ScanResult {
 
 // ScanInto is Scan writing into a caller-owned result, reusing its record,
 // noise and arena storage — the zero-steady-state-allocation form for
-// callers that scan repeatedly (candidate evaluation, profile apply).
+// callers that scan repeatedly (candidate evaluation, profile apply). Each
+// line costs one extract attempt: a record's occurrences are written as
+// it is matched, a failed attempt's are rolled back.
 func (m *Matcher) ScanInto(lines *textio.Lines, res *ScanResult) {
 	res.Records = res.Records[:0]
 	res.NoiseLines = res.NoiseLines[:0]
 	res.Coverage, res.FieldBytes = 0, 0
 	res.ar.reset()
-	data := lines.Data()
-	n := lines.N()
-	i := 0
-	for i < n {
+	data, n := lines.Data(), lines.N()
+	for i := 0; i < n; {
 		pos := lines.Start(i)
-		end, ok, _ := m.matchEnds(m.st, data, pos)
-		if ok {
-			if endLine, aligned := lines.AlignedLine(end); aligned && endLine > i {
-				m.appendRecord(res, data, i, endLine, pos)
+		fieldLo, arrLo := len(res.ar.occs), len(res.ar.arrays)
+		if end, ok := m.extract(0, len(m.prog), data, pos, 0, &res.ar); ok {
+			if endLine, ok := recordEnd(lines, i, end); ok {
+				res.Records = append(res.Records, Record{
+					StartLine: i, EndLine: endLine, Start: pos, End: end,
+					fieldLo: fieldLo, fieldHi: len(res.ar.occs),
+					arrLo: arrLo, arrHi: len(res.ar.arrays),
+				})
+				res.Coverage += end - pos
+				for _, f := range res.ar.occs[fieldLo:] {
+					res.FieldBytes += f.End - f.Start
+				}
 				i = endLine
 				res.reserve(i, n)
 				continue
 			}
 		}
+		res.ar.occs = res.ar.occs[:fieldLo]
+		res.ar.arrays = res.ar.arrays[:arrLo]
 		res.NoiseLines = append(res.NoiseLines, i)
 		i++
 	}
 }
 
-// Residue is the coverage-only form of Scan: the same greedy walk, with
-// nothing extracted — no record, no field occurrence. It returns what the
-// template leaves behind: uncovered is the byte total of the lines no
-// record covers, and residue is those lines concatenated in order (nil
-// unless keep), i.e. the input the next template of a residue chain sees.
-// The walk gives up — ok false, the other results meaningless — as soon as
-// more than maxUncovered bytes are certain to stay uncovered.
+// Residue is the coverage-only form of Scan: the same greedy walk on the
+// validate interpreter, with nothing extracted — no record, no field
+// occurrence. It returns what the template leaves behind: uncovered is the
+// byte total of the lines no record covers, and residue is those lines
+// concatenated in order (nil unless keep), i.e. the input the next
+// template of a residue chain sees. The walk gives up — ok false, the
+// other results meaningless — as soon as more than maxUncovered bytes are
+// certain to stay uncovered.
 func (m *Matcher) Residue(lines *textio.Lines, keep bool, maxUncovered int) (residue []byte, uncovered int, ok bool) {
 	data, n := lines.Data(), lines.N()
 	for i := 0; i < n; {
-		if end, matched, _ := m.matchEnds(m.st, data, lines.Start(i)); matched {
-			if end == lines.Start(i+1) { // a one-line record, the common case
-				i++
-				continue
-			}
-			if endLine, aligned := lines.AlignedLine(end); aligned && endLine > i {
+		if end, matched, _ := m.MatchEnds(data, lines.Start(i)); matched {
+			if endLine, ok := recordEnd(lines, i, end); ok {
 				i = endLine
 				continue
 			}

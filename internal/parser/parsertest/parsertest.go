@@ -2,14 +2,15 @@
 // extraction engine built on it: the tree-building template walker the
 // arena matcher replaced, kept as an independent reference implementation,
 // and Apply, the whole-input residue chain over that walker. It shares no
-// code with the parser's validate/extract walks or with the engine's
-// staged windows — it works from the templates alone — so "arena scan ≡
+// code with the parser's compiled program or with the engine's staged
+// windows — it works from the templates alone — so "arena scan ≡
 // tree scan" and "engine ≡ Apply" each compare two implementations, not
 // one with itself. Nothing outside _test.go files may import it.
 package parsertest
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"datamaran/internal/chars"
@@ -35,25 +36,23 @@ type Value struct {
 type Oracle struct {
 	st    *template.Node
 	rtset chars.Set
-	// body, fields and idx are per array node: the KStruct wrapper over
-	// its children, the field columns of one repetition, and its dense
-	// DFS index (parser.ArrayOcc.Arr).
+	// body and fields are per array node: the KStruct wrapper over its
+	// children and the field columns of one repetition. (Which array an
+	// occurrence instantiates is a position in the template, not a node:
+	// see Arrays.)
 	body   map[*template.Node]*template.Node
 	fields map[*template.Node]int
-	idx    map[*template.Node]int
 }
 
 // New builds the oracle for st.
 func New(st *template.Node) *Oracle {
 	o := &Oracle{st: st, rtset: st.RTCharSet(),
 		body:   map[*template.Node]*template.Node{},
-		fields: map[*template.Node]int{},
-		idx:    map[*template.Node]int{}}
+		fields: map[*template.Node]int{}}
 	var walk func(n *template.Node)
 	walk = func(n *template.Node) {
 		if n.Kind == template.KArray {
 			body := &template.Node{Kind: template.KStruct, Children: n.Children}
-			o.idx[n] = len(o.body)
 			o.body[n] = body
 			o.fields[n] = body.NumFields()
 		}
@@ -183,20 +182,34 @@ func (o *Oracle) Flatten(v *Value) []parser.FieldOcc {
 }
 
 // Arrays lists every array instantiation of a parse tree in the order the
-// arena matcher emits them: each array as it terminates, inner before
-// outer.
+// matcher emits them: each array as it terminates, inner before outer.
+// An array is numbered by its occurrence in a DFS of the template, so a
+// node the template holds twice is two arrays: the walk follows the
+// template beside the tree, idx being the number of the first array at or
+// under n, and returns the number after n's subtree.
 func (o *Oracle) Arrays(v *Value) []parser.ArrayOcc {
 	var out []parser.ArrayOcc
-	var walk func(v *Value)
-	walk = func(v *Value) {
-		for _, c := range v.Children {
-			walk(c)
+	var walk func(n *template.Node, v *Value, idx int) int
+	walk = func(n *template.Node, v *Value, idx int) int {
+		switch n.Kind {
+		case template.KStruct:
+			for i, c := range n.Children {
+				idx = walk(c, v.Children[i], idx)
+			}
+		case template.KArray:
+			next := idx + 1
+			for _, group := range v.Children { // a match has one or more
+				next = idx + 1
+				for i, c := range n.Children {
+					next = walk(c, group.Children[i], next)
+				}
+			}
+			out = append(out, parser.ArrayOcc{Arr: idx, Reps: len(v.Children)})
+			return next
 		}
-		if v.Node.Kind == template.KArray {
-			out = append(out, parser.ArrayOcc{Arr: o.idx[v.Node], Reps: len(v.Children)})
-		}
+		return idx
 	}
-	walk(v)
+	walk(o.st, v, 0)
 	return out
 }
 
@@ -248,7 +261,8 @@ func (o *Oracle) Scan(lines *textio.Lines) *ScanRef {
 
 // RequireScanEqual fails t unless got — an arena scan — equals the tree
 // reference: record spans, field occurrences, array occurrences in
-// emission order, noise lines, coverage and field bytes.
+// emission order, noise lines, coverage and field bytes, and the
+// AllFields/AllArrays views.
 func RequireScanEqual(t testing.TB, label string, want *ScanRef, got *parser.ScanResult) {
 	t.Helper()
 	if len(got.Records) != len(want.Records) {
@@ -290,6 +304,18 @@ func RequireScanEqual(t testing.TB, label string, want *ScanRef, got *parser.Sca
 	if got.Coverage != want.Coverage || got.FieldBytes != want.FieldBytes {
 		t.Fatalf("%s: coverage/fieldBytes = %d/%d, want %d/%d", label,
 			got.Coverage, got.FieldBytes, want.Coverage, want.FieldBytes)
+	}
+	// The whole-scan views the scorer reads hold the records' occurrences
+	// and nothing else: no line that failed to match leaves any behind.
+	var allFields []parser.FieldOcc
+	var allArrays []parser.ArrayOcc
+	for i := range want.Records {
+		allFields = append(allFields, want.Fields[i]...)
+		allArrays = append(allArrays, want.Arrays[i]...)
+	}
+	if !slices.Equal(got.AllFields(), allFields) || !slices.Equal(got.AllArrays(), allArrays) {
+		t.Fatalf("%s: AllFields/AllArrays hold %d/%d occurrences, the records %d/%d", label,
+			len(got.AllFields()), len(got.AllArrays()), len(allFields), len(allArrays))
 	}
 }
 

@@ -224,6 +224,15 @@ func parseInt(b []byte) (int64, bool) {
 	return v, true
 }
 
+// negPow10[e] is math.Pow(10, -e), the weight of the e-th fractional
+// digit, for every e a parseReal input (at most 24 bytes) can reach.
+var negPow10 = func() (t [24]float64) {
+	for e := range t {
+		t[e] = math.Pow(10, -float64(e))
+	}
+	return t
+}()
+
 // parseReal accepts optional sign, digits, optional '.digits'. It returns
 // the value and the number of digits after the decimal point.
 func parseReal(b []byte) (float64, int, bool) {
@@ -253,7 +262,7 @@ func parseReal(b []byte) (float64, int, bool) {
 				return 0, 0, false
 			}
 			exp++
-			v += float64(b[i]-'0') * math.Pow(10, -float64(exp))
+			v += float64(b[i]-'0') * negPow10[exp]
 			digits++
 		}
 	}
@@ -307,11 +316,12 @@ type ScanCache struct {
 	reps  map[string][]RepCount
 	scan  parser.ScanResult
 	// Scratch of MDL.Score and repCounts, reused across calls.
-	cols     []colStats
-	perVal   []float64
-	arrayMax []int
-	arrayOff []int
-	counts   []int
+	cols      []colStats
+	perVal    []float64
+	arrayMax  []int
+	arrayBits []float64
+	arrayOff  []int
+	counts    []int
 }
 
 // NewScanCache returns an empty cache.
@@ -383,7 +393,7 @@ func (c *ScanCache) RepCounts(m *parser.Matcher, lines *textio.Lines) []RepCount
 	if c == nil {
 		c = new(ScanCache) // keeps nothing: its reps map is nil
 	}
-	key := m.Template().Key()
+	key := m.Key()
 	if reps, ok := c.reps[key]; ok && c.lines == lines {
 		return reps
 	}
@@ -451,7 +461,7 @@ func (s MDL) Score(m *parser.Matcher, lines *textio.Lines) Result {
 	}
 	arrayMax := c.arrayMaxOf(m, scan)
 	if c.reps != nil {
-		c.reps[st.Key()] = c.repCounts(scan, arrayMax)
+		c.reps[m.Key()] = c.repCounts(scan, arrayMax)
 	}
 	types := make([]FieldType, len(cols))
 	c.perVal = append(c.perVal[:0], make([]float64, len(cols))...)
@@ -470,9 +480,14 @@ func (s MDL) Score(m *parser.Matcher, lines *textio.Lines) Result {
 	for _, li := range scan.NoiseLines {
 		bits += float64(len(lines.Line(li))) * 8
 	}
-	// D(RT|ST): repetition counts per array instance.
+	// D(RT|ST): repetition counts per array instance, each costing what
+	// its array's largest count does.
+	c.arrayBits = c.arrayBits[:0]
+	for _, max := range arrayMax {
+		c.arrayBits = append(c.arrayBits, ceilLog2(float64(max)+1))
+	}
 	for _, a := range scan.AllArrays() {
-		bits += ceilLog2(float64(arrayMax[a.Arr]) + 1)
+		bits += c.arrayBits[a.Arr]
 	}
 	// D(record|RT): field values.
 	for _, f := range scan.AllFields() {

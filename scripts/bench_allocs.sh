@@ -1,7 +1,7 @@
 #!/bin/sh
 # Allocation gate over the steady-state hot paths: runs the pinned
 # benchmarks with -benchmem and fails when their allocs/op exceed the
-# ceilings. The two-phase matcher's contract is that noise-line
+# ceilings. The compiled matcher's contract is that noise-line
 # rejection and arena-reuse scanning never touch the heap, and the
 # generation engine's contract is that a warm genST trial — pure
 # transition-table and chain-cache traversal — never does either; a
