@@ -47,7 +47,8 @@ bench-quick:
 # with the most distinct templates must allocate per template interned
 # and per candidate returned, never a tree per window, refinement's
 # variant score must allocate a dozen objects whatever the data size,
-# the lake's MatchSample must allocate the same at two sample sizes, the
+# the lake's MatchSample must allocate the same few objects at two sample
+# sizes and compile nothing (a format is compiled when registered), the
 # store's compaction must allocate per input file and per footer entry
 # carried over, never per cell or per decoded column (it relocates
 # blocks; it does not replay rows), the query engine's five

@@ -58,7 +58,6 @@ func runServe(args []string) {
 	maxBodyMB := fs.Int("max-body-mb", 0, "request body cap in MiB (0 = unlimited; overruns get 413)")
 	requestTimeout := fs.Duration("request-timeout", 0, "per-request deadline (0 = unlimited; overruns get 504)")
 	maxInFlight := fs.Int("max-inflight", 0, "in-flight request bound (0 = unlimited; excess load gets 429 + Retry-After)")
-	profileCache := fs.Int("profile-cache", 0, "hot compiled-profile LRU capacity (0 = default, negative disables)")
 	logFormat := fs.String("log-format", "text", "structured log form on stderr: text or json")
 	pprofAddr := fs.String("pprof", "", "also serve net/http/pprof on this address (e.g. 127.0.0.1:6060); separate listener, never exposed on -addr")
 	fs.Usage = func() {
@@ -102,17 +101,16 @@ func runServe(args []string) {
 	}
 
 	srv, err := serve.New(serve.Config{
-		Root:             dir,
-		RegistryPath:     *registry,
-		CheckpointPath:   *checkpoints,
-		StorePath:        *store,
-		Workers:          *workers,
-		Core:             core.Options{Alpha: *alpha},
-		MaxBodyBytes:     int64(*maxBodyMB) << 20,
-		RequestTimeout:   *requestTimeout,
-		MaxInFlight:      *maxInFlight,
-		ProfileCacheSize: *profileCache,
-		Logger:           logger,
+		Root:           dir,
+		RegistryPath:   *registry,
+		CheckpointPath: *checkpoints,
+		StorePath:      *store,
+		Workers:        *workers,
+		Core:           core.Options{Alpha: *alpha},
+		MaxBodyBytes:   int64(*maxBodyMB) << 20,
+		RequestTimeout: *requestTimeout,
+		MaxInFlight:    *maxInFlight,
+		Logger:         logger,
 	})
 	if err != nil {
 		fatalf("serve: %v", err)

@@ -12,6 +12,7 @@ import (
 	"datamaran/internal/core"
 	"datamaran/internal/datagen"
 	"datamaran/internal/follow"
+	"datamaran/internal/lake"
 	"datamaran/internal/parser/parsertest"
 	"datamaran/internal/relational"
 	"datamaran/internal/template"
@@ -97,6 +98,7 @@ func TestFollowResumeEquivalence(t *testing.T) {
 	for name, data := range followInputs(t) {
 		t.Run(name, func(t *testing.T) {
 			tpls := followTemplates(t, data)
+			entry, _ := lake.NewRegistry().Add(tpls)
 			oracle := parsertest.Apply(tpls, data)
 			oracleCSV := tablesCSV(t, tpls, oracle.Records)
 			// The lake files' tables are committed as literal goldens
@@ -121,7 +123,7 @@ func TestFollowResumeEquivalence(t *testing.T) {
 				if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
 					t.Fatal(err)
 				}
-				res1, cp1, err := follow.Extract(context.Background(), path, "grow.log", tpls, "fp", nil, cfg)
+				res1, cp1, err := follow.Extract(context.Background(), path, "grow.log", entry.Matchers(), "fp", nil, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -135,7 +137,7 @@ func TestFollowResumeEquivalence(t *testing.T) {
 				if plan.Action != follow.ActionResume {
 					t.Fatalf("plan after append = %v (%s), want resume", plan.Action, plan.Reason)
 				}
-				res2, cp2, err := follow.Extract(context.Background(), path, "grow.log", tpls, "fp", cp1, cfg)
+				res2, cp2, err := follow.Extract(context.Background(), path, "grow.log", entry.Matchers(), "fp", cp1, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}

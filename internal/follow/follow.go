@@ -10,8 +10,8 @@ import (
 	"sync"
 
 	"datamaran/internal/core"
+	"datamaran/internal/parser"
 	"datamaran/internal/pipeline"
-	"datamaran/internal/template"
 )
 
 // maxPrefixBytes caps the identity-hash prefix. Hashing more buys
@@ -131,17 +131,17 @@ type Config struct {
 	Workers int
 }
 
-// Extract applies templates to the file at path, resuming at cp when
-// given (nil extracts from byte 0). It returns the delta result — the
-// extraction of [cp.Offset, EOF) in whole-file coordinates — and the
-// successor checkpoint for relPath.
+// Extract applies a format's compiled templates to the file at path,
+// resuming at cp when given (nil extracts from byte 0). It returns the
+// delta result — the extraction of [cp.Offset, EOF) in whole-file
+// coordinates — and the successor checkpoint for relPath.
 //
 // The equivalence contract: the records and noise of the previous runs
 // restricted to [0, cp.Offset), concatenated with this delta, are
 // exactly the one-shot extraction of the whole file. The checkpoint's
 // cumulative counters track the finalized region so reports can state
 // whole-file totals without re-reading finalized bytes.
-func Extract(ctx context.Context, path, relPath string, templates []*template.Node, fingerprint string, cp *Checkpoint, cfg Config) (*core.Result, *Checkpoint, error) {
+func Extract(ctx context.Context, path, relPath string, matchers []*parser.Matcher, fingerprint string, cp *Checkpoint, cfg Config) (*core.Result, *Checkpoint, error) {
 	var baseOff int64
 	var baseLine, baseRecords, baseNoise int
 	if cp != nil {
@@ -176,7 +176,7 @@ func Extract(ctx context.Context, path, relPath string, templates []*template.No
 	// mid-run cannot move the region under us, and a partial trailing
 	// line simply stays beyond the next checkpoint.
 	res, err := pipeline.RunContext(ctx, io.LimitReader(f, size-baseOff), pipeline.Config{
-		Templates: templates,
+		Matchers:  matchers,
 		ShardSize: cfg.ShardSize,
 		Workers:   cfg.Workers,
 		BaseLine:  baseLine,

@@ -10,6 +10,7 @@ import (
 
 	"datamaran/internal/core"
 	"datamaran/internal/datagen"
+	"datamaran/internal/parser"
 	"datamaran/internal/parser/parsertest"
 	"datamaran/internal/template"
 )
@@ -29,6 +30,15 @@ func learn(t *testing.T, data []byte) []*template.Node {
 		tpls = append(tpls, s.Template)
 	}
 	return tpls
+}
+
+// compile compiles a template set, in order, as a registry entry does.
+func compile(tpls []*template.Node) []*parser.Matcher {
+	ms := make([]*parser.Matcher, len(tpls))
+	for i, t := range tpls {
+		ms[i] = parser.NewMatcher(t)
+	}
+	return ms
 }
 
 // oneShot is the oracle: the whole file in one pass through the
@@ -64,7 +74,7 @@ func incrementalRuns(t *testing.T, dir string, data []byte, cuts []int, tpls []*
 		if cp != nil && plan.Action != ActionResume {
 			t.Fatalf("cut %d: plan = %v (%s), want resume", cut, plan.Action, plan.Reason)
 		}
-		res, ncp, err := Extract(context.Background(), path, "grow.log", tpls, "fp", cp, cfg)
+		res, ncp, err := Extract(context.Background(), path, "grow.log", compile(tpls), "fp", cp, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +190,7 @@ func TestPlanFile(t *testing.T) {
 		t.Fatalf("no checkpoint: plan = %+v, want full/new", plan)
 	}
 
-	_, cp, err := Extract(context.Background(), path, "f.log", tpls, "fp", nil, Config{})
+	_, cp, err := Extract(context.Background(), path, "f.log", compile(tpls), "fp", nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

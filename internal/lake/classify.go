@@ -5,51 +5,26 @@ import (
 	"math"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"datamaran/internal/follow"
-	"datamaran/internal/parser"
 	"datamaran/internal/template"
 	"datamaran/internal/textio"
 )
 
-// profileMatcher is one registry entry compiled for coverage matching:
-// one matcher per template, built once per crawl (or per MatchSample
-// call) and shared by every goroutine that scans with it.
-type profileMatcher struct {
-	entry    *Entry
-	matchers []*parser.Matcher
-}
-
-func compileProfile(e *Entry) profileMatcher {
-	p := profileMatcher{entry: e, matchers: make([]*parser.Matcher, len(e.Templates))}
-	for i, t := range e.Templates {
-		p.matchers[i] = parser.NewMatcher(t)
-	}
-	return p
-}
-
-func compileProfiles(entries []*Entry) []profileMatcher {
-	out := make([]profileMatcher, len(entries))
-	for i, e := range entries {
-		out[i] = compileProfile(e)
-	}
-	return out
-}
-
-// coverage returns how many bytes of lines the profile's templates
-// cover, applied in order, each to the residue — the uncovered lines,
-// concatenated — that the previous one left. That is the extraction
-// engine's rule, but nothing is extracted: no record, no field string
+// coverage returns how many bytes of lines e's templates cover, applied
+// in order, each to the residue — the uncovered lines, concatenated —
+// that the previous one left. That is the extraction engine's rule, but
+// nothing is extracted: no record, no field string
 // (parser.Matcher.Residue). The scan gives up (ok false) once more than
 // maxUncovered bytes are certain to stay uncovered.
-func (p profileMatcher) coverage(lines *textio.Lines, maxUncovered int) (covered int, ok bool) {
+func coverage(e *Entry, lines *textio.Lines, maxUncovered int) (covered int, ok bool) {
 	total := len(lines.Data())
-	for k, m := range p.matchers {
+	matchers := e.Matchers()
+	for k, m := range matchers {
 		// Only what the last template leaves behind is final: a line an
 		// earlier one rejects may still be covered further down the chain.
-		if k == len(p.matchers)-1 {
+		if k == len(matchers)-1 {
 			_, uncovered, ok := m.Residue(lines, false, maxUncovered)
 			if !ok {
 				return 0, false
@@ -89,16 +64,16 @@ func minCovered(total int, threshold float64) int {
 // and more than floor. Ties keep the earlier profile and the caller's
 // incumbent, whose coverage floor is. A profile is abandoned as soon as
 // its uncovered bytes show it can no longer win.
-func bestProfile(lines *textio.Lines, profiles []profileMatcher, need, floor int) (*Entry, int) {
+func bestProfile(lines *textio.Lines, entries []*Entry, need, floor int) (*Entry, int) {
 	total := len(lines.Data())
 	var best *Entry
-	for _, p := range profiles {
+	for _, e := range entries {
 		must := max(need, floor+1)
 		if must > total {
 			break // not even a full cover would win now
 		}
-		if covered, ok := p.coverage(lines, total-must); ok && covered >= must {
-			best, floor = p.entry, covered
+		if covered, ok := coverage(e, lines, total-must); ok && covered >= must {
+			best, floor = e, covered
 		}
 	}
 	return best, floor
@@ -113,7 +88,7 @@ func MatchSample(sample []byte, reg *Registry, threshold float64) *Entry {
 	if len(sample) == 0 {
 		return nil
 	}
-	e, _ := bestProfile(textio.NewLines(sample), compileProfiles(reg.Entries()), minCovered(len(sample), threshold), 0)
+	e, _ := bestProfile(textio.NewLines(sample), reg.Entries(), minCovered(len(sample), threshold), 0)
 	return e
 }
 
@@ -122,11 +97,11 @@ func MatchSample(sample []byte, reg *Registry, threshold float64) *Entry {
 //
 //   - match, on cfg.Workers goroutines, in any order: read the file's
 //     sample and find the best profile among those registered when the
-//     crawl started and those this crawl had published when the worker
-//     looked. A file nothing claims goes straight into discovery, on the
-//     worker that sampled it — a speculation: discovery is a pure function
-//     of the sample and cfg.Core, so running it early changes nothing but
-//     when its answer is ready;
+//     worker looked, before the crawl or by it. A file nothing claims goes
+//     straight into discovery, on the worker that sampled it — a
+//     speculation: discovery is a pure function of the sample and
+//     cfg.Core, so running it early changes nothing but when its answer is
+//     ready;
 //   - commit, on one goroutine, in sorted path order: checkpoint claims,
 //     the re-match against the profiles registered since the match stage
 //     looked, and the verdict on the file's speculation — kept, its
@@ -142,10 +117,14 @@ func MatchSample(sample []byte, reg *Registry, threshold float64) *Entry {
 // of the commit stage — the 2×Workers futures of startMatching: files of
 // one undiscovered format that are sampled before the first of them has
 // registered it each start a discovery, all but the first discarded at
-// their turn; files sampled later see the published profile and start none.
+// their turn; files sampled later see the registered profile and start none.
 //
 // files, entries and resumes are indexed alike. The commit stage writes
 // slot i and then hands i to the extract stage, which owns it from there.
+//
+// The commit stage alone adds to reg, and a registry only grows, in
+// registration order: the entries a match worker saw are a prefix of
+// those the commit stage sees at the file's turn.
 type indexer struct {
 	root string
 	reg  *Registry
@@ -154,14 +133,7 @@ type indexer struct {
 	files   []FileResult
 	entries []*Entry
 	resumes []*follow.Checkpoint
-
-	// base is the registry as it stood when the crawl started, fresh
-	// what this crawl registered since, in registration order. The commit
-	// stage alone appends to fresh, and publishes every new length to the
-	// match stage as a slice over the same elements, which never change.
-	base, fresh []profileMatcher
-	published   atomic.Pointer[[]profileMatcher]
-	newFPs      map[string]bool
+	newFPs  map[string]bool
 }
 
 // sampled is what the match stage learned about one file.
@@ -175,11 +147,11 @@ type sampled struct {
 	err      error
 	lines    *textio.Lines
 	// need is the coverage that reaches the match threshold; entry the
-	// best profile among base and the first freshSeen of fresh, covering
+	// best profile among the first seen entries of the registry, covering
 	// covered bytes (nil, 0 when none does).
 	need, covered int
 	entry         *Entry
-	freshSeen     int
+	seen          int
 	// spec is the discovery started because entry is nil.
 	spec *speculation
 }
@@ -300,8 +272,8 @@ func (ix *indexer) startMatching(ctx context.Context, wg *sync.WaitGroup) <-chan
 	return futures
 }
 
-// sample reads one file's sample and matches it against the base
-// profiles.
+// sample reads one file's sample and matches it against the registry as it
+// stands.
 func (ix *indexer) sample(rel string) sampled {
 	var s sampled
 	s.sample, s.size, s.err = ReadSample(filepath.Join(ix.root, filepath.FromSlash(rel)), ix.cfg.SampleBytes)
@@ -310,26 +282,17 @@ func (ix *indexer) sample(rel string) sampled {
 	}
 	s.lines = textio.NewLines(s.sample)
 	s.need = minCovered(len(s.sample), ix.cfg.MatchThreshold)
-	s.entry, s.covered = bestProfile(s.lines, ix.base, s.need, 0)
+	entries := ix.reg.Entries()
+	s.seen = len(entries)
+	s.entry, s.covered = bestProfile(s.lines, entries, s.need, 0)
 	return s
 }
 
-// speculate continues a match-stage sample past the base profiles: the
-// profiles this crawl has published so far get their turn — after base, as
-// in the registry — and a sample still unclaimed gets a speculation, which
-// the caller runs, under the context returned, once the sample is on its
-// way to the commit stage.
+// speculate gives a match-stage sample no profile claims a speculation,
+// which the caller runs, under the context returned, once the sample is on
+// its way to the commit stage.
 func (ix *indexer) speculate(ctx context.Context, s *sampled) context.Context {
-	if s.err != nil || len(s.sample) == 0 {
-		return nil
-	}
-	if fresh := ix.published.Load(); fresh != nil {
-		s.freshSeen = len(*fresh)
-		if better, covered := bestProfile(s.lines, *fresh, s.need, s.covered); better != nil {
-			s.entry, s.covered = better, covered
-		}
-	}
-	if s.entry != nil {
+	if s.err != nil || len(s.sample) == 0 || s.entry != nil {
 		return nil
 	}
 	specCtx, cancel := context.WithCancel(ctx)
@@ -394,11 +357,10 @@ func (ix *indexer) commitFile(ctx context.Context, i int, s sampled, stats *craw
 		observeUnstructured(cfg, full, fr.Path)
 		return false
 	}
-	// A profile this crawl registered comes after every base profile in
-	// the registry, so it takes the file only by covering strictly more.
-	// The match stage has been through the first freshSeen of them.
+	// A profile registered since the match stage looked comes after every
+	// one it saw, so it takes the file only by covering strictly more.
 	e, status := s.entry, StatusMatched
-	if better, _ := bestProfile(s.lines, ix.fresh[s.freshSeen:], s.need, s.covered); better != nil {
+	if better, _ := bestProfile(s.lines, ix.reg.Entries()[s.seen:], s.need, s.covered); better != nil {
 		e = better
 	}
 	if s.spec != nil && e != nil {
@@ -428,9 +390,6 @@ func (ix *indexer) commitFile(ctx context.Context, i int, s sampled, stats *craw
 		case isNew:
 			stats.discoveries.new++
 			ix.newFPs[e.Fingerprint] = true
-			ix.fresh = append(ix.fresh, compileProfile(e))
-			published := ix.fresh[:len(ix.fresh):len(ix.fresh)]
-			ix.published.Store(&published)
 		default:
 			stats.discoveries.known++
 		}

@@ -265,7 +265,6 @@ func IndexContext(ctx context.Context, root string, reg *Registry, cfg Config) (
 		files:   files,
 		entries: make([]*Entry, len(files)),
 		resumes: make([]*follow.Checkpoint, len(files)),
-		base:    compileProfiles(reg.Entries()),
 		newFPs:  map[string]bool{},
 	}
 	if err := ix.run(ctx, &stats); err != nil {
@@ -608,14 +607,14 @@ func discoverTemplates(ctx context.Context, sample []byte, opts core.Options) ([
 }
 
 // extractOne streams one claimed file through the discovery-free
-// pipeline with its format's templates. In an incremental crawl the
+// pipeline with its format's compiled templates. In an incremental crawl the
 // extraction goes through the follow layer, which resumes at the
 // file's checkpoint (when one survived planning) and records the
 // successor checkpoint.
 func extractOne(ctx context.Context, root string, fr *FileResult, e *Entry, resume *follow.Checkpoint, cfg Config) {
 	full := filepath.Join(root, filepath.FromSlash(fr.Path))
 	if cfg.Checkpoints != nil {
-		res, ncp, err := follow.Extract(ctx, full, fr.Path, e.Templates, e.Fingerprint, resume, follow.Config{Workers: 1})
+		res, ncp, err := follow.Extract(ctx, full, fr.Path, e.Matchers(), e.Fingerprint, resume, follow.Config{Workers: 1})
 		if err != nil {
 			fr.Status = StatusFailed
 			fr.Err = err
@@ -645,8 +644,8 @@ func extractOne(ctx context.Context, root string, fr *FileResult, e *Entry, resu
 	}
 	defer f.Close()
 	res, err := pipeline.RunContext(ctx, f, pipeline.Config{
-		Templates: e.Templates,
-		Workers:   1, // parallelism lives at the file level
+		Matchers: e.Matchers(),
+		Workers:  1, // parallelism lives at the file level
 	})
 	if err != nil {
 		fr.Status = StatusFailed

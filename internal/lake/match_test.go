@@ -104,13 +104,13 @@ func TestCoverageMatchesFullExtraction(t *testing.T) {
 			if len(res.Structures) > 1 && res.Structures[1].Coverage > 0 {
 				chained++
 			}
-			p := compileProfile(&Entry{Templates: templates})
-			if got, ok := p.coverage(lines, len(data)); !ok || got != want {
+			e := newEntry("", templates, 0)
+			if got, ok := coverage(e, lines, len(data)); !ok || got != want {
 				t.Fatalf("%s, profile %d: scan covers %d (ok=%v), full extraction %d", name, pi, got, ok, want)
 			}
 			uncovered := len(data) - want
 			for _, budget := range []int{uncovered, max(uncovered-1, 0), rng.Intn(len(data) + 1)} {
-				got, ok := p.coverage(lines, budget)
+				got, ok := coverage(e, lines, budget)
 				if ok != (uncovered <= budget) || (ok && got != want) {
 					t.Fatalf("%s, profile %d, budget %d of %d uncovered: covered %d ok=%v", name, pi, budget, uncovered, got, ok)
 				}
@@ -211,8 +211,9 @@ func TestMinCovered(t *testing.T) {
 
 // BenchmarkMatchSample: one call against the fixture lake's registry. The
 // allocation gate (scripts/bench_allocs.sh) holds both sizes to the same
-// ceiling: what a call allocates — the line index, the compiled matchers —
-// does not grow with the number of records it scans.
+// ceiling: what a call allocates — the line index and a copy of the
+// registry's entry list; the matchers were compiled when the registry was
+// loaded — does not grow with the number of records it scans.
 func BenchmarkMatchSample(b *testing.B) {
 	reg, err := LoadRegistry(filepath.Join("..", "..", "testdata", "lake_golden", "registry.json"))
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"datamaran/internal/atomicfile"
+	"datamaran/internal/parser"
 	"datamaran/internal/template"
 )
 
@@ -15,11 +16,11 @@ import (
 // reads and writes.
 const registryVersion = 1
 
-// Entry is one known format: an ordered template set plus bookkeeping.
-// Fingerprint and Templates are immutable once registered and safe to
-// read from any goroutine; the claim counter is owned by the registry —
-// use Claim/Unclaim to change it and Snapshot (or FilesClaimed) to read
-// it while a crawl may be running.
+// Entry is one known format: an ordered template set, compiled, plus
+// bookkeeping. Fingerprint, Templates and the compiled matchers are
+// immutable once registered and safe to read from any goroutine; the
+// claim counter is owned by the registry — use Claim/Unclaim to change it
+// and Snapshot (or FilesClaimed) to read it while a crawl may be running.
 type Entry struct {
 	// Fingerprint identifies the template set (see Fingerprint).
 	Fingerprint string
@@ -28,7 +29,26 @@ type Entry struct {
 	// Files counts the files this entry has claimed over the registry's
 	// lifetime (accumulated across runs when the registry persists).
 	Files int
+
+	matchers []*parser.Matcher
 }
+
+// newEntry builds a registry entry and compiles its templates: the one
+// place a format is compiled. Every clone of the registry shares the
+// result.
+func newEntry(fp string, templates []*template.Node, files int) *Entry {
+	e := &Entry{Fingerprint: fp, Templates: templates, Files: files, matchers: make([]*parser.Matcher, len(templates))}
+	for i, t := range templates {
+		e.matchers[i] = parser.NewMatcher(t)
+	}
+	return e
+}
+
+// Matchers returns the format's compiled templates, Matchers()[i] compiled
+// from Templates[i]. A parser.Matcher is safe for concurrent use, so the
+// one set backs every scan and extraction of the format; callers must not
+// modify the slice.
+func (e *Entry) Matchers() []*parser.Matcher { return e.matchers }
 
 // Registry is the persistent profile store: formats in first-registered
 // order, addressable by fingerprint. The zero value is not usable; call
@@ -86,7 +106,7 @@ func (r *Registry) Add(templates []*template.Node) (*Entry, bool) {
 	for i, t := range templates {
 		cloned[i] = t.Clone()
 	}
-	e := &Entry{Fingerprint: fp, Templates: cloned}
+	e := newEntry(fp, cloned, 0)
 	r.entries = append(r.entries, e)
 	r.byFP[fp] = e
 	return e, true
@@ -131,7 +151,8 @@ func (r *Registry) FilesClaimed(e *Entry) int {
 
 // Clone returns an independent registry with the same formats and claim
 // counts — what a crawl works on while readers keep the original. The
-// template sets are shared: they are immutable once registered.
+// template sets and their matchers are shared: they are immutable once
+// registered.
 func (r *Registry) Clone() *Registry {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -243,7 +264,7 @@ func (r *Registry) UnmarshalJSON(data []byte) error {
 		if _, ok := r.byFP[fp]; ok {
 			return fmt.Errorf("lake: duplicate registry fingerprint %s", fp)
 		}
-		e := &Entry{Fingerprint: fp, Templates: templates, Files: p.Files}
+		e := newEntry(fp, templates, p.Files)
 		r.entries = append(r.entries, e)
 		r.byFP[fp] = e
 	}

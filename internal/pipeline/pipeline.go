@@ -2,7 +2,7 @@
 // turns bytes into core.RecordOut, for slices (RunBytes) and readers
 // (Run, RunContext) alike — the production-scale form of the paper's
 // observation that the extraction pass "is eminently parallelizable" (§1,
-// §5.2.2). Input reaches it as line-aligned shards; unless templates are
+// §5.2.2). Input reaches it as line-aligned shards; unless a format is
 // given, structure discovery (core.Discover) runs once on a bounded prefix
 // — the whole input for a slice; and extraction flows through one stage
 // per template, each stage fanning per-line template matching out over a
@@ -113,26 +113,24 @@ type Config struct {
 	// the noise count even in OnRecord mode. A non-nil error aborts
 	// the run.
 	OnNoise func(origLine int) error
-	// Templates, when non-empty, skips discovery entirely and applies
-	// the given structure templates in order, each to the residue the
-	// previous one left (the learn-once, apply-many data-lake workflow).
-	// No prefix is buffered: the input streams through in one pass from
-	// the first byte.
-	Templates []*template.Node
-	// Matchers, when non-empty, supplies precompiled matchers for
-	// Templates (Matchers[i] compiled from Templates[i]) so a serving
-	// hot path can reuse one compiled set across many runs instead of
-	// recompiling per request. A parser.Matcher is safe for concurrent
-	// use, so one set may back any number of simultaneous runs. Length
-	// must equal len(Templates); only meaningful with Templates set.
+	// Matchers, when non-empty, is a known format: discovery is skipped
+	// and the compiled templates are applied in order, one stage each, each
+	// to the residue the previous one left (the learn-once, apply-many
+	// data-lake workflow). No prefix is buffered: the input streams through
+	// in one pass from the first byte. A parser.Matcher is safe for
+	// concurrent use, so one set — a lake.Entry's — backs any number of
+	// simultaneous runs.
 	Matchers []*parser.Matcher
+	// Templates is a known format uncompiled: the run compiles it first.
+	// Setting both Matchers and Templates is an error.
+	Templates []*template.Node
 	// BaseLine and BaseByte shift every output coordinate (record
 	// lines, field byte offsets, noise line indices) as if the stream
 	// had been preceded by BaseLine lines spanning BaseByte bytes. This
 	// is the resume-at-offset entry point of the incremental ingestion
 	// layer (internal/follow): re-extracting only the grown suffix of a
 	// file yields records in whole-file coordinates. The reader must
-	// start at a line boundary. Only meaningful with Templates set
+	// start at a line boundary. Only meaningful with a known format
 	// (discovery on a suffix would not see the file's structure).
 	BaseLine int
 	BaseByte int
@@ -313,15 +311,15 @@ type engine struct {
 	noise      []int
 	nextLine   int // original line counter of the input feed
 	nextByte   int // original byte counter of the input feed
-	// timing is what discovery spent (zero with cfg.Templates); began is
+	// timing is what discovery spent (zero with a known format); began is
 	// when extraction started.
 	timing core.Timing
 	began  time.Time
 }
 
 // Run streams r through discovery and sharded extraction. With
-// cfg.Templates set, discovery is skipped and the templates are applied
-// directly.
+// cfg.Matchers or cfg.Templates set, discovery is skipped and that format
+// is applied directly.
 func Run(r io.Reader, cfg Config) (*core.Result, error) {
 	return RunContext(context.Background(), r, cfg)
 }
@@ -335,7 +333,7 @@ func RunContext(ctx context.Context, r io.Reader, cfg Config) (*core.Result, err
 }
 
 // RunBytes is RunContext for an input already in memory — the same engine
-// behind a second front door. Without cfg.Templates the whole slice is the
+// behind a second front door. Without a known format the whole slice is the
 // discovery prefix (cfg.DiscoveryBudget does not apply), so structures are
 // learned from stratified samples of all of data. The slice then reaches
 // stage 0 in line-aligned pieces of about cfg.ShardSize, straight from
@@ -356,10 +354,10 @@ func run(ctx context.Context, data []byte, r io.Reader, cfg Config) (*core.Resul
 	var rest *textio.ChunkReader
 	if r != nil {
 		rest = textio.NewChunkReader(r, cfg.ShardSize)
-		// Without templates, buffer the discovery prefix first: a
+		// Without a format, buffer the discovery prefix first: a
 		// reservoir of leading shards, the whole input when it fits the
 		// budget.
-		for len(cfg.Templates) == 0 && rest != nil && len(data) < cfg.DiscoveryBudget {
+		for len(cfg.Matchers) == 0 && len(cfg.Templates) == 0 && rest != nil && len(data) < cfg.DiscoveryBudget {
 			chunk, err := sc.next(rest)
 			data = append(data, chunk...)
 			if err == io.EOF {
@@ -396,31 +394,34 @@ func run(ctx context.Context, data []byte, r io.Reader, cfg Config) (*core.Resul
 }
 
 // start builds the engine over the borrowed scratch sc: one stage per
-// template, the templates being cfg.Templates or, without them, what
-// discovery finds in prefix.
+// matcher, the matchers being cfg.Matchers or, without them, cfg.Templates
+// or what discovery finds in prefix, compiled.
 func start(ctx context.Context, cfg Config, sc *scratch, prefix []byte) (*engine, error) {
 	e := &engine{cfg: cfg, nextLine: cfg.BaseLine, nextByte: cfg.BaseByte}
-	if len(cfg.Templates) > 0 {
-		if len(cfg.Matchers) > 0 && len(cfg.Matchers) != len(cfg.Templates) {
-			return nil, fmt.Errorf("pipeline: %d precompiled matchers for %d templates", len(cfg.Matchers), len(cfg.Templates))
+	matchers := cfg.Matchers
+	switch {
+	case len(matchers) > 0 && len(cfg.Templates) > 0:
+		return nil, errors.New("pipeline: Matchers and Templates both set")
+	case len(matchers) > 0:
+		for i, m := range matchers {
+			e.structures = append(e.structures, core.Structure{TypeID: i, Template: m.Template()})
 		}
+	case len(cfg.Templates) > 0:
 		for i, tpl := range cfg.Templates {
 			e.structures = append(e.structures, core.Structure{TypeID: i, Template: tpl})
 		}
-	} else {
+	default:
 		var err error
 		if e.structures, e.timing, err = core.Discover(ctx, prefix, cfg.Core); err != nil {
 			return nil, err
 		}
 	}
-	for i, s := range e.structures {
-		var m *parser.Matcher
-		if len(cfg.Templates) > 0 && i < len(cfg.Matchers) {
-			m = cfg.Matchers[i]
+	if len(matchers) == 0 {
+		for _, s := range e.structures {
+			matchers = append(matchers, parser.NewMatcher(s.Template))
 		}
-		if m == nil {
-			m = parser.NewMatcher(s.Template)
-		}
+	}
+	for i, m := range matchers {
 		e.stages = append(e.stages, &stage{m: m, typeID: i, stageScratch: sc.stage(i)})
 	}
 	e.began = time.Now()

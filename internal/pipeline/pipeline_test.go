@@ -269,10 +269,11 @@ func TestTemplatesModeMatchesApplyTemplates(t *testing.T) {
 	}
 }
 
-// TestPrecompiledMatchersEquivalence runs the templates mode with a
-// shared precompiled matcher set — the serve daemon's hot-profile cache
-// path — concurrently, and checks every run is byte-identical to the
-// reference. Also covers the length-mismatch rejection.
+// TestPrecompiledMatchersEquivalence runs one shared precompiled matcher
+// set — a registry entry's, as the crawl and the serve daemon pass it —
+// concurrently, with Templates unset, and checks every run is
+// byte-identical to the reference and ran no discovery. Setting Templates
+// as well is rejected.
 func TestPrecompiledMatchersEquivalence(t *testing.T) {
 	d := datagen.InterleavedTypes(2, 150, 11)
 	tpls := discoverTemplates(t, d.Data)
@@ -291,7 +292,6 @@ func TestPrecompiledMatchersEquivalence(t *testing.T) {
 			results[g], errs[g] = Run(bytes.NewReader(d.Data), Config{
 				ShardSize: 8 << 10,
 				Workers:   2,
-				Templates: tpls,
 				Matchers:  matchers,
 			})
 		}(g)
@@ -302,9 +302,12 @@ func TestPrecompiledMatchersEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		parsertest.RequireResultEqual(t, fmt.Sprintf("precompiled/run%d", g), want, results[g])
+		if gen := results[g].Timing.Generation; gen != 0 {
+			t.Fatalf("run %d: a Matchers-only run spent %v in discovery", g, gen)
+		}
 	}
-	if _, err := Run(bytes.NewReader(d.Data), Config{Templates: tpls, Matchers: matchers[:1]}); err == nil {
-		t.Fatal("matcher/template length mismatch accepted")
+	if _, err := Run(bytes.NewReader(d.Data), Config{Templates: tpls, Matchers: matchers}); err == nil {
+		t.Fatal("Matchers and Templates both set: accepted")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -15,7 +16,9 @@ import (
 	"testing"
 	"time"
 
-	"datamaran/internal/template"
+	"datamaran/internal/lake"
+	"datamaran/internal/lake/laketest"
+	"datamaran/internal/parser"
 )
 
 // newServerCfg builds a Server over a fresh lake with extra Config
@@ -116,45 +119,6 @@ func TestFormatLocks(t *testing.T) {
 	}
 }
 
-// TestProfileCacheLRU pins the cache's eviction and keying: capacity
-// bounds residency with least-recently-used eviction, generations are
-// distinct keys, and a disabled cache (capacity < 0) is nil-safe.
-func TestProfileCacheLRU(t *testing.T) {
-	tpl := []*template.Node{}
-	c := newProfileCache(2)
-	k1 := profileKey{fp: "a", gen: 1}
-	k2 := profileKey{fp: "b", gen: 1}
-	k3 := profileKey{fp: "a", gen: 2} // same format, later generation
-	c.put(k1, compileMatchers(tpl))
-	c.put(k2, compileMatchers(tpl))
-	if c.get(k1) == nil {
-		t.Fatal("k1 evicted before capacity reached")
-	}
-	c.put(k3, compileMatchers(tpl)) // evicts k2 (k1 was just touched)
-	if c.get(k2) != nil {
-		t.Fatal("LRU eviction kept the least-recently-used entry")
-	}
-	if c.get(k1) == nil || c.get(k3) == nil {
-		t.Fatal("eviction dropped a live entry")
-	}
-	size, hits, misses := c.stats()
-	if size != 2 || hits != 3 || misses != 1 {
-		t.Fatalf("stats = (%d, %d, %d), want (2, 3, 1)", size, hits, misses)
-	}
-
-	var disabled *profileCache = newProfileCache(-1)
-	if disabled != nil {
-		t.Fatal("capacity < 0 must disable the cache")
-	}
-	disabled.put(k1, nil) // nil-safe
-	if disabled.get(k1) != nil {
-		t.Fatal("disabled cache returned an entry")
-	}
-	if s, h, m := disabled.stats(); s != 0 || h != 0 || m != 0 {
-		t.Fatal("disabled cache reported non-zero stats")
-	}
-}
-
 // statusOf fetches and parses /v1/status.
 func statusOf(t *testing.T, s *Server) statusJSON {
 	t.Helper()
@@ -169,48 +133,124 @@ func statusOf(t *testing.T, s *Server) statusJSON {
 	return sj
 }
 
-// TestProfileCacheServesExtracts drives the cache through the HTTP
-// surface: the first extraction of a format compiles (miss), repeats
-// hit, both extract routes share the entry, and a reindex swap bumps
-// the generation so the old entry stops being requested.
-func TestProfileCacheServesExtracts(t *testing.T) {
+// TestFormatCompiledOnce: a fingerprint's compiled matcher set is one
+// object, built when the format is registered — by LoadRegistry for the
+// formats on disk, by the crawl for one it discovers, before it publishes.
+// A registry clone, the publish of a global and of a scoped crawl, and the
+// entries the extract routes resolve (by format=, by checkpoint, by
+// sample) all hand out that same set across reindexes; nothing recompiles
+// a format.
+func TestFormatCompiledOnce(t *testing.T) {
 	s, root := newServer(t)
-	fp, _ := fingerprints(t, s)
+	metricsFP, webFP := fingerprints(t, s)
 	data, err := os.ReadFile(filepath.Join(root, "metrics/m-1.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	base := statusOf(t, s)
-	if base.CacheHits != 0 || base.CacheMisses != 0 {
-		t.Fatalf("fresh cache stats: %+v", base)
-	}
-	if base.Generation != 2 {
-		t.Fatalf("generation after initial reindex = %d, want 2", base.Generation)
-	}
-
-	if rec := do(t, s, "POST", "/v1/extract?format="+fp, data); rec.Code != http.StatusOK {
-		t.Fatalf("extract: %d %s", rec.Code, rec.Body)
-	}
-	if st := statusOf(t, s); st.CacheMisses != 1 || st.CacheHits != 0 || st.CacheSize != 1 {
-		t.Fatalf("after first extract: %+v", st)
-	}
-	// Second body extract and the lake route both hit the same entry.
-	do(t, s, "POST", "/v1/extract?format="+fp, data)
-	do(t, s, "GET", "/v1/lake/extract?path=metrics/m-1.log", nil)
-	if st := statusOf(t, s); st.CacheMisses != 1 || st.CacheHits != 2 {
-		t.Fatalf("after repeats: %+v", st)
+	same := func(a, b []*parser.Matcher) bool { return len(a) > 0 && len(a) == len(b) && &a[0] == &b[0] }
+	compiled := func(label string, e *lake.Entry) []*parser.Matcher {
+		t.Helper()
+		ms := e.Matchers()
+		if len(ms) != len(e.Templates) {
+			t.Fatalf("%s: %s has %d matchers for %d templates", label, e.Fingerprint, len(ms), len(e.Templates))
+		}
+		for i, m := range ms {
+			if m == nil || m.Template() != e.Templates[i] {
+				t.Fatalf("%s: %s matcher %d is not compiled from template %d", label, e.Fingerprint, i, i)
+			}
+		}
+		return ms
 	}
 
-	// A reindex publishes a new generation; the same format recompiles
-	// once under the new key.
+	reg, err := lake.LoadRegistry(s.cfg.RegistryPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone := reg.Clone()
+	for _, e := range reg.Entries() {
+		ms := compiled("LoadRegistry", e)
+		if !same(reg.Lookup(e.Fingerprint).Matchers(), ms) || !same(clone.Lookup(e.Fingerprint).Matchers(), ms) {
+			t.Fatalf("%s: a lookup or a clone hands out another compiled set", e.Fingerprint)
+		}
+	}
+
+	// The daemon's own sets, as its state was opened and first crawled.
+	want := map[string][]*parser.Matcher{}
+	for _, e := range s.st.Snapshot().Registry.Entries() {
+		want[e.Fingerprint] = compiled("initial", e)
+	}
+	// check extracts through both routes and all three ways the lake route
+	// finds a format, and holds the entries they resolve to want.
+	check := func(label string, late int) {
+		t.Helper()
+		// A file no crawl has seen yet: the lake route classifies its sample.
+		lateRel := fmt.Sprintf("metrics/late-%d.log", late)
+		if err := os.WriteFile(filepath.Join(root, lateRel), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, req := range []struct{ method, target string }{
+			{"POST", "/v1/extract?format=" + metricsFP},
+			{"GET", "/v1/lake/extract?path=web/r-1.log&format=" + webFP},
+			{"GET", "/v1/lake/extract?path=metrics/m-1.log"},
+			{"GET", "/v1/lake/extract?path=" + lateRel},
+		} {
+			if rec := do(t, s, req.method, req.target, data); rec.Code != http.StatusOK {
+				t.Fatalf("%s: %s %s: %d %s", label, req.method, req.target, rec.Code, rec.Body)
+			}
+		}
+		snap := s.st.Snapshot()
+		cp := snap.Checkpoints.Get("metrics/m-1.log")
+		if cp == nil {
+			t.Fatalf("%s: metrics/m-1.log has no checkpoint", label)
+		}
+		sample, _, err := lake.ReadSample(filepath.Join(root, lateRel), lake.DefaultSampleBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for route, e := range map[string]*lake.Entry{
+			"format=":    snap.Registry.Lookup(metricsFP),
+			"checkpoint": snap.Registry.Lookup(cp.Fingerprint),
+			"sample":     lake.MatchSample(sample, snap.Registry, lake.DefaultMatchThreshold),
+		} {
+			if e == nil || !same(e.Matchers(), want[metricsFP]) {
+				t.Fatalf("%s: the %s route resolves to a different compiled set", label, route)
+			}
+		}
+		for _, e := range snap.Registry.Entries() {
+			if ms, ok := want[e.Fingerprint]; ok && !same(e.Matchers(), ms) {
+				t.Fatalf("%s: %s was compiled again", label, e.Fingerprint)
+			}
+		}
+	}
+	check("initial", 0)
+
+	// A global crawl that registers a format: compiled in the crawl, before
+	// the publish, and never again.
+	jobs := laketest.JobsLog(6, 30, 90000, 6, []string{"DONE", "FAILED"})
+	if err := os.MkdirAll(filepath.Join(root, "jobs"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(root, "jobs/j-1.log"), []byte(jobs), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	if rec := do(t, s, "POST", "/v1/reindex", nil); rec.Code != http.StatusOK {
-		t.Fatalf("reindex: %d %s", rec.Code, rec.Body)
+		t.Fatalf("global reindex: %d %s", rec.Code, rec.Body)
 	}
-	do(t, s, "POST", "/v1/extract?format="+fp, data)
-	if st := statusOf(t, s); st.Generation != 3 || st.CacheMisses != 2 {
-		t.Fatalf("after reindex swap: %+v", st)
+	for _, e := range s.st.Snapshot().Registry.Entries() {
+		if _, ok := want[e.Fingerprint]; !ok {
+			want[e.Fingerprint] = compiled("registered mid-crawl", e)
+		}
 	}
+	if len(want) != 3 {
+		t.Fatalf("%d formats after the jobs crawl, want 3", len(want))
+	}
+	check("after a global reindex", 1)
+
+	appendLake(t, root, "metrics/m-1.log", "metric|cpu9|99.99|\n")
+	if rec := do(t, s, "POST", "/v1/reindex?format="+metricsFP, nil); rec.Code != http.StatusOK {
+		t.Fatalf("scoped reindex: %d %s", rec.Code, rec.Body)
+	}
+	check("after a scoped reindex", 2)
 }
 
 // TestScopedReindexHTTP drives the per-format reindex over HTTP: an

@@ -13,7 +13,7 @@
 // Endpoints:
 //
 //	GET  /healthz                    liveness probe
-//	GET  /v1/status                  serving stats (generation, cache, in-flight)
+//	GET  /v1/status                  serving stats (generation, in-flight, shed)
 //	GET  /v1/formats                 registry listing (JSON)
 //	GET  /v1/formats/{fp}            one profile (JSON, loadable by the CLI's -profile)
 //	POST /v1/extract?format={fp}     extract the request body with a profile
@@ -31,11 +31,11 @@
 // land meanwhile. Reindexes lock per format — POST /v1/reindex?format=fp
 // crawls only fp's files and runs concurrently with scoped reindexes
 // of other formats (and with all reads); only crawls of the same
-// format, or a global crawl, conflict (409). Hot compiled profiles
-// live in an LRU keyed by fingerprint + snapshot generation, so
-// steady-state /extract touches neither disk nor the template
-// compiler. Per-request limits (body cap, deadline, bounded in-flight
-// gauge with 429 + Retry-After) keep overload failures crisp.
+// format, or a global crawl, conflict (409). A format is compiled once,
+// when it is registered (lake.Entry.Matchers), and every snapshot shares
+// that compiled set, so /extract never touches the template compiler.
+// Per-request limits (body cap, deadline, bounded in-flight gauge with
+// 429 + Retry-After) keep overload failures crisp.
 //
 // Extraction and query responses are deterministic: worker counts never
 // change output, so served bytes are byte-identical to the CLI's for
@@ -59,7 +59,6 @@ import (
 	"datamaran/internal/core"
 	"datamaran/internal/lake"
 	"datamaran/internal/obsv"
-	"datamaran/internal/parser"
 	"datamaran/internal/pipeline"
 	"datamaran/internal/query"
 	"datamaran/internal/relational"
@@ -101,9 +100,6 @@ type Config struct {
 	// unlimited. /healthz and /v1/status are exempt, so a saturated
 	// daemon stays observable.
 	MaxInFlight int
-	// ProfileCacheSize is the hot compiled-profile LRU capacity
-	// (0 means DefaultProfileCacheSize, < 0 disables caching).
-	ProfileCacheSize int
 	// Metrics is the observability registry backing GET /metrics; the
 	// crawl and query paths record into it too. Nil gets the server a
 	// fresh private registry (metrics still served, just not shared).
@@ -114,7 +110,7 @@ type Config struct {
 }
 
 // Server is the long-running daemon state: the lake's state, the
-// per-format crawl locks, the hot-profile cache and the request limiter.
+// per-format crawl locks and the request limiter.
 type Server struct {
 	cfg Config
 	// st owns the registry, the checkpoints and the record store.
@@ -124,10 +120,6 @@ type Server struct {
 	st *lake.State
 	// locks coordinates crawls per format (see formatLocks).
 	locks formatLocks
-	// cache holds hot compiled profiles (nil when disabled), keyed by
-	// fingerprint + snapshot generation, so matchers compiled under an
-	// old snapshot can never serve a new one.
-	cache *profileCache
 	// limits enforces the per-request bounds around every handler.
 	limits *limiter
 	// obs is the metrics registry plus the serving-path handles; logger
@@ -153,9 +145,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	obs := newServeMetrics(cfg.Metrics)
 	return &Server{
-		cfg:   cfg,
-		st:    st,
-		cache: newProfileCache(cfg.ProfileCacheSize),
+		cfg: cfg,
+		st:  st,
 		limits: &limiter{
 			maxInFlight: int64(cfg.MaxInFlight),
 			maxBody:     cfg.MaxBodyBytes,
@@ -166,18 +157,6 @@ func New(cfg Config) (*Server, error) {
 		logger:  cfg.Logger,
 		started: time.Now(),
 	}, nil
-}
-
-// matchersFor returns the compiled matcher set of one format under one
-// snapshot, from the hot-profile LRU when resident.
-func (s *Server) matchersFor(snap *lake.Snapshot, e *lake.Entry) []*parser.Matcher {
-	key := profileKey{fp: e.Fingerprint, gen: snap.Generation}
-	if m := s.cache.get(key); m != nil {
-		return m
-	}
-	m := compileMatchers(e.Templates)
-	s.cache.put(key, m)
-	return m
 }
 
 // Handler returns the daemon's HTTP handler: every endpoint wrapped
@@ -209,9 +188,6 @@ type statusJSON struct {
 	MaxInFlight    int    `json:"maxInFlight"`
 	Shed           uint64 `json:"shed"`
 	ActiveReindex  int    `json:"activeReindexes"`
-	CacheSize      int    `json:"profileCacheSize"`
-	CacheHits      uint64 `json:"profileCacheHits"`
-	CacheMisses    uint64 `json:"profileCacheMisses"`
 	MaxBodyBytes   int64  `json:"maxBodyBytes"`
 	RequestTimeout string `json:"requestTimeout"`
 	// StartedAt/UptimeSeconds date the process; Version and Revision
@@ -241,7 +217,6 @@ type statusTable struct {
 // bound, so it answers even under saturation.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	snap := s.st.Snapshot()
-	size, hits, misses := s.cache.stats()
 	var tables []statusTable
 	if store := s.st.Store(); store != nil {
 		for _, ti := range store.Tables() {
@@ -256,9 +231,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		MaxInFlight:    s.cfg.MaxInFlight,
 		Shed:           s.limits.shed.Load(),
 		ActiveReindex:  s.locks.active(),
-		CacheSize:      size,
-		CacheHits:      hits,
-		CacheMisses:    misses,
 		MaxBodyBytes:   s.cfg.MaxBodyBytes,
 		RequestTimeout: s.cfg.RequestTimeout.String(),
 		StartedAt:      s.started.UTC().Format(time.RFC3339),
@@ -424,7 +396,7 @@ func (s *Server) handleExtractBody(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "unknown format %s", fp)
 		return
 	}
-	s.extract(w, r, snap, e, r.Body)
+	s.extract(w, r, e, r.Body)
 }
 
 // handleExtractLake extracts one lake file. The format comes from (in
@@ -480,23 +452,18 @@ func (s *Server) handleExtractLake(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	s.extract(w, r, snap, e, f)
+	s.extract(w, r, e, f)
 }
 
 // extract streams src through the profile pipeline in the requested
-// output form, using the snapshot's cached compiled matchers. NDJSON
-// streams record by record; CSV buffers the result to build relational
-// tables.
-func (s *Server) extract(w http.ResponseWriter, r *http.Request, snap *lake.Snapshot, e *lake.Entry, src io.Reader) {
+// output form, with the format's compiled matchers. NDJSON streams record
+// by record; CSV buffers the result to build relational tables.
+func (s *Server) extract(w http.ResponseWriter, r *http.Request, e *lake.Entry, src io.Reader) {
 	output := r.URL.Query().Get("output")
 	if output == "" {
 		output = "ndjson"
 	}
-	cfg := pipeline.Config{
-		Templates: e.Templates,
-		Matchers:  s.matchersFor(snap, e),
-		Workers:   s.cfg.Workers,
-	}
+	cfg := pipeline.Config{Matchers: e.Matchers(), Workers: s.cfg.Workers}
 	switch output {
 	case "ndjson":
 		s.extractNDJSON(w, r, cfg, src)

@@ -15,12 +15,6 @@ type QueryOptions struct {
 	// segments written by IndexDir (IndexOptions.StorePath) or by
 	// `datamaran serve -store`. Required.
 	StorePath string
-	// DisablePushdown runs the query without predicate/projection
-	// pushdown (every column decoded, every predicate evaluated above
-	// the scan, no zone-map block skipping) — the pre-pushdown
-	// reference path. Results are identical either way; benchmarks use
-	// it to measure the pushdown win.
-	DisablePushdown bool
 	// Explain selects an explain mode instead of result rows: "plan"
 	// returns the plan tree without executing (deterministic), and
 	// "analyze" executes the query and annotates the tree with
@@ -128,11 +122,7 @@ func Query(ctx context.Context, text string, opts QueryOptions) (*QueryRows, err
 	if err != nil {
 		return nil, err
 	}
-	cat := query.StoreCatalog(store)
-	if opts.DisablePushdown {
-		cat = query.NoPushdown(cat)
-	}
-	rows, err := query.RunWith(ctx, cat, q, query.Options{Explain: explain})
+	rows, err := query.RunWith(ctx, query.StoreCatalog(store), q, query.Options{Explain: explain})
 	if err != nil {
 		return nil, err
 	}

@@ -11,6 +11,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"datamaran/internal/lake"
+	"datamaran/internal/query"
 )
 
 // goldenQueries is the committed query suite over the fixture lake —
@@ -40,19 +43,34 @@ func TestQueryGoldens(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	store, err := lake.OpenSegmentStore(storePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Both with pushdown (the public entry point) and without: the
+	// pre-pushdown full-decode path, query.NoPushdown, must be
+	// byte-identical on every golden.
+	run := func(text string, nopush bool) (*QueryRows, error) {
+		if !nopush {
+			return Query(context.Background(), text, QueryOptions{StorePath: storePath})
+		}
+		q, err := query.Parse(text)
+		if err != nil {
+			return nil, err
+		}
+		rows, err := query.RunWith(context.Background(), query.NoPushdown(query.StoreCatalog(store)), q, query.Options{})
+		if err != nil {
+			return nil, err
+		}
+		return &QueryRows{rows: rows}, nil
+	}
 	for file, text := range goldenQueries {
 		want, err := os.ReadFile(filepath.Join("testdata/lake_golden/query", file))
 		if err != nil {
 			t.Fatalf("missing golden (run scripts/golden_query.sh -update): %v", err)
 		}
-		// Both with pushdown (the default) and without: DisablePushdown
-		// routes through the pre-pushdown full-decode path, and the two
-		// must be byte-identical on every golden.
 		for _, nopush := range []bool{false, true} {
-			rows, err := Query(context.Background(), text, QueryOptions{
-				StorePath:       storePath,
-				DisablePushdown: nopush,
-			})
+			rows, err := run(text, nopush)
 			if err != nil {
 				t.Fatalf("%s: %v", file, err)
 			}
@@ -78,7 +96,7 @@ func TestQueryGoldens(t *testing.T) {
 // timings), so the rendered trees are committed goldens like the query
 // results — and scripts/golden_query.sh re-checks the same files
 // through the CLI's -explain plan. Pushdown-only: disabling pushdown
-// legitimately changes the plan (that is the point of the flag).
+// legitimately changes the plan (that is the point of query.NoPushdown).
 var goldenExplains = map[string]string{
 	"explain_join.csv":    goldenQueries["join.csv"],
 	"explain_groupby.csv": goldenQueries["groupby.csv"],

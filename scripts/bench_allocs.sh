@@ -14,8 +14,10 @@
 # transition rows and those trees); a tree per distinct window is 4.8–6.1
 # million allocations on each, an order of magnitude over any ceiling.
 # The lake's MatchSample is held to one ceiling at two sample sizes: it
-# allocates a line index and the compiled matchers, nothing per record —
-# a regression re-materializes records on the crawl's match stage.
+# allocates a line index and a copy of the registry's entry list (2), and
+# nothing per record or per format — a registry entry's matchers are
+# compiled when it is registered. A regression re-materializes records on
+# the crawl's match stage, or compiles every format per call (15).
 # Refinement's unit of cost — compile one unfold variant, score it through
 # the round's scan cache — allocates the matcher, the template key and
 # what the score keeps (column types, repetition histogram): a dozen
@@ -130,8 +132,8 @@ check GenerationManyShapes/MacASL 3500
 check GenerationManyShapes/LogFile5 350000
 check GenerationManyShapes/Netstat 450000
 check RefineVariantScore 12
-check MatchSample/records=500 16
-check MatchSample/records=8000 16
+check MatchSample/records=500 4
+check MatchSample/records=8000 4
 check_compact 150 60 2
 check_blocks scan 400 12
 check_blocks wide 250 12
