@@ -53,10 +53,12 @@ bench-quick:
 # carried over, never per cell or per decoded column (it relocates
 # blocks; it does not replay rows), the query engine's five
 # shapes must allocate per query and per block decoded, never per row,
-# the streaming apply path per shard, never per record or field, and a
-# crawl of small files must cost each file its own bytes, not a fresh set
-# of extraction and segment-writer buffers (a B/op ceiling of the form
-# constant + per-file × files) — see scripts/bench_allocs.sh.
+# the streaming apply path per shard at one worker and at two, never per
+# record or field (the one-pass arenas and the two header buffers are
+# scratch grown once), and a crawl of small files must cost each file its
+# own bytes, not a fresh set of extraction and segment-writer buffers (a
+# B/op ceiling of the form constant + per-file × files) — see
+# scripts/bench_allocs.sh.
 bench-allocs:
 	sh scripts/bench_allocs.sh
 
@@ -68,7 +70,9 @@ bench-allocs:
 # compiled matcher (FuzzMatcher: on a reduced fuzz record and its full and
 # partial unfolds over fuzz data, MatchEnds ≡ the tree oracle's
 # end/ok/truncated at every line start, AppendRecord ≡ its occurrences,
-# the one-pass ScanInto ≡ its scan, Residue ≡ its noise lines), the
+# the one-pass MatchLines' truncated flag ≡ MatchEnds' and its kept
+# occurrences ≡ AppendRecord's, the one-pass ScanInto ≡ its scan,
+# Residue ≡ its noise lines), the
 # refinement lower bound (FuzzRefineLowerBound: nothing Refine scores
 # undercuts the noise floor evaluation prunes its candidates by), the
 # segment reader on hostile bytes (FuzzSegmentScan: no panic, no

@@ -92,8 +92,10 @@ type Options struct {
 	DiscoveryBudget int
 }
 
-// config maps the public options onto the extraction engine.
-func (o Options) config() pipeline.Config {
+// config maps the public options, and the profile p when there is one,
+// onto the extraction engine: a profile hands the engine its compiled
+// matchers.
+func (o Options) config(p *Profile) pipeline.Config {
 	cfg := pipeline.Config{
 		Core: core.Options{
 			Alpha:             o.Alpha,
@@ -110,6 +112,9 @@ func (o Options) config() pipeline.Config {
 	}
 	if o.Search == Greedy {
 		cfg.Core.Search = generation.Greedy
+	}
+	if p != nil {
+		cfg.Matchers = p.matchers
 	}
 	return cfg
 }
@@ -287,10 +292,7 @@ func ExtractStream(r io.Reader, opts Options, fn func(Record) error) (*Result, e
 // callback mode the per-structure MultiLine flag (normally derived from
 // Result.Records) is reconstructed from the records flowing past.
 func extract(r io.Reader, data []byte, p *Profile, opts Options, fn func(Record) error) (*Result, error) {
-	cfg := opts.config()
-	if p != nil {
-		cfg.Templates = p.templates
-	}
+	cfg := opts.config(p)
 	var multi []bool // by record type: one of its records spans lines
 	if fn != nil {
 		cfg.OnRecord = func(ro core.RecordOut) error {

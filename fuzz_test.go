@@ -19,11 +19,10 @@ import (
 func FuzzProfileApply(f *testing.F) {
 	fld, lit := template.Field, template.Lit
 	seed := func(data string, tpls ...*template.Node) {
-		p := &Profile{}
-		for _, tpl := range tpls {
-			p.templates = append(p.templates, tpl.Normalize())
+		for i, tpl := range tpls {
+			tpls[i] = tpl.Normalize()
 		}
-		raw, err := json.Marshal(p)
+		raw, err := json.Marshal(newProfile(tpls))
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -168,7 +168,7 @@ func IndexDirContext(ctx context.Context, dir string, opts IndexOptions) (*Index
 		return nil, err
 	}
 	res, err := st.Crawl(ctx, dir, lake.Config{
-		Core:           opts.Extract.config().Core,
+		Core:           opts.Extract.config(nil).Core,
 		Workers:        opts.Workers,
 		SampleBytes:    opts.SampleBytes,
 		MatchThreshold: opts.MatchThreshold,
@@ -204,10 +204,9 @@ func wrapIndexResult(res *lake.Result, reg *lake.Registry) *IndexResult {
 		out.Files = append(out.Files, pf)
 	}
 	for _, e := range reg.Entries() {
-		p := &Profile{}
-		for _, t := range e.Templates {
-			p.templates = append(p.templates, t.Clone())
-		}
+		// A registry entry is immutable and compiled once: its profile
+		// shares its templates and its matchers.
+		p := &Profile{templates: e.Templates, matchers: e.Matchers()}
 		out.Formats = append(out.Formats, IndexedFormat{
 			Fingerprint: e.Fingerprint,
 			Templates:   p.Templates(),

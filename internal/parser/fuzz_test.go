@@ -17,9 +17,10 @@ import (
 // charset (ExtractRecordTemplate + Reduce, as FuzzReduce builds them), plus
 // every full and partial unfold of each of its arrays, run over fuzz data.
 // At every line start MatchEnds ≡ Oracle.MatchTrunc (end, ok, truncated) ≡
-// the tree walkers, and AppendRecord ≡ Flatten/Arrays; the one-pass
-// ScanInto ≡ Oracle.Scan; Residue(keep) ≡ the scan's noise lines
-// concatenated.
+// the tree walkers, AppendRecord ≡ Flatten/Arrays, and MatchLines'
+// one-pass candidate carries MatchEnds' truncated flag and, for a record,
+// AppendRecord's occurrences; the one-pass ScanInto ≡ Oracle.Scan;
+// Residue(keep) ≡ the scan's noise lines concatenated.
 func FuzzMatcher(f *testing.F) {
 	for _, c := range flatScanCases() {
 		data := []byte(c.data)
@@ -46,6 +47,9 @@ func requireMatcher(t *testing.T, tm *template.Node, data []byte) {
 	t.Helper()
 	m, o, tree := parser.NewMatcher(tm), parsertest.New(tm), parser.NewTreeMatcher(tm)
 	lines := textio.NewLines(data)
+	var cands parser.Candidates
+	m.MatchLines(&cands, lines, 2)
+	m.Restore(&cands, lines, recordStarts(cands.Ends()))
 	for i := 0; i < lines.N(); i++ {
 		pos := lines.Start(i)
 		end, ok, trunc := m.MatchEnds(data, pos)
@@ -62,6 +66,15 @@ func requireMatcher(t *testing.T, tm *template.Node, data []byte) {
 		}
 		if ok && (!slices.Equal(occs, o.Flatten(v)) || !slices.Equal(arrays, o.Arrays(v))) {
 			t.Fatalf("%v line %d: AppendRecord = %v %v, oracle %v %v", tm, i, occs, arrays, o.Flatten(v), o.Arrays(v))
+		}
+		// The one pass: extract's truncated flag is match's, and a record's
+		// kept occurrences are AppendRecord's.
+		c := cands.Ends()[i]
+		if c.Truncated != trunc {
+			t.Fatalf("%v line %d: one-pass truncated = %v, MatchEnds %v", tm, i, c.Truncated, trunc)
+		}
+		if c.EndLine > 0 && (c.End != end || !slices.Equal(cands.Fields(i), occs) || !slices.Equal(cands.Arrays(i), arrays)) {
+			t.Fatalf("%v line %d: one pass %+v %v %v, MatchEnds end %d, AppendRecord %v %v", tm, i, c, cands.Fields(i), cands.Arrays(i), end, occs, arrays)
 		}
 	}
 	want := o.Scan(lines)

@@ -12,17 +12,27 @@
 // NewMatcher compiles a template once into a flat program (see op):
 // literals merged, fields stopping at one table, each array a loop over an
 // op range. Two interpreters run it for every caller. match answers
-// ok/end/truncated without touching the heap — the validate pass of
-// MatchEnds, MatchCandidateEnds and Residue. extract writes a record's
-// field and array occurrences into a flat reusable arena: AppendRecord
-// and Scan, which makes one extract attempt per line and rolls back the
-// occurrences of a failed one, so a line is matched once, not validated
-// and then re-walked. A record is exactly its field occurrences plus its
-// array occurrences: together they determine the parse (see ArrayOcc), so
-// no caller needs a parse tree. Only the compiler reads the template tree;
-// the tree walkers the program replaced live on in the tests, and the
-// tree-building walker in parsertest, as the oracles the interpreters are
-// compared against.
+// ok/end/truncated without touching the heap, for callers that extract
+// nothing: MatchEnds and Residue. extract answers the same and writes a
+// record's field and array occurrences into a flat reusable arena:
+// AppendRecord, Scan and MatchLines. The last two make one extract attempt
+// per line and roll back the occurrences of a failed one, so a line is
+// matched once, not validated and then re-walked. MatchLines is the
+// one-pass candidate form the extraction engine runs over each window, its
+// lines fanned out over workers: per line the candidate end (with match's
+// truncated flag, which a window of a longer stream defers on) and, for a
+// line that starts a record, where that record's occurrences sit in the
+// arena of the worker that matched it — unless the record starts inside
+// the last one that worker kept, as only records of a hand-written format
+// can: Restore re-extracts such a record once a walk accepts it, so the
+// arenas hold a window's worth, not every overlapping match. A record is
+// exactly its field occurrences plus its array occurrences: together they
+// determine the parse (see ArrayOcc), so no caller needs a parse tree.
+// Only the compiler
+// reads the template tree; the tree walkers the program replaced and the
+// validate-only candidate fan-out MatchLines replaced live on in the tests,
+// and the tree-building walker in parsertest, as the oracles the
+// interpreters are compared against.
 package parser
 
 import (
@@ -269,9 +279,9 @@ func (a *arena) reset() {
 
 // extract runs ops [lo, hi) from data[pos] like match, appending the
 // field occurrences (at repetition rep) and array occurrences it passes
-// to a. ok is match's ok; on failure a holds the occurrences of the
+// to a. Its results are match's; on failure a holds the occurrences of the
 // partial attempt, which the caller rolls back.
-func (m *Matcher) extract(lo, hi int, data []byte, pos, rep int, a *arena) (int, bool) {
+func (m *Matcher) extract(lo, hi int, data []byte, pos, rep int, a *arena) (int, bool, bool) {
 	for i := lo; i < hi; i++ {
 		o := &m.prog[i]
 		switch o.kind {
@@ -282,22 +292,28 @@ func (m *Matcher) extract(lo, hi int, data []byte, pos, rep int, a *arena) (int,
 			}
 			a.occs = append(a.occs, FieldOcc{Col: int(o.col), Rep: rep, Start: start, End: pos})
 		case opLit:
-			if len(data)-pos < len(o.lit) || string(data[pos:pos+len(o.lit)]) != o.lit {
-				return 0, false
+			if avail := len(data) - pos; avail < len(o.lit) {
+				return 0, false, string(data[pos:]) == o.lit[:avail]
+			}
+			if string(data[pos:pos+len(o.lit)]) != o.lit {
+				return 0, false, false
 			}
 			pos += len(o.lit)
 		case opArray:
 			for r := 0; ; r++ {
-				end, ok := m.extract(i+1, int(o.end), data, pos, r, a)
-				if !ok || end >= len(data) {
-					return 0, false
+				end, ok, trunc := m.extract(i+1, int(o.end), data, pos, r, a)
+				if !ok {
+					return 0, false, trunc
+				}
+				if end >= len(data) {
+					return 0, false, true
 				}
 				pos = end + 1
 				if data[end] == o.sep {
 					continue
 				}
 				if data[end] != o.term {
-					return 0, false
+					return 0, false, false
 				}
 				a.arrays = append(a.arrays, ArrayOcc{Arr: int(o.arr), Reps: r + 1})
 				break
@@ -305,7 +321,7 @@ func (m *Matcher) extract(lo, hi int, data []byte, pos, rep int, a *arena) (int,
 			i = int(o.end) - 1
 		}
 	}
-	return pos, true
+	return pos, true, false
 }
 
 // AppendRecord parses the record starting at pos and appends its field and
@@ -313,7 +329,7 @@ func (m *Matcher) extract(lo, hi int, data []byte, pos, rep int, a *arena) (int,
 // no record starts at pos the slices come back unextended and ok is false.
 func (m *Matcher) AppendRecord(data []byte, pos int, occs []FieldOcc, arrays []ArrayOcc) ([]FieldOcc, []ArrayOcc, bool) {
 	a := arena{occs: occs, arrays: arrays}
-	if _, ok := m.extract(0, len(m.prog), data, pos, 0, &a); !ok {
+	if _, ok, _ := m.extract(0, len(m.prog), data, pos, 0, &a); !ok {
 		return a.occs[:len(occs)], a.arrays[:len(arrays)], false
 	}
 	return a.occs, a.arrays, true
@@ -368,53 +384,50 @@ func (s *ScanResult) AllFields() []FieldOcc { return s.ar.occs }
 // AllArrays returns every array instantiation of every record.
 func (s *ScanResult) AllArrays() []ArrayOcc { return s.ar.arrays }
 
-// scanEst extrapolates a final slice length from the current length after
-// done of total lines, with headroom so a slightly denser tail doesn't
-// force another growth step. The multiply comes before the divide —
-// n/done would truncate densities below one entry per line to zero and
-// never reserve. The headroom is computed from the projected (not
-// current) length: the projection is stable while density is, so cap
-// stays ahead of the estimate and reserve does not regrow every record.
-func scanEst(n, done, total int) int {
-	projected := n * total / done
-	return projected + projected/8 + 64
-}
-
 // reserveMinLines is the number of consumed lines required before reserve
 // trusts its extrapolation: growing from a handful of lines would gamble
 // hundreds of megabytes on one record's density, while the slices are
 // still small enough that runtime growth below the threshold is cheap.
 const reserveMinLines = 256
 
-// reserve pre-grows the result's record slice and occurrence arenas to
-// the footprint extrapolated from the fraction of lines already consumed.
-// Without it, a full-dataset scan pays for the runtime's incremental
-// large-slice growth: a 100 MB arena would be copied many times over in
-// 1.25x steps, dwarfing the match work itself.
+// reserveFor returns s with room for the length extrapolated from its
+// current length after done of total lines. It grows s only when that
+// projection outgrows cap(s), and then with headroom, so a slightly
+// denser tail doesn't force another growth step and a projection that
+// creeps up record by record does not regrow s every record. The
+// multiply comes before the divide — len/done would truncate densities
+// below one entry per line to zero and never reserve.
+func reserveFor[T any](s []T, done, total int) []T {
+	projected := len(s) * total / done
+	if projected <= cap(s) {
+		return s
+	}
+	grown := make([]T, len(s), projected+projected/8+64)
+	copy(grown, s)
+	return grown
+}
+
+// reserve pre-grows the arena to the footprint extrapolated from the
+// fraction of lines already consumed. Without it, a full-dataset scan pays
+// for the runtime's incremental large-slice growth: a 100 MB arena would be
+// copied many times over in 1.25x steps, dwarfing the match work itself.
+func (a *arena) reserve(done, total int) {
+	if done < reserveMinLines || done >= total {
+		return
+	}
+	a.occs = reserveFor(a.occs, done, total)
+	a.arrays = reserveFor(a.arrays, done, total)
+}
+
+// reserve pre-grows the result's record slice, noise list and occurrence
+// arena the way arena.reserve does.
 func (s *ScanResult) reserve(done, total int) {
 	if done < reserveMinLines || done >= total {
 		return
 	}
-	if est := scanEst(len(s.ar.occs), done, total); est > cap(s.ar.occs) {
-		occs := make([]FieldOcc, len(s.ar.occs), est)
-		copy(occs, s.ar.occs)
-		s.ar.occs = occs
-	}
-	if est := scanEst(len(s.ar.arrays), done, total); est > cap(s.ar.arrays) {
-		arrays := make([]ArrayOcc, len(s.ar.arrays), est)
-		copy(arrays, s.ar.arrays)
-		s.ar.arrays = arrays
-	}
-	if est := scanEst(len(s.Records), done, total); est > cap(s.Records) {
-		recs := make([]Record, len(s.Records), est)
-		copy(recs, s.Records)
-		s.Records = recs
-	}
-	if est := scanEst(len(s.NoiseLines), done, total); est > cap(s.NoiseLines) {
-		noise := make([]int, len(s.NoiseLines), est)
-		copy(noise, s.NoiseLines)
-		s.NoiseLines = noise
-	}
+	s.ar.reserve(done, total)
+	s.Records = reserveFor(s.Records, done, total)
+	s.NoiseLines = reserveFor(s.NoiseLines, done, total)
 }
 
 // recordEnd reports whether a match starting at line i and ending at byte
@@ -452,7 +465,7 @@ func (m *Matcher) ScanInto(lines *textio.Lines, res *ScanResult) {
 	for i := 0; i < n; {
 		pos := lines.Start(i)
 		fieldLo, arrLo := len(res.ar.occs), len(res.ar.arrays)
-		if end, ok := m.extract(0, len(m.prog), data, pos, 0, &res.ar); ok {
+		if end, ok, _ := m.extract(0, len(m.prog), data, pos, 0, &res.ar); ok {
 			if endLine, ok := recordEnd(lines, i, end); ok {
 				res.Records = append(res.Records, Record{
 					StartLine: i, EndLine: endLine, Start: pos, End: end,

@@ -58,7 +58,9 @@ func TestMatchCandidatesTruncatedFlag(t *testing.T) {
 		template.Field(), template.Lit(","), template.Field(), template.Lit("\n"),
 	).Normalize())
 	lines := textio.NewLines([]byte("a,b\n~~noise~~\nc,d\ne,f"))
-	cands := m.MatchCandidateEnds(lines, 0, lines.N(), 2)
+	var c Candidates
+	m.MatchLines(&c, lines, 2)
+	cands := c.Ends()
 	if cands[0].EndLine != 1 {
 		t.Errorf("line 0: %+v, want match ending at line 1", cands[0])
 	}

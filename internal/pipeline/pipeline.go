@@ -5,9 +5,14 @@
 // §5.2.2). Input reaches it as line-aligned shards; unless a format is
 // given, structure discovery (core.Discover) runs once on a bounded prefix
 // — the whole input for a slice; and extraction flows through one stage
-// per template, each stage fanning per-line template matching out over a
-// worker pool and deciding records and noise with a cheap sequential
-// greedy walk.
+// per template. A stage's batch matches every line of its window once, on
+// a worker pool: the one pass (parser.Matcher.MatchLines) writes each
+// record's field occurrences as it validates the line. A cheap sequential
+// greedy walk over those candidates decides records and noise, and the
+// workers then build the accepted records' slabs from the occurrences
+// already extracted — no record is matched twice — while the calling
+// goroutine delivers the previous batch. There is one code path at every
+// worker count.
 //
 // Shard invariance. Per-line matching is context-free, so a stage's
 // sharded walk finalizes exactly the decisions one walk over the whole
@@ -24,6 +29,17 @@
 // way, and a longer stream learns its templates from the prefix rather
 // than from stratified whole-input samples.
 //
+// Callbacks. OnRecord and OnNoise run on the goroutine that called the
+// run, never concurrently. OnNoise receives a line as the greedy walk
+// decides it. A batch's records reach OnRecord (or Result.Records) while
+// the workers fill the next batch's slabs: one batch behind, in the order
+// the batches were materialized, the last one when the input ends. So each
+// record type's records arrive in input order, types interleave batch by
+// batch, noise indices arrive in increasing order, and neither sequence
+// depends on Workers. At one worker nothing runs concurrently: the
+// previous batch is delivered, then the next one filled. An error from
+// either callback stops the run, and no callback follows it.
+//
 // Memory. Each stage retains at most about two shards of residue (plus
 // any single record still being completed across a shard boundary), so the
 // input streams through in bounded space. The outputs accumulate in the
@@ -31,12 +47,19 @@
 // noise line indices to keep the whole run bounded.
 //
 // What a run works in is borrowed, not built. The chunk buffer the reader
-// is read through and, per stage, the residue window, its line metadata
-// and line index, the candidate ends, the accepted records, their
-// RecordOut headers and each materialize worker's occurrence lists — all
-// of it overwritten batch after batch and none of it ever handed out —
-// come from a pool (scratch) and go back to it when the run ends, sized by
-// the largest batch any run has put through them. A crawl's extract
+// is read through and, per stage, the residue window, its line index
+// (built as lines arrive, so each byte is scanned for '\n' once) and line
+// metadata, the window's candidates with the occurrences of every record
+// they found, the accepted records' start lines and two buffers of
+// RecordOut headers — all of it overwritten batch after batch and none of
+// it ever handed out — come from a pool (scratch) and go back to it when
+// the run ends, sized by the largest batch any run has put through them.
+// A window line costs 64 B of it (metadata, index entry, candidate), an
+// accepted record 152 B more (its start line and a header in each
+// buffer), and each field or array occurrence 32 or 16 B — of the records
+// a worker's range keeps, which never overlap, and of the accepted records
+// it did not keep, re-extracted, which only a format whose records start
+// inside one another has (see parser.Matcher.MatchLines). A crawl's extract
 // workers and a daemon's extract handlers therefore allocate it once per
 // goroutine, not once per file or request; a run's cost follows its bytes.
 // The exception is a scratch grown past maxPooledScratch, which a run of
@@ -46,29 +69,29 @@
 //
 // What a run hands out is allocated for that purpose and never reused:
 // records are allocated per batch, not per record (see materialize) — the
-// records one worker materialized for one batch share one string of their
-// text and one slice of field values — and Result.Records is the slice the
-// first stage accumulated them in. Pooling those slabs would save the
-// largest allocations left and break the one promise callers rely on: a
-// RecordOut handed to OnRecord (or found in a Result) stays valid for as
-// long as it is referenced, across later batches, later runs and runs on
-// other goroutines. The granularity of retention is the batch — a kept
-// record, Fields slice or Value keeps its worker's share of the batch
-// reachable (at most about ShardSize of record text plus the field slice
-// over it). Keeping all records or none costs nothing extra; to keep a few
-// out of many, clone what is kept (strings.Clone).
+// records of one fill range of a batch (the whole batch at one worker)
+// share one string of their text and one slice of field values — and
+// Result.Records is the slice the first stage accumulated them in. Pooling
+// those slabs would save the largest allocations left and break the one
+// promise callers rely on: a RecordOut handed to OnRecord (or found in a
+// Result) stays valid for as long as it is referenced, across later
+// batches, later runs and runs on other goroutines. The granularity of
+// retention is the batch — a kept record, Fields slice or Value keeps its
+// range of the batch reachable (at most about ShardSize of record text
+// plus the field slice over it). Keeping all records or none costs nothing
+// extra; to keep a few out of many, clone what is kept (strings.Clone).
 package pipeline
 
 import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"runtime"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 	"unsafe"
 
@@ -102,10 +125,11 @@ type Config struct {
 	// OnRecord, when non-nil, receives every record as its shard is
 	// finalized instead of the record being accumulated into
 	// Result.Records — the bounded-memory mode. Records of one type
-	// arrive in input order; types interleave at shard granularity.
-	// A record may be kept past the call (it keeps its batch's storage
-	// reachable: see the package comment, "Memory"). A non-nil error
-	// aborts the run.
+	// arrive in input order; types interleave at shard granularity. It
+	// runs on the calling goroutine while the next batch is filled (see
+	// the package comment, "Callbacks"). A record may be kept past the
+	// call (it keeps its batch's storage reachable: see the package
+	// comment, "Memory"). A non-nil error aborts the run.
 	OnRecord func(core.RecordOut) error
 	// OnNoise, when non-nil, receives each final noise line's original
 	// index as it is decided instead of the index being accumulated
@@ -173,21 +197,11 @@ type lineMeta struct {
 	start int // original byte offset of the line's first byte
 }
 
-// recordMatcher is what a stage asks of its compiled template: the validate
-// pass over a window's lines, then the extract pass over each record the
-// greedy walk accepted. *parser.Matcher implements it; a test substitutes
-// one whose two passes disagree.
-type recordMatcher interface {
-	Columns() int
-	MatchCandidateEndsInto(dst []parser.CandEnd, lines *textio.Lines, from, to, workers int) []parser.CandEnd
-	AppendRecord(data []byte, pos int, occs []parser.FieldOcc, arrays []parser.ArrayOcc) ([]parser.FieldOcc, []parser.ArrayOcc, bool)
-}
-
 // stage applies one template to its residue stream. buf holds the
 // resident window of still-undecided residue lines; meta maps each
 // resident line back to original coordinates.
 type stage struct {
-	m        recordMatcher
+	m        *parser.Matcher
 	typeID   int
 	records  int
 	coverage int
@@ -202,20 +216,23 @@ type stage struct {
 }
 
 // stageScratch is the storage one stage works in, borrowed from the pool
-// for the length of a run: the residue window and its line metadata, and
-// the batch scratch — the window's line index, the candidate ends, the
-// accepted records, their RecordOut headers and, per materialize worker,
-// the occurrences of its range. Every batch overwrites it and none of it is
-// handed out; what a batch hands out — the slabs the headers point into —
-// is allocated fresh (see materialize).
+// for the length of a run: the residue window, its line index (grown as
+// lines arrive, rebased when the window is compacted) and its line
+// metadata, and the batch scratch — the candidates of the window's lines
+// with the occurrences of every record they found, the start lines of the
+// records the greedy walk accepted, and two buffers of RecordOut headers,
+// one filled while the other's batch is delivered. Every batch overwrites
+// it and none of it is handed out; what a batch hands out — the slabs the
+// headers point into — is allocated fresh (see materialize).
 type stageScratch struct {
 	buf      []byte
 	meta     []lineMeta
 	lines    textio.Lines
-	cands    []parser.CandEnd
-	accepted []parser.Record
-	out      []core.RecordOut
-	ranges   []rangeScratch
+	cands    parser.Candidates
+	accepted []int
+	out      [2][]core.RecordOut
+	// cur is the header buffer the stage's last batch was filled into.
+	cur int
 }
 
 // scratch is what one run borrows: the buffer its reader's chunks are read
@@ -235,7 +252,7 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // maxPooledScratch is the largest scratch a finished run gives back. A
 // scratch weighs about ten times the window it has held (per line: its
-// metadata, candidate end, record, header and field occurrences), so a run
+// metadata, candidate, record start, headers and field occurrences), so a run
 // that streamed several full shards leaves one of 20–40 MB, and has spread
 // that over its own bytes; kept, it would sit in the pool through the next
 // collection, a live heap several times the process's own that whatever
@@ -246,8 +263,13 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 const maxPooledScratch = 16 * DefaultShardSize
 
 // release ends a run's hold on sc: back to the pool, unless the run grew
-// it past what the pool keeps.
+// it past what the pool keeps. Headers a failed run never delivered are
+// dropped first, so a pooled scratch keeps no batch's slabs alive.
 func (sc *scratch) release() {
+	for _, s := range sc.stages {
+		clear(s.out[0])
+		clear(s.out[1])
+	}
 	if sc.footprint() <= maxPooledScratch {
 		scratchPool.Put(sc)
 	}
@@ -271,6 +293,7 @@ func (sc *scratch) stage(t int) *stageScratch {
 	}
 	s := sc.stages[t]
 	s.buf, s.meta = s.buf[:0], s.meta[:0]
+	s.lines.Reset(s.buf)
 	return s
 }
 
@@ -278,29 +301,12 @@ func (sc *scratch) stage(t int) *stageScratch {
 func (sc *scratch) footprint() int {
 	n := cap(sc.chunk)
 	for _, s := range sc.stages {
-		n += cap(s.buf) + s.lines.IndexBytes() +
+		n += cap(s.buf) + s.lines.IndexBytes() + s.cands.Footprint() +
 			cap(s.meta)*int(unsafe.Sizeof(lineMeta{})) +
-			cap(s.cands)*int(unsafe.Sizeof(parser.CandEnd{})) +
-			cap(s.accepted)*int(unsafe.Sizeof(parser.Record{})) +
-			cap(s.out)*int(unsafe.Sizeof(core.RecordOut{}))
-		for i := range s.ranges {
-			r := &s.ranges[i]
-			n += cap(r.fields)*int(unsafe.Sizeof(parser.FieldOcc{})) +
-				cap(r.arrays)*int(unsafe.Sizeof(parser.ArrayOcc{})) +
-				cap(r.ends)*int(unsafe.Sizeof([2]int{}))
-		}
+			cap(s.accepted)*int(unsafe.Sizeof(0)) +
+			(cap(s.out[0])+cap(s.out[1]))*int(unsafe.Sizeof(core.RecordOut{}))
 	}
 	return n
-}
-
-// rangeScratch holds the extract pass's output for one worker's range of a
-// batch's accepted records: every field and array occurrence, flat, and per
-// record where its occurrences end in both.
-type rangeScratch struct {
-	fields []parser.FieldOcc
-	arrays []parser.ArrayOcc
-	ends   [][2]int // len(fields), len(arrays) after each record
-	err    error    // what the range's worker goroutine returned
 }
 
 // engine drives the staged streaming scan.
@@ -311,6 +317,9 @@ type engine struct {
 	noise      []int
 	nextLine   int // original line counter of the input feed
 	nextByte   int // original byte counter of the input feed
+	// pending is the last batch materialized, its headers not yet
+	// delivered: the next batch's fill delivers it (see materialize).
+	pending pendingBatch
 	// timing is what discovery spent (zero with a known format); began is
 	// when extraction started.
 	timing core.Timing
@@ -476,11 +485,15 @@ func (e *engine) finish(ctx context.Context) (*core.Result, error) {
 		}
 		*cfg.Boundary = e.boundary()
 	}
-	// Final flush, in stage order so cascaded residue is complete.
+	// Final flush, in stage order so cascaded residue is complete, and the
+	// last batch's delivery.
 	for t := range e.stages {
 		if err := e.process(t, true); err != nil {
 			return nil, err
 		}
+	}
+	if err := e.deliver(); err != nil {
+		return nil, err
 	}
 
 	// Discovery charged its residue walks to Extraction; the engine's own
@@ -537,15 +550,17 @@ func (e *engine) feed(block []byte) error {
 		}
 		return nil
 	}
+	// The block's lines are found once, by the window's index, and their
+	// metadata read off it.
 	s := e.stages[0]
-	for off := 0; off < len(block); {
-		nl := lineLen(block[off:])
+	first := s.lines.N()
+	s.buf = append(s.buf, block...)
+	s.lines.Extend(s.buf)
+	for i := first; i < s.lines.N(); i++ {
 		s.meta = append(s.meta, lineMeta{orig: e.nextLine, start: e.nextByte})
 		e.nextLine++
-		e.nextByte += nl
-		off += nl
+		e.nextByte += s.lines.Start(i+1) - s.lines.Start(i)
 	}
-	s.buf = append(s.buf, block...)
 	for t := range e.stages {
 		st := e.stages[t]
 		if len(st.buf) >= e.cfg.ShardSize && len(st.buf) >= st.minRetry {
@@ -566,22 +581,22 @@ func lineLen(b []byte) int {
 	return len(b)
 }
 
-// process runs one batch of stage t: parallel per-line candidates, the
-// sequential greedy walk, parallel record materialization, then window
-// compaction. final means no more input can arrive, so every decision is
-// safe to finalize. The sequential half works in the stage's own scratch
-// (line index, candidates, accepted records), so a batch allocates only
-// what it hands out.
+// process runs one batch of stage t: the parallel one-pass match of every
+// window line, the sequential greedy walk, parallel record materialization
+// (delivering the previous batch meanwhile), then window compaction. final
+// means no more input can arrive, so every decision is safe to finalize.
+// The sequential half works in the stage's own scratch (line index,
+// candidates, accepted records), so a batch allocates only what it hands
+// out.
 func (e *engine) process(t int, final bool) error {
 	st := e.stages[t]
 	ls := &st.lines
-	ls.Reset(st.buf)
 	n := ls.N()
 	if n == 0 {
 		return nil
 	}
-	st.cands = st.m.MatchCandidateEndsInto(st.cands, ls, 0, n, e.cfg.Workers)
-	cands := st.cands
+	st.m.MatchLines(&st.cands, ls, e.cfg.Workers)
+	cands := st.cands.Ends()
 
 	// Greedy walk — identical decisions to the sequential Scan. Near
 	// the window's end (when more input may arrive), decisions that
@@ -613,10 +628,7 @@ func (e *engine) process(t int, final bool) error {
 			// batch later.
 			break
 		}
-		accepted = append(accepted, parser.Record{
-			StartLine: i, EndLine: c.EndLine,
-			Start: ls.Start(i), End: c.End,
-		})
+		accepted = append(accepted, i)
 		st.coverage += c.End - ls.Start(i)
 		i = c.EndLine
 	}
@@ -624,25 +636,18 @@ func (e *engine) process(t int, final bool) error {
 	consumed := i
 
 	if len(accepted) > 0 {
+		st.m.Restore(&st.cands, ls, accepted)
 		st.records += len(accepted)
-		err := e.materialize(st)
-		if err == nil {
-			err = e.deliver(st)
-		}
-		// The headers were copied out (or the run is over); drop the
-		// scratch's references so it keeps no batch's slabs alive past
-		// the batch, in this run or from the pool.
-		clear(st.out)
-		if err != nil {
+		if err := e.materialize(st); err != nil {
 			return err
 		}
 	}
 
 	// Compact: drop the finalized prefix, keep the deferred tail.
 	if consumed > 0 {
-		cut := ls.Start(consumed)
-		st.buf = append(st.buf[:0], st.buf[cut:]...)
+		st.buf = append(st.buf[:0], st.buf[ls.Start(consumed):]...)
 		st.meta = append(st.meta[:0], st.meta[consumed:]...)
+		ls.Drop(consumed, st.buf)
 	}
 	// A deferred tail is re-matched from scratch next batch; when it is
 	// already shard-sized (a record still completing across shards),
@@ -656,19 +661,40 @@ func (e *engine) process(t int, final bool) error {
 	return nil
 }
 
-// deliver hands the batch's materialized records on: to OnRecord when
-// set, into the stage's share of Result.Records otherwise.
-func (e *engine) deliver(st *stage) error {
-	if e.cfg.OnRecord == nil {
-		st.recs = append(st.recs, st.out...)
+// pendingBatch is a materialized batch awaiting delivery: the stage whose
+// records they are, and which of its header buffers holds them.
+type pendingBatch struct {
+	st  *stage
+	buf int
+}
+
+// deliver hands the pending batch's records on, if there is one: to
+// OnRecord when set, into the stage's share of Result.Records otherwise.
+// It runs on the calling goroutine, so callbacks never run concurrently,
+// and batches are delivered in the order they were materialized. The
+// headers are dropped once delivered, even when OnRecord fails, so the
+// scratch keeps no batch's slabs alive past its delivery, in this run or
+// from the pool.
+func (e *engine) deliver() error {
+	p := e.pending
+	if p.st == nil {
 		return nil
 	}
-	for _, r := range st.out {
-		if err := e.cfg.OnRecord(r); err != nil {
-			return err
+	e.pending = pendingBatch{}
+	out := p.st.out[p.buf]
+	var err error
+	if e.cfg.OnRecord == nil {
+		p.st.recs = append(p.st.recs, out...)
+	} else {
+		for _, r := range out {
+			if err = e.cfg.OnRecord(r); err != nil {
+				break
+			}
 		}
 	}
-	return nil
+	clear(out)
+	p.st.out[p.buf] = out[:0]
+	return err
 }
 
 // emitNoise routes one noise line to the next stage's residue window, or
@@ -677,6 +703,7 @@ func (e *engine) emitNoise(t int, line []byte, meta lineMeta) error {
 	if t+1 < len(e.stages) {
 		next := e.stages[t+1]
 		next.buf = append(next.buf, line...)
+		next.lines.Extend(next.buf)
 		next.meta = append(next.meta, meta)
 		return nil
 	}
@@ -693,78 +720,69 @@ func (e *engine) finalNoise(origLine int) error {
 	return nil
 }
 
-// errInconsistent reports that the extract pass refused a record the
-// validate pass accepted: the two walks of one template disagree, which
-// only a matcher bug can cause. The run stops rather than emit a record
-// with no fields.
-var errInconsistent = errors.New("pipeline: internal inconsistency: the extract pass rejects a record the validate pass matched")
-
 // materialize turns the batch's accepted window-local records into records
 // in original-stream coordinates, fanning contiguous ranges of them out
-// over the worker pool. The headers land in st.out — scratch, valid until
-// the stage's next batch; the slabs they point into are allocated here and
-// belong to whoever keeps a record. Per range a worker allocates one set
-// of slabs — one string holding the bytes of the range's
-// records back to back (a single copy of record text, nothing of the noise
-// between), one []core.FieldValue and, when the template has arrays, one
-// []parser.ArrayOcc — and every record's Fields and Arrays are
-// capacity-clipped runs of those slabs, every Value a substring of the
-// string. Slabs are never reused, so a record stays valid for as long as
-// anything refers to it, and nothing is allocated per record or per field.
-// The extract pass (validated already, so it touches only record bytes)
-// runs first into the range's reusable scratch, which sizes the slabs
-// exactly. Output order matches the accepted order.
+// over the worker pool, and meanwhile delivers the previous batch on the
+// calling goroutine (see deliver), which then fills ranges too; the new
+// batch becomes the pending one.
+// At one worker nothing runs concurrently: the previous batch is
+// delivered, then this one filled. The headers land in the stage's other
+// header buffer — scratch, valid until they are delivered; the slabs they
+// point into are allocated here and belong to whoever keeps a record. Per
+// range a filler allocates one set of slabs — one string holding the bytes
+// of the range's records back to back (a single copy of record text,
+// nothing of the noise between), one []core.FieldValue and, when the
+// template has arrays, one []parser.ArrayOcc — and every record's Fields
+// and Arrays are capacity-clipped runs of those slabs, every Value a
+// substring of the string. Slabs are never reused, so a record stays valid
+// for as long as anything refers to it, and nothing is allocated per
+// record or per field. The occurrences come from the batch's one-pass
+// match (parser.Candidates), which also sizes the slabs exactly: no record
+// is matched twice. Output order matches the accepted order.
 func (e *engine) materialize(st *stage) error {
-	accepted, ls := st.accepted, &st.lines
-	st.out = slices.Grow(st.out[:0], len(accepted))[:len(accepted)]
-	out := st.out
-	fill := func(sc *rangeScratch, lo, hi int) error {
+	accepted, ls, cands := st.accepted, &st.lines, &st.cands
+	ends := cands.Ends()
+	st.cur ^= 1
+	out := slices.Grow(st.out[st.cur][:0], len(accepted))[:len(accepted)]
+	st.out[st.cur] = out
+	fill := func(lo, hi int) {
 		recs := accepted[lo:hi]
-		sc.fields, sc.arrays, sc.ends = sc.fields[:0], sc.arrays[:0], sc.ends[:0]
-		// A record has a field per template column, more where an array
-		// repeats: exact for the array-free template, a floor otherwise.
-		sc.fields = slices.Grow(sc.fields, len(recs)*st.m.Columns())
-		sc.ends = slices.Grow(sc.ends, len(recs))
-		textLen := 0
-		for _, rec := range recs {
-			textLen += rec.End - rec.Start
+		textLen, nFields, nArrays := 0, 0, 0
+		for _, i := range recs {
+			textLen += ends[i].End - ls.Start(i)
+			nFields += len(cands.Fields(i))
+			nArrays += len(cands.Arrays(i))
 		}
 		var text strings.Builder
 		text.Grow(textLen)
-		for _, rec := range recs {
-			var ok bool
-			sc.fields, sc.arrays, ok = st.m.AppendRecord(st.buf, rec.Start, sc.fields, sc.arrays)
-			if !ok {
-				return fmt.Errorf("%w (type %d, line %d)", errInconsistent, st.typeID, st.meta[rec.StartLine].orig)
-			}
-			sc.ends = append(sc.ends, [2]int{len(sc.fields), len(sc.arrays)})
-			text.Write(st.buf[rec.Start:rec.End])
+		for _, i := range recs {
+			text.Write(st.buf[ls.Start(i):ends[i].End])
 		}
 		values := text.String()
-		fields := make([]core.FieldValue, len(sc.fields))
+		fields := make([]core.FieldValue, nFields)
 		var arrays []parser.ArrayOcc
-		if len(sc.arrays) > 0 {
-			arrays = make([]parser.ArrayOcc, len(sc.arrays))
-			copy(arrays, sc.arrays)
+		if nArrays > 0 {
+			arrays = make([]parser.ArrayOcc, nArrays)
 		}
 
 		f0, a0, textOff := 0, 0, 0
-		for k, rec := range recs {
-			f1, a1 := sc.ends[k][0], sc.ends[k][1]
+		for k, i := range recs {
+			occs := cands.Fields(i)
+			f1, a1 := f0+len(occs), a0+copy(arrays[a0:], cands.Arrays(i))
 			// Fields arrive left to right and never cross line
 			// boundaries, so the containing line advances
 			// monotonically from the record's first line and one
 			// per-line delta translates both span ends.
-			li := rec.StartLine
-			toText := textOff - rec.Start
-			for j, f := range sc.fields[f0:f1] {
+			li, toText := i, textOff-ls.Start(i)
+			shift, next := st.meta[li].start-ls.Start(li), ls.Start(li+1)
+			for j, f := range occs {
 				// li+1 < N() guards the sentinel: a zero-length
 				// field at the very end of the window belongs to
 				// the last line.
-				for li+1 < ls.N() && ls.Start(li+1) <= f.Start {
+				for f.Start >= next && li+1 < ls.N() {
 					li++
+					shift, next = st.meta[li].start-ls.Start(li), ls.Start(li+1)
 				}
-				shift := st.meta[li].start - ls.Start(li)
 				fields[f0+j] = core.FieldValue{
 					Column: f.Col, Repetition: f.Rep,
 					Start: f.Start + shift, End: f.End + shift,
@@ -773,8 +791,8 @@ func (e *engine) materialize(st *stage) error {
 			}
 			ro := core.RecordOut{
 				TypeID:    st.typeID,
-				StartLine: st.meta[rec.StartLine].orig,
-				EndLine:   st.meta[rec.EndLine-1].orig + 1,
+				StartLine: st.meta[i].orig,
+				EndLine:   st.meta[ends[i].EndLine-1].orig + 1,
 				Fields:    fields[f0:f1:f1],
 			}
 			if a1 > a0 {
@@ -782,9 +800,8 @@ func (e *engine) materialize(st *stage) error {
 			}
 			out[lo+k] = ro
 			f0, a0 = f1, a1
-			textOff += rec.End - rec.Start
+			textOff += ends[i].End - ls.Start(i)
 		}
-		return nil
 	}
 	workers := e.cfg.Workers
 	if workers <= 0 {
@@ -793,36 +810,44 @@ func (e *engine) materialize(st *stage) error {
 	if workers <= 1 || len(accepted) < workers*4 {
 		workers = 1
 	}
-	if len(st.ranges) < workers {
-		st.ranges = append(st.ranges, make([]rangeScratch, workers-len(st.ranges))...)
-	}
+	var err error
 	if workers == 1 {
-		return fill(&st.ranges[0], 0, len(accepted))
-	}
-	// The scratch may come from a run a refusal ended: start every range
-	// of this batch clean, also those the loop below leaves idle.
-	for w := range st.ranges[:workers] {
-		st.ranges[w].err = nil
-	}
-	chunk := (len(accepted) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= len(accepted) {
-			break
+		if err = e.deliver(); err == nil {
+			fill(0, len(accepted))
 		}
-		hi := min(lo+chunk, len(accepted))
-		wg.Add(1)
-		go func(sc *rangeScratch, lo, hi int) {
-			defer wg.Done()
-			sc.err = fill(sc, lo, hi)
-		}(&st.ranges[w], lo, hi)
-	}
-	wg.Wait()
-	for w := range st.ranges[:workers] {
-		if err := st.ranges[w].err; err != nil {
-			return err
+	} else {
+		// The fill is cut into four ranges a worker, taken in turn by
+		// workers−1 goroutines and by the calling goroutine once it has
+		// delivered: a batch's fill lasts a few milliseconds, shorter than
+		// a scheduler time slice, so a range fixed per worker would leave
+		// one range waiting for a core while the delivery holds the other,
+		// and then a core idle.
+		size := (len(accepted) + 4*workers - 1) / (4 * workers)
+		var next atomic.Int64
+		fillRanges := func() {
+			for lo := int(next.Add(1)-1) * size; lo < len(accepted); lo = int(next.Add(1)-1) * size {
+				fill(lo, min(lo+size, len(accepted)))
+			}
+		}
+		var wg sync.WaitGroup
+		// The fillers are joined on every exit, a panicking OnRecord's
+		// included: they write into the run's scratch, which the unwinding
+		// run hands back to the pool.
+		defer wg.Wait()
+		for w := 1; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				fillRanges()
+			}()
+		}
+		if err = e.deliver(); err == nil {
+			fillRanges()
 		}
 	}
+	if err != nil {
+		return err // the run is over: release drops the headers
+	}
+	e.pending = pendingBatch{st: st, buf: st.cur}
 	return nil
 }

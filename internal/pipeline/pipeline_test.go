@@ -3,7 +3,6 @@ package pipeline
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"reflect"
@@ -351,6 +350,37 @@ func TestFieldTerminalProfileTemplate(t *testing.T) {
 	}
 }
 
+// TestOverlappingRecordsProfileTemplate covers a hand-written format whose
+// records start inside one another: three-line records, every line of
+// which starts one, broken by a line that starts none. Worker ranges that
+// begin inside a record keep different records than the greedy walk
+// accepts, so the walk's records are re-extracted; the output must still be
+// the oracle's at every shard size and worker count.
+func TestOverlappingRecordsProfileTemplate(t *testing.T) {
+	fld, lit := template.Field, template.Lit
+	tpl := template.Struct(fld(), lit(","), fld(), lit("\n"), fld(), lit(","), fld(), lit("\n"),
+		fld(), lit(","), fld(), lit("\n")).Normalize()
+	var b bytes.Buffer
+	for i := range 3000 {
+		if i%11 == 10 {
+			b.WriteString("noise\n")
+		} else {
+			fmt.Fprintf(&b, "%d,%d\n", i, i*7)
+		}
+	}
+	tpls := []*template.Node{tpl}
+	want := parsertest.Apply(tpls, b.Bytes())
+	for _, shard := range []int{64, 4 << 10, 0} {
+		for _, workers := range []int{1, 2, 8} {
+			got, err := Run(bytes.NewReader(b.Bytes()), Config{Templates: tpls, ShardSize: shard, Workers: workers})
+			if err != nil {
+				t.Fatalf("shard %d, workers %d: %v", shard, workers, err)
+			}
+			parsertest.RequireResultEqual(t, fmt.Sprintf("overlapping/shard%d/workers%d", shard, workers), want, got)
+		}
+	}
+}
+
 // TestOnNoiseStreams checks noise indices stream through the callback in
 // order instead of accumulating, and that its error aborts the run.
 func TestOnNoiseStreams(t *testing.T) {
@@ -504,59 +534,6 @@ func TestCancelDuringDiscovery(t *testing.T) {
 type readerFunc func([]byte) (int, error)
 
 func (f readerFunc) Read(p []byte) (int, error) { return f(p) }
-
-// disagreeingMatcher validates like the matcher it wraps but refuses to
-// extract the record starting at byte refuse of a window — the two passes
-// of one template disagreeing, which the real matcher never does.
-type disagreeingMatcher struct {
-	*parser.Matcher
-	refuse int
-}
-
-func (d disagreeingMatcher) AppendRecord(data []byte, pos int, occs []parser.FieldOcc, arrays []parser.ArrayOcc) ([]parser.FieldOcc, []parser.ArrayOcc, bool) {
-	if pos == d.refuse {
-		return occs, arrays, false
-	}
-	return d.Matcher.AppendRecord(data, pos, occs, arrays)
-}
-
-// TestExtractRefusalIsAnError: a record the validate pass accepted and the
-// extract pass rejects stops the run with errInconsistent — at any worker
-// count, whichever worker's range holds it — instead of reaching the
-// caller as a type-0 record with no fields that is still counted.
-func TestExtractRefusalIsAnError(t *testing.T) {
-	d := datagen.CommaSepRecords(400, 5)
-	tpls := discoverTemplates(t, d.Data)
-	lineStarts := []int{0}
-	for i, b := range d.Data[:len(d.Data)-1] {
-		if b == '\n' {
-			lineStarts = append(lineStarts, i+1)
-		}
-	}
-	for _, workers := range []int{1, 2, 8} {
-		for _, line := range []int{0, len(lineStarts) / 2, len(lineStarts) - 1} {
-			cfg := Config{Templates: tpls, Workers: workers}.withDefaults()
-			cfg.OnRecord = func(r core.RecordOut) error {
-				if len(r.Fields) == 0 {
-					t.Errorf("workers %d: record without fields emitted: %+v", workers, r)
-				}
-				return nil
-			}
-			e, err := start(context.Background(), cfg, new(scratch), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// The whole input is one window, so window offsets are input offsets.
-			e.stages[0].m = disagreeingMatcher{e.stages[0].m.(*parser.Matcher), lineStarts[line]}
-			if err := e.feedAll(context.Background(), d.Data); err != nil {
-				t.Fatalf("workers %d: feed: %v", workers, err)
-			}
-			if _, err := e.finish(context.Background()); !errors.Is(err, errInconsistent) {
-				t.Fatalf("workers %d, refusing line %d: err = %v, want errInconsistent", workers, line, err)
-			}
-		}
-	}
-}
 
 // TestRecordsOutliveTheirBatch pins the slab contract at the engine's own
 // door: every record handed to OnRecord is kept, compared only after the

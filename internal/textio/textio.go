@@ -7,6 +7,7 @@ package textio
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 )
 
 // Lines indexes the line structure of a dataset. Per Definition 2.4,
@@ -52,6 +53,55 @@ func (l *Lines) Reset(data []byte) {
 		}
 	}
 	l.data, l.starts = data, append(starts, len(data))
+}
+
+// Extend re-indexes l over data, which holds the indexed buffer followed by
+// more bytes (it may have moved since, as a buffer grown by append does),
+// scanning only the bytes appended: a window fed piece by piece is indexed
+// once, as it grows, and not again per batch. The index equals
+// Reset(data)'s.
+func (l *Lines) Extend(data []byte) {
+	old := len(l.data)
+	if len(l.starts) == 0 {
+		l.starts = append(l.starts, 0)
+	}
+	starts := l.starts[:len(l.starts)-1] // drop the sentinel
+	if len(data) > old {
+		// The first appended byte starts a line when the buffer was empty
+		// or ended in '\n'; otherwise it continues the buffer's last line.
+		if old == 0 || data[old-1] == '\n' {
+			starts = append(starts, old)
+		}
+		for off := old; ; {
+			i := bytes.IndexByte(data[off:len(data)-1], '\n')
+			if i < 0 {
+				break
+			}
+			off += i + 1
+			if len(starts) == cap(starts) {
+				// Double, from a page of entries: an index grown line by
+				// line reaches a window's size in a few steps, not the
+				// dozens append's gentler growth of large slices takes.
+				starts = slices.Grow(starts, max(len(starts), 512))
+			}
+			starts = append(starts, off)
+		}
+	}
+	l.data, l.starts = data, append(starts, len(data))
+}
+
+// Drop removes lines [0, k) from the index and re-indexes l over data,
+// which must hold the indexed buffer's bytes from line k on: what is left
+// of a window once its decided prefix is cut off. Nothing is scanned; the
+// remaining line starts are rebased.
+func (l *Lines) Drop(k int, data []byte) {
+	cut := l.starts[k]
+	n := copy(l.starts, l.starts[k:])
+	l.starts = l.starts[:n]
+	for i := range l.starts {
+		l.starts[i] -= cut
+	}
+	l.data = data
 }
 
 // N returns the number of lines.

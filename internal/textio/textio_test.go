@@ -2,6 +2,7 @@ package textio
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -292,5 +293,57 @@ func TestLinesResetMatchesNewLines(t *testing.T) {
 				t.Fatalf("input %d, %s: Data() is not the buffer it indexes", i, name)
 			}
 		}
+	}
+}
+
+// requireSameIndex fails unless got indexes exactly what want does.
+func requireSameIndex(t *testing.T, label string, got, want *Lines) {
+	t.Helper()
+	if got.N() != want.N() || !bytes.Equal(got.Data(), want.Data()) {
+		t.Fatalf("%s: N() = %d over %q, want %d over %q", label, got.N(), got.Data(), want.N(), want.Data())
+	}
+	for k := 0; k <= want.N(); k++ {
+		if got.Start(k) != want.Start(k) {
+			t.Fatalf("%s: Start(%d) = %d, want %d", label, k, got.Start(k), want.Start(k))
+		}
+	}
+}
+
+// TestLinesExtendAndDropMatchReset grows one index piece by piece, the way
+// the extraction engine feeds a window — pieces cut anywhere, mid-line
+// included — and cuts decided lines off its front, checking after every
+// step that it reads exactly like a fresh index of the same bytes.
+func TestLinesExtendAndDropMatchReset(t *testing.T) {
+	inputs := []string{
+		"a\nbb\nccc\n",
+		"tail without newline",
+		"x\nunterminated",
+		"\n\n\n",
+		strings.Repeat("some line\n\n", 20) + "end",
+	}
+	for _, in := range inputs {
+		for _, piece := range []int{1, 2, 3, 7, len(in)} {
+			for _, drop := range []int{0, 1, 2} {
+				label := fmt.Sprintf("%q/piece%d/drop%d", in[:min(len(in), 12)], piece, drop)
+				var l Lines
+				var buf []byte
+				for off := 0; off < len(in); off += piece {
+					buf = append(buf, in[off:min(off+piece, len(in))]...)
+					l.Extend(buf)
+					requireSameIndex(t, label+"/extend", &l, NewLines(buf))
+					// Drop only whole lines the next piece cannot extend.
+					if k := min(drop, l.N()-1); k > 0 {
+						buf = append(buf[:0], buf[l.Start(k):]...)
+						l.Drop(k, buf)
+						requireSameIndex(t, label+"/drop", &l, NewLines(buf))
+					}
+				}
+			}
+		}
+	}
+	var l Lines
+	l.Extend(nil)
+	if l.N() != 0 {
+		t.Fatalf("empty Extend: N() = %d", l.N())
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 
 	"datamaran/internal/lake"
+	"datamaran/internal/parser"
 	"datamaran/internal/template"
 )
 
@@ -15,17 +16,32 @@ import (
 // Extract, save the profile, and apply it to sibling files with
 // ExtractWithProfile — which runs only the linear extraction pass, no
 // template search.
+//
+// A profile is compiled once, when it is made (Result.Profile, or
+// UnmarshalJSON): every extraction it drives, on any goroutine, runs the
+// same compiled matchers.
 type Profile struct {
 	templates []*template.Node
+	// matchers[i] is templates[i] compiled.
+	matchers []*parser.Matcher
+}
+
+// newProfile builds a profile over templates and compiles them.
+func newProfile(templates []*template.Node) *Profile {
+	p := &Profile{templates: templates, matchers: make([]*parser.Matcher, len(templates))}
+	for i, t := range templates {
+		p.matchers[i] = parser.NewMatcher(t)
+	}
+	return p
 }
 
 // Profile captures the discovered structures of a completed extraction.
 func (r *Result) Profile() *Profile {
-	p := &Profile{}
-	for _, s := range r.res.Structures {
-		p.templates = append(p.templates, s.Template.Clone())
+	templates := make([]*template.Node, len(r.res.Structures))
+	for i, s := range r.res.Structures {
+		templates[i] = s.Template.Clone()
 	}
-	return p
+	return newProfile(templates)
 }
 
 // Templates lists the profile's structure templates in the paper's
@@ -95,14 +111,15 @@ func (p *Profile) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &pj); err != nil {
 		return fmt.Errorf("datamaran: bad profile: %w", err)
 	}
-	p.templates = nil
+	var templates []*template.Node
 	for _, raw := range pj.Templates {
 		n, err := template.UnmarshalNode(raw)
 		if err != nil {
 			return fmt.Errorf("datamaran: bad profile template: %w", err)
 		}
-		p.templates = append(p.templates, n.Normalize())
+		templates = append(templates, n.Normalize())
 	}
+	*p = *newProfile(templates)
 	return nil
 }
 

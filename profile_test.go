@@ -189,3 +189,46 @@ func TestProfileMultiTypeOrderPreserved(t *testing.T) {
 		}
 	}
 }
+
+// TestProfileCompilesOnce: a profile is compiled when it is made — by
+// Result.Profile, by UnmarshalJSON, or as an indexed format's — and every
+// extraction it drives hands the engine that one compiled set, never its
+// templates to compile again.
+func TestProfileCompilesOnce(t *testing.T) {
+	res, err := Extract(sampleCSV(100), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	learned := res.Profile()
+	raw, err := json.Marshal(learned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var loaded Profile
+	if err := json.Unmarshal(raw, &loaded); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := IndexDir("testdata/lake", IndexOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	profiles := map[string]*Profile{"learned": learned, "loaded": &loaded, "indexed": ix.Formats[0].Profile()}
+	for name, p := range profiles {
+		if len(p.matchers) != len(p.templates) || len(p.matchers) == 0 {
+			t.Fatalf("%s: %d matchers for %d templates", name, len(p.matchers), len(p.templates))
+		}
+		for i, m := range p.matchers {
+			if m.Template() != p.templates[i] {
+				t.Fatalf("%s: matcher %d is not compiled from template %d", name, i, i)
+			}
+		}
+		one, two := Options{Workers: 1}.config(p), Options{Workers: 2, ShardSize: 64}.config(p)
+		if one.Templates != nil || two.Templates != nil || &one.Matchers[0] != &p.matchers[0] || &two.Matchers[0] != &p.matchers[0] {
+			t.Fatalf("%s: the extractions are handed %p and %p, templates %v and %v; want the profile's matchers %p",
+				name, one.Matchers, two.Matchers, one.Templates, two.Templates, p.matchers)
+		}
+		if got, err := ExtractWithProfile(sampleCSV(10), p); err != nil || got.res.Structures[0].Template != p.templates[0] {
+			t.Fatalf("%s: the extraction did not run the profile's compiled templates (err %v)", name, err)
+		}
+	}
+}

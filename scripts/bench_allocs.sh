@@ -30,11 +30,16 @@
 # per row — an operator that goes back to allocating per row adds a
 # thousand a block and fails at either size.
 # The apply path — a learned profile streamed over 16 MiB at the default
-# 1 MiB shard, one worker — is held to constant + per-shard × 16: a batch
-# allocates one set of record slabs (text, field values, array
-# occurrences) and nothing per record or per field — its chunk is read
-# into a buffer the run borrowed; a regression to one string per field is
-# two million allocations over the ceiling.
+# 1 MiB shard, at one worker and at two — is held to constant + per-shard
+# × 16: a batch allocates one set of record slabs (text, field values,
+# array occurrences) per fill range and nothing per record or per field —
+# its chunk is read into a buffer the run borrowed, and its line index,
+# candidates, per-worker occurrence arenas and both header buffers are
+# scratch the run grows once. At one worker the batch is one range; two
+# workers cut it into eight and add the goroutines of a batch's two
+# fan-outs (match, fill). A regression to one string per field is two
+# million allocations over either ceiling; an arena or header buffer grown
+# per batch is dozens a shard.
 # The crawl of a lake of small files (forty records, 2–3 KB each, known
 # formats, fresh store, checkpoints) is held by bytes, not objects, at two
 # file counts to one ceiling of the form constant + per-file × files, about
@@ -81,7 +86,7 @@ out="$out
 $(go test -run '^$' -bench 'BenchmarkQueryShapes' \
 	-benchmem -benchtime 20x ./internal/query)"
 out="$out
-$(go test -run '^$' -bench 'BenchmarkStreamExtract16MBWorkers1$' \
+$(go test -run '^$' -bench 'BenchmarkStreamExtract16MBWorkers[12]$' \
 	-benchmem -benchtime 3x .)"
 echo "$out"
 
@@ -141,6 +146,7 @@ check_blocks join 700 20
 check_blocks topk 800 6
 check_blocks groupby 450 3
 check StreamExtract16MBWorkers1 $((60 + 5 * 16))
+check StreamExtract16MBWorkers2 $((60 + 32 * 16))
 # check_crawl <bytes-per-crawl> <bytes-per-file>
 check_crawl() {
 	for files in 24 96; do

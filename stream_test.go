@@ -137,11 +137,10 @@ func TestStreamedTablesMatchInMemory(t *testing.T) {
 		return template.Array(body, sep, term)
 	}
 	profile := func(tpls ...*template.Node) *Profile {
-		p := &Profile{}
-		for _, tpl := range tpls {
-			p.templates = append(p.templates, tpl.Normalize())
+		for i, tpl := range tpls {
+			tpls[i] = tpl.Normalize()
 		}
-		return p
+		return newProfile(tpls)
 	}
 	interleaved := datagen.InterleavedTypes(2, 120, 9)
 	learned, err := Extract(interleaved.Data, Options{})
@@ -281,10 +280,11 @@ func lakeCorpus(t *testing.T) (*Profile, map[string][]byte) {
 	if err != nil || reg.Len() == 0 {
 		t.Fatalf("golden registry: %d entries, %v", reg.Len(), err)
 	}
-	p := &Profile{}
+	var templates []*template.Node
 	for _, e := range reg.Entries() {
-		p.templates = append(p.templates, e.Templates...)
+		templates = append(templates, e.Templates...)
 	}
+	p := newProfile(templates)
 	files := map[string][]byte{}
 	paths, err := filepath.Glob(filepath.Join(fixtureLake, "*", "*"))
 	if err != nil || len(paths) == 0 {
@@ -324,7 +324,7 @@ func TestStreamedRecordsOutliveTheRun(t *testing.T) {
 	nested := template.Array([]*template.Node{
 		template.Array([]*template.Node{template.Array([]*template.Node{template.Field()}, ',', ';')}, '+', '|'),
 	}, ' ', '\n').Normalize()
-	inputs = append(inputs, input{"nested arrays", &Profile{templates: []*template.Node{nested}},
+	inputs = append(inputs, input{"nested arrays", newProfile([]*template.Node{nested}),
 		bytes.Repeat([]byte("a,b;+c;| d;|\ne;+f,g;+h;|\nnoise line\nk;|\n"), 100)})
 
 	records := 0
