@@ -23,9 +23,10 @@ test-short:
 # equivalence suite must also hold under the race runtime's different
 # allocation and scheduling behavior), the query engine (its
 # join-order property suite must hold under the race runtime too) and
-# the evaluation step (score, refine, core: one scan arena reused by
-# every variant of a round, held to the exhaustive fresh-scan oracle on
-# a trimmed set of inputs).
+# the evaluation step (score, refine, core: one scan cache reused by
+# every candidate of a round, unfold variants scored from scans derived
+# from their parent's, held to the exhaustive fresh-scan oracle on a
+# trimmed set of inputs).
 test-race:
 	$(GO) test -race -short ./internal/parser ./internal/pipeline ./internal/textio ./internal/atomicfile ./internal/lake ./internal/follow ./internal/serve ./internal/query ./internal/obsv ./internal/generation ./internal/template ./internal/score ./internal/refine ./internal/core .
 
@@ -46,9 +47,10 @@ bench-quick:
 # accumulation never touch the heap), a whole Generate on the inputs
 # with the most distinct templates must allocate per template interned
 # and per candidate returned, never a tree per window, refinement's
-# variant score must allocate a dozen objects whatever the data size,
-# the lake's MatchSample must allocate the same few objects at two sample
-# sizes and compile nothing (a format is compiled when registered), the
+# variant score — derived from its parent's kept scan — must allocate the
+# variant's matcher and column types whatever the data size, the lake's
+# MatchSample must allocate the same few objects at two sample sizes and
+# compile nothing (a format is compiled when registered), the
 # store's compaction must allocate per input file and per footer entry
 # carried over, never per cell or per decoded column (it relocates
 # blocks; it does not replay rows), the query engine's five
@@ -72,7 +74,10 @@ bench-allocs:
 # end/ok/truncated at every line start, AppendRecord ≡ its occurrences,
 # the one-pass MatchLines' truncated flag ≡ MatchEnds' and its kept
 # occurrences ≡ AppendRecord's, the one-pass ScanInto ≡ its scan,
-# Residue ≡ its noise lines), the
+# Residue ≡ its noise lines, and an unfold's scan derived from the
+# reduced record's by DeriveScan ≡ the unfold's own ScanInto wherever the
+# derivation applies, which it does exactly when the unfold keeps the stop
+# bytes and its array neither sits in nor holds an array), the
 # refinement lower bound (FuzzRefineLowerBound: nothing Refine scores
 # undercuts the noise floor evaluation prunes its candidates by), the
 # segment reader on hostile bytes (FuzzSegmentScan: no panic, no

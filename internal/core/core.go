@@ -81,13 +81,15 @@ func (o Options) withDefaults() Options {
 }
 
 // cachingScorer is the scorer of one residue round: the MDL score (§4.3),
-// memoized by template key, which spares refinement the one scan it would
-// repeat: every Refine call opens by scoring its candidate, already
-// plain-scored by the round (hits beyond that are rare — measured 1.2% of
-// calls on the Table-5 analogs: candidates do not, as a rule, refine toward
-// each other's variants). It also carries the round's score.ScanCache: the
-// one arena all of the round's scans are written into, and the repetition
-// histogram of each scored template, which is what refinement reads back.
+// memoized by template key, which spares a rescore of a template the round
+// already scored (the Refine of a candidate that Shift leaves as it was,
+// say). It also carries the round's score.ScanCache — the arena plain
+// scores scan into and the lineage storage refinement keeps its scans in —
+// and scores the scans refinement derives for its unfold variants. Those
+// go unmemoized: a derived scan must be scored to carry its column
+// statistics forward, and a variant of one candidate is seldom another's
+// (measured 1.2% of variant scores on the Table-5 analogs when they were
+// memoized).
 type cachingScorer struct {
 	inner score.MDL
 	cache map[string]score.Result
@@ -108,6 +110,11 @@ func (c *cachingScorer) Score(m *parser.Matcher, lines *textio.Lines) score.Resu
 	r := c.inner.Score(m, lines)
 	c.cache[key] = r
 	return r
+}
+
+// ScoreScan scores a scan refinement hands over (see score.MDL.ScoreScan).
+func (c *cachingScorer) ScoreScan(m *parser.Matcher, lines *textio.Lines, scan, from *score.Scan, d parser.Derivation) score.Result {
+	return c.inner.ScoreScan(m, lines, scan, from, d)
 }
 
 // ScanCache exposes the round's scan cache (see refine's use).
@@ -306,9 +313,13 @@ func discoverOne(ctx context.Context, residData []byte, opts Options, effAlpha f
 // to timing.Evaluation, the part inside refine.Refine to timing.Refinement
 // as well.
 func evaluate(ctx context.Context, top []generation.Candidate, evalLines *textio.Lines, opts Options, timing *Timing) (*template.Node, score.Result, error) {
+	return evaluateWith(ctx, top, evalLines, opts, timing, newCachingScorer())
+}
+
+// evaluateWith is evaluate scoring through scorer, an MDL score.
+func evaluateWith(ctx context.Context, top []generation.Candidate, evalLines *textio.Lines, opts Options, timing *Timing, scorer score.Scorer) (*template.Node, score.Result, error) {
 	t0 := time.Now()
 	defer func() { timing.Evaluation += time.Since(t0) }()
-	scorer := newCachingScorer()
 	// Plain-score every retained candidate.
 	type scored struct {
 		tpl *template.Node
@@ -336,7 +347,7 @@ func evaluate(ctx context.Context, top []generation.Candidate, evalLines *textio
 		}
 		tpl, r := s.tpl, s.res
 		if !opts.DisableRefinement {
-			if best != nil && cannotBeat(scorer.inner.NoiseBudget(bestRes.Bits), tpl, r, evalLines) {
+			if best != nil && cannotBeat(score.MDL{}.NoiseBudget(bestRes.Bits), tpl, r, evalLines) {
 				continue
 			}
 			tr := time.Now()

@@ -3,16 +3,19 @@ package core_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"datamaran/internal/core"
 	"datamaran/internal/datagen"
 	"datamaran/internal/generation"
 	"datamaran/internal/parser"
+	"datamaran/internal/parser/parsertest"
 	"datamaran/internal/refine"
 	"datamaran/internal/score"
 	"datamaran/internal/template"
@@ -20,10 +23,11 @@ import (
 )
 
 // evaluateReference is the evaluation step as it stood before candidates
-// were pruned by refine.CertainNoise and scans shared an arena: every
-// candidate is refined, in plain-score order, and every variant is scored
-// by a bare score.MDL — a fresh Matcher.Scan into a fresh ScanResult, no
-// memo of any kind. It is the oracle evaluate is held to.
+// were pruned by refine.CertainNoise, scans shared an arena and unfold
+// variants were scored from their parent's scan: every candidate is
+// refined, in plain-score order, and every variant is scored by a bare
+// score.MDL — a fresh Matcher.Scan into a fresh ScanResult, no memo of any
+// kind. It is the oracle evaluate is held to.
 func evaluateReference(ctx context.Context, top []generation.Candidate, evalLines *textio.Lines, opts core.Options, _ *core.Timing) (*template.Node, score.Result, error) {
 	type scored struct {
 		tpl *template.Node
@@ -41,7 +45,7 @@ func evaluateReference(ctx context.Context, top []generation.Candidate, evalLine
 	for _, s := range plain {
 		tpl, r := s.tpl, s.res
 		if !opts.DisableRefinement {
-			tpl, r = refine.Refine(s.tpl, evalLines, score.MDL{})
+			tpl, r = refine.Refine(s.tpl, evalLines, bareMDL{})
 		}
 		if template.IsPeriodicStack(tpl) {
 			continue
@@ -51,6 +55,14 @@ func evaluateReference(ctx context.Context, top []generation.Candidate, evalLine
 		}
 	}
 	return best, bestRes, nil
+}
+
+// bareMDL is a score.MDL without a cache that cannot score a scan handed
+// to it: refine.Refine gives it every variant through Score.
+type bareMDL struct{}
+
+func (bareMDL) Score(m *parser.Matcher, lines *textio.Lines) score.Result {
+	return score.MDL{}.Score(m, lines)
 }
 
 // family is a dataset generator with its base row count.
@@ -120,6 +132,121 @@ func TestPrunedEvaluationMatchesExhaustive(t *testing.T) {
 				t.Errorf("%d rounds, %d structures — nothing was compared", rounds, len(structures))
 			}
 		})
+	}
+}
+
+// TestDiscoverMatchesFreshRefinement: discovery, whose refinement derives
+// each unfold variant's scan from its parent's, finds what it finds when
+// refinement scans every variant afresh — per structure the same template
+// key, the same score to the float64 bit, the same record count and the
+// same number of generated candidates — on the 25 Table-5 analogs at the
+// benchmark's scale over three seeds outside its four curated ones. Short
+// and race runs take a five-family slice of one seed.
+func TestDiscoverMatchesFreshRefinement(t *testing.T) {
+	seeds, families := []int64{2, 5, 101}, table5
+	if testing.Short() {
+		seeds, families = seeds[:1], []family{table5[2], table5[7], table5[13], table5[19], table5[24]}
+	}
+	for _, seed := range seeds {
+		for i, f := range families {
+			d := f.gen(f.rows/2, seed*1000+int64(i))
+			t.Run(fmt.Sprintf("%s/seed%d", d.Name, seed), func(t *testing.T) {
+				t.Parallel()
+				got, _, err := core.Discover(context.Background(), d.Data, core.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, _, err := core.DiscoverWith(context.Background(), d.Data, core.Options{}, core.EvaluateFresh)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(want) || len(got) == 0 {
+					t.Fatalf("%d structures, refining afresh %d", len(got), len(want))
+				}
+				for k := range want {
+					g, w := got[k], want[k]
+					if g.Template.Key() != w.Template.Key() || math.Float64bits(g.Score.Bits) != math.Float64bits(w.Score.Bits) ||
+						!reflect.DeepEqual(g.Score, w.Score) || g.CandidatesGenerated != w.CandidatesGenerated {
+						t.Errorf("structure %d: %v %+v (%d candidates), refining afresh %v %+v (%d)",
+							k, g.Template, g.Score, g.CandidatesGenerated, w.Template, w.Score, w.CandidatesGenerated)
+					}
+				}
+			})
+		}
+	}
+}
+
+// deriveChecker is an MDL scorer that holds every scan refine.Refine
+// derived to a fresh scan of the same template, and every score of a scan
+// handed to it to the fresh scan's score, and counts the scans it was
+// handed, derived or scanned.
+type deriveChecker struct {
+	t                *testing.T
+	mdl              score.MDL
+	derived, scanned int
+}
+
+func (c *deriveChecker) Score(m *parser.Matcher, lines *textio.Lines) score.Result {
+	return c.mdl.Score(m, lines)
+}
+
+func (c *deriveChecker) ScanCache() *score.ScanCache { return c.mdl.Cache }
+
+func (c *deriveChecker) ScoreScan(m *parser.Matcher, lines *textio.Lines, scan, from *score.Scan, d parser.Derivation) score.Result {
+	if from == nil {
+		c.scanned++
+	} else {
+		c.derived++
+		parsertest.RequireScanEqual(c.t, m.Template().String(), parsertest.RefOf(m.Scan(lines)), &scan.ScanResult)
+	}
+	res := c.mdl.ScoreScan(m, lines, scan, from, d)
+	if want := (score.MDL{}).Score(m, lines); !reflect.DeepEqual(res, want) || math.Float64bits(res.Bits) != math.Float64bits(want.Bits) {
+		c.t.Fatalf("%v: scored %+v from the scan handed in, %+v from a fresh scan", m.Template(), res, want)
+	}
+	return res
+}
+
+// TestUnfoldScanMatchesFreshScanOnAnalogs: on the 25 Table-5 analogs at
+// the benchmark's scale over its four curated seeds, every residue round's
+// candidates are refined through a scorer that holds each derived variant
+// scan to the variant's own scan — every candidate, not only those the
+// evaluation step refines, so every variant refinement can meet there is
+// met. Short and race runs take a five-family slice of one seed.
+func TestUnfoldScanMatchesFreshScanOnAnalogs(t *testing.T) {
+	seeds, families := []int64{1, 6, 29, 26}, table5
+	if testing.Short() {
+		seeds, families = seeds[:1], []family{table5[1], table5[5], table5[7], table5[18], table5[22]}
+	}
+	var mu sync.Mutex
+	derived, scanned := 0, 0
+	t.Cleanup(func() {
+		t.Logf("%d variant scans derived, %d scanned", derived, scanned)
+		if derived == 0 {
+			t.Error("no variant scan was derived")
+		}
+	})
+	for _, seed := range seeds {
+		for i, f := range families {
+			d := f.gen(f.rows/2, seed*1000+int64(i))
+			t.Run(fmt.Sprintf("%s/seed%d", d.Name, seed), func(t *testing.T) {
+				t.Parallel()
+				checker := &deriveChecker{t: t, mdl: score.MDL{Cache: score.NewScanCache()}}
+				check := func(ctx context.Context, top []generation.Candidate, lines *textio.Lines, opts core.Options, timing *core.Timing) (*template.Node, score.Result, error) {
+					for _, cand := range top {
+						if (score.MDL{}).Score(parser.NewMatcher(cand.Template), lines).Records > 0 {
+							refine.Refine(cand.Template, lines, checker)
+						}
+					}
+					return core.Evaluate(ctx, top, lines, opts, timing)
+				}
+				if _, _, err := core.DiscoverWith(context.Background(), d.Data, core.Options{}, check); err != nil {
+					t.Fatal(err)
+				}
+				mu.Lock()
+				derived, scanned = derived+checker.derived, scanned+checker.scanned
+				mu.Unlock()
+			})
+		}
 	}
 }
 

@@ -20,7 +20,11 @@ import (
 // the tree walkers, AppendRecord ≡ Flatten/Arrays, and MatchLines'
 // one-pass candidate carries MatchEnds' truncated flag and, for a record,
 // AppendRecord's occurrences; the one-pass ScanInto ≡ Oracle.Scan;
-// Residue(keep) ≡ the scan's noise lines concatenated.
+// Residue(keep) ≡ the scan's noise lines concatenated. For each unfold,
+// DeriveScan from the fuzz template's scan applies exactly when the unfold
+// keeps the stop bytes (the RT-CharSet and the newline) and its array sits
+// in no array, holds none and separates with a byte other than its
+// terminator, and then ≡ the unfold's ScanInto.
 func FuzzMatcher(f *testing.F) {
 	for _, c := range flatScanCases() {
 		data := []byte(c.data)
@@ -36,10 +40,30 @@ func FuzzMatcher(f *testing.F) {
 		}
 		toks, _ := template.ExtractRecordTemplate(record, chars.NewSet(charset))
 		tm := template.Reduce(toks)
-		for _, v := range append([]*template.Node{tm}, unfolds(tm)...) {
-			requireMatcher(t, v, data)
+		requireMatcher(t, tm, data)
+		lines := textio.NewLines(data)
+		parent := parser.NewMatcher(tm)
+		from := parent.Scan(lines)
+		for _, v := range unfolds(tm) {
+			requireMatcher(t, v.tm, data)
+			requireDerived(t, tm, parent, from, v, lines)
 		}
 	})
+}
+
+// requireDerived checks that DeriveScan applies to unfold v of tm exactly
+// when its argument holds, and then reproduces v's own scan.
+func requireDerived(t *testing.T, tm *template.Node, parent *parser.Matcher, from *parser.ScanResult, v unfold, lines *textio.Lines) {
+	t.Helper()
+	m := parser.NewMatcher(v.tm)
+	var got parser.ScanResult
+	_, ok := m.DeriveScan(parent, v.u, lines, from, &got)
+	if want := v.derivable && stops(v.tm) == stops(tm); ok != want {
+		t.Fatalf("%v from %v by %+v: derived %v, want %v", v.tm, tm, v.u, ok, want)
+	}
+	if ok {
+		parsertest.RequireScanEqual(t, v.tm.String()+" derived", parsertest.RefOf(m.Scan(lines)), &got)
+	}
 }
 
 // requireMatcher checks every property FuzzMatcher states for tm on data.
@@ -89,6 +113,22 @@ func requireMatcher(t *testing.T, tm *template.Node, data []byte) {
 	}
 }
 
+// stops returns the bytes a field value of tm cannot hold.
+func stops(tm *template.Node) chars.Set {
+	s := tm.RTCharSet()
+	s.Add('\n')
+	return s
+}
+
+// unfold is one variant unfolds builds: the template, the unfold that
+// makes it from the fuzz template, and whether DeriveScan's argument holds
+// for the array it unfolds, the stop bytes aside.
+type unfold struct {
+	tm        *template.Node
+	u         parser.Unfold
+	derivable bool
+}
+
 // unfolds returns tm with one array replaced by one of its unfoldings —
 // full at one to three units, partial with a one- or two-unit prefix — for
 // every array, built from the template constructors the way refinement
@@ -96,20 +136,25 @@ func requireMatcher(t *testing.T, tm *template.Node, data []byte) {
 // full unfold of an array whose body holds an array holds that node once
 // per unit, and the unit structs put literals side by side for the
 // compiler to merge.
-func unfolds(tm *template.Node) []*template.Node {
-	var out []*template.Node
-	var walk func(n *template.Node, wrap func(*template.Node) *template.Node)
-	walk = func(n *template.Node, wrap func(*template.Node) *template.Node) {
+func unfolds(tm *template.Node) []unfold {
+	var out []unfold
+	arrays := 0 // array occurrences met so far, in the matcher's DFS order
+	var walk func(n *template.Node, inArray bool, wrap func(*template.Node) *template.Node)
+	walk = func(n *template.Node, inArray bool, wrap func(*template.Node) *template.Node) {
 		if n.Kind == template.KArray {
+			arr := arrays
+			arrays++
+			body := template.Struct(n.Children...)
+			derivable := !inArray && !body.HasArray() && n.Sep != n.Term
 			for k := 1; k <= 3; k++ {
-				out = append(out, wrap(fullUnfold(n, k)))
+				out = append(out, unfold{wrap(fullUnfold(n, k)), parser.Unfold{Arr: arr, K: k}, derivable})
 			}
 			for p := 1; p <= 2; p++ {
-				out = append(out, wrap(partialUnfold(n, p)))
+				out = append(out, unfold{wrap(partialUnfold(n, p)), parser.Unfold{Arr: arr, K: p, Partial: true}, derivable})
 			}
 		}
 		for i := range n.Children {
-			walk(n.Children[i], func(r *template.Node) *template.Node {
+			walk(n.Children[i], inArray || n.Kind == template.KArray, func(r *template.Node) *template.Node {
 				children := slices.Clone(n.Children)
 				children[i] = r
 				if n.Kind == template.KArray {
@@ -119,7 +164,7 @@ func unfolds(tm *template.Node) []*template.Node {
 			})
 		}
 	}
-	walk(tm, func(r *template.Node) *template.Node { return r })
+	walk(tm, false, func(r *template.Node) *template.Node { return r })
 	return out
 }
 

@@ -28,11 +28,13 @@
 // arenas hold a window's worth, not every overlapping match. A record is
 // exactly its field occurrences plus its array occurrences: together they
 // determine the parse (see ArrayOcc), so no caller needs a parse tree.
-// Only the compiler
-// reads the template tree; the tree walkers the program replaced and the
-// validate-only candidate fan-out MatchLines replaced live on in the tests,
-// and the tree-building walker in parsertest, as the oracles the
-// interpreters are compared against.
+// DeriveScan writes the scan of an array unfold of a template from the
+// template's scan, renumbering those occurrences and extracting only the
+// lines that scan never tried. Only the compiler reads the template tree;
+// the tree walkers the program replaced and the validate-only candidate
+// fan-out MatchLines replaced live on in the tests, and the tree-building
+// walker in parsertest, as the oracles the interpreters are compared
+// against.
 package parser
 
 import (
@@ -461,31 +463,41 @@ func (m *Matcher) ScanInto(lines *textio.Lines, res *ScanResult) {
 	res.NoiseLines = res.NoiseLines[:0]
 	res.Coverage, res.FieldBytes = 0, 0
 	res.ar.reset()
-	data, n := lines.Data(), lines.N()
+	n := lines.N()
 	for i := 0; i < n; {
-		pos := lines.Start(i)
-		fieldLo, arrLo := len(res.ar.occs), len(res.ar.arrays)
-		if end, ok, _ := m.extract(0, len(m.prog), data, pos, 0, &res.ar); ok {
-			if endLine, ok := recordEnd(lines, i, end); ok {
-				res.Records = append(res.Records, Record{
-					StartLine: i, EndLine: endLine, Start: pos, End: end,
-					fieldLo: fieldLo, fieldHi: len(res.ar.occs),
-					arrLo: arrLo, arrHi: len(res.ar.arrays),
-				})
-				res.Coverage += end - pos
-				for _, f := range res.ar.occs[fieldLo:] {
-					res.FieldBytes += f.End - f.Start
-				}
-				i = endLine
-				res.reserve(i, n)
-				continue
-			}
+		if endLine, ok := m.scanLine(lines, i, res); ok {
+			i = endLine
+			res.reserve(i, n)
+			continue
 		}
-		res.ar.occs = res.ar.occs[:fieldLo]
-		res.ar.arrays = res.ar.arrays[:arrLo]
 		res.NoiseLines = append(res.NoiseLines, i)
 		i++
 	}
+}
+
+// scanLine makes ScanInto's attempt at line i: on a record it appends the
+// record and its occurrences to res and returns the line it ends before;
+// otherwise res is left as it was and ok is false.
+func (m *Matcher) scanLine(lines *textio.Lines, i int, res *ScanResult) (endLine int, ok bool) {
+	pos := lines.Start(i)
+	fieldLo, arrLo := len(res.ar.occs), len(res.ar.arrays)
+	if end, ok, _ := m.extract(0, len(m.prog), lines.Data(), pos, 0, &res.ar); ok {
+		if endLine, ok := recordEnd(lines, i, end); ok {
+			res.Records = append(res.Records, Record{
+				StartLine: i, EndLine: endLine, Start: pos, End: end,
+				fieldLo: fieldLo, fieldHi: len(res.ar.occs),
+				arrLo: arrLo, arrHi: len(res.ar.arrays),
+			})
+			res.Coverage += end - pos
+			for _, f := range res.ar.occs[fieldLo:] {
+				res.FieldBytes += f.End - f.Start
+			}
+			return endLine, true
+		}
+	}
+	res.ar.occs = res.ar.occs[:fieldLo]
+	res.ar.arrays = res.ar.arrays[:arrLo]
+	return 0, false
 }
 
 // Residue is the coverage-only form of Scan: the same greedy walk on the

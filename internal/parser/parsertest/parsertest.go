@@ -259,6 +259,18 @@ func (o *Oracle) Scan(lines *textio.Lines) *ScanRef {
 	return res
 }
 
+// RefOf returns an arena scan as a ScanRef, so that RequireScanEqual can
+// hold one arena scan to another.
+func RefOf(scan *parser.ScanResult) *ScanRef {
+	ref := &ScanRef{NoiseLines: scan.NoiseLines, Coverage: scan.Coverage, FieldBytes: scan.FieldBytes}
+	for i, r := range scan.Records {
+		ref.Records = append(ref.Records, parser.Record{StartLine: r.StartLine, EndLine: r.EndLine, Start: r.Start, End: r.End})
+		ref.Fields = append(ref.Fields, scan.Fields(i))
+		ref.Arrays = append(ref.Arrays, scan.Arrays(i))
+	}
+	return ref
+}
+
 // RequireScanEqual fails t unless got — an arena scan — equals the tree
 // reference: record spans, field occurrences, array occurrences in
 // emission order, noise lines, coverage and field bytes, and the

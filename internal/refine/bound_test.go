@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -196,44 +195,19 @@ func refineInputs() map[string]struct {
 	}
 }
 
-// TestRefineSharedArenaMatchesFreshScans: scoring every variant into one
-// reused arena, with the repetition histograms read back from the cache's
-// memo, must refine exactly as a scorer that scans fresh every time — and
-// one cache carried from input to input, as a round's is from candidate to
-// candidate, exactly as a cache of its own per call.
-func TestRefineSharedArenaMatchesFreshScans(t *testing.T) {
-	shared := score.MDL{Cache: score.NewScanCache()}
-	for name, in := range refineInputs() {
-		want, wantRes := Refine(in.st, in.lines, score.MDL{})
-		if want.Equal(in.st) {
-			t.Errorf("%s: %v was not refined; the case exercises nothing", name, in.st)
-		}
-		for scorerName, scorer := range map[string]score.Scorer{
-			"shared cache": shared,
-			"own cache":    score.MDL{Cache: score.NewScanCache()},
-			"wrapped":      &trajectory{mdl: shared},
-		} {
-			// Twice: the second run finds every histogram already kept.
-			for run := 0; run < 2; run++ {
-				got, gotRes := Refine(in.st, in.lines, scorer)
-				if !got.Equal(want) || !reflect.DeepEqual(gotRes, wantRes) {
-					t.Errorf("%s, %s, run %d:\n got %v %+v\nwant %v %+v", name, scorerName, run, got, gotRes, want, wantRes)
-				}
-			}
-		}
-	}
-}
-
 // BenchmarkRefineVariantScore is the unit of refinement's cost: compile one
-// unfold variant and score it through the round's cache. What it allocates
-// is the matcher, the template key and what the score keeps (column types,
-// repetition histogram) — nothing that grows with the data
-// (scripts/bench_allocs.sh pins the ceiling).
+// unfold variant, derive its scan from the kept scan of its parent and
+// score it. What it allocates is the matcher and the column types the score
+// keeps — nothing that grows with the data (scripts/bench_allocs.sh pins
+// the ceiling).
 func BenchmarkRefineVariantScore(b *testing.B) {
 	in := refineInputs()["syslog"]
 	scorer := score.MDL{Cache: score.NewScanCache()}
-	stats := allRepStats(in.st, in.lines, scorer.Cache)
-	variants := unfoldVariantsWithStats(in.st, nil, stats)
+	parent, cur, _ := scorer.Cache.Lineage()
+	pm := parser.NewMatcher(in.st)
+	pm.ScanInto(in.lines, &parent.ScanResult)
+	scorer.ScoreScan(pm, in.lines, parent, nil, parser.Derivation{})
+	variants := unfoldVariants(in.st, nil, 0, allRepStats(pm, &parent.ScanResult)[0])
 	if len(variants) < 2 {
 		b.Fatalf("%d variants of %v", len(variants), in.st)
 	}
@@ -241,8 +215,13 @@ func BenchmarkRefineVariantScore(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		v := variants[i%len(variants)]
-		if scorer.Score(parser.NewMatcher(v), in.lines).Records == 0 {
-			b.Fatalf("%v matched nothing", v)
+		m := parser.NewMatcher(v.tpl)
+		d, ok := m.DeriveScan(pm, v.unfold, in.lines, &parent.ScanResult, &cur.ScanResult)
+		if !ok {
+			b.Fatalf("%v: not derived", v.tpl)
+		}
+		if scorer.ScoreScan(m, in.lines, cur, parent, d).Records == 0 {
+			b.Fatalf("%v matched nothing", v.tpl)
 		}
 	}
 }

@@ -12,6 +12,20 @@
 //   - Structure shifting resolves the cyclic-shift ambiguity of multi-line
 //     templates (all shifts score approximately equally) by picking the
 //     variant whose first occurrence in the dataset is earliest.
+//
+// Unfolding scores every full and partial unfold of every array, round
+// after round — tens of thousands of variants in a discovery — and a
+// variant is not scanned to be scored. A variant matches at a line exactly
+// where its parent does and the unfolded array's count passes, so its scan
+// is derived from the parent's (parser.Matcher.DeriveScan): records kept
+// or dropped by that count, what is kept renumbered, and only the lines
+// inside a dropped record matched again. The MDL score then reads the
+// derived scan, copying the column statistics the variant shares with its
+// parent (score.MDL.ScoreScan). Two kinds of variant are scanned afresh:
+// a full unfold at one repetition that drops the separator from the stop
+// bytes, whose fields then run across it, and the unfold of an array that
+// sits inside another or holds one. A scorer that cannot score a scan it
+// is handed gets every variant through Score.
 package refine
 
 import (
@@ -26,12 +40,18 @@ import (
 const maxPartialPrefix = 8
 
 // scanCacher is implemented by scorers that score through a round-level
-// score.ScanCache (core's caching scorer). Refinement asks it for the
-// repetition histogram of the template it is about to unfold, which the
-// scorer kept when it scored that template — the scan itself is gone, its
-// arena reused by every scan since.
+// score.ScanCache (core's caching scorer): Refine keeps the scans of the
+// template it refines in the cache's lineage storage.
 type scanCacher interface {
 	ScanCache() *score.ScanCache
+}
+
+// scanScorer is implemented by scorers that score a scan they are handed:
+// score.MDL, and core's caching scorer around one. Refine derives the scans
+// of the unfold variants it hands them (parser.Matcher.DeriveScan); a scorer
+// without the method gets every variant through Score, scanned afresh.
+type scanScorer interface {
+	ScoreScan(m *parser.Matcher, lines *textio.Lines, scan, from *score.Scan, d parser.Derivation) score.Result
 }
 
 // cacheOf extracts the shared scan cache from a scorer, when it has one.
@@ -48,10 +68,40 @@ func cacheOf(scorer score.Scorer) *score.ScanCache {
 // Refine applies array unfolding to a fixpoint and then structure
 // shifting, returning the refined template and its score. It mirrors
 // Algorithm 2's RefineST.
+//
+// st is scanned once, into the scorer's scan cache. Each round reads its
+// arrays' repetition counts from the scan of the round's parent and, when
+// the scorer scores scans, derives its variants' scans from it (see the
+// package comment); the round's winner becomes the next round's parent
+// with the scan and column statistics it was scored with.
 func Refine(st *template.Node, lines *textio.Lines, scorer score.Scorer) (*template.Node, score.Result) {
 	cache := cacheOf(scorer)
-	best := st
-	bestRes := scorer.Score(parser.NewMatcher(best), lines)
+	if cache == nil {
+		cache = score.NewScanCache()
+	}
+	ss, derive := scorer.(scanScorer)
+	// parent holds the scan of the round's template, roundScan the scan
+	// of the round's best variant so far, cur the variant being scored.
+	parent, roundScan, cur := cache.Lineage()
+	best, bestM := st, parser.NewMatcher(st)
+	bestM.ScanInto(lines, &parent.ScanResult)
+	var bestRes score.Result
+	if derive {
+		bestRes = ss.ScoreScan(bestM, lines, parent, nil, parser.Derivation{})
+	} else {
+		bestRes = scorer.Score(bestM, lines)
+	}
+	scoreVariant := func(m *parser.Matcher, u parser.Unfold) score.Result {
+		if !derive {
+			return scorer.Score(m, lines)
+		}
+		d, ok := m.DeriveScan(bestM, u, lines, &parent.ScanResult, &cur.ScanResult)
+		if !ok {
+			m.ScanInto(lines, &cur.ScanResult)
+			return ss.ScoreScan(m, lines, cur, nil, d)
+		}
+		return ss.ScoreScan(m, lines, cur, parent, d)
+	}
 	for {
 		// Steepest descent: score every unfold variant of every array
 		// and adopt the best improvement. First-improvement would
@@ -59,20 +109,27 @@ func Refine(st *template.Node, lines *textio.Lines, scorer score.Scorer) (*templ
 		// keeps the array's flexibility for irregular records) scores
 		// far better.
 		var roundBest *template.Node
+		var roundM *parser.Matcher
 		roundRes := bestRes
-		stats := allRepStats(best, lines, cache)
-		for _, path := range arrayPaths(best) {
-			for _, variant := range unfoldVariantsWithStats(best, path, stats) {
-				res := scorer.Score(parser.NewMatcher(variant), lines)
-				if res.Bits < roundRes.Bits {
-					roundBest, roundRes = variant, res
+		stats := allRepStats(bestM, &parent.ScanResult)
+		for arr, path := range arrayPaths(best) {
+			for _, v := range unfoldVariants(best, path, arr, stats[arr]) {
+				m := parser.NewMatcher(v.tpl)
+				if res := scoreVariant(m, v.unfold); res.Bits < roundRes.Bits {
+					roundBest, roundM, roundRes = v.tpl, m, res
+					roundScan, cur = cur, roundScan
 				}
 			}
 		}
 		if roundBest == nil {
 			break
 		}
-		best, bestRes = roundBest, roundRes
+		best, bestM, bestRes = roundBest, roundM, roundRes
+		if derive {
+			parent, roundScan = roundScan, parent
+		} else {
+			bestM.ScanInto(lines, &parent.ScanResult)
+		}
 	}
 	shifted := Shift(best, lines)
 	if !shifted.Equal(best) {
@@ -82,8 +139,9 @@ func Refine(st *template.Node, lines *textio.Lines, scorer score.Scorer) (*templ
 	return best, bestRes
 }
 
-// arrayPaths lists the child-index paths of every array node in st
-// (DFS order; a path navigates Children at each step).
+// arrayPaths lists the child-index paths of every array node in st in
+// DFS order — the order parser.Matcher numbers them in, so path k leads to
+// array occurrence k (a path navigates Children at each step).
 func arrayPaths(st *template.Node) [][]int {
 	var out [][]int
 	var walk func(n *template.Node, path []int)
@@ -130,60 +188,66 @@ type repStat struct {
 	any     bool
 }
 
-// allRepStats collects the repetition-count distribution of every array
-// node in the tree from st's repetition histogram over lines: the one the
-// shared cache kept when st was scored, or that of a fresh scan when there
-// is no cache or st was never scored through it.
-func allRepStats(st *template.Node, lines *textio.Lines, cache *score.ScanCache) map[*template.Node]repStat {
-	m := parser.NewMatcher(st)
-	out := make(map[*template.Node]repStat, m.NumArrays())
-	// Bars arrive grouped by array, counts ascending: a group's first bar
-	// is its minimum, and a strict > keeps the smallest of tied modes.
-	reps := cache.RepCounts(m, lines)
-	for lo := 0; lo < len(reps); {
-		hi, modal := lo+1, reps[lo]
-		for ; hi < len(reps) && reps[hi].Arr == modal.Arr; hi++ {
-			if reps[hi].N > modal.N {
-				modal = reps[hi]
+// allRepStats summarizes the repetition counts of each of m's arrays in
+// scan, a scan of m's template, indexed by array occurrence.
+func allRepStats(m *parser.Matcher, scan *parser.ScanResult) []repStat {
+	// Tally (array, count) pairs densely: array a's counts sit at
+	// off[a]+reps, so a group's first bar is its minimum, and a strict >
+	// keeps the smallest of tied modes.
+	off := make([]int, m.NumArrays()+1)
+	for _, a := range scan.AllArrays() {
+		off[a.Arr+1] = max(off[a.Arr+1], a.Reps+1)
+	}
+	for a := range m.NumArrays() {
+		off[a+1] += off[a]
+	}
+	counts := make([]int, off[m.NumArrays()])
+	for _, a := range scan.AllArrays() {
+		counts[off[a.Arr]+a.Reps]++
+	}
+	out := make([]repStat, m.NumArrays())
+	for a := range out {
+		s, top := &out[a], 0
+		for reps, n := range counts[off[a]:off[a+1]] {
+			if n == 0 {
+				continue
+			}
+			if !s.any {
+				*s = repStat{min: reps, uniform: true, any: true}
+			} else {
+				s.uniform = false
+			}
+			if n > top {
+				s.modal, top = reps, n
 			}
 		}
-		out[m.ArrayNode(modal.Arr)] = repStat{modal: modal.Reps, min: reps[lo].Reps, uniform: hi-lo == 1, any: true}
-		lo = hi
 	}
 	return out
 }
 
-// repStats returns the stats for one array node (kept for tests and the
-// public UnfoldVariants entry point).
-func repStats(st, target *template.Node, lines *textio.Lines) (modal, min int, uniform, any bool) {
-	s := allRepStats(st, lines, nil)[target]
-	return s.modal, s.min, s.uniform, s.any
+// variant is an unfold variant of a template: its tree, and the unfold
+// that makes it from the template.
+type variant struct {
+	tpl    *template.Node
+	unfold parser.Unfold
 }
 
-// UnfoldVariants builds the unfolding candidates for the array node at
-// path: a full struct expansion at the uniform repetition count, and
-// partial expansions with prefixes up to min−1 units (§4.3.1, Fig 12a).
-func UnfoldVariants(st *template.Node, path []int, lines *textio.Lines) []*template.Node {
-	return unfoldVariantsWithStats(st, path, allRepStats(st, lines, nil))
-}
-
-// unfoldVariantsWithStats builds the variants from precomputed stats.
-func unfoldVariantsWithStats(st *template.Node, path []int, stats map[*template.Node]repStat) []*template.Node {
-	arr := nodeAt(st, path)
-	if arr.Kind != template.KArray {
-		return nil
-	}
-	s := stats[arr]
-	if !s.any {
+// unfoldVariants builds the unfolding candidates for the array node at
+// path, array occurrence arr, whose repetition counts s summarizes: a full
+// struct expansion at the modal repetition count, and partial expansions
+// with prefixes up to modal−1 units (§4.3.1, Fig 12a).
+func unfoldVariants(st *template.Node, path []int, arr int, s repStat) []variant {
+	node := nodeAt(st, path)
+	if node.Kind != template.KArray || !s.any {
 		return nil
 	}
 	// Full unfold at the modal repetition count even when counts vary:
 	// records with other counts become noise and the regularity score
 	// arbitrates. (Noise matching the array with a stray count — e.g. a
 	// junk line parsing as a 1-element list — must not veto unfolding.)
-	var out []*template.Node
+	var out []variant
 	if s.modal >= 1 {
-		out = append(out, replaceAt(st, path, fullUnfold(arr, s.modal)))
+		out = append(out, variant{replaceAt(st, path, fullUnfold(node, s.modal)), parser.Unfold{Arr: arr, K: s.modal}})
 	}
 	if s.uniform {
 		// Every record agrees on the count: the full unfold matches
@@ -191,12 +255,8 @@ func unfoldVariantsWithStats(st *template.Node, path []int, stats map[*template.
 		// typing. Skip the dominated partial variants.
 		return out
 	}
-	maxP := s.modal - 1
-	if maxP > maxPartialPrefix {
-		maxP = maxPartialPrefix
-	}
-	for p := 1; p <= maxP; p++ {
-		out = append(out, replaceAt(st, path, partialUnfold(arr, p)))
+	for p := 1; p <= min(s.modal-1, maxPartialPrefix); p++ {
+		out = append(out, variant{replaceAt(st, path, partialUnfold(node, p)), parser.Unfold{Arr: arr, K: p, Partial: true}})
 	}
 	return out
 }

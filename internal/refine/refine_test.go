@@ -2,6 +2,7 @@ package refine
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -223,6 +224,27 @@ func TestUnfoldVariantsForNestedArray(t *testing.T) {
 	for _, p := range paths {
 		UnfoldVariants(tm, p, lines) // must not panic
 	}
+}
+
+// UnfoldVariants builds the unfolding candidates for the array node at
+// path from a fresh scan of st over lines.
+func UnfoldVariants(st *template.Node, path []int, lines *textio.Lines) []*template.Node {
+	var out []*template.Node
+	for arr, p := range arrayPaths(st) {
+		if slices.Equal(p, path) {
+			for _, v := range unfoldVariants(st, path, arr, repStats(st, lines)[arr]) {
+				out = append(out, v.tpl)
+			}
+		}
+	}
+	return out
+}
+
+// repStats summarizes the repetition counts of st's arrays in a fresh scan
+// over lines.
+func repStats(st *template.Node, lines *textio.Lines) []repStat {
+	m := parser.NewMatcher(st)
+	return allRepStats(m, m.Scan(lines))
 }
 
 func TestRefineImprovesOrKeepsScore(t *testing.T) {

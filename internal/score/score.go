@@ -295,122 +295,49 @@ type Scorer interface {
 	Score(m *parser.Matcher, lines *textio.Lines) Result
 }
 
-// RepCount is one bar of a template's repetition histogram over a scan:
-// N instantiations of array Arr (dense index, see parser.ArrayOcc) matched
-// Reps repetitions.
-type RepCount struct {
-	Arr, Reps, N int
+// Scan is a template's scan together with the column statistics scoring
+// it gathered. Refinement keeps one per member of a template's lineage —
+// the parent its unfold variants are derived from, the round's best
+// variant, the variant being scored — so a variant's statistics can be
+// copied from its parent's where it kept the parent's columns, and a
+// winning variant's carried forward as the next parent's.
+type Scan struct {
+	parser.ScanResult
+	cols []colStats
 }
 
-// ScanCache is the scan state the evaluation passes of one discovery round
-// share — plain scoring, refinement variants, repetition statistics. It owns
-// one scan arena that every scan of the round is written into, the MDL
-// scorer's per-column scratch, and, per template key, the one thing
-// refinement reads back after a template has been scored: its repetition
-// histogram. No scan outlives the next one; a round that scores tens of
-// thousands of variants holds one ScanResult, not one per variant. A nil
-// *ScanCache is valid: every scan is then made fresh and nothing is kept.
-// A ScanCache is not safe for concurrent use.
+// ScanCache is the scan storage the evaluation passes of one discovery
+// round share — plain scoring and refinement. It owns the arena every
+// Score through it scans into, whose scan does not outlive the next one;
+// the three scans of a refinement lineage (see Lineage), which do, each
+// until refinement writes it again; and the MDL scorer's per-column
+// scratch. A round that scores thousands of templates holds four
+// ScanResults, not one per template. A nil *ScanCache is valid: every scan
+// is then made fresh. A ScanCache is not safe for concurrent use.
 type ScanCache struct {
-	lines *textio.Lines
-	reps  map[string][]RepCount
-	scan  parser.ScanResult
-	// Scratch of MDL.Score and repCounts, reused across calls.
-	cols      []colStats
+	scan    Scan
+	lineage [3]Scan
+	// Scratch of MDL.Score, reused across calls.
 	perVal    []float64
 	arrayMax  []int
 	arrayBits []float64
-	arrayOff  []int
-	counts    []int
 }
 
 // NewScanCache returns an empty cache.
-func NewScanCache() *ScanCache {
-	return &ScanCache{reps: map[string][]RepCount{}}
-}
+func NewScanCache() *ScanCache { return new(ScanCache) }
 
-// scanInto scans m's template over lines into the cache's arena. The result
-// is valid until the next scan through the cache. Changing datasets drops
-// the histograms kept for the previous one.
-func (c *ScanCache) scanInto(m *parser.Matcher, lines *textio.Lines) *parser.ScanResult {
-	if c.lines != lines {
-		c.lines = lines
-		clear(c.reps)
-	}
-	m.ScanInto(lines, &c.scan)
-	return &c.scan
-}
-
-// arrayMaxOf fills the arrayMax scratch with the largest repetition count
-// of each of m's arrays in scan.
-func (c *ScanCache) arrayMaxOf(m *parser.Matcher, scan *parser.ScanResult) []int {
-	c.arrayMax = append(c.arrayMax[:0], make([]int, m.NumArrays())...)
-	for _, a := range scan.AllArrays() {
-		if a.Reps > c.arrayMax[a.Arr] {
-			c.arrayMax[a.Arr] = a.Reps
-		}
-	}
-	return c.arrayMax
-}
-
-// repCounts builds scan's repetition histogram, ordered by array and then
-// by repetition count. arrayMax is arrayMaxOf the same scan: it sizes the
-// dense counters the occurrences are tallied in.
-func (c *ScanCache) repCounts(scan *parser.ScanResult, arrayMax []int) []RepCount {
-	if len(scan.AllArrays()) == 0 {
-		return nil
-	}
-	c.arrayOff = c.arrayOff[:0]
-	total := 0
-	for _, max := range arrayMax {
-		c.arrayOff = append(c.arrayOff, total)
-		total += max + 1
-	}
-	c.counts = append(c.counts[:0], make([]int, total)...)
-	bars := 0
-	for _, a := range scan.AllArrays() {
-		i := c.arrayOff[a.Arr] + a.Reps
-		if c.counts[i] == 0 {
-			bars++
-		}
-		c.counts[i]++
-	}
-	out := make([]RepCount, 0, bars)
-	for arr, max := range arrayMax {
-		for reps, n := range c.counts[c.arrayOff[arr] : c.arrayOff[arr]+max+1] {
-			if n > 0 {
-				out = append(out, RepCount{Arr: arr, Reps: reps, N: n})
-			}
-		}
-	}
-	return out
-}
-
-// RepCounts returns the repetition histogram of m's template over lines:
-// the one MDL.Score kept when it scored the template through this cache,
-// else the histogram of a scan made now.
-func (c *ScanCache) RepCounts(m *parser.Matcher, lines *textio.Lines) []RepCount {
-	if c == nil {
-		c = new(ScanCache) // keeps nothing: its reps map is nil
-	}
-	key := m.Key()
-	if reps, ok := c.reps[key]; ok && c.lines == lines {
-		return reps
-	}
-	scan := c.scanInto(m, lines)
-	reps := c.repCounts(scan, c.arrayMaxOf(m, scan))
-	if c.reps != nil {
-		c.reps[key] = reps
-	}
-	return reps
+// Lineage returns the cache's three refinement scans (see Scan). Their
+// storage outlives a refinement and is reused by the next one; which of
+// them holds what is the caller's to track.
+func (c *ScanCache) Lineage() (*Scan, *Scan, *Scan) {
+	return &c.lineage[0], &c.lineage[1], &c.lineage[2]
 }
 
 // MDL is the default minimum-description-length Scorer (§9.2). The zero
 // value scans into a fresh arena per call; set Cache to score the templates
 // of one evaluation round through one reused arena (see ScanCache).
 type MDL struct {
-	// Cache, when non-nil, owns the arena and scratch Score works in and
-	// keeps each scored template's repetition histogram.
+	// Cache, when non-nil, owns the arena and scratch Score works in.
 	Cache *ScanCache
 }
 
@@ -446,22 +373,56 @@ func (s MDL) Score(m *parser.Matcher, lines *textio.Lines) Result {
 	if c == nil {
 		c = new(ScanCache)
 	}
-	scan := c.scanInto(m, lines)
+	m.ScanInto(lines, &c.scan.ScanResult)
+	return c.score(m, lines, &c.scan, nil, parser.Derivation{})
+}
+
+// ScoreScan is Score over a scan of m's template handed in: scan, made by
+// the caller — with Matcher.ScanInto, or with Matcher.DeriveScan from
+// from, the scan of the template m's unfolds, itself scored through
+// ScoreScan, d being what DeriveScan reported (from nil when scan was not
+// derived). The result is Score's,
+// bit for bit. Where d says the variant kept every parent record, the
+// statistics of the columns outside the split ones are copied from from's
+// instead of gathered again: each holds the same values as its parent
+// column, and every statistic the score reads — count, integer and real
+// ranges, decimal places, the distinct set up to the enum cap — is a
+// function of a column's values, not of their order. scan keeps the
+// statistics it was scored with, so it can be the next derivation's from.
+func (s MDL) ScoreScan(m *parser.Matcher, lines *textio.Lines, scan, from *Scan, d parser.Derivation) Result {
+	c := s.Cache
+	if c == nil {
+		c = new(ScanCache)
+	}
+	return c.score(m, lines, scan, from, d)
+}
+
+// score is Score's description length of scan, gathering scan's column
+// statistics on the way (see ScoreScan for from and d).
+func (c *ScanCache) score(m *parser.Matcher, lines *textio.Lines, scan, from *Scan, d parser.Derivation) Result {
 	data := lines.Data()
 	st := m.Template()
 
 	// Pass 1: per-column stats and per-array repetition stats.
-	c.cols = append(c.cols[:0], make([]colStats, m.Columns())...)
-	cols := c.cols
+	scan.cols = append(scan.cols[:0], make([]colStats, m.Columns())...)
+	cols := scan.cols
+	copied := from != nil && d.KeptAll
 	for i := range cols {
-		cols[i].init()
+		if copied && (i < d.Lo || i >= d.Hi) {
+			cols[i] = from.cols[d.Parent(i)]
+		} else {
+			cols[i].init()
+		}
 	}
 	for _, f := range scan.AllFields() {
+		if copied && (f.Col < d.Lo || f.Col >= d.Hi) {
+			continue
+		}
 		cols[f.Col].add(data[f.Start:f.End])
 	}
-	arrayMax := c.arrayMaxOf(m, scan)
-	if c.reps != nil {
-		c.reps[m.Key()] = c.repCounts(scan, arrayMax)
+	c.arrayMax = append(c.arrayMax[:0], make([]int, m.NumArrays())...)
+	for _, a := range scan.AllArrays() {
+		c.arrayMax[a.Arr] = max(c.arrayMax[a.Arr], a.Reps)
 	}
 	types := make([]FieldType, len(cols))
 	c.perVal = append(c.perVal[:0], make([]float64, len(cols))...)
@@ -483,7 +444,7 @@ func (s MDL) Score(m *parser.Matcher, lines *textio.Lines) Result {
 	// D(RT|ST): repetition counts per array instance, each costing what
 	// its array's largest count does.
 	c.arrayBits = c.arrayBits[:0]
-	for _, max := range arrayMax {
+	for _, max := range c.arrayMax {
 		c.arrayBits = append(c.arrayBits, ceilLog2(float64(max)+1))
 	}
 	for _, a := range scan.AllArrays() {

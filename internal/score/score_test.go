@@ -304,39 +304,83 @@ func TestMDLNoiseBudget(t *testing.T) {
 	}
 }
 
-// TestScanCacheKeepsHistogramNotScan: scoring through a cache gives the
-// scores of the zero-value MDL whatever was scanned into the arena before,
-// and RepCounts returns the histogram of the template asked about — kept at
-// scoring time, or rebuilt for a template the cache never scored — not of
-// the arena's last occupant.
-func TestScanCacheKeepsHistogramNotScan(t *testing.T) {
+// TestScanCacheScoresLikeFreshScans: scoring through a cache gives the
+// scores of the zero-value MDL whatever was scanned into its arena before,
+// and scoring a scan made into one of its lineage scans gives Score's.
+func TestScanCacheScoresLikeFreshScans(t *testing.T) {
 	lines := textio.NewLines([]byte("1,2,3\n4,5\n6,7,8\njunk;x\n9,1,2\n3;4;5;6\n"))
 	comma := template.Array([]*template.Node{fld()}, ',', '\n')
 	semi := template.Array([]*template.Node{fld()}, ';', '\n')
-	wantComma := []RepCount{{Arr: 0, Reps: 1, N: 2}, {Arr: 0, Reps: 2, N: 1}, {Arr: 0, Reps: 3, N: 3}}
-	wantSemi := []RepCount{{Arr: 0, Reps: 1, N: 4}, {Arr: 0, Reps: 2, N: 1}, {Arr: 0, Reps: 4, N: 1}}
-
 	cache := NewScanCache()
+	scan, _, _ := cache.Lineage()
 	for i, tm := range []*template.Node{comma, semi, st(fld(), lit("\n")), comma} {
-		got := MDL{Cache: cache}.Score(parser.NewMatcher(tm), lines)
-		if want := (MDL{}).Score(parser.NewMatcher(tm), lines); !reflect.DeepEqual(got, want) {
+		m := parser.NewMatcher(tm)
+		want := (MDL{}).Score(m, lines)
+		if got := (MDL{Cache: cache}).Score(m, lines); !reflect.DeepEqual(got, want) {
 			t.Fatalf("score %d through the cache = %+v, fresh = %+v", i, got, want)
 		}
-	}
-	for name, c := range map[string]*ScanCache{"scored": cache, "never scored": NewScanCache(), "nil": nil} {
-		if got := c.RepCounts(parser.NewMatcher(semi), lines); !reflect.DeepEqual(got, wantSemi) {
-			t.Errorf("%s cache: RepCounts(%v) = %v, want %v", name, semi, got, wantSemi)
-		}
-		if got := c.RepCounts(parser.NewMatcher(comma), lines); !reflect.DeepEqual(got, wantComma) {
-			t.Errorf("%s cache: RepCounts(%v) = %v, want %v", name, comma, got, wantComma)
+		m.ScanInto(lines, &scan.ScanResult)
+		if got := (MDL{Cache: cache}).ScoreScan(m, lines, scan, nil, parser.Derivation{}); !reflect.DeepEqual(got, want) {
+			t.Fatalf("score %d of a scan handed in = %+v, fresh = %+v", i, got, want)
 		}
 	}
-	// Another dataset: what was kept for the first must not answer for it.
-	other := textio.NewLines([]byte("1,2\n3,4\n"))
-	if got, want := cache.RepCounts(parser.NewMatcher(comma), other), []RepCount{{Arr: 0, Reps: 2, N: 2}}; !reflect.DeepEqual(got, want) {
-		t.Errorf("after a change of dataset: RepCounts = %v, want %v", got, want)
+}
+
+// TestScoreScanCopiesKeptColumns: a variant that keeps every record of its
+// parent scores with the same bits and column types whether the statistics
+// of the columns it kept are copied from the parent's or gathered again,
+// and one that drops records scores as its fresh scan does.
+// The kept columns are the ones whose statistics depend on the order values
+// arrive in, if anything does: one overflows the enum cap, one turns from
+// integers to strings mid-scan, one is real with more decimal places as it
+// goes, and the last comes after the unfolded array, so it is renumbered.
+func TestScoreScanCopiesKeptColumns(t *testing.T) {
+	var b strings.Builder
+	for i := 0; i < 150; i++ {
+		intThenString := fmt.Sprint(i % 40)
+		if i >= 90 {
+			intThenString = fmt.Sprintf("x%d", i%7)
+		}
+		fmt.Fprintf(&b, "w%d,%s,%d.%s|%d;%d;a%d|%d\n", i, intThenString, i%13, strings.Repeat("5", 1+i/50), i, i%3, i%5, i*7)
+		if i%30 == 0 {
+			// Dropped by the full unfold: its columns are not the parent's.
+			fmt.Fprintf(&b, "z%d,%d,-%d.5|%d;a|%d\n", i, i*1000, i, i, -i)
+		}
 	}
-	if got := cache.RepCounts(parser.NewMatcher(st(fld(), lit("\n"))), other); got != nil {
-		t.Errorf("template without arrays: RepCounts = %v, want none", got)
+	lines := textio.NewLines([]byte(b.String()))
+	arr := template.Array([]*template.Node{fld()}, ';', '|')
+	parent := st(fld(), lit(","), fld(), lit(","), fld(), lit("|"), arr, fld(), lit("\n"))
+	variants := map[string]struct {
+		tm      *template.Node
+		u       parser.Unfold
+		keptAll bool
+	}{
+		"full": {st(fld(), lit(","), fld(), lit(","), fld(), lit("|"), fld(), lit(";"), fld(), lit(";"), fld(), lit("|"), fld(), lit("\n")),
+			parser.Unfold{Arr: 0, K: 3}, false},
+		"partial": {st(fld(), lit(","), fld(), lit(","), fld(), lit("|"), fld(), lit(";"), arr, fld(), lit("\n")),
+			parser.Unfold{Arr: 0, K: 1, Partial: true}, true},
+	}
+	pm := parser.NewMatcher(parent)
+	mdl := MDL{Cache: NewScanCache()}
+	from, scan, _ := mdl.Cache.Lineage()
+	pm.ScanInto(lines, &from.ScanResult)
+	parentRes := mdl.ScoreScan(pm, lines, from, nil, parser.Derivation{})
+	if parentRes.Records != 155 || !reflect.DeepEqual(parentRes.ColumnTypes, []FieldType{TString, TEnum, TReal, TString, TInt}) {
+		t.Fatalf("parent %v: %d records typed %v; the case exercises nothing", parent, parentRes.Records, parentRes.ColumnTypes)
+	}
+	for name, v := range variants {
+		m := parser.NewMatcher(v.tm)
+		d, ok := m.DeriveScan(pm, v.u, lines, &from.ScanResult, &scan.ScanResult)
+		if !ok || d.KeptAll != v.keptAll {
+			t.Fatalf("%s: derived %v, kept every record %v", name, ok, d.KeptAll)
+		}
+		copied := mdl.ScoreScan(m, lines, scan, from, d)
+		gathered := mdl.ScoreScan(m, lines, scan, nil, d)
+		fresh := MDL{}.Score(m, lines)
+		for what, got := range map[string]Result{"copied": copied, "gathered": gathered} {
+			if math.Float64bits(got.Bits) != math.Float64bits(fresh.Bits) || !reflect.DeepEqual(got, fresh) {
+				t.Errorf("%s, statistics %s: %+v, a fresh scan %+v", name, what, got, fresh)
+			}
+		}
 	}
 }

@@ -18,11 +18,13 @@
 # nothing per record or per format — a registry entry's matchers are
 # compiled when it is registered. A regression re-materializes records on
 # the crawl's match stage, or compiles every format per call (15).
-# Refinement's unit of cost — compile one unfold variant, score it through
-# the round's scan cache — allocates the matcher, the template key and
-# what the score keeps (column types, repetition histogram): a dozen
-# objects whatever the data size. A regression goes back to a ScanResult
-# and a column-stats table per variant, tens of thousands of times a round.
+# Refinement's unit of cost — compile one unfold variant, derive its scan
+# from the scan kept of its parent, score it — allocates the matcher (its
+# struct, program and array list) and the column types the score returns:
+# four objects whatever the data size, since the derived scan and its
+# column statistics are written into storage the round's scan cache owns.
+# A regression goes back to a ScanResult or a column-stats table per
+# variant, tens of thousands of times a round.
 # The query engine's five shapes run at two table sizes against one
 # ceiling of the form constant + per-block × blocks: its allocations are
 # per query (plan, files, footers, groups, heap entries) and per block
@@ -136,7 +138,7 @@ check GenSTSteadyState 0
 check GenerationManyShapes/MacASL 3500
 check GenerationManyShapes/LogFile5 350000
 check GenerationManyShapes/Netstat 450000
-check RefineVariantScore 12
+check RefineVariantScore 4
 check MatchSample/records=500 4
 check MatchSample/records=8000 4
 check_compact 150 60 2
