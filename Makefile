@@ -43,12 +43,14 @@ bench-quick:
 
 # Allocation gate: the parser's steady-state scan benchmarks and the
 # generation engine's warm genST benchmark must stay at 0 allocs/op
-# (noise rejection, arena-reuse scanning and transition-table window
-# accumulation never touch the heap), a whole Generate on the inputs
-# with the most distinct templates must allocate per template interned
-# and per candidate returned, never a tree per window, refinement's
-# variant score — derived from its parent's kept scan — must allocate the
-# variant's matcher and column types whatever the data size, the lake's
+# (noise rejection, arena-reuse scanning, and a generation trial that
+# re-tokenizes every line into interned shapes and resolves every window
+# through the transition tables never touch the heap), a whole Generate
+# on the inputs with the most distinct templates must allocate per
+# template interned and per candidate returned, never a tree per window,
+# refinement's variant score — derived from its parent's kept scan — must
+# allocate the variant's matcher and column types whatever the data size,
+# the lake's
 # MatchSample must allocate the same few objects at two sample sizes and
 # compile nothing (a format is compiled when registered), the
 # store's compaction must allocate per input file and per footer entry
@@ -66,8 +68,10 @@ bench-allocs:
 
 # Fuzz smoke: run each native fuzz target briefly so CI exercises the
 # generation-engine oracle (FuzzGenerate pins the shape-interned engine
-# to the reference), the id-level reducer generation runs on (FuzzReduce
-# holds it to the tree reducer: Build of the reduced ids ≡ Reduce, what
+# to the reference, at spans up to 12 lines and at spans of 1<<25 to
+# 1<<40, past any input's line count, which the engine must bound by the
+# lines there are without sizing anything by the span), the id-level
+# reducer generation runs on (FuzzReduce holds it to the tree reducer: Build of the reduced ids ≡ Reduce, what
 # the ids answer ≡ what the tree answers, equal ids ⟺ equal keys), the
 # compiled matcher (FuzzMatcher: on a reduced fuzz record and its full and
 # partial unfolds over fuzz data, MatchEnds ≡ the tree oracle's

@@ -58,7 +58,8 @@ type Options struct {
 	// dataset a record type must cover (default 0.10).
 	Alpha float64
 	// MaxSpan is L, the maximum number of lines one record may span
-	// (default 10).
+	// (default 10; any value <= 0 means the default). A value past the
+	// input's line count costs nothing more than the line count.
 	MaxSpan int
 	// TopM is M, the number of structure templates retained after the
 	// pruning step (default 50; -1 disables pruning).

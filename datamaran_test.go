@@ -192,6 +192,21 @@ func TestMultiLinePublic(t *testing.T) {
 	}
 }
 
+// TestExtractMaxSpanExtremes: MaxSpan <= 0 means the default, and a span
+// far past the input's line count is bounded by the lines there are —
+// neither sizes anything by the span itself.
+func TestExtractMaxSpanExtremes(t *testing.T) {
+	for _, span := range []int{-1, 1 << 20, 1 << 40} {
+		res, err := Extract([]byte("1,ok,2\n"), Options{MaxSpan: span})
+		if err != nil {
+			t.Fatalf("MaxSpan %d: %v", span, err)
+		}
+		if len(res.Structures) != 1 || res.Structures[0].Template != `F,F,F\n` {
+			t.Fatalf("MaxSpan %d: structures = %+v, want one F,F,F\\n", span, res.Structures)
+		}
+	}
+}
+
 func TestGreedyOption(t *testing.T) {
 	res, err := Extract(sampleCSV(80), Options{Search: Greedy})
 	if err != nil {

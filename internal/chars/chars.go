@@ -189,16 +189,12 @@ func Subsets(set Set, fn func(Set) bool) {
 	}
 }
 
-// LineIndex is a per-line character presence index: for every line of a
-// dataset it records the set of candidate characters the line contains,
-// and for every candidate character the ascending list of lines containing
-// it (a postings list). The generation step uses it two ways: a line whose
-// candidate-set intersection with an RT-CharSet is unchanged tokenizes to
-// the same shape (so the tokenization can be skipped), and growing a
-// greedy charset by one character only re-tokenizes that character's
-// postings.
+// LineIndex is a postings index over a dataset's lines: for every
+// candidate character, the ascending list of lines containing it. A
+// generation trial that adds or drops one character of its RT-CharSet
+// re-tokenizes only that character's postings; no other line's tokens can
+// change.
 type LineIndex struct {
-	sets     []Set
 	postings [256][]int32
 }
 
@@ -207,7 +203,7 @@ type LineIndex struct {
 // package stays independent of the text layer). Only characters in
 // candidates are indexed.
 func BuildLineIndex(n int, line func(int) []byte, candidates Set) *LineIndex {
-	ix := &LineIndex{sets: make([]Set, n)}
+	ix := &LineIndex{}
 	for i := 0; i < n; i++ {
 		var s Set
 		for _, b := range line(i) {
@@ -215,16 +211,12 @@ func BuildLineIndex(n int, line func(int) []byte, candidates Set) *LineIndex {
 				s.Add(b)
 			}
 		}
-		ix.sets[i] = s
 		for _, b := range s.Bytes() {
 			ix.postings[b] = append(ix.postings[b], int32(i))
 		}
 	}
 	return ix
 }
-
-// LineSet returns the candidate characters present in line i.
-func (ix *LineIndex) LineSet(i int) Set { return ix.sets[i] }
 
 // Lines returns the ascending indices of lines containing c. The returned
 // slice is shared; callers must not modify it.

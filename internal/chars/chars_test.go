@@ -285,18 +285,9 @@ func TestSubsetsEnumeratesDistinct(t *testing.T) {
 	}
 }
 
-func TestLineIndexSetsAndPostings(t *testing.T) {
+func TestLineIndexPostings(t *testing.T) {
 	lines := [][]byte{[]byte("a,b\n"), []byte("c|d\n"), []byte("e,f|g\n"), []byte("plain\n")}
 	ix := BuildLineIndex(len(lines), func(i int) []byte { return lines[i] }, DefaultCandidates())
-	if got, want := ix.LineSet(0), NewSet(","); !got.Equal(want) {
-		t.Fatalf("line 0 set = %v, want %v", got, want)
-	}
-	if got, want := ix.LineSet(2), NewSet(",|"); !got.Equal(want) {
-		t.Fatalf("line 2 set = %v, want %v", got, want)
-	}
-	if got := ix.LineSet(3); !got.Empty() {
-		t.Fatalf("line 3 set = %v, want empty", got)
-	}
 	if got := ix.Lines(','); len(got) != 2 || got[0] != 0 || got[1] != 2 {
 		t.Fatalf("postings for ',' = %v, want [0 2]", got)
 	}
@@ -313,8 +304,8 @@ func TestLineIndexIgnoresNonCandidates(t *testing.T) {
 	// must not be indexed even when present.
 	lines := [][]byte{[]byte("a,b\n")}
 	ix := BuildLineIndex(1, func(i int) []byte { return lines[i] }, NewSet(","))
-	if got, want := ix.LineSet(0), NewSet(","); !got.Equal(want) {
-		t.Fatalf("line set = %v, want %v", got, want)
+	if got := ix.Lines(','); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("postings for ',' = %v, want [0]", got)
 	}
 	if got := ix.Lines('a'); len(got) != 0 {
 		t.Fatalf("postings for non-candidate = %v, want empty", got)

@@ -33,7 +33,8 @@ import (
 type Options struct {
 	// Alpha is the minimum coverage threshold as a fraction (α).
 	Alpha float64
-	// MaxSpan is the maximum record span in lines (L).
+	// MaxSpan is the maximum record span in lines (L). Any value <= 0
+	// means the default of 10.
 	MaxSpan int
 	// TopM is the number of structure templates retained after pruning
 	// (M). TopM < 0 disables pruning (the M=∞ setting of §5.2.2).
@@ -59,7 +60,7 @@ func (o Options) withDefaults() Options {
 	if o.Alpha == 0 {
 		o.Alpha = 0.10
 	}
-	if o.MaxSpan == 0 {
+	if o.MaxSpan <= 0 {
 		o.MaxSpan = 10
 	}
 	if o.TopM == 0 {

@@ -14,8 +14,10 @@ import (
 // TestGenSTSteadyStateAllocs pins the arena contract of the
 // shape-interned engine: once a charset's shapes, window identities and
 // reduced templates are interned (the first trial pays for them), a
-// repeated genST over the same input touches only the interned state and
-// the reused per-trial bins — zero heap allocations. This is the
+// repeated genST over the same input re-tokenizes every line into the
+// reused token buffer, finds its shape interned, resolves every window
+// through the transition tables and accumulates into the reused
+// per-trial bins — zero heap allocations. This is the
 // generation-step counterpart of the parser's ScanArenaReuse pin, and
 // what keeps the O(c²) greedy trials off the allocator on repeated
 // shapes.
@@ -44,7 +46,7 @@ func TestGenSTSteadyStateAllocs(t *testing.T) {
 // TestGenSTSteadyStateAllocsAcrossCharsets extends the pin to the greedy
 // search's access pattern: alternating between charsets whose shapes are
 // all interned must also stay allocation-free — the cross-trial sharing
-// is the point of the generator-lifetime caches.
+// is the point of the generator-lifetime interning.
 func TestGenSTSteadyStateAllocsAcrossCharsets(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")

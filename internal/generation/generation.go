@@ -34,15 +34,10 @@
 //     Of the distinct templates of a discovery pass a quarter ever reach
 //     α and a tenth are returned, so a *template.Node is built last, in
 //     results, for the candidates that survive filter, sort and cut.
-//   - Window-id chains are cached per start line and reused as long as
-//     no line in the span changed shape since the chain was resolved —
-//     a trial that re-tokenizes k lines re-resolves at most k·L window
-//     starts; every other window rides a cached flat load.
-//   - Tokenization is incremental: a line whose intersection with the
-//     trial charset is unchanged keeps its shape id, and both searches
-//     re-tokenize only the postings of the characters that changed —
-//     the greedy search adds one character per trial, and the
-//     exhaustive search enumerates subsets in Gray-code order
+//   - Tokenization is incremental: both searches re-shape only the
+//     postings of the character that changed, and every other line keeps
+//     its shape id — the greedy search adds one character per trial, and
+//     the exhaustive search enumerates subsets in Gray-code order
 //     (chars.Subsets) so consecutive masks also differ by exactly one
 //     character.
 //   - Per-trial accumulators (bins, kept finds) are flat slices reused
@@ -94,7 +89,7 @@ type Config struct {
 	// dataset bytes (the paper's α%, default 0.10).
 	Alpha float64
 	// MaxSpan is L, the maximum number of lines a record may span
-	// (default 10).
+	// (default 10; any value <= 0 means the default).
 	MaxSpan int
 	// Search selects exhaustive or greedy charset enumeration.
 	Search SearchMode
@@ -118,7 +113,7 @@ func (c Config) withDefaults() Config {
 	if c.Alpha == 0 {
 		c.Alpha = 0.10
 	}
-	if c.MaxSpan == 0 {
+	if c.MaxSpan <= 0 {
 		c.MaxSpan = 10
 	}
 	if c.Candidates.Empty() {
@@ -307,12 +302,10 @@ type generator struct {
 	shapeOff []int32
 	keyBuf   []byte
 
-	// Per-line tokenization state. tokSet[i] is the rtset∩line-chars
-	// intersection under which lineShape[i]/lineFB[i] were computed; a
-	// trial with the same intersection reuses them without touching the
-	// line's bytes.
+	// Per-line tokenization state: the shape id and field bytes of every
+	// line under the current trial's charset, and the postings of each
+	// candidate character — the lines a one-character change re-shapes.
 	lineIdx   *chars.LineIndex
-	tokSet    []chars.Set
 	lineShape []int32
 	lineFB    []int
 	tokBuf    []uint16
@@ -331,15 +324,6 @@ type generator struct {
 	winTpl     []int32
 	winBuf     []uint16
 	red        template.FlatReducer
-
-	// Per-start window-id chain cache: widCache[i*L : i*L+spanLen[i]]
-	// is the id chain of windows starting at line i, valid while no
-	// line in [i, i+L) changed shape since it was resolved
-	// (startStale). spanLen[i] counts the spans the byte cap admits —
-	// it depends only on line offsets, so it is computed once.
-	spanLen    []int32
-	widCache   []int32
-	startStale []bool
 
 	// Interned reduced templates. A template is the id sequence red
 	// reduces a window to (template.FlatReducer: id sequence ↔ normalized
@@ -391,30 +375,12 @@ func newGenerator(lines *textio.Lines, cfg Config) *generator {
 		shapeIDs:   make(map[string]int32, 64),
 		shapeOff:   make([]int32, 1, 65),
 		lineIdx:    chars.BuildLineIndex(n, lines.Line, cfg.Candidates),
-		tokSet:     make([]chars.Set, n),
 		lineShape:  make([]int32, n),
 		lineFB:     make([]int, n),
 		succBudget: succEntryBudget,
 		tplIDs:     make(map[string]int32, 64),
-		spanLen:    make([]int32, n),
-		widCache:   make([]int32, n*cfg.MaxSpan),
-		startStale: make([]bool, n),
 	}
 	g.present = chars.Present(cfg.Candidates, g.data)
-	for i := range g.lineShape {
-		g.lineShape[i] = -1 // not yet tokenized under any charset
-	}
-	for i := 0; i < n; i++ {
-		g.startStale[i] = true
-		m := int32(0)
-		for s := 1; s <= cfg.MaxSpan && i+s <= n; s++ {
-			if lines.Start(i+s)-lines.Start(i) > cfg.MaxRecordBytes {
-				break
-			}
-			m++
-		}
-		g.spanLen[i] = m
-	}
 	return g
 }
 
@@ -578,10 +544,7 @@ func (g *generator) toggleChar(c byte, added bool) {
 			id = g.deriveShape(full, info, mask)
 			info.row[mask] = id
 		}
-		if g.lineShape[i] != id {
-			g.lineShape[i] = id
-			g.markStale(i)
-		}
+		g.lineShape[i] = id
 	}
 }
 
@@ -628,7 +591,6 @@ func (g *generator) greedySearch(ctx context.Context) error {
 	g.genST(cur) // the empty charset still yields line templates F\n etc.
 
 	// Snapshot the tokenization under cur; trials restore it.
-	baseSet := append([]chars.Set(nil), g.tokSet...)
 	baseShape := append([]int32(nil), g.lineShape...)
 	baseFB := append([]int(nil), g.lineFB...)
 
@@ -653,11 +615,7 @@ func (g *generator) greedySearch(ctx context.Context) error {
 				}
 			}
 			for _, li := range posted {
-				g.tokSet[li] = baseSet[li]
-				if g.lineShape[li] != baseShape[li] {
-					g.lineShape[li] = baseShape[li]
-					g.markStale(int(li))
-				}
+				g.lineShape[li] = baseShape[li]
 				g.lineFB[li] = baseFB[li]
 			}
 		}
@@ -668,7 +626,6 @@ func (g *generator) greedySearch(ctx context.Context) error {
 		cur.Add(c)
 		for _, li := range g.lineIdx.Lines(c) {
 			g.shapeLine(int(li), cur)
-			baseSet[li] = g.tokSet[li]
 			baseShape[li] = g.lineShape[li]
 			baseFB[li] = g.lineFB[li]
 		}
@@ -708,23 +665,11 @@ func capCharset(lines *textio.Lines, cfg Config, present chars.Set) chars.Set {
 }
 
 // shapeLine tokenizes line i under rtset (template.AppendFlatTokens is
-// the one flat tokenizer), interning the resulting shape. When rtset's
-// intersection with the line's candidate characters is unchanged from the
-// last tokenization, the line's shape id and field bytes are already
-// correct and the line's bytes are never touched.
+// the one flat tokenizer), interning the resulting shape.
 func (g *generator) shapeLine(i int, rtset chars.Set) {
-	inter := rtset.Intersect(g.lineIdx.LineSet(i))
-	if g.lineShape[i] >= 0 && g.tokSet[i] == inter {
-		return
-	}
-	g.tokSet[i] = inter
 	var fb int
-	g.tokBuf, fb = template.AppendFlatTokens(g.tokBuf[:0], g.lines.Line(i), inter)
-	id := g.internShape(g.tokBuf)
-	if g.lineShape[i] != id {
-		g.lineShape[i] = id
-		g.markStale(i)
-	}
+	g.tokBuf, fb = template.AppendFlatTokens(g.tokBuf[:0], g.lines.Line(i), rtset)
+	g.lineShape[i] = g.internShape(g.tokBuf)
 	g.lineFB[i] = fb
 }
 
@@ -754,19 +699,6 @@ func (g *generator) internShape(toks []uint16) int32 {
 	return id
 }
 
-// markStale invalidates the cached window-id chains of every start
-// whose span covers line i — they must be re-resolved through the
-// transition tables on the next accumulate.
-func (g *generator) markStale(i int) {
-	lo := i - g.cfg.MaxSpan + 1
-	if lo < 0 {
-		lo = 0
-	}
-	for k := lo; k <= i; k++ {
-		g.startStale[k] = true
-	}
-}
-
 // genST is Algorithm 1's GenST for one RT-CharSet value: tokenize every
 // line (shape-memoized), then run the window accumulation.
 func (g *generator) genST(rtset chars.Set) []found {
@@ -781,44 +713,39 @@ func (g *generator) genST(rtset chars.Set) []found {
 // per reduced template. It returns the candidates from this charset that
 // meet the coverage threshold. Expensive work — reducing a window to its
 // minimal template — happens once per distinct window identity across ALL
-// trials; window identities resolve through flat per-shape transition
-// tables, and whole id chains are reused from the per-start cache when no
-// line in the span changed shape since the previous trial, so the 10·n
-// loop below is indexed loads and flat slices — no hashing at all on the
-// steady path.
+// trials; each window's identity resolves from its one-line-shorter
+// prefix's through the flat per-shape transition tables, so the 10·n loop
+// below is indexed loads and flat slices — no hashing at all on the
+// steady path. Besides those interned tables, which depend only on the
+// shape sequences they were built from, the loop reads nothing but the
+// lines' current shapes and field bytes: a trial's finds depend on its
+// charset alone (TestTrialDependsOnlyOnCharset).
 func (g *generator) accumulate(rtset chars.Set) []found {
 	g.charsetsTried++
 	if len(g.data) == 0 {
 		return nil
 	}
 	n := g.n
-	maxSpan := g.cfg.MaxSpan
 	for i := 0; i < n; i++ {
-		m := int(g.spanLen[i])
-		if m == 0 {
-			continue
-		}
-		chain := g.widCache[i*maxSpan : i*maxSpan+m]
-		if g.startStale[i] {
-			prev := int32(-1)
-			for s := 1; s <= m; s++ {
-				shape := g.lineShape[i+s-1]
-				wid := g.lookupTrans(prev, shape)
-				if wid < 0 {
-					wid = int32(len(g.winTpl))
-					g.insertTrans(prev, shape, wid)
-					g.winTpl = append(g.winTpl, g.resolveWindow(i, i+s))
-				}
-				chain[s-1] = wid
-				prev = wid
-			}
-			g.startStale[i] = false
-		}
+		start := g.lines.Start(i)
+		hi := i + min(g.cfg.MaxSpan, n-i) // the last window end
+		prev := int32(-1)
 		fb := 0
-		for s := 1; s <= m; s++ {
-			j := i + s
+		for j := i + 1; j <= hi; j++ {
+			end := g.lines.Start(j)
+			if end-start > g.cfg.MaxRecordBytes {
+				break
+			}
+			shape := g.lineShape[j-1]
+			wid := g.lookupTrans(prev, shape)
+			if wid < 0 {
+				wid = int32(len(g.winTpl))
+				g.insertTrans(prev, shape, wid)
+				g.winTpl = append(g.winTpl, g.resolveWindow(i, j))
+			}
+			prev = wid
 			fb += g.lineFB[j-1]
-			ti := g.winTpl[chain[s-1]]
+			ti := g.winTpl[wid]
 			if ti < 0 {
 				continue
 			}
@@ -830,7 +757,7 @@ func (g *generator) accumulate(rtset chars.Set) []found {
 			}
 			b := &g.bins[bi]
 			if i >= b.lastEnd {
-				b.cov += g.lines.Start(j) - g.lines.Start(i)
+				b.cov += end - start
 				b.fb += fb
 				b.lastEnd = j
 			}

@@ -281,3 +281,18 @@ func TestCharsetCapRestrictsExhaustive(t *testing.T) {
 		t.Fatalf("tried %d charsets, want 16", n)
 	}
 }
+
+// TestMaxSpanNonPositiveMeansDefault: a MaxSpan <= 0 is the default span
+// of 10 lines, not an empty one.
+func TestMaxSpanNonPositiveMeansDefault(t *testing.T) {
+	lines := linesOf(csvData(30))
+	want := Generate(lines, Config{})
+	if len(want) == 0 {
+		t.Fatal("no candidates at the default span")
+	}
+	for _, span := range []int{0, -1} {
+		if err := sameCandidates(Generate(lines, Config{MaxSpan: span}), want); err != nil {
+			t.Fatalf("MaxSpan %d: %v", span, err)
+		}
+	}
+}

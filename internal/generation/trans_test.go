@@ -121,8 +121,9 @@ func sameCandidates(got, want []Candidate) error {
 // BenchmarkGenSTSteadyState is the CI allocation gate over the window
 // accumulation loop (scripts/bench_allocs.sh pins it at 0 allocs/op):
 // with shapes, window identities and templates interned by a warm-up
-// trial, repeated genST calls are pure transition-table and chain-cache
-// traversal — they must never touch the heap.
+// trial, a repeated genST re-tokenizes every line into the reused token
+// buffer, finds each shape interned and resolves every window through the
+// transition tables — it must never touch the heap.
 func BenchmarkGenSTSteadyState(b *testing.B) {
 	var sb strings.Builder
 	for i := 0; i < 400; i++ {

@@ -3,8 +3,9 @@
 # benchmarks with -benchmem and fails when their allocs/op exceed the
 # ceilings. The compiled matcher's contract is that noise-line
 # rejection and arena-reuse scanning never touch the heap, and the
-# generation engine's contract is that a warm genST trial — pure
-# transition-table and chain-cache traversal — never does either; a
+# generation engine's contract is that a warm genST trial — tokenizing
+# every line into interned shapes and resolving every window through the
+# transition tables — never does either; a
 # regression here silently re-introduces the per-candidate allocation
 # costs the evaluation and generation engines were rebuilt to remove.
 # A whole Generate is held, on the three bench-scale inputs where windows
