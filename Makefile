@@ -103,7 +103,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzProfileApply$$' -fuzztime 10s -fuzzminimizetime 1s .
 
 # Golden-corpus check: the fixture lake must index byte-identically to
-# the committed outputs (see scripts/golden_lake.sh).
+# the committed outputs, and a fresh `index -incremental` pass must
+# reproduce the committed registry and CSVs (see scripts/golden_lake.sh).
 golden-lake:
 	sh scripts/golden_lake.sh
 

@@ -33,7 +33,7 @@ func runIndex(args []string) {
 	threshold := fs.Float64("threshold", 0, "min sample coverage for a cached profile to claim a file (0 = 0.5)")
 	alpha := fs.Float64("alpha", 0.10, "minimum coverage threshold α for discovery (fraction)")
 	outDir := fs.String("o", "", "directory for per-file CSV output")
-	incremental := fs.Bool("incremental", false, "resume extraction from per-file checkpoints (requires -registry)")
+	incremental := fs.Bool("incremental", false, "persist per-file checkpoints so the next run resumes from them, and print the incremental report (requires -registry)")
 	checkpoints := fs.String("checkpoints", "", "checkpoint store path (default: checkpoints.json next to the registry)")
 	store := fs.String("store", "", "record store directory for later `datamaran query` runs")
 	quiet := fs.Bool("q", false, "suppress the progress note on stderr")

@@ -27,12 +27,13 @@ type IndexOptions struct {
 	// profile must cover to claim the file (0 means 0.5).
 	MatchThreshold float64
 	// CheckpointPath names the persistent per-file checkpoint store
-	// (JSON) of the incremental crawl. When set, files already indexed
-	// under a still-valid checkpoint skip classification and resume
-	// extraction at the checkpointed offset (unchanged files skip
-	// extraction entirely); rotated or truncated files fall back to a
-	// full re-extraction. The store is loaded before the crawl and
-	// written back after, like the registry it lives next to.
+	// (JSON). Every crawl is incremental: files already indexed under a
+	// still-valid checkpoint skip classification and resume extraction
+	// at the checkpointed offset (unchanged files skip extraction
+	// entirely); rotated or truncated files fall back to a full
+	// re-extraction. The store is loaded before the crawl and written
+	// back after, like the registry it lives next to. Empty means the
+	// crawl starts from an empty in-memory store, so every file is new.
 	CheckpointPath string
 	// StorePath names the record-store directory where the crawl writes
 	// per-format columnar segments — the tables Query reads. Segments
@@ -69,19 +70,24 @@ type IndexedFile struct {
 	// coordinates, and for an unchanged file (Resume == "unchanged"),
 	// where it is nil.
 	Result *Result
-	// Resume reports the incremental handling of the file: "" outside
-	// incremental crawls; otherwise "resumed", "unchanged", or — for
-	// files that took the full path — the reason ("new", "rotated",
-	// "truncated", "profile-gone", "grown").
+	// Resume reports how the file was handled against its checkpoint:
+	// "resumed", "unchanged" (also an unstructured file skipped because
+	// it did not change), or — for a claimed file that took the full
+	// path — the reason ("new", "rotated", "truncated", "profile-gone",
+	// "grown"). Without CheckpointPath every crawl starts from no
+	// checkpoints, so every structured file is "new". It is "" for a
+	// file that classified unstructured or failed before a format
+	// claimed it.
 	Resume string
 	// PriorRecords and PriorNoise count the records and noise lines
 	// finalized before the region Result covers (only set for resumed
 	// files). PriorRecords + len(Result.Records) is the whole-file
 	// record count.
 	PriorRecords, PriorNoise int
-	// TotalRecords and TotalNoise are whole-file counts maintained by
-	// the incremental crawl, valid for every structured file in an
-	// incremental run — including unchanged files, whose Result is nil.
+	// TotalRecords and TotalNoise are whole-file counts, valid for every
+	// structured file — including unchanged files, whose Result is nil.
+	// For a file extracted from byte 0 they equal len(Result.Records) and
+	// len(Result.NoiseLines).
 	TotalRecords, TotalNoise int
 }
 
@@ -125,10 +131,10 @@ type IndexSummary struct {
 	// files that skipped discovery entirely.
 	CacheHits int
 	// Resumed counts files whose extraction resumed at a checkpoint
-	// (incremental crawls only).
+	// (never without CheckpointPath).
 	Resumed int
 	// Unchanged counts checkpointed files skipped entirely because
-	// nothing changed (incremental crawls only).
+	// nothing changed (never without CheckpointPath).
 	Unchanged int
 }
 
@@ -163,7 +169,7 @@ func IndexDir(dir string, opts IndexOptions) (*IndexResult, error) {
 // back — registry, checkpoints and record store stay as the last
 // completed run left them.
 func IndexDirContext(ctx context.Context, dir string, opts IndexOptions) (*IndexResult, error) {
-	st, err := lake.OpenState(opts.RegistryPath, opts.CheckpointPath, opts.StorePath, opts.CheckpointPath != "")
+	st, err := lake.OpenState(opts.RegistryPath, opts.CheckpointPath, opts.StorePath)
 	if err != nil {
 		return nil, err
 	}

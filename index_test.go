@@ -182,6 +182,34 @@ func TestIndexDirFormatsUsableAsProfiles(t *testing.T) {
 	}
 }
 
+// TestIndexDirTotalsWithoutCheckpoints: a crawl with no checkpoint file
+// is the checkpointed crawl from an empty store, so every structured file
+// takes the full path as a new one and its whole-file totals are its
+// result's own counts.
+func TestIndexDirTotalsWithoutCheckpoints(t *testing.T) {
+	res, err := IndexDir(fixtureLake, IndexOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	structured := 0
+	for _, f := range res.Files {
+		if f.Err != nil || f.Unstructured {
+			continue
+		}
+		structured++
+		if f.Result == nil {
+			t.Fatalf("%s: structured file without a result", f.Path)
+		}
+		if f.Resume != "new" || f.TotalRecords != len(f.Result.Records) || f.TotalNoise != len(f.Result.NoiseLines) {
+			t.Fatalf("%s: resume %q, totals %d records / %d noise, result has %d / %d",
+				f.Path, f.Resume, f.TotalRecords, f.TotalNoise, len(f.Result.Records), len(f.Result.NoiseLines))
+		}
+	}
+	if structured != res.Summary.Structured || structured == 0 {
+		t.Fatalf("%d structured files checked, summary %+v", structured, res.Summary)
+	}
+}
+
 func TestIndexDirMissingDir(t *testing.T) {
 	if _, err := IndexDir(filepath.Join(t.TempDir(), "absent"), IndexOptions{}); err == nil {
 		t.Fatal("missing directory should error")

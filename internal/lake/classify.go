@@ -232,7 +232,7 @@ func (ix *indexer) startMatching(ctx context.Context, wg *sync.WaitGroup) <-chan
 				var s sampled
 				switch {
 				case j.skipped:
-				case ix.cfg.Checkpoints != nil && ix.cfg.Checkpoints.Get(j.rel) != nil:
+				case ix.cfg.Checkpoints.Get(j.rel) != nil:
 					s.deferred = true
 				default:
 					s = ix.sample(j.rel)
@@ -335,16 +335,12 @@ func (ix *indexer) commitFile(ctx context.Context, i int, s sampled, stats *craw
 		return false // the walk could not reach it
 	}
 	full := filepath.Join(ix.root, filepath.FromSlash(fr.Path))
-	fullReason := ""
-	if cfg.Checkpoints != nil {
-		done, reason := classifyFromCheckpoint(full, fr.Path, ix.reg, cfg, fr, &ix.entries[i], &ix.resumes[i])
-		if done {
-			return ix.entries[i] != nil
-		}
-		fullReason = reason
-		if s.deferred { // the checkpoint no longer holds: sample it after all
-			s = ix.sample(fr.Path)
-		}
+	done, fullReason := classifyFromCheckpoint(full, fr.Path, ix.reg, cfg, fr, &ix.entries[i], &ix.resumes[i])
+	if done {
+		return ix.entries[i] != nil
+	}
+	if s.deferred { // the checkpoint no longer holds: sample it after all
+		s = ix.sample(fr.Path)
 	}
 	fr.Size = s.size
 	if s.err != nil {
@@ -399,7 +395,7 @@ func (ix *indexer) commitFile(ctx context.Context, i int, s sampled, stats *craw
 	ix.entries[i] = e
 	fr.Status = status
 	fr.Fingerprint = e.Fingerprint
-	markFull(cfg, fr, fullReason)
+	fr.Inc = &IncInfo{Action: follow.ActionFull, Reason: fullReason}
 	return true
 }
 

@@ -16,7 +16,6 @@ import (
 	"datamaran/internal/core"
 	"datamaran/internal/follow"
 	"datamaran/internal/obsv"
-	"datamaran/internal/pipeline"
 	"datamaran/internal/template"
 )
 
@@ -43,13 +42,15 @@ type Config struct {
 	// MatchThreshold is the minimum sample coverage fraction for a
 	// known profile to claim a file (<= 0 means DefaultMatchThreshold).
 	MatchThreshold float64
-	// Checkpoints, when non-nil, enables the incremental crawl: files
-	// whose checkpoint still matches the registry and the on-disk
-	// identity heuristics skip classification entirely and resume
-	// extraction at the checkpointed offset (unchanged files skip
+	// Checkpoints holds the per-file resume state every crawl reads and
+	// updates: files whose checkpoint still matches the registry and the
+	// on-disk identity heuristics skip classification entirely and
+	// resume extraction at the checkpointed offset (unchanged files skip
 	// extraction altogether). Rotated, truncated or reclassified files
-	// fall back to the full path. The store is updated in place;
-	// persisting it is the caller's concern.
+	// fall back to the full path. Nil means a fresh in-memory store, so
+	// a crawl without one is the same crawl with nothing checkpointed
+	// yet. The store is updated in place; persisting it is the caller's
+	// concern.
 	Checkpoints *follow.Store
 	// Segments, when non-nil, records every structured file's extracted
 	// rows into the columnar record store: full extractions rewrite the
@@ -85,6 +86,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
+	}
+	if c.Checkpoints == nil {
+		c.Checkpoints = follow.NewStore()
 	}
 	return c
 }
@@ -134,19 +138,19 @@ type FileResult struct {
 	// Status reports how the file was handled.
 	Status Status
 	// Res holds the extraction result (nil for unstructured, failed and
-	// incrementally-unchanged files). In an incremental crawl of a
-	// resumed file it covers only [checkpoint, EOF) — whole-file
-	// coordinates, with Inc carrying the finalized-prefix counts.
+	// unchanged files). For a resumed file it covers only
+	// [checkpoint, EOF) — whole-file coordinates, with Inc carrying the
+	// finalized-prefix counts.
 	Res *core.Result
 	// Err is the failure for StatusFailed files.
 	Err error
-	// Inc describes the incremental handling (nil outside incremental
-	// crawls; set for structured files and for unchanged-unstructured
-	// skips).
+	// Inc describes how the file was extracted against its checkpoint:
+	// set for every structured file and for unchanged-unstructured
+	// skips, nil otherwise.
 	Inc *IncInfo
 }
 
-// IncInfo is the incremental-crawl bookkeeping of one structured file.
+// IncInfo is the checkpoint bookkeeping of one structured file.
 type IncInfo struct {
 	// Action says how the file was extracted (full, resumed,
 	// unchanged).
@@ -187,11 +191,10 @@ type Summary struct {
 	FormatsDiscovered int
 	// CacheHits counts files claimed by a profile without discovery.
 	CacheHits int
-	// Resumed counts files whose extraction resumed at a checkpoint
-	// (incremental crawls only).
+	// Resumed counts files whose extraction resumed at a checkpoint.
 	Resumed int
 	// Unchanged counts checkpointed files skipped entirely because
-	// nothing changed (incremental crawls only).
+	// nothing changed.
 	Unchanged int
 }
 
@@ -296,27 +299,23 @@ func settle(reg *Registry, cfg Config, files []FileResult, entries []*Entry, new
 	// it may be back next run). A scoped crawl prunes only within its
 	// scope: paths its filter rejects were never examined, so their
 	// checkpoints stay.
-	keep := func(p string) bool { return cfg.Filter != nil && !cfg.Filter(p) }
-	if cfg.Checkpoints != nil {
-		crawled := make(map[string]bool, len(files))
-		for i := range files {
-			crawled[files[i].Path] = true
-		}
-		cfg.Checkpoints.Retain(func(p string) bool { return crawled[p] || keep(p) })
+	crawled := make(map[string]bool, len(files))
+	for i := range files {
+		crawled[files[i].Path] = true
 	}
+	retained := func(p string) bool { return crawled[p] || cfg.Filter != nil && !cfg.Filter(p) }
+	cfg.Checkpoints.Retain(retained)
 
 	// The record store tracks the crawl the same way: files that lost
 	// their structure lose their rows, departed files are pruned, and
 	// failed files keep theirs (mirroring their kept checkpoints).
 	if cfg.Segments != nil {
-		crawled := make(map[string]bool, len(files))
 		for i := range files {
-			crawled[files[i].Path] = true
 			if files[i].Status == StatusUnstructured {
 				cfg.Segments.Drop(files[i].Path)
 			}
 		}
-		cfg.Segments.Retain(func(p string) bool { return crawled[p] || keep(p) })
+		cfg.Segments.Retain(retained)
 	}
 
 	res := &Result{Files: files, NewFormats: newFPs}
@@ -391,28 +390,13 @@ func recordCrawl(cfg Config, res *Result, st crawlStats) {
 }
 
 // observeUnstructured checkpoints a file that classified unstructured,
-// so the next incremental crawl can skip re-discovering it when it has
-// not changed. Observation failures are ignored: the worst case is a
-// repeated discovery attempt next run.
+// so the next crawl can skip re-discovering it when it has not changed.
+// Observation failures are ignored: the worst case is a repeated
+// discovery attempt next run.
 func observeUnstructured(cfg Config, full, rel string) {
-	if cfg.Checkpoints == nil {
-		return
-	}
 	if cp, err := follow.Observe(full, rel); err == nil {
 		cfg.Checkpoints.Put(cp)
 	}
-}
-
-// markFull annotates a structured file that went down the full
-// classify/extract path during an incremental crawl.
-func markFull(cfg Config, fr *FileResult, reason string) {
-	if cfg.Checkpoints == nil {
-		return
-	}
-	if reason == "" {
-		reason = "new"
-	}
-	fr.Inc = &IncInfo{Action: follow.ActionFull, Reason: reason}
 }
 
 // classifyFromCheckpoint tries to claim one file through its checkpoint.
@@ -607,57 +591,31 @@ func discoverTemplates(ctx context.Context, sample []byte, opts core.Options) ([
 }
 
 // extractOne streams one claimed file through the discovery-free
-// pipeline with its format's compiled templates. In an incremental crawl the
-// extraction goes through the follow layer, which resumes at the
-// file's checkpoint (when one survived planning) and records the
-// successor checkpoint.
+// pipeline with its format's compiled templates, by way of the follow
+// layer: it resumes at the file's checkpoint (when one survived
+// planning, else it extracts from byte 0) and records the successor
+// checkpoint.
 func extractOne(ctx context.Context, root string, fr *FileResult, e *Entry, resume *follow.Checkpoint, cfg Config) {
 	full := filepath.Join(root, filepath.FromSlash(fr.Path))
-	if cfg.Checkpoints != nil {
-		res, ncp, err := follow.Extract(ctx, full, fr.Path, e.Matchers(), e.Fingerprint, resume, follow.Config{Workers: 1})
-		if err != nil {
-			fr.Status = StatusFailed
-			fr.Err = err
-			return
-		}
-		// Rows past the new checkpoint's finalized boundary are
-		// provisional: the next resume re-emits them, so the store
-		// remembers, per record type, how many to truncate before
-		// appending.
-		prov := fr.Inc.BaseRecords + len(res.Records) - ncp.Records
-		if err := storeRecords(cfg, fr, e, res, resume != nil, prov); err != nil {
-			fr.Status = StatusFailed
-			fr.Err = err
-			return
-		}
-		cfg.Checkpoints.Put(ncp)
-		fr.Res = res
-		fr.Inc.TotalRecords = fr.Inc.BaseRecords + len(res.Records)
-		fr.Inc.TotalNoise = fr.Inc.BaseNoise + len(res.NoiseLines)
-		return
-	}
-	f, err := os.Open(full)
+	res, ncp, err := follow.Extract(ctx, full, fr.Path, e.Matchers(), e.Fingerprint, resume, follow.Config{Workers: 1})
 	if err != nil {
 		fr.Status = StatusFailed
 		fr.Err = err
 		return
 	}
-	defer f.Close()
-	res, err := pipeline.RunContext(ctx, f, pipeline.Config{
-		Matchers: e.Matchers(),
-		Workers:  1, // parallelism lives at the file level
-	})
-	if err != nil {
+	// Rows past the new checkpoint's finalized boundary are provisional:
+	// the next resume re-emits them, so the store remembers, per record
+	// type, how many to truncate before appending.
+	prov := fr.Inc.BaseRecords + len(res.Records) - ncp.Records
+	if err := storeRecords(cfg, fr, e, res, resume != nil, prov); err != nil {
 		fr.Status = StatusFailed
 		fr.Err = err
 		return
 	}
-	if err := storeRecords(cfg, fr, e, res, false, 0); err != nil {
-		fr.Status = StatusFailed
-		fr.Err = err
-		return
-	}
+	cfg.Checkpoints.Put(ncp)
 	fr.Res = res
+	fr.Inc.TotalRecords = fr.Inc.BaseRecords + len(res.Records)
+	fr.Inc.TotalNoise = fr.Inc.BaseNoise + len(res.NoiseLines)
 }
 
 // storeRecords stages one extracted file's rows into the record store:

@@ -82,13 +82,9 @@ func indexSequential(ctx context.Context, root string, reg *Registry, cfg Config
 		entries = append(entries, nil)
 		resumes = append(resumes, nil)
 		full := filepath.Join(root, filepath.FromSlash(rel))
-		fullReason := ""
-		if cfg.Checkpoints != nil {
-			done, reason := classifyFromCheckpoint(full, rel, reg, cfg, &files[i], &entries[i], &resumes[i])
-			if done {
-				continue
-			}
-			fullReason = reason
+		done, fullReason := classifyFromCheckpoint(full, rel, reg, cfg, &files[i], &entries[i], &resumes[i])
+		if done {
+			continue
 		}
 		sample, size, err := ReadSample(full, cfg.SampleBytes)
 		files[i].Size = size
@@ -131,7 +127,7 @@ func indexSequential(ctx context.Context, root string, reg *Registry, cfg Config
 		entries[i] = e
 		files[i].Status = status
 		files[i].Fingerprint = e.Fingerprint
-		markFull(cfg, &files[i], fullReason)
+		files[i].Inc = &IncInfo{Action: follow.ActionFull, Reason: fullReason}
 	}
 	for _, wf := range walkFails {
 		if accepted(wf.rel) {

@@ -23,8 +23,7 @@ type Snapshot struct {
 	Generation uint64
 	// Registry holds the known formats.
 	Registry *Registry
-	// Checkpoints holds the per-file resume state; nil when the state
-	// was opened without checkpoints.
+	// Checkpoints holds the per-file resume state; never nil.
 	Checkpoints *follow.Store
 }
 
@@ -50,25 +49,22 @@ type State struct {
 }
 
 // OpenState loads the registry and the checkpoints and opens the record
-// store. A missing file is an empty one. An empty registryPath keeps the
-// registry in memory only and an empty storePath means no record store.
-// incremental says whether crawls resume from per-file checkpoints; with
-// an empty checkpointPath those then live in memory only.
-func OpenState(registryPath, checkpointPath, storePath string, incremental bool) (*State, error) {
-	s := &State{registryPath: registryPath}
-	snap := &Snapshot{Generation: 1, Registry: NewRegistry()}
+// store. A missing file is an empty one. An empty registryPath or
+// checkpointPath keeps that part in memory only — every crawl still
+// resumes from the checkpoints earlier crawls of the state left — and an
+// empty storePath means no record store.
+func OpenState(registryPath, checkpointPath, storePath string) (*State, error) {
+	s := &State{registryPath: registryPath, checkpointPath: checkpointPath}
+	snap := &Snapshot{Generation: 1, Registry: NewRegistry(), Checkpoints: follow.NewStore()}
 	var err error
 	if registryPath != "" {
 		if snap.Registry, err = LoadRegistry(registryPath); err != nil {
 			return nil, err
 		}
 	}
-	if incremental {
-		snap.Checkpoints = follow.NewStore()
-		if s.checkpointPath = checkpointPath; checkpointPath != "" {
-			if snap.Checkpoints, err = follow.LoadStore(checkpointPath); err != nil {
-				return nil, err
-			}
+	if checkpointPath != "" {
+		if snap.Checkpoints, err = follow.LoadStore(checkpointPath); err != nil {
+			return nil, err
 		}
 	}
 	if storePath != "" {
@@ -91,9 +87,9 @@ func (s *State) Store() *SegmentStore { return s.store }
 // Crawl indexes root and publishes the outcome. format empty crawls
 // everything; a fingerprint restricts the crawl to the checkpointed files
 // that format owns (files that rotated into another format reclassify
-// within the scope; brand-new files wait for a global crawl), so it
-// needs a state opened incremental. cfg's Checkpoints, Segments and — for
-// a scoped crawl — Filter are the state's to set: leave them nil.
+// within the scope; brand-new files wait for a global crawl). cfg's
+// Checkpoints, Segments and — for a scoped crawl — Filter are the state's
+// to set: leave them nil.
 //
 // The crawl is a transaction. It works on clones of the snapshot it
 // started from, with the record store's segments staged; on success it
@@ -119,9 +115,7 @@ func (s *State) Crawl(ctx context.Context, root string, cfg Config, format strin
 		cfg.Filter = func(rel string) bool { return scope[rel] }
 	}
 	reg := base.Registry.Clone()
-	if base.Checkpoints != nil {
-		cfg.Checkpoints = base.Checkpoints.Clone()
-	}
+	cfg.Checkpoints = base.Checkpoints.Clone()
 	if s.store != nil {
 		cfg.Segments = s.store.Begin()
 	}

@@ -18,7 +18,7 @@ import (
 // directory: registry.json, checkpoints.json, store/.
 func openStateAt(t *testing.T, dir string) *State {
 	t.Helper()
-	st, err := OpenState(filepath.Join(dir, "registry.json"), filepath.Join(dir, "checkpoints.json"), filepath.Join(dir, "store"), true)
+	st, err := OpenState(filepath.Join(dir, "registry.json"), filepath.Join(dir, "checkpoints.json"), filepath.Join(dir, "store"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,6 +182,68 @@ func TestStateSavesBeforeCompacting(t *testing.T) {
 	}
 	if !reopened.Begin().Covers("c/metrics-3.log", cp.Fingerprint, len(e.Templates)) {
 		t.Fatal("the store on disk does not hold c/metrics-3.log")
+	}
+}
+
+// TestStateScopedCrawlWithoutCheckpointFile: a state opened without a
+// checkpoint path keeps its checkpoints in memory, and a crawl scoped to
+// one format reads them as it would a loaded file's: it crawls exactly
+// the files that format owns, leaves every other checkpoint as it was,
+// and writes no checkpoint file.
+func TestStateScopedCrawlWithoutCheckpointFile(t *testing.T) {
+	root := buildLake(t)
+	dir := t.TempDir()
+	st, err := OpenState(filepath.Join(dir, "registry.json"), "", filepath.Join(dir, "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := st.Crawl(context.Background(), root, Config{Workers: 2}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fp string
+	var scope []string
+	for _, f := range first.Files {
+		if f.Path == "c/metrics-1.log" {
+			fp = f.Fingerprint
+		}
+	}
+	for _, f := range first.Files {
+		if f.Fingerprint == fp {
+			scope = append(scope, f.Path)
+		}
+	}
+	base := st.Snapshot()
+	mutateLake(t, root)
+
+	res, err := st.Crawl(context.Background(), root, Config{Workers: 2}, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var crawled []string
+	for _, f := range res.Files {
+		crawled = append(crawled, f.Path)
+		if f.Fingerprint != fp {
+			t.Fatalf("%s: claimed by %q in a crawl scoped to %s", f.Path, f.Fingerprint, fp)
+		}
+	}
+	if strings.Join(crawled, " ") != strings.Join(scope, " ") {
+		t.Fatalf("scoped crawl touched %v, the format owns %v", crawled, scope)
+	}
+	if s := res.Summary; s.Resumed != 1 || s.Failed != 0 {
+		t.Fatalf("scoped crawl: %+v", s)
+	}
+	snap := st.Snapshot()
+	for _, p := range base.Checkpoints.Paths() {
+		if cp := base.Checkpoints.Get(p); cp.Fingerprint != fp && snap.Checkpoints.Get(p) != cp {
+			t.Fatalf("%s: checkpoint outside the scope changed", p)
+		}
+	}
+	if snap.Checkpoints.Get("d/kv.log") != nil {
+		t.Fatal("the scoped crawl checkpointed a new file")
+	}
+	if _, err := os.Stat(filepath.Join(dir, "checkpoints.json")); !os.IsNotExist(err) {
+		t.Fatalf("checkpoint file written without a checkpoint path: %v", err)
 	}
 }
 

@@ -1897,8 +1897,8 @@ func (s *SegmentStore) Begin() *StoreTxn {
 // per record type of the format (empty segments included, so later
 // appends and truncations have a base). provisional is the count of
 // records, of whatever type, that start at or past the extraction's
-// checkpoint and are not yet final (0 outside incremental crawls);
-// provisionalByType gives each segment its share.
+// checkpoint and are not yet final; provisionalByType gives each
+// segment its share.
 func (t *StoreTxn) Rewrite(relPath, fp string, templates []*template.Node, recs []core.RecordOut, provisional int) error {
 	t.mu.Lock()
 	rev := t.nextRevLocked(relPath)

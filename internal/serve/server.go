@@ -139,7 +139,7 @@ func New(cfg Config) (*Server, error) {
 	if !info.IsDir() {
 		return nil, fmt.Errorf("serve: root %s is not a directory", cfg.Root)
 	}
-	st, err := lake.OpenState(cfg.RegistryPath, cfg.CheckpointPath, cfg.StorePath, true)
+	st, err := lake.OpenState(cfg.RegistryPath, cfg.CheckpointPath, cfg.StorePath)
 	if err != nil {
 		return nil, err
 	}

@@ -3,7 +3,10 @@
 # the checked-in fixture lake (testdata/lake — 3 formats x several
 # files plus one unstructured file) must reproduce the committed
 # report, registry and CSV outputs byte-for-byte, at several worker
-# counts. Run with -update to regenerate the golden files after an
+# counts. A fresh `index -incremental` pass at the same worker counts
+# must reproduce the committed registry and CSVs too; its report is the
+# incremental form (resume annotations, whole-file totals) and is not
+# diffed. Run with -update to regenerate the golden files after an
 # intentional change.
 set -eu
 cd "$(dirname "$0")/.."
@@ -31,5 +34,12 @@ for w in 1 8; do
     diff -u "$golden/report.txt" "$out/report.txt"
     diff -u "$golden/registry.json" "$out/registry.json"
     diff -r "$golden/csv" "$out/csv"
+
+    inc="$tmp/inc$w"
+    mkdir -p "$inc/csv"
+    "$tmp/datamaran" index -q -incremental -workers "$w" -registry "$inc/registry.json" \
+        -o "$inc/csv" testdata/lake > /dev/null
+    diff -u "$golden/registry.json" "$inc/registry.json"
+    diff -r "$golden/csv" "$inc/csv"
 done
-echo "golden lake corpus reproduced byte-for-byte (workers 1 and 8)"
+echo "golden lake corpus reproduced byte-for-byte (workers 1 and 8, plain and incremental)"
