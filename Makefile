@@ -1,15 +1,19 @@
 # Datamaran build/test entry points. CI (.github/workflows/ci.yml) runs
-# exactly these targets, so local runs reproduce CI.
+# exactly these targets, so local runs reproduce CI. Every gate is a Go
+# test: the goldens (cmd/datamaran's runner drives the CLI and the serve
+# daemon over the fixture lake) and the allocation ceilings (each beside
+# its benchmark) run under test and test-short alike.
 
 GO ?= go
 
-.PHONY: build test test-short test-race bench lint fmt staticcheck bench-quick bench-allocs fuzz-smoke golden-lake golden-lake-update golden-query golden-query-update serve-smoke serve-smoke-update
+.PHONY: build test test-short test-race bench lint fmt staticcheck bench-quick fuzz-smoke golden-update
 
 build:
 	$(GO) build ./...
 
 # The full suite regenerates the paper experiments and takes several
-# minutes; CI and quick local iteration use test-short.
+# minutes; CI and quick local iteration use test-short, which trims the
+# experiments but keeps every golden and allocation ceiling.
 test:
 	$(GO) test ./...
 
@@ -26,7 +30,7 @@ test-short:
 # the evaluation step (score, refine, core: one scan cache reused by
 # every candidate of a round, unfold variants scored from scans derived
 # from their parent's, held to the exhaustive fresh-scan oracle on a
-# trimmed set of inputs).
+# trimmed set of inputs). The allocation ceilings skip under -race.
 test-race:
 	$(GO) test -race -short ./internal/parser ./internal/pipeline ./internal/textio ./internal/atomicfile ./internal/lake ./internal/follow ./internal/serve ./internal/query ./internal/obsv ./internal/generation ./internal/template ./internal/score ./internal/refine ./internal/core .
 
@@ -40,31 +44,6 @@ bench:
 bench-quick:
 	cd bench && $(GO) vet . && $(GO) test .
 	bash bench/run.sh -quick
-
-# Allocation gate: the parser's steady-state scan benchmarks and the
-# generation engine's warm genST benchmark must stay at 0 allocs/op
-# (noise rejection, arena-reuse scanning, and a generation trial that
-# re-tokenizes every line into interned shapes and resolves every window
-# through the transition tables never touch the heap), a whole Generate
-# on the inputs with the most distinct templates must allocate per
-# template interned and per candidate returned, never a tree per window,
-# refinement's variant score — derived from its parent's kept scan — must
-# allocate the variant's matcher and column types whatever the data size,
-# the lake's
-# MatchSample must allocate the same few objects at two sample sizes and
-# compile nothing (a format is compiled when registered), the
-# store's compaction must allocate per input file and per footer entry
-# carried over, never per cell or per decoded column (it relocates
-# blocks; it does not replay rows), the query engine's five
-# shapes must allocate per query and per block decoded, never per row,
-# the streaming apply path per shard at one worker and at two, never per
-# record or field (the one-pass arenas and the two header buffers are
-# scratch grown once), and a crawl of small files must cost each file its
-# own bytes, not a fresh set of extraction and segment-writer buffers (a
-# B/op ceiling of the form constant + per-file × files) — see
-# scripts/bench_allocs.sh.
-bench-allocs:
-	sh scripts/bench_allocs.sh
 
 # Fuzz smoke: run each native fuzz target briefly so CI exercises the
 # generation-engine oracle (FuzzGenerate pins the shape-interned engine
@@ -102,35 +81,11 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentScan$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/lake
 	$(GO) test -run '^$$' -fuzz '^FuzzProfileApply$$' -fuzztime 10s -fuzzminimizetime 1s .
 
-# Golden-corpus check: the fixture lake must index byte-identically to
-# the committed outputs, and a fresh `index -incremental` pass must
-# reproduce the committed registry and CSVs (see scripts/golden_lake.sh).
-golden-lake:
-	sh scripts/golden_lake.sh
-
-golden-lake-update:
-	sh scripts/golden_lake.sh -update
-
-# Golden-query check: the query suite over the fixture lake's record
-# store must reproduce the committed results byte-for-byte through the
-# CLI at two crawl worker counts (see scripts/golden_query.sh; the
-# in-process engine and the served /v1/query are pinned to the same
-# goldens by TestQueryGoldens and serve-smoke).
-golden-query:
-	sh scripts/golden_query.sh
-
-golden-query-update:
-	sh scripts/golden_query.sh -update
-
-# Serve-daemon smoke: start `datamaran serve` on the fixture lake, hit
-# the /v1 routes (formats, both extract paths, reindex, one query) plus
-# a failing route, and diff every response
-# against testdata/lake_golden (see scripts/serve_smoke.sh).
-serve-smoke:
-	sh scripts/serve_smoke.sh
-
-serve-smoke-update:
-	sh scripts/serve_smoke.sh -update
+# Regenerate the goldens under testdata/lake_golden (the index report,
+# registry and CSVs, the query results and plans, the serve responses)
+# after an intentional change; review the diff before committing it.
+golden-update:
+	$(GO) test -count=1 ./cmd/datamaran -update
 
 # Besides gofmt and vet: internal/atomicfile is the only non-test code
 # (outside bench/, a module of its own) that may create a temp file — a

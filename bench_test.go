@@ -11,7 +11,6 @@ package datamaran
 // rows.
 
 import (
-	"bytes"
 	"context"
 	"io"
 	"testing"
@@ -269,64 +268,6 @@ func BenchmarkPublicExtract(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Extract(d.Data, Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- The streaming sharded engine (§5.2.2's parallel extraction pass) ---
-
-// streamBenchInput builds a multi-megabyte log by tiling a generated
-// dataset, so extraction (not discovery) dominates the run.
-func streamBenchInput(mb int) []byte {
-	block := datagen.WebServerLog(4000, 7).Data
-	out := make([]byte, 0, mb<<20)
-	for len(out) < mb<<20 {
-		out = append(out, block...)
-	}
-	return out
-}
-
-// benchStream times the apply path alone: the profile is learned once from
-// a small sample of the same generator, outside the timer, and every
-// iteration streams data through it at the default shard size. allocs/op is
-// therefore the engine's own — a constant plus a few per 1 MiB shard
-// (scripts/bench_allocs.sh pins it).
-func benchStream(b *testing.B, data []byte, workers int) {
-	learned, err := Extract(datagen.WebServerLog(300, 7).Data, Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := learned.Profile()
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		records := 0
-		res, err := ExtractStreamWithProfile(bytes.NewReader(data), p, Options{Workers: workers},
-			func(Record) error { records++; return nil })
-		if err != nil {
-			b.Fatal(err)
-		}
-		if records == 0 || len(res.NoiseLines) > 0 {
-			b.Fatalf("%d records, %d noise lines: the learned profile does not cover the input", records, len(res.NoiseLines))
-		}
-	}
-}
-
-func BenchmarkStreamExtract16MBWorkers1(b *testing.B) { benchStream(b, streamBenchInput(16), 1) }
-func BenchmarkStreamExtract16MBWorkers2(b *testing.B) { benchStream(b, streamBenchInput(16), 2) }
-func BenchmarkStreamExtract16MBWorkers4(b *testing.B) { benchStream(b, streamBenchInput(16), 4) }
-
-// BenchmarkStreamVsInMemory16MB is the baseline for the worker-scaling
-// benches above: the same input through the slice door on one worker,
-// discovered whole instead of from a prefix.
-func BenchmarkStreamVsInMemory16MB(b *testing.B) {
-	data := streamBenchInput(16)
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Extract(data, Options{Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

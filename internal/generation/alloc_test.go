@@ -11,6 +11,21 @@ import (
 	"datamaran/internal/textio"
 )
 
+// warmGenST is the steady state of BenchmarkGenSTSteadyState and its
+// zero-allocation pin: a generator whose first trial over two
+// interleaved line shapes has interned its shapes, window identities and
+// templates and sized its bins. The returned func repeats the trial.
+func warmGenST() func() {
+	var b strings.Builder
+	for i := 0; i < 400; i++ {
+		fmt.Fprintf(&b, "%d,%d,%d\nstatus=%d ok\n", i, i*2, i*3, i%7)
+	}
+	g := newGenerator(textio.NewLines([]byte(b.String())), Config{})
+	rtset := chars.NewSet(",= ")
+	g.genST(rtset)
+	return func() { g.genST(rtset) }
+}
+
 // TestGenSTSteadyStateAllocs pins the arena contract of the
 // shape-interned engine: once a charset's shapes, window identities and
 // reduced templates are interned (the first trial pays for them), a
@@ -25,21 +40,19 @@ func TestGenSTSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	var b strings.Builder
-	for i := 0; i < 400; i++ {
-		fmt.Fprintf(&b, "%d,%d,%d\nstatus=%d ok\n", i, i*2, i*3, i%7)
-	}
-	lines := textio.NewLines([]byte(b.String()))
-	g := newGenerator(lines, Config{})
-	rtset := chars.NewSet(",= ")
-
-	g.genST(rtset) // warm: interns shapes/windows/templates, sizes the bins
-
-	allocs := testing.AllocsPerRun(20, func() {
-		g.genST(rtset)
-	})
-	if allocs > 0 {
+	if allocs := testing.AllocsPerRun(100, warmGenST()); allocs > 0 {
 		t.Fatalf("steady-state genST allocated %.1f objects per run, want 0", allocs)
+	}
+}
+
+// BenchmarkGenSTSteadyState times the window accumulation loop that
+// TestGenSTSteadyStateAllocs pins at 0 allocs/op.
+func BenchmarkGenSTSteadyState(b *testing.B) {
+	trial := warmGenST()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		trial()
 	}
 }
 

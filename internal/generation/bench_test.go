@@ -56,23 +56,46 @@ func BenchmarkGenerationReference(b *testing.B) {
 	}
 }
 
-// BenchmarkGenerationManyShapes runs Generate where it is slow: three of
-// the benchmark's Table-5 analogs, at its scale and seed-1 variant, whose
-// windows reduce to tens of thousands of distinct templates (heterogeneous
-// lines, long records) — the homogeneous web log above has a few hundred.
-// Nearly all of those templates never reach α, so what this pins
-// (scripts/bench_allocs.sh) is that a template costs its table entry, not a
-// tree: a tree per distinct window is 4.8–6.1 M allocations on each input.
+// manyShapes are three of the benchmark's Table-5 analogs, at its scale
+// and seed-1 variant, whose windows reduce to tens of thousands of
+// distinct templates (heterogeneous lines, long records) — the
+// homogeneous web log above has a few hundred — each with the ceiling
+// TestGenerationManyShapesAllocs holds a whole Generate on it to.
+var manyShapes = []struct {
+	name    string
+	data    func() *datagen.Dataset
+	ceiling float64
+}{
+	{"MacASL", func() *datagen.Dataset { return datagen.MacASLLog(150, 6003) }, 3500},
+	{"LogFile5", func() *datagen.Dataset { return datagen.LogFile5(75, 6024) }, 350000},
+	{"Netstat", func() *datagen.Dataset { return datagen.NetstatOutput(150, 6008) }, 450000},
+}
+
+// TestGenerationManyShapesAllocs: nearly all of those templates never
+// reach α, so a template must cost its table entry, not a tree. With
+// templates kept as interned id sequences and trees built only for the
+// candidates returned, what a Generate allocates is the table's key
+// strings, the transition rows and those trees; each ceiling is about
+// twice that. A tree per distinct window is 4.8–6.1 million allocations
+// on each input, an order of magnitude over any ceiling.
+func TestGenerationManyShapesAllocs(t *testing.T) {
+	if generation.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	for _, in := range manyShapes {
+		lines := textio.NewLines(in.data().Data)
+		allocs := testing.AllocsPerRun(1, func() { generation.Generate(lines, generation.Config{}) })
+		if allocs > in.ceiling {
+			t.Errorf("Generate on %s: %.0f allocations, ceiling %.0f", in.name, allocs, in.ceiling)
+		}
+	}
+}
+
+// BenchmarkGenerationManyShapes runs Generate where it is slow: on the
+// manyShapes inputs.
 func BenchmarkGenerationManyShapes(b *testing.B) {
-	for _, in := range []struct {
-		name string
-		d    *datagen.Dataset
-	}{
-		{"MacASL", datagen.MacASLLog(150, 6003)},
-		{"LogFile5", datagen.LogFile5(75, 6024)},
-		{"Netstat", datagen.NetstatOutput(150, 6008)},
-	} {
-		lines := textio.NewLines(in.d.Data)
+	for _, in := range manyShapes {
+		lines := textio.NewLines(in.data().Data)
 		b.Run(in.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -117,25 +117,3 @@ func sameCandidates(got, want []Candidate) error {
 	}
 	return nil
 }
-
-// BenchmarkGenSTSteadyState is the CI allocation gate over the window
-// accumulation loop (scripts/bench_allocs.sh pins it at 0 allocs/op):
-// with shapes, window identities and templates interned by a warm-up
-// trial, a repeated genST re-tokenizes every line into the reused token
-// buffer, finds each shape interned and resolves every window through the
-// transition tables — it must never touch the heap.
-func BenchmarkGenSTSteadyState(b *testing.B) {
-	var sb strings.Builder
-	for i := 0; i < 400; i++ {
-		fmt.Fprintf(&sb, "%d,%d,%d\nstatus=%d ok\n", i, i*2, i*3, i%7)
-	}
-	lines := textio.NewLines([]byte(sb.String()))
-	g := newGenerator(lines, Config{})
-	rtset := chars.NewSet(",= ")
-	g.genST(rtset) // warm: interns shapes/windows/templates, sizes the bins
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.genST(rtset)
-	}
-}

@@ -181,6 +181,34 @@ func TestAppendFollowsCompactedSpan(t *testing.T) {
 	requireOnlyLiveFiles(t, s)
 }
 
+// TestCommitUnlinksSupersededSharedFiles: a transaction begins, a
+// compaction folds every path into shared files, and the transaction
+// then rewrites every path from scratch. Its commit replaces every span
+// of those shared files, which it never saw and so never doomed; they
+// must go with the manifest that named them.
+func TestCommitUnlinksSupersededSharedFiles(t *testing.T) {
+	root := buildLake(t)
+	reg := NewRegistry()
+	s, err := OpenSegmentStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	crawlWithStore(t, root, reg, follow.NewStore(), s)
+
+	txn := s.Begin()
+	if n, err := s.Compact(1); n == 0 || err != nil {
+		t.Fatalf("Compact = (%d, %v), want tables rewritten", n, err)
+	}
+	if _, err := Index(root, reg, Config{Workers: 2, Checkpoints: follow.NewStore(), Segments: txn}); err != nil {
+		txn.Abort()
+		t.Fatal(err)
+	}
+	if err := txn.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	requireOnlyLiveFiles(t, s)
+}
+
 // rewriteFooter replaces the stats footer of a v2 segment file with an
 // edited copy.
 func rewriteFooter(t *testing.T, path string, edit func(*segFooter)) {

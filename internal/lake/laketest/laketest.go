@@ -4,7 +4,9 @@
 // by the lake, serve and example fixtures. The format strings used to be
 // copy-pasted per package, so an edit in one place silently skewed the
 // corpora apart; every builder of a jobs/requests/metrics lake goes
-// through here now.
+// through here now. It also holds the golden query suite over the
+// committed fixture lake (Queries, Explains), to whose results the
+// engine, the CLI and the daemon are each held.
 //
 // The package is deliberately testing-free so examples can import it,
 // and deterministic: each builder draws from the caller's *rand.Rand (or
@@ -82,4 +84,26 @@ func Prose(tier, dir1, dir2 string) string {
 		dir1 + "\n" +
 		dir2 + "\n" +
 		"TODO: fold the db01 host metrics into their own directory?\n"
+}
+
+// Queries is the golden query suite over the fixture lake (testdata/lake):
+// each key names the committed result under testdata/lake_golden/query,
+// and its extension picks the output form.
+var Queries = map[string]string{
+	"selection.csv":     "SELECT f1, f2, f3 FROM 570eebfb5b600688 WHERE f2 > 99",
+	"projection.ndjson": "SELECT f1, f6 FROM 94d88dc2a33387cc WHERE f5 = '500' LIMIT 15",
+	"join.csv":          "SELECT m.f1, m.f2, h.f3, h.f5 FROM 570eebfb5b600688 AS m, 3065c6f04a84699c AS h WHERE m.f3 = h.f1 AND m.f2 > 99 ORDER BY m.f2 DESC, m.f1",
+	"groupby.csv":       "SELECT f3, count(*), avg(f2) FROM 570eebfb5b600688 GROUP BY f3 ORDER BY f3",
+	"joingroup.ndjson":  "SELECT h.f5, count(*) FROM 570eebfb5b600688 AS m, 3065c6f04a84699c AS h WHERE m.f3 = h.f1 GROUP BY h.f5 ORDER BY h.f5",
+	"topk.csv":          "SELECT f1, f2, f3 FROM 570eebfb5b600688 ORDER BY f2 DESC, f1 LIMIT 5",
+	"range.ndjson":      "SELECT f1, f2 FROM 570eebfb5b600688 WHERE f2 > 90 AND f2 <= 99",
+}
+
+// Explains pins the plans of the join, group-by and top-k queries: a
+// plan-only explain carries no timings, so its CSV is a golden like a
+// result. Pushdown is on; turning it off legitimately changes the plan.
+var Explains = map[string]string{
+	"explain_join.csv":    Queries["join.csv"],
+	"explain_groupby.csv": Queries["groupby.csv"],
+	"explain_topk.csv":    Queries["topk.csv"],
 }

@@ -209,27 +209,54 @@ func TestMinCovered(t *testing.T) {
 	}
 }
 
-// BenchmarkMatchSample: one call against the fixture lake's registry. The
-// allocation gate (scripts/bench_allocs.sh) holds both sizes to the same
-// ceiling: what a call allocates — the line index and a copy of the
-// registry's entry list; the matchers were compiled when the registry was
-// loaded — does not grow with the number of records it scans.
-func BenchmarkMatchSample(b *testing.B) {
+// metricsSamples returns the fixture lake's registry and a metrics sample
+// of 500 and of 8 000 records, keyed by record count.
+func metricsSamples(tb testing.TB) (*Registry, map[int][]byte) {
 	reg, err := LoadRegistry(filepath.Join("..", "..", "testdata", "lake_golden", "registry.json"))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	fixture, err := os.ReadFile(filepath.Join("..", "..", "testdata", "lake", "metrics", "metrics-1.log"))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	perFile := bytes.Count(fixture, []byte("\n"))
+	samples := map[int][]byte{}
 	for _, records := range []int{500, 8000} {
-		sample := bytes.Repeat(fixture, records/perFile+1)
+		samples[records] = bytes.Repeat(fixture, records/perFile+1)
+		if MatchSample(samples[records], reg, DefaultMatchThreshold) == nil {
+			tb.Fatal("no profile claims the metrics sample")
+		}
+	}
+	return reg, samples
+}
+
+// TestMatchSampleAllocs holds a call to one ceiling at both sample sizes:
+// it allocates a line index and a copy of the registry's entry list, and
+// nothing per record or per format — a registry entry's matchers are
+// compiled when it is registered. A regression re-materializes records on
+// the crawl's match stage, or compiles every format per call (15).
+func TestMatchSampleAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const ceiling = 4
+	reg, samples := metricsSamples(t)
+	for records, sample := range samples {
+		allocs := testing.AllocsPerRun(100, func() { MatchSample(sample, reg, DefaultMatchThreshold) })
+		if allocs > ceiling {
+			t.Errorf("MatchSample over %d records: %.0f allocations, ceiling %d", records, allocs, ceiling)
+		}
+	}
+}
+
+// BenchmarkMatchSample: one call against the fixture lake's registry, at
+// the two sizes TestMatchSampleAllocs pins.
+func BenchmarkMatchSample(b *testing.B) {
+	reg, samples := metricsSamples(b)
+	for _, records := range []int{500, 8000} {
+		sample := samples[records]
 		b.Run(fmt.Sprintf("records=%d", records), func(b *testing.B) {
-			if MatchSample(sample, reg, DefaultMatchThreshold) == nil {
-				b.Fatal("no profile claims the metrics sample")
-			}
 			b.SetBytes(int64(len(sample)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

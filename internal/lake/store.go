@@ -2197,7 +2197,8 @@ func (t *StoreTxn) Commit() error {
 	// serialize here, each rebasing its touched paths onto whatever the
 	// other already published.
 	t.s.mu.Lock()
-	merged := mergeManifest(t.s.man, t.man, t.touched)
+	replaced := t.s.man
+	merged := mergeManifest(replaced, t.man, t.touched)
 	err := saveManifest(t.s.dir, merged)
 	if err == nil {
 		t.s.man = merged
@@ -2209,11 +2210,16 @@ func (t *StoreTxn) Commit() error {
 	// A doomed file can still back spans of the published manifest: a
 	// compacted file is shared by several paths, and this transaction
 	// dooms it when it rewrites or drops just one of them. Keep any
-	// file the published manifest still references.
+	// file the published manifest still references. A file the replaced
+	// manifest named and the published one does not is superseded too,
+	// even unseen: a compaction after Begin may have folded every path
+	// this transaction rewrote into it.
 	live := referencedFiles(merged)
-	for name := range t.doomed {
-		if !live[name] {
-			os.Remove(filepath.Join(t.s.dir, name))
+	for _, dead := range []map[string]bool{t.doomed, referencedFiles(replaced)} {
+		for name := range dead {
+			if !live[name] {
+				os.Remove(filepath.Join(t.s.dir, name))
+			}
 		}
 	}
 	return nil

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -39,8 +40,8 @@ func benchRow(rng *rand.Rand, ts *int64) []string {
 
 // writeBenchTable lays out one table of files per-path segment files of
 // rowsPerFile rows each and returns the bytes they hold.
-func writeBenchTable(b *testing.B, dir string, files, rowsPerFile int) int64 {
-	b.Helper()
+func writeBenchTable(tb testing.TB, dir string, files, rowsPerFile int) int64 {
+	tb.Helper()
 	rng, ts := rand.New(rand.NewSource(1)), int64(1_700_000_000)
 	tbl := manTable{Fingerprint: "bench0bench0bench", Columns: columnNames(benchCols)}
 	var total int64
@@ -49,69 +50,121 @@ func writeBenchTable(b *testing.B, dir string, files, rowsPerFile int) int64 {
 		for r := range rows {
 			rows[r] = benchRow(rng, &ts)
 		}
-		seg := writeSynthSpan(b, dir, synthSpan{path: fmt.Sprintf("web/requests-%03d.log", i), rows: rows, provisional: 1}, 0, benchCols)
+		seg := writeSynthSpan(tb, dir, synthSpan{path: fmt.Sprintf("web/requests-%03d.log", i), rows: rows, provisional: 1}, 0, benchCols)
 		st, err := os.Stat(filepath.Join(dir, seg.File))
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		total += st.Size()
 		tbl.Segments = append(tbl.Segments, seg)
 	}
 	if err := saveManifest(dir, &manifest{Tables: []manTable{tbl}}); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return total
 }
 
-// BenchmarkStoreCompact folds a table of per-path files into one shared
-// file. Compaction relocates blocks — headers walked, bytes copied, zone
-// maps carried over from the source footers — so what it allocates is
-// per call and per input file (a reader, a decoded footer, a copy
-// buffer), and per block only the footer entries it carries. The
-// allocation gate (scripts/bench_allocs.sh) holds both sizes to one
-// ceiling of that form; replaying the rows instead allocates a string
-// per column per block, a row slab per block and the distinct sets, and
-// fails it at either size.
-func BenchmarkStoreCompact(b *testing.B) {
-	for _, files := range []int{30, 90} {
-		const rowsPerFile = 2*segBlockRows + segBlockRows/2
-		blocks := files * 3
-		b.Run(fmt.Sprintf("files=%d/blocks=%d", files, blocks), func(b *testing.B) {
-			src := b.TempDir()
-			total := writeBenchTable(b, src, files, rowsPerFile)
-			entries, err := os.ReadDir(src)
-			if err != nil {
-				b.Fatal(err)
+// costOf measures op the way a benchmark's -benchmem does: after one
+// warm-up call, the heap objects and bytes a call allocates, averaged over
+// runs calls. setup, if not nil, runs before each call and is not counted.
+func costOf(runs int, setup, op func()) (allocs, bytes uint64) {
+	var before, after runtime.MemStats
+	for i := 0; i <= runs; i++ {
+		if setup != nil {
+			setup()
+		}
+		runtime.ReadMemStats(&before)
+		op()
+		runtime.ReadMemStats(&after)
+		if i > 0 {
+			allocs += after.Mallocs - before.Mallocs
+			bytes += after.TotalAlloc - before.TotalAlloc
+		}
+	}
+	return allocs / uint64(runs), bytes / uint64(runs)
+}
+
+// compactSizes are the two tables compaction is measured on: files
+// per-path files of three blocks each.
+var compactSizes = []int{30, 90}
+
+// compactFixture writes a table of files per-path files and returns its
+// bytes and a func that opens a store over a fresh copy of it, as hard
+// links: compaction consumes its inputs. Each copy removes the one before.
+func compactFixture(tb testing.TB, files int) (int64, func() *SegmentStore) {
+	src, copies := tb.TempDir(), tb.TempDir()
+	total := writeBenchTable(tb, src, files, 2*segBlockRows+segBlockRows/2)
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	dir := ""
+	return total, func() *SegmentStore {
+		if dir != "" {
+			if err := os.RemoveAll(dir); err != nil {
+				tb.Fatal(err)
 			}
+		}
+		if dir, err = os.MkdirTemp(copies, ""); err != nil {
+			tb.Fatal(err)
+		}
+		for _, e := range entries {
+			if err := os.Link(filepath.Join(src, e.Name()), filepath.Join(dir, e.Name())); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		s, err := OpenSegmentStore(dir)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return s
+	}
+}
+
+// compactAll folds the fixture's one table into one shared file.
+func compactAll(tb testing.TB, s *SegmentStore) {
+	if n, err := s.Compact(DefaultCompactFiles); n != 1 || err != nil {
+		tb.Fatalf("Compact = (%d, %v), want the one table rewritten", n, err)
+	}
+}
+
+// TestStoreCompactAllocs holds compaction at two table sizes to one
+// ceiling of the form 150 + 60 per file + 2 per block. Compaction
+// relocates encoded blocks — headers walked, bytes copied, zone maps
+// carried over from the source footers — so it allocates per input file
+// (descriptor, reader, decoded footer, copy buffer, the manifest's span)
+// and per block only the footer entry it carries over. Replaying the rows
+// instead — a string per column per block, a row slab per block, the
+// distinct sets — is about four times either ceiling.
+func TestStoreCompactAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	for _, files := range compactSizes {
+		_, fresh := compactFixture(t, files)
+		var s *SegmentStore
+		allocs, _ := costOf(5, func() { s = fresh() }, func() { compactAll(t, s) })
+		ceiling := uint64(150 + 60*files + 2*3*files)
+		if allocs > ceiling {
+			t.Errorf("compacting %d files: %d allocations, ceiling %d", files, allocs, ceiling)
+		}
+	}
+}
+
+// BenchmarkStoreCompact folds a table of per-path files into one shared
+// file, at the two sizes TestStoreCompactAllocs pins.
+func BenchmarkStoreCompact(b *testing.B) {
+	for _, files := range compactSizes {
+		b.Run(fmt.Sprintf("files=%d/blocks=%d", files, 3*files), func(b *testing.B) {
+			total, fresh := compactFixture(b, files)
 			b.SetBytes(total)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				// Compaction consumes its inputs: each round gets the table
-				// again, as hard links.
 				b.StopTimer()
-				dir := filepath.Join(b.TempDir(), fmt.Sprint(i))
-				if err := os.Mkdir(dir, 0o755); err != nil {
-					b.Fatal(err)
-				}
-				for _, e := range entries {
-					if err := os.Link(filepath.Join(src, e.Name()), filepath.Join(dir, e.Name())); err != nil {
-						b.Fatal(err)
-					}
-				}
-				s, err := OpenSegmentStore(dir)
-				if err != nil {
-					b.Fatal(err)
-				}
+				s := fresh()
 				b.StartTimer()
-				if n, err := s.Compact(DefaultCompactFiles); n != 1 || err != nil {
-					b.Fatalf("Compact = (%d, %v), want the one table rewritten", n, err)
-				}
-				b.StopTimer()
-				if err := os.RemoveAll(dir); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
+				compactAll(b, s)
 			}
 		})
 	}

@@ -6,7 +6,10 @@ import (
 
 // TestNoiseRejectionZeroAllocs pins the validate pass's contract: deciding
 // that a line starts no record performs zero heap allocations — both for a
-// bare MatchEnds probe and for a whole steady-state scan of pure noise.
+// bare MatchEnds probe and for a whole steady-state scan of pure noise,
+// the body of BenchmarkScanNoiseReject. A regression silently brings back
+// the per-candidate allocations the evaluation engine was rebuilt to
+// remove.
 func TestNoiseRejectionZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under the race detector")
@@ -21,10 +24,9 @@ func TestNoiseRejectionZeroAllocs(t *testing.T) {
 		t.Fatalf("MatchEnds on a noise line: %v allocs, want 0", avg)
 	}
 
-	lines := benchNoiseLines(2000)
-	res := &ScanResult{}
-	m.ScanInto(lines, res) // warm the reusable storage
-	if avg := testing.AllocsPerRun(20, func() { m.ScanInto(lines, res) }); avg != 0 {
+	lines := benchNoiseLines(5000)
+	scan, _ := warmScan(lines)
+	if avg := testing.AllocsPerRun(100, scan); avg != 0 {
 		t.Fatalf("steady-state all-noise ScanInto: %v allocs/scan, want 0 (%.4f allocs/line)",
 			avg, avg/float64(lines.N()))
 	}
@@ -32,20 +34,18 @@ func TestNoiseRejectionZeroAllocs(t *testing.T) {
 
 // TestApplyPathAllocsPerRecord pins the extract pass's steady-state cost on
 // the profile-apply workload (every line a record): with the arenas warm,
-// a scan — and therefore each record — allocates nothing.
+// a scan — and therefore each record — allocates nothing. It is the
+// ceiling of BenchmarkScanArenaReuse, whose body it shares.
 func TestApplyPathAllocsPerRecord(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under the race detector")
 	}
-	lines := benchLines(2000)
-	m := NewMatcher(benchTemplate())
-	res := &ScanResult{}
-	m.ScanInto(lines, res) // warm the arenas
+	scan, res := warmScan(benchLines(5000))
 	records := len(res.Records)
-	if records != 2000 {
-		t.Fatalf("records = %d, want 2000", records)
+	if records != 5000 {
+		t.Fatalf("records = %d, want 5000", records)
 	}
-	avg := testing.AllocsPerRun(20, func() { m.ScanInto(lines, res) })
+	avg := testing.AllocsPerRun(100, scan)
 	if perRecord := avg / float64(records); perRecord != 0 {
 		t.Fatalf("steady-state apply path: %v allocs/scan = %.4f allocs/record, want 0", avg, perRecord)
 	}

@@ -57,34 +57,41 @@ func benchNoiseLines(rows int) *textio.Lines {
 	return textio.NewLines([]byte(b.String()))
 }
 
+// warmScan is the steady state the zero-allocation pins and their
+// benchmarks share: a matcher of benchTemplate and a result one ScanInto
+// over lines has grown. The returned func repeats that scan.
+func warmScan(lines *textio.Lines) (scan func(), res *ScanResult) {
+	m := NewMatcher(benchTemplate())
+	res = &ScanResult{}
+	m.ScanInto(lines, res)
+	return func() { m.ScanInto(lines, res) }, res
+}
+
 // BenchmarkScanNoiseReject measures steady-state noise rejection through
-// the reusable ScanInto — the allocs gate (scripts/bench_allocs.sh) pins
-// its allocs/op to 0: rejecting a line must never touch the heap.
+// the reusable ScanInto; TestNoiseRejectionZeroAllocs pins it at 0
+// allocs/op: rejecting a line must never touch the heap.
 func BenchmarkScanNoiseReject(b *testing.B) {
 	lines := benchNoiseLines(5000)
-	m := NewMatcher(benchTemplate())
-	res := &ScanResult{}
-	m.ScanInto(lines, res) // warm the noise-line storage
+	scan, _ := warmScan(lines)
 	b.SetBytes(int64(len(lines.Data())))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.ScanInto(lines, res)
+		scan()
 	}
 }
 
 // BenchmarkScanArenaReuse measures the steady-state apply path — every
-// line a record — through the reusable ScanInto. The allocs gate pins its
-// allocs/op to 0: arena reuse must make repeated scans allocation-free.
+// line a record — through the reusable ScanInto;
+// TestApplyPathAllocsPerRecord pins it at 0 allocs/op: arena reuse must
+// make repeated scans allocation-free.
 func BenchmarkScanArenaReuse(b *testing.B) {
 	lines := benchLines(5000)
-	m := NewMatcher(benchTemplate())
-	res := &ScanResult{}
-	m.ScanInto(lines, res) // warm the arenas
+	scan, _ := warmScan(lines)
 	b.SetBytes(int64(len(lines.Data())))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.ScanInto(lines, res)
+		scan()
 	}
 }

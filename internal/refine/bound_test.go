@@ -195,12 +195,10 @@ func refineInputs() map[string]struct {
 	}
 }
 
-// BenchmarkRefineVariantScore is the unit of refinement's cost: compile one
-// unfold variant, derive its scan from the kept scan of its parent and
-// score it. What it allocates is the matcher and the column types the score
-// keeps — nothing that grows with the data (scripts/bench_allocs.sh pins
-// the ceiling).
-func BenchmarkRefineVariantScore(b *testing.B) {
+// variantScore is refinement's unit of cost: compile one unfold variant
+// of the syslog input's array, derive its scan from the kept scan of its
+// parent and score it. Each call takes the next variant in turn.
+func variantScore(tb testing.TB) func() {
 	in := refineInputs()["syslog"]
 	scorer := score.MDL{Cache: score.NewScanCache()}
 	parent, cur, _ := scorer.Cache.Lineage()
@@ -209,19 +207,46 @@ func BenchmarkRefineVariantScore(b *testing.B) {
 	scorer.ScoreScan(pm, in.lines, parent, nil, parser.Derivation{})
 	variants := unfoldVariants(in.st, nil, 0, allRepStats(pm, &parent.ScanResult)[0])
 	if len(variants) < 2 {
-		b.Fatalf("%d variants of %v", len(variants), in.st)
+		tb.Fatalf("%d variants of %v", len(variants), in.st)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	i := 0
+	return func() {
 		v := variants[i%len(variants)]
+		i++
 		m := parser.NewMatcher(v.tpl)
 		d, ok := m.DeriveScan(pm, v.unfold, in.lines, &parent.ScanResult, &cur.ScanResult)
 		if !ok {
-			b.Fatalf("%v: not derived", v.tpl)
+			tb.Fatalf("%v: not derived", v.tpl)
 		}
 		if scorer.ScoreScan(m, in.lines, cur, parent, d).Records == 0 {
-			b.Fatalf("%v matched nothing", v.tpl)
+			tb.Fatalf("%v matched nothing", v.tpl)
 		}
+	}
+}
+
+// TestVariantScoreAllocs: a variant's score allocates the matcher (its
+// struct, program and array list) and the column types the score
+// returns — four objects whatever the data size, since the derived scan
+// and its column statistics are written into storage the round's scan
+// cache owns. A regression goes back to a ScanResult or a column-stats
+// table per variant, tens of thousands of times a round.
+func TestVariantScoreAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const ceiling = 4
+	if allocs := testing.AllocsPerRun(100, variantScore(t)); allocs > ceiling {
+		t.Fatalf("a variant's score allocated %.0f objects, ceiling %d", allocs, ceiling)
+	}
+}
+
+// BenchmarkRefineVariantScore times variantScore, whose allocations
+// TestVariantScoreAllocs pins.
+func BenchmarkRefineVariantScore(b *testing.B) {
+	score := variantScore(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		score()
 	}
 }

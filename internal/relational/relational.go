@@ -5,11 +5,6 @@
 //     array-type node, linked by foreign-key references, and
 //   - a denormalized form: a single table where array repetitions are
 //     folded into one cell per column.
-//
-// It also implements the relational operations of the formal evaluation
-// standard (§9.3): Concat, GroupConcat, Trim, Append, DeleteCol and
-// DeleteTable, used to decide whether a target dataset is reconstructible
-// from an extraction result.
 package relational
 
 import (

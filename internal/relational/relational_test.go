@@ -155,113 +155,6 @@ func TestDatabaseTableLookup(t *testing.T) {
 	}
 }
 
-func TestConcat(t *testing.T) {
-	tab := &Table{Columns: []string{"a", "b"}, Rows: [][]string{{"1", "2"}, {"x", "y"}}}
-	if err := Concat(tab, "a", "b", "ab"); err != nil {
-		t.Fatal(err)
-	}
-	if tab.Rows[0][2] != "12" || tab.Rows[1][2] != "xy" {
-		t.Fatalf("Concat rows = %v", tab.Rows)
-	}
-	if err := Concat(tab, "a", "nope", "x"); err == nil {
-		t.Fatal("expected error for missing column")
-	}
-}
-
-func TestGroupConcat(t *testing.T) {
-	parent := &Table{Columns: []string{"id"}, Rows: [][]string{{"1"}, {"2"}}}
-	child := &Table{
-		Columns: []string{"id", "parent_id", "v"},
-		Rows: [][]string{
-			{"1", "1", "a"}, {"2", "1", "b"}, {"3", "2", "c"},
-		},
-	}
-	if err := GroupConcat(parent, child, "parent_id", "v", "vs"); err != nil {
-		t.Fatal(err)
-	}
-	if parent.Rows[0][1] != "ab" || parent.Rows[1][1] != "c" {
-		t.Fatalf("GroupConcat rows = %v", parent.Rows)
-	}
-}
-
-func TestGroupConcatEmptyGroup(t *testing.T) {
-	parent := &Table{Columns: []string{"id"}, Rows: [][]string{{"1"}}}
-	child := &Table{Columns: []string{"id", "parent_id", "v"}}
-	if err := GroupConcat(parent, child, "parent_id", "v", "vs"); err != nil {
-		t.Fatal(err)
-	}
-	if parent.Rows[0][1] != "" {
-		t.Fatalf("empty group should give empty string, got %q", parent.Rows[0][1])
-	}
-}
-
-func TestTrim(t *testing.T) {
-	tab := &Table{Columns: []string{"a"}, Rows: [][]string{{"[abc]"}, {"[]"}, {"x"}}}
-	if err := Trim(tab, "a", 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if tab.Rows[0][0] != "abc" || tab.Rows[1][0] != "" || tab.Rows[2][0] != "" {
-		t.Fatalf("Trim rows = %v", tab.Rows)
-	}
-}
-
-func TestAppendOp(t *testing.T) {
-	tab := &Table{Columns: []string{"a"}, Rows: [][]string{{"x"}}}
-	if err := Append(tab, "a", "<", ">"); err != nil {
-		t.Fatal(err)
-	}
-	if tab.Rows[0][0] != "<x>" {
-		t.Fatalf("Append row = %v", tab.Rows[0])
-	}
-}
-
-func TestDeleteCol(t *testing.T) {
-	tab := &Table{Columns: []string{"a", "b", "c"}, Rows: [][]string{{"1", "2", "3"}}}
-	if err := DeleteCol(tab, "b"); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Join(tab.Columns, "") != "ac" || strings.Join(tab.Rows[0], "") != "13" {
-		t.Fatalf("DeleteCol = %v %v", tab.Columns, tab.Rows)
-	}
-}
-
-func TestDeleteTable(t *testing.T) {
-	db := &Database{Tables: []*Table{{Name: "a"}, {Name: "b"}}}
-	if err := DeleteTable(db, "a"); err != nil {
-		t.Fatal(err)
-	}
-	if len(db.Tables) != 1 || db.Tables[0].Name != "b" {
-		t.Fatalf("DeleteTable left %v", db.Tables)
-	}
-	if err := DeleteTable(db, "zzz"); err == nil {
-		t.Fatal("expected error for unknown table")
-	}
-}
-
-func TestReconstructTargetViaOps(t *testing.T) {
-	// End-to-end §9.3 scenario: extract [F:F:F] F\n, then rebuild the
-	// time target "01:05:02" via Append + Concat.
-	tm := stc(lit("["), fld(), lit(":"), fld(), lit(":"), fld(), lit("] "), fld(), lit("\n"))
-	db := Build(tm, recordsOf(t, tm, "[01:05:02] 1.2.3.4\n[23:59:59] 5.6.7.8\n"), 0, "recs")
-	root := db.Tables[0]
-	if err := Append(root, "f0", "", ":"); err != nil {
-		t.Fatal(err)
-	}
-	if err := Append(root, "f1", "", ":"); err != nil {
-		t.Fatal(err)
-	}
-	if err := Concat(root, "f0", "f1", "t1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := Concat(root, "t1", "f2", "time"); err != nil {
-		t.Fatal(err)
-	}
-	i := root.Col("time")
-	if root.Rows[0][i] != "01:05:02" || root.Rows[1][i] != "23:59:59" {
-		t.Fatalf("reconstructed times = %q, %q", root.Rows[0][i], root.Rows[1][i])
-	}
-}
-
 // Property: the normalized and denormalized forms contain the same field
 // values for flat templates.
 func TestQuickFormsAgreeOnFlatTemplates(t *testing.T) {
@@ -299,18 +192,15 @@ func TestChildForeignKeysValid(t *testing.T) {
 	}
 }
 
-func TestGroupConcatAfterBuildReconstructsList(t *testing.T) {
-	// §9.3's GroupConcat over a built child table restores the list.
+// TestBuildChildTableHoldsEachList: §9.3 rebuilds a list by
+// concatenating the child rows that reference its record, so the child
+// table keeps every element, in order, under its record's id.
+func TestBuildChildTableHoldsEachList(t *testing.T) {
 	inner := template.Array([]*template.Node{fld()}, ',', ';')
 	tm := stc(lit("x "), inner, lit("\n"))
 	db := Build(tm, recordsOf(t, tm, "x 1,2,3;\nx 9;\n"), 0, "r")
-	root, child := db.Tables[0], db.Tables[1]
-	if err := GroupConcat(root, child, "parent_id", "f0", "joined"); err != nil {
-		t.Fatal(err)
-	}
-	i := root.Col("joined")
-	if root.Rows[0][i] != "123" || root.Rows[1][i] != "9" {
-		t.Fatalf("joined = %q, %q", root.Rows[0][i], root.Rows[1][i])
+	if got, want := render(&Database{Tables: db.Tables[1:]}), "r_list1(r): 1,1,1; 2,1,2; 3,1,3; 4,2,9;\n"; got != want {
+		t.Fatalf("child table = %q, want %q", got, want)
 	}
 }
 

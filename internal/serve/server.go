@@ -545,8 +545,8 @@ func (s *Server) extractCSV(w http.ResponseWriter, r *http.Request, cfg pipeline
 	// The same builder call as datamaran.Result.TablesWith (tables.go),
 	// which serve cannot call itself: datamaran.Result is built only by
 	// the root package's own entry points. Byte-equality is pinned by
-	// TestServedExtractionMatchesPublicAPI and the serve-smoke golden
-	// diff against the CLI's CSVs.
+	// TestServedExtractionMatchesPublicAPI and by cmd/datamaran's
+	// TestServeGoldens against the CLI's CSVs.
 	var tables []*relational.Table
 	for typeID, st := range res.Structures {
 		db := relational.Build(st.Template, res.Records, typeID, fmt.Sprintf("type%d", typeID))

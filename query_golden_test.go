@@ -13,27 +13,14 @@ import (
 	"testing"
 
 	"datamaran/internal/lake"
+	"datamaran/internal/lake/laketest"
 	"datamaran/internal/query"
 )
 
-// goldenQueries is the committed query suite over the fixture lake —
-// the same queries scripts/golden_query.sh runs through the CLI and
-// scripts/serve_smoke.sh runs through /v1/query, so the three surfaces
-// are pinned byte-identical to one set of goldens. File extension picks
-// the output form.
-var goldenQueries = map[string]string{
-	"selection.csv":     "SELECT f1, f2, f3 FROM 570eebfb5b600688 WHERE f2 > 99",
-	"projection.ndjson": "SELECT f1, f6 FROM 94d88dc2a33387cc WHERE f5 = '500' LIMIT 15",
-	"join.csv":          "SELECT m.f1, m.f2, h.f3, h.f5 FROM 570eebfb5b600688 AS m, 3065c6f04a84699c AS h WHERE m.f3 = h.f1 AND m.f2 > 99 ORDER BY m.f2 DESC, m.f1",
-	"groupby.csv":       "SELECT f3, count(*), avg(f2) FROM 570eebfb5b600688 GROUP BY f3 ORDER BY f3",
-	"joingroup.ndjson":  "SELECT h.f5, count(*) FROM 570eebfb5b600688 AS m, 3065c6f04a84699c AS h WHERE m.f3 = h.f1 GROUP BY h.f5 ORDER BY h.f5",
-	"topk.csv":          "SELECT f1, f2, f3 FROM 570eebfb5b600688 ORDER BY f2 DESC, f1 LIMIT 5",
-	"range.ndjson":      "SELECT f1, f2 FROM 570eebfb5b600688 WHERE f2 > 90 AND f2 <= 99",
-}
-
 // TestQueryGoldens: the in-process engine (the public Query entry
-// point) reproduces the committed golden query results over a store
-// built fresh from the fixture lake.
+// point) reproduces the committed results of laketest.Queries over a
+// store built fresh from the fixture lake. cmd/datamaran's golden
+// runner holds the CLI and the daemon to the same files.
 func TestQueryGoldens(t *testing.T) {
 	state := t.TempDir()
 	storePath := filepath.Join(state, "store")
@@ -64,10 +51,10 @@ func TestQueryGoldens(t *testing.T) {
 		}
 		return &QueryRows{rows: rows}, nil
 	}
-	for file, text := range goldenQueries {
+	for file, text := range laketest.Queries {
 		want, err := os.ReadFile(filepath.Join("testdata/lake_golden/query", file))
 		if err != nil {
-			t.Fatalf("missing golden (run scripts/golden_query.sh -update): %v", err)
+			t.Fatalf("missing golden (run make golden-update): %v", err)
 		}
 		for _, nopush := range []bool{false, true} {
 			rows, err := run(text, nopush)
@@ -91,18 +78,6 @@ func TestQueryGoldens(t *testing.T) {
 	}
 }
 
-// goldenExplains pins the EXPLAIN plans of the join, group-by and
-// top-k golden queries. Plan-only explain is deterministic (no
-// timings), so the rendered trees are committed goldens like the query
-// results — and scripts/golden_query.sh re-checks the same files
-// through the CLI's -explain plan. Pushdown-only: disabling pushdown
-// legitimately changes the plan (that is the point of query.NoPushdown).
-var goldenExplains = map[string]string{
-	"explain_join.csv":    goldenQueries["join.csv"],
-	"explain_groupby.csv": goldenQueries["groupby.csv"],
-	"explain_topk.csv":    goldenQueries["topk.csv"],
-}
-
 // TestQueryExplainGoldens: the public Query entry point with
 // Explain: "plan" reproduces the committed plan goldens.
 func TestQueryExplainGoldens(t *testing.T) {
@@ -114,10 +89,10 @@ func TestQueryExplainGoldens(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	for file, text := range goldenExplains {
+	for file, text := range laketest.Explains {
 		want, err := os.ReadFile(filepath.Join("testdata/lake_golden/query", file))
 		if err != nil {
-			t.Fatalf("missing golden (run scripts/golden_query.sh -update): %v", err)
+			t.Fatalf("missing golden (run make golden-update): %v", err)
 		}
 		rows, err := Query(context.Background(), text, QueryOptions{
 			StorePath: storePath,
@@ -167,7 +142,7 @@ func TestExplainAnalyzeReportsPruning(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	text := goldenQueries["range.ndjson"]
+	text := laketest.Queries["range.ndjson"]
 	rows, err := Query(context.Background(), text, QueryOptions{StorePath: storePath, Explain: "analyze"})
 	if err != nil {
 		t.Fatal(err)
