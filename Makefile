@@ -50,7 +50,7 @@ bench-quick:
 # to the reference, at spans up to 12 lines and at spans of 1<<25 to
 # 1<<40, past any input's line count, which the engine must bound by the
 # lines there are without sizing anything by the span), the id-level
-# reducer generation runs on (FuzzReduce holds it to the tree reducer: Build of the reduced ids ≡ Reduce, what
+# reducer generation runs on (FuzzReduce holds it to the tree reducer: Build of the reduced ids ≡ templatetest.Reduce, what
 # the ids answer ≡ what the tree answers, equal ids ⟺ equal keys), the
 # compiled matcher (FuzzMatcher: on a reduced fuzz record and its full and
 # partial unfolds over fuzz data, MatchEnds ≡ the tree oracle's
@@ -63,7 +63,11 @@ bench-quick:
 # bytes and its array neither sits in nor holds an array), the
 # refinement lower bound (FuzzRefineLowerBound: nothing Refine scores
 # undercuts the noise floor evaluation prunes its candidates by), the
-# segment reader on hostile bytes (FuzzSegmentScan: no panic, no
+# unfold variants refinement scores (FuzzUnfoldVariant: on the same
+# candidates and two rounds deep, the path-copied tree ≡ Clone +
+# Normalize, and the matcher spliced from the parent's program has the
+# length, columns and arrays of, and scans exactly as, the matcher
+# compiled from that tree), the segment reader on hostile bytes (FuzzSegmentScan: no panic, no
 # allocation out of proportion to the file, row view ≡ batch view, and
 # compaction's splice refuses the file or reproduces its rows) and
 # the profile loader plus the extraction engine behind it
@@ -78,6 +82,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReduce$$' -fuzztime 10s ./internal/template
 	$(GO) test -run '^$$' -fuzz '^FuzzMatcher$$' -fuzztime 10s ./internal/parser
 	$(GO) test -run '^$$' -fuzz '^FuzzRefineLowerBound$$' -fuzztime 10s ./internal/refine
+	$(GO) test -run '^$$' -fuzz '^FuzzUnfoldVariant$$' -fuzztime 10s ./internal/refine
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentScan$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/lake
 	$(GO) test -run '^$$' -fuzz '^FuzzProfileApply$$' -fuzztime 10s -fuzzminimizetime 1s .
 

@@ -25,6 +25,7 @@ import (
 	"datamaran/internal/recordbreaker"
 	"datamaran/internal/score"
 	"datamaran/internal/template"
+	"datamaran/internal/template/templatetest"
 	"datamaran/internal/textio"
 	"datamaran/internal/wrangler"
 )
@@ -245,20 +246,20 @@ func BenchmarkAblationAssimilation(b *testing.B) {
 // --- Micro benches on the hot paths ---
 
 func BenchmarkReduceCSVRow(b *testing.B) {
-	toks, _ := template.ExtractRecordTemplate(
+	toks, _ := templatetest.ExtractRecordTemplate(
 		[]byte("1,2,3,4,5,6,7,8,9,10\n"), template.Lit(",").RTCharSet())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		template.Reduce(toks)
+		templatetest.Reduce(toks)
 	}
 }
 
 func BenchmarkReduceMultiLineWindow(b *testing.B) {
 	d := datagen.ThailandDistricts(2, 3)
-	toks, _ := template.ExtractRecordTemplate(d.Data, template.Lit("{}\":, ").RTCharSet())
+	toks, _ := templatetest.ExtractRecordTemplate(d.Data, template.Lit("{}\":, ").RTCharSet())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		template.Reduce(toks)
+		templatetest.Reduce(toks)
 	}
 }
 

@@ -295,7 +295,8 @@ func TestServeGoldens(t *testing.T) {
 	metrics := do(t, ok, "GET", base+"/metrics", nil)
 	for _, family := range []string{"datamaran_http_requests_total", "datamaran_http_request_seconds",
 		"datamaran_queries_total", "datamaran_query_blocks_decoded_total",
-		"datamaran_reindex_total", "datamaran_crawl_stage_seconds", "datamaran_crawl_files_total"} {
+		"datamaran_reindex_total", "datamaran_crawl_stage_seconds", "datamaran_crawl_files_total",
+		"datamaran_crawl_discovery_seconds"} {
 		if !regexp.MustCompile(`(?m)^# TYPE ` + family + ` `).Match(metrics) {
 			t.Errorf("/metrics lacks family %s", family)
 		}

@@ -5,6 +5,7 @@ import (
 
 	"datamaran/internal/chars"
 	"datamaran/internal/template"
+	"datamaran/internal/template/templatetest"
 	"datamaran/internal/textio"
 )
 
@@ -90,7 +91,7 @@ func (g *refGenerator) genST(rtset chars.Set) []Candidate {
 	lineShape := make([]int32, n)
 	shapeIDs := map[string]int32{}
 	for i := 0; i < n; i++ {
-		toks, fb := template.ExtractRecordTemplate(lines.Line(i), rtset)
+		toks, fb := templatetest.ExtractRecordTemplate(lines.Line(i), rtset)
 		lineToks[i] = toks
 		lineFB[i] = fb
 		raw := rawKey(toks)
@@ -125,7 +126,7 @@ func (g *refGenerator) genST(rtset chars.Set) []Candidate {
 		for k := i; k < j; k++ {
 			toks = append(toks, lineToks[k]...)
 		}
-		tpl := template.Reduce(toks)
+		tpl := templatetest.Reduce(toks)
 		if tpl.NumFields() == 0 || !endsWithNewline(tpl) {
 			return -1
 		}

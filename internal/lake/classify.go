@@ -165,6 +165,8 @@ type speculation struct {
 	done      chan struct{}
 	templates []*template.Node
 	err       error
+	// elapsed is how long the discovery ran.
+	elapsed time.Duration
 }
 
 // run drives the three stages to completion. It returns ctx.Err() when
@@ -243,7 +245,9 @@ func (ix *indexer) startMatching(ctx context.Context, wg *sync.WaitGroup) <-chan
 				// cancel the discovery below while it runs.
 				j.out <- s
 				if spec := s.spec; spec != nil {
+					start := time.Now()
 					spec.templates, spec.err = discoverTemplates(specCtx, s.sample, ix.cfg.Core)
+					spec.elapsed = time.Since(start)
 					close(spec.done)
 				}
 			}
@@ -364,30 +368,35 @@ func (ix *indexer) commitFile(ctx context.Context, i int, s sampled, stats *craw
 		// or not, is of no use — at this file's turn the sequential crawl
 		// would not have run one.
 		s.spec.cancel()
-		stats.speculations.discarded++
+		stats.speculations.discarded = append(stats.speculations.discarded, s.spec)
 	}
 	if e == nil {
-		templates, err := ix.discovered(ctx, s, stats)
+		templates, elapsed, err := ix.discovered(ctx, s, stats)
 		var isNew bool
 		if err == nil && len(templates) > 0 {
 			e, isNew = ix.reg.Add(templates)
 		}
+		times := &stats.discoveryTimes
 		switch {
 		case err != nil:
 			stats.discoveries.none++
+			times.none = append(times.none, elapsed)
 			fr.Status = StatusFailed
 			fr.Err = err
 			return false
 		case e == nil:
 			stats.discoveries.none++
+			times.none = append(times.none, elapsed)
 			fr.Status = StatusUnstructured
 			observeUnstructured(cfg, full, fr.Path)
 			return false
 		case isNew:
 			stats.discoveries.new++
+			times.new = append(times.new, elapsed)
 			ix.newFPs[e.Fingerprint] = true
 		default:
 			stats.discoveries.known++
+			times.known = append(times.known, elapsed)
 		}
 		status = StatusDiscovered
 	}
@@ -400,19 +409,22 @@ func (ix *indexer) commitFile(ctx context.Context, i int, s sampled, stats *craw
 }
 
 // discovered returns the templates discovery finds in a sample no profile
-// claims: what the file's speculation found, once it has finished, or —
-// for the file the match stage did not sample, a checkpointed one whose
-// checkpoint no longer holds — a discovery run here and now.
-func (ix *indexer) discovered(ctx context.Context, s sampled, stats *crawlStats) ([]*template.Node, error) {
+// claims, and how long it ran: what the file's speculation found, once it
+// has finished, or — for the file the match stage did not sample, a
+// checkpointed one whose checkpoint no longer holds — a discovery run here
+// and now.
+func (ix *indexer) discovered(ctx context.Context, s sampled, stats *crawlStats) ([]*template.Node, time.Duration, error) {
 	if s.spec == nil {
-		return discoverTemplates(ctx, s.sample, ix.cfg.Core)
+		start := time.Now()
+		templates, err := discoverTemplates(ctx, s.sample, ix.cfg.Core)
+		return templates, time.Since(start), err
 	}
 	defer s.spec.cancel()
 	select {
 	case <-s.spec.done:
 		stats.speculations.used++
-		return s.spec.templates, s.spec.err
+		return s.spec.templates, s.spec.elapsed, s.spec.err
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return nil, 0, ctx.Err()
 	}
 }

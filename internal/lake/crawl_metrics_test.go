@@ -16,7 +16,8 @@ import (
 // failed discovery on prose shows it as outcome "none". Next to them it
 // counts the speculations of the match stage: every discovery here is one
 // that was used, and what a cold crawl started and threw away — the only
-// place its waste shows — is the count beside it.
+// place its waste shows — is the count beside it. Each discovery's time,
+// and each discarded speculation's, is in a histogram by outcome.
 func TestCrawlReportsStagesAndDiscoveries(t *testing.T) {
 	root := buildLake(t)
 	// One more file, and a threshold no profile reaches on it: it misses
@@ -43,6 +44,31 @@ func TestCrawlReportsStagesAndDiscoveries(t *testing.T) {
 		}
 		return got
 	}
+	// Every discovery's time is in datamaran_crawl_discovery_seconds
+	// under its outcome, and every discarded speculation's under
+	// "discarded": per outcome, the histogram counts what the counters do.
+	timed := func(crawl string) {
+		t.Helper()
+		unmatched, series := map[string]float64{}, 0
+		for _, m := range metrics.Snapshot() {
+			switch {
+			case m.Name == "datamaran_crawl_discoveries_total",
+				m.Name == "datamaran_crawl_speculations_total" && m.Labels == `{outcome="discarded"}`:
+				unmatched[m.Labels] += m.Value
+			case m.Name == "datamaran_crawl_discovery_seconds":
+				unmatched[m.Labels] -= float64(m.Hist.Count)
+				series++
+			}
+		}
+		for labels, n := range unmatched {
+			if n != 0 {
+				t.Errorf("after the %s crawl: %s has %v more discoveries than times", crawl, labels, n)
+			}
+		}
+		if series != 4 {
+			t.Errorf("after the %s crawl: %d discovery-time series, want new, known, none and discarded", crawl, series)
+		}
+	}
 	event := func() map[string]any {
 		var ev map[string]any
 		if err := json.Unmarshal(logged.Bytes(), &ev); err != nil {
@@ -64,6 +90,7 @@ func TestCrawlReportsStagesAndDiscoveries(t *testing.T) {
 	if got := discoveries(); !equalCounts(got, want) {
 		t.Fatalf("after the cold crawl: %v, want %v", got, want)
 	}
+	timed("cold")
 	ev := event()
 	if d, _ := ev["discoveries"].(map[string]any); d["new"] != 3.0 || d["known"] != 1.0 || d["none"] != 1.0 {
 		t.Fatalf("cold crawl logged discoveries=%v", ev["discoveries"])
@@ -89,6 +116,7 @@ func TestCrawlReportsStagesAndDiscoveries(t *testing.T) {
 	if got := discoveries(); !equalCounts(got, want) {
 		t.Fatalf("after the warm crawl: %v, want %v", got, want)
 	}
+	timed("warm")
 	if d, _ := event()["discoveries"].(map[string]any); d["new"] != 0.0 || d["known"] != 1.0 || d["none"] != 1.0 {
 		t.Fatalf("warm crawl logged discoveries=%v", d)
 	}

@@ -332,20 +332,27 @@ type crawlStats struct {
 	// outcome: a format first registered by this run, a re-derivation of
 	// an already registered one, or no structure found.
 	discoveries struct{ new, known, none int }
-	// speculations counts the discoveries the match stage started ahead
-	// of their file's turn, by what the commit stage made of them: used
-	// (each is also one of discoveries), or discarded because a profile
-	// registered in the meantime claimed the file — what the crawl
-	// wasted. A discovery the commit stage ran itself is in neither.
-	speculations struct{ used, discarded int }
+	// discoveryTimes holds how long each of discoveries ran, by outcome.
+	discoveryTimes struct{ new, known, none []time.Duration }
+	// speculations tracks the discoveries the match stage started ahead
+	// of their file's turn, by what the commit stage made of them. used
+	// counts those it used (each is also one of discoveries); discarded
+	// holds those it threw away because a profile registered in the
+	// meantime claimed the file — what the crawl wasted. Their times are
+	// read once the crawl, and so every one of them, has finished. A
+	// discovery the commit stage ran itself is in neither.
+	speculations struct {
+		used      int
+		discarded []*speculation
+	}
 }
 
 // recordCrawl folds one finished crawl into the metrics registry and
 // the structured log. Stage spans land in one histogram family labeled
-// by stage; file counts are labeled by terminal status, discoveries by
-// outcome, and record/byte counters by format fingerprint (a bounded
-// set — the lake's known formats). Both sinks are optional and
-// independent.
+// by stage; file counts are labeled by terminal status, discoveries and
+// their times by outcome (a discarded speculation's too), and
+// record/byte counters by format fingerprint (a bounded set — the lake's
+// known formats). Both sinks are optional and independent.
 func recordCrawl(cfg Config, res *Result, st crawlStats) {
 	d := st.discoveries
 	if cfg.Metrics != nil {
@@ -357,7 +364,21 @@ func recordCrawl(cfg Config, res *Result, st crawlStats) {
 		m.Counter("datamaran_crawl_discoveries_total", "outcome", "known").Add(uint64(d.known))
 		m.Counter("datamaran_crawl_discoveries_total", "outcome", "none").Add(uint64(d.none))
 		m.Counter("datamaran_crawl_speculations_total", "outcome", "used").Add(uint64(st.speculations.used))
-		m.Counter("datamaran_crawl_speculations_total", "outcome", "discarded").Add(uint64(st.speculations.discarded))
+		m.Counter("datamaran_crawl_speculations_total", "outcome", "discarded").Add(uint64(len(st.speculations.discarded)))
+		observe := func(outcome string, times []time.Duration) {
+			h := m.Histogram("datamaran_crawl_discovery_seconds", obsv.DefBuckets, "outcome", outcome)
+			for _, t := range times {
+				h.Observe(t.Seconds())
+			}
+		}
+		observe("new", st.discoveryTimes.new)
+		observe("known", st.discoveryTimes.known)
+		observe("none", st.discoveryTimes.none)
+		discarded := make([]time.Duration, len(st.speculations.discarded))
+		for i, spec := range st.speculations.discarded {
+			discarded[i] = spec.elapsed
+		}
+		observe("discarded", discarded)
 		for _, f := range res.Files {
 			m.Counter("datamaran_crawl_files_total", "status", f.Status.String()).Inc()
 			if f.Fingerprint == "" {
@@ -382,7 +403,7 @@ func recordCrawl(cfg Config, res *Result, st crawlStats) {
 			"resumed", s.Resumed,
 			"unchanged", s.Unchanged,
 			slog.Group("discoveries", "new", d.new, "known", d.known, "none", d.none),
-			slog.Group("speculations", "used", st.speculations.used, "discarded", st.speculations.discarded),
+			slog.Group("speculations", "used", st.speculations.used, "discarded", len(st.speculations.discarded)),
 			"walk", st.walk.Round(time.Millisecond).String(),
 			"classify", st.classify.Round(time.Millisecond).String(),
 			"extract", st.extract.Round(time.Millisecond).String())

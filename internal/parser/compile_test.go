@@ -75,8 +75,8 @@ func TestArraysNumberedByOccurrence(t *testing.T) {
 	wantArrays := []parser.ArrayOcc{{Arr: 0, Reps: 2}, {Arr: 1, Reps: 3}}
 
 	m := parser.NewMatcher(tm)
-	if m.NumArrays() != 2 || m.ArrayNode(0) != a || m.ArrayNode(1) != a || m.Columns() != 2 {
-		t.Fatalf("NumArrays %d, Columns %d; want 2 arrays of node %p and 2 columns", m.NumArrays(), m.Columns(), a)
+	if m.NumArrays() != 2 || m.Columns() != 2 || m.Len() != tm.Len() {
+		t.Fatalf("NumArrays %d, Columns %d, Len %d; want 2 arrays, 2 columns and length %d", m.NumArrays(), m.Columns(), m.Len(), tm.Len())
 	}
 	occs, arrays, ok := m.AppendRecord(data, 0, nil, nil)
 	if !ok || !slices.Equal(occs, wantFields) || !slices.Equal(arrays, wantArrays) {
@@ -89,4 +89,31 @@ func TestArraysNumberedByOccurrence(t *testing.T) {
 	}
 	lines := textio.NewLines(data)
 	parsertest.RequireScanEqual(t, "shared array node", o.Scan(lines), m.Scan(lines))
+}
+
+// TestUnfoldedTreeConcurrent: a matcher Unfolded from another builds its
+// tree on first use, and a Matcher is safe for concurrent use, so
+// goroutines asking for the tree and the key at once all get the one
+// tree, built once, the unfold of the parent's.
+func TestUnfoldedTreeConcurrent(t *testing.T) {
+	st := template.Struct(lit("["), template.Array([]*template.Node{fld(), lit("=")}, ',', ']'), lit("\n"))
+	want := st.Unfold(0, 3, false)
+	v := parser.NewMatcher(st).Unfolded(parser.Unfold{Arr: 0, K: 3})
+	trees := make([]*template.Node, 8)
+	keys := make([]string, len(trees))
+	done := make(chan int)
+	for g := range trees {
+		go func() {
+			trees[g], keys[g] = v.Template(), v.Key()
+			done <- g
+		}()
+	}
+	for range trees {
+		<-done
+	}
+	for g := range trees {
+		if trees[g] != trees[0] || !trees[g].Equal(want) || keys[g] != want.Key() {
+			t.Fatalf("goroutine %d: tree %v (%p) key %q, want %v (%p) built once", g, trees[g], trees[g], keys[g], want, trees[0])
+		}
+	}
 }

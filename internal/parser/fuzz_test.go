@@ -9,6 +9,7 @@ import (
 	"datamaran/internal/parser"
 	"datamaran/internal/parser/parsertest"
 	"datamaran/internal/template"
+	"datamaran/internal/template/templatetest"
 	"datamaran/internal/textio"
 )
 
@@ -38,8 +39,8 @@ func FuzzMatcher(f *testing.F) {
 		if len(record) > 512 || len(data) > 4096 {
 			t.Skip("bounded so the quadratic reduction and the oracle's trees stay fast")
 		}
-		toks, _ := template.ExtractRecordTemplate(record, chars.NewSet(charset))
-		tm := template.Reduce(toks)
+		toks, _ := templatetest.ExtractRecordTemplate(record, chars.NewSet(charset))
+		tm := templatetest.Reduce(toks)
 		requireMatcher(t, tm, data)
 		lines := textio.NewLines(data)
 		parent := parser.NewMatcher(tm)

@@ -13,6 +13,7 @@ import (
 	"datamaran/internal/datagen"
 	"datamaran/internal/parser"
 	"datamaran/internal/template"
+	"datamaran/internal/template/templatetest"
 	"datamaran/internal/textio"
 )
 
@@ -89,8 +90,8 @@ func onePassCases(t *testing.T) []onePassCase {
 					rt = append(rt, b)
 				}
 			}
-			toks, _ := template.ExtractRecordTemplate(record, chars.NewSet(string(rt)))
-			out = append(out, onePassCase{fmt.Sprintf("%s/type%d", d.Name, r.Type), template.Reduce(toks), d.Data})
+			toks, _ := templatetest.ExtractRecordTemplate(record, chars.NewSet(string(rt)))
+			out = append(out, onePassCase{fmt.Sprintf("%s/type%d", d.Name, r.Type), templatetest.Reduce(toks), d.Data})
 		}
 	}
 	return out

@@ -162,7 +162,7 @@ func (m *Matcher) MatchLines(c *Candidates, lines *textio.Lines, workers int) {
 		// can extrapolate from what they held.
 		head := min(hi-lo, reserveMinLines)
 		a.occs = slices.Grow(a.occs, head*m.cols)
-		a.arrays = slices.Grow(a.arrays, head*len(m.arrNodes))
+		a.arrays = slices.Grow(a.arrays, head*m.arrays)
 		kept := lo // the end line of the last record kept
 		for i := lo; i < hi; i++ {
 			pos := lines.Start(i)

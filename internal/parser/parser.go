@@ -30,11 +30,12 @@
 // determine the parse (see ArrayOcc), so no caller needs a parse tree.
 // DeriveScan writes the scan of an array unfold of a template from the
 // template's scan, renumbering those occurrences and extracting only the
-// lines that scan never tried. Only the compiler reads the template tree;
-// the tree walkers the program replaced and the validate-only candidate
-// fan-out MatchLines replaced live on in the tests, and the tree-building
-// walker in parsertest, as the oracles the interpreters are compared
-// against.
+// lines that scan never tried. Unfolded splices an unfold's program from
+// the template's, with no tree: the unfold's tree is built only if asked
+// for. Only the compiler reads the template tree; the tree walkers the
+// program replaced and the validate-only candidate fan-out MatchLines
+// replaced live on in the tests, and the tree-building walker in
+// parsertest, as the oracles the interpreters are compared against.
 package parser
 
 import (
@@ -78,18 +79,25 @@ type op struct {
 }
 
 // Matcher matches one structure template through its compiled program.
-// It is immutable once built (its key is built on first use) and safe for
-// concurrent use.
+// It is immutable once built (its tree and key are built on first use)
+// and safe for concurrent use.
 type Matcher struct {
-	st      *template.Node
-	keyOnce sync.Once
-	key     string
-	prog    []op
+	// st is the template; a matcher Unfolded from another builds it from
+	// the other's on the first Template, and drops the other then.
+	st       *template.Node
+	treeOnce sync.Once
+	from     *Matcher
+	unfold   Unfold
+	keyOnce  sync.Once
+	key      string
+	prog     []op
 	// stop marks the bytes a field value cannot hold: the RT-CharSet and
 	// '\n'.
-	stop     [256]bool
-	cols     int
-	arrNodes []*template.Node
+	stop   [256]bool
+	cols   int
+	arrays int
+	// len is the template's Len.
+	len int
 }
 
 // NewMatcher compiles st.
@@ -99,93 +107,207 @@ func NewMatcher(st *template.Node) *Matcher {
 	for b := range m.stop {
 		m.stop[b] = b == '\n' || rtset.Contains(byte(b))
 	}
-	ops, arrays := programSize(st)
-	m.prog = make([]op, 0, ops)
-	m.arrNodes = make([]*template.Node, 0, arrays)
-	c := compiler{m: m}
-	m.cols = c.compile(st, 0)
+	m.prog = make([]op, 0, programSize(st))
+	c := compiler{m: m, weight: 1}
+	c.compile(st)
 	return m
 }
 
 // programSize bounds the length of n's program — an op per leaf and per
-// array, before literals merge — and counts its arrays, so the program is
-// allocated once.
-func programSize(n *template.Node) (ops, arrays int) {
-	switch n.Kind {
-	case template.KStruct:
-	case template.KArray:
-		ops, arrays = 1, 1
-	default:
-		return 1, 0
+// array, before literals merge — so the program is allocated once.
+func programSize(n *template.Node) int {
+	ops := 1 // a leaf, or an array's own op
+	if n.Kind == template.KStruct {
+		ops = 0
 	}
 	for _, c := range n.Children {
-		o, a := programSize(c)
-		ops, arrays = ops+o, arrays+a
+		ops += programSize(c)
 	}
-	return ops, arrays
+	return ops
 }
 
-// compiler appends a template's ops to its matcher's program.
+// compiler appends a template's ops to its matcher's program, numbering
+// columns and arrays in document order and summing the template's length.
 type compiler struct {
 	m *Matcher
 	// sealed is the length the program had when an array body last
 	// closed: a literal merges only into an opLit at or past it, so the
 	// literal after an array never joins the array's body.
 	sealed int
+	// weight is what a character at the current depth adds to the
+	// template's length: an array writes its body twice.
+	weight int
 }
 
-// compile appends n's ops; col is the column of n's leftmost field, and
-// the column after n's fields is returned.
-func (c *compiler) compile(n *template.Node, col int) int {
-	m := c.m
+// compile appends n's ops.
+func (c *compiler) compile(n *template.Node) {
 	switch n.Kind {
 	case template.KField:
-		m.prog = append(m.prog, op{kind: opField, col: int32(col)})
-		return col + 1
+		c.field()
 	case template.KLiteral:
-		if last := len(m.prog) - 1; last >= c.sealed && m.prog[last].kind == opLit {
-			m.prog[last].lit += n.Lit
-		} else if n.Lit != "" {
-			m.prog = append(m.prog, op{kind: opLit, lit: n.Lit})
-		}
+		c.lit(n.Lit)
 	case template.KStruct:
 		for _, ch := range n.Children {
-			col = c.compile(ch, col)
+			c.compile(ch)
 		}
 	case template.KArray:
-		i := len(m.prog)
-		m.prog = append(m.prog, op{kind: opArray, sep: n.Sep, term: n.Term, arr: int32(len(m.arrNodes))})
-		m.arrNodes = append(m.arrNodes, n)
+		i := c.open(n.Sep, n.Term)
 		for _, ch := range n.Children {
-			col = c.compile(ch, col)
+			c.compile(ch)
 		}
-		m.prog[i].end = int32(len(m.prog))
-		c.sealed = len(m.prog)
+		c.close(i)
 	}
-	return col
+}
+
+// field appends an opField of the next column.
+func (c *compiler) field() {
+	m := c.m
+	m.prog = append(m.prog, op{kind: opField, col: int32(m.cols)})
+	m.cols++
+	m.len += c.weight
+}
+
+// lit appends the literal s, merged into the opLit before it unless an
+// array body closed in between.
+func (c *compiler) lit(s string) {
+	m := c.m
+	m.len += c.weight * len(s)
+	if last := len(m.prog) - 1; last >= c.sealed && m.prog[last].kind == opLit {
+		m.prog[last].lit += s
+	} else if s != "" {
+		m.prog = append(m.prog, op{kind: opLit, lit: s})
+	}
+}
+
+// open appends the opArray of the next array occurrence and returns its
+// index, for close once its body is appended.
+func (c *compiler) open(sep, term byte) int {
+	m := c.m
+	i := len(m.prog)
+	m.prog = append(m.prog, op{kind: opArray, sep: sep, term: term, arr: int32(m.arrays)})
+	m.arrays++
+	m.len += 5 * c.weight // "(" sep ")*" … term
+	c.weight *= 2
+	return i
+}
+
+// close ends the body of the array open returned i for.
+func (c *compiler) close(i int) {
+	m := c.m
+	c.weight /= 2
+	m.prog[i].end = int32(len(m.prog))
+	c.sealed = len(m.prog)
+}
+
+// Unfolded returns the matcher of m's template unfolded by u (u.K ≥ 1; see
+// Unfold), built from m's program rather than from a tree: the program is
+// m's with u's array replaced by u.K copies of its body's ops, columns and
+// arrays numbered afresh and literals merged at the seams, by the
+// compiler that compiles a tree. That is the program NewMatcher compiles
+// from the unfolded tree, op for op. The stop table is m's, recomputed
+// only for a full unfold at one repetition, which can drop the separator.
+// The template is built on the first Template or Key, from m's by
+// template.Node.Unfold, which wants m's in normal form: scoring a variant
+// needs no tree.
+func (m *Matcher) Unfolded(u Unfold) *Matcher {
+	v := &Matcher{from: m, unfold: u, stop: m.stop}
+	v.prog = make([]op, 0, len(m.prog)+m.bodyOps(u.Arr)*u.K+u.K+1)
+	c := compiler{m: v, weight: 1}
+	c.splice(m, 0, len(m.prog), u)
+	if !u.Partial && u.K == 1 {
+		v.stop = [256]bool{'\n': true}
+		for _, o := range v.prog {
+			switch o.kind {
+			case opLit:
+				for i := 0; i < len(o.lit); i++ {
+					v.stop[o.lit[i]] = true
+				}
+			case opArray:
+				v.stop[o.sep], v.stop[o.term] = true, true
+			}
+		}
+	}
+	return v
+}
+
+// bodyOps returns the length of array occurrence arr's body, in ops.
+func (m *Matcher) bodyOps(arr int) int {
+	for i, o := range m.prog {
+		if o.kind == opArray && int(o.arr) == arr {
+			return int(o.end) - i - 1
+		}
+	}
+	return 0
+}
+
+// splice compiles p's ops [lo, hi) anew, unfolding array occurrence u.Arr
+// of p where it meets it.
+func (c *compiler) splice(p *Matcher, lo, hi int, u Unfold) {
+	for i := lo; i < hi; i++ {
+		switch o := &p.prog[i]; o.kind {
+		case opField:
+			c.field()
+		case opLit:
+			c.lit(o.lit)
+		case opArray:
+			body, end := i+1, int(o.end)
+			i = end - 1
+			if int(o.arr) != u.Arr {
+				j := c.open(o.sep, o.term)
+				c.splice(p, body, end, u)
+				c.close(j)
+				continue
+			}
+			sep := string([]byte{o.sep})
+			for k := 0; k < u.K; k++ {
+				if k > 0 && !u.Partial {
+					c.lit(sep)
+				}
+				c.splice(p, body, end, Unfold{Arr: -1})
+				if u.Partial {
+					c.lit(sep)
+				}
+			}
+			if u.Partial {
+				j := c.open(o.sep, o.term)
+				c.splice(p, body, end, Unfold{Arr: -1})
+				c.close(j)
+			} else {
+				c.lit(string([]byte{o.term}))
+			}
+		}
+	}
 }
 
 // Template returns the matcher's structure template.
-func (m *Matcher) Template() *template.Node { return m.st }
+func (m *Matcher) Template() *template.Node {
+	m.treeOnce.Do(func() {
+		if m.st == nil {
+			u := m.unfold
+			m.st, m.from = m.from.Template().Unfold(u.Arr, u.K, u.Partial), nil
+		}
+	})
+	return m.st
+}
 
 // Key returns the template's canonical key (template.Node.Key), built
 // once, on the first call: scoring keys its memos by it, extraction never
 // asks.
 func (m *Matcher) Key() string {
-	m.keyOnce.Do(func() { m.key = m.st.Key() })
+	m.keyOnce.Do(func() { m.key = m.Template().Key() })
 	return m.key
 }
+
+// Len returns the template's length (template.Node.Len), the len(ST) of
+// the MDL score.
+func (m *Matcher) Len() int { return m.len }
 
 // Columns returns the number of field columns of the template (fields
 // inside an array body count once).
 func (m *Matcher) Columns() int { return m.cols }
 
 // NumArrays returns the number of array occurrences in the template.
-func (m *Matcher) NumArrays() int { return len(m.arrNodes) }
-
-// ArrayNode returns the array node at occurrence index i (DFS order over
-// the template) — the inverse of ArrayOcc.Arr.
-func (m *Matcher) ArrayNode(i int) *template.Node { return m.arrNodes[i] }
+func (m *Matcher) NumArrays() int { return m.arrays }
 
 // MatchEnds decides whether a record of the template starts at data[pos]
 // and where it ends, without touching the heap. truncated reports that a
@@ -255,7 +377,7 @@ type FieldOcc struct {
 }
 
 // ArrayOcc is one array instantiation inside a parsed record: which array
-// of the template (dense DFS occurrence index, see Matcher.ArrayNode) and
+// of the template (dense DFS occurrence index, see Matcher.NumArrays) and
 // how many repetitions it matched. A record's occurrences are listed as
 // each array terminates (inner before outer). Instances of one array
 // occurrence never nest inside each other, so the occurrences of one Arr

@@ -6,6 +6,7 @@ import (
 
 	"datamaran/internal/chars"
 	"datamaran/internal/template"
+	"datamaran/internal/template/templatetest"
 	"datamaran/internal/textio"
 )
 
@@ -312,7 +313,7 @@ func TestRoundTripExtractMatch(t *testing.T) {
 		"k=v;k2=v2;k3=v3.\n",
 	}
 	for _, r := range recs {
-		min, _ := template.MinimalFromRecord([]byte(r), chars.NewSet(" -=;[]./"))
+		min, _ := templatetest.MinimalFromRecord([]byte(r), chars.NewSet(" -=;[]./"))
 		m := NewMatcher(min)
 		end, ok, _ := m.MatchEnds([]byte(r), 0)
 		if !ok || end != len(r) {

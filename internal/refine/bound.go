@@ -85,6 +85,19 @@ func boundable(st *template.Node) (droppable chars.Set, ok bool) {
 // any line, instantiates an array whose separator is in seps with a single
 // repetition.
 func repeatsOnce(m *parser.Matcher, lines *textio.Lines, seps chars.Set) bool {
+	// drops[a] reports whether array occurrence a separates with a byte
+	// in seps; the walk numbers arrays as the matcher does.
+	var drops []bool
+	var walk func(n *template.Node)
+	walk = func(n *template.Node) {
+		if n.Kind == template.KArray {
+			drops = append(drops, seps.Contains(n.Sep))
+		}
+		for _, c := range n.Children {
+			walk(c)
+		}
+	}
+	walk(m.Template())
 	data := lines.Data()
 	var occs []parser.FieldOcc
 	var arrays []parser.ArrayOcc
@@ -98,7 +111,7 @@ func repeatsOnce(m *parser.Matcher, lines *textio.Lines, seps chars.Set) bool {
 		}
 		occs, arrays, _ = m.AppendRecord(data, lines.Start(i), occs[:0], arrays[:0])
 		for _, a := range arrays {
-			if a.Reps == 1 && seps.Contains(m.ArrayNode(a.Arr).Sep) {
+			if a.Reps == 1 && drops[a.Arr] {
 				return true
 			}
 		}

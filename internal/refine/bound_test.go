@@ -11,6 +11,7 @@ import (
 	"datamaran/internal/parser"
 	"datamaran/internal/score"
 	"datamaran/internal/template"
+	"datamaran/internal/template/templatetest"
 	"datamaran/internal/textio"
 )
 
@@ -83,37 +84,48 @@ func checkBound(t *testing.T, st *template.Node, lines *textio.Lines) {
 	}
 }
 
-// FuzzRefineLowerBound draws a candidate the way generation does — the
-// minimal template of a span of lines under an RT-CharSet — or, with span's
-// top bit set, as an array over one line's unreduced record template (a
-// body with literals of its own, which reduction rarely leaves), and checks
-// the bound CertainNoise computes for it against what Refine then does.
+// FuzzRefineLowerBound draws a candidate (drawCandidate) and checks the
+// bound CertainNoise computes for it against what Refine then does.
 func FuzzRefineLowerBound(f *testing.F) {
+	addCandidateSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte, charset string, start, span uint8) {
+		st, lines := drawCandidate(t, data, charset, start, span)
+		checkBound(t, st, lines)
+	})
+}
+
+// addCandidateSeeds seeds a fuzz target over drawCandidate's arguments.
+func addCandidateSeeds(f *testing.F) {
 	f.Add([]byte("1,2,3\n4,5,6\n7,8,9\nx\n"), ",", uint8(0), uint8(1))
 	f.Add([]byte("a=b\na=b\na=b\n"+strings.Repeat("a=b,c\n", 20)), ",=", uint8(0), uint8(0x80))
 	f.Add([]byte("id: 1\nval= 2\n###\nid: 3\nval= 4\nid: 5\nval= 6\n"), ":= ", uint8(1), uint8(2))
 	f.Add([]byte("Apr 24 srv7 snort up\nApr 24 srv7 yum update check off\n-- mark --\n"), " ", uint8(0), uint8(1))
 	f.Add([]byte("[a] 1;2;3\n[b] 4;5\n[c] 6\njunk\n[d] 7;8;9\n"), "[]; ", uint8(0), uint8(1))
 	f.Add([]byte("k=1,2\nk=3,4\nk=5,6\n\nk=7,8\n"), "=,", uint8(0), uint8(3))
+}
 
-	f.Fuzz(func(t *testing.T, data []byte, charset string, start, span uint8) {
-		if len(data) == 0 || len(data) > 2048 {
-			t.Skip("refinement rescans the data per variant")
-		}
-		lines := textio.NewLines(data)
-		from := int(start) % lines.N()
-		to := min(from+1+int(span)%4, lines.N())
-		rtset := chars.NewSet(charset).Intersect(chars.DefaultCandidates())
-		st, _ := template.MinimalFromRecord(lines.Slice(from, to), rtset)
-		if sep := strings.IndexFunc(charset, func(r rune) bool { return r < 0x80 && rtset.Contains(byte(r)) }); span&0x80 != 0 && sep >= 0 {
-			body, _ := template.ExtractRecordTemplate(bytes.TrimSuffix(lines.Line(from), []byte("\n")), rtset)
-			st = template.Array(body, charset[sep], '\n').Normalize()
-		}
-		if st == nil || st.NumFields() == 0 {
-			t.Skip("no template")
-		}
-		checkBound(t, st, lines)
-	})
+// drawCandidate draws a candidate the way generation does — the minimal
+// template of a span of lines under an RT-CharSet — or, with span's top
+// bit set, as an array over one line's unreduced record template (a body
+// with literals of its own, which reduction rarely leaves). It skips t when
+// data is empty or too long to refine quickly, or yields no template.
+func drawCandidate(t *testing.T, data []byte, charset string, start, span uint8) (*template.Node, *textio.Lines) {
+	if len(data) == 0 || len(data) > 2048 {
+		t.Skip("refinement rescans the data per variant")
+	}
+	lines := textio.NewLines(data)
+	from := int(start) % lines.N()
+	to := min(from+1+int(span)%4, lines.N())
+	rtset := chars.NewSet(charset).Intersect(chars.DefaultCandidates())
+	st, _ := templatetest.MinimalFromRecord(lines.Slice(from, to), rtset)
+	if sep := strings.IndexFunc(charset, func(r rune) bool { return r < 0x80 && rtset.Contains(byte(r)) }); span&0x80 != 0 && sep >= 0 {
+		body, _ := templatetest.ExtractRecordTemplate(bytes.TrimSuffix(lines.Line(from), []byte("\n")), rtset)
+		st = template.Array(body, charset[sep], '\n').Normalize()
+	}
+	if st == nil || st.NumFields() == 0 {
+		t.Skip("no template")
+	}
+	return st, lines
 }
 
 // TestCertainNoiseRefusesDroppableSeparator is the case the bound must not
@@ -195,9 +207,9 @@ func refineInputs() map[string]struct {
 	}
 }
 
-// variantScore is refinement's unit of cost: compile one unfold variant
-// of the syslog input's array, derive its scan from the kept scan of its
-// parent and score it. Each call takes the next variant in turn.
+// variantScore is refinement's unit of cost: splice one unfold variant's
+// matcher from the syslog input's, derive its scan from the kept scan of
+// its parent and score it. Each call takes the next variant in turn.
 func variantScore(tb testing.TB) func() {
 	in := refineInputs()["syslog"]
 	scorer := score.MDL{Cache: score.NewScanCache()}
@@ -205,36 +217,36 @@ func variantScore(tb testing.TB) func() {
 	pm := parser.NewMatcher(in.st)
 	pm.ScanInto(in.lines, &parent.ScanResult)
 	scorer.ScoreScan(pm, in.lines, parent, nil, parser.Derivation{})
-	variants := unfoldVariants(in.st, nil, 0, allRepStats(pm, &parent.ScanResult)[0])
-	if len(variants) < 2 {
-		tb.Fatalf("%d variants of %v", len(variants), in.st)
+	us := unfolds(0, allRepStats(pm, &parent.ScanResult)[0])
+	if len(us) < 2 {
+		tb.Fatalf("%d variants of %v", len(us), in.st)
 	}
 	i := 0
 	return func() {
-		v := variants[i%len(variants)]
+		u := us[i%len(us)]
 		i++
-		m := parser.NewMatcher(v.tpl)
-		d, ok := m.DeriveScan(pm, v.unfold, in.lines, &parent.ScanResult, &cur.ScanResult)
+		m := pm.Unfolded(u)
+		d, ok := m.DeriveScan(pm, u, in.lines, &parent.ScanResult, &cur.ScanResult)
 		if !ok {
-			tb.Fatalf("%v: not derived", v.tpl)
+			tb.Fatalf("%+v of %v: not derived", u, in.st)
 		}
 		if scorer.ScoreScan(m, in.lines, cur, parent, d).Records == 0 {
-			tb.Fatalf("%v matched nothing", v.tpl)
+			tb.Fatalf("%+v of %v matched nothing", u, in.st)
 		}
 	}
 }
 
 // TestVariantScoreAllocs: a variant's score allocates the matcher (its
-// struct, program and array list) and the column types the score
-// returns — four objects whatever the data size, since the derived scan
-// and its column statistics are written into storage the round's scan
-// cache owns. A regression goes back to a ScanResult or a column-stats
-// table per variant, tens of thousands of times a round.
+// struct and program) and the column types the score returns — three
+// objects whatever the data size, since the derived scan and its column
+// statistics are written into storage the round's scan cache owns, and no
+// tree is built. A regression goes back to a tree, a ScanResult or a
+// column-stats table per variant, tens of thousands of times a round.
 func TestVariantScoreAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	const ceiling = 4
+	const ceiling = 3
 	if allocs := testing.AllocsPerRun(100, variantScore(t)); allocs > ceiling {
 		t.Fatalf("a variant's score allocated %.0f objects, ceiling %d", allocs, ceiling)
 	}

@@ -210,3 +210,107 @@ func TestRefineMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// The tree forms of unfolding as they stood before a variant was spliced
+// from its parent's matcher: every variant a whole-tree copy of its
+// parent, normalized whole, with the array's body cloned into it. They are
+// the oracles template.Node.Unfold and parser.Matcher.Unfolded are held to
+// (TestUnfoldMatchesReference, FuzzUnfoldVariant), and refineReference
+// scores every variant through NewMatcher on such a tree.
+
+// arrayPaths lists the child-index paths of every array node in st in
+// DFS order — the order parser.Matcher numbers them in, so path k leads to
+// array occurrence k (a path navigates Children at each step).
+func arrayPaths(st *template.Node) [][]int {
+	var out [][]int
+	var walk func(n *template.Node, path []int)
+	walk = func(n *template.Node, path []int) {
+		if n.Kind == template.KArray {
+			out = append(out, append([]int(nil), path...))
+		}
+		for i, c := range n.Children {
+			walk(c, append(path, i))
+		}
+	}
+	walk(st, nil)
+	return out
+}
+
+// nodeAt returns the node at path.
+func nodeAt(st *template.Node, path []int) *template.Node {
+	n := st
+	for _, i := range path {
+		n = n.Children[i]
+	}
+	return n
+}
+
+// replaceAt returns a copy of st with the node at path replaced.
+func replaceAt(st *template.Node, path []int, repl *template.Node) *template.Node {
+	if len(path) == 0 {
+		return repl
+	}
+	c := st.Clone()
+	n := c
+	for _, i := range path[:len(path)-1] {
+		n = n.Children[i]
+	}
+	n.Children[path[len(path)-1]] = repl
+	return c.Normalize()
+}
+
+// variant is an unfold variant of a template: its tree, and the unfold
+// that makes it from the template.
+type variant struct {
+	tpl    *template.Node
+	unfold parser.Unfold
+}
+
+// unfoldVariants builds the trees of unfolds(arr, s), the array at path
+// being array occurrence arr.
+func unfoldVariants(st *template.Node, path []int, arr int, s repStat) []variant {
+	node := nodeAt(st, path)
+	var out []variant
+	for _, u := range unfolds(arr, s) {
+		out = append(out, variant{unfoldReference(st, path, node, u), u})
+	}
+	return out
+}
+
+// unfoldReference is the tree of st with node, its array at path,
+// unfolded by u.
+func unfoldReference(st *template.Node, path []int, node *template.Node, u parser.Unfold) *template.Node {
+	if u.Partial {
+		return replaceAt(st, path, partialUnfold(node, u.K))
+	}
+	return replaceAt(st, path, fullUnfold(node, u.K))
+}
+
+// fullUnfold expands Array(U,sep)*U term into U sep U sep ... U term with
+// k copies of U.
+func fullUnfold(arr *template.Node, k int) *template.Node {
+	var children []*template.Node
+	for i := 0; i < k; i++ {
+		if i > 0 {
+			children = append(children, template.Lit(string(arr.Sep)))
+		}
+		for _, c := range arr.Children {
+			children = append(children, c.Clone())
+		}
+	}
+	children = append(children, template.Lit(string(arr.Term)))
+	return template.Struct(children...).Normalize()
+}
+
+// partialUnfold expands the first p units: U sep U sep ... (U sep)*U term.
+func partialUnfold(arr *template.Node, p int) *template.Node {
+	var children []*template.Node
+	for i := 0; i < p; i++ {
+		for _, c := range arr.Children {
+			children = append(children, c.Clone())
+		}
+		children = append(children, template.Lit(string(arr.Sep)))
+	}
+	children = append(children, arr.Clone())
+	return template.Struct(children...).Normalize()
+}

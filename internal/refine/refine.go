@@ -15,7 +15,12 @@
 //
 // Unfolding scores every full and partial unfold of every array, round
 // after round — tens of thousands of variants in a discovery — and a
-// variant is not scanned to be scored. A variant matches at a line exactly
+// losing variant is neither scanned nor built. Its matcher is spliced
+// from its parent's program (parser.Matcher.Unfolded): the unfolded
+// array's ops copied K times, columns and arrays renumbered, no tree
+// compiled. Only the round's winner gets a tree, a path copy of its
+// parent's that shares every subtree off the path to the unfolded array
+// (template.Node.Unfold). A variant matches at a line exactly
 // where its parent does and the unfolded array's count passes, so its scan
 // is derived from the parent's (parser.Matcher.DeriveScan): records kept
 // or dropped by that count, what is kept renumbered, and only the lines
@@ -73,7 +78,9 @@ func cacheOf(scorer score.Scorer) *score.ScanCache {
 // arrays' repetition counts from the scan of the round's parent and, when
 // the scorer scores scans, derives its variants' scans from it (see the
 // package comment); the round's winner becomes the next round's parent
-// with the scan and column statistics it was scored with.
+// with the scan and column statistics it was scored with. A variant is a
+// matcher spliced from its parent's (parser.Matcher.Unfolded); only the
+// round's winner gets a tree.
 func Refine(st *template.Node, lines *textio.Lines, scorer score.Scorer) (*template.Node, score.Result) {
 	cache := cacheOf(scorer)
 	if cache == nil {
@@ -84,6 +91,11 @@ func Refine(st *template.Node, lines *textio.Lines, scorer score.Scorer) (*templ
 	// of the round's best variant so far, cur the variant being scored.
 	parent, roundScan, cur := cache.Lineage()
 	best, bestM := st, parser.NewMatcher(st)
+	if !st.IsNormal() {
+		// A variant's tree is a path copy of its parent's, which keeps
+		// the parent's form: start from the canonical one.
+		bestM = parser.NewMatcher(st.Normalize())
+	}
 	bestM.ScanInto(lines, &parent.ScanResult)
 	var bestRes score.Result
 	if derive {
@@ -108,23 +120,22 @@ func Refine(st *template.Node, lines *textio.Lines, scorer score.Scorer) (*templ
 		// commit to a full unfold even when a partial unfold (which
 		// keeps the array's flexibility for irregular records) scores
 		// far better.
-		var roundBest *template.Node
 		var roundM *parser.Matcher
 		roundRes := bestRes
-		stats := allRepStats(bestM, &parent.ScanResult)
-		for arr, path := range arrayPaths(best) {
-			for _, v := range unfoldVariants(best, path, arr, stats[arr]) {
-				m := parser.NewMatcher(v.tpl)
-				if res := scoreVariant(m, v.unfold); res.Bits < roundRes.Bits {
-					roundBest, roundM, roundRes = v.tpl, m, res
+		for arr, s := range allRepStats(bestM, &parent.ScanResult) {
+			for _, u := range unfolds(arr, s) {
+				m := bestM.Unfolded(u)
+				if res := scoreVariant(m, u); res.Bits < roundRes.Bits {
+					roundM, roundRes = m, res
 					roundScan, cur = cur, roundScan
 				}
 			}
 		}
-		if roundBest == nil {
+		if roundM == nil {
 			break
 		}
-		best, bestM, bestRes = roundBest, roundM, roundRes
+		bestM, bestRes = roundM, roundRes
+		best = bestM.Template() // the round's one tree
 		if derive {
 			parent, roundScan = roundScan, parent
 		} else {
@@ -137,47 +148,6 @@ func Refine(st *template.Node, lines *textio.Lines, scorer score.Scorer) (*templ
 		bestRes = scorer.Score(parser.NewMatcher(best), lines)
 	}
 	return best, bestRes
-}
-
-// arrayPaths lists the child-index paths of every array node in st in
-// DFS order — the order parser.Matcher numbers them in, so path k leads to
-// array occurrence k (a path navigates Children at each step).
-func arrayPaths(st *template.Node) [][]int {
-	var out [][]int
-	var walk func(n *template.Node, path []int)
-	walk = func(n *template.Node, path []int) {
-		if n.Kind == template.KArray {
-			out = append(out, append([]int(nil), path...))
-		}
-		for i, c := range n.Children {
-			walk(c, append(path, i))
-		}
-	}
-	walk(st, nil)
-	return out
-}
-
-// nodeAt returns the node at path.
-func nodeAt(st *template.Node, path []int) *template.Node {
-	n := st
-	for _, i := range path {
-		n = n.Children[i]
-	}
-	return n
-}
-
-// replaceAt returns a copy of st with the node at path replaced.
-func replaceAt(st *template.Node, path []int, repl *template.Node) *template.Node {
-	if len(path) == 0 {
-		return repl
-	}
-	c := st.Clone()
-	n := c
-	for _, i := range path[:len(path)-1] {
-		n = n.Children[i]
-	}
-	n.Children[path[len(path)-1]] = repl
-	return c.Normalize()
 }
 
 // repStat summarizes the repetition counts observed for one array node.
@@ -225,29 +195,21 @@ func allRepStats(m *parser.Matcher, scan *parser.ScanResult) []repStat {
 	return out
 }
 
-// variant is an unfold variant of a template: its tree, and the unfold
-// that makes it from the template.
-type variant struct {
-	tpl    *template.Node
-	unfold parser.Unfold
-}
-
-// unfoldVariants builds the unfolding candidates for the array node at
-// path, array occurrence arr, whose repetition counts s summarizes: a full
-// struct expansion at the modal repetition count, and partial expansions
-// with prefixes up to modal−1 units (§4.3.1, Fig 12a).
-func unfoldVariants(st *template.Node, path []int, arr int, s repStat) []variant {
-	node := nodeAt(st, path)
-	if node.Kind != template.KArray || !s.any {
+// unfolds lists the unfolding candidates of array occurrence arr, whose
+// repetition counts s summarizes: a full struct expansion at the modal
+// repetition count, and partial expansions with prefixes up to modal−1
+// units (§4.3.1, Fig 12a).
+func unfolds(arr int, s repStat) []parser.Unfold {
+	if !s.any {
 		return nil
 	}
 	// Full unfold at the modal repetition count even when counts vary:
 	// records with other counts become noise and the regularity score
 	// arbitrates. (Noise matching the array with a stray count — e.g. a
 	// junk line parsing as a 1-element list — must not veto unfolding.)
-	var out []variant
+	var out []parser.Unfold
 	if s.modal >= 1 {
-		out = append(out, variant{replaceAt(st, path, fullUnfold(node, s.modal)), parser.Unfold{Arr: arr, K: s.modal}})
+		out = append(out, parser.Unfold{Arr: arr, K: s.modal})
 	}
 	if s.uniform {
 		// Every record agrees on the count: the full unfold matches
@@ -256,38 +218,9 @@ func unfoldVariants(st *template.Node, path []int, arr int, s repStat) []variant
 		return out
 	}
 	for p := 1; p <= min(s.modal-1, maxPartialPrefix); p++ {
-		out = append(out, variant{replaceAt(st, path, partialUnfold(node, p)), parser.Unfold{Arr: arr, K: p, Partial: true}})
+		out = append(out, parser.Unfold{Arr: arr, K: p, Partial: true})
 	}
 	return out
-}
-
-// fullUnfold expands Array(U,sep)*U term into U sep U sep ... U term with
-// k copies of U.
-func fullUnfold(arr *template.Node, k int) *template.Node {
-	var children []*template.Node
-	for i := 0; i < k; i++ {
-		if i > 0 {
-			children = append(children, template.Lit(string(arr.Sep)))
-		}
-		for _, c := range arr.Children {
-			children = append(children, c.Clone())
-		}
-	}
-	children = append(children, template.Lit(string(arr.Term)))
-	return template.Struct(children...).Normalize()
-}
-
-// partialUnfold expands the first p units: U sep U sep ... (U sep)*U term.
-func partialUnfold(arr *template.Node, p int) *template.Node {
-	var children []*template.Node
-	for i := 0; i < p; i++ {
-		for _, c := range arr.Children {
-			children = append(children, c.Clone())
-		}
-		children = append(children, template.Lit(string(arr.Sep)))
-	}
-	children = append(children, arr.Clone())
-	return template.Struct(children...).Normalize()
 }
 
 // Shift resolves the cyclic-shift ambiguity (§4.3.2, Fig 12b): among all

@@ -401,7 +401,6 @@ func (s MDL) ScoreScan(m *parser.Matcher, lines *textio.Lines, scan, from *Scan,
 // statistics on the way (see ScoreScan for from and d).
 func (c *ScanCache) score(m *parser.Matcher, lines *textio.Lines, scan, from *Scan, d parser.Derivation) Result {
 	data := lines.Data()
-	st := m.Template()
 
 	// Pass 1: per-column stats and per-array repetition stats.
 	scan.cols = append(scan.cols[:0], make([]colStats, m.Columns())...)
@@ -437,7 +436,7 @@ func (c *ScanCache) score(m *parser.Matcher, lines *textio.Lines, scan, from *Sc
 
 	// Pass 2: total description length.
 	blocks := len(scan.Records) + len(scan.NoiseLines)
-	bits := float64(st.Len())*8 + 32 + float64(blocks) + modelBits
+	bits := float64(m.Len())*8 + 32 + float64(blocks) + modelBits
 	for _, li := range scan.NoiseLines {
 		bits += float64(len(lines.Line(li))) * 8
 	}

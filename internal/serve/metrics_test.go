@@ -58,6 +58,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"datamaran_crawl_stage_seconds",
 		"datamaran_crawl_files_total",
 		"datamaran_crawl_discoveries_total",
+		"datamaran_crawl_discovery_seconds",
 		"datamaran_crawl_speculations_total",
 		"datamaran_crawl_records_total",
 		"datamaran_crawl_bytes_total",
@@ -189,6 +190,7 @@ func TestMetricsCardinalityGuard(t *testing.T) {
 		"datamaran_crawl_stage_seconds":        true,
 		"datamaran_crawl_files_total":          true,
 		"datamaran_crawl_discoveries_total":    true,
+		"datamaran_crawl_discovery_seconds":    true,
 		"datamaran_crawl_speculations_total":   true,
 		"datamaran_crawl_records_total":        true,
 		"datamaran_crawl_bytes_total":          true,

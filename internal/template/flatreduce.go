@@ -1,6 +1,54 @@
 package template
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"datamaran/internal/chars"
+)
+
+// TokField is the flat-token encoding of the field placeholder. Flat
+// tokens are uint16 values: 0..255 is a one-byte literal, TokField is 'F'.
+// The flat form carries exactly the information of a record template's
+// tree form (templatetest.ExtractRecordTemplate: fields and
+// single-character literals) without a heap node per token, so the
+// generation step can keep whole tokenized datasets in one arena slice.
+const TokField uint16 = 256
+
+// AppendFlatTokens extracts the record template of an instantiated record
+// under an RT-CharSet (step 3 of the generation step, Assumption 2): every
+// maximal run of bytes outside rtset is a field, every byte inside it (and
+// '\n', always structural per Definition 2.4) a one-byte literal. It
+// appends the template to dst, one uint16 per token, and returns the
+// extended slice plus the bytes the fields replaced. The token
+// sequence is identical, token for token, to
+// templatetest.ExtractRecordTemplate's.
+func AppendFlatTokens(dst []uint16, record []byte, rtset chars.Set) ([]uint16, int) {
+	fieldBytes := 0
+	i := 0
+	for i < len(record) {
+		b := record[i]
+		if b == '\n' || rtset.Contains(b) {
+			dst = append(dst, uint16(b))
+			i++
+			continue
+		}
+		j := i
+		for j < len(record) && record[j] != '\n' && !rtset.Contains(record[j]) {
+			j++
+		}
+		dst = append(dst, TokField)
+		fieldBytes += j - i
+		i = j
+	}
+	return dst, fieldBytes
+}
+
+// MaxUnitTokens bounds the repeated-unit length considered during
+// reduction, by FlatReducer and by the tree reducer it is held to. Units
+// longer than this (entire repeated paragraphs of over a hundred tokens)
+// are outside any realistic log structure and searching for them is
+// quadratic.
+const MaxUnitTokens = 160
 
 // The ids of a FlatReducer. Below firstArrayID an id is the flat token
 // itself: 0..255 a one-byte literal, fieldID (TokField) the field
@@ -15,8 +63,9 @@ const (
 // sequence of int32 ids: a flat token is its own id, and an array gets the
 // next free id the first time its (body ids, separator, terminator) is
 // seen. Folds rewrite the reducer's buffer in place, in exactly the
-// (unit length, position) order Reduce searches, so the id sequence
-// ReduceIDs returns is, token for token, the sequence Reduce normalizes
+// (unit length, position) order the tree reducer (templatetest.Reduce)
+// searches, so the id sequence ReduceIDs returns is, token for token, the
+// sequence that reducer normalizes
 // into its result — and since merging adjacent one-byte literals loses
 // nothing, id sequence ↔ normalized tree is a bijection: two windows have
 // the same template exactly when they reduce to the same ids (and, over
@@ -63,14 +112,14 @@ func (fr *FlatReducer) ReduceIDs(toks []uint16) []int32 {
 	return seq
 }
 
-// foldOnce is reducer.reduceOnce over ids, rewriting seq in place: the
+// foldOnce is the tree reducer's fold step over ids, rewriting seq in place: the
 // first applicable fold by (unit length, position) becomes one array id
 // and the tail moves down over the tokens it replaced.
 func (fr *FlatReducer) foldOnce(seq []int32) ([]int32, bool) {
 	n := len(seq)
 	maxL := n / 2
-	if maxL > maxUnitTokens {
-		maxL = maxUnitTokens
+	if maxL > MaxUnitTokens {
+		maxL = MaxUnitTokens
 	}
 	for l := 1; 2*l+2 <= n && l <= maxL; l++ {
 		for i := 0; i+2*l+2 <= n; i++ {
@@ -216,8 +265,8 @@ func (fr *FlatReducer) Structureless(ids []int32) bool {
 	return onlyNewlines
 }
 
-// Build returns the normalized tree of a reduced id sequence: what Reduce
-// returns for the tokens that reduced to ids. Every call builds a fresh
+// Build returns the normalized tree of a reduced id sequence: what
+// templatetest.Reduce returns for the tokens that reduced to ids. Every call builds a fresh
 // tree.
 func (fr *FlatReducer) Build(ids []int32) *Node {
 	out := fr.buildSeq(ids)
@@ -300,7 +349,8 @@ func (fr *FlatReducer) appendSeqKey(dst []byte, ids []int32) ([]byte, int) {
 }
 
 // Reduce reduces a flat token sequence to its minimal structure template.
-// The result is identical to Reduce over the equivalent []*Node tokens.
+// The result is identical to templatetest.Reduce over the equivalent
+// []*Node tokens.
 func (fr *FlatReducer) Reduce(toks []uint16) *Node {
 	return fr.Build(fr.ReduceIDs(toks))
 }
@@ -310,4 +360,17 @@ func (fr *FlatReducer) Reduce(toks []uint16) *Node {
 func ReduceFlat(toks []uint16) *Node {
 	var fr FlatReducer
 	return fr.Reduce(toks)
+}
+
+// eqRun reports whether seq[a:a+l] equals seq[b:b+l].
+func eqRun(seq []int32, a, b, l int) bool {
+	if a == b {
+		return true
+	}
+	for k := 0; k < l; k++ {
+		if seq[a+k] != seq[b+k] {
+			return false
+		}
+	}
+	return true
 }

@@ -1,4 +1,4 @@
-package template
+package template_test
 
 import (
 	"slices"
@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"datamaran/internal/chars"
+	"datamaran/internal/template"
+	"datamaran/internal/template/templatetest"
 )
 
 // FuzzReduce holds the id-level reducer to the tree reducer on arbitrary
@@ -37,8 +39,8 @@ func FuzzReduce(f *testing.F) {
 		// are drawn from (rtsets are always subsets of it).
 		rtset := chars.NewSet(charset).Intersect(chars.DefaultCandidates())
 
-		toks, fb := ExtractRecordTemplate(record, rtset)
-		tree := Reduce(toks)
+		toks, fb := templatetest.ExtractRecordTemplate(record, rtset)
+		tree := templatetest.Reduce(toks)
 		if norm := tree.Normalize(); norm != nil && !tree.Equal(norm) {
 			t.Fatalf("Reduce result not normalized: %v vs %v", tree, norm)
 		}
@@ -46,24 +48,24 @@ func FuzzReduce(f *testing.F) {
 			t.Fatalf("field bytes %d but %d fields in %v", fb, nf, tree)
 		}
 
-		flat, flatFB := AppendFlatTokens(nil, record, rtset)
+		flat, flatFB := template.AppendFlatTokens(nil, record, rtset)
 		if fb != flatFB {
 			t.Fatalf("field bytes diverge: tree %d, flat %d", fb, flatFB)
 		}
 		if len(flat) != len(toks) {
 			t.Fatalf("token counts diverge: tree %d, flat %d", len(toks), len(flat))
 		}
-		var fr FlatReducer
+		var fr template.FlatReducer
 		ids := slices.Clone(fr.ReduceIDs(flat))
 		checkIDsAgainstTree(t, &fr, ids, tree)
 
 		// The other record warms the reducer (its arrays take ids first on
 		// a second pass over record) and is the second side of the
 		// bijection.
-		otherFlat, _ := AppendFlatTokens(nil, other, rtset)
+		otherFlat, _ := template.AppendFlatTokens(nil, other, rtset)
 		otherIDs := slices.Clone(fr.ReduceIDs(otherFlat))
-		otherToks, _ := ExtractRecordTemplate(other, rtset)
-		otherTree := Reduce(otherToks)
+		otherToks, _ := templatetest.ExtractRecordTemplate(other, rtset)
+		otherTree := templatetest.Reduce(otherToks)
 		checkIDsAgainstTree(t, &fr, otherIDs, otherTree)
 		if sameIDs, sameKey := slices.Equal(ids, otherIDs), tree.Key() == otherTree.Key(); sameIDs != sameKey {
 			t.Fatalf("ids equal = %v but keys equal = %v:\n %v %v\n %v %v", sameIDs, sameKey, ids, tree, otherIDs, otherTree)
@@ -72,7 +74,7 @@ func FuzzReduce(f *testing.F) {
 			t.Fatalf("warm reducer changed the ids of a record: %v, then %v", ids, warm)
 		}
 		if again := fr.Reduce(flat); !tree.Equal(again) {
-			t.Fatalf("warm FlatReducer diverges: %v vs %v", tree, again)
+			t.Fatalf("warm template.FlatReducer diverges: %v vs %v", tree, again)
 		}
 	})
 }
@@ -80,7 +82,7 @@ func FuzzReduce(f *testing.F) {
 // checkIDsAgainstTree checks everything a FlatReducer answers about a
 // reduced id sequence against the tree the reference reduced the same
 // tokens to.
-func checkIDsAgainstTree(t *testing.T, fr *FlatReducer, ids []int32, tree *Node) {
+func checkIDsAgainstTree(t *testing.T, fr *template.FlatReducer, ids []int32, tree *template.Node) {
 	t.Helper()
 	built := fr.Build(ids)
 	if !tree.Equal(built) {
@@ -92,7 +94,7 @@ func checkIDsAgainstTree(t *testing.T, fr *FlatReducer, ids []int32, tree *Node)
 	if key := string(fr.AppendKey(nil, ids)); key != tree.Key() {
 		t.Fatalf("AppendKey = %q, tree key %q", key, tree.Key())
 	}
-	if back := DecodeIDs(nil, string(AppendIDKey(nil, ids))); !slices.Equal(back, ids) {
+	if back := template.DecodeIDs(nil, string(template.AppendIDKey(nil, ids))); !slices.Equal(back, ids) {
 		t.Fatalf("id key round trip: %v became %v", ids, back)
 	}
 	fields, length := 0, 0
@@ -106,23 +108,23 @@ func checkIDsAgainstTree(t *testing.T, fr *FlatReducer, ids []int32, tree *Node)
 	if got := len(ids) > 0 && fr.EndsLine(ids[len(ids)-1]); got != endsLine(tree) {
 		t.Fatalf("EndsLine(last id) = %v for %v", got, tree)
 	}
-	if got, want := fr.IsPeriodicStack(ids), IsPeriodicStack(tree); got != want {
+	if got, want := fr.IsPeriodicStack(ids), template.IsPeriodicStack(tree); got != want {
 		t.Fatalf("IsPeriodicStack on ids = %v, on the tree %v = %v", got, tree, want)
 	}
-	if got, want := fr.Structureless(ids), Structureless(tree); got != want {
+	if got, want := fr.Structureless(ids), template.Structureless(tree); got != want {
 		t.Fatalf("Structureless on ids = %v, on the tree %v = %v", got, tree, want)
 	}
 }
 
 // endsLine reports whether the last character a template matches is the
 // newline.
-func endsLine(n *Node) bool {
+func endsLine(n *template.Node) bool {
 	switch n.Kind {
-	case KLiteral:
+	case template.KLiteral:
 		return strings.HasSuffix(n.Lit, "\n")
-	case KArray:
+	case template.KArray:
 		return n.Term == '\n'
-	case KStruct:
+	case template.KStruct:
 		return len(n.Children) > 0 && endsLine(n.Children[len(n.Children)-1])
 	}
 	return false

@@ -17,8 +17,9 @@
 // generation engine's hash key), structural equality, extraction of a
 // record template from an instantiated record given an RT-CharSet
 // (Assumption 2), and reduction of a record template to its minimal
-// structure template (step 4 of the generation step, §9.1) — as a tree
-// (Reduce) or, for the generation step, as interned ids (FlatReducer).
+// structure template (step 4 of the generation step, §9.1) as interned
+// ids (FlatReducer; the tree reducer it is held to is templatetest's), and
+// array unfolding by path copy (Unfold).
 package template
 
 import (
@@ -410,4 +411,28 @@ func HasFreeLineArray(st *Node) bool {
 		}
 	}
 	return false
+}
+
+// Tokens flattens a template tree back into the token sequence form used
+// by the reducers: fields, single-char literals, and array nodes as atomic
+// tokens. Multi-character literals are split into chars.
+func Tokens(n *Node) []*Node {
+	var out []*Node
+	var walk func(n *Node)
+	walk = func(n *Node) {
+		switch n.Kind {
+		case KField, KArray:
+			out = append(out, n)
+		case KLiteral:
+			for i := 0; i < len(n.Lit); i++ {
+				out = append(out, Lit(n.Lit[i:i+1]))
+			}
+		case KStruct:
+			for _, c := range n.Children {
+				walk(c)
+			}
+		}
+	}
+	walk(n)
+	return out
 }

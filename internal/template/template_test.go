@@ -1,8 +1,6 @@
 package template
 
 import (
-	"math/rand"
-	"strings"
 	"testing"
 
 	"datamaran/internal/chars"
@@ -169,251 +167,11 @@ func TestLen(t *testing.T) {
 	}
 }
 
-func TestExtractRecordTemplate(t *testing.T) {
-	rec := []byte("192.168.0.1, 200\n")
-	toks, fb := ExtractRecordTemplate(rec, chars.NewSet(". ,"))
-	got := Struct(toks...).Normalize().String()
-	want := `F.F.F.F, F\n`
-	if got != want {
-		t.Fatalf("template = %q, want %q", got, want)
-	}
-	// field bytes: 3+3+1+1+3 = 11
-	if fb != 11 {
-		t.Fatalf("fieldBytes = %d, want 11", fb)
-	}
-}
-
-func TestExtractRecordTemplateNewlineAlwaysStructural(t *testing.T) {
-	toks, _ := ExtractRecordTemplate([]byte("ab\ncd\n"), chars.Set{})
-	got := Struct(toks...).Normalize().String()
-	if got != `F\nF\n` {
-		t.Fatalf("template = %q, want F\\nF\\n", got)
-	}
-}
-
-func TestExtractRecordTemplateEmptyCharset(t *testing.T) {
-	toks, fb := ExtractRecordTemplate([]byte("hello world"), chars.Set{})
-	if len(toks) != 1 || toks[0].Kind != KField {
-		t.Fatalf("tokens = %v, want single field", toks)
-	}
-	if fb != 11 {
-		t.Fatalf("fieldBytes = %d, want 11", fb)
-	}
-}
-
-func TestExtractRecordTemplateAdjacentDelims(t *testing.T) {
-	toks, _ := ExtractRecordTemplate([]byte("a,,b\n"), chars.NewSet(","))
-	got := Struct(toks...).Normalize().String()
-	if got != `F,,F\n` {
-		t.Fatalf("template = %q, want F,,F\\n", got)
-	}
-}
-
-func TestReduceCSV(t *testing.T) {
-	// The paper's example: F,F,F,...,F\n reduces to (F,)*F\n.
-	for _, fields := range []int{2, 3, 5, 10} {
-		rec := strings.Repeat("x,", fields-1) + "x\n"
-		toks, _ := ExtractRecordTemplate([]byte(rec), chars.NewSet(","))
-		got := Reduce(toks)
-		want := Array([]*Node{Field()}, ',', '\n')
-		if !got.Equal(want) {
-			t.Fatalf("%d fields: Reduce = %v, want %v", fields, got, want)
-		}
-	}
-}
-
-func TestReduceSingleFieldNoFold(t *testing.T) {
-	toks, _ := ExtractRecordTemplate([]byte("x\n"), chars.NewSet(","))
-	got := Reduce(toks)
-	want := tpl(Field(), Lit("\n"))
-	if !got.Equal(want) {
-		t.Fatalf("Reduce = %v, want %v", got, want)
-	}
-}
-
-func TestReduceDifferentCommaCountsSameTemplate(t *testing.T) {
-	// Assumption 2 justification: F,"F",F with commas inside quotes
-	// yields the same structure template regardless of comma count.
-	cs := chars.NewSet(`,"`)
-	keys := map[string]bool{}
-	for _, rec := range []string{
-		"a,\"b,c\",d\n",
-		"a,\"b,c,e\",d\n",
-		"a,\"b,c,e,f\",d\n",
-	} {
-		toks, _ := ExtractRecordTemplate([]byte(rec), cs)
-		keys[Reduce(toks).Key()] = true
-	}
-	if len(keys) != 1 {
-		t.Fatalf("got %d distinct templates, want 1", len(keys))
-	}
-}
-
-func TestReduceMultiLineRepeats(t *testing.T) {
-	// Two-line unit repeated: "k: v\n" lines fold into an array over
-	// the line unit when followed by a distinct terminator line shape.
-	rec := "a: 1\nb: 2\nc: 3\nend;\n"
-	toks, _ := ExtractRecordTemplate([]byte(rec), chars.NewSet(": ;"))
-	got := Reduce(toks)
-	// Unit "F: F" separated by '\n'... the terminator line "end;\n"
-	// begins with a field, so the fold is (F: F\n)*F;\n — the final
-	// unit must still match "F: F". It does not ("end;" has no colon),
-	// so the minimal template keeps the repeated lines folded only if
-	// a valid (U sep)*U term decomposition exists. Verify the result
-	// is stable and contains an array.
-	if !got.HasArray() {
-		t.Fatalf("Reduce = %v, expected an array fold somewhere", got)
-	}
-}
-
-func TestReduceKeyValueLines(t *testing.T) {
-	// "F: F\n" repeated 3 times with a distinct last line:
-	// (F: F\n)*F: F}\n style. Build it explicitly so the unit is clean.
-	rec := "a: 1\nb: 2\nc: 3\nd: 4}\n"
-	toks, _ := ExtractRecordTemplate([]byte(rec), chars.NewSet(": }"))
-	got := Reduce(toks)
-	if !got.HasArray() {
-		t.Fatalf("Reduce = %v, want an array", got)
-	}
-}
-
-func TestReduceFoldsAtSingleSeparator(t *testing.T) {
-	// Minimality means maximal folding (§4.3.1: syslog's minimum
-	// structure template is (F )*F\n even for a fixed field count).
-	// F,F;F\n therefore folds the comma pair: (F,)*F;F\n. The array
-	// unfolding refinement recovers the struct form when MDL prefers it.
-	toks, _ := ExtractRecordTemplate([]byte("a,b;c\n"), chars.NewSet(",;"))
-	got := Reduce(toks)
-	want := tpl(Array([]*Node{Field()}, ',', ';'), Field(), Lit("\n"))
-	if !got.Equal(want) {
-		t.Fatalf("Reduce = %v, want %v", got, want)
-	}
-}
-
-func TestReduceSyslogToMinimal(t *testing.T) {
-	// §4.3.1's example: space-separated words reduce to (F )*F\n.
-	toks, _ := ExtractRecordTemplate(
-		[]byte("Apr 24 04:02:24 srv7 snort shutdown succeeded\n"),
-		chars.NewSet(" "))
-	got := Reduce(toks)
-	want := Array([]*Node{Field()}, ' ', '\n')
-	if !got.Equal(want) {
-		t.Fatalf("Reduce = %v, want %v", got, want)
-	}
-}
-
-func TestReduceIdempotentOnMinimal(t *testing.T) {
-	toks, _ := ExtractRecordTemplate([]byte("a,b,c,d\n"), chars.NewSet(","))
-	min := Reduce(toks)
-	again := Reduce(Tokens(min))
-	if !min.Equal(again) {
-		t.Fatalf("Reduce not idempotent: %v then %v", min, again)
-	}
-}
-
-func TestReduceNestedList(t *testing.T) {
-	// Records like "1,2,3|4,5|6;\n": groups separated by '|', items by
-	// ','. Reduction should discover nesting (inner arrays over ',',
-	// outer over '|').
-	rec := "1,2,3|4,5,9|6,7,8;\n"
-	toks, _ := ExtractRecordTemplate([]byte(rec), chars.NewSet(",|;"))
-	got := Reduce(toks)
-	inner := Array([]*Node{Field()}, ',', '|')
-	_ = inner
-	if !got.HasArray() {
-		t.Fatalf("Reduce = %v, want arrays", got)
-	}
-	if got.Depth() < 3 {
-		t.Fatalf("Reduce = %v, want nested arrays (depth>=3, got %d)", got, got.Depth())
-	}
-}
-
 func TestTokensRoundTrip(t *testing.T) {
 	n := tpl(Lit("["), Field(), Lit(":"), Field(), Lit("] "), Array([]*Node{Field()}, '.', '\n'))
 	back := Struct(Tokens(n)...).Normalize()
 	if !back.Equal(n) {
 		t.Fatalf("Tokens round trip = %v, want %v", back, n)
-	}
-}
-
-func TestMinimalFromRecord(t *testing.T) {
-	min, fb := MinimalFromRecord([]byte("[01:05:02] 1.2.3.4\n"), chars.NewSet("[]: ."))
-	if fb != 10 {
-		t.Fatalf("fieldBytes = %d, want 10", fb)
-	}
-	if min.String() == "" || !strings.Contains(min.String(), "F") {
-		t.Fatalf("unexpected minimal template %v", min)
-	}
-}
-
-// randTemplate builds a random record-template token sequence.
-func randTokens(rng *rand.Rand) []*Node {
-	n := 1 + rng.Intn(30)
-	toks := make([]*Node, 0, n)
-	seps := ",;: |"
-	for i := 0; i < n; i++ {
-		if rng.Intn(2) == 0 {
-			toks = append(toks, Field())
-		} else {
-			toks = append(toks, Lit(string(seps[rng.Intn(len(seps))])))
-		}
-	}
-	toks = append(toks, Lit("\n"))
-	return toks
-}
-
-// Property: Reduce always terminates and is idempotent.
-func TestQuickReduceIdempotent(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 300; i++ {
-		toks := randTokens(rng)
-		r1 := Reduce(toks)
-		r2 := Reduce(Tokens(r1))
-		if !r1.Equal(r2) {
-			t.Fatalf("case %d: Reduce not idempotent\ntoks=%v\nr1=%v\nr2=%v",
-				i, Struct(toks...).Normalize(), r1, r2)
-		}
-	}
-}
-
-// Property: reduction preserves the RT-CharSet.
-func TestQuickReducePreservesCharset(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for i := 0; i < 300; i++ {
-		toks := randTokens(rng)
-		orig := Struct(toks...).Normalize().RTCharSet()
-		red := Reduce(toks).RTCharSet()
-		if !red.Equal(orig) {
-			t.Fatalf("case %d: charset changed %v -> %v", i, orig, red)
-		}
-	}
-}
-
-// Property: Key/Equal agree on random trees.
-func TestQuickKeyEqualAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	trees := make([]*Node, 60)
-	for i := range trees {
-		trees[i] = Reduce(randTokens(rng))
-	}
-	for i, a := range trees {
-		for j, b := range trees {
-			if (a.Key() == b.Key()) != a.Equal(b) {
-				t.Fatalf("trees %d,%d disagree: %v vs %v", i, j, a, b)
-			}
-		}
-	}
-}
-
-// Property: normalization preserves display string.
-func TestQuickNormalizePreservesString(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	for i := 0; i < 200; i++ {
-		toks := randTokens(rng)
-		raw := Struct(toks...)
-		if raw.String() != raw.Normalize().String() {
-			t.Fatalf("case %d: %q != %q", i, raw.String(), raw.Normalize().String())
-		}
 	}
 }
 
@@ -506,25 +264,6 @@ func TestJSONRoundTripExamples(t *testing.T) {
 	}
 }
 
-// Property: random reduced templates survive JSON round trips.
-func TestQuickJSONRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for i := 0; i < 200; i++ {
-		tr := Reduce(randTokens(rng))
-		raw, err := tr.MarshalJSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := UnmarshalNode(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !back.Normalize().Equal(tr) {
-			t.Fatalf("case %d: %v vs %v", i, back.Normalize(), tr)
-		}
-	}
-}
-
 func TestUnmarshalNodeRejectsBadInput(t *testing.T) {
 	bad := []string{
 		`{"kind":"array","sep":"","term":"x","children":[{"kind":"field"}]}`,
@@ -538,63 +277,6 @@ func TestUnmarshalNodeRejectsBadInput(t *testing.T) {
 	for _, s := range bad {
 		if _, err := UnmarshalNode([]byte(s)); err == nil {
 			t.Errorf("UnmarshalNode(%s) should fail", s)
-		}
-	}
-}
-
-func TestAppendFlatTokensMatchesExtract(t *testing.T) {
-	cases := []struct {
-		rec string
-		set string
-	}{
-		{"192.168.0.1, 200\n", ". ,"},
-		{"a,,b\n", ","},
-		{"hello world", ""},
-		{"ab\ncd\n", ""},
-		{"", ",."},
-	}
-	for _, c := range cases {
-		toks, fb := ExtractRecordTemplate([]byte(c.rec), chars.NewSet(c.set))
-		flat, flatFB := AppendFlatTokens(nil, []byte(c.rec), chars.NewSet(c.set))
-		if fb != flatFB {
-			t.Fatalf("%q: field bytes %d vs flat %d", c.rec, fb, flatFB)
-		}
-		if len(toks) != len(flat) {
-			t.Fatalf("%q: %d tokens vs flat %d", c.rec, len(toks), len(flat))
-		}
-		for i, tok := range toks {
-			if tok.Kind == KField {
-				if flat[i] != TokField {
-					t.Fatalf("%q token %d: want field, got %d", c.rec, i, flat[i])
-				}
-			} else if flat[i] != uint16(tok.Lit[0]) {
-				t.Fatalf("%q token %d: want %q, got %d", c.rec, i, tok.Lit, flat[i])
-			}
-		}
-	}
-}
-
-func TestFlatReducerMatchesReduce(t *testing.T) {
-	records := []string{
-		"a,b,c,d\n",
-		"k=v k=v k=v\n",
-		"x\n",
-		"1;2;3\n4;5;6\n",
-		"--\n",
-	}
-	var fr FlatReducer
-	for _, rec := range records {
-		set := chars.NewSet(",=; ")
-		toks, _ := ExtractRecordTemplate([]byte(rec), set)
-		want := Reduce(toks)
-		flat, _ := AppendFlatTokens(nil, []byte(rec), set)
-		// The same warm reducer across all records: interner reuse must
-		// not leak state between reductions.
-		if got := fr.Reduce(flat); !got.Equal(want) {
-			t.Fatalf("%q: FlatReducer %v, Reduce %v", rec, got, want)
-		}
-		if got := ReduceFlat(flat); !got.Equal(want) {
-			t.Fatalf("%q: ReduceFlat %v, Reduce %v", rec, got, want)
 		}
 	}
 }

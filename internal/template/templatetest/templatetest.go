@@ -1,6 +1,17 @@
-package template
+// Package templatetest holds the tree reducer the generation step no
+// longer runs: ExtractRecordTemplate and Reduce build a record template and
+// its minimal structure template (steps 3 and 4 of the generation step,
+// §9.1) as template trees, one node per token. Generation goes through
+// template.FlatReducer on flat tokens instead; the tests hold it to this
+// reducer, and build their candidate templates with it.
+package templatetest
 
-import "datamaran/internal/chars"
+import (
+	"slices"
+
+	"datamaran/internal/chars"
+	"datamaran/internal/template"
+)
 
 // ExtractRecordTemplate extracts the record template from an instantiated
 // record, given the RT-CharSet (step 3 of the generation step). Under
@@ -12,13 +23,13 @@ import "datamaran/internal/chars"
 // The result is a flat token sequence: KField and single-character
 // KLiteral nodes. It also returns the total number of bytes replaced by
 // field placeholders (the field coverage used by the assimilation score).
-func ExtractRecordTemplate(record []byte, rtset chars.Set) (tokens []*Node, fieldBytes int) {
-	tokens = make([]*Node, 0, len(record)/2+1)
+func ExtractRecordTemplate(record []byte, rtset chars.Set) (tokens []*template.Node, fieldBytes int) {
+	tokens = make([]*template.Node, 0, len(record)/2+1)
 	i := 0
 	for i < len(record) {
 		b := record[i]
 		if b == '\n' || rtset.Contains(b) {
-			tokens = append(tokens, Lit(string(b)))
+			tokens = append(tokens, template.Lit(string(b)))
 			i++
 			continue
 		}
@@ -26,50 +37,11 @@ func ExtractRecordTemplate(record []byte, rtset chars.Set) (tokens []*Node, fiel
 		for j < len(record) && record[j] != '\n' && !rtset.Contains(record[j]) {
 			j++
 		}
-		tokens = append(tokens, Field())
+		tokens = append(tokens, template.Field())
 		fieldBytes += j - i
 		i = j
 	}
 	return tokens, fieldBytes
-}
-
-// maxUnitTokens bounds the repeated-unit length considered during
-// reduction. Units longer than this (entire repeated paragraphs of over a
-// hundred tokens) are outside any realistic log structure and searching
-// for them is quadratic.
-const maxUnitTokens = 160
-
-// TokField is the flat-token encoding of the field placeholder. Flat
-// tokens are uint16 values: 0..255 is a one-byte literal, TokField is 'F'.
-// The flat form carries exactly the information ExtractRecordTemplate
-// produces (fields and single-character literals) without a heap node per
-// token, so the generation step can keep whole tokenized datasets in one
-// arena slice.
-const TokField uint16 = 256
-
-// AppendFlatTokens is ExtractRecordTemplate in flat-token form: it appends
-// the record template of record under rtset to dst (one uint16 per token)
-// and returns the extended slice plus the field byte count. The token
-// sequence is identical, token for token, to ExtractRecordTemplate's.
-func AppendFlatTokens(dst []uint16, record []byte, rtset chars.Set) ([]uint16, int) {
-	fieldBytes := 0
-	i := 0
-	for i < len(record) {
-		b := record[i]
-		if b == '\n' || rtset.Contains(b) {
-			dst = append(dst, uint16(b))
-			i++
-			continue
-		}
-		j := i
-		for j < len(record) && record[j] != '\n' && !rtset.Contains(record[j]) {
-			j++
-		}
-		dst = append(dst, TokField)
-		fieldBytes += j - i
-		i = j
-	}
-	return dst, fieldBytes
 }
 
 // Reduce reduces a token sequence to its minimal structure template
@@ -86,7 +58,7 @@ func AppendFlatTokens(dst []uint16, record []byte, rtset chars.Set) ([]uint16, i
 // Array node and the result is a fresh tree; the generation step, which
 // reduces every distinct candidate window, goes through FlatReducer
 // instead, and this function is the oracle FlatReducer is held to.
-func Reduce(tokens []*Node) *Node {
+func Reduce(tokens []*template.Node) *template.Node {
 	r := reducer{byKey: map[string]int32{}}
 	seq := make([]int32, len(tokens))
 	for i, t := range tokens {
@@ -96,7 +68,7 @@ func Reduce(tokens []*Node) *Node {
 }
 
 // reduceSeq runs the fold loop to fixpoint and builds the normalized tree.
-func (r *reducer) reduceSeq(seq []int32) *Node {
+func (r *reducer) reduceSeq(seq []int32) *template.Node {
 	for {
 		next, ok := r.reduceOnce(seq)
 		if !ok {
@@ -104,11 +76,11 @@ func (r *reducer) reduceSeq(seq []int32) *Node {
 		}
 		seq = next
 	}
-	nodes := make([]*Node, len(seq))
+	nodes := make([]*template.Node, len(seq))
 	for i, id := range seq {
 		nodes[i] = r.nodes[id]
 	}
-	return Struct(nodes...).Normalize()
+	return template.Struct(nodes...).Normalize()
 }
 
 // reducer is the tree-building reducer behind Reduce. It interns template
@@ -117,7 +89,7 @@ func (r *reducer) reduceSeq(seq []int32) *Node {
 // or -1. FlatReducer is the same fold search with no node behind an id.
 type reducer struct {
 	byKey  map[string]int32
-	nodes  []*Node
+	nodes  []*template.Node
 	charOf []int16
 	// fast paths: ids+1 for the field token and single-char literals
 	// (0 means unassigned).
@@ -125,13 +97,13 @@ type reducer struct {
 	charIDs [256]int32
 }
 
-func (r *reducer) intern(n *Node) int32 {
+func (r *reducer) intern(n *template.Node) int32 {
 	// Fast paths for the two token kinds that dominate generation.
-	if n.Kind == KField {
+	if n.Kind == template.KField {
 		if r.fieldID != 0 {
 			return r.fieldID - 1
 		}
-	} else if n.Kind == KLiteral && len(n.Lit) == 1 {
+	} else if n.Kind == template.KLiteral && len(n.Lit) == 1 {
 		if id := r.charIDs[n.Lit[0]]; id != 0 {
 			return id - 1
 		}
@@ -144,9 +116,9 @@ func (r *reducer) intern(n *Node) int32 {
 	r.byKey[key] = id
 	r.nodes = append(r.nodes, n)
 	c := int16(-1)
-	if n.Kind == KField {
+	if n.Kind == template.KField {
 		r.fieldID = id + 1
-	} else if n.Kind == KLiteral && len(n.Lit) == 1 {
+	} else if n.Kind == template.KLiteral && len(n.Lit) == 1 {
 		c = int16(n.Lit[0])
 		r.charIDs[n.Lit[0]] = id + 1
 	}
@@ -159,8 +131,8 @@ func (r *reducer) intern(n *Node) int32 {
 func (r *reducer) reduceOnce(seq []int32) ([]int32, bool) {
 	n := len(seq)
 	maxL := n / 2
-	if maxL > maxUnitTokens {
-		maxL = maxUnitTokens
+	if maxL > template.MaxUnitTokens {
+		maxL = template.MaxUnitTokens
 	}
 	// l is the unit length in tokens (the repeated body U), so the
 	// repeated block [U sep] has l+1 tokens. We need at least
@@ -190,11 +162,11 @@ func (r *reducer) reduceOnce(seq []int32) ([]int32, bool) {
 			if term < 0 || term == sep {
 				continue
 			}
-			body := make([]*Node, l)
+			body := make([]*template.Node, l)
 			for k := 0; k < l; k++ {
 				body[k] = r.nodes[seq[i+k]]
 			}
-			arr := r.intern(Array(body, byte(sep), byte(term)))
+			arr := r.intern(template.Array(body, byte(sep), byte(term)))
 			out := make([]int32, 0, n-(j+l+1-i)+1)
 			out = append(out, seq[:i]...)
 			out = append(out, arr)
@@ -205,47 +177,15 @@ func (r *reducer) reduceOnce(seq []int32) ([]int32, bool) {
 	return seq, false
 }
 
-// eqRun reports whether seq[a:a+l] equals seq[b:b+l].
-func eqRun(seq []int32, a, b, l int) bool {
-	if a == b {
-		return true
-	}
-	for k := 0; k < l; k++ {
-		if seq[a+k] != seq[b+k] {
-			return false
-		}
-	}
-	return true
-}
-
-// Tokens flattens a template tree back into the token sequence form used
-// by Reduce: fields, single-char literals, and array nodes as atomic
-// tokens. Multi-character literals are split into chars.
-func Tokens(n *Node) []*Node {
-	var out []*Node
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		switch n.Kind {
-		case KField, KArray:
-			out = append(out, n)
-		case KLiteral:
-			for i := 0; i < len(n.Lit); i++ {
-				out = append(out, Lit(n.Lit[i:i+1]))
-			}
-		case KStruct:
-			for _, c := range n.Children {
-				walk(c)
-			}
-		}
-	}
-	walk(n)
-	return out
-}
-
 // MinimalFromRecord extracts and reduces in one call: the minimal
 // structure template of an instantiated record under rtset, plus the field
 // byte count.
-func MinimalFromRecord(record []byte, rtset chars.Set) (*Node, int) {
+func MinimalFromRecord(record []byte, rtset chars.Set) (*template.Node, int) {
 	toks, fb := ExtractRecordTemplate(record, rtset)
 	return Reduce(toks), fb
+}
+
+// eqRun reports whether seq[a:a+l] equals seq[b:b+l].
+func eqRun(seq []int32, a, b, l int) bool {
+	return slices.Equal(seq[a:a+l], seq[b:b+l])
 }
