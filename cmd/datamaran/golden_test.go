@@ -141,8 +141,10 @@ func goldenDir(t *testing.T, rel, dir string, owns bool) {
 // TestIndexGoldens: `datamaran index` over the fixture lake reproduces
 // the committed report, registry and per-file CSVs at one worker and at
 // eight. A fresh `index -incremental` pass reproduces the registry and
-// the CSVs too; its report is the incremental form (resume annotations,
-// whole-file totals) and is not compared.
+// the CSVs too; its report is the incremental form (resume annotations)
+// and is not compared. A second `-incremental` pass over the same state,
+// where every file is unchanged and nothing is extracted, still writes
+// every file's whole tables.
 func TestIndexGoldens(t *testing.T) {
 	for _, workers := range []string{"1", "8"} {
 		for _, incremental := range []bool{false, true} {
@@ -159,6 +161,11 @@ func TestIndexGoldens(t *testing.T) {
 			}
 			golden(t, "registry.json", read(t, filepath.Join(dir, "registry.json")), owns)
 			goldenDir(t, "csv", filepath.Join(dir, "csv"), owns)
+			if incremental {
+				run(t, "index", "-q", "-workers", workers, "-incremental",
+					"-registry", filepath.Join(dir, "registry.json"), "-o", filepath.Join(dir, "csv2"), lakeDir)
+				goldenDir(t, "csv", filepath.Join(dir, "csv2"), false)
+			}
 		}
 	}
 }

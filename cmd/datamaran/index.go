@@ -84,7 +84,7 @@ func runIndex(args []string) {
 	printIndexReport(res, *incremental)
 
 	if *outDir != "" {
-		if err := writeIndexCSVs(res, *outDir); err != nil {
+		if err := writeIndexCSVs(res, fs.Arg(0), *outDir); err != nil {
 			fmt.Fprintf(os.Stderr, "datamaran index: %v\n", err)
 			os.Exit(1)
 		}
@@ -96,8 +96,10 @@ func runIndex(args []string) {
 
 // printIndexReport writes the deterministic crawl report: formats in
 // registry order, files in sorted path order, then the summary line.
-// The incremental form adds resume annotations and whole-file totals;
-// the plain form is byte-stable against the committed goldens.
+// Record and noise counts span the whole file, even when this run only
+// extracted the grown tail (or, for unchanged files, nothing at all).
+// The incremental form adds resume annotations; the plain form is
+// byte-stable against the committed goldens.
 func printIndexReport(res *datamaran.IndexResult, incremental bool) {
 	fmt.Printf("formats (%d):\n", len(res.Formats))
 	for _, f := range res.Formats {
@@ -117,19 +119,9 @@ func printIndexReport(res *datamaran.IndexResult, incremental bool) {
 			fmt.Printf("  %s  failed: %v\n", f.Path, f.Err)
 		case f.Unstructured:
 			fmt.Printf("  %s  unstructured\n", f.Path)
-		case incremental:
-			// Totals span the whole file even when this run only
-			// extracted the grown tail (or, for unchanged files,
-			// nothing at all).
-			fmt.Printf("  %s  format=%s  records=%d  noise=%d  %s\n",
-				f.Path, f.Fingerprint, f.TotalRecords, f.TotalNoise, incVia(f))
 		default:
-			via := "cached"
-			if f.Discovered {
-				via = "discovered"
-			}
 			fmt.Printf("  %s  format=%s  records=%d  noise=%d  %s\n",
-				f.Path, f.Fingerprint, len(f.Result.Records), len(f.Result.NoiseLines), via)
+				f.Path, f.Fingerprint, f.TotalRecords, f.TotalNoise, via(f, incremental))
 		}
 	}
 	s := res.Summary
@@ -141,32 +133,43 @@ func printIndexReport(res *datamaran.IndexResult, incremental bool) {
 	fmt.Println()
 }
 
-// incVia renders the incremental handling column: how the file was
-// classified plus how its bytes were (re)extracted.
-func incVia(f datamaran.IndexedFile) string {
-	switch f.Resume {
-	case "resumed", "unchanged":
+// via renders the handling column: how the file was classified and, in
+// the incremental report, how its bytes were (re)extracted.
+func via(f datamaran.IndexedFile, incremental bool) string {
+	if incremental && (f.Resume == "resumed" || f.Resume == "unchanged") {
 		return f.Resume
 	}
-	via := "cached"
+	how := "cached"
 	if f.Discovered {
-		via = "discovered"
+		how = "discovered"
 	}
-	if f.Resume != "" {
-		via += " (" + f.Resume + ")"
+	if incremental && f.Resume != "" {
+		how += " (" + f.Resume + ")"
 	}
-	return via
+	return how
 }
 
-// writeIndexCSVs writes every structured file's tables under dir.
-func writeIndexCSVs(res *datamaran.IndexResult, dir string) error {
+// writeIndexCSVs writes the tables of every structured file under root
+// into dir. The crawl keeps no records, so each file is extracted again
+// with its format's profile, one file at a time; unchanged and resumed
+// files get their whole-file tables like any other.
+func writeIndexCSVs(res *datamaran.IndexResult, root, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
+	profiles := map[string]*datamaran.Profile{}
+	for i := range res.Formats {
+		profiles[res.Formats[i].Fingerprint] = res.Formats[i].Profile()
+	}
 	used := map[string]bool{}
 	for _, f := range res.Files {
-		if f.Result == nil {
+		p := profiles[f.Fingerprint] // nil for unstructured and failed files
+		if p == nil {
 			continue
+		}
+		result, err := applyProfile(filepath.Join(root, filepath.FromSlash(f.Path)), p, datamaran.Options{})
+		if err != nil {
+			return err
 		}
 		base := strings.ReplaceAll(f.Path, "/", "__")
 		// Flattening can collide (a/b.log vs a literal a__b.log);
@@ -175,17 +178,8 @@ func writeIndexCSVs(res *datamaran.IndexResult, dir string) error {
 			base += "-" + fmt.Sprintf("%x", sha256.Sum256([]byte(f.Path)))[:8]
 		}
 		used[base] = true
-		for _, t := range f.Result.TablesWith(datamaran.TablesOptions{}) {
-			path := filepath.Join(dir, base+"."+t.Name+".csv")
-			out, err := os.Create(path)
-			if err != nil {
-				return err
-			}
-			if err := t.WriteCSV(out); err != nil {
-				out.Close()
-				return err
-			}
-			if err := out.Close(); err != nil {
+		for _, t := range result.TablesWith(datamaran.TablesOptions{}) {
+			if err := writeTableCSV(filepath.Join(dir, base+"."+t.Name+".csv"), t); err != nil {
 				return err
 			}
 		}

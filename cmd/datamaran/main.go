@@ -135,17 +135,7 @@ func main() {
 			continue
 		}
 		path := filepath.Join(*outDir, t.Name+".csv")
-		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "datamaran: %v\n", err)
-			os.Exit(1)
-		}
-		if err := t.WriteCSV(f); err != nil {
-			f.Close()
-			fmt.Fprintf(os.Stderr, "datamaran: %v\n", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
+		if err := writeTableCSV(path, t); err != nil {
 			fmt.Fprintf(os.Stderr, "datamaran: %v\n", err)
 			os.Exit(1)
 		}
@@ -166,19 +156,37 @@ func streamFile(path string, opts datamaran.Options) (*datamaran.Result, error) 
 	return datamaran.ExtractReader(f, opts)
 }
 
-// streamWithSavedProfile applies a saved profile over the file as a
-// single-pass stream: no discovery and no whole-file buffering.
+// streamWithSavedProfile applies a saved profile over the file.
 func streamWithSavedProfile(logPath, profilePath string, opts datamaran.Options) (*datamaran.Result, error) {
 	p, err := loadProfile(profilePath)
 	if err != nil {
 		return nil, err
 	}
-	f, err := os.Open(logPath)
+	return applyProfile(logPath, p, opts)
+}
+
+// applyProfile applies p over the file as a single-pass stream: no
+// discovery and no whole-file buffering.
+func applyProfile(path string, p *datamaran.Profile, opts datamaran.Options) (*datamaran.Result, error) {
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
 	return datamaran.ExtractReaderWithProfile(f, p, opts)
+}
+
+// writeTableCSV writes one table to a new file at path.
+func writeTableCSV(path string, t *datamaran.Table) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := t.WriteCSV(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // loadProfile reads a saved profile from disk.

@@ -92,7 +92,7 @@ func main() {
 			if f.Discovered {
 				how = "full discovery"
 			}
-			fmt.Printf("  %-26s %d records via %s\n", f.Path, len(f.Result.Records), how)
+			fmt.Printf("  %-26s %d records via %s\n", f.Path, f.TotalRecords, how)
 		}
 	}
 

@@ -39,7 +39,8 @@ type IndexOptions struct {
 	// per-format columnar segments — the tables Query reads. Segments
 	// are staged during the crawl and committed only when it completes;
 	// an incremental crawl extends a grown file's segments in place.
-	// Empty disables the store.
+	// Empty disables the store: the crawl still classifies, extracts and
+	// checkpoints every file, but reports counts only.
 	StorePath string
 }
 
@@ -62,14 +63,6 @@ type IndexedFile struct {
 	// Err is the per-file failure, nil otherwise. Indexing continues
 	// past failed files.
 	Err error
-	// Result is the extraction result (nil for unstructured or failed
-	// files). Records, noise lines and tables are exactly those of
-	// ExtractReaderWithProfile with the format's profile — except for a
-	// file resumed from a checkpoint (Resume == "resumed"), where it
-	// covers only the region beyond the checkpoint, in whole-file
-	// coordinates, and for an unchanged file (Resume == "unchanged"),
-	// where it is nil.
-	Result *Result
 	// Resume reports how the file was handled against its checkpoint:
 	// "resumed", "unchanged" (also an unstructured file skipped because
 	// it did not change), or — for a claimed file that took the full
@@ -79,15 +72,11 @@ type IndexedFile struct {
 	// file that classified unstructured or failed before a format
 	// claimed it.
 	Resume string
-	// PriorRecords and PriorNoise count the records and noise lines
-	// finalized before the region Result covers (only set for resumed
-	// files). PriorRecords + len(Result.Records) is the whole-file
-	// record count.
-	PriorRecords, PriorNoise int
 	// TotalRecords and TotalNoise are whole-file counts, valid for every
-	// structured file — including unchanged files, whose Result is nil.
-	// For a file extracted from byte 0 they equal len(Result.Records) and
-	// len(Result.NoiseLines).
+	// structured file, resumed and unchanged ones included. The crawl
+	// keeps no records: ExtractReaderWithProfile with the format's
+	// profile returns them, as many as these counts say, and with a
+	// StorePath, Query reads them from the store.
 	TotalRecords, TotalNoise int
 }
 
@@ -197,13 +186,8 @@ func wrapIndexResult(res *lake.Result, reg *lake.Registry) *IndexResult {
 			Unstructured: f.Status == lake.StatusUnstructured,
 			Err:          f.Err,
 		}
-		if f.Res != nil {
-			pf.Result = wrapResult(f.Res)
-		}
 		if f.Inc != nil {
 			pf.Resume = f.Inc.Resume()
-			pf.PriorRecords = f.Inc.BaseRecords
-			pf.PriorNoise = f.Inc.BaseNoise
 			pf.TotalRecords = f.Inc.TotalRecords
 			pf.TotalNoise = f.Inc.TotalNoise
 		}

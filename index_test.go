@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -75,9 +76,10 @@ func filesOfFormat(res *IndexResult, fp string) int {
 	return 0
 }
 
-// indexDigest renders everything observable about an IndexDir run
-// except timings.
-func indexDigest(t *testing.T, res *IndexResult) string {
+// indexDigest renders everything observable about an IndexDir run with
+// a store except timings: the summary, the formats, each file's outcome
+// and counts, and the store's rows.
+func indexDigest(t *testing.T, res *IndexResult, storePath string) string {
 	t.Helper()
 	var b strings.Builder
 	fmt.Fprintf(&b, "summary %+v\n", res.Summary)
@@ -86,42 +88,104 @@ func indexDigest(t *testing.T, res *IndexResult) string {
 			f.Fingerprint, f.Files, f.Discovered, f.Templates)
 	}
 	for _, f := range res.Files {
-		fmt.Fprintf(&b, "file %s size=%d fp=%s disc=%v unstructured=%v err=%v\n",
-			f.Path, f.Size, f.Fingerprint, f.Discovered, f.Unstructured, f.Err)
-		if f.Result == nil {
+		fmt.Fprintf(&b, "file %s size=%d fp=%s disc=%v unstructured=%v err=%v resume=%s records=%d noise=%d\n",
+			f.Path, f.Size, f.Fingerprint, f.Discovered, f.Unstructured, f.Err, f.Resume, f.TotalRecords, f.TotalNoise)
+	}
+	b.WriteString(storeDump(t, storePath))
+	return b.String()
+}
+
+// profileApplies extracts every structured file of a crawl of root with
+// ExtractReaderWithProfile and its format's profile — the crawl's
+// independent oracle. It checks each file's whole-file counts against
+// the extraction and returns the denormalized rows by store table name,
+// each table's files in path order.
+func profileApplies(t *testing.T, root string, res *IndexResult) map[string][][]string {
+	t.Helper()
+	profiles := map[string]*Profile{}
+	for i := range res.Formats {
+		profiles[res.Formats[i].Fingerprint] = res.Formats[i].Profile()
+	}
+	rows := map[string][][]string{}
+	for _, f := range res.Files {
+		p := profiles[f.Fingerprint]
+		if p == nil {
 			continue
 		}
-		for _, s := range f.Result.Structures {
-			fmt.Fprintf(&b, "  structure %+v\n", s)
+		in, err := os.Open(filepath.Join(root, f.Path))
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, r := range f.Result.Records {
-			fmt.Fprintf(&b, "  record %+v\n", r)
+		ex, err := ExtractReaderWithProfile(in, p, Options{})
+		in.Close()
+		if err != nil {
+			t.Fatal(err)
 		}
-		fmt.Fprintf(&b, "  noise %v\n", f.Result.NoiseLines)
-		for _, tb := range f.Result.TablesWith(TablesOptions{}) {
-			fmt.Fprintf(&b, "  table %s cols=%v rows=%d\n", tb.Name, tb.Columns, len(tb.Rows))
-			var csv strings.Builder
-			if err := tb.WriteCSV(&csv); err != nil {
-				t.Fatal(err)
+		if f.TotalRecords != len(ex.Records) || f.TotalNoise != len(ex.NoiseLines) {
+			t.Fatalf("%s: crawl counts %d records / %d noise, profile apply %d / %d",
+				f.Path, f.TotalRecords, f.TotalNoise, len(ex.Records), len(ex.NoiseLines))
+		}
+		for typeID, tb := range ex.TablesWith(TablesOptions{Denormalized: true}) {
+			name := f.Fingerprint
+			if typeID > 0 {
+				name = fmt.Sprintf("%s_%d", name, typeID)
 			}
-			b.WriteString(csv.String())
+			rows[name] = append(rows[name], tb.Rows...)
 		}
 	}
-	return b.String()
+	return rows
+}
+
+// requireStoreMatchesProfileApply holds the record store at storePath,
+// written by a crawl of root, to profileApplies: the same tables, each
+// with the same rows in the same order.
+func requireStoreMatchesProfileApply(t *testing.T, root string, res *IndexResult, storePath string) {
+	t.Helper()
+	want := profileApplies(t, root, res)
+	store, err := lake.OpenSegmentStore(storePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := store.Tables()
+	if len(tables) != len(want) {
+		t.Fatalf("store holds %d tables, the profile applies %d", len(tables), len(want))
+	}
+	for _, ti := range tables {
+		sc, err := store.Scan(ti.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got [][]string
+		for {
+			row, err := sc.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, slices.Clone(row))
+		}
+		sc.Close()
+		if !slices.EqualFunc(got, want[ti.Name], slices.Equal) {
+			t.Fatalf("table %s: the store's %d rows differ from the profile applies' %d", ti.Name, len(got), len(want[ti.Name]))
+		}
+	}
 }
 
 func TestIndexDirWorkerEquivalence(t *testing.T) {
 	// workers=1 and workers=8 must agree byte-for-byte on every output,
-	// including the persisted registry — the single-CPU-safe form of
-	// the parallelism claim.
+	// including the persisted registry and the record store — the
+	// single-CPU-safe form of the parallelism claim.
 	var want, wantReg string
 	for _, workers := range []int{1, 8} {
-		regPath := filepath.Join(t.TempDir(), "registry.json")
-		res, err := IndexDir(fixtureLake, IndexOptions{RegistryPath: regPath, Workers: workers})
+		dir := t.TempDir()
+		regPath, storePath := filepath.Join(dir, "registry.json"), filepath.Join(dir, "store")
+		res, err := IndexDir(fixtureLake, IndexOptions{RegistryPath: regPath, StorePath: storePath, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := indexDigest(t, res)
+		got := indexDigest(t, res, storePath)
 		raw, err := os.ReadFile(regPath)
 		if err != nil {
 			t.Fatal(err)
@@ -140,7 +204,8 @@ func TestIndexDirWorkerEquivalence(t *testing.T) {
 }
 
 func TestIndexDirFormatsUsableAsProfiles(t *testing.T) {
-	res, err := IndexDir(fixtureLake, IndexOptions{})
+	storePath := filepath.Join(t.TempDir(), "store")
+	res, err := IndexDir(fixtureLake, IndexOptions{StorePath: storePath})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,42 +215,15 @@ func TestIndexDirFormatsUsableAsProfiles(t *testing.T) {
 			t.Fatalf("profile fingerprint %s != format %s", p.Fingerprint(), f.Fingerprint)
 		}
 	}
-	// Applying a format's profile to one of its member files reproduces
-	// the indexer's result for that file.
-	var member IndexedFile
-	for _, f := range res.Files {
-		if !f.Discovered && !f.Unstructured && f.Err == nil {
-			member = f
-			break
-		}
-	}
-	if member.Path == "" {
-		t.Fatal("no cached member file in fixture lake")
-	}
-	data, err := os.ReadFile(filepath.Join(fixtureLake, member.Path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var prof *Profile
-	for _, f := range res.Formats {
-		if f.Fingerprint == member.Fingerprint {
-			prof = f.Profile()
-		}
-	}
-	direct, err := ExtractWithProfile(data, prof)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(direct.Records) != len(member.Result.Records) {
-		t.Fatalf("direct profile apply: %d records, indexer got %d",
-			len(direct.Records), len(member.Result.Records))
-	}
+	// Applying each format's profile to its member files reproduces the
+	// crawl's counts and the rows it stored.
+	requireStoreMatchesProfileApply(t, fixtureLake, res, storePath)
 }
 
 // TestIndexDirTotalsWithoutCheckpoints: a crawl with no checkpoint file
-// is the checkpointed crawl from an empty store, so every structured file
-// takes the full path as a new one and its whole-file totals are its
-// result's own counts.
+// and no store is the checkpointed crawl from an empty store, so every
+// structured file takes the full path as a new one, and its whole-file
+// totals are those of a profile apply.
 func TestIndexDirTotalsWithoutCheckpoints(t *testing.T) {
 	res, err := IndexDir(fixtureLake, IndexOptions{Workers: 2})
 	if err != nil {
@@ -197,17 +235,14 @@ func TestIndexDirTotalsWithoutCheckpoints(t *testing.T) {
 			continue
 		}
 		structured++
-		if f.Result == nil {
-			t.Fatalf("%s: structured file without a result", f.Path)
-		}
-		if f.Resume != "new" || f.TotalRecords != len(f.Result.Records) || f.TotalNoise != len(f.Result.NoiseLines) {
-			t.Fatalf("%s: resume %q, totals %d records / %d noise, result has %d / %d",
-				f.Path, f.Resume, f.TotalRecords, f.TotalNoise, len(f.Result.Records), len(f.Result.NoiseLines))
+		if f.Resume != "new" {
+			t.Fatalf("%s: resume %q", f.Path, f.Resume)
 		}
 	}
 	if structured != res.Summary.Structured || structured == 0 {
 		t.Fatalf("%d structured files checked, summary %+v", structured, res.Summary)
 	}
+	profileApplies(t, fixtureLake, res)
 }
 
 func TestIndexDirMissingDir(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"testing"
 
+	"datamaran/internal/follow"
 	"datamaran/internal/lake/laketest"
 	"datamaran/internal/obsv"
 )
@@ -132,4 +133,57 @@ func equalCounts(got, want map[string]float64) bool {
 		}
 	}
 	return true
+}
+
+// TestCrawlRecordsMetric: datamaran_crawl_records_total counts, by
+// format, the records a crawl extracted — every record of a file
+// extracted in full, the region past the checkpoint of a resumed file,
+// nothing of an unchanged one — counted here from extractions of the
+// files outside the crawl.
+func TestCrawlRecordsMetric(t *testing.T) {
+	root := buildLake(t)
+	reg, cps := NewRegistry(), follow.NewStore()
+	crawl := func() (*Result, map[string]float64) {
+		t.Helper()
+		metrics := obsv.NewRegistry()
+		res, err := Index(root, reg, Config{Workers: 2, Checkpoints: cps, Metrics: metrics})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]float64{}
+		for _, m := range metrics.Snapshot() {
+			if m.Name == "datamaran_crawl_records_total" {
+				got[m.Labels] = m.Value
+			}
+		}
+		return res, got
+	}
+	label := func(fp string) string { return `{format="` + fp + `"}` }
+
+	res, got := crawl()
+	want := map[string]float64{}
+	for _, f := range res.Files {
+		if f.Fingerprint != "" {
+			want[label(f.Fingerprint)] += float64(len(extractFile(t, root, f.Path, reg.Lookup(f.Fingerprint)).Records))
+		}
+	}
+	if len(want) != 3 || !equalCounts(got, want) {
+		t.Fatalf("fresh crawl: records_total %v, want %v", got, want)
+	}
+
+	appendTo(t, root, "a/jobs-1.log", "JOB <123>\n  queue= q1;\n  state= DONE;\nJOB <77>\n  queue= q2;\n")
+	before := cps.Get("a/jobs-1.log")
+	res, got = crawl()
+	if res.Summary.Resumed != 1 || res.Summary.Unchanged != res.Summary.Files-1 {
+		t.Fatalf("resume crawl: summary %+v", res.Summary)
+	}
+	past := 0
+	for _, r := range extractFile(t, root, "a/jobs-1.log", reg.Lookup(before.Fingerprint)).Records {
+		if r.StartLine >= before.Line {
+			past++
+		}
+	}
+	if want := map[string]float64{label(before.Fingerprint): float64(past)}; past == 0 || !equalCounts(got, want) {
+		t.Fatalf("resume crawl: records_total %v, want %v", got, want)
+	}
 }

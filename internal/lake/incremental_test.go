@@ -71,8 +71,10 @@ func TestIncrementalCrawl(t *testing.T) {
 		t.Fatalf("checkpoints = %d, want %d", got, want)
 	}
 	jobs1 := fileByPath(t, res1, "a/jobs-1.log")
+	jobsFormat := reg.Lookup(jobs1.Fingerprint)
 	if jobs1.Inc == nil || jobs1.Inc.Action != follow.ActionFull ||
-		jobs1.Inc.TotalRecords != len(jobs1.Res.Records) {
+		jobs1.Inc.TotalRecords != len(extractFile(t, root, "a/jobs-1.log", jobsFormat).Records) ||
+		jobs1.Inc.Extracted != jobs1.Inc.TotalRecords {
 		t.Fatalf("first run jobs-1: %+v", jobs1.Inc)
 	}
 
@@ -83,7 +85,7 @@ func TestIncrementalCrawl(t *testing.T) {
 	}
 	for i := range res2.Files {
 		f := &res2.Files[i]
-		if f.Res != nil {
+		if f.Inc != nil && f.Inc.Extracted != 0 {
 			t.Fatalf("no-op run extracted %s", f.Path)
 		}
 	}
@@ -94,6 +96,7 @@ func TestIncrementalCrawl(t *testing.T) {
 	// Append whole records plus a dangling partial stanza: the next
 	// run must resume, and totals must match a from-scratch index.
 	appendTo(t, root, "a/jobs-1.log", "JOB <123>\n  queue= q1;\n  state= DONE;\nJOB <77>\n  queue= q2;\n")
+	before := cps.Get("a/jobs-1.log")
 	res3 := incrementalIndex(t, root, reg, cps)
 	if res3.Summary.Resumed != 1 || res3.Summary.Unchanged != res3.Summary.Files-1 {
 		t.Fatalf("append run: summary %+v", res3.Summary)
@@ -102,8 +105,16 @@ func TestIncrementalCrawl(t *testing.T) {
 	if jobs3.Inc.Action != follow.ActionResume {
 		t.Fatalf("append run jobs-1: %+v", jobs3.Inc)
 	}
-	if jobs3.Inc.BaseRecords+len(jobs3.Res.Records) != jobs3.Inc.TotalRecords {
-		t.Fatalf("append run totals inconsistent: %+v (+%d)", jobs3.Inc, len(jobs3.Res.Records))
+	// The resumed region covers exactly the records of the grown file
+	// that start at or past the checkpoint the run resumed from.
+	past := 0
+	for _, r := range extractFile(t, root, "a/jobs-1.log", jobsFormat).Records {
+		if r.StartLine >= before.Line {
+			past++
+		}
+	}
+	if jobs3.Inc.Extracted != past || before.Records+past != jobs3.Inc.TotalRecords {
+		t.Fatalf("append run: %+v, want %d extracted past the %d finalized", jobs3.Inc, past, before.Records)
 	}
 	assertTotalsMatchScratch(t, root, reg, res3)
 
@@ -169,17 +180,16 @@ func assertTotalsMatchScratch(t *testing.T, root string, reg *Registry, inc *Res
 	}
 	for i := range scratch.Files {
 		sf := &scratch.Files[i]
-		if sf.Res == nil {
+		if sf.Fingerprint == "" {
 			continue
 		}
 		f := fileByPath(t, inc, sf.Path)
 		if f.Inc == nil {
 			t.Fatalf("%s: no incremental info", sf.Path)
 		}
-		if f.Inc.TotalRecords != len(sf.Res.Records) || f.Inc.TotalNoise != len(sf.Res.NoiseLines) {
+		if f.Inc.TotalRecords != sf.Inc.TotalRecords || f.Inc.TotalNoise != sf.Inc.TotalNoise {
 			t.Errorf("%s: incremental totals %d/%d, from-scratch %d/%d",
-				sf.Path, f.Inc.TotalRecords, f.Inc.TotalNoise,
-				len(sf.Res.Records), len(sf.Res.NoiseLines))
+				sf.Path, f.Inc.TotalRecords, f.Inc.TotalNoise, sf.Inc.TotalRecords, sf.Inc.TotalNoise)
 		}
 	}
 }
@@ -189,24 +199,23 @@ func assertTotalsMatchScratch(t *testing.T, root string, reg *Registry, inc *Res
 // any worker count.
 func TestIncrementalWorkerEquivalence(t *testing.T) {
 	root := buildLake(t)
-	seedReg := NewRegistry()
-	seedCps := follow.NewStore()
-	incrementalIndex(t, root, seedReg, seedCps)
+	seed := crawlStart{reg: NewRegistry(), cps: follow.NewStore(), storeDir: t.TempDir()}
+	s, err := OpenSegmentStore(seed.storeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crawlWithStore(t, root, seed.reg, seed.cps, s)
 	appendTo(t, root, "a/jobs-2.log", "JOB <5>\n  queue= q9;\n  state= DONE;\n")
 	appendTo(t, root, "c/metrics-2.log", "metric|cpu7|1.23|\n")
 
 	var want string
 	for _, workers := range []int{1, 2, 8} {
-		reg := cloneRegistry(t, seedReg)
-		cps := cloneStore(t, seedCps)
-		res, err := Index(root, reg, Config{Workers: workers, Checkpoints: cps})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res, reg, cps, store := runCrawl(t, IndexContext, root, seed, Config{Workers: workers})
 		if res.Summary.Resumed != 2 {
 			t.Fatalf("workers=%d: resumed %d, want 2", workers, res.Summary.Resumed)
 		}
-		got := digest(t, res, reg) + storeDigest(t, cps)
+		requireStoreMatchesExtraction(t, root, res, reg, store)
+		got := digest(t, res, reg) + storeDigest(t, cps) + storeRows(t, store)
 		if want == "" {
 			want = got
 		} else if got != want {
@@ -326,11 +335,12 @@ func TestMultiTypeResumeMatchesOneShot(t *testing.T) {
 			t.Fatal(err)
 		}
 		res := crawlWithStoreWorkers(t, root, reg, cps, s, workers)
-		// Counted from the extraction itself, not read back from the
-		// store whose count is under test: the records of each type that
-		// start at or past the checkpoint's line.
+		// Counted from an extraction of the file outside the crawl, not
+		// read back from the store whose count is under test: the records
+		// of each type that start at or past the checkpoint's line.
 		past := map[int]int{}
-		for _, r := range fileByPath(t, res, "x/mixed.log").Res.Records {
+		format := reg.Lookup(fileByPath(t, res, "x/mixed.log").Fingerprint)
+		for _, r := range extractFile(t, root, "x/mixed.log", format).Records {
 			if r.StartLine >= cps.Get("x/mixed.log").Line {
 				past[r.TypeID]++
 			}

@@ -137,11 +137,6 @@ type FileResult struct {
 	Fingerprint string
 	// Status reports how the file was handled.
 	Status Status
-	// Res holds the extraction result (nil for unstructured, failed and
-	// unchanged files). For a resumed file it covers only
-	// [checkpoint, EOF) — whole-file coordinates, with Inc carrying the
-	// finalized-prefix counts.
-	Res *core.Result
 	// Err is the failure for StatusFailed files.
 	Err error
 	// Inc describes how the file was extracted against its checkpoint:
@@ -158,11 +153,12 @@ type IncInfo struct {
 	// Reason explains a full extraction: "new", "rotated", "truncated",
 	// "profile-gone" (checkpointed fingerprint no longer registered).
 	Reason string
-	// BaseRecords and BaseNoise count records and noise lines finalized
-	// before the region Res covers (0 for full extractions).
-	BaseRecords, BaseNoise int
-	// TotalRecords and TotalNoise are whole-file counts: Base plus the
-	// emitted region (for unchanged files, the checkpointed totals).
+	// Extracted counts the records this crawl extracted: the whole file
+	// for a full extraction, the region past the checkpoint for a resumed
+	// one, none for an unchanged one.
+	Extracted int
+	// TotalRecords and TotalNoise are whole-file counts (for unchanged
+	// files, the checkpointed totals).
 	TotalRecords, TotalNoise int
 }
 
@@ -385,8 +381,8 @@ func recordCrawl(cfg Config, res *Result, st crawlStats) {
 				continue
 			}
 			m.Counter("datamaran_crawl_bytes_total", "format", f.Fingerprint).Add(uint64(f.Size))
-			if f.Res != nil {
-				m.Counter("datamaran_crawl_records_total", "format", f.Fingerprint).Add(uint64(len(f.Res.Records)))
+			if f.Inc != nil && f.Inc.Action != follow.ActionUnchanged {
+				m.Counter("datamaran_crawl_records_total", "format", f.Fingerprint).Add(uint64(f.Inc.Extracted))
 			}
 		}
 	}
@@ -479,13 +475,7 @@ func classifyFromCheckpoint(full, rel string, reg *Registry, cfg Config, fr *Fil
 		reg.Claim(e)
 		fr.Status = StatusMatched
 		fr.Fingerprint = e.Fingerprint
-		fr.Inc = &IncInfo{
-			Action:       follow.ActionUnchanged,
-			BaseRecords:  cp.Records,
-			BaseNoise:    cp.Noise,
-			TotalRecords: cp.TotalRecords,
-			TotalNoise:   cp.TotalNoise,
-		}
+		fr.Inc = &IncInfo{Action: follow.ActionUnchanged, TotalRecords: cp.TotalRecords, TotalNoise: cp.TotalNoise}
 		return true, ""
 	case follow.ActionResume:
 		reg.Claim(e)
@@ -493,11 +483,7 @@ func classifyFromCheckpoint(full, rel string, reg *Registry, cfg Config, fr *Fil
 		*resume = cp
 		fr.Status = StatusMatched
 		fr.Fingerprint = e.Fingerprint
-		fr.Inc = &IncInfo{
-			Action:      follow.ActionResume,
-			BaseRecords: cp.Records,
-			BaseNoise:   cp.Noise,
-		}
+		fr.Inc = &IncInfo{Action: follow.ActionResume}
 		return true, ""
 	default:
 		// Rotation/truncation: the checkpoint is invalid; reclassify
@@ -615,7 +601,8 @@ func discoverTemplates(ctx context.Context, sample []byte, opts core.Options) ([
 // pipeline with its format's compiled templates, by way of the follow
 // layer: it resumes at the file's checkpoint (when one survived
 // planning, else it extracts from byte 0) and records the successor
-// checkpoint.
+// checkpoint. The file's records are dropped once they are staged in the
+// record store: the crawl keeps only their counts.
 func extractOne(ctx context.Context, root string, fr *FileResult, e *Entry, resume *follow.Checkpoint, cfg Config) {
 	full := filepath.Join(root, filepath.FromSlash(fr.Path))
 	res, ncp, err := follow.Extract(ctx, full, fr.Path, e.Matchers(), e.Fingerprint, resume, follow.Config{Workers: 1})
@@ -624,19 +611,24 @@ func extractOne(ctx context.Context, root string, fr *FileResult, e *Entry, resu
 		fr.Err = err
 		return
 	}
+	// The records and noise lines finalized before the extracted region.
+	var baseRecords, baseNoise int
+	if resume != nil {
+		baseRecords, baseNoise = resume.Records, resume.Noise
+	}
 	// Rows past the new checkpoint's finalized boundary are provisional:
 	// the next resume re-emits them, so the store remembers, per record
 	// type, how many to truncate before appending.
-	prov := fr.Inc.BaseRecords + len(res.Records) - ncp.Records
+	prov := baseRecords + len(res.Records) - ncp.Records
 	if err := storeRecords(cfg, fr, e, res, resume != nil, prov); err != nil {
 		fr.Status = StatusFailed
 		fr.Err = err
 		return
 	}
 	cfg.Checkpoints.Put(ncp)
-	fr.Res = res
-	fr.Inc.TotalRecords = fr.Inc.BaseRecords + len(res.Records)
-	fr.Inc.TotalNoise = fr.Inc.BaseNoise + len(res.NoiseLines)
+	fr.Inc.Extracted = len(res.Records)
+	fr.Inc.TotalRecords = baseRecords + len(res.Records)
+	fr.Inc.TotalNoise = baseNoise + len(res.NoiseLines)
 }
 
 // storeRecords stages one extracted file's rows into the record store:

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"datamaran/internal/core"
+	"datamaran/internal/follow"
 	"datamaran/internal/lake/laketest"
 )
 
@@ -57,8 +58,10 @@ func buildLake(t *testing.T) string {
 }
 
 // digest renders an Index result and registry into a canonical string:
-// every byte of observable output except timings, so two runs compare
-// equal iff they agree on everything the user can see.
+// everything the crawl reports except timings — per file its status,
+// fingerprint, error and record counts. The records themselves are in
+// the record store; a test that compares them crawls with one and adds
+// storeRows.
 func digest(t *testing.T, res *Result, reg *Registry) string {
 	t.Helper()
 	var b strings.Builder
@@ -72,21 +75,9 @@ func digest(t *testing.T, res *Result, reg *Registry) string {
 	for _, f := range res.Files {
 		fmt.Fprintf(&b, "file %s size=%d fp=%s status=%s err=%v\n",
 			f.Path, f.Size, f.Fingerprint, f.Status, f.Err)
-		if f.Res == nil {
-			continue
+		if f.Inc != nil {
+			fmt.Fprintf(&b, "inc %s %+v\n", f.Path, *f.Inc)
 		}
-		for _, s := range f.Res.Structures {
-			fmt.Fprintf(&b, "  structure %d %s records=%d coverage=%d\n",
-				s.TypeID, s.Template, s.Records, s.Coverage)
-		}
-		for _, r := range f.Res.Records {
-			fmt.Fprintf(&b, "  record %d [%d,%d)", r.TypeID, r.StartLine, r.EndLine)
-			for _, fv := range r.Fields {
-				fmt.Fprintf(&b, " %d.%d@%d-%d=%q", fv.Column, fv.Repetition, fv.Start, fv.End, fv.Value)
-			}
-			b.WriteByte('\n')
-		}
-		fmt.Fprintf(&b, "  noise %v\n", f.Res.NoiseLines)
 	}
 	return b.String()
 }
@@ -123,27 +114,28 @@ func TestIndexDiscoversOncePerFormat(t *testing.T) {
 			t.Fatalf("format %s discovered %d times", fp, n)
 		}
 	}
-	// Cached files carry full extraction results.
+	// Cached files are extracted in full.
 	for _, f := range res.Files {
-		if f.Status == StatusMatched && (f.Res == nil || len(f.Res.Records) == 0) {
-			t.Fatalf("matched file %s has no records", f.Path)
+		if f.Status == StatusMatched && (f.Inc == nil || f.Inc.TotalRecords == 0 || f.Inc.Extracted != f.Inc.TotalRecords) {
+			t.Fatalf("matched file %s was not extracted in full: %+v", f.Path, f.Inc)
 		}
 	}
 }
 
 func TestIndexWorkerEquivalence(t *testing.T) {
 	// The acceptance property: worker count must not change one byte of
-	// the registry or the per-file records. Single-CPU-safe — it checks
-	// outputs, not wall clock.
+	// the registry, the per-file counts or the stored records.
+	// Single-CPU-safe — it checks outputs, not wall clock.
 	root := buildLake(t)
 	var want string
 	for _, workers := range []int{1, 2, 8} {
 		reg := NewRegistry()
-		res, err := Index(root, reg, Config{Workers: workers})
+		s, err := OpenSegmentStore(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := digest(t, res, reg)
+		res := crawlWithStoreWorkers(t, root, reg, follow.NewStore(), s, workers)
+		got := digest(t, res, reg) + storeRows(t, s)
 		if workers == 1 {
 			want = got
 			continue

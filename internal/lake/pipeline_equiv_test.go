@@ -72,19 +72,13 @@ func runCrawl(t *testing.T, crawl crawlFunc, root string, start crawlStart, cfg 
 
 // crawlOutcome runs one crawl from a copy of start and renders all it
 // produced: the registry (order, fingerprints, claim counts), the
-// summary, every file's status, fingerprint, error, extraction result and
-// incremental bookkeeping, the checkpoints, and the committed store's
-// rows.
+// summary, every file's status, fingerprint, error and incremental
+// bookkeeping, the checkpoints, and the committed store's rows.
 func crawlOutcome(t *testing.T, crawl crawlFunc, root string, start crawlStart, cfg Config) string {
 	t.Helper()
 	res, reg, cps, store := runCrawl(t, crawl, root, start, cfg)
 	var b strings.Builder
 	b.WriteString(digest(t, res, reg))
-	for _, f := range res.Files {
-		if f.Inc != nil {
-			fmt.Fprintf(&b, "inc %s %+v\n", f.Path, *f.Inc)
-		}
-	}
 	fmt.Fprintf(&b, "new formats %v\ncheckpoints %s\n", res.NewFormats, storeDigest(t, cps))
 	b.WriteString(storeRows(t, store))
 	return b.String()

@@ -8,12 +8,16 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
+	"datamaran/internal/core"
 	"datamaran/internal/follow"
 	"datamaran/internal/lake/laketest"
+	"datamaran/internal/pipeline"
+	"datamaran/internal/relational"
 	"datamaran/internal/semtype"
 )
 
@@ -46,6 +50,75 @@ func storeRows(t *testing.T, s *SegmentStore) string {
 		}
 	}
 	return b.String()
+}
+
+// extractFile extracts the file rel under root from byte 0 with the
+// format e, outside any crawl: the oracle for what a crawl reports and
+// stores about the file.
+func extractFile(t *testing.T, root, rel string, e *Entry) *core.Result {
+	t.Helper()
+	f, err := os.Open(filepath.Join(root, filepath.FromSlash(rel)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	res, err := pipeline.Run(f, pipeline.Config{Templates: e.Templates})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// requireStoreMatchesExtraction holds a crawl's record store and counts
+// to extractFile: every table holds, in path order, the denormalized rows
+// of each of its format's files, and each structured file's whole-file
+// counts are the extraction's. Every format a structured file has has
+// one table per record type.
+func requireStoreMatchesExtraction(t *testing.T, root string, res *Result, reg *Registry, s *SegmentStore) {
+	t.Helper()
+	want := map[string][][]string{}
+	for _, f := range res.Files {
+		if f.Status != StatusDiscovered && f.Status != StatusMatched {
+			continue
+		}
+		e := reg.Lookup(f.Fingerprint)
+		ex := extractFile(t, root, f.Path, e)
+		if f.Inc.TotalRecords != len(ex.Records) || f.Inc.TotalNoise != len(ex.NoiseLines) {
+			t.Fatalf("%s: crawl counts %d records / %d noise, extraction %d / %d",
+				f.Path, f.Inc.TotalRecords, f.Inc.TotalNoise, len(ex.Records), len(ex.NoiseLines))
+		}
+		for typeID, st := range e.Templates {
+			name := tableName(f.Fingerprint, typeID)
+			want[name] = append(want[name], relational.BuildDenormalized(st, ex.Records, typeID, "").Rows...)
+		}
+	}
+	tables := s.Tables()
+	if len(tables) != len(want) {
+		t.Fatalf("store holds %d tables, the extractions %d", len(tables), len(want))
+	}
+	for _, ti := range tables {
+		sc, err := s.Scan(ti.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := want[ti.Name]
+		for i := 0; ; i++ {
+			row, err := sc.Next()
+			if err == io.EOF {
+				if i != len(rows) {
+					t.Fatalf("table %s: %d rows stored, %d extracted", ti.Name, i, len(rows))
+				}
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i >= len(rows) || !slices.Equal(row, rows[i]) {
+				t.Fatalf("table %s row %d: stored %q, extracted %q", ti.Name, i, row, rows[min(i, len(rows)-1)])
+			}
+		}
+		sc.Close()
+	}
 }
 
 // crawlWithStore runs one crawl with a store transaction and commits
@@ -83,30 +156,15 @@ func TestSegmentStoreRoundTrip(t *testing.T) {
 	if len(tables) == 0 {
 		t.Fatal("no tables after crawl")
 	}
-	// Every structured file contributes a segment; rows equal the
-	// extracted record counts.
-	wantRows := map[string]int{}
-	for _, f := range res.Files {
-		if f.Res == nil {
-			continue
-		}
-		for _, rec := range f.Res.Records {
-			wantRows[tableName(f.Fingerprint, rec.TypeID)]++
-		}
-	}
-	gotRows := map[string]int{}
+	// Every structured file contributes a segment; rows equal an
+	// extraction of the file outside the crawl.
+	requireStoreMatchesExtraction(t, root, res, reg, s)
 	for _, ti := range tables {
-		gotRows[ti.Name] = ti.Rows
 		if len(ti.Columns) == 0 {
 			t.Fatalf("table %s has no columns", ti.Name)
 		}
 		if len(ti.Kinds) != len(ti.Columns) {
 			t.Fatalf("table %s: %d kinds for %d columns", ti.Name, len(ti.Kinds), len(ti.Columns))
-		}
-	}
-	for name, want := range wantRows {
-		if gotRows[name] != want {
-			t.Fatalf("table %s: %d rows, want %d (all: %v)", name, gotRows[name], want, gotRows)
 		}
 	}
 
