@@ -67,6 +67,7 @@ func runCrawl(t *testing.T, crawl crawlFunc, root string, start crawlStart, cfg 
 	if err := txn.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	requireStoreRendersRecords(t, root, res, reg, store)
 	return res, reg, cps, store
 }
 
