@@ -118,15 +118,27 @@ func TestFollowResumeEquivalence(t *testing.T) {
 			cut := len(data) * 55 / 100
 			for _, workers := range workerSets {
 				path := filepath.Join(t.TempDir(), "grow.log")
-				cfg := follow.Config{ShardSize: 1 << 10, Workers: workers}
+				// extract runs one incremental extraction and returns the
+				// records and noise lines it delivered.
+				extract := func(cp *follow.Checkpoint) ([]core.RecordOut, []int, *follow.Checkpoint) {
+					var recs []core.RecordOut
+					var noise []int
+					_, ncp, err := follow.Extract(context.Background(), path, "grow.log", entry.Matchers(), "fp", cp, follow.Config{
+						ShardSize: 1 << 10,
+						Workers:   workers,
+						OnRecord:  func(r core.RecordOut) error { recs = append(recs, r); return nil },
+						OnNoise:   func(line int) error { noise = append(noise, line); return nil },
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return recs, noise, ncp
+				}
 
 				if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
 					t.Fatal(err)
 				}
-				res1, cp1, err := follow.Extract(context.Background(), path, "grow.log", entry.Matchers(), "fp", nil, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
+				recs1, noise1, cp1 := extract(nil)
 				if err := os.WriteFile(path, data, 0o644); err != nil {
 					t.Fatal(err)
 				}
@@ -137,21 +149,18 @@ func TestFollowResumeEquivalence(t *testing.T) {
 				if plan.Action != follow.ActionResume {
 					t.Fatalf("plan after append = %v (%s), want resume", plan.Action, plan.Reason)
 				}
-				res2, cp2, err := follow.Extract(context.Background(), path, "grow.log", entry.Matchers(), "fp", cp1, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
+				recs2, noise2, cp2 := extract(cp1)
 
 				// Stitch: run 1's output below the checkpoint is final;
 				// run 2 re-emits everything from the checkpoint on.
 				var stitched []core.RecordOut
 				for typeID := range tpls {
-					for _, r := range res1.Records {
+					for _, r := range recs1 {
 						if r.TypeID == typeID && r.StartLine < cp1.Line {
 							stitched = append(stitched, r)
 						}
 					}
-					for _, r := range res2.Records {
+					for _, r := range recs2 {
 						if r.TypeID == typeID {
 							stitched = append(stitched, r)
 						}
@@ -168,12 +177,12 @@ func TestFollowResumeEquivalence(t *testing.T) {
 				}
 
 				var noise []int
-				for _, n := range res1.NoiseLines {
+				for _, n := range noise1 {
 					if n < cp1.Line {
 						noise = append(noise, n)
 					}
 				}
-				noise = append(noise, res2.NoiseLines...)
+				noise = append(noise, noise2...)
 				if !reflect.DeepEqual(noise, oracle.NoiseLines) {
 					t.Fatalf("workers=%d: stitched noise %v != one-shot %v", workers, noise, oracle.NoiseLines)
 				}

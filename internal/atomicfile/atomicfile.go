@@ -43,14 +43,11 @@ func WriteBytes(path string, data []byte) error {
 // other users) and returns its path for the caller to rename into place
 // or remove. On failure nothing is left in dir.
 func Stage(dir string, fill func(io.Writer) error) (string, error) {
-	f, err := os.CreateTemp(dir, ".stage-*")
+	f, err := Create(dir)
 	if err != nil {
 		return "", err
 	}
-	err = f.Chmod(0o644)
-	if err == nil {
-		err = fill(f)
-	}
+	err = fill(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -59,4 +56,20 @@ func Stage(dir string, fill func(io.Writer) error) (string, error) {
 		return "", err
 	}
 	return f.Name(), nil
+}
+
+// Create is Stage for a writer that fills the file over time rather than
+// in one call: it returns the open temp file, hidden in dir with mode
+// 0644, for the caller to close and then rename into place or remove.
+func Create(dir string) (*os.File, error) {
+	f, err := os.CreateTemp(dir, ".stage-*")
+	if err != nil {
+		return nil, err
+	}
+	if err := f.Chmod(0o644); err != nil {
+		f.Close()
+		os.Remove(f.Name())
+		return nil, err
+	}
+	return f, nil
 }

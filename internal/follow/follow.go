@@ -129,47 +129,81 @@ type Config struct {
 	// Workers is the per-shard matching parallelism (0 means all
 	// cores). Worker count never changes any output.
 	Workers int
+	// OnBatch, OnRecord and OnNoise receive the extracted region's
+	// output as pipeline.Config's hooks of the same names do, in
+	// whole-file coordinates; at most one of OnBatch and OnRecord may be
+	// set. Extract keeps none of it: with neither set, the region's
+	// records are counted and dropped.
+	OnBatch  func(*pipeline.Batch) error
+	OnRecord func(core.RecordOut) error
+	OnNoise  func(line int) error
+}
+
+// Counts is what one Extract run found in the region it extracted.
+type Counts struct {
+	// Records counts the region's records per record type, and
+	// Provisional those of them that start at or past the successor
+	// checkpoint: the next resume emits them again.
+	Records, Provisional []int
+	// Noise counts the region's noise lines.
+	Noise int
+}
+
+// Total is the region's record count over every type.
+func (c Counts) Total() int {
+	n := 0
+	for _, r := range c.Records {
+		n += r
+	}
+	return n
 }
 
 // Extract applies a format's compiled templates to the file at path,
-// resuming at cp when given (nil extracts from byte 0). It returns the
-// delta result — the extraction of [cp.Offset, EOF) in whole-file
-// coordinates — and the successor checkpoint for relPath.
+// resuming at cp when given (nil extracts from byte 0). The records and
+// noise lines of the extracted region — [cp.Offset, EOF), in whole-file
+// coordinates — go to cfg's hooks as they are decided, so a run holds
+// one batch of them, never the region; Extract returns their counts and
+// the successor checkpoint for relPath.
 //
 // The equivalence contract: the records and noise of the previous runs
-// restricted to [0, cp.Offset), concatenated with this delta, are
+// restricted to [0, cp.Offset), concatenated with this run's, are
 // exactly the one-shot extraction of the whole file. The checkpoint's
 // cumulative counters track the finalized region so reports can state
 // whole-file totals without re-reading finalized bytes.
-func Extract(ctx context.Context, path, relPath string, matchers []*parser.Matcher, fingerprint string, cp *Checkpoint, cfg Config) (*core.Result, *Checkpoint, error) {
+func Extract(ctx context.Context, path, relPath string, matchers []*parser.Matcher, fingerprint string, cp *Checkpoint, cfg Config) (Counts, *Checkpoint, error) {
 	var baseOff int64
 	var baseLine, baseRecords, baseNoise int
 	if cp != nil {
 		baseOff, baseLine = cp.Offset, cp.Line
 		baseRecords, baseNoise = cp.Records, cp.Noise
 	}
+	n := Counts{Records: make([]int, len(matchers)), Provisional: make([]int, len(matchers))}
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, err
+		return Counts{}, nil, err
 	}
 	defer f.Close()
 	info, err := f.Stat()
 	if err != nil {
-		return nil, nil, err
+		return Counts{}, nil, err
 	}
 	size := info.Size()
 	if size < baseOff {
-		return nil, nil, fmt.Errorf("follow: %s shrank below checkpoint offset %d (size %d); replan required", relPath, baseOff, size)
+		return Counts{}, nil, fmt.Errorf("follow: %s shrank below checkpoint offset %d (size %d); replan required", relPath, baseOff, size)
 	}
 	if size == baseOff {
-		// Nothing beyond the checkpoint: the delta is empty and the
+		// Nothing beyond the checkpoint: the region is empty and the
 		// checkpoint only refreshes its size observation.
 		ncp := *checkpointOrZero(cp, relPath, fingerprint)
 		ncp.Size = size
-		return &core.Result{}, &ncp, nil
+		return n, &ncp, nil
 	}
 	if _, err := f.Seek(baseOff, io.SeekStart); err != nil {
-		return nil, nil, err
+		return Counts{}, nil, err
+	}
+	onBatch := cfg.OnBatch
+	if onBatch == nil && cfg.OnRecord == nil {
+		onBatch = func(*pipeline.Batch) error { return nil }
 	}
 	var boundary pipeline.Boundary
 	// Bound the read at the size observed above: a writer appending
@@ -182,21 +216,24 @@ func Extract(ctx context.Context, path, relPath string, matchers []*parser.Match
 		BaseLine:  baseLine,
 		BaseByte:  int(baseOff),
 		Boundary:  &boundary,
+		OnBatch:   onBatch,
+		OnRecord:  cfg.OnRecord,
+		OnNoise: func(line int) error {
+			n.Noise++
+			if cfg.OnNoise != nil {
+				return cfg.OnNoise(line)
+			}
+			return nil
+		},
 	})
 	if err != nil {
-		return nil, nil, err
+		return Counts{}, nil, err
 	}
-
-	recordsBelow, noiseBelow := 0, 0
-	for _, r := range res.Records {
-		if r.StartLine < boundary.Line {
-			recordsBelow++
-		}
-	}
-	for _, n := range res.NoiseLines {
-		if n < boundary.Line {
-			noiseBelow++
-		}
+	below := 0
+	for i, s := range res.Structures {
+		n.Records[i] = s.Records
+		n.Provisional[i] = s.Records - boundary.Records[i]
+		below += boundary.Records[i]
 	}
 	ncp := &Checkpoint{
 		Path:         relPath,
@@ -204,10 +241,10 @@ func Extract(ctx context.Context, path, relPath string, matchers []*parser.Match
 		Offset:       int64(boundary.Byte),
 		Line:         boundary.Line,
 		Size:         size,
-		Records:      baseRecords + recordsBelow,
-		Noise:        baseNoise + noiseBelow,
-		TotalRecords: baseRecords + len(res.Records),
-		TotalNoise:   baseNoise + len(res.NoiseLines),
+		Records:      baseRecords + below,
+		Noise:        baseNoise + boundary.Noise,
+		TotalRecords: baseRecords + n.Total(),
+		TotalNoise:   baseNoise + n.Noise,
 	}
 	ncp.PrefixLen = size
 	if ncp.PrefixLen > maxPrefixBytes {
@@ -217,9 +254,9 @@ func Extract(ctx context.Context, path, relPath string, matchers []*parser.Match
 	// between the extraction and the hash must not bind the old file's
 	// offsets to the new file's identity.
 	if ncp.PrefixSHA, err = hashPrefixAt(f, ncp.PrefixLen); err != nil {
-		return nil, nil, err
+		return Counts{}, nil, err
 	}
-	return res, ncp, nil
+	return n, ncp, nil
 }
 
 // Observe returns an identity-only checkpoint (no profile, no offsets)

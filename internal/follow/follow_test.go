@@ -3,15 +3,18 @@ package follow
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"datamaran/internal/core"
 	"datamaran/internal/datagen"
 	"datamaran/internal/parser"
 	"datamaran/internal/parser/parsertest"
+	"datamaran/internal/pipeline"
 	"datamaran/internal/template"
 )
 
@@ -53,7 +56,10 @@ func oneShot(t *testing.T, data []byte, tpls []*template.Node) *core.Result {
 // incrementally at each step, stitching the per-run deltas into the
 // whole-file record/noise streams the way a consumer of the subsystem
 // does: each run's output below its successor checkpoint is final; the
-// tail beyond it is replaced by the next run's re-emission.
+// tail beyond it is replaced by the next run's re-emission. Each step is
+// extracted twice, through OnRecord and through OnBatch: the two must
+// report the same counts and checkpoint, and the batches the same
+// records' types, start lines and field values.
 func incrementalRuns(t *testing.T, dir string, data []byte, cuts []int, tpls []*template.Node, cfg Config) ([]core.RecordOut, []int, *Checkpoint) {
 	t.Helper()
 	path := filepath.Join(dir, "grow.log")
@@ -74,19 +80,49 @@ func incrementalRuns(t *testing.T, dir string, data []byte, cuts []int, tpls []*
 		if cp != nil && plan.Action != ActionResume {
 			t.Fatalf("cut %d: plan = %v (%s), want resume", cut, plan.Action, plan.Reason)
 		}
-		res, ncp, err := Extract(context.Background(), path, "grow.log", compile(tpls), "fp", cp, cfg)
+		var recs []core.RecordOut
+		var noise []int
+		rcfg := cfg
+		rcfg.OnRecord = func(r core.RecordOut) error { recs = append(recs, r); return nil }
+		rcfg.OnNoise = func(line int) error { noise = append(noise, line); return nil }
+		n, ncp, err := Extract(context.Background(), path, "grow.log", compile(tpls), "fp", cp, rcfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		requireCounts(t, cut, n, ncp, cp, recs, noise)
+
+		var batched []string
+		bcfg := cfg
+		bcfg.OnBatch = func(b *pipeline.Batch) error {
+			for k := 0; k < b.Len(); k++ {
+				batched = append(batched, batchRecord(b, k))
+			}
+			return nil
+		}
+		bn, bcp, err := Extract(context.Background(), path, "grow.log", compile(tpls), "fp", cp, bcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(bn, n) || !reflect.DeepEqual(bcp, ncp) {
+			t.Fatalf("cut %d: OnBatch run counts %+v checkpoint %+v, OnRecord run %+v %+v", cut, bn, bcp, n, ncp)
+		}
+		var want []string
+		for _, r := range recs {
+			want = append(want, recordOutString(r))
+		}
+		if !slices.Equal(sortedStrings(batched), sortedStrings(want)) {
+			t.Fatalf("cut %d: batches hold other records than OnRecord received", cut)
+		}
+
 		tailRecs, tailNoise = tailRecs[:0], tailNoise[:0]
-		for _, r := range res.Records {
+		for _, r := range recs {
 			if r.StartLine < ncp.Line {
 				finalRecs = append(finalRecs, r)
 			} else {
 				tailRecs = append(tailRecs, r)
 			}
 		}
-		for _, n := range res.NoiseLines {
+		for _, n := range noise {
 			if n < ncp.Line {
 				finalNoise = append(finalNoise, n)
 			} else {
@@ -96,6 +132,59 @@ func incrementalRuns(t *testing.T, dir string, data []byte, cuts []int, tpls []*
 		cp = ncp
 	}
 	return append(finalRecs, tailRecs...), append(finalNoise, tailNoise...), cp
+}
+
+// requireCounts holds a run's counts and successor checkpoint to the
+// records and noise lines it delivered: per type, how many there are and
+// how many start at or past the new checkpoint; the checkpoint's
+// finalized counters advance by what lies below it.
+func requireCounts(t *testing.T, cut int, n Counts, ncp, cp *Checkpoint, recs []core.RecordOut, noise []int) {
+	t.Helper()
+	records, provisional := make([]int, len(n.Records)), make([]int, len(n.Records))
+	below, noiseBelow := 0, 0
+	for _, r := range recs {
+		records[r.TypeID]++
+		if r.StartLine >= ncp.Line {
+			provisional[r.TypeID]++
+		} else {
+			below++
+		}
+	}
+	for _, l := range noise {
+		if l < ncp.Line {
+			noiseBelow++
+		}
+	}
+	base := checkpointOrZero(cp, "", "")
+	if !slices.Equal(n.Records, records) || !slices.Equal(n.Provisional, provisional) || n.Noise != len(noise) ||
+		ncp.Records != base.Records+below || ncp.Noise != base.Noise+noiseBelow {
+		t.Fatalf("cut %d: counts %+v, checkpoint %d/%d finalized; delivered %v records (%v provisional), %d noise, %d/%d below line %d",
+			cut, n, ncp.Records-base.Records, ncp.Noise-base.Noise, records, provisional, len(noise), below, noiseBelow, ncp.Line)
+	}
+}
+
+// recordOutString renders a record's type, start line and field values.
+func recordOutString(r core.RecordOut) string {
+	s := fmt.Sprintf("%d@%d", r.TypeID, r.StartLine)
+	for _, f := range r.Fields {
+		s += fmt.Sprintf(" %d.%d=%q", f.Column, f.Repetition, f.Value)
+	}
+	return s
+}
+
+// batchRecord renders record k of a batch as recordOutString does.
+func batchRecord(b *pipeline.Batch, k int) string {
+	s := fmt.Sprintf("%d@%d", b.TypeID(), b.StartLine(k))
+	for _, f := range b.Fields(k) {
+		s += fmt.Sprintf(" %d.%d=%q", f.Col, f.Rep, b.Data()[f.Start:f.End])
+	}
+	return s
+}
+
+func sortedStrings(ss []string) []string {
+	out := slices.Clone(ss)
+	slices.Sort(out)
+	return out
 }
 
 // sortByStart orders stitched records the way the one-shot result lays

@@ -156,7 +156,7 @@ func copyRowsReference(sw *segWriter, in *os.File, ncols, skip, rows, limit int)
 		if err != nil {
 			return err
 		}
-		if err := sw.add(row); err != nil {
+		if err := addRow(sw, row); err != nil {
 			return err
 		}
 	}
@@ -395,7 +395,7 @@ func writeSynthSpan(t testing.TB, dir string, sp synthSpan, rev, ncols int) manS
 	}
 	sw := newSegWriter(f, ncols)
 	for _, row := range sp.rows {
-		if err := sw.add(row); err != nil {
+		if err := addRow(sw, row); err != nil {
 			t.Fatal(err)
 		}
 	}

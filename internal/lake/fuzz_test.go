@@ -91,7 +91,7 @@ func FuzzSegmentScan(f *testing.F) {
 		var buf bytes.Buffer
 		sw := newSegWriter(&buf, 3)
 		for _, row := range rows {
-			if err := sw.add(row); err != nil {
+			if err := addRow(sw, row); err != nil {
 				f.Fatal(err)
 			}
 		}

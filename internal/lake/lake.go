@@ -601,48 +601,47 @@ func discoverTemplates(ctx context.Context, sample []byte, opts core.Options) ([
 // pipeline with its format's compiled templates, by way of the follow
 // layer: it resumes at the file's checkpoint (when one survived
 // planning, else it extracts from byte 0) and records the successor
-// checkpoint. The file's records are dropped once they are staged in the
-// record store: the crawl keeps only their counts.
+// checkpoint. With a record store, each batch of the file's records is
+// written into the file's staged segments as it is decided (see
+// pathWriter), and the segments are installed once the extraction has
+// ended; the crawl keeps only the counts.
 func extractOne(ctx context.Context, root string, fr *FileResult, e *Entry, resume *follow.Checkpoint, cfg Config) {
-	full := filepath.Join(root, filepath.FromSlash(fr.Path))
-	res, ncp, err := follow.Extract(ctx, full, fr.Path, e.Matchers(), e.Fingerprint, resume, follow.Config{Workers: 1})
-	if err != nil {
+	fail := func(err error) {
 		fr.Status = StatusFailed
 		fr.Err = err
+	}
+	full := filepath.Join(root, filepath.FromSlash(fr.Path))
+	fcfg := follow.Config{Workers: 1}
+	var w *pathWriter
+	if cfg.Segments != nil {
+		var err error
+		if w, err = cfg.Segments.writePath(fr.Path, e.Fingerprint, e.Templates, resume != nil); err != nil {
+			fail(err)
+			return
+		}
+		fcfg.OnBatch = w.add
+	}
+	n, ncp, err := follow.Extract(ctx, full, fr.Path, e.Matchers(), e.Fingerprint, resume, fcfg)
+	if w != nil {
+		if err == nil {
+			err = w.commit(n.Provisional)
+		} else {
+			w.abort()
+		}
+	}
+	if err != nil {
+		fail(err)
 		return
 	}
+	cfg.Checkpoints.Put(ncp)
 	// The records and noise lines finalized before the extracted region.
 	var baseRecords, baseNoise int
 	if resume != nil {
 		baseRecords, baseNoise = resume.Records, resume.Noise
 	}
-	// Rows past the new checkpoint's finalized boundary are provisional:
-	// the next resume re-emits them, so the store remembers, per record
-	// type, how many to truncate before appending.
-	prov := baseRecords + len(res.Records) - ncp.Records
-	if err := storeRecords(cfg, fr, e, res, resume != nil, prov); err != nil {
-		fr.Status = StatusFailed
-		fr.Err = err
-		return
-	}
-	cfg.Checkpoints.Put(ncp)
-	fr.Inc.Extracted = len(res.Records)
-	fr.Inc.TotalRecords = baseRecords + len(res.Records)
-	fr.Inc.TotalNoise = baseNoise + len(res.NoiseLines)
-}
-
-// storeRecords stages one extracted file's rows into the record store:
-// resumed extractions (which cover only [checkpoint, EOF)) append to
-// the file's segments, full ones rewrite them. provisional counts the
-// records past the new checkpoint, which it did not finalize.
-func storeRecords(cfg Config, fr *FileResult, e *Entry, res *core.Result, resumed bool, provisional int) error {
-	if cfg.Segments == nil {
-		return nil
-	}
-	if resumed {
-		return cfg.Segments.Append(fr.Path, e.Fingerprint, e.Templates, res.Records, provisional)
-	}
-	return cfg.Segments.Rewrite(fr.Path, e.Fingerprint, e.Templates, res.Records, provisional)
+	fr.Inc.Extracted = n.Total()
+	fr.Inc.TotalRecords = baseRecords + n.Total()
+	fr.Inc.TotalNoise = baseNoise + n.Noise
 }
 
 // summarize aggregates the per-file outcomes.

@@ -283,7 +283,7 @@ func TestScanMixedV1V2Segments(t *testing.T) {
 	}
 	sw := newSegWriter(f, ncols)
 	for _, row := range v2rows {
-		if err := sw.add(row); err != nil {
+		if err := addRow(sw, row); err != nil {
 			t.Fatal(err)
 		}
 	}

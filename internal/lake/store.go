@@ -1,7 +1,6 @@
 package lake
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
@@ -12,17 +11,13 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 
 	"datamaran/internal/atomicfile"
-	"datamaran/internal/core"
-	"datamaran/internal/relational"
 	"datamaran/internal/semtype"
-	"datamaran/internal/template"
 )
 
 // The record store: per-format columnar segments written next to the
@@ -1439,416 +1434,6 @@ func decodeFooter(blob []byte) (*segFooter, error) {
 	return foot, nil
 }
 
-// segWriter streams denormalized rows into v2 column-major blocks,
-// folding semtype classification over each block as it flushes — the
-// derived kinds depend only on the row sequence, not on how callers
-// batch their writes, so an incremental append that replays the kept
-// rows re-derives exactly the kinds a from-scratch write would. It
-// also collects the per-block zone maps and per-column distinct
-// estimates that finish writes into the stats footer. Blocks that
-// already exist encoded enter through passBlock (a resume: observed,
-// not re-encoded) or spliceBlocks (compaction: not even decoded, which
-// is why it ends its file with writeFooter instead of finish).
-//
-// A writer is borrowed (newSegWriter) and given back (release): the
-// column buffers, the encode buffers, the distinct sets, the zone-map
-// and footer storage and the file buffer are what a crawl worker writes
-// every file of the crawl through, sized by the widest table and the
-// fullest block it has seen. What a segment hands out — the kinds and
-// distinct counts that go into the manifest — is allocated for it.
-type segWriter struct {
-	w      *bufio.Writer
-	ncols  int
-	cols   [][]string
-	colBuf [][]byte
-	kinds  []semtype.Kind
-	rows   int
-	blocks []footBlock
-	// zones is the storage of the zone maps this writer computed: block
-	// k's are a run of it (blocks that arrive encoded bring their own).
-	zones    []colZone
-	distinct []map[string]struct{}
-	foot     []byte
-}
-
-var segWriterPool = sync.Pool{New: func() any { return &segWriter{w: bufio.NewWriter(nil)} }}
-
-// newSegWriter borrows a writer of ncols-column rows onto w. The caller
-// gives it back with release once the segment is finished or given up.
-func newSegWriter(w io.Writer, ncols int) *segWriter {
-	return segWriterPool.Get().(*segWriter).reset(w, ncols)
-}
-
-// reset points the writer at a new segment.
-func (sw *segWriter) reset(w io.Writer, ncols int) *segWriter {
-	sw.w.Reset(w)
-	sw.ncols, sw.rows, sw.kinds = ncols, 0, nil
-	sw.cols, sw.colBuf, sw.distinct = widen(sw.cols, ncols), widen(sw.colBuf, ncols), widen(sw.distinct, ncols)
-	return sw
-}
-
-// widen returns s with length n, keeping what its capacity already holds:
-// a column's buffer survives a narrower table in between.
-func widen[T any](s []T, n int) []T {
-	s = s[:cap(s)]
-	if len(s) < n {
-		s = append(s, make([]T, n-len(s))...)
-	}
-	return s[:n]
-}
-
-// release gives the writer back, holding on to nothing of the segment.
-func (sw *segWriter) release() {
-	sw.forget()
-	segWriterPool.Put(sw)
-}
-
-// forget drops every string the writer kept of its segment — buffered
-// cells, zone bounds, distinct values: each is a substring of some batch's
-// record text, and a pooled writer that still pointed at one would keep
-// that whole slab alive.
-func (sw *segWriter) forget() {
-	for c := range sw.cols {
-		clear(sw.cols[c])
-		sw.cols[c] = sw.cols[c][:0]
-		clear(sw.distinct[c])
-	}
-	clear(sw.blocks)
-	clear(sw.zones)
-	sw.blocks, sw.zones = sw.blocks[:0], sw.zones[:0]
-	sw.w.Reset(nil)
-}
-
-func (sw *segWriter) putUvarint(v uint64) error {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	_, err := sw.w.Write(buf[:n])
-	return err
-}
-
-// buffered is the number of rows waiting in the block buffer.
-func (sw *segWriter) buffered() int {
-	if sw.ncols == 0 {
-		return 0
-	}
-	return len(sw.cols[0])
-}
-
-// add buffers one row, flushing a block when full.
-func (sw *segWriter) add(row []string) error {
-	for c := 0; c < sw.ncols; c++ {
-		sw.cols[c] = append(sw.cols[c], row[c])
-	}
-	sw.rows++
-	if sw.buffered() >= segBlockRows {
-		return sw.flushBlock()
-	}
-	return nil
-}
-
-// addColumns buffers the first n rows of a column-major batch, flushing
-// at every block boundary — what add would do with the same rows one at
-// a time, without the transpose.
-func (sw *segWriter) addColumns(cols [][]string, n int) error {
-	for lo := 0; lo < n; {
-		take := min(n-lo, segBlockRows-sw.buffered())
-		for c := range sw.cols {
-			sw.cols[c] = append(sw.cols[c], cols[c][lo:lo+take]...)
-		}
-		sw.rows += take
-		lo += take
-		if sw.buffered() >= segBlockRows {
-			if err := sw.flushBlock(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// zoneNumber is strconv.ParseFloat(v, 64) for the values a zone map can
-// use — ok is false where ParseFloat fails or yields NaN. An optionally
-// signed run of at most 15 decimal digits is below 2^53, so its float64
-// is exact and is the integer itself: most numeric cells of a log are
-// such, and skip the general parser. A negative zero is left to it
-// ("-0" parses to -0.0, which the integer path would lose).
-func zoneNumber(v string) (f float64, ok bool) {
-	digits := v
-	if len(digits) > 0 && (digits[0] == '-' || digits[0] == '+') {
-		digits = digits[1:]
-	}
-	if n := len(digits); n > 0 && n <= 15 {
-		u := uint64(0)
-		for i := 0; i < n; i++ {
-			d := digits[i] - '0'
-			if d > 9 {
-				return zoneNumberSlow(v)
-			}
-			u = u*10 + uint64(d)
-		}
-		if v[0] != '-' {
-			return float64(u), true
-		}
-		if u != 0 {
-			return -float64(u), true
-		}
-	}
-	return zoneNumberSlow(v)
-}
-
-func zoneNumberSlow(v string) (float64, bool) {
-	f, err := strconv.ParseFloat(v, 64)
-	return f, err == nil && !math.IsNaN(f)
-}
-
-// blockZones computes the zone maps of one buffered block into zones,
-// one per column.
-func blockZones(cols [][]string, zones []colZone) footBlock {
-	fb := footBlock{rows: len(cols[0]), cols: zones}
-	for c, vals := range cols {
-		z := colZone{allNumeric: true}
-		for i, v := range vals {
-			if i == 0 || v < z.lexMin {
-				z.lexMin = v
-			}
-			if i == 0 || v > z.lexMax {
-				z.lexMax = v
-			}
-			if !z.allNumeric {
-				continue
-			}
-			f, ok := zoneNumber(v)
-			if !ok {
-				z.allNumeric = false
-				continue
-			}
-			if i == 0 || f < z.numMin {
-				z.numMin = f
-			}
-			if i == 0 || f > z.numMax {
-				z.numMax = f
-			}
-		}
-		fb.cols[c] = z
-	}
-	return fb
-}
-
-// observe folds one block's values into what a segment derives from
-// values rather than bytes: the running kinds and the distinct sets. A
-// value equal to the one before it is in its set already — runs are what
-// log columns are made of (a host, a status, a date), and the comparison
-// is a fraction of the hash and probe it saves.
-func (sw *segWriter) observe(cols [][]string) {
-	sw.foldKinds(cols)
-	for c, vals := range cols {
-		m := sw.distinct[c]
-		if m == nil {
-			m = make(map[string]struct{})
-			sw.distinct[c] = m
-		}
-		for i, v := range vals {
-			if len(m) >= segDistinctCap {
-				break
-			}
-			if i > 0 && v == vals[i-1] {
-				continue
-			}
-			m[v] = struct{}{}
-		}
-	}
-}
-
-// foldKinds classifies the block's column values and merges them into
-// the running kinds.
-func (sw *segWriter) foldKinds(cols [][]string) {
-	if len(cols) == 0 || len(cols[0]) == 0 {
-		return
-	}
-	first := sw.kinds == nil
-	if first {
-		sw.kinds = make([]semtype.Kind, len(cols))
-	}
-	for c, vals := range cols {
-		if k := semtype.ClassifyValues(vals); first {
-			sw.kinds[c] = k
-		} else {
-			sw.kinds[c] = semtype.MergeKinds(sw.kinds[c], k)
-		}
-	}
-}
-
-func (sw *segWriter) flushBlock() error {
-	n := sw.buffered()
-	if n == 0 {
-		return nil
-	}
-	sw.observe(sw.cols)
-	lo := len(sw.zones)
-	sw.zones = slices.Grow(sw.zones, sw.ncols)[:lo+sw.ncols]
-	sw.blocks = append(sw.blocks, blockZones(sw.cols, sw.zones[lo:lo+sw.ncols:lo+sw.ncols]))
-	// Encode each column's cells up front so the block header can carry
-	// their byte lengths — what lets a reader skip a column unread.
-	var tmp [binary.MaxVarintLen64]byte
-	for c := 0; c < sw.ncols; c++ {
-		buf := sw.colBuf[c][:0]
-		for _, v := range sw.cols[c] {
-			w := binary.PutUvarint(tmp[:], uint64(len(v)))
-			buf = append(buf, tmp[:w]...)
-			buf = append(buf, v...)
-		}
-		sw.colBuf[c] = buf
-		// Emptied, not just truncated: see forget.
-		clear(sw.cols[c])
-		sw.cols[c] = sw.cols[c][:0]
-	}
-	return sw.writeBlock(n, sw.colBuf)
-}
-
-// writeBlock writes one block: its row count, each column's byte
-// length, then the columns' encoded cells.
-func (sw *segWriter) writeBlock(n int, encoded [][]byte) error {
-	if err := sw.putUvarint(uint64(n)); err != nil {
-		return err
-	}
-	for _, col := range encoded {
-		if err := sw.putUvarint(uint64(len(col))); err != nil {
-			return err
-		}
-	}
-	for _, col := range encoded {
-		if _, err := sw.w.Write(col); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// passBlock writes a block that is already encoded: cols are its decoded
-// cells, encoded the column bytes they were decoded from and zones the
-// zone map the source footer held for it. The caller guarantees the
-// block buffer is empty and the block full, so these are the bytes
-// flushBlock would have produced from cols.
-func (sw *segWriter) passBlock(cols [][]string, encoded [][]byte, zones footBlock) error {
-	sw.observe(cols)
-	sw.blocks = append(sw.blocks, zones)
-	sw.rows += zones.rows
-	return sw.writeBlock(zones.rows, encoded)
-}
-
-// spliceBlocks appends blocks that exist encoded in another file,
-// unseen: size bytes of whole blocks from encoded, holding rows rows,
-// and the zone maps their source footer held for them. Nothing is
-// decoded, so nothing is observed — the caller already has the kinds
-// and distinct counts of these rows. The block buffer must be empty.
-func (sw *segWriter) spliceBlocks(encoded io.Reader, size int64, zones []footBlock, rows int) error {
-	copied, err := io.Copy(sw.w, encoded)
-	if err == nil && copied != size {
-		err = io.ErrUnexpectedEOF
-	}
-	sw.blocks = append(sw.blocks, zones...)
-	sw.rows += rows
-	return err
-}
-
-// distincts snapshots the per-column distinct estimates.
-func (sw *segWriter) distincts() []int {
-	out := make([]int, sw.ncols)
-	for c, m := range sw.distinct {
-		out[c] = len(m)
-	}
-	return out
-}
-
-// finish flushes the residual block and closes the file with the stats
-// footer, and returns the folded kinds, the total row count and the
-// distinct estimates.
-func (sw *segWriter) finish() ([]semtype.Kind, int, []int, error) {
-	if err := sw.flushBlock(); err != nil {
-		return nil, 0, nil, err
-	}
-	dist := sw.distincts()
-	if err := sw.writeFooter(dist); err != nil {
-		return nil, 0, nil, err
-	}
-	kinds := sw.kinds
-	if kinds == nil {
-		kinds = make([]semtype.Kind, sw.ncols)
-		for i := range kinds {
-			kinds[i] = semtype.KindString
-		}
-	}
-	return kinds, sw.rows, dist, nil
-}
-
-// writeFooter ends the file: the end-of-blocks sentinel, the stats
-// footer over every block written and its length trailer.
-func (sw *segWriter) writeFooter(distincts []int) error {
-	if err := sw.putUvarint(0); err != nil {
-		return err
-	}
-	sw.foot = appendFooter(sw.foot[:0], sw.blocks, distincts)
-	if _, err := sw.w.Write(sw.foot); err != nil {
-		return err
-	}
-	var tr [8]byte
-	binary.LittleEndian.PutUint64(tr[:], uint64(len(sw.foot)))
-	if _, err := sw.w.Write(tr[:]); err != nil {
-		return err
-	}
-	return sw.w.Flush()
-}
-
-// addRecords feeds recs' rows of one record type through the writer.
-func addRecords(sw *segWriter, st *template.Node, recs []core.RecordOut, typeID int) error {
-	dn := relational.NewDenormalizer(st)
-	var row []string
-	for i := range recs {
-		if recs[i].TypeID != typeID {
-			continue
-		}
-		row = dn.Row(recs[i].Fields, row)
-		if err := sw.add(row); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// provisionalByType counts, per record type, how many of the k
-// provisional records each type contributes — the not-yet-finalized rows
-// the next resume will re-emit, which Append truncates before appending.
-// What an extraction's checkpoint finalizes is a prefix of the file's
-// lines, so the k provisional records are the k that start last, whatever
-// their types and wherever they sit in recs (which holds one type after
-// the other, each in line order): walking recs backwards, the first k
-// records met of each type are that type's last k, and the k latest
-// starts among those are the provisional ones.
-func provisionalByType(recs []core.RecordOut, ntypes, k int) []int {
-	counts := make([]int, ntypes)
-	if k <= 0 {
-		return counts
-	}
-	type tail struct{ start, typeID int }
-	var tails []tail
-	seen := make([]int, ntypes)
-	for i, full := len(recs)-1, 0; i >= 0 && full < ntypes; i-- {
-		t := recs[i].TypeID
-		if t < 0 || t >= ntypes || seen[t] == k {
-			continue
-		}
-		if seen[t]++; seen[t] == k {
-			full++
-		}
-		tails = append(tails, tail{recs[i].StartLine, t})
-	}
-	slices.SortFunc(tails, func(a, b tail) int { return b.start - a.start })
-	for _, tl := range tails[:min(k, len(tails))] {
-		counts[tl.typeID]++
-	}
-	return counts
-}
-
 // segFileName derives the segment filename of one (source file, type,
 // revision) triple — a hash, so arbitrary lake paths map onto flat
 // store names. Revision 0 (the fresh-crawl case) keeps the historical
@@ -1893,68 +1478,6 @@ func (s *SegmentStore) Begin() *StoreTxn {
 	}
 }
 
-// Rewrite replaces relPath's contribution with recs: one staged segment
-// per record type of the format (empty segments included, so later
-// appends and truncations have a base). provisional is the count of
-// records, of whatever type, that start at or past the extraction's
-// checkpoint and are not yet final; provisionalByType gives each
-// segment its share.
-func (t *StoreTxn) Rewrite(relPath, fp string, templates []*template.Node, recs []core.RecordOut, provisional int) error {
-	t.mu.Lock()
-	rev := t.nextRevLocked(relPath)
-	t.dropLocked(relPath)
-	t.mu.Unlock()
-	prov := provisionalByType(recs, len(templates), provisional)
-	for typeID, st := range templates {
-		name := segFileName(relPath, typeID, rev)
-		tmp, kinds, rows, dist, err := t.stageSegment(st.NumFields(), func(sw *segWriter) error {
-			return addRecords(sw, st, recs, typeID)
-		})
-		if err != nil {
-			return err
-		}
-		t.mu.Lock()
-		t.staged[name] = tmp
-		delete(t.doomed, name)
-		tbl := t.man.table(fp, typeID)
-		if tbl == nil {
-			t.man.Tables = append(t.man.Tables, manTable{
-				Fingerprint: fp,
-				Type:        typeID,
-				Columns:     columnNames(st.NumFields()),
-			})
-			tbl = &t.man.Tables[len(t.man.Tables)-1]
-		}
-		tbl.Segments = append(tbl.Segments, manSeg{
-			Path: relPath, File: name, Rev: rev, Rows: rows, Provisional: prov[typeID], Kinds: kinds, Distincts: dist,
-		})
-		t.touched[relPath] = true
-		t.mu.Unlock()
-	}
-	return nil
-}
-
-// stageSegment writes one segment of ncols columns to a temp file in the
-// store directory — the magic, the rows fill feeds the writer, the stats
-// footer — and returns the file's path with what the segment derived from
-// its rows. A failed write leaves no file behind.
-func (t *StoreTxn) stageSegment(ncols int, fill func(*segWriter) error) (path string, kinds []semtype.Kind, rows int, dist []int, err error) {
-	path, err = atomicfile.Stage(t.s.dir, func(w io.Writer) error {
-		sw := newSegWriter(w, ncols)
-		defer sw.release()
-		if _, err := sw.w.Write(segMagicV2); err != nil {
-			return err
-		}
-		if err := fill(sw); err != nil {
-			return err
-		}
-		var err error
-		kinds, rows, dist, err = sw.finish()
-		return err
-	})
-	return path, kinds, rows, dist, err
-}
-
 // nextRevLocked picks the write revision for relPath's next segment
 // files: one past the highest revision any table holds for the path (0
 // for a first write). Revisions are monotonic within the transaction,
@@ -1969,88 +1492,6 @@ func (t *StoreTxn) nextRevLocked(relPath string) int {
 		}
 	}
 	return rev
-}
-
-// Append extends relPath's existing segments with recs — the resume
-// path of the incremental crawl, which extracts [checkpoint, EOF): the
-// previously-provisional tail rows are truncated (the resume re-emits
-// them) and the new rows appended, replaying the kept rows so the
-// result is byte-identical to a from-scratch rewrite of the whole
-// file. provisional is the count of recs not finalized by the new
-// checkpoint. The crawl only plans a resume when Covers is true,
-// so a missing base segment is an invariant violation, not a fallback.
-func (t *StoreTxn) Append(relPath, fp string, templates []*template.Node, recs []core.RecordOut, provisional int) error {
-	prov := provisionalByType(recs, len(templates), provisional)
-	t.mu.Lock()
-	rev := t.nextRevLocked(relPath)
-	t.mu.Unlock()
-	for typeID, st := range templates {
-		name := segFileName(relPath, typeID, rev)
-		t.mu.Lock()
-		seg := segOf(t.man.table(fp, typeID), relPath)
-		if seg == nil {
-			t.mu.Unlock()
-			return fmt.Errorf("lake: append to %s type %d: no base segment for %s", fp, typeID, relPath)
-		}
-		spanRows, keep := seg.Rows, seg.Rows-seg.Provisional
-		skip := seg.RowOff
-		oldName := seg.File
-		src, isStaged := t.staged[oldName]
-		t.mu.Unlock()
-		if !isStaged {
-			src = filepath.Join(t.s.dir, oldName)
-		}
-		in, err := os.Open(src)
-		for attempt := 0; errors.Is(err, os.ErrNotExist) && !isStaged && attempt < scanOpenRetries; attempt++ {
-			// A compaction published since Begin moved the span and
-			// unlinked the file it was in: the same rows under a new
-			// (File, RowOff) in the store's current manifest. A span
-			// that changed in any other way was rewritten by another
-			// transaction, which is not this one's to merge.
-			cur := segOf(t.s.snapshot().table(fp, typeID), relPath)
-			if cur == nil || cur.Rows != spanRows || cur.Provisional != spanRows-keep {
-				break
-			}
-			oldName, skip = cur.File, cur.RowOff
-			in, err = os.Open(filepath.Join(t.s.dir, oldName))
-		}
-		if err != nil {
-			return err
-		}
-		tmp, kinds, rows, dist, err := t.stageSegment(st.NumFields(), func(sw *segWriter) error {
-			if err := copyRows(sw, in, st.NumFields(), skip, spanRows, keep); err != nil {
-				return err
-			}
-			return addRecords(sw, st, recs, typeID)
-		})
-		in.Close()
-		if err != nil {
-			return err
-		}
-		t.mu.Lock()
-		// The appended result publishes under a fresh revision; the base
-		// file is doomed (or its staged bytes discarded) — never
-		// mutated, so pinned readers keep their snapshot.
-		if old, ok := t.staged[oldName]; ok {
-			os.Remove(old)
-			delete(t.staged, oldName)
-		} else {
-			t.doomed[oldName] = true
-		}
-		t.staged[name] = tmp
-		delete(t.doomed, name)
-		seg = segOf(t.man.table(fp, typeID), relPath)
-		seg.File = name
-		seg.Rev = rev
-		seg.Rows = rows
-		seg.Provisional = prov[typeID]
-		seg.Kinds = kinds
-		seg.Distincts = dist
-		seg.RowOff = 0
-		t.touched[relPath] = true
-		t.mu.Unlock()
-	}
-	return nil
 }
 
 // copyRows replays the first limit rows of a span — rows rows starting
@@ -2078,7 +1519,7 @@ func copyRows(sw *segWriter, in *os.File, ncols, skip, rows, limit int) error {
 			return err
 		}
 		sr := sc.cur
-		if sr.version < 2 || b.Rows != segBlockRows || copied+b.Rows > limit || sw.buffered() > 0 {
+		if sr.version < 2 || b.Rows != segBlockRows || copied+b.Rows > limit || sw.nbuf > 0 {
 			n := min(b.Rows, limit-copied)
 			if err := sw.addColumns(b.Cols, n); err != nil {
 				return err
@@ -2096,7 +1537,7 @@ func copyRows(sw *segWriter, in *os.File, ncols, skip, rows, limit int) error {
 		if err != nil {
 			return fmt.Errorf("lake: segment %s: %w", span.File, err)
 		}
-		if err := sw.passBlock(b.Cols, sr.bufs, zones); err != nil {
+		if err := sw.passBlock(sr.bufs, zones); err != nil {
 			return err
 		}
 		copied += b.Rows

@@ -542,8 +542,8 @@ func TestZoneNumberIsParseFloat(t *testing.T) {
 // TestSegWriterReuse puts three segments of different widths through one
 // writer, as a crawl worker does: each must come out as the bytes, kinds
 // and counts a writer of its own produces, and between segments the writer
-// must hold none of the strings it was fed — every one is a substring of a
-// record slab a pooled writer would otherwise keep alive.
+// must hold none of the values it was fed — zone bounds, distinct values,
+// views of its last block — which a pooled writer would otherwise carry.
 func TestSegWriterReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	type segment struct {
@@ -565,7 +565,7 @@ func TestSegWriterReuse(t *testing.T) {
 		var buf bytes.Buffer
 		sw.reset(&buf, seg.ncols)
 		for _, row := range seg.rows {
-			if err := sw.add(row); err != nil {
+			if err := addRow(sw, row); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -585,7 +585,7 @@ func TestSegWriterReuse(t *testing.T) {
 				i, seg.ncols, len(gotBytes), gotStats, len(wantBytes), wantStats)
 		}
 		shared.forget()
-		for c, col := range shared.cols[:cap(shared.cols)] {
+		for c, col := range shared.views[:cap(shared.views)] {
 			for _, v := range col[:cap(col)] {
 				if v != "" {
 					t.Fatalf("after segment %d the writer still holds cell %q of column %d", i, v, c)

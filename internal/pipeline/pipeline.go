@@ -29,16 +29,18 @@
 // way, and a longer stream learns its templates from the prefix rather
 // than from stratified whole-input samples.
 //
-// Callbacks. OnRecord and OnNoise run on the goroutine that called the
-// run, never concurrently. OnNoise receives a line as the greedy walk
+// Callbacks. OnRecord, OnBatch and OnNoise run on the goroutine that
+// called the run, never concurrently. OnNoise receives a line as the greedy walk
 // decides it. A batch's records reach OnRecord (or Result.Records) while
 // the workers fill the next batch's slabs: one batch behind, in the order
 // the batches were materialized, the last one when the input ends. So each
 // record type's records arrive in input order, types interleave batch by
 // batch, noise indices arrive in increasing order, and neither sequence
 // depends on Workers. At one worker nothing runs concurrently: the
-// previous batch is delivered, then the next one filled. An error from
-// either callback stops the run, and no callback follows it.
+// previous batch is delivered, then the next one filled. OnBatch takes
+// materialization's place: it receives each batch as the greedy walk
+// accepts it, in the same order, and no record is built. An error from
+// any callback stops the run, and no callback follows it.
 //
 // Memory. Each stage retains at most about two shards of residue (plus
 // any single record still being completed across a shard boundary), so the
@@ -131,6 +133,13 @@ type Config struct {
 	// call (it keeps its batch's storage reachable: see the package
 	// comment, "Memory"). A non-nil error aborts the run.
 	OnRecord func(core.RecordOut) error
+	// OnBatch, when non-nil, receives each batch's accepted records as the
+	// matcher found them (see Batch) instead of records: nothing is
+	// materialized, OnRecord must be nil and Result.Records stays empty.
+	// It is how a consumer that re-encodes the fields anyway — the lake's
+	// record store — skips building records it would take apart at once.
+	// A non-nil error aborts the run.
+	OnBatch func(*Batch) error
 	// OnNoise, when non-nil, receives each final noise line's original
 	// index as it is decided instead of the index being accumulated
 	// into Result.NoiseLines — without it, streaming memory grows with
@@ -179,7 +188,39 @@ type Boundary struct {
 	// Byte is the original byte offset of that line's first byte (== the
 	// total byte count when everything is stable).
 	Byte int
+	// Records counts, per record type, the run's records that start below
+	// the boundary, and Noise its noise lines below it: what a run resumed
+	// at the boundary does not emit again. Everything the run decided
+	// before the boundary was taken lies below it, and everything it
+	// decides after at or past it, so these are counts, not a scan.
+	Records []int
+	Noise   int
 }
+
+// Batch is one stage batch's accepted records as the one-pass match found
+// them (Config.OnBatch): the stage's resident window and, per record, its
+// start line and its field occurrences, whose Start and End index Data.
+// It views the stage's scratch — nothing is copied or allocated for it —
+// so it is valid only during the OnBatch call. Records are in input order.
+type Batch struct {
+	st *stage
+}
+
+// TypeID is the record type (the stage) of every record in the batch.
+func (b *Batch) TypeID() int { return b.st.typeID }
+
+// Len is the number of records in the batch.
+func (b *Batch) Len() int { return len(b.st.accepted) }
+
+// Data is the window the records' field occurrences index.
+func (b *Batch) Data() []byte { return b.st.buf }
+
+// StartLine is record k's first line in original-stream coordinates.
+func (b *Batch) StartLine(k int) int { return b.st.meta[b.st.accepted[k]].orig }
+
+// Fields returns record k's field occurrences in flatten order; each
+// value is Data()[f.Start:f.End].
+func (b *Batch) Fields(k int) []parser.FieldOcc { return b.st.cands.Fields(b.st.accepted[k]) }
 
 func (c Config) withDefaults() Config {
 	if c.ShardSize <= 0 {
@@ -233,6 +274,11 @@ type stageScratch struct {
 	out      [2][]core.RecordOut
 	// cur is the header buffer the stage's last batch was filled into.
 	cur int
+	// recent holds, in order, the start lines of the stage's accepted
+	// records that a checkpoint boundary could still fall at or before:
+	// those at or past the earliest line some stage has not decided (see
+	// engine.settle). Kept only when Config.Boundary is set.
+	recent []int
 }
 
 // scratch is what one run borrows: the buffer its reader's chunks are read
@@ -292,7 +338,7 @@ func (sc *scratch) stage(t int) *stageScratch {
 		sc.stages = append(sc.stages, new(stageScratch))
 	}
 	s := sc.stages[t]
-	s.buf, s.meta = s.buf[:0], s.meta[:0]
+	s.buf, s.meta, s.recent = s.buf[:0], s.meta[:0], s.recent[:0]
 	s.lines.Reset(s.buf)
 	return s
 }
@@ -303,7 +349,7 @@ func (sc *scratch) footprint() int {
 	for _, s := range sc.stages {
 		n += cap(s.buf) + s.lines.IndexBytes() + s.cands.Footprint() +
 			cap(s.meta)*int(unsafe.Sizeof(lineMeta{})) +
-			cap(s.accepted)*int(unsafe.Sizeof(0)) +
+			(cap(s.accepted)+cap(s.recent))*int(unsafe.Sizeof(0)) +
 			(cap(s.out[0])+cap(s.out[1]))*int(unsafe.Sizeof(core.RecordOut{}))
 	}
 	return n
@@ -315,6 +361,8 @@ type engine struct {
 	structures []core.Structure // one per stage, in application order
 	stages     []*stage
 	noise      []int
+	// noiseLines counts the final noise lines, streamed or kept.
+	noiseLines int
 	nextLine   int // original line counter of the input feed
 	nextByte   int // original byte counter of the input feed
 	// pending is the last batch materialized, its headers not yet
@@ -409,6 +457,8 @@ func start(ctx context.Context, cfg Config, sc *scratch, prefix []byte) (*engine
 	e := &engine{cfg: cfg, nextLine: cfg.BaseLine, nextByte: cfg.BaseByte}
 	matchers := cfg.Matchers
 	switch {
+	case cfg.OnBatch != nil && cfg.OnRecord != nil:
+		return nil, errors.New("pipeline: OnBatch and OnRecord both set")
 	case len(matchers) > 0 && len(cfg.Templates) > 0:
 		return nil, errors.New("pipeline: Matchers and Templates both set")
 	case len(matchers) > 0:
@@ -518,17 +568,29 @@ func (e *engine) finish(ctx context.Context) (*core.Result, error) {
 
 // boundary returns the earliest original coordinate still held in any
 // stage's residue window — the stable checkpoint boundary once every
-// stage has drained its decidable prefix. With every window empty, the
-// whole input is stable and the boundary is its end. A window's first
+// stage has drained its decidable prefix — with what has been decided
+// below it. With every window empty, the whole input is stable and the
+// boundary is its end. A window's first
 // line is always the earliest undecided line of its stage, and no
 // finalized record of any stage spans across another stage's window
 // start (cascade order delivers lines to each stage strictly in
 // original order), so the minimum is a safe cut for all stages at once.
 func (e *engine) boundary() Boundary {
-	b := Boundary{Line: e.nextLine, Byte: e.nextByte}
+	b := Boundary{Line: e.nextLine, Byte: e.nextByte, Records: make([]int, len(e.stages)), Noise: e.noiseLines}
 	for _, st := range e.stages {
 		if len(st.meta) > 0 && st.meta[0].orig < b.Line {
-			b = Boundary{Line: st.meta[0].orig, Byte: st.meta[0].start}
+			b.Line, b.Byte = st.meta[0].orig, st.meta[0].start
+		}
+	}
+	// Noise is decided by the last stage, below every window; but a stage
+	// finalizes records past a later stage's window start, and those lie
+	// at or past the boundary.
+	for i, st := range e.stages {
+		b.Records[i] = st.records
+		for _, line := range st.recent {
+			if line >= b.Line {
+				b.Records[i]--
+			}
 		}
 	}
 	return b
@@ -638,7 +700,16 @@ func (e *engine) process(t int, final bool) error {
 	if len(accepted) > 0 {
 		st.m.Restore(&st.cands, ls, accepted)
 		st.records += len(accepted)
-		if err := e.materialize(st); err != nil {
+		if e.cfg.Boundary != nil {
+			for _, i := range accepted {
+				st.recent = append(st.recent, st.meta[i].orig)
+			}
+		}
+		if e.cfg.OnBatch != nil {
+			if err := e.cfg.OnBatch(&Batch{st: st}); err != nil {
+				return err
+			}
+		} else if err := e.materialize(st); err != nil {
 			return err
 		}
 	}
@@ -648,6 +719,9 @@ func (e *engine) process(t int, final bool) error {
 		st.buf = append(st.buf[:0], st.buf[ls.Start(consumed):]...)
 		st.meta = append(st.meta[:0], st.meta[consumed:]...)
 		ls.Drop(consumed, st.buf)
+	}
+	if e.cfg.Boundary != nil {
+		e.settle()
 	}
 	// A deferred tail is re-matched from scratch next batch; when it is
 	// already shard-sized (a record still completing across shards),
@@ -659,6 +733,30 @@ func (e *engine) process(t int, final bool) error {
 		st.minRetry = 0
 	}
 	return nil
+}
+
+// settle drops from every stage's recent starts those below the earliest
+// line some stage has not decided — what the boundary would be now. That
+// line never moves back (a stage hands the next one only lines past its
+// own window start), so a record that starts below it starts below every
+// later boundary too, and need not be remembered: what recent holds is
+// bounded by the windows, not by the run.
+func (e *engine) settle() {
+	low := e.nextLine
+	for _, st := range e.stages {
+		if len(st.meta) > 0 {
+			low = min(low, st.meta[0].orig)
+		}
+	}
+	for _, st := range e.stages {
+		k := 0
+		for k < len(st.recent) && st.recent[k] < low {
+			k++
+		}
+		if k > 0 {
+			st.recent = st.recent[:copy(st.recent, st.recent[k:])]
+		}
+	}
 }
 
 // pendingBatch is a materialized batch awaiting delivery: the stage whose
@@ -713,6 +811,7 @@ func (e *engine) emitNoise(t int, line []byte, meta lineMeta) error {
 // finalNoise records one line nothing matched: streamed to OnNoise when
 // set, accumulated into the Result otherwise.
 func (e *engine) finalNoise(origLine int) error {
+	e.noiseLines++
 	if e.cfg.OnNoise != nil {
 		return e.cfg.OnNoise(origLine)
 	}

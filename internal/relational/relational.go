@@ -258,7 +258,7 @@ type Denormalizer struct {
 
 // NewDenormalizer returns the denormalizer of st's records.
 func NewDenormalizer(st *template.Node) *Denormalizer {
-	seps := arraySeps(st)
+	seps := ArraySeps(st)
 	return &Denormalizer{seps: seps, seen: make([]bool, len(seps))}
 }
 
@@ -286,9 +286,11 @@ func (d *Denormalizer) Row(fields []core.FieldValue, row []string) []string {
 	return row
 }
 
-// arraySeps maps each field column of st to the separator of its enclosing
-// array (or ';' outside arrays, unused since such columns never join).
-func arraySeps(st *template.Node) []byte {
+// ArraySeps maps each field column of st to the separator of its
+// enclosing array — the byte a denormalized row joins the column's
+// repetitions with (';' outside arrays, unused since such columns never
+// join).
+func ArraySeps(st *template.Node) []byte {
 	seps := make([]byte, 0, st.NumFields())
 	var walk func(n *template.Node, sep byte)
 	walk = func(n *template.Node, sep byte) {
