@@ -69,8 +69,12 @@ bench-quick:
 # length, columns and arrays of, and scans exactly as, the matcher
 # compiled from that tree), the segment reader on hostile bytes (FuzzSegmentScan: no panic, no
 # allocation out of proportion to the file, row view ≡ batch view, and
-# compaction's splice refuses the file or reproduces its rows) and
-# the profile loader plus the extraction engine behind it
+# compaction's splice refuses the file or reproduces its rows), the
+# segment writer (FuzzSegmentWriter: rows written from field spans ≡ the
+# []string oracle's rows built by relational.Denormalizer.Row — segment
+# bytes, kinds and distinct counts — over arrays, empty cells, separator
+# and non-UTF-8 bytes, block boundaries and more than segDistinctCap
+# values) and the profile loader plus the extraction engine behind it
 # (FuzzProfileApply: arbitrary profile JSON × arbitrary data — no panic,
 # slice door ≡ reader door at 64-byte shards ≡ the tree-walking oracle's
 # residue chain) on fuzzer-mutated inputs, not just the committed
@@ -84,6 +88,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRefineLowerBound$$' -fuzztime 10s ./internal/refine
 	$(GO) test -run '^$$' -fuzz '^FuzzUnfoldVariant$$' -fuzztime 10s ./internal/refine
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentScan$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/lake
+	$(GO) test -run '^$$' -fuzz '^FuzzSegmentWriter$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/lake
 	$(GO) test -run '^$$' -fuzz '^FuzzProfileApply$$' -fuzztime 10s -fuzzminimizetime 1s .
 
 # Regenerate the goldens under testdata/lake_golden (the index report,

@@ -385,3 +385,50 @@ func TestMultiTypeResumeMatchesOneShot(t *testing.T) {
 		}
 	}
 }
+
+// TestFailedStoreWriteKeepsRows: a file whose store write fails part-way
+// keeps the rows it had. The grown two-type file's second segment is gone
+// from disk, so a resume cannot replay it; the crawl fails the file and
+// keeps its checkpoint — and must not have installed the first type's
+// extended segment either, or every later crawl resumes from that
+// checkpoint again and appends the same rows once more.
+func TestFailedStoreWriteKeepsRows(t *testing.T) {
+	lines := strings.SplitAfter(mixedLog(5, 200, 200), "\n")
+	root := t.TempDir()
+	writeFile(t, root, "x/mixed.log", strings.Join(lines[:250], ""))
+	reg, cps := NewRegistry(), follow.NewStore()
+	s, err := OpenSegmentStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := crawlWithStoreWorkers(t, root, reg, cps, s, 1)
+	fp := fileByPath(t, res, "x/mixed.log").Fingerprint
+	if len(reg.Lookup(fp).Templates) != 2 {
+		t.Fatalf("test is vacuous: the file has %d record types, not two", len(reg.Lookup(fp).Templates))
+	}
+	seg := segOf(s.snapshot().table(fp, 1), "x/mixed.log")
+	if err := os.Remove(filepath.Join(s.Dir(), seg.File)); err != nil {
+		t.Fatal(err)
+	}
+	appendTo(t, root, "x/mixed.log", strings.Join(lines[250:], ""))
+
+	before := s.Tables()
+	for crawl := 1; crawl <= 3; crawl++ {
+		res := crawlWithStoreWorkers(t, root, reg, cps, s, 1)
+		if f := fileByPath(t, res, "x/mixed.log"); f.Status != StatusFailed {
+			t.Fatalf("crawl %d: the file whose segment is gone is %v, not failed", crawl, f.Status)
+		}
+		if got := s.Tables(); got[0].Rows != before[0].Rows {
+			t.Fatalf("crawl %d: table %s went from %d to %d rows while its file failed", crawl, got[0].Name, before[0].Rows, got[0].Rows)
+		}
+		entries, err := os.ReadDir(s.Dir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if strings.HasPrefix(e.Name(), ".stage-") {
+				t.Fatalf("crawl %d left the staged file %s behind", crawl, e.Name())
+			}
+		}
+	}
+}

@@ -2,11 +2,15 @@ package lake
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"slices"
+	"testing"
 
 	"datamaran/internal/core"
+	"datamaran/internal/parser"
 	"datamaran/internal/relational"
 	"datamaran/internal/semtype"
 	"datamaran/internal/template"
@@ -224,4 +228,134 @@ func addRow(sw *segWriter, row []string) error {
 		cols[c] = []string{v}
 	}
 	return sw.addColumns(cols, 1)
+}
+
+// fuzzTemplate builds the template FuzzSegmentWriter writes rows of:
+// ncols fields in one struct, the k starting at column lo the body of an
+// array that repeats them separated by sep.
+func fuzzTemplate(ncols, lo, k int, sep byte) *template.Node {
+	field := func(nodes []*template.Node, n int) []*template.Node {
+		for i := 0; i < n; i++ {
+			nodes = append(nodes, template.Field(), template.Lit(","))
+		}
+		return nodes
+	}
+	top := field(nil, lo)
+	if k > 0 {
+		top = append(top, template.Array(field(nil, k), sep, sep+1))
+	}
+	return template.Struct(field(top, ncols-lo-k)...)
+}
+
+// FuzzSegmentWriter holds the span writer to the []string oracle: a
+// record's field occurrences over a window, written through addSpans,
+// must make the segment bytes, kinds, row count and distinct counts that
+// the row relational.Denormalizer.Row builds of the same record makes
+// through refSegWriter. The fuzz input shapes the table — its width,
+// which columns repeat inside an array and on which separator — and is
+// itself the pool the values are cut from, so cells hold any bytes (the
+// separator, non-UTF-8) and may be empty; the row count crosses block
+// boundaries, repetition counts include zero, and unique mode gives every
+// row its own values, past segDistinctCap.
+func FuzzSegmentWriter(f *testing.F) {
+	f.Add([]byte("GET /a 200 host-1 12.5"), uint8(4), uint8(0), uint8(1), byte(' '), uint16(segBlockRows), false)
+	f.Add([]byte("a,b;c\xff\xfe,,9"), uint8(5), uint8(2), uint8(2), byte(','), uint16(segBlockRows+1), false)
+	f.Add([]byte("x1 x2 x3"), uint8(3), uint8(0), uint8(3), byte(' '), uint16(segDistinctCap+segBlockRows/2), true)
+	f.Add([]byte{}, uint8(2), uint8(1), uint8(1), byte(';'), uint16(2*segBlockRows-1), false)
+	f.Fuzz(func(t *testing.T, pool []byte, width, lo, k uint8, sep byte, nrows uint16, unique bool) {
+		ncols := 1 + int(width)%6
+		arrLo := int(lo) % ncols
+		arrK := int(k) % (ncols - arrLo + 1)
+		if sep == 0xff {
+			sep-- // the array's terminator is sep+1
+		}
+		tpl := fuzzTemplate(ncols, arrLo, arrK, sep)
+		rows := int(nrows) % (segDistinctCap + 2*segBlockRows)
+		value := func(r, c, j int) []byte {
+			var v []byte
+			if len(pool) > 0 {
+				off := (r*7 + c*3 + j) % len(pool)
+				v = pool[off:min(len(pool), off+(r+c+j)%5)]
+			}
+			if unique {
+				v = fmt.Appendf(v[:len(v):len(v)], "%d", r)
+			}
+			return v
+		}
+		var recs []core.RecordOut
+		var window []byte
+		type spanRecord struct{ lo, hi int }
+		var occs []parser.FieldOcc
+		var spans []spanRecord
+		for r := 0; r < rows; r++ {
+			rec := core.RecordOut{TypeID: 0, StartLine: r}
+			first := len(occs)
+			add := func(c, j int) {
+				v := value(r, c, j)
+				occs = append(occs, parser.FieldOcc{Col: c, Rep: j, Start: len(window), End: len(window) + len(v)})
+				window = append(window, v...)
+				rec.Fields = append(rec.Fields, core.FieldValue{Column: c, Repetition: j, Value: string(v)})
+			}
+			for c := 0; c < arrLo; c++ {
+				add(c, 0)
+			}
+			if arrK > 0 {
+				reps := r % 4
+				if len(pool) > 0 {
+					reps = (r + int(pool[r%len(pool)])) % 4
+				}
+				for j := 0; j < reps; j++ {
+					for c := arrLo; c < arrLo+arrK; c++ {
+						add(c, j)
+					}
+				}
+			}
+			for c := arrLo + arrK; c < ncols; c++ {
+				add(c, 0)
+			}
+			recs = append(recs, rec)
+			spans = append(spans, spanRecord{first, len(occs)})
+		}
+
+		var got bytes.Buffer
+		sw := newSegWriter(&got, ncols)
+		defer sw.release()
+		seps := relational.ArraySeps(tpl)
+		for _, s := range spans {
+			if err := sw.addSpans(window, occs[s.lo:s.hi], seps, !tpl.HasArray()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		gotKinds, gotRows, gotDist, err := sw.finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		var want bytes.Buffer
+		ref := newRefSegWriter(&want, ncols)
+		if err := refAddRecords(ref, tpl, recs, 0); err != nil {
+			t.Fatal(err)
+		}
+		wantKinds, wantRows, wantDist, err := ref.finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%s, %d rows: the span writer wrote %d bytes, the oracle %d; they part at byte %d",
+				tpl, rows, got.Len(), want.Len(), commonPrefix(got.Bytes(), want.Bytes()))
+		}
+		if !slices.Equal(gotKinds, wantKinds) || gotRows != wantRows || !slices.Equal(gotDist, wantDist) {
+			t.Fatalf("%s: span writer kinds %v rows %d distincts %v, oracle %v %d %v",
+				tpl, gotKinds, gotRows, gotDist, wantKinds, wantRows, wantDist)
+		}
+	})
+}
+
+// commonPrefix is the length of the longest common prefix of a and b.
+func commonPrefix(a, b []byte) int {
+	n := 0
+	for n < len(a) && n < len(b) && a[n] == b[n] {
+		n++
+	}
+	return n
 }

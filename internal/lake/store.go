@@ -1453,6 +1453,14 @@ func segFileName(relPath string, typeID, rev int) string {
 // is authoritative only for the source files it touched, so concurrent
 // transactions over disjoint file sets (the serve daemon's per-format
 // scoped reindexes) compose instead of clobbering each other.
+//
+// A source file's rows are written one way (see write.go): a crawl
+// streams each batch of the file's extraction into the file's staged
+// segments, one per record type, and Rewrite and Append feed the same
+// writer records already in hand. A file's write is all or nothing
+// within the transaction: its segments are installed together once every
+// one is complete, and a write that fails leaves the file's rows as they
+// were and no staged file behind.
 type StoreTxn struct {
 	s   *SegmentStore
 	mu  sync.Mutex

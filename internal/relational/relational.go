@@ -280,7 +280,7 @@ func (d *Denormalizer) Row(fields []core.FieldValue, row []string) []string {
 			row[f.Column] = f.Value
 			d.seen[f.Column] = true
 		} else {
-			row[f.Column] += string(d.seps[f.Column]) + f.Value
+			row[f.Column] += string(d.seps[f.Column:f.Column+1]) + f.Value
 		}
 	}
 	return row
