@@ -322,7 +322,7 @@ func FuzzSegmentWriter(f *testing.F) {
 		defer sw.release()
 		seps := relational.ArraySeps(tpl)
 		for _, s := range spans {
-			if err := sw.addSpans(window, occs[s.lo:s.hi], seps, !tpl.HasArray()); err != nil {
+			if err := sw.addSpans(window, occs[s.lo:s.hi], seps); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -144,16 +144,8 @@ func (sw *segWriter) putUvarint(v uint64) error {
 // Column c's cell is the values of c's occurrences, in order, joined by
 // seps[c] — an array's repetitions joined by their innermost array's
 // separator, the row relational.Denormalizer builds — and a column that
-// nothing occurs in is empty. flat promises a template without arrays:
-// when its record has one occurrence per column in column order, each is
-// encoded as it comes.
-func (sw *segWriter) addSpans(data []byte, fields []parser.FieldOcc, seps []byte, flat bool) error {
-	if flat && len(fields) == sw.ncols && inColumnOrder(fields) {
-		for c, f := range fields {
-			sw.colBuf[c] = appendCell(sw.colBuf[c], data[f.Start:f.End])
-		}
-		return sw.rowAdded()
-	}
+// nothing occurs in is empty.
+func (sw *segWriter) addSpans(data []byte, fields []parser.FieldOcc, seps []byte) error {
 	lens, seen := sw.lens, sw.seen
 	clear(lens)
 	clear(seen)
@@ -188,18 +180,8 @@ func (sw *segWriter) addSpans(data []byte, fields []parser.FieldOcc, seps []byte
 	return sw.rowAdded()
 }
 
-// inColumnOrder reports whether occurrence c is of column c, for every c.
-func inColumnOrder(fields []parser.FieldOcc) bool {
-	for c, f := range fields {
-		if f.Col != c {
-			return false
-		}
-	}
-	return true
-}
-
 // appendCell appends one encoded cell: its uvarint length, then its bytes.
-func appendCell[S []byte | string](buf []byte, v S) []byte {
+func appendCell(buf []byte, v string) []byte {
 	return append(binary.AppendUvarint(buf, uint64(len(v))), v...)
 }
 
@@ -501,9 +483,8 @@ type stagedSeg struct {
 	f     *os.File
 	sw    *segWriter
 	ncols int
-	// seps and flat are what addSpans needs of the type's template.
+	// seps joins the repetitions of the type's array columns.
 	seps []byte
-	flat bool
 	// base is the segment file a resume extends.
 	base string
 }
@@ -518,24 +499,21 @@ type stagedSeg struct {
 // violation, not a fallback.
 func (t *StoreTxn) writePath(relPath, fp string, templates []*template.Node, resumed bool) (*pathWriter, error) {
 	w := &pathWriter{t: t, relPath: relPath, fp: fp, resumed: resumed, segs: make([]stagedSeg, len(templates))}
-	bases := make([]manSeg, len(templates))
+	var bases []manSeg
 	t.mu.Lock()
 	w.rev = t.nextRevLocked(relPath)
-	for typeID := range templates {
-		if !resumed {
-			break
-		}
+	for typeID := 0; resumed && typeID < len(templates); typeID++ {
 		seg := segOf(t.man.table(fp, typeID), relPath)
 		if seg == nil {
 			t.mu.Unlock()
 			return nil, fmt.Errorf("lake: append to %s type %d: no base segment for %s", fp, typeID, relPath)
 		}
-		bases[typeID] = *seg
+		bases = append(bases, *seg)
 	}
 	t.mu.Unlock()
 	for typeID, tpl := range templates {
 		s := &w.segs[typeID]
-		s.ncols, s.seps, s.flat = tpl.NumFields(), relational.ArraySeps(tpl), !tpl.HasArray()
+		s.ncols, s.seps = tpl.NumFields(), relational.ArraySeps(tpl)
 		f, err := atomicfile.Create(t.s.dir)
 		if err != nil {
 			w.abort()
@@ -594,7 +572,7 @@ func (w *pathWriter) add(b *pipeline.Batch) error {
 	s := &w.segs[b.TypeID()]
 	data := b.Data()
 	for k := 0; k < b.Len(); k++ {
-		if err := s.sw.addSpans(data, b.Fields(k), s.seps, s.flat); err != nil {
+		if err := s.sw.addSpans(data, b.Fields(k), s.seps); err != nil {
 			return err
 		}
 	}
@@ -619,7 +597,7 @@ func (w *pathWriter) addRecordOuts(recs []core.RecordOut) error {
 			data = append(data, f.Value...)
 		}
 		s := &w.segs[r.TypeID]
-		if err := s.sw.addSpans(data, occs, s.seps, s.flat); err != nil {
+		if err := s.sw.addSpans(data, occs, s.seps); err != nil {
 			return err
 		}
 	}
