@@ -30,13 +30,13 @@
 // than from stratified whole-input samples.
 //
 // Callbacks. OnRecord, OnBatch and OnNoise run on the goroutine that
-// called the run, never concurrently. OnNoise receives a line as the greedy walk
-// decides it. A batch's records reach OnRecord (or Result.Records) while
-// the workers fill the next batch's slabs: one batch behind, in the order
-// the batches were materialized, the last one when the input ends. So each
-// record type's records arrive in input order, types interleave batch by
-// batch, noise indices arrive in increasing order, and neither sequence
-// depends on Workers. At one worker nothing runs concurrently: the
+// called the run, never concurrently. OnNoise receives a line as the
+// greedy walk decides it. A batch's records reach OnRecord (or
+// Result.Records) while the workers fill the next batch's slabs: one batch
+// behind, in the order the batches were materialized, the last one when
+// the input ends. So each record type's records arrive in input order,
+// types interleave batch by batch, noise indices arrive in increasing
+// order, and neither sequence depends on Workers. At one worker nothing runs concurrently: the
 // previous batch is delivered, then the next one filled. OnBatch takes
 // materialization's place: it receives each batch as the greedy walk
 // accepts it, in the same order, and no record is built. An error from
@@ -190,9 +190,8 @@ type Boundary struct {
 	Byte int
 	// Records counts, per record type, the run's records that start below
 	// the boundary, and Noise its noise lines below it: what a run resumed
-	// at the boundary does not emit again. Everything the run decided
-	// before the boundary was taken lies below it, and everything it
-	// decides after at or past it, so these are counts, not a scan.
+	// at the boundary does not emit again. Both are counted as the run
+	// goes, without holding what it emitted (see engine.boundary).
 	Records []int
 	Noise   int
 }
