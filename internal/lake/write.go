@@ -219,6 +219,11 @@ func (sw *segWriter) cellViews(encoded [][]byte, n int) [][]string {
 		for off := 0; len(v) < n; {
 			l, w := binary.Uvarint(col[off:])
 			off += w
+			if w <= 0 || l > uint64(len(col)-off) {
+				// The block is this writer's encoding or one a scan has
+				// decoded: a cell past its end is a bug, not input.
+				panic("lake: encoded block ends inside a cell")
+			}
 			if l == 0 {
 				v = append(v, "")
 				continue
