@@ -9,7 +9,6 @@ import (
 	"os"
 	"sync"
 
-	"datamaran/internal/core"
 	"datamaran/internal/parser"
 	"datamaran/internal/pipeline"
 )
@@ -129,14 +128,12 @@ type Config struct {
 	// Workers is the per-shard matching parallelism (0 means all
 	// cores). Worker count never changes any output.
 	Workers int
-	// OnBatch, OnRecord and OnNoise receive the extracted region's
-	// output as pipeline.Config's hooks of the same names do, in
-	// whole-file coordinates; at most one of OnBatch and OnRecord may be
-	// set. Extract keeps none of it: with neither set, the region's
-	// records are counted and dropped.
-	OnBatch  func(*pipeline.Batch) error
-	OnRecord func(core.RecordOut) error
-	OnNoise  func(line int) error
+	// OnBatch and OnNoise receive the extracted region's output as
+	// pipeline.Config's hooks of the same names do, in whole-file
+	// coordinates. Extract keeps none of it: with OnBatch nil, the
+	// region's records are counted and dropped.
+	OnBatch func(*pipeline.Batch) error
+	OnNoise func(line int) error
 }
 
 // Counts is what one Extract run found in the region it extracted.
@@ -201,8 +198,9 @@ func Extract(ctx context.Context, path, relPath string, matchers []*parser.Match
 	if _, err := f.Seek(baseOff, io.SeekStart); err != nil {
 		return Counts{}, nil, err
 	}
+	// Without a hook the engine would build every record into its Result.
 	onBatch := cfg.OnBatch
-	if onBatch == nil && cfg.OnRecord == nil {
+	if onBatch == nil {
 		onBatch = func(*pipeline.Batch) error { return nil }
 	}
 	var boundary pipeline.Boundary
@@ -217,7 +215,6 @@ func Extract(ctx context.Context, path, relPath string, matchers []*parser.Match
 		BaseByte:  int(baseOff),
 		Boundary:  &boundary,
 		OnBatch:   onBatch,
-		OnRecord:  cfg.OnRecord,
 		OnNoise: func(line int) error {
 			n.Noise++
 			if cfg.OnNoise != nil {

@@ -38,7 +38,8 @@ import (
 // so an encoded block can be moved between files as bytes, its zone map
 // moving with it from one footer to the next. Published bytes are never
 // mutated: a grown file's segment is rewritten under a fresh revision
-// (Append), and what that costs per kept block is below.
+// (a resumed write, see writePath), and what that costs per kept block
+// is below.
 //
 // Mutations go through a StoreTxn: the crawl stages new segment bytes
 // in the store directory and nothing becomes visible until Commit
@@ -56,7 +57,7 @@ import (
 // The store's own rewrites encode a block once. Compact (compact.go)
 // relocates blocks: it walks block headers, copies each span's byte
 // range into the shared file and carries the span's zone maps over from
-// the source footer, decoding nothing. Append's replay of a grown
+// the source footer, decoding nothing. A resume's replay of a grown
 // file's kept rows (copyRows) reads batches: a whole kept block is
 // decoded once, because the segment's kinds and distinct counts are
 // folded over the values, and is then written back as the column bytes
@@ -139,7 +140,7 @@ type manSeg struct {
 	Rows int `json:"rows"`
 	// Provisional counts the trailing rows whose records were not yet
 	// finalized at the last crawl — an incremental resume re-emits
-	// them, so Append truncates them before appending.
+	// them, so a resumed write truncates them before appending.
 	Provisional int `json:"provisional,omitempty"`
 	// Kinds are the column kinds observed over this segment's values.
 	Kinds []semtype.Kind `json:"kinds"`
@@ -1456,8 +1457,8 @@ func segFileName(relPath string, typeID, rev int) string {
 //
 // A source file's rows are written one way (see write.go): a crawl
 // streams each batch of the file's extraction into the file's staged
-// segments, one per record type, and Rewrite and Append feed the same
-// writer records already in hand. A file's write is all or nothing
+// segments, one per record type, and Rewrite feeds the same writer
+// records already in hand. A file's write is all or nothing
 // within the transaction: its segments are installed together once every
 // one is complete, and a write that fails leaves the file's rows as they
 // were and no staged file behind.

@@ -222,7 +222,14 @@ func BenchmarkStoreAppendResume(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		txn := s.Begin()
-		if err := txn.Append(rel, fp, templates, grown, 1); err != nil {
+		w, err := txn.writePath(rel, fp, templates, true)
+		if err == nil {
+			err = w.addRecordOuts(grown)
+		}
+		if err == nil {
+			err = w.commit(provisionalByType(grown, len(templates), 1))
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
 		txn.Abort()

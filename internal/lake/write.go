@@ -688,24 +688,13 @@ func (w *pathWriter) abort() {
 }
 
 // Rewrite replaces relPath's contribution with recs: one segment per
-// record type of the format (empty segments included, so later appends
+// record type of the format (empty segments included, so later resumes
 // and truncations have a base). provisional is the count of records, of
 // whatever type, that start at or past the extraction's checkpoint and
 // are not yet final; provisionalByType gives each segment its share. It
 // is the crawl's write path fed records instead of batches.
 func (t *StoreTxn) Rewrite(relPath, fp string, templates []*template.Node, recs []core.RecordOut, provisional int) error {
-	return t.writeRecords(relPath, fp, templates, recs, provisional, false)
-}
-
-// Append extends relPath's segments with recs, the records of a resumed
-// extraction of [checkpoint, EOF) (see writePath); provisional is as
-// for Rewrite.
-func (t *StoreTxn) Append(relPath, fp string, templates []*template.Node, recs []core.RecordOut, provisional int) error {
-	return t.writeRecords(relPath, fp, templates, recs, provisional, true)
-}
-
-func (t *StoreTxn) writeRecords(relPath, fp string, templates []*template.Node, recs []core.RecordOut, provisional int, resumed bool) error {
-	w, err := t.writePath(relPath, fp, templates, resumed)
+	w, err := t.writePath(relPath, fp, templates, false)
 	if err != nil {
 		return err
 	}
@@ -718,8 +707,8 @@ func (t *StoreTxn) writeRecords(relPath, fp string, templates []*template.Node, 
 
 // provisionalByType counts, per record type, how many of the k
 // provisional records each type contributes — the not-yet-finalized rows
-// the next resume will re-emit, which Append truncates before appending.
-// What an extraction's checkpoint finalizes is a prefix of the file's
+// the next resume will re-emit, which a resumed writePath drops before
+// appending. What an extraction's checkpoint finalizes is a prefix of the file's
 // lines, so the k provisional records are the k that start last, whatever
 // their types and wherever they sit in recs (which holds one type after
 // the other, each in line order): walking recs backwards, the first k

@@ -56,12 +56,14 @@
 // RecordOut headers — all of it overwritten batch after batch and none of
 // it ever handed out — come from a pool (scratch) and go back to it when
 // the run ends, sized by the largest batch any run has put through them.
-// A window line costs 64 B of it (metadata, index entry, candidate), an
-// accepted record 152 B more (its start line and a header in each
-// buffer), and each field or array occurrence 32 or 16 B — of the records
-// a worker's range keeps, which never overlap, and of the accepted records
-// it did not keep, re-extracted, which only a format whose records start
-// inside one another has (see parser.Matcher.MatchLines). A crawl's extract
+// A window line costs 64 B of it (metadata, index entry, candidate), and
+// in stage t's window 8·t B more when a checkpoint boundary is asked for
+// (see engine.boundary); an accepted record costs 152 B more (its start
+// line and a header in each buffer), and each field or array occurrence
+// 32 or 16 B — of the records a worker's range keeps, which never
+// overlap, and of the accepted records it did not keep, re-extracted,
+// which only a format whose records start inside one another has (see
+// parser.Matcher.MatchLines). A crawl's extract
 // workers and a daemon's extract handlers therefore allocate it once per
 // goroutine, not once per file or request; a run's cost follows its bytes.
 // The exception is a scratch grown past maxPooledScratch, which a run of
@@ -273,11 +275,12 @@ type stageScratch struct {
 	out      [2][]core.RecordOut
 	// cur is the header buffer the stage's last batch was filled into.
 	cur int
-	// recent holds, in order, the start lines of the stage's accepted
-	// records that a checkpoint boundary could still fall at or before:
-	// those at or past the earliest line some stage has not decided (see
-	// engine.settle). Kept only when Config.Boundary is set.
-	recent []int
+	// passed holds, per window line and flat, how many records each
+	// earlier stage had accepted when it passed the line on — t entries
+	// a line in stage t's window: what a checkpoint boundary at the line
+	// leaves below it of those stages (see engine.boundary). Kept only
+	// when Config.Boundary is set.
+	passed []int
 }
 
 // scratch is what one run borrows: the buffer its reader's chunks are read
@@ -337,7 +340,7 @@ func (sc *scratch) stage(t int) *stageScratch {
 		sc.stages = append(sc.stages, new(stageScratch))
 	}
 	s := sc.stages[t]
-	s.buf, s.meta, s.recent = s.buf[:0], s.meta[:0], s.recent[:0]
+	s.buf, s.meta, s.passed = s.buf[:0], s.meta[:0], s.passed[:0]
 	s.lines.Reset(s.buf)
 	return s
 }
@@ -348,7 +351,7 @@ func (sc *scratch) footprint() int {
 	for _, s := range sc.stages {
 		n += cap(s.buf) + s.lines.IndexBytes() + s.cands.Footprint() +
 			cap(s.meta)*int(unsafe.Sizeof(lineMeta{})) +
-			(cap(s.accepted)+cap(s.recent))*int(unsafe.Sizeof(0)) +
+			(cap(s.accepted)+cap(s.passed))*int(unsafe.Sizeof(0)) +
 			(cap(s.out[0])+cap(s.out[1]))*int(unsafe.Sizeof(core.RecordOut{}))
 	}
 	return n
@@ -576,21 +579,20 @@ func (e *engine) finish(ctx context.Context) (*core.Result, error) {
 // original order), so the minimum is a safe cut for all stages at once.
 func (e *engine) boundary() Boundary {
 	b := Boundary{Line: e.nextLine, Byte: e.nextByte, Records: make([]int, len(e.stages)), Noise: e.noiseLines}
-	for _, st := range e.stages {
+	at := len(e.stages)
+	for t, st := range e.stages {
+		b.Records[t] = st.records
 		if len(st.meta) > 0 && st.meta[0].orig < b.Line {
 			b.Line, b.Byte = st.meta[0].orig, st.meta[0].start
+			at = t
 		}
 	}
-	// Noise is decided by the last stage, below every window; but a stage
-	// finalizes records past a later stage's window start, and those lie
-	// at or past the boundary.
-	for i, st := range e.stages {
-		b.Records[i] = st.records
-		for _, line := range st.recent {
-			if line >= b.Line {
-				b.Records[i]--
-			}
-		}
+	// Noise is decided by the last stage and the records of stage at and
+	// later ones from lines stage at passed on, all below the boundary
+	// line; an earlier stage decides its lines in order, so its records
+	// below the line are those it had accepted when it passed the line on.
+	if at < len(e.stages) {
+		copy(b.Records, e.stages[at].passed[:at])
 	}
 	return b
 }
@@ -675,7 +677,7 @@ func (e *engine) process(t int, final bool) error {
 			if !final && i == n-1 && st.buf[len(st.buf)-1] != '\n' {
 				break // unterminated tail line: defer
 			}
-			if err := e.emitNoise(t, ls.Line(i), st.meta[i]); err != nil {
+			if err := e.emitNoise(t, i, len(accepted)); err != nil {
 				return err
 			}
 			i++
@@ -699,11 +701,6 @@ func (e *engine) process(t int, final bool) error {
 	if len(accepted) > 0 {
 		st.m.Restore(&st.cands, ls, accepted)
 		st.records += len(accepted)
-		if e.cfg.Boundary != nil {
-			for _, i := range accepted {
-				st.recent = append(st.recent, st.meta[i].orig)
-			}
-		}
 		if e.cfg.OnBatch != nil {
 			if err := e.cfg.OnBatch(&Batch{st: st}); err != nil {
 				return err
@@ -718,9 +715,9 @@ func (e *engine) process(t int, final bool) error {
 		st.buf = append(st.buf[:0], st.buf[ls.Start(consumed):]...)
 		st.meta = append(st.meta[:0], st.meta[consumed:]...)
 		ls.Drop(consumed, st.buf)
-	}
-	if e.cfg.Boundary != nil {
-		e.settle()
+		if e.cfg.Boundary != nil {
+			st.passed = append(st.passed[:0], st.passed[consumed*t:]...)
+		}
 	}
 	// A deferred tail is re-matched from scratch next batch; when it is
 	// already shard-sized (a record still completing across shards),
@@ -732,30 +729,6 @@ func (e *engine) process(t int, final bool) error {
 		st.minRetry = 0
 	}
 	return nil
-}
-
-// settle drops from every stage's recent starts those below the earliest
-// line some stage has not decided — what the boundary would be now. That
-// line never moves back (a stage hands the next one only lines past its
-// own window start), so a record that starts below it starts below every
-// later boundary too, and need not be remembered: what recent holds is
-// bounded by the windows, not by the run.
-func (e *engine) settle() {
-	low := e.nextLine
-	for _, st := range e.stages {
-		if len(st.meta) > 0 {
-			low = min(low, st.meta[0].orig)
-		}
-	}
-	for _, st := range e.stages {
-		k := 0
-		for k < len(st.recent) && st.recent[k] < low {
-			k++
-		}
-		if k > 0 {
-			st.recent = st.recent[:copy(st.recent, st.recent[k:])]
-		}
-	}
 }
 
 // pendingBatch is a materialized batch awaiting delivery: the stage whose
@@ -794,17 +767,22 @@ func (e *engine) deliver() error {
 	return err
 }
 
-// emitNoise routes one noise line to the next stage's residue window, or
-// to the final noise sink after the last stage.
-func (e *engine) emitNoise(t int, line []byte, meta lineMeta) error {
+// emitNoise routes stage t's window line i, which its greedy walk found
+// no record at after accepting accepted records in the batch, to the next
+// stage's residue window, or to the final noise sink after the last stage.
+func (e *engine) emitNoise(t, i, accepted int) error {
+	st := e.stages[t]
 	if t+1 < len(e.stages) {
 		next := e.stages[t+1]
-		next.buf = append(next.buf, line...)
+		next.buf = append(next.buf, st.lines.Line(i)...)
 		next.lines.Extend(next.buf)
-		next.meta = append(next.meta, meta)
+		next.meta = append(next.meta, st.meta[i])
+		if e.cfg.Boundary != nil {
+			next.passed = append(append(next.passed, st.passed[i*t:(i+1)*t]...), st.records+accepted)
+		}
 		return nil
 	}
-	return e.finalNoise(meta.orig)
+	return e.finalNoise(st.meta[i].orig)
 }
 
 // finalNoise records one line nothing matched: streamed to OnNoise when

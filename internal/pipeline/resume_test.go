@@ -152,3 +152,47 @@ func noisyCommaData(rows int) []byte {
 	}
 	return []byte(sb.String())
 }
+
+// TestBoundaryBookkeepingIsWindowBounded holds a checkpointed run's
+// storage to its windows when a later record type is sparse: one type-1
+// line near the top sits alone in stage 1's window, undecided until the
+// input ends (a match against a window's end is deferred), while stage 0
+// accepts every row after it. What the run keeps to count the records
+// below the boundary must not grow with those rows: the scratch of an 8×
+// longer input weighs what the 1× input's does, and the boundary still
+// falls at the type-1 line with exactly the rows before it below.
+func TestBoundaryBookkeepingIsWindowBounded(t *testing.T) {
+	tpls := []*template.Node{
+		template.Struct(template.Field(), template.Lit(","), template.Field(), template.Lit(","), template.Field(), template.Lit("\n")).Normalize(),
+		template.Struct(template.Lit("# header "), template.Field(), template.Lit("\n")).Normalize(),
+	}
+	const before, shard = 5, 16 << 10
+	input := func(rows int) []byte {
+		var sb strings.Builder
+		for i := 0; i < rows; i++ {
+			if i == before {
+				sb.WriteString("# header top\n")
+			}
+			fmt.Fprintf(&sb, "%d,%d,%d\n", i, i*3, i*7)
+		}
+		return []byte(sb.String())
+	}
+	footprint := func(rows int) int {
+		sc := new(scratch)
+		var b Boundary
+		records := 0
+		runIn(t, sc, input(rows), Config{Templates: tpls, ShardSize: shard, Workers: 1, Boundary: &b,
+			OnBatch: func(b *Batch) error { records += b.Len(); return nil }})
+		if records != rows+1 {
+			t.Fatalf("%d rows: %d records, want %d", rows, records, rows+1)
+		}
+		if want := (Boundary{Line: before, Byte: len(input(before)), Records: []int{before, 0}}); !reflect.DeepEqual(b, want) {
+			t.Fatalf("%d rows: boundary %+v, want %+v", rows, b, want)
+		}
+		return sc.footprint()
+	}
+	small, large := footprint(20000), footprint(8*20000)
+	if large > small+small/4 {
+		t.Fatalf("the scratch of a checkpointed run grew from %d to %d bytes with 8× the rows", small, large)
+	}
+}
