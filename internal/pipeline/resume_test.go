@@ -192,6 +192,7 @@ func TestBoundaryBookkeepingIsWindowBounded(t *testing.T) {
 		return sc.footprint()
 	}
 	small, large := footprint(20000), footprint(8*20000)
+	t.Logf("scratch: %d bytes at 1×, %d at 8×", small, large)
 	if large > small+small/4 {
 		t.Fatalf("the scratch of a checkpointed run grew from %d to %d bytes with 8× the rows", small, large)
 	}
