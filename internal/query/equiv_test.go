@@ -17,9 +17,9 @@ import (
 )
 
 // Engine ≡ naive evaluator. A seeded generator draws queries over every
-// construct of the dialect; each runs through the engine three ways — a
-// row-only catalog (rows packed into batches by rowBatcher), the record
-// store with pushdown, the same store under NoPushdown — and must agree
+// construct of the dialect; each runs through the engine three ways — an
+// in-memory catalog (at every size of batchSizes), the record store with
+// pushdown, the same store under NoPushdown — and must agree
 // with naiveEval below: FROM-order nested loops, every predicate at the
 // end, linear grouping, a full stable sort. The fact table spans five
 // blocks in three segments and joins fan out past a batch, so batch
@@ -77,7 +77,7 @@ func writeStoreTable(tb testing.TB, store *lake.SegmentStore, name string, ncols
 // equivTables draws the three tables. Key pools collide under naive
 // concatenation (("a","bc") vs ("ab","c")) and include the empty cell.
 // Numeric columns carry cells that do not parse: "" everywhere, and
-// words in fact.f3 — which the row-only catalog still declares int,
+// words in fact.f3 — which the in-memory catalog still declares int,
 // while the store, classifying what it was given, calls it a string.
 // The unparseable cells are all empty or letter-led, so with digit-led
 // numbers the ordering rule stays a total preorder (a digit-led word
@@ -275,7 +275,7 @@ func equivQuery(rng *rand.Rand, cat memCatalog) string {
 func naiveEval(t *testing.T, cat Catalog, tables memCatalog, q *Query) (columns []string, full [][]string, orderCols []int) {
 	type binding struct {
 		alias string
-		meta  TableMeta
+		meta  lake.TableInfo
 		rows  [][]string
 	}
 	var tabs []binding

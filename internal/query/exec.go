@@ -83,7 +83,7 @@ func (r *Rows) Close() error { return r.it.Close() }
 // plannedTable is one FROM table with its selectivity signals.
 type plannedTable struct {
 	item   FromItem
-	meta   TableMeta
+	meta   lake.TableInfo
 	offset int // block start in the wide row
 	// eqLit and otherLit count the table's literal predicates — the
 	// tie-breaking signal when cardinality estimates collide.
@@ -446,23 +446,21 @@ func (pl *planner) buildJoinTree(order []int) (iter, *PlanNode, error) {
 // a cancellation check per batch. Against a pushdown-capable catalog it
 // hands the scan the query's needed columns for the table plus its
 // single-table literal predicates, marking those predicates applied so
-// no filter re-evaluates them above the scan. A scan that yields column
-// batches (the record store's) is read as is; a row-only one is packed
-// into batches by rowBatcher.
+// no filter re-evaluates them above the scan.
 func (pl *planner) scan(ti int) (iter, *PlanNode, error) {
 	t := &pl.tables[ti]
 	detail := "table=" + t.meta.Name
 	if t.item.Alias != t.meta.Name {
 		detail += " alias=" + t.item.Alias
 	}
-	var rows RowIter
+	var src BatchScan
 	var err error
 	if pl.push != nil {
-		push := ScanPushdown{Columns: make([]int, 0, len(t.meta.Columns))}
+		opts := lake.ScanOptions{Columns: make([]int, 0, len(t.meta.Columns))}
 		var cols []string
 		for c, ok := range pl.need[ti] {
 			if ok {
-				push.Columns = append(push.Columns, c)
+				opts.Columns = append(opts.Columns, c)
 				cols = append(cols, t.meta.Columns[c])
 			}
 		}
@@ -473,7 +471,7 @@ func (pl *planner) scan(ti int) (iter, *PlanNode, error) {
 			if cp.applied || !cp.isLit || cp.lTab != ti {
 				continue
 			}
-			push.Preds = append(push.Preds, PushPred{
+			opts.Preds = append(opts.Preds, lake.ScanPred{
 				Col: cp.lOff - t.offset, Op: cp.op, Lit: cp.lit, Numeric: cp.numeric,
 			})
 			cp.applied = true
@@ -482,21 +480,16 @@ func (pl *planner) scan(ti int) (iter, *PlanNode, error) {
 		if len(pushed) > 0 {
 			detail += " push=(" + predsDetail(pushed) + ")"
 		}
-		rows, err = pl.push.ScanPushed(t.meta.Name, push)
+		src, err = pl.push.ScanWith(t.meta.Name, opts)
 	} else {
 		detail += " columns=*"
-		rows, err = pl.cat.Scan(t.meta.Name)
+		src, err = pl.cat.Scan(t.meta.Name)
 	}
 	if err != nil {
 		return nil, nil, err
 	}
-	src, ok := rows.(batchSource)
-	if !ok {
-		src = &rowBatcher{rows: rows, b: lake.Batch{Cols: make([][]string, len(t.meta.Columns))}}
-	}
 	si := &scanOp{
 		ctx:    pl.ctx,
-		rows:   rows,
 		src:    src,
 		offset: t.offset,
 		out:    batch{cols: make([][]string, pl.width), tight: true},

@@ -70,12 +70,6 @@ type PlanNode struct {
 	scan    *scanOp // scan nodes only: source of block counters
 }
 
-// blockStatser is implemented by scan backends that can report block
-// decode/prune counters (the lake's SegmentScan).
-type blockStatser interface {
-	BlockStats() (decoded, pruned, rows int)
-}
-
 // label renders one plan line (without indentation).
 func (n *PlanNode) label(analyze bool) string {
 	s := n.op
@@ -85,10 +79,8 @@ func (n *PlanNode) label(analyze bool) string {
 	if analyze {
 		s += fmt.Sprintf(" rows=%d batches=%d", n.rows, n.batches)
 		if n.scan != nil {
-			if bs, ok := n.scan.rows.(blockStatser); ok {
-				d, p, _ := bs.BlockStats()
-				s += fmt.Sprintf(" blocks=%d pruned=%d", d, p)
-			}
+			d, p, _ := n.scan.src.BlockStats()
+			s += fmt.Sprintf(" blocks=%d pruned=%d", d, p)
 		}
 		s += " time=" + fmtDur(n.wall)
 	}
@@ -202,11 +194,9 @@ func (r *Rows) Stats() ExecStats {
 	var st ExecStats
 	for _, s := range r.scans {
 		st.RowsScanned += s.produced
-		if bs, ok := s.rows.(blockStatser); ok {
-			d, p, _ := bs.BlockStats()
-			st.BlocksDecoded += d
-			st.BlocksPruned += p
-		}
+		d, p, _ := s.src.BlockStats()
+		st.BlocksDecoded += d
+		st.BlocksPruned += p
 	}
 	return st
 }

@@ -7,8 +7,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"datamaran/internal/lake"
 )
 
 // The operators. A plan is a tree of iters, and the unit that moves
@@ -160,52 +158,12 @@ func (cp *compiledPred) filter(cols [][]string, in, out []int32) []int32 {
 	return out
 }
 
-// batchSource is a scan that yields column batches: the record store's
-// SegmentScan, or rowBatcher over anything else.
-type batchSource interface {
-	NextBatch() (*lake.Batch, error)
-}
-
-// rowBatcher is the one way a row-only catalog's RowIter enters the
-// engine: it packs up to batchRows rows into column vectors.
-type rowBatcher struct {
-	rows RowIter
-	b    lake.Batch
-	err  error // what ended the stream, reported after the rows before it
-}
-
-func (rb *rowBatcher) NextBatch() (*lake.Batch, error) {
-	for c := range rb.b.Cols {
-		rb.b.Cols[c] = rb.b.Cols[c][:0]
-	}
-	rb.b.Rows = 0
-	for rb.err == nil && rb.b.Rows < batchRows {
-		var row []string
-		if row, rb.err = rb.rows.Next(); rb.err != nil {
-			break
-		}
-		for c := range rb.b.Cols {
-			cell := ""
-			if c < len(row) {
-				cell = row[c]
-			}
-			rb.b.Cols[c] = append(rb.b.Cols[c], cell)
-		}
-		rb.b.Rows++
-	}
-	if rb.b.Rows == 0 {
-		return nil, rb.err
-	}
-	return &rb.b, nil
-}
-
 // scanOp places a base table's batches in the plan's column layout by
 // re-referencing the source's vectors, and checks for cancellation once
 // per batch.
 type scanOp struct {
 	ctx      context.Context
-	rows     RowIter // what the catalog opened: closed here, asked for block counters
-	src      batchSource
+	src      BatchScan // what the catalog opened: closed here, asked for block counters
 	offset   int
 	out      batch
 	produced int // rows handed upward, for Rows.Stats
@@ -225,7 +183,7 @@ func (s *scanOp) Next() (*batch, error) {
 	return &s.out, nil
 }
 
-func (s *scanOp) Close() error { return s.rows.Close() }
+func (s *scanOp) Close() error { return s.src.Close() }
 
 // filterOp narrows each batch's selection to the rows passing every
 // predicate.

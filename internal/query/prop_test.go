@@ -1,15 +1,14 @@
 package query
 
 import (
-	"context"
 	"fmt"
-	"io"
 	"math/rand"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
+	"datamaran/internal/lake"
 	"datamaran/internal/semtype"
 )
 
@@ -52,7 +51,7 @@ func randomCatalog(rng *rand.Rand) (memCatalog, []string) {
 			rows[r] = row
 		}
 		cat[name] = &memTable{
-			meta: TableMeta{Name: name, Columns: cols, Kinds: kinds, Rows: nrows},
+			meta: lake.TableInfo{Name: name, Columns: cols, Kinds: kinds, Rows: nrows},
 			rows: rows,
 		}
 		names = append(names, name)
@@ -102,7 +101,7 @@ func randomQuery(rng *rand.Rand, cat memCatalog, names []string) *Query {
 // nestedLoopRef evaluates q the slow, obviously-correct way.
 func nestedLoopRef(cat memCatalog, q *Query) [][]string {
 	type binding struct {
-		meta TableMeta
+		meta lake.TableInfo
 		rows [][]string
 	}
 	var tabs []binding
@@ -188,33 +187,14 @@ func multiset(rows [][]string) []string {
 	return out
 }
 
-func runEngine(t *testing.T, cat Catalog, q *Query) [][]string {
-	t.Helper()
-	rows, err := Run(context.Background(), cat, q)
-	if err != nil {
-		t.Fatalf("run: %v (query %+v)", err, q)
-	}
-	defer rows.Close()
-	var out [][]string
-	for {
-		row, err := rows.Next()
-		if err == io.EOF {
-			return out
-		}
-		if err != nil {
-			t.Fatalf("next: %v", err)
-		}
-		out = append(out, row)
-	}
-}
-
 func TestJoinOrderMatchesNestedLoopReference(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		cat, names := randomCatalog(rng)
 		q := randomQuery(rng, cat, names)
 		want := multiset(nestedLoopRef(cat, q))
-		got := multiset(runEngine(t, cat, q))
+		_, rows := runEngine(t, cat, q)
+		got := multiset(rows)
 		if strings.Join(got, "\n") != strings.Join(want, "\n") {
 			t.Fatalf("seed %d: engine disagrees with nested-loop reference\nquery: %+v\ngot %d rows, want %d",
 				seed, q, len(got), len(want))
@@ -228,7 +208,8 @@ func TestJoinOrderMatchesNestedLoopReference(t *testing.T) {
 		for i, p := range perm {
 			q2.From[i] = q.From[p]
 		}
-		got2 := multiset(runEngine(t, cat, &q2))
+		_, rows = runEngine(t, cat, &q2)
+		got2 := multiset(rows)
 		if strings.Join(got2, "\n") != strings.Join(want, "\n") {
 			t.Fatalf("seed %d: permuted FROM changed the row-set\nquery: %+v", seed, q2)
 		}

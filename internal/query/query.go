@@ -19,8 +19,8 @@
 // must outlive it (a join's build side, heap entries, group keys, the
 // rows handed to the caller) is copied out, column-wise, so no kept
 // cell keeps a block alive. Rows, the public cursor, carves rows from
-// each output batch; a row-only Catalog enters through rowBatcher,
-// which packs rows into batches. Allocations therefore follow blocks
+// each output batch; every Catalog hands the engine batches, the store's
+// own lake.Batch. Allocations therefore follow blocks
 // decoded and rows kept, not rows seen, and cancellation is polled once
 // per batch by every scan and every blocking operator.
 //
@@ -41,7 +41,7 @@ import (
 	"strconv"
 	"strings"
 
-	"datamaran/internal/semtype"
+	"datamaran/internal/lake"
 )
 
 // ColRef names a column, optionally qualified by a FROM alias.
@@ -589,29 +589,14 @@ func validate(q *Query) error {
 	return nil
 }
 
-// TableMeta is the catalog's view of one table.
-type TableMeta struct {
-	// Name is the resolved table name.
-	Name string
-	// Columns are the column names.
-	Columns []string
-	// Kinds are the per-column scalar kinds driving comparison
-	// semantics (numeric vs lexicographic).
-	Kinds []semtype.Kind
-	// Rows is the table's total row count (a visibility hint only).
-	Rows int
-	// Distincts are per-column distinct-count estimates the planner's
-	// cost model uses for equality-literal selectivity; nil or 0 means
-	// unknown (a default selectivity applies).
-	Distincts []int
-}
-
-// RowIter streams rows; Next returns io.EOF after the last row. A
-// RowIter that also has the record store's
-// NextBatch() (*lake.Batch, error) is read a column batch at a time
-// instead, and its Next is never called.
-type RowIter interface {
-	Next() ([]string, error)
+// BatchScan is an open scan of one table: the record store's
+// lake.SegmentScan, or a test's in-memory table. NextBatch returns
+// the next batch (full table width, valid until the next call), or
+// io.EOF after the last; BlockStats reports blocks decoded and pruned
+// and rows consumed, and survives Close.
+type BatchScan interface {
+	NextBatch() (*lake.Batch, error)
+	BlockStats() (decoded, pruned, rows int)
 	Close() error
 }
 
@@ -619,43 +604,25 @@ type RowIter interface {
 // in-memory tables in tests.
 type Catalog interface {
 	// Resolve maps a written table name (possibly a unique prefix) to
-	// its metadata.
-	Resolve(name string) (TableMeta, error)
-	// Scan opens a row stream over the resolved table name.
-	Scan(name string) (RowIter, error)
-}
-
-// PushPred is one single-table literal predicate the planner pushes
-// into a scan: column index Op literal, with the executor's comparison
-// semantics (Numeric mirrors compareKeyed — ordering is numeric only
-// when the column kind is numeric and both sides parse).
-type PushPred struct {
-	Col     int
-	Op      string
-	Lit     string
-	Numeric bool
-}
-
-// ScanPushdown narrows a pushed scan. Columns lists the column indexes
-// the executor will read (nil means all; rows still come back at full
-// table width, with unrequested columns empty); Preds filter rows
-// inside the scan, before they materialize.
-type ScanPushdown struct {
-	Columns []int
-	Preds   []PushPred
+	// its metadata: the planner reads Name, Columns, Kinds, Rows and
+	// Distincts.
+	Resolve(name string) (lake.TableInfo, error)
+	// Scan opens a scan of every column and row of the resolved table
+	// name.
+	Scan(name string) (BatchScan, error)
 }
 
 // PushCatalog is the optional pushdown-capable catalog: a catalog that
-// also implements ScanPushed receives each table's needed-column set
+// also implements ScanWith receives each table's needed-column set
 // and single-table literal predicates inside the scan (the record
 // store decodes only the pushed columns and skips blocks via zone
 // maps). The planner type-asserts; plain Catalogs keep the
 // filter-above-scan path, byte-identical results either way.
 type PushCatalog interface {
 	Catalog
-	// ScanPushed opens a row stream with the pushdown applied: only
-	// rows passing every pushed predicate, at full table width.
-	ScanPushed(name string, push ScanPushdown) (RowIter, error)
+	// ScanWith opens a scan with the pushdown applied: only rows
+	// passing every pushed predicate, at full table width.
+	ScanWith(name string, opts lake.ScanOptions) (BatchScan, error)
 }
 
 // noPushdown embeds only the Catalog interface, so the planner's

@@ -9,54 +9,91 @@ import (
 	"strings"
 	"testing"
 
+	"datamaran/internal/lake"
 	"datamaran/internal/semtype"
 )
 
 // memCatalog is an in-memory Catalog for tests.
 type memCatalog map[string]*memTable
 
+// memTable is one in-memory table; its scans hand its rows out batch
+// rows at a time (batchRows when 0).
 type memTable struct {
-	meta TableMeta
-	rows [][]string
+	meta  lake.TableInfo
+	rows  [][]string
+	batch int
 }
 
-func (c memCatalog) Resolve(name string) (TableMeta, error) {
+func (c memCatalog) Resolve(name string) (lake.TableInfo, error) {
 	t, ok := c[name]
 	if !ok {
-		return TableMeta{}, fmt.Errorf("no table %q", name)
+		return lake.TableInfo{}, fmt.Errorf("no table %q", name)
 	}
 	return t.meta, nil
 }
 
-func (c memCatalog) Scan(name string) (RowIter, error) {
+func (c memCatalog) Scan(name string) (BatchScan, error) {
 	t, ok := c[name]
 	if !ok {
 		return nil, fmt.Errorf("no table %q", name)
 	}
-	return &memIter{rows: t.rows}, nil
+	return newMemScan(t), nil
 }
 
-type memIter struct {
-	rows  [][]string
-	pos   int
-	reads int
+// rebatched is the catalog with every table cut into batches of n rows.
+func (c memCatalog) rebatched(n int) memCatalog {
+	out := memCatalog{}
+	for name, t := range c {
+		cut := *t
+		cut.batch = n
+		out[name] = &cut
+	}
+	return out
 }
 
-func (m *memIter) Next() ([]string, error) {
-	if m.pos >= len(m.rows) {
+// memScan scans a memTable. Like the store's scan, it reuses its batch
+// vectors from one NextBatch to the next.
+type memScan struct {
+	rows    [][]string
+	size    int
+	b       lake.Batch
+	reads   int // rows handed out
+	batches int
+}
+
+func newMemScan(t *memTable) *memScan {
+	size := t.batch
+	if size == 0 {
+		size = batchRows
+	}
+	return &memScan{rows: t.rows, size: size, b: lake.Batch{Cols: make([][]string, len(t.meta.Columns))}}
+}
+
+func (m *memScan) NextBatch() (*lake.Batch, error) {
+	if m.reads >= len(m.rows) {
 		return nil, io.EOF
 	}
-	row := m.rows[m.pos]
-	m.pos++
-	m.reads++
-	return append([]string(nil), row...), nil
+	part := m.rows[m.reads:min(m.reads+m.size, len(m.rows))]
+	for c := range m.b.Cols {
+		m.b.Cols[c] = m.b.Cols[c][:0]
+		for _, row := range part {
+			m.b.Cols[c] = append(m.b.Cols[c], row[c])
+		}
+	}
+	m.b.Rows = len(part)
+	m.reads += len(part)
+	m.batches++
+	return &m.b, nil
 }
 
-func (m *memIter) Close() error { return nil }
+// BlockStats counts each batch as a decoded block.
+func (m *memScan) BlockStats() (decoded, pruned, rows int) { return m.batches, 0, m.reads }
+
+func (m *memScan) Close() error { return nil }
 
 func mkTable(name string, cols []string, kinds []semtype.Kind, rows ...[]string) *memTable {
 	return &memTable{
-		meta: TableMeta{Name: name, Columns: cols, Kinds: kinds, Rows: len(rows)},
+		meta: lake.TableInfo{Name: name, Columns: cols, Kinds: kinds, Rows: len(rows)},
 		rows: rows,
 	}
 }
@@ -82,16 +119,50 @@ func fixtureCatalog() memCatalog {
 	}
 }
 
-// collect drains a query into row slices.
+// collect parses and drains a query; see runEngine.
 func collect(t *testing.T, cat Catalog, text string) ([]string, [][]string) {
 	t.Helper()
 	q, err := Parse(text)
 	if err != nil {
 		t.Fatalf("parse %q: %v", text, err)
 	}
+	return runEngine(t, cat, q)
+}
+
+// batchSizes are the rows per batch a memCatalog is run at: a batch per
+// row, batches that cut every table of more than three rows, and (for
+// the small tables of these tests) one batch per table.
+var batchSizes = []int{1, 3, batchRows}
+
+// runEngine drains a query into its columns and rows. Over a memCatalog
+// it runs the query at every size of batchSizes and requires the same
+// rows in the same order from each, so what an operator keeps from one
+// batch to the next (a join's build side, groups, a sort, the top-k
+// heap, a limit's count) is tested on the small tables too.
+func runEngine(t *testing.T, cat Catalog, q *Query) ([]string, [][]string) {
+	t.Helper()
+	mem, ok := cat.(memCatalog)
+	if !ok {
+		return drain(t, cat, q)
+	}
+	var cols []string
+	var want [][]string
+	for i, n := range batchSizes {
+		c, got := drain(t, mem.rebatched(n), q)
+		if i == 0 {
+			cols, want = c, got
+		} else if !rowsEqual(got, want) {
+			t.Fatalf("%+v: at %d rows per batch\n%q\nwant (as at %d rows per batch)\n%q", q, n, got, batchSizes[0], want)
+		}
+	}
+	return cols, want
+}
+
+func drain(t *testing.T, cat Catalog, q *Query) ([]string, [][]string) {
+	t.Helper()
 	rows, err := Run(context.Background(), cat, q)
 	if err != nil {
-		t.Fatalf("run %q: %v", text, err)
+		t.Fatalf("run %+v: %v", q, err)
 	}
 	defer rows.Close()
 	var out [][]string
@@ -101,7 +172,7 @@ func collect(t *testing.T, cat Catalog, text string) ([]string, [][]string) {
 			break
 		}
 		if err != nil {
-			t.Fatalf("next %q: %v", text, err)
+			t.Fatalf("next %+v: %v", q, err)
 		}
 		out = append(out, row)
 	}
@@ -280,13 +351,13 @@ func TestEmptyBuildSideSkipsProbe(t *testing.T) {
 	// join side is empty the other side must not be drained.
 	cat := fixtureCatalog()
 	probe := cat["jobs"]
-	it := &memIter{rows: probe.rows}
+	it := newMemScan(probe)
 	tracked := memCatalog{
 		"jobs":  probe,
 		"hosts": cat["hosts"],
 	}
 	// Wrap jobs' scan to count reads.
-	wrapped := trackingCatalog{inner: tracked, track: map[string]*memIter{"jobs": it}}
+	wrapped := trackingCatalog{inner: tracked, track: map[string]*memScan{"jobs": it}}
 	q, err := Parse("SELECT j.f0 FROM jobs AS j, hosts AS h WHERE j.f1 = h.f0 AND h.f1 = 'nowhere'")
 	if err != nil {
 		t.Fatal(err)
@@ -306,12 +377,12 @@ func TestEmptyBuildSideSkipsProbe(t *testing.T) {
 
 type trackingCatalog struct {
 	inner memCatalog
-	track map[string]*memIter
+	track map[string]*memScan
 }
 
-func (c trackingCatalog) Resolve(name string) (TableMeta, error) { return c.inner.Resolve(name) }
+func (c trackingCatalog) Resolve(name string) (lake.TableInfo, error) { return c.inner.Resolve(name) }
 
-func (c trackingCatalog) Scan(name string) (RowIter, error) {
+func (c trackingCatalog) Scan(name string) (BatchScan, error) {
 	if it, ok := c.track[name]; ok {
 		return it, nil
 	}
@@ -421,10 +492,11 @@ func TestLimitStopsAtTheBatchThatSatisfiesIt(t *testing.T) {
 	for i := range big {
 		big[i] = []string{fmt.Sprint(i)}
 	}
-	it := &memIter{rows: big}
+	tab := mkTable("big", []string{"f0"}, []semtype.Kind{semtype.KindInt}, big...)
+	it := newMemScan(tab)
 	cat := trackingCatalog{
-		inner: memCatalog{"big": mkTable("big", []string{"f0"}, []semtype.Kind{semtype.KindInt}, big...)},
-		track: map[string]*memIter{"big": it},
+		inner: memCatalog{"big": tab},
+		track: map[string]*memScan{"big": it},
 	}
 	_, rows := collect(t, cat, "SELECT f0 FROM big LIMIT 5")
 	if len(rows) != 5 || rows[4][0] != "4" {

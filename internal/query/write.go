@@ -82,7 +82,6 @@ func WriteNDJSON(w io.Writer, rows *Rows, flush func()) error {
 // a pinned StoreView both qualify.
 type storeLike interface {
 	Resolve(name string) (lake.TableInfo, error)
-	Scan(name string) (*lake.SegmentScan, error)
 	ScanWith(name string, opts lake.ScanOptions) (*lake.SegmentScan, error)
 }
 
@@ -111,25 +110,20 @@ func ViewCatalog(v *lake.StoreView) Catalog {
 	return storeCatalog{s: v}
 }
 
-func (c storeCatalog) Resolve(name string) (TableMeta, error) {
-	ti, err := c.s.Resolve(name)
-	if err != nil {
-		return TableMeta{}, err
-	}
-	return TableMeta{Name: ti.Name, Columns: ti.Columns, Kinds: ti.Kinds, Rows: ti.Rows, Distincts: ti.Distincts}, nil
+func (c storeCatalog) Resolve(name string) (lake.TableInfo, error) {
+	return c.s.Resolve(name)
 }
 
-func (c storeCatalog) Scan(name string) (RowIter, error) {
-	return c.s.Scan(name)
+func (c storeCatalog) Scan(name string) (BatchScan, error) {
+	return c.ScanWith(name, lake.ScanOptions{})
 }
 
-// ScanPushed implements PushCatalog: the planner's projection and
-// predicates translate onto the segment scan, which decodes only the
+// ScanWith implements PushCatalog: the segment scan decodes only the
 // pushed columns and skips blocks via zone maps.
-func (c storeCatalog) ScanPushed(name string, push ScanPushdown) (RowIter, error) {
-	opts := lake.ScanOptions{Columns: push.Columns}
-	for _, p := range push.Preds {
-		opts.Preds = append(opts.Preds, lake.ScanPred{Col: p.Col, Op: p.Op, Lit: p.Lit, Numeric: p.Numeric})
+func (c storeCatalog) ScanWith(name string, opts lake.ScanOptions) (BatchScan, error) {
+	sc, err := c.s.ScanWith(name, opts)
+	if err != nil {
+		return nil, err // not a typed nil inside the interface
 	}
-	return c.s.ScanWith(name, opts)
+	return sc, nil
 }
