@@ -5,16 +5,20 @@
 // registry, so the bulk of the lake runs the discovery-free one-pass
 // extraction path.
 //
-// The crawl is two-phase. Phase 1 walks the files in sorted path order
-// and, strictly sequentially, matches a line-aligned sample of each file
-// against the registry (best coverage wins); samples no known profile
-// claims go through full template discovery, and the learned profile is
-// registered under its fingerprint. Phase 2 fans the full-file
-// extraction of every claimed file out over a worker pool. Only phase 2
-// is concurrent and it carries no cross-file state, so the registry, the
-// per-file results and every derived output are byte-identical
-// regardless of worker count — the equivalence the package's property
-// tests pin down.
+// The crawl runs three overlapping stages (classify.go). Match, on a
+// worker pool in any order, reads each file's line-aligned sample and
+// finds the registered profile that covers it best; a sample no profile
+// claims starts template discovery at once, as a speculation. Commit,
+// on one goroutine in sorted path order, settles each file's claim —
+// checkpoint, re-match against profiles registered meanwhile, and the
+// speculation kept (its profile registered under its fingerprint) or
+// discarded — and alone mutates the registry, deciding as if discovery
+// had run at the file's turn. Extract, on the worker pool, starts each
+// file the moment its claim is final, so discovery of one file overlaps
+// extraction of the files before it. The registry, the per-file results
+// and every derived output are therefore byte-identical regardless of
+// worker count — the equivalence the package's property tests pin
+// down.
 package lake
 
 import (

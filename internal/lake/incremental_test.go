@@ -2,6 +2,7 @@ package lake
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -387,9 +388,9 @@ func TestMultiTypeResumeMatchesOneShot(t *testing.T) {
 }
 
 // TestFailedStoreWriteKeepsRows: a file whose store write fails part-way
-// keeps the rows it had. The grown two-type file's second segment is gone
-// from disk, so a resume cannot replay it; the crawl fails the file and
-// keeps its checkpoint — and must not have installed the first type's
+// keeps the rows it had. The grown two-type file's second segment is cut
+// to its magic, so a resume cannot replay it; the crawl fails the file
+// and keeps its checkpoint — and must not have installed the first type's
 // extended segment either, or every later crawl resumes from that
 // checkpoint again and appends the same rows once more.
 func TestFailedStoreWriteKeepsRows(t *testing.T) {
@@ -407,7 +408,7 @@ func TestFailedStoreWriteKeepsRows(t *testing.T) {
 		t.Fatalf("test is vacuous: the file has %d record types, not two", len(reg.Lookup(fp).Templates))
 	}
 	seg := segOf(s.snapshot().table(fp, 1), "x/mixed.log")
-	if err := os.Remove(filepath.Join(s.Dir(), seg.File)); err != nil {
+	if err := os.Truncate(filepath.Join(s.Dir(), seg.File), int64(len(segMagicV2))); err != nil {
 		t.Fatal(err)
 	}
 	appendTo(t, root, "x/mixed.log", strings.Join(lines[250:], ""))
@@ -416,7 +417,7 @@ func TestFailedStoreWriteKeepsRows(t *testing.T) {
 	for crawl := 1; crawl <= 3; crawl++ {
 		res := crawlWithStoreWorkers(t, root, reg, cps, s, 1)
 		if f := fileByPath(t, res, "x/mixed.log"); f.Status != StatusFailed {
-			t.Fatalf("crawl %d: the file whose segment is gone is %v, not failed", crawl, f.Status)
+			t.Fatalf("crawl %d: the file whose segment is cut short is %v, not failed", crawl, f.Status)
 		}
 		if got := s.Tables(); got[0].Rows != before[0].Rows {
 			t.Fatalf("crawl %d: table %s went from %d to %d rows while its file failed", crawl, got[0].Name, before[0].Rows, got[0].Rows)
@@ -429,6 +430,61 @@ func TestFailedStoreWriteKeepsRows(t *testing.T) {
 			if strings.HasPrefix(e.Name(), ".stage-") {
 				t.Fatalf("crawl %d left the staged file %s behind", crawl, e.Name())
 			}
+		}
+	}
+}
+
+// TestMissingSegmentIsExtractedAgain: a two-type file whose first
+// segment file is gone from the store directory while the manifest still
+// names it. Scanning its table names the missing file. The next crawl
+// must not trust the manifest, whether the file is unchanged or grown:
+// it extracts the file in full ("store-new"), and the store then equals
+// a one-shot crawl and every table scans.
+func TestMissingSegmentIsExtractedAgain(t *testing.T) {
+	lines := strings.SplitAfter(mixedLog(5, 200, 200), "\n")
+	for _, grown := range []bool{false, true} {
+		first := len(lines)
+		if grown {
+			first = 250
+		}
+		root := t.TempDir()
+		writeFile(t, root, "x/mixed.log", strings.Join(lines[:first], ""))
+		reg, cps := NewRegistry(), follow.NewStore()
+		s, err := OpenSegmentStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := crawlWithStoreWorkers(t, root, reg, cps, s, 1)
+		fp := fileByPath(t, res, "x/mixed.log").Fingerprint
+		if len(reg.Lookup(fp).Templates) != 2 {
+			t.Fatalf("test is vacuous: the file has %d record types, not two", len(reg.Lookup(fp).Templates))
+		}
+		learned := cloneRegistry(t, reg)
+		seg := segOf(s.snapshot().table(fp, 0), "x/mixed.log")
+		if err := os.Remove(filepath.Join(s.Dir(), seg.File)); err != nil {
+			t.Fatal(err)
+		}
+		// The manifest is the same at every retry: the scan reports the
+		// file, not a race with commits.
+		_, err = s.Scan(fp)
+		if err == nil || !errors.Is(err, os.ErrNotExist) || !strings.Contains(err.Error(), seg.File) || strings.Contains(err.Error(), "snapshots") {
+			t.Fatalf("grown=%v: scanning a table whose segment is gone: %v, want the open error naming %s", grown, err, seg.File)
+		}
+		if grown {
+			appendTo(t, root, "x/mixed.log", strings.Join(lines[first:], ""))
+		}
+
+		res = crawlWithStoreWorkers(t, root, reg, cps, s, 1)
+		if f := fileByPath(t, res, "x/mixed.log"); f.Status != StatusMatched || f.Inc.Resume() != "store-new" {
+			t.Fatalf("grown=%v: the file whose segment is gone is %v (%s), want matched and extracted in full (store-new)", grown, f.Status, f.Inc.Resume())
+		}
+		oneShot, err := OpenSegmentStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		crawlWithStoreWorkers(t, root, learned, follow.NewStore(), oneShot, 1)
+		if got, want := storeRows(t, s), storeRows(t, oneShot); got != want {
+			t.Fatalf("grown=%v: the store differs from a one-shot crawl:\n%s", grown, firstDiff(got, want))
 		}
 	}
 }

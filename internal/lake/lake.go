@@ -151,7 +151,8 @@ type IncInfo struct {
 	// unchanged).
 	Action follow.Action
 	// Reason explains a full extraction: "new", "rotated", "truncated",
-	// "profile-gone" (checkpointed fingerprint no longer registered).
+	// "profile-gone" (checkpointed fingerprint no longer registered),
+	// "store-new" (the record store lacks the file's rows).
 	Reason string
 	// Extracted counts the records this crawl extracted: the whole file
 	// for a full extraction, the region past the checkpoint for a resumed

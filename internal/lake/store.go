@@ -576,7 +576,9 @@ const scanOpenRetries = 8
 // revisions under new filenames and only unlink old ones, and an open
 // descriptor keeps its bytes past the unlink. If a commit lands in the
 // narrow window between reading the manifest and opening the files,
-// Scan retries against the fresh manifest.
+// Scan retries against the fresh manifest; a file missing while the
+// manifest stays the same is missing outright, and its open error,
+// which names it, is returned.
 func (s *SegmentStore) Scan(name string) (*SegmentScan, error) {
 	return s.ScanWith(name, ScanOptions{})
 }
@@ -584,16 +586,21 @@ func (s *SegmentStore) Scan(name string) (*SegmentScan, error) {
 // ScanWith opens a scan with pushed projection and predicates; see
 // Scan for the pinning contract.
 func (s *SegmentStore) ScanWith(name string, opts ScanOptions) (*SegmentScan, error) {
-	var lastErr error
-	for attempt := 0; attempt < scanOpenRetries; attempt++ {
-		sc, err := openScan(s.dir, s.snapshot(), name, opts)
-		if err != nil && errors.Is(err, os.ErrNotExist) {
-			lastErr = err
-			continue
+	man := s.snapshot()
+	for attempt := 1; ; attempt++ {
+		sc, err := openScan(s.dir, man, name, opts)
+		if err == nil || !errors.Is(err, os.ErrNotExist) {
+			return sc, err
 		}
-		return sc, err
+		next := s.snapshot()
+		if next == man {
+			return nil, fmt.Errorf("lake: table %q: %w", name, err)
+		}
+		if attempt == scanOpenRetries {
+			return nil, fmt.Errorf("lake: table %q: segments kept vanishing across %d manifest snapshots: %w", name, scanOpenRetries, err)
+		}
+		man = next
 	}
-	return nil, fmt.Errorf("lake: table %q: segments kept vanishing across %d manifest snapshots: %w", name, scanOpenRetries, lastErr)
 }
 
 // openScan resolves name in man and opens every distinct segment file.
@@ -634,12 +641,13 @@ func openScan(dir string, man *manifest, name string, opts ScanOptions) (*Segmen
 var ErrStaleView = errors.New("lake: store view superseded before its segments opened")
 
 // StoreView is a pinned point-in-time view of the store: Tables,
-// Resolve and Scan all answer from the one manifest snapshot taken by
-// View, so a multi-table consumer (a relational query joining tables)
-// sees a single consistent store state even while commits land. Each
-// successful Scan pins its segment bytes via open descriptors; the only
-// race left is a commit deleting a superseded segment between View and
-// Scan, which surfaces as ErrStaleView (retry with a fresh view).
+// Resolve and ScanWith all answer from the one manifest snapshot taken
+// by View, so a multi-table consumer (a relational query joining
+// tables) sees a single consistent store state even while commits land.
+// Each successful ScanWith pins its segment bytes via open descriptors;
+// the only race left is a commit deleting a superseded segment between
+// View and ScanWith, which surfaces as ErrStaleView (retry with a fresh
+// view).
 type StoreView struct {
 	dir string
 	man *manifest
@@ -655,12 +663,6 @@ func (v *StoreView) Tables() []TableInfo { return tablesIn(v.man) }
 
 // Resolve finds a table in the view by query name.
 func (v *StoreView) Resolve(name string) (TableInfo, error) { return resolveIn(v.man, name) }
-
-// Scan streams one of the view's tables. A vanished segment yields
-// ErrStaleView.
-func (v *StoreView) Scan(name string) (*SegmentScan, error) {
-	return v.ScanWith(name, ScanOptions{})
-}
 
 // ScanWith streams one of the view's tables with pushed projection and
 // predicates. A vanished segment yields ErrStaleView.
@@ -1555,14 +1557,34 @@ func copyRows(sw *segWriter, in *os.File, ncols, skip, rows, limit int) error {
 }
 
 // Covers reports whether the transaction's view holds a segment of
-// relPath for each of the format's ntypes record types — i.e. the
-// store already has this file's rows, so a checkpointed skip or resume
-// is sound.
+// relPath for each of the format's ntypes record types, each in a file
+// the store directory has — i.e. the store already has this file's
+// rows, so a checkpointed skip or resume is sound. A manifest naming a
+// file the directory lost is not trusted: the file takes the full path
+// and its segments are written again. A span a compaction moved since
+// Begin counts where it now is, which is where a resume replays it from
+// (replayKept).
 func (t *StoreTxn) Covers(relPath, fp string, ntypes int) bool {
+	segs := make([]manSeg, 0, ntypes)
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	for typeID := 0; typeID < ntypes; typeID++ {
-		if segOf(t.man.table(fp, typeID), relPath) == nil {
+		seg := segOf(t.man.table(fp, typeID), relPath)
+		if seg == nil {
+			t.mu.Unlock()
+			return false
+		}
+		segs = append(segs, *seg)
+	}
+	t.mu.Unlock()
+	exists := func(file string) bool {
+		_, err := os.Stat(filepath.Join(t.s.dir, file))
+		return err == nil
+	}
+	for typeID, seg := range segs {
+		if exists(seg.File) {
+			continue
+		}
+		if cur := t.relocated(fp, typeID, relPath, seg); cur == nil || !exists(cur.File) {
 			return false
 		}
 	}

@@ -551,13 +551,8 @@ func (t *StoreTxn) replayKept(s *stagedSeg, fp string, typeID int, relPath strin
 	}
 	in, err := os.Open(src)
 	for attempt := 0; errors.Is(err, os.ErrNotExist) && !isStaged && attempt < scanOpenRetries; attempt++ {
-		// A compaction published since Begin moved the span and
-		// unlinked the file it was in: the same rows under a new
-		// (File, RowOff) in the store's current manifest. A span
-		// that changed in any other way was rewritten by another
-		// transaction, which is not this one's to merge.
-		cur := segOf(t.s.snapshot().table(fp, typeID), relPath)
-		if cur == nil || cur.Rows != spanRows || cur.Provisional != spanRows-keep {
+		cur := t.relocated(fp, typeID, relPath, seg)
+		if cur == nil {
 			break
 		}
 		oldName, skip = cur.File, cur.RowOff
@@ -569,6 +564,20 @@ func (t *StoreTxn) replayKept(s *stagedSeg, fp string, typeID int, relPath strin
 	defer in.Close()
 	s.base = oldName
 	return copyRows(s.sw, in, s.ncols, skip, spanRows, keep)
+}
+
+// relocated returns relPath's span of one type in the store's current
+// manifest when a compaction published since Begin moved seg, the span
+// as the transaction saw it, and unlinked the file it was in: the same
+// rows under a new (File, RowOff). A span that changed in any other way
+// was rewritten by another transaction, which is not this one's to
+// merge, and yields nil.
+func (t *StoreTxn) relocated(fp string, typeID int, relPath string, seg manSeg) *manSeg {
+	cur := segOf(t.s.snapshot().table(fp, typeID), relPath)
+	if cur == nil || cur.Rows != seg.Rows || cur.Provisional != seg.Provisional {
+		return nil
+	}
+	return cur
 }
 
 // add writes one extraction batch's records into their type's segment,

@@ -190,11 +190,6 @@ func NewRegistry() *Registry {
 	}
 }
 
-var defaultRegistry = NewRegistry()
-
-// Default is the process-wide registry.
-func Default() *Registry { return defaultRegistry }
-
 // renderLabels turns ("k1", "v1", "k2", "v2") into a deterministic
 // `{k1="v1",k2="v2"}` signature with keys sorted and values escaped.
 // Panics on an odd-length pair list — a programmer error, caught by

@@ -80,10 +80,6 @@ type Config struct {
 	// Core holds the discovery options used when /reindex meets a new
 	// format.
 	Core core.Options
-	// SampleBytes and MatchThreshold parameterize classification, as in
-	// lake.Config.
-	SampleBytes    int
-	MatchThreshold float64
 	// StorePath is the record-store directory: the per-format columnar
 	// segments /reindex writes and /v1/query reads. Empty disables the
 	// store (and with it /v1/query).
@@ -433,20 +429,12 @@ func (s *Server) handleExtractLake(w http.ResponseWriter, r *http.Request) {
 		e = snap.Registry.Lookup(cp.Fingerprint)
 	}
 	if e == nil {
-		sampleBytes := s.cfg.SampleBytes
-		if sampleBytes <= 0 {
-			sampleBytes = lake.DefaultSampleBytes
-		}
-		threshold := s.cfg.MatchThreshold
-		if threshold <= 0 {
-			threshold = lake.DefaultMatchThreshold
-		}
-		sample, _, err := lake.ReadSample(full, sampleBytes)
+		sample, _, err := lake.ReadSample(full, lake.DefaultSampleBytes)
 		if err != nil {
 			httpError(w, http.StatusInternalServerError, "sample %s: %v", rel, err)
 			return
 		}
-		if e = lake.MatchSample(sample, snap.Registry, threshold); e == nil {
+		if e = lake.MatchSample(sample, snap.Registry, lake.DefaultMatchThreshold); e == nil {
 			httpError(w, http.StatusUnprocessableEntity,
 				"no registered format claims %s (reindex first, or pass format=)", rel)
 			return
@@ -620,12 +608,10 @@ func (s *Server) Reindex(ctx context.Context, format string) (*lake.Result, erro
 	}
 	span := obsv.StartSpan(hist)
 	res, err := s.st.Crawl(ctx, s.cfg.Root, lake.Config{
-		Core:           s.cfg.Core,
-		Workers:        s.cfg.Workers,
-		SampleBytes:    s.cfg.SampleBytes,
-		MatchThreshold: s.cfg.MatchThreshold,
-		Metrics:        s.obs.reg,
-		Logger:         s.logger,
+		Core:    s.cfg.Core,
+		Workers: s.cfg.Workers,
+		Metrics: s.obs.reg,
+		Logger:  s.logger,
 	}, format)
 	if err != nil {
 		return nil, err
