@@ -19,10 +19,10 @@
 // must outlive it (a join's build side, heap entries, group keys, the
 // rows handed to the caller) is copied out, column-wise, so no kept
 // cell keeps a block alive. Rows, the public cursor, carves rows from
-// each output batch; every Catalog hands the engine batches, the store's
-// own lake.Batch. Allocations therefore follow blocks
-// decoded and rows kept, not rows seen, and cancellation is polled once
-// per batch by every scan and every blocking operator.
+// each output batch; every Catalog's scan hands the engine the store's
+// own lake.Batch. Allocations therefore follow blocks decoded and rows
+// kept, not rows seen, and cancellation is polled once per batch by
+// every scan and every blocking operator.
 //
 // Queries are written in a minimal SELECT-like text form:
 //
