@@ -130,8 +130,8 @@ func collect(t *testing.T, cat Catalog, text string) ([]string, [][]string) {
 }
 
 // batchSizes are the rows per batch a memCatalog is run at: a batch per
-// row, batches that cut every table of more than three rows, and (for
-// the small tables of these tests) one batch per table.
+// row, batches that cut every table of more than three rows, and the
+// engine's own batch size, which holds a small table whole.
 var batchSizes = []int{1, 3, batchRows}
 
 // runEngine drains a query into its columns and rows. Over a memCatalog
