@@ -68,8 +68,12 @@ bench-quick:
 # Normalize, and the matcher spliced from the parent's program has the
 # length, columns and arrays of, and scans exactly as, the matcher
 # compiled from that tree), the segment reader on hostile bytes (FuzzSegmentScan: no panic, no
-# allocation out of proportion to the file, row view ≡ batch view, and
-# compaction's splice refuses the file or reproduces its rows), the
+# allocation out of proportion to the file, row view ≡ batch view,
+# compaction's splice refuses the file or reproduces its rows, and the
+# retired v1 magic is refused), the store's manifest loader (FuzzManifest:
+# arbitrary manifest.json — the store refuses it or opens, lists,
+# resolves and scans it without a panic, saves it byte-stable, and no
+# scan, commit or compaction touches a file outside its directory), the
 # segment writer (FuzzSegmentWriter: rows written from field spans ≡ the
 # []string oracle's rows built by relational.Denormalizer.Row — segment
 # bytes, kinds and distinct counts — over arrays, empty cells, separator
@@ -78,7 +82,7 @@ bench-quick:
 # (FuzzProfileApply: arbitrary profile JSON × arbitrary data — no panic,
 # slice door ≡ reader door at 64-byte shards ≡ the tree-walking oracle's
 # residue chain) on fuzzer-mutated inputs, not just the committed
-# corpora. The segment and profile targets cap the minimizer, which
+# corpora. The segment, manifest and profile targets cap the minimizer, which
 # would otherwise spend the whole ten seconds shrinking the first
 # interesting input.
 fuzz-smoke:
@@ -89,6 +93,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnfoldVariant$$' -fuzztime 10s ./internal/refine
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentScan$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/lake
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentWriter$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/lake
+	$(GO) test -run '^$$' -fuzz '^FuzzManifest$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/lake
 	$(GO) test -run '^$$' -fuzz '^FuzzProfileApply$$' -fuzztime 10s -fuzzminimizetime 1s .
 
 # Regenerate the goldens under testdata/lake_golden (the index report,

@@ -25,20 +25,19 @@ func compactFileName(fp string, typeID, gen int) string {
 }
 
 // Compact rewrites every table whose rows are spread across more than
-// maxFiles segment files into one fresh shared v2 file per table: the
+// maxFiles segment files into one fresh shared file per table: the
 // paths' spans follow each other in sorted path order, every span
 // block-aligned (zone maps never mix paths), and each span keeps its
 // original row count, provisional tail, kinds and distinct estimates
-// under a new (File, Rev, RowOff). A v2 span is relocated, not
+// under a new (File, Size, Rev, RowOff). A span is relocated, not
 // rewritten: its blocks are copied as bytes and its zone maps carried
-// over from the source footer (spliceSpan); only a v1 span, which has
-// neither header lengths nor a footer, is replayed through the writer.
-// Logical table contents are untouched — only the file layout changes —
-// so Compact is an optimization the crawl runs after committing: it
-// publishes via compare-and-swap against the manifest it read and
-// simply skips (returning 0) if a concurrent commit got there first;
-// the next crawl retries. Superseded segment files are deleted once the
-// new manifest is published. Returns the number of tables rewritten.
+// over from the source footer (spliceSpan). Logical table contents are
+// untouched — only the file layout changes — so Compact is an
+// optimization the crawl runs after committing: it publishes via
+// compare-and-swap against the manifest it read and simply skips
+// (returning 0) if a concurrent commit got there first; the next crawl
+// retries. Superseded segment files are deleted once the new manifest
+// is published. Returns the number of tables rewritten.
 func (s *SegmentStore) Compact(maxFiles int) (int, error) {
 	return s.compact(s.snapshot(), maxFiles)
 }
@@ -175,11 +174,11 @@ func compactTable(dir string, tbl *manTable, inputs map[string]*os.File) (staged
 	sf := stagedFile{final: compactFileName(tbl.Fingerprint, tbl.Type, gen)}
 	var err error
 	sf.tmp, err = atomicfile.Stage(dir, func(w io.Writer) error {
-		if _, err := w.Write(segMagicV2); err != nil {
-			return err
-		}
 		sw := newSegWriter(w, ncols)
 		defer sw.release()
+		if _, err := sw.w.Write(segMagicV2); err != nil {
+			return err
+		}
 		// Spans that share a source file (an earlier compaction's output)
 		// follow each other in it in path order, so one forward-only
 		// reader per file serves them all.
@@ -190,22 +189,13 @@ func compactTable(dir string, tbl *manTable, inputs map[string]*os.File) (staged
 			sr := readers[seg.File]
 			if sr == nil {
 				var err error
-				if sr, err = openSpliceReader(seg.File, inputs[seg.File], ncols); err != nil {
+				if sr, err = openSpliceReader(seg.File, inputs[seg.File], ncols, seg.Size); err != nil {
 					return fmt.Errorf("lake: segment %s: %w", seg.File, err)
 				}
 				readers[seg.File] = sr
 			}
-			if sr.version >= 2 {
-				if err := spliceSpan(sw, sr, seg); err != nil {
-					return fmt.Errorf("lake: segment %s: %w", seg.File, err)
-				}
-			} else {
-				if err := copyRows(sw, sr.f, ncols, seg.RowOff, seg.Rows, seg.Rows); err != nil {
-					return err
-				}
-				if err := sw.flushBlock(); err != nil {
-					return err
-				}
+			if err := spliceSpan(sw, sr, seg); err != nil {
+				return fmt.Errorf("lake: segment %s: %w", seg.File, err)
 			}
 			seg.File, seg.Rev, seg.RowOff = sf.final, gen, rowOff
 			rowOff += seg.Rows
@@ -219,28 +209,32 @@ func compactTable(dir string, tbl *manTable, inputs map[string]*os.File) (staged
 		if distincts == nil {
 			distincts = make([]int, ncols)
 		}
-		return sw.writeFooter(distincts)
+		if err := sw.writeFooter(distincts); err != nil {
+			return err
+		}
+		for si := range tbl.Segments {
+			tbl.Segments[si].Size = sw.out.n
+		}
+		return nil
 	})
 	return sf, err
 }
 
 // openSpliceReader opens the header-walking reader over one input file
-// of a compaction and, for a v2 file, loads the footer its zone maps are
-// carried over from. A v1 file has none; its spans are replayed.
-func openSpliceReader(name string, f *os.File, ncols int) (*segReader, error) {
-	sr, err := newSegReader(name, f, ncols)
+// of a compaction, of the size the manifest records (0: none), and loads
+// the footer its zone maps are carried over from.
+func openSpliceReader(name string, f *os.File, ncols int, size int64) (*segReader, error) {
+	sr, err := newSegReader(name, f, ncols, size)
 	if err != nil {
 		return nil, err
 	}
-	if sr.version >= 2 {
-		if sr.foot, err = readFooter(f, sr.size); err != nil {
-			return nil, fmt.Errorf("stats footer: %w", err)
-		}
+	if sr.foot, err = readFooter(f, sr.size); err != nil {
+		return nil, fmt.Errorf("stats footer: %w", err)
 	}
 	return sr, nil
 }
 
-// spliceSpan relocates one v2 span into the file sw is writing: it
+// spliceSpan relocates one span into the file sw is writing: it
 // walks the span's block headers — nothing else of a block is read —
 // to find the byte range the span occupies and to hold every header to
 // the footer entry that is about to become its zone map, then hands

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -37,7 +38,7 @@ func spliceFile(src, dst string, ncols, rows int) error {
 		return err
 	}
 	defer in.Close()
-	sr, err := openSpliceReader(src, in, ncols)
+	sr, err := openSpliceReader(src, in, ncols, 0)
 	if err != nil {
 		return err
 	}
@@ -70,16 +71,18 @@ func drainFuzzScan(sc *SegmentScan) (rows [][]string, consumed int, err error) {
 	}
 }
 
-// FuzzSegmentScan feeds the segment reader arbitrary bytes after a
-// valid magic, with and without a pushed predicate (which also sends a
-// v2 file through the footer decoder). Whatever the bytes, a scan ends
+// FuzzSegmentScan feeds the segment reader arbitrary bytes after the
+// segment magic, with and without a pushed predicate (which also sends
+// the file through the footer decoder). Whatever the bytes, a scan ends
 // in rows then an error or EOF — never a panic, and never having
 // allocated more than a constant factor over the input: a length prefix
 // is believed only as far as the file could honour it. The row view and
-// the batch view must agree on everything that decodes. A v2 input is
+// the batch view must agree on everything that decodes. The input is
 // then relocated the way compaction relocates a span, under the same
 // two bars: the splice either refuses the file or produces one whose
 // scan yields the rows of the source span and ends the way it ends.
+// Under the retired v1 magic (isV2 false) the same bytes are refused
+// before any row, by both views, as a bad magic.
 func FuzzSegmentScan(f *testing.F) {
 	// Two blocks of short cells: a small seed keeps the fuzzer's
 	// minimizer, which reruns every shrink of an interesting input, quick.
@@ -101,8 +104,9 @@ func FuzzSegmentScan(f *testing.F) {
 		return buf.Bytes()
 	}
 	v2 := encodeV2(rows)
-	// The same rows as v1 blocks: a row count, then each column's
-	// length-prefixed cells, no header lengths and no footer.
+	// The same rows as v1 blocks — a row count, then each column's
+	// length-prefixed cells, no header lengths and no footer — which the
+	// reader no longer reads.
 	var v1 []byte
 	for _, block := range [][][]string{rows[:segBlockRows], rows[segBlockRows:]} {
 		v1 = binary.AppendUvarint(v1, uint64(len(block)))
@@ -133,7 +137,7 @@ func FuzzSegmentScan(f *testing.F) {
 	path := filepath.Join(f.TempDir(), "fuzz.seg")
 	spliced := filepath.Join(f.TempDir(), "spliced.seg")
 	f.Fuzz(func(t *testing.T, body []byte, isV2, pushed bool) {
-		magic := segMagicV1
+		magic := []byte("dmseg1\n")
 		if isV2 {
 			magic = segMagicV2
 		}
@@ -186,6 +190,11 @@ func FuzzSegmentScan(f *testing.F) {
 			t.Fatalf("row view: %d rows then %v; batch view: %d rows then %v", len(viaRows), rowErr, len(viaBatches), batchErr)
 		}
 		if !isV2 {
+			for _, err := range []error{rowErr, batchErr} {
+				if len(viaRows) > 0 || err == nil || !strings.Contains(err.Error(), "bad magic") || !strings.Contains(err.Error(), path) {
+					t.Fatalf("a v1 file: %d rows then %v, want no row and a bad magic naming %s", len(viaRows), err, path)
+				}
+			}
 			return
 		}
 
@@ -206,5 +215,117 @@ func FuzzSegmentScan(f *testing.F) {
 		if (wantErr == io.EOF) != (gotErr == io.EOF) || !equalRows(got, want) {
 			t.Fatalf("source span: %d rows then %v; spliced: %d rows then %v", len(want), wantErr, len(got), gotErr)
 		}
+	})
+}
+
+// FuzzManifest opens a store over arbitrary manifest.json bytes, in a
+// directory holding one good segment and one that is not a segment, with
+// a file of its own beside the directory. Whatever the bytes,
+// OpenSegmentStore refuses them or opens a store whose tables list,
+// resolve and scan to rows or an error, never a panic. An accepted
+// manifest saves to bytes that open again and save to the same bytes.
+// Then a transaction drops every path and a compaction runs: neither —
+// nor anything before them — may change what lies outside the directory.
+func FuzzManifest(f *testing.F) {
+	var good bytes.Buffer
+	good.Write(segMagicV2)
+	sw := newSegWriter(&good, 2)
+	for i := 0; i < 5; i++ {
+		if err := addRow(sw, []string{fmt.Sprint(i), "x"}); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if _, _, _, err := sw.finish(); err != nil {
+		f.Fatal(err)
+	}
+	sw.release()
+	seg := func(path, file string, size, rows, rowOff int) string {
+		return fmt.Sprintf(`{"path": %q, "file": %q, "size": %d, "rows": %d, "rowOff": %d, "kinds": ["int", "string"], "distincts": [5, 1]}`, path, file, size, rows, rowOff)
+	}
+	table := func(fp string, typeID int, segs ...string) string {
+		return fmt.Sprintf(`{"fingerprint": %q, "type": %d, "columns": ["f0", "f1"], "segments": [%s]}`, fp, typeID, strings.Join(segs, ", "))
+	}
+	manifestOf := func(tables ...string) []byte {
+		return []byte(fmt.Sprintf(`{"version": 1, "tables": [%s]}`, strings.Join(tables, ", ")))
+	}
+	f.Add(manifestOf(table("abcdef0123456789", 0, seg("a.log", "good.seg", good.Len(), 5, 0))))
+	f.Add(manifestOf(
+		table("abcdef0123456789", 0, seg("a.log", "good.seg", 0, 5, 0), seg("b.log", "bad.seg", 9, 1, 0)),
+		table("abcdef0123456789", 1, seg("a.log", "good.seg", good.Len()+1, 3, 2)),
+		table("abcd", 0, seg("c.log", "gone.seg", 100, 1, 0))))
+	f.Add(manifestOf(table("abcdef0123456789", 0, seg("a.log", "../outside.txt", 16, 1, 0))))
+	f.Add([]byte(`{"version": 2, "tables": []}`))
+	f.Add([]byte(`{"tables": null}`))
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		parent := t.TempDir()
+		dir := filepath.Join(parent, "store")
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		const outside = "a file beside the store\n"
+		for name, data := range map[string][]byte{
+			filepath.Join(parent, "outside.txt"): []byte(outside),
+			filepath.Join(dir, "good.seg"):       good.Bytes(),
+			filepath.Join(dir, "bad.seg"):        []byte("not a segment"),
+			filepath.Join(dir, "manifest.json"):  raw,
+		} {
+			if err := os.WriteFile(name, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		defer func() {
+			entries, err := os.ReadDir(parent)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(filepath.Join(parent, "outside.txt"))
+			if len(entries) != 2 || err != nil || string(got) != outside {
+				t.Fatalf("the directory beside the store holds %d entries, and the file there reads %q, %v", len(entries), got, err)
+			}
+		}()
+
+		s, err := OpenSegmentStore(dir)
+		if err != nil {
+			return
+		}
+		for _, ti := range s.Tables() {
+			if _, err := s.Resolve(ti.Name); err != nil {
+				continue
+			}
+			sc, err := s.ScanWith(ti.Name, ScanOptions{})
+			if err != nil {
+				continue
+			}
+			for err == nil {
+				_, err = sc.NextBatch()
+			}
+			sc.Close()
+		}
+
+		// save writes st's manifest and returns the bytes written.
+		save := func(st *SegmentStore) []byte {
+			if err := saveManifest(dir, st.snapshot()); err != nil {
+				t.Fatal(err)
+			}
+			b, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}
+		once := save(s)
+		reopened, err := OpenSegmentStore(dir)
+		if err != nil {
+			t.Fatalf("a saved manifest does not open again: %v\n%s", err, once)
+		}
+		if twice := save(reopened); !bytes.Equal(once, twice) {
+			t.Fatalf("the manifest does not save byte-stable:\n%s\n--- then ---\n%s", once, twice)
+		}
+
+		_, _ = s.Compact(1)
+		txn := s.Begin()
+		txn.Retain(func(string) bool { return false })
+		_ = txn.Commit()
 	})
 }

@@ -2,8 +2,9 @@ package lake
 
 import (
 	"context"
-	"errors"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -388,11 +389,13 @@ func TestMultiTypeResumeMatchesOneShot(t *testing.T) {
 }
 
 // TestFailedStoreWriteKeepsRows: a file whose store write fails part-way
-// keeps the rows it had. The grown two-type file's second segment is cut
-// to its magic, so a resume cannot replay it; the crawl fails the file
-// and keeps its checkpoint — and must not have installed the first type's
-// extended segment either, or every later crawl resumes from that
-// checkpoint again and appends the same rows once more.
+// keeps the rows it had. The grown two-type file's second segment is
+// damaged without changing its size — its first block's row count is set
+// to the end-of-blocks sentinel — so a crawl still trusts it and plans a
+// resume, whose replay of it fails; the crawl fails the file and keeps
+// its checkpoint — and must not have installed the first type's extended
+// segment either, or every later crawl resumes from that checkpoint again
+// and appends the same rows once more.
 func TestFailedStoreWriteKeepsRows(t *testing.T) {
 	lines := strings.SplitAfter(mixedLog(5, 200, 200), "\n")
 	root := t.TempDir()
@@ -408,7 +411,17 @@ func TestFailedStoreWriteKeepsRows(t *testing.T) {
 		t.Fatalf("test is vacuous: the file has %d record types, not two", len(reg.Lookup(fp).Templates))
 	}
 	seg := segOf(s.snapshot().table(fp, 1), "x/mixed.log")
-	if err := os.Truncate(filepath.Join(s.Dir(), seg.File), int64(len(segMagicV2))); err != nil {
+	if seg.Rows == seg.Provisional {
+		t.Fatalf("test is vacuous: a resume replays none of the %d rows of %s", seg.Rows, seg.File)
+	}
+	f, err := os.OpenFile(filepath.Join(s.Dir(), seg.File), os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{0}, int64(len(segMagicV2))); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 	appendTo(t, root, "x/mixed.log", strings.Join(lines[250:], ""))
@@ -417,7 +430,7 @@ func TestFailedStoreWriteKeepsRows(t *testing.T) {
 	for crawl := 1; crawl <= 3; crawl++ {
 		res := crawlWithStoreWorkers(t, root, reg, cps, s, 1)
 		if f := fileByPath(t, res, "x/mixed.log"); f.Status != StatusFailed {
-			t.Fatalf("crawl %d: the file whose segment is cut short is %v, not failed", crawl, f.Status)
+			t.Fatalf("crawl %d: the file whose segment is damaged is %v, not failed", crawl, f.Status)
 		}
 		if got := s.Tables(); got[0].Rows != before[0].Rows {
 			t.Fatalf("crawl %d: table %s went from %d to %d rows while its file failed", crawl, got[0].Name, before[0].Rows, got[0].Rows)
@@ -434,57 +447,156 @@ func TestFailedStoreWriteKeepsRows(t *testing.T) {
 	}
 }
 
+// writeV1Segment writes rows, ncols wide, as a segment of the retired v1
+// format: its magic, then blocks of a uvarint row count followed by each
+// column's uvarint-length-prefixed cells, ending at EOF with no footer.
+func writeV1Segment(t *testing.T, path string, rows [][]string, ncols int) {
+	t.Helper()
+	raw := []byte("dmseg1\n")
+	for lo := 0; lo < len(rows); lo += segBlockRows {
+		block := rows[lo:min(lo+segBlockRows, len(rows))]
+		raw = binary.AppendUvarint(raw, uint64(len(block)))
+		for c := 0; c < ncols; c++ {
+			for _, row := range block {
+				raw = appendCell(raw, row[c])
+			}
+		}
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// scanAll drains a scan of every table of the store and returns the
+// first error.
+func scanAll(s *SegmentStore) error {
+	for _, ti := range s.Tables() {
+		sc, err := s.Scan(ti.Name)
+		if err != nil {
+			return err
+		}
+		for err == nil {
+			_, err = sc.NextBatch()
+		}
+		sc.Close()
+		if err != io.EOF {
+			return err
+		}
+	}
+	return nil
+}
+
 // TestMissingSegmentIsExtractedAgain: a two-type file whose first
-// segment file is gone from the store directory while the manifest still
-// names it. Scanning its table names the missing file. The next crawl
-// must not trust the manifest, whether the file is unchanged or grown:
-// it extracts the file in full ("store-new"), and the store then equals
-// a one-shot crawl and every table scans.
+// segment is not the file its manifest entry describes — removed, cut
+// short, grown, replaced by a segment of the retired v1 format (whose
+// entry, written before sizes were recorded, records none) — or whose
+// entry records no size. Before the next crawl, a scan of its table fails
+// naming the damaged file; only the entry with no size still scans. The
+// next crawl must not trust the segment, whether the file is unchanged or
+// grown: it extracts the file in full ("store-new"), and the store then
+// equals a one-shot crawl and every table scans.
 func TestMissingSegmentIsExtractedAgain(t *testing.T) {
 	lines := strings.SplitAfter(mixedLog(5, 200, 200), "\n")
-	for _, grown := range []bool{false, true} {
-		first := len(lines)
-		if grown {
-			first = 250
-		}
-		root := t.TempDir()
-		writeFile(t, root, "x/mixed.log", strings.Join(lines[:first], ""))
-		reg, cps := NewRegistry(), follow.NewStore()
-		s, err := OpenSegmentStore(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := crawlWithStoreWorkers(t, root, reg, cps, s, 1)
-		fp := fileByPath(t, res, "x/mixed.log").Fingerprint
-		if len(reg.Lookup(fp).Templates) != 2 {
-			t.Fatalf("test is vacuous: the file has %d record types, not two", len(reg.Lookup(fp).Templates))
-		}
-		learned := cloneRegistry(t, reg)
-		seg := segOf(s.snapshot().table(fp, 0), "x/mixed.log")
-		if err := os.Remove(filepath.Join(s.Dir(), seg.File)); err != nil {
-			t.Fatal(err)
-		}
-		// The manifest is the same at every retry: the scan reports the
-		// file, not a race with commits.
-		_, err = s.Scan(fp)
-		if err == nil || !errors.Is(err, os.ErrNotExist) || !strings.Contains(err.Error(), seg.File) || strings.Contains(err.Error(), "snapshots") {
-			t.Fatalf("grown=%v: scanning a table whose segment is gone: %v, want the open error naming %s", grown, err, seg.File)
-		}
-		if grown {
-			appendTo(t, root, "x/mixed.log", strings.Join(lines[first:], ""))
-		}
+	damages := []struct {
+		name string
+		// damage harms the segment file at path, which holds rows and
+		// which seg, an entry of a manifest written back afterwards,
+		// describes.
+		damage func(t *testing.T, path string, seg *manSeg, rows [][]string)
+		// scanErr is what a scan's error says, "" where the table scans.
+		scanErr string
+	}{
+		{"removed", func(t *testing.T, path string, _ *manSeg, _ [][]string) {
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+		}, "no such file"},
+		{"cut-short", func(t *testing.T, path string, seg *manSeg, _ [][]string) {
+			if err := os.Truncate(path, seg.Size/2); err != nil {
+				t.Fatal(err)
+			}
+		}, "the manifest records"},
+		{"grown", func(t *testing.T, path string, _ *manSeg, _ [][]string) {
+			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+			if err == nil {
+				_, err = f.Write([]byte("more bytes"))
+				f.Close()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}, "the manifest records"},
+		{"dmseg1", func(t *testing.T, path string, seg *manSeg, rows [][]string) {
+			writeV1Segment(t, path, rows, len(rows[0]))
+			seg.Size = 0
+		}, "bad magic"},
+		{"no-size", func(_ *testing.T, _ string, seg *manSeg, _ [][]string) {
+			seg.Size = 0
+		}, ""},
+	}
+	for _, d := range damages {
+		for _, grown := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/source-%s", d.name, map[bool]string{false: "unchanged", true: "grown"}[grown]), func(t *testing.T) {
+				first := len(lines)
+				if grown {
+					first = 250
+				}
+				root := t.TempDir()
+				writeFile(t, root, "x/mixed.log", strings.Join(lines[:first], ""))
+				reg, cps := NewRegistry(), follow.NewStore()
+				s, err := OpenSegmentStore(t.TempDir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				res := crawlWithStoreWorkers(t, root, reg, cps, s, 1)
+				fp := fileByPath(t, res, "x/mixed.log").Fingerprint
+				if len(reg.Lookup(fp).Templates) != 2 {
+					t.Fatalf("test is vacuous: the file has %d record types, not two", len(reg.Lookup(fp).Templates))
+				}
+				learned := cloneRegistry(t, reg)
+				man := s.snapshot().clone()
+				seg := segOf(man.table(fp, 0), "x/mixed.log")
+				if seg.Size == 0 {
+					t.Fatalf("the crawl recorded no size for %s", seg.File)
+				}
+				// The table holds this one file's rows.
+				rows := drainScan(t, mustScan(t, s, fp, ScanOptions{}))
+				if len(rows) == 0 || len(rows) != seg.Rows {
+					t.Fatalf("scanned %d rows, the span has %d", len(rows), seg.Rows)
+				}
+				d.damage(t, filepath.Join(s.Dir(), seg.File), seg, rows)
+				if err := saveManifest(s.Dir(), man); err != nil {
+					t.Fatal(err)
+				}
+				if s, err = OpenSegmentStore(s.Dir()); err != nil {
+					t.Fatal(err)
+				}
+				// The manifest is the same at every retry: the scan
+				// reports the file, not a race with commits.
+				err = scanAll(s)
+				if d.scanErr == "" && err != nil {
+					t.Fatalf("scanning a store whose entry records no size: %v", err)
+				}
+				if d.scanErr != "" && (err == nil || !strings.Contains(err.Error(), d.scanErr) || !strings.Contains(err.Error(), seg.File) || strings.Contains(err.Error(), "snapshots")) {
+					t.Fatalf("scanning a table whose segment is damaged: %v, want an error naming %s that says %q", err, seg.File, d.scanErr)
+				}
+				if grown {
+					appendTo(t, root, "x/mixed.log", strings.Join(lines[first:], ""))
+				}
 
-		res = crawlWithStoreWorkers(t, root, reg, cps, s, 1)
-		if f := fileByPath(t, res, "x/mixed.log"); f.Status != StatusMatched || f.Inc.Resume() != "store-new" {
-			t.Fatalf("grown=%v: the file whose segment is gone is %v (%s), want matched and extracted in full (store-new)", grown, f.Status, f.Inc.Resume())
-		}
-		oneShot, err := OpenSegmentStore(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		crawlWithStoreWorkers(t, root, learned, follow.NewStore(), oneShot, 1)
-		if got, want := storeRows(t, s), storeRows(t, oneShot); got != want {
-			t.Fatalf("grown=%v: the store differs from a one-shot crawl:\n%s", grown, firstDiff(got, want))
+				res = crawlWithStoreWorkers(t, root, reg, cps, s, 1)
+				if f := fileByPath(t, res, "x/mixed.log"); f.Status != StatusMatched || f.Inc.Resume() != "store-new" {
+					t.Fatalf("the file whose segment is damaged is %v (%s), want matched and extracted in full (store-new)", f.Status, f.Inc.Resume())
+				}
+				oneShot, err := OpenSegmentStore(t.TempDir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				crawlWithStoreWorkers(t, root, learned, follow.NewStore(), oneShot, 1)
+				if got, want := storeRows(t, s), storeRows(t, oneShot); got != want {
+					t.Fatalf("the store differs from a one-shot crawl:\n%s", firstDiff(got, want))
+				}
+			})
 		}
 	}
 }

@@ -152,7 +152,8 @@ type IncInfo struct {
 	Action follow.Action
 	// Reason explains a full extraction: "new", "rotated", "truncated",
 	// "profile-gone" (checkpointed fingerprint no longer registered),
-	// "store-new" (the record store lacks the file's rows).
+	// "store-new" (the record store lacks the file's rows, or does not
+	// trust them: see StoreTxn.Covers).
 	Reason string
 	// Extracted counts the records this crawl extracted: the whole file
 	// for a full extraction, the region past the checkpoint for a resumed

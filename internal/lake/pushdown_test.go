@@ -1,19 +1,14 @@
 package lake
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 
 	"datamaran/internal/follow"
-	"datamaran/internal/semtype"
 )
 
 // refMatch is an independent reimplementation of the scan's predicate
@@ -213,158 +208,4 @@ func mustScan(t *testing.T, s *SegmentStore, name string, opts ScanOptions) *Seg
 		t.Fatal(err)
 	}
 	return sc
-}
-
-// writeV1Segment hand-writes a pre-stats segment file: the v1 magic,
-// then blocks of uvarint row count followed by each column's
-// uvarint-length-prefixed cells, ending at EOF with no footer.
-func writeV1Segment(t testing.TB, path string, blocks [][][]string, ncols int) {
-	t.Helper()
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := bufio.NewWriter(f)
-	if _, err := w.Write(segMagicV1); err != nil {
-		t.Fatal(err)
-	}
-	var tmp [binary.MaxVarintLen64]byte
-	put := func(v uint64) {
-		n := binary.PutUvarint(tmp[:], v)
-		if _, err := w.Write(tmp[:n]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, rows := range blocks {
-		put(uint64(len(rows)))
-		for c := 0; c < ncols; c++ {
-			for _, row := range rows {
-				put(uint64(len(row[c])))
-				if _, err := w.Write([]byte(row[c])); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestScanMixedV1V2Segments: a table spanning a hand-written v1 segment
-// (no stats footer) and a v2 segment scans correctly — full, projected
-// and predicated (zone maps prune only where they exist) — and
-// compaction rewrites the mix into one v2 file without changing a row.
-func TestScanMixedV1V2Segments(t *testing.T) {
-	dir := t.TempDir()
-	const fp = "feedfacecafebeef"
-	const ncols = 3
-
-	v1rows := [][][]string{
-		{{"alpha", "1.50", "east"}, {"bravo", "2.25", "west"}, {"charlie", "9.75", "east"}},
-		{{"delta", "0.10", "west"}, {"echo", "7.00", "east"}},
-	}
-	writeV1Segment(t, filepath.Join(dir, "v1.seg"), v1rows, ncols)
-
-	v2rows := [][]string{
-		{"foxtrot", "3.30", "west"},
-		{"golf", "8.80", "east"},
-		{"hotel", "0.05", "west"},
-	}
-	f, err := os.Create(filepath.Join(dir, "v2.seg"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(segMagicV2); err != nil {
-		t.Fatal(err)
-	}
-	sw := newSegWriter(f, ncols)
-	for _, row := range v2rows {
-		if err := addRow(sw, row); err != nil {
-			t.Fatal(err)
-		}
-	}
-	kinds, rows, dist, err := sw.finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	strKinds := make([]semtype.Kind, ncols)
-	for i := range strKinds {
-		strKinds[i] = semtype.KindString
-	}
-	man := &manifest{Tables: []manTable{{
-		Fingerprint: fp,
-		Type:        0,
-		Columns:     []string{"f0", "f1", "f2"},
-		Segments: []manSeg{
-			{Path: "a.log", File: "v1.seg", Rows: 5, Kinds: strKinds},
-			{Path: "b.log", File: "v2.seg", Rows: rows, Kinds: kinds, Distincts: dist},
-		},
-	}}}
-	if err := saveManifest(dir, man); err != nil {
-		t.Fatal(err)
-	}
-
-	s, err := OpenSegmentStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var all [][]string
-	for _, b := range v1rows {
-		all = append(all, b...)
-	}
-	all = append(all, v2rows...)
-
-	suite := []ScanOptions{
-		{},
-		{Columns: []int{0, 2}},
-		{Preds: []ScanPred{{Col: 1, Op: ">", Lit: "2", Numeric: true}}},
-		{Columns: []int{1}, Preds: []ScanPred{{Col: 2, Op: "=", Lit: "east"}}},
-		// Nothing matches: v2 blocks zone-prune, v1 blocks decode and
-		// filter to empty.
-		{Preds: []ScanPred{{Col: 1, Op: ">", Lit: "99", Numeric: true}}},
-	}
-	verify := func(label string) {
-		t.Helper()
-		for i, opts := range suite {
-			want := refScan(all, ncols, opts)
-			got := drainScan(t, mustScan(t, s, fp, opts))
-			if !equalRows(got, want) {
-				t.Fatalf("%s case %d (%+v):\ngot:  %v\nwant: %v", label, i, opts, got, want)
-			}
-		}
-	}
-	verify("mixed")
-
-	// Compaction reads the v1 segment through the compat path and
-	// rewrites the whole table as one shared v2 file.
-	n, err := s.Compact(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("Compact rewrote %d tables, want 1", n)
-	}
-	ti, err := s.Resolve(fp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ti.Segments != 2 || ti.Rows != len(all) {
-		t.Fatalf("compacted table: %d spans %d rows, want 2 spans %d rows", ti.Segments, ti.Rows, len(all))
-	}
-	files := map[string]bool{}
-	for _, seg := range s.snapshot().table(fp, 0).Segments {
-		files[seg.File] = true
-	}
-	if len(files) != 1 {
-		t.Fatalf("compacted table spans %d files, want 1", len(files))
-	}
-	verify("compacted")
 }

@@ -337,7 +337,7 @@ func (sc *SegmentScan) NextBatch() (*Batch, error) {
 			}
 			seg := sc.segs[sc.segIdx]
 			sc.segIdx++
-			sr, err := sc.reader(seg.File)
+			sr, err := sc.reader(seg)
 			if err != nil {
 				return nil, fmt.Errorf("lake: segment %s: %w", seg.File, err)
 			}
@@ -359,25 +359,25 @@ func (sc *SegmentScan) NextBatch() (*Batch, error) {
 	}
 }
 
-// reader returns (creating if needed) the reader over one segment file,
-// validating the magic and, when predicates are pushed against a v2
-// segment, loading the zone-map footer.
-func (sc *SegmentScan) reader(file string) (*segReader, error) {
-	if sr, ok := sc.readers[file]; ok {
+// reader returns (creating if needed) the reader over seg's file,
+// validating the magic and the size the manifest records and, when
+// predicates are pushed, loading the zone-map footer.
+func (sc *SegmentScan) reader(seg manSeg) (*segReader, error) {
+	if sr, ok := sc.readers[seg.File]; ok {
 		return sr, nil
 	}
-	sr, err := newSegReader(file, sc.files[file], len(sc.columns))
+	sr, err := newSegReader(seg.File, sc.files[seg.File], len(sc.columns), seg.Size)
 	if err != nil {
 		return nil, err
 	}
-	if sc.plan.hasPred && sr.version >= 2 {
+	if sc.plan.hasPred {
 		foot, err := readFooter(sr.f, sr.size)
 		if err != nil {
 			return nil, fmt.Errorf("stats footer: %w", err)
 		}
 		sr.foot = foot
 	}
-	sc.readers[file] = sr
+	sc.readers[seg.File] = sr
 	return sr, nil
 }
 

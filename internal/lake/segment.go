@@ -10,16 +10,12 @@ import (
 	"os"
 )
 
-// segMagicV1 opens every v1 segment file: blocks of
-// uvarint-length-prefixed cells, terminated by EOF, no statistics.
-var segMagicV1 = []byte("dmseg1\n")
-
-// segMagicV2 opens every v2 segment file. v2 blocks carry per-column
-// byte lengths after the row count, so a scan skips columns it does not
-// read without decoding a single cell, and the file ends with a stats
-// footer (per-block per-column zone maps plus per-column distinct
-// estimates) found via a fixed-size length trailer at the end of the
-// file. New segments always write v2; v1 stays readable.
+// segMagicV2 opens every segment file, the only format read or written:
+// blocks carry per-column byte lengths after the row count, so a scan
+// skips columns it does not read without decoding a single cell, and
+// the file ends with a stats footer (per-block per-column zone maps plus
+// per-column distinct estimates) found via a fixed-size length trailer
+// at the end of the file.
 var segMagicV2 = []byte("dmseg2\n")
 
 // segBlockRows caps the rows per segment block: the unit of buffering
@@ -49,11 +45,10 @@ type segReader struct {
 	pos      int64  // offset of the next unread byte
 	win      []byte // file bytes [winOff, winOff+len(win))
 	winOff   int64
-	version  int
 	ncols    int
 	rowPos   int
 	blockIdx int
-	foot     *segFooter // v2 only: loaded to prune blocks (pushed predicates) or to relocate them
+	foot     *segFooter // loaded to prune blocks (pushed predicates) or to relocate them
 	colBytes []int64    // the current block's per-column byte lengths
 	bufs     [][]byte   // scratch: raw per-column cell bytes
 }
@@ -63,11 +58,15 @@ type segReader struct {
 const segWindow = 4096
 
 // newSegReader positions a reader at the first block of an open segment
-// file of ncols columns, having validated the magic.
-func newSegReader(file string, f *os.File, ncols int) (*segReader, error) {
+// file of ncols columns, having validated the magic and, where the
+// manifest records one (size > 0), the file's size.
+func newSegReader(file string, f *os.File, ncols int, size int64) (*segReader, error) {
 	st, err := f.Stat()
 	if err != nil {
 		return nil, err
+	}
+	if size != 0 && st.Size() != size {
+		return nil, fmt.Errorf("file is %d bytes, the manifest records %d", st.Size(), size)
 	}
 	sr := &segReader{
 		file:     file,
@@ -78,15 +77,8 @@ func newSegReader(file string, f *os.File, ncols int) (*segReader, error) {
 		colBytes: make([]int64, ncols),
 		bufs:     make([][]byte, ncols),
 	}
-	magic, err := sr.peek(len(segMagicV1))
-	switch {
-	case err != nil:
-		return nil, errors.New("bad magic")
-	case bytes.Equal(magic, segMagicV1):
-		sr.version = 1
-	case bytes.Equal(magic, segMagicV2):
-		sr.version = 2
-	default:
+	magic, err := sr.peek(len(segMagicV2))
+	if err != nil || !bytes.Equal(magic, segMagicV2) {
 		return nil, errors.New("bad magic")
 	}
 	sr.pos += int64(len(magic))
@@ -162,17 +154,12 @@ func (sr *segReader) skipTo(rowOff int) error {
 
 // blockHeader consumes the next block's header, leaving the reader at
 // the block's first column and its per-column byte lengths in colBytes.
-// It returns the block's row count; 0 is the v2 end-of-blocks sentinel
-// (the stats footer follows). A v2 header carries the lengths; a v1
-// block has none, so its cells are walked once to measure its columns —
-// after which both versions decode, and skip, the same way.
+// It returns the block's row count; 0 is the end-of-blocks sentinel (the
+// stats footer follows).
 func (sr *segReader) blockHeader() (int, error) {
 	n, err := sr.uvarint()
 	if err != nil {
 		return 0, err
-	}
-	if n == 0 && sr.version < 2 {
-		return 0, errors.New("bad block row count 0")
 	}
 	if n > segBlockRows {
 		return 0, fmt.Errorf("bad block row count %d", n)
@@ -180,32 +167,16 @@ func (sr *segReader) blockHeader() (int, error) {
 	if n == 0 {
 		return 0, nil
 	}
-	if sr.version >= 2 {
-		var total int64
-		for c := range sr.colBytes {
-			if sr.colBytes[c], err = sr.length(); err != nil {
-				return 0, err
-			}
-			total += sr.colBytes[c]
-		}
-		if left := sr.size - sr.pos; total > left {
-			return 0, fmt.Errorf("block of %d bytes overruns the file (%d bytes left)", total, left)
-		}
-		return int(n), nil
-	}
-	start := sr.pos
+	var total int64
 	for c := range sr.colBytes {
-		colStart := sr.pos
-		for i := 0; i < int(n); i++ {
-			cell, err := sr.length()
-			if err != nil {
-				return 0, err
-			}
-			sr.pos += cell
+		if sr.colBytes[c], err = sr.length(); err != nil {
+			return 0, err
 		}
-		sr.colBytes[c] = sr.pos - colStart
+		total += sr.colBytes[c]
 	}
-	sr.pos = start
+	if left := sr.size - sr.pos; total > left {
+		return 0, fmt.Errorf("block of %d bytes overruns the file (%d bytes left)", total, left)
+	}
 	return int(n), nil
 }
 
@@ -275,7 +246,7 @@ type footBlock struct {
 	cols []colZone
 }
 
-// segFooter is a v2 segment's decoded stats footer. distincts is
+// segFooter is a segment's decoded stats footer. distincts is
 // informational — planning reads the manifest's per-span Distincts, not
 // this line: in a per-path file it is the count over the file's values
 // (exact up to segDistinctCap), in a compacted file the per-column max
@@ -347,8 +318,8 @@ func appendFooter(b []byte, blocks []footBlock, distincts []int) []byte {
 	return b
 }
 
-// readFooter locates and decodes the stats footer of a v2 segment of
-// size bytes via the 8-byte length trailer at the end of the file.
+// readFooter locates and decodes the stats footer of a segment of size
+// bytes via the 8-byte length trailer at the end of the file.
 func readFooter(f *os.File, size int64) (*segFooter, error) {
 	if size < int64(len(segMagicV2))+9 {
 		return nil, errors.New("file too short")

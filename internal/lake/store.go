@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -58,9 +59,13 @@ import (
 // decoded once, because the segment's kinds and distinct counts are
 // folded over the values, and is then written back as the column bytes
 // and zone map it arrived with; only the last, partial kept block is
-// buffered again and re-encoded together with the new rows. A v1 span
-// has neither header lengths nor a footer and is replayed cell by cell
-// on both paths.
+// buffered again and re-encoded together with the new rows.
+//
+// The manifest records each segment file's size. A scan or a replay
+// refuses a file of another size, naming it, and a crawl trusts neither
+// it nor an entry that records no size (Covers): the source is extracted
+// again, so a store written before sizes were recorded is re-extracted
+// once, at its first crawl.
 
 // manifestVersion is the on-disk manifest format this package reads and
 // writes.
@@ -86,7 +91,7 @@ type TableInfo struct {
 	Segments int
 	// Distincts are per-column distinct-count estimates, the max across
 	// segments (exact per segment up to segDistinctCap). 0 means
-	// unknown — v1-era segments carry no stats.
+	// unknown: no segment's manifest entry records one.
 	Distincts []int
 }
 
@@ -102,8 +107,11 @@ func tableName(fp string, typeID int) string {
 type manSeg struct {
 	// Path is the source file, slash-separated relative to the lake root.
 	Path string `json:"path"`
-	// File is the segment filename inside the store directory.
+	// File is the segment's base name inside the store directory.
 	File string `json:"file"`
+	// Size is File's length in bytes; 0 where the manifest records none.
+	// Every span of a shared file records the whole file's size.
+	Size int64 `json:"size,omitempty"`
 	// Rev is the write revision behind File. Every rewrite or append
 	// publishes a fresh filename (rev+1), never mutating bytes a live
 	// manifest can reference — a scan that opened its segments keeps
@@ -119,8 +127,8 @@ type manSeg struct {
 	// Kinds are the column kinds observed over this segment's values.
 	Kinds []semtype.Kind `json:"kinds"`
 	// Distincts are per-column distinct estimates observed when the
-	// segment's rows were written (capped at segDistinctCap); nil for
-	// segments written before the stats footer existed.
+	// segment's rows were written (capped at segDistinctCap); nil where
+	// the manifest records none.
 	Distincts []int `json:"distincts,omitempty"`
 	// RowOff is this span's starting row inside File. Zero for a
 	// dedicated per-path segment file; a compacted table shares one
@@ -206,7 +214,8 @@ type SegmentStore struct {
 
 // OpenSegmentStore opens (creating if needed) the record store rooted
 // at dir. A missing manifest yields an empty store, so first runs need
-// no setup.
+// no setup. A manifest that names a segment file by anything but a
+// base name in dir is refused: commits unlink the files they supersede.
 func OpenSegmentStore(dir string) (*SegmentStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -224,6 +233,13 @@ func OpenSegmentStore(dir string) (*SegmentStore, error) {
 		}
 		if mj.Version != manifestVersion {
 			return nil, fmt.Errorf("lake: unsupported store manifest version %d (supported: %d)", mj.Version, manifestVersion)
+		}
+		for _, t := range mj.Tables {
+			for _, seg := range t.Segments {
+				if f := seg.File; filepath.Base(f) != f || f == "." || f == ".." || f == "manifest.json" {
+					return nil, fmt.Errorf("lake: store manifest names segment file %q, not a file of the store directory", f)
+				}
+			}
 		}
 		man.Tables = mj.Tables
 		man.normalize()
@@ -307,10 +323,8 @@ func (s *SegmentStore) Resolve(name string) (TableInfo, error) {
 func resolveIn(man *manifest, name string) (TableInfo, error) {
 	base, typeID := name, 0
 	if i := strings.LastIndexByte(name, '_'); i > 0 {
-		if _, err := fmt.Sscanf(name[i+1:], "%d", &typeID); err == nil {
-			base = name[:i]
-		} else {
-			typeID = 0
+		if k, err := strconv.ParseUint(name[i+1:], 10, 31); err == nil {
+			base, typeID = name[:i], int(k)
 		}
 	}
 	var hits []*manTable
@@ -413,23 +427,22 @@ func (t *StoreTxn) nextRevLocked(relPath string) int {
 	return rev
 }
 
-// copyRows replays the first limit rows of a span — rows rows starting
-// at row skip of a segment file of either format version — into the
-// writer, a block at a time. A full v2 block that lies within the limit
-// and meets an empty block buffer is passed through: decoded for the
-// writer's kinds and distinct sets, then written as the column bytes
-// the reader holds under the zone map of the source footer. Everything
-// else — v1 blocks, a partial block, the block the limit cuts — is
-// buffered and encoded again.
-func copyRows(sw *segWriter, in *os.File, ncols, skip, rows, limit int) error {
+// copyRows replays the kept rows of span — all but its provisional
+// tail — from its segment file, open as in, into the writer, a block at
+// a time. A full block that the kept rows take whole and that meets an
+// empty block buffer is passed through: decoded for the writer's kinds
+// and distinct sets, then written as the column bytes the reader holds
+// under the zone map of the source footer. Everything else — a partial
+// block, the block the provisional tail cuts — is buffered and encoded
+// again.
+func copyRows(sw *segWriter, in *os.File, ncols int, span manSeg) error {
 	plan, err := newScanPlan(ncols, ScanOptions{})
 	if err != nil {
 		return err
 	}
-	span := manSeg{File: in.Name(), RowOff: skip, Rows: rows}
 	sc := newSegmentScan(make([]string, ncols), []manSeg{span}, map[string]*os.File{span.File: in}, plan)
 	var foot *segFooter
-	for copied := 0; copied < limit; {
+	for copied, limit := 0, span.Rows-span.Provisional; copied < limit; {
 		b, err := sc.NextBatch()
 		if err == io.EOF {
 			return fmt.Errorf("segment %s: %d rows, expected at least %d", span.File, copied, limit)
@@ -438,7 +451,7 @@ func copyRows(sw *segWriter, in *os.File, ncols, skip, rows, limit int) error {
 			return err
 		}
 		sr := sc.cur
-		if sr.version < 2 || b.Rows != segBlockRows || copied+b.Rows > limit || sw.nbuf > 0 {
+		if b.Rows != segBlockRows || copied+b.Rows > limit || sw.nbuf > 0 {
 			n := min(b.Rows, limit-copied)
 			if err := sw.addColumns(b.Cols, n); err != nil {
 				return err
@@ -466,11 +479,12 @@ func copyRows(sw *segWriter, in *os.File, ncols, skip, rows, limit int) error {
 
 // Covers reports whether the transaction's view holds a segment of
 // relPath for each of the format's ntypes record types, each in a file
-// the store directory has — i.e. the store already has this file's
-// rows, so a checkpointed skip or resume is sound. A manifest naming a
-// file the directory lost is not trusted: the file takes the full path
-// and its segments are written again. A span a compaction moved since
-// Begin counts where it now is, which is where a resume replays it from
+// the store directory has at the size the manifest records — i.e. the
+// store already has this file's rows, so a checkpointed skip or resume
+// is sound. A file that is missing or of another size, or an entry that
+// records no size, is not trusted: the file takes the full path and its
+// segments are written again. A span a compaction moved since Begin
+// counts where it now is, which is where a resume replays it from
 // (replayKept).
 func (t *StoreTxn) Covers(relPath, fp string, ntypes int) bool {
 	segs := make([]manSeg, 0, ntypes)
@@ -484,15 +498,15 @@ func (t *StoreTxn) Covers(relPath, fp string, ntypes int) bool {
 		segs = append(segs, *seg)
 	}
 	t.mu.Unlock()
-	exists := func(file string) bool {
-		_, err := os.Stat(filepath.Join(t.s.dir, file))
-		return err == nil
+	intact := func(seg *manSeg) bool {
+		st, err := os.Stat(filepath.Join(t.s.dir, seg.File))
+		return err == nil && seg.Size != 0 && st.Size() == seg.Size
 	}
 	for typeID, seg := range segs {
-		if exists(seg.File) {
+		if intact(&seg) {
 			continue
 		}
-		if cur := t.relocated(fp, typeID, relPath, seg); cur == nil || !exists(cur.File) {
+		if cur := t.relocated(fp, typeID, relPath, seg); cur == nil || !intact(cur) {
 			return false
 		}
 	}

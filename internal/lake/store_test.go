@@ -442,6 +442,65 @@ func TestSegmentStoreResolve(t *testing.T) {
 	if _, err := s.Resolve("nope"); err == nil {
 		t.Fatal("Resolve of unknown table succeeded")
 	}
+
+	// A type suffix is a whole number: nothing may follow it.
+	dir := t.TempDir()
+	const fp = "abcdef0123456789"
+	man := &manifest{}
+	for typeID := 0; typeID < 2; typeID++ {
+		man.Tables = append(man.Tables, manTable{Fingerprint: fp, Type: typeID, Columns: columnNames(1),
+			Segments: []manSeg{{Path: "a.log", File: segFileName("a.log", typeID, 0), Rows: 1}}})
+	}
+	if err := saveManifest(dir, man); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = OpenSegmentStore(dir); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]string{"abcd": fp, "abcd_1": fp + "_1", fp + "_1": fp + "_1"} {
+		if got, err := s.Resolve(name); err != nil || got.Name != want {
+			t.Fatalf("Resolve(%q) = %q, %v, want %q", name, got.Name, err, want)
+		}
+	}
+	for _, name := range []string{"abcd_1x", "abcd_+1", "abcd_1 2", "abcd_-1", "abcd_2"} {
+		if got, err := s.Resolve(name); err == nil {
+			t.Fatalf("Resolve(%q) = %q, want no table", name, got.Name)
+		}
+	}
+}
+
+// TestStoreManifestNamesOnlyItsOwnFiles: a manifest that names a
+// segment file by anything but a plain base name is refused when the
+// store opens, naming the file — a commit that drops its path would
+// otherwise unlink whatever the name reaches, outside the store directory
+// included.
+func TestStoreManifestNamesOnlyItsOwnFiles(t *testing.T) {
+	for _, file := range []string{"../victim.txt", "sub/../../victim.txt", "sub/a.seg", "", ".", "..", "manifest.json"} {
+		parent := t.TempDir()
+		victim := filepath.Join(parent, "victim.txt")
+		writeFile(t, parent, "victim.txt", "not the store's\n")
+		dir := filepath.Join(parent, "store")
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		man := &manifest{Tables: []manTable{{Fingerprint: "abcdef0123456789", Columns: columnNames(1),
+			Segments: []manSeg{{Path: "a.log", File: file, Rows: 1}}}}}
+		if err := saveManifest(dir, man); err != nil {
+			t.Fatal(err)
+		}
+		s, err := OpenSegmentStore(dir)
+		if err == nil {
+			txn := s.Begin()
+			txn.Drop("a.log")
+			err = txn.Commit()
+			t.Errorf("file %q: the store opened (and its commit returned %v)", file, err)
+		} else if !strings.Contains(err.Error(), strconv.Quote(file)) {
+			t.Errorf("file %q: %v, want an error naming the file", file, err)
+		}
+		if _, err := os.Stat(victim); err != nil {
+			t.Fatalf("file %q: the file outside the store is gone: %v", file, err)
+		}
+	}
 }
 
 func TestSegmentStoreUnstructuredFileDropped(t *testing.T) {

@@ -60,7 +60,9 @@ import (
 // hands out — the kinds and distinct counts that go into the manifest —
 // is allocated for it.
 type segWriter struct {
-	w     *bufio.Writer
+	w *bufio.Writer
+	// out counts the bytes w flushes to the segment: its size.
+	out   countingWriter
 	ncols int
 	// nbuf is the number of rows in the block buffer; colBuf holds their
 	// encoded cells, one buffer per column.
@@ -81,7 +83,23 @@ type segWriter struct {
 	seen  []bool
 }
 
-var segWriterPool = sync.Pool{New: func() any { return &segWriter{w: bufio.NewWriter(nil)} }}
+var segWriterPool = sync.Pool{New: func() any {
+	sw := &segWriter{}
+	sw.w = bufio.NewWriter(&sw.out)
+	return sw
+}}
+
+// countingWriter counts the bytes that reach w.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
+}
 
 // newSegWriter borrows a writer of ncols-column rows onto w. The caller
 // gives it back with release once the segment is finished or given up.
@@ -91,7 +109,8 @@ func newSegWriter(w io.Writer, ncols int) *segWriter {
 
 // reset points the writer at a new segment.
 func (sw *segWriter) reset(w io.Writer, ncols int) *segWriter {
-	sw.w.Reset(w)
+	sw.out = countingWriter{w: w}
+	sw.w.Reset(&sw.out)
 	sw.ncols, sw.rows, sw.nbuf, sw.kinds = ncols, 0, 0, nil
 	sw.colBuf, sw.distinct, sw.views = widen(sw.colBuf, ncols), widen(sw.distinct, ncols), widen(sw.views, ncols)
 	sw.lens, sw.seen = widen(sw.lens, ncols), widen(sw.seen, ncols)
@@ -130,7 +149,7 @@ func (sw *segWriter) forget() {
 	clear(sw.blocks)
 	clear(sw.zones)
 	sw.blocks, sw.zones = sw.blocks[:0], sw.zones[:0]
-	sw.w.Reset(nil)
+	sw.out.w = nil
 }
 
 func (sw *segWriter) putUvarint(v uint64) error {
@@ -541,13 +560,12 @@ func (t *StoreTxn) writePath(relPath, fp string, templates []*template.Node, res
 // as the transaction saw it, into s, and notes the file it read them
 // from as the one s replaces.
 func (t *StoreTxn) replayKept(s *stagedSeg, fp string, typeID int, relPath string, seg manSeg) error {
-	spanRows, keep := seg.Rows, seg.Rows-seg.Provisional
-	skip, oldName := seg.RowOff, seg.File
+	span := seg
 	t.mu.Lock()
-	src, isStaged := t.staged[oldName]
+	src, isStaged := t.staged[span.File]
 	t.mu.Unlock()
 	if !isStaged {
-		src = filepath.Join(t.s.dir, oldName)
+		src = filepath.Join(t.s.dir, span.File)
 	}
 	in, err := os.Open(src)
 	for attempt := 0; errors.Is(err, os.ErrNotExist) && !isStaged && attempt < scanOpenRetries; attempt++ {
@@ -555,15 +573,15 @@ func (t *StoreTxn) replayKept(s *stagedSeg, fp string, typeID int, relPath strin
 		if cur == nil {
 			break
 		}
-		oldName, skip = cur.File, cur.RowOff
-		in, err = os.Open(filepath.Join(t.s.dir, oldName))
+		span = *cur
+		in, err = os.Open(filepath.Join(t.s.dir, span.File))
 	}
 	if err != nil {
 		return err
 	}
 	defer in.Close()
-	s.base = oldName
-	return copyRows(s.sw, in, s.ncols, skip, spanRows, keep)
+	s.base = span.File
+	return copyRows(s.sw, in, s.ncols, span)
 }
 
 // relocated returns relPath's span of one type in the store's current
@@ -626,6 +644,7 @@ func (w *pathWriter) commit(provisional []int) error {
 	for typeID := range w.segs {
 		s := &w.segs[typeID]
 		kinds, rows, dist, err := s.sw.finish()
+		size := s.sw.out.n
 		s.sw.release()
 		s.sw = nil
 		if cerr := s.f.Close(); err == nil {
@@ -636,7 +655,7 @@ func (w *pathWriter) commit(provisional []int) error {
 			return err
 		}
 		entries[typeID] = manSeg{
-			Path: w.relPath, File: segFileName(w.relPath, typeID, w.rev), Rev: w.rev,
+			Path: w.relPath, File: segFileName(w.relPath, typeID, w.rev), Size: size, Rev: w.rev,
 			Rows: rows, Provisional: provisional[typeID], Kinds: kinds, Distincts: dist,
 		}
 	}
