@@ -74,6 +74,9 @@ bench-quick:
 # arbitrary manifest.json — the store refuses it or opens, lists,
 # resolves and scans it without a panic, saves it byte-stable, and no
 # scan, commit or compaction touches a file outside its directory), the
+# registry and checkpoint loaders (FuzzRegistry, FuzzCheckpoints:
+# arbitrary registry.json or checkpoints.json — no panic, every accepted
+# entry meets the loader's rules, and Save → Load → Save is byte-stable), the
 # segment writer (FuzzSegmentWriter: rows written from field spans ≡ the
 # []string oracle's rows built by relational.Denormalizer.Row — segment
 # bytes, kinds and distinct counts — over arrays, empty cells, separator
@@ -82,9 +85,9 @@ bench-quick:
 # (FuzzProfileApply: arbitrary profile JSON × arbitrary data — no panic,
 # slice door ≡ reader door at 64-byte shards ≡ the tree-walking oracle's
 # residue chain) on fuzzer-mutated inputs, not just the committed
-# corpora. The segment, manifest and profile targets cap the minimizer, which
-# would otherwise spend the whole ten seconds shrinking the first
-# interesting input.
+# corpora. The segment, manifest, registry, checkpoint and profile
+# targets cap the minimizer, which would otherwise spend the whole ten
+# seconds shrinking the first interesting input.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzGenerate$$' -fuzztime 10s ./internal/generation
 	$(GO) test -run '^$$' -fuzz '^FuzzReduce$$' -fuzztime 10s ./internal/template
@@ -94,6 +97,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentScan$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/lake
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentWriter$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/lake
 	$(GO) test -run '^$$' -fuzz '^FuzzManifest$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/lake
+	$(GO) test -run '^$$' -fuzz '^FuzzRegistry$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/lake
+	$(GO) test -run '^$$' -fuzz '^FuzzCheckpoints$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/follow
 	$(GO) test -run '^$$' -fuzz '^FuzzProfileApply$$' -fuzztime 10s -fuzzminimizetime 1s .
 
 # Regenerate the goldens under testdata/lake_golden (the index report,

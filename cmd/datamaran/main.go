@@ -206,9 +206,5 @@ func loadProfile(path string) (*datamaran.Profile, error) {
 // atomic: an interrupted or out-of-space save leaves a profile already at
 // path as it was.
 func writeProfile(res *datamaran.Result, path string) error {
-	raw, err := json.MarshalIndent(res.Profile(), "", "  ")
-	if err != nil {
-		return err
-	}
-	return atomicfile.WriteBytes(path, raw)
+	return atomicfile.SaveJSON(path, res.Profile())
 }

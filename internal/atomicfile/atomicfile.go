@@ -6,9 +6,17 @@
 // checkpoint store, the record store's manifest and segments, and the
 // CLI's saved profiles are all written through here, so what a write
 // guarantees (and, later, what it syncs) is decided in one function.
+//
+// The four JSON state files — a saved profile, registry.json,
+// checkpoints.json and the store's manifest.json — also share their
+// codec here: SaveJSON is their one indented atomic save, LoadJSON their
+// one load (a missing file is an empty document), and DecodeVersioned
+// their one version rule.
 package atomicfile
 
 import (
+	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -72,4 +80,51 @@ func Create(dir string) (*os.File, error) {
 		return nil, err
 	}
 	return f, nil
+}
+
+// SaveJSON writes v to path as indented JSON and a newline, atomically
+// (see Write).
+func SaveJSON(path string, v any) error {
+	raw, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	return WriteBytes(path, append(raw, '\n'))
+}
+
+// LoadJSON hands the bytes of the file at path to decode. A missing
+// file is an empty document: decode is not called and there is no
+// error, so first runs need no setup.
+func LoadJSON(path string, decode func([]byte) error) error {
+	raw, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	return decode(raw)
+}
+
+// DecodeVersioned decodes a versioned JSON document into doc. It decodes
+// the version field alone first, so a version of the wrong JSON type, a
+// missing one and an unknown one each say so, rather than a later format
+// being misparsed as this one. Errors read "<pkg>: ... <noun> ...".
+func DecodeVersioned(data []byte, version int, pkg, noun string, doc any) error {
+	var ver struct {
+		Version *int `json:"version"`
+	}
+	if err := json.Unmarshal(data, &ver); err != nil {
+		return fmt.Errorf("%s: bad %s version field (supported: %d): %w", pkg, noun, version, err)
+	}
+	if ver.Version == nil {
+		return fmt.Errorf("%s: %s missing version field (supported: %d)", pkg, noun, version)
+	}
+	if *ver.Version != version {
+		return fmt.Errorf("%s: unsupported %s version %d (supported: %d)", pkg, noun, *ver.Version, version)
+	}
+	if err := json.Unmarshal(data, doc); err != nil {
+		return fmt.Errorf("%s: bad %s: %w", pkg, noun, err)
+	}
+	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -106,5 +107,38 @@ func TestWriteAndStage(t *testing.T) {
 	}
 	if names := dirNames(t, dir); len(names) != 3 {
 		t.Fatalf("directory holds %v after a failed rename, want no temp file added", names)
+	}
+}
+
+// TestDecodeVersioned: the one version rule of the JSON state files
+// accepts the supported version alone, and says which way any other
+// document fails.
+func TestDecodeVersioned(t *testing.T) {
+	type doc struct {
+		Version int    `json:"version"`
+		Name    string `json:"name"`
+	}
+	for _, tc := range []struct {
+		name, data, want string
+	}{
+		{"missing", `{"name":"x"}`, "lake: registry missing version field (supported: 1)"},
+		{"null", `{"version":null,"name":"x"}`, "lake: registry missing version field (supported: 1)"},
+		{"string", `{"version":"1","name":"x"}`, "lake: bad registry version field (supported: 1): "},
+		{"fraction", `{"version":1.5,"name":"x"}`, "lake: bad registry version field (supported: 1): "},
+		{"zero", `{"version":0,"name":"x"}`, "lake: unsupported registry version 0 (supported: 1)"},
+		{"future", `{"version":2,"name":"x"}`, "lake: unsupported registry version 2 (supported: 1)"},
+		{"not json", `registry? no.`, "lake: bad registry version field (supported: 1): "},
+		{"trailing bytes", `{"version":1,"name":"x"} {}`, "lake: bad registry version field (supported: 1): "},
+		{"bad document", `{"version":1,"name":7}`, "lake: bad registry: "},
+		{"good", `{"version":1,"name":"x"}`, ""},
+	} {
+		var d doc
+		err := DecodeVersioned([]byte(tc.data), 1, "lake", "registry", &d)
+		switch {
+		case tc.want == "" && (err != nil || d != doc{Version: 1, Name: "x"}):
+			t.Errorf("%s: %+v, %v", tc.name, d, err)
+		case tc.want != "" && (err == nil || !strings.HasPrefix(err.Error(), tc.want)):
+			t.Errorf("%s: %+v, %v, want an error starting %q", tc.name, d, err, tc.want)
+		}
 	}
 }

@@ -15,11 +15,9 @@
 package follow
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"maps"
-	"os"
 	"sort"
 	"sync"
 
@@ -165,57 +163,50 @@ func (s *Store) MarshalJSON() ([]byte, error) {
 	return json.Marshal(sj)
 }
 
-// UnmarshalJSON parses a store serialized by MarshalJSON, rejecting
-// missing, non-integer or unknown version values rather than guessing
-// at future formats.
+// UnmarshalJSON parses a store serialized by MarshalJSON, and accepts
+// only what a crawl can write: a known version, distinct non-empty
+// paths, and checkpoints whose geometry and counts Extract or Observe
+// could have produced (see valid).
 func (s *Store) UnmarshalJSON(data []byte) error {
-	var ver struct {
-		Version *int `json:"version"`
-	}
-	if err := json.Unmarshal(data, &ver); err != nil {
-		return fmt.Errorf("follow: bad checkpoint version field (supported: %d): %w", storeVersion, err)
-	}
-	if ver.Version == nil {
-		return fmt.Errorf("follow: checkpoint store missing version field (supported: %d)", storeVersion)
-	}
-	if *ver.Version != storeVersion {
-		return fmt.Errorf("follow: unsupported checkpoint version %d (supported: %d)", *ver.Version, storeVersion)
-	}
 	var sj storeJSON
-	if err := json.Unmarshal(data, &sj); err != nil {
-		return fmt.Errorf("follow: bad checkpoint store: %w", err)
+	if err := atomicfile.DecodeVersioned(data, storeVersion, "follow", "checkpoint store", &sj); err != nil {
+		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.byPath = map[string]*Checkpoint{}
 	for _, cp := range sj.Files {
-		if cp.Path == "" {
+		if cp == nil || cp.Path == "" {
 			return fmt.Errorf("follow: checkpoint with empty path")
 		}
 		if _, ok := s.byPath[cp.Path]; ok {
 			return fmt.Errorf("follow: duplicate checkpoint path %q", cp.Path)
 		}
-		if cp.Offset < 0 || cp.Line < 0 || cp.Size < cp.Offset {
-			return fmt.Errorf("follow: checkpoint %q has inconsistent geometry (offset=%d line=%d size=%d)",
-				cp.Path, cp.Offset, cp.Line, cp.Size)
+		if !cp.valid() {
+			return fmt.Errorf("follow: checkpoint %q is inconsistent (offset=%d line=%d size=%d prefix_len=%d records=%d/%d noise=%d/%d)",
+				cp.Path, cp.Offset, cp.Line, cp.Size, cp.PrefixLen, cp.Records, cp.TotalRecords, cp.Noise, cp.TotalNoise)
 		}
 		s.byPath[cp.Path] = cp
 	}
 	return nil
 }
 
+// valid reports whether cp holds what Extract and Observe guarantee:
+// 0 ≤ Line ≤ Offset ≤ Size (a line holds at least its newline),
+// 0 ≤ PrefixLen ≤ Size, and counts of at least 0 whose finalized part
+// is at most the whole file's.
+func (cp *Checkpoint) valid() bool {
+	return 0 <= cp.Line && int64(cp.Line) <= cp.Offset && cp.Offset <= cp.Size &&
+		0 <= cp.PrefixLen && cp.PrefixLen <= cp.Size &&
+		0 <= cp.Records && cp.Records <= cp.TotalRecords &&
+		0 <= cp.Noise && cp.Noise <= cp.TotalNoise
+}
+
 // LoadStore reads a checkpoint file. A missing file yields an empty
 // store, so first runs need no setup.
 func LoadStore(path string) (*Store, error) {
-	raw, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return NewStore(), nil
-	}
-	if err != nil {
-		return nil, err
-	}
 	s := NewStore()
-	if err := json.Unmarshal(raw, s); err != nil {
+	if err := atomicfile.LoadJSON(path, s.UnmarshalJSON); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -225,13 +216,5 @@ func LoadStore(path string) (*Store, error) {
 // inspection — the same discipline as the lake registry it lives next
 // to.
 func (s *Store) Save(path string) error {
-	compact, err := json.Marshal(s)
-	if err != nil {
-		return err
-	}
-	var buf bytes.Buffer
-	if err := json.Indent(&buf, compact, "", "  "); err != nil {
-		return err
-	}
-	return atomicfile.WriteBytes(path, append(buf.Bytes(), '\n'))
+	return atomicfile.SaveJSON(path, s)
 }

@@ -350,18 +350,43 @@ func TestStoreRoundTrip(t *testing.T) {
 		t.Fatalf("missing store: %v / %d", err, empty.Len())
 	}
 
-	// Version discipline.
+	// Version discipline, and no checkpoint Extract or Observe could not
+	// have written.
+	one := func(fields string) string {
+		return `{"version":1,"files":[{"path":"a.log","offset":5,"line":1,"size":9,"prefix_len":9,` + fields + `}]}`
+	}
 	for name, bad := range map[string]string{
-		"missing": `{"files":[]}`,
-		"wrong":   `{"version":99,"files":[]}`,
-		"type":    `{"version":"1","files":[]}`,
+		"missing version":      `{"files":[]}`,
+		"wrong version":        `{"version":99,"files":[]}`,
+		"type version":         `{"version":"1","files":[]}`,
+		"null checkpoint":      `{"version":1,"files":[null]}`,
+		"empty path":           `{"version":1,"files":[{"path":""}]}`,
+		"duplicate path":       `{"version":1,"files":[{"path":"a.log"},{"path":"a.log"}]}`,
+		"negative line":        one(`"line":-1`),
+		"line past offset":     one(`"line":6`),
+		"negative offset":      one(`"offset":-1,"line":0`),
+		"offset past size":     one(`"offset":10`),
+		"negative prefix":      one(`"prefix_len":-1`),
+		"prefix past size":     one(`"prefix_len":10`),
+		"negative records":     one(`"records":-1`),
+		"records past total":   one(`"records":3,"total_records":2`),
+		"negative total":       one(`"total_records":-5`),
+		"negative noise":       one(`"noise":-1`),
+		"noise past total":     one(`"noise":1`),
+		"negative total noise": one(`"total_noise":-1`),
 	} {
 		if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := LoadStore(path); err == nil {
-			t.Fatalf("%s version accepted", name)
+			t.Fatalf("%s accepted", name)
 		}
+	}
+	if err := os.WriteFile(path, []byte(one(`"records":2,"total_records":2,"noise":1,"total_noise":3`)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadStore(path); err != nil {
+		t.Fatalf("a consistent checkpoint refused: %v", err)
 	}
 }
 

@@ -25,7 +25,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
+	"fmt"
 
+	"datamaran/internal/atomicfile"
 	"datamaran/internal/template"
 )
 
@@ -47,4 +50,55 @@ func Fingerprint(templates []*template.Node) string {
 		h.Write([]byte{0}) // unambiguous joint between templates
 	}
 	return hex.EncodeToString(h.Sum(nil))[:16]
+}
+
+// profileVersion is the profile wire form's version.
+const profileVersion = 1
+
+// ProfileDoc is a profile's wire form: what datamaran.Profile marshals
+// to, what `datamaran -save-profile` writes and `-profile` reads, and
+// what GET /v1/formats/{fp} serves. Build it with NewProfileDoc, read it
+// with DecodeProfile.
+type ProfileDoc struct {
+	Version   int              `json:"version"`
+	Templates []*template.Node `json:"templates"`
+}
+
+// NewProfileDoc returns the wire form of a template set.
+func NewProfileDoc(templates []*template.Node) ProfileDoc {
+	return ProfileDoc{Version: profileVersion, Templates: templates}
+}
+
+// DecodeProfile parses a profile's wire form into its templates,
+// normalized.
+func DecodeProfile(data []byte) ([]*template.Node, error) {
+	var doc ProfileDoc
+	if err := atomicfile.DecodeVersioned(data, profileVersion, "datamaran", "profile", &doc); err != nil {
+		return nil, err
+	}
+	if err := normalizeTemplates(doc.Templates); err != nil {
+		return nil, fmt.Errorf("datamaran: bad profile: %w", err)
+	}
+	return doc.Templates, nil
+}
+
+// normalizeTemplates is the rule of a decoded template list, a
+// profile's or a registry entry's: at least one template, and none null
+// or empty (discovery writes neither). It normalizes each template in
+// place.
+func normalizeTemplates(templates []*template.Node) error {
+	if len(templates) == 0 {
+		return errors.New("no templates")
+	}
+	for i, t := range templates {
+		if t == nil {
+			return fmt.Errorf("template %d is null", i)
+		}
+		t = t.Normalize()
+		if t.Kind == template.KStruct && len(t.Children) == 0 {
+			return fmt.Errorf("template %d is empty", i)
+		}
+		templates[i] = t
+	}
+	return nil
 }

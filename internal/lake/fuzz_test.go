@@ -329,3 +329,57 @@ func FuzzManifest(f *testing.F) {
 		_ = txn.Commit()
 	})
 }
+
+// FuzzRegistry feeds the registry loader arbitrary bytes: it never
+// panics, and a registry it accepts holds only entries a crawl could
+// have written — at least one template, a claim count of at least 0, a
+// fingerprint its templates recompute to — and saves byte-stable: Save,
+// then Load, then Save again writes the same bytes.
+func FuzzRegistry(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("..", "..", "testdata", "lake_golden", "registry.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	const tpl = `{"kind":"struct","children":[{"kind":"field"},{"kind":"lit","text":","},{"kind":"array","sep":";","term":"\n","children":[{"kind":"field"}]}]}`
+	f.Add([]byte(`{"version":1,"profiles":[{"files":3,"templates":[` + tpl + `,{"kind":"field"}]}]}`))
+	f.Add([]byte(`{"version":1,"profiles":[{"fingerprint":"","files":-7,"templates":[]}]}`))
+	f.Add([]byte(`{"version":1,"profiles":[{"files":1,"templates":[null]}]}`))
+	f.Add([]byte(`{"version":1,"profiles":[{"files":1,"templates":[{"kind":"array","sep":",","term":"\n","children":[{"kind":"struct"}]}]}]}`))
+	f.Add([]byte(`{"version":2,"profiles":[]}`))
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		path := filepath.Join(t.TempDir(), "registry.json")
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		reg, err := LoadRegistry(path)
+		if err != nil {
+			return
+		}
+		for _, e := range reg.Entries() {
+			if len(e.Templates) == 0 || e.Files < 0 || e.Fingerprint != Fingerprint(e.Templates) || len(e.Matchers()) != len(e.Templates) {
+				t.Fatalf("accepted entry %s: %d templates, %d matchers, %d files, templates fingerprint %s",
+					e.Fingerprint, len(e.Templates), len(e.Matchers()), e.Files, Fingerprint(e.Templates))
+			}
+		}
+		save := func(r *Registry) []byte {
+			if err := r.Save(path); err != nil {
+				t.Fatal(err)
+			}
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}
+		once := save(reg)
+		back, err := LoadRegistry(path)
+		if err != nil {
+			t.Fatalf("a saved registry does not load again: %v\n%s", err, once)
+		}
+		if twice := save(back); !bytes.Equal(once, twice) {
+			t.Fatalf("the registry does not save byte-stable:\n%s\n--- then ---\n%s", once, twice)
+		}
+	})
+}

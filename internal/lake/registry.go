@@ -1,10 +1,8 @@
 package lake
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
 	"sync"
 
 	"datamaran/internal/atomicfile"
@@ -197,9 +195,9 @@ type registryJSON struct {
 // registryProf is one serialized entry. Templates use the same canonical
 // structural serialization as the public Profile format.
 type registryProf struct {
-	Fingerprint string            `json:"fingerprint"`
-	Files       int               `json:"files"`
-	Templates   []json.RawMessage `json:"templates"`
+	Fingerprint string           `json:"fingerprint"`
+	Files       int              `json:"files"`
+	Templates   []*template.Node `json:"templates"`
 }
 
 // MarshalJSON serializes the registry deterministically: entries in
@@ -211,60 +209,39 @@ func (r *Registry) MarshalJSON() ([]byte, error) {
 	defer r.mu.RUnlock()
 	rj := registryJSON{Version: registryVersion, Profiles: []registryProf{}}
 	for _, e := range r.entries {
-		p := registryProf{Fingerprint: e.Fingerprint, Files: e.Files}
-		for _, t := range e.Templates {
-			raw, err := json.Marshal(t)
-			if err != nil {
-				return nil, err
-			}
-			p.Templates = append(p.Templates, raw)
-		}
-		rj.Profiles = append(rj.Profiles, p)
+		rj.Profiles = append(rj.Profiles, registryProf{Fingerprint: e.Fingerprint, Files: e.Files, Templates: e.Templates})
 	}
 	return json.Marshal(rj)
 }
 
-// UnmarshalJSON parses a registry serialized by MarshalJSON, rejecting
-// missing, non-integer or unknown version values rather than guessing
-// at future formats.
+// UnmarshalJSON parses a registry serialized by MarshalJSON, and accepts
+// only what it can write: a known version, and entries that each hold
+// at least one template and no empty one, a claim count of at least 0
+// and, if a fingerprint is given, the one their templates recompute to.
 func (r *Registry) UnmarshalJSON(data []byte) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var ver struct {
-		Version *int `json:"version"`
-	}
-	if err := json.Unmarshal(data, &ver); err != nil {
-		return fmt.Errorf("lake: bad registry version field (supported: %d): %w", registryVersion, err)
-	}
-	if ver.Version == nil {
-		return fmt.Errorf("lake: registry missing version field (supported: %d)", registryVersion)
-	}
-	if *ver.Version != registryVersion {
-		return fmt.Errorf("lake: unsupported registry version %d (supported: %d)", *ver.Version, registryVersion)
-	}
 	var rj registryJSON
-	if err := json.Unmarshal(data, &rj); err != nil {
-		return fmt.Errorf("lake: bad registry: %w", err)
+	if err := atomicfile.DecodeVersioned(data, registryVersion, "lake", "registry", &rj); err != nil {
+		return err
 	}
 	r.entries = nil
 	r.byFP = map[string]*Entry{}
-	for _, p := range rj.Profiles {
-		var templates []*template.Node
-		for _, raw := range p.Templates {
-			n, err := template.UnmarshalNode(raw)
-			if err != nil {
-				return fmt.Errorf("lake: bad registry template: %w", err)
-			}
-			templates = append(templates, n.Normalize())
+	for i, p := range rj.Profiles {
+		if err := normalizeTemplates(p.Templates); err != nil {
+			return fmt.Errorf("lake: registry entry %d: %w", i, err)
 		}
-		fp := Fingerprint(templates)
+		if p.Files < 0 {
+			return fmt.Errorf("lake: registry entry %d claims %d files", i, p.Files)
+		}
+		fp := Fingerprint(p.Templates)
 		if p.Fingerprint != "" && p.Fingerprint != fp {
 			return fmt.Errorf("lake: registry fingerprint %s does not match its templates (recomputed %s)", p.Fingerprint, fp)
 		}
 		if _, ok := r.byFP[fp]; ok {
 			return fmt.Errorf("lake: duplicate registry fingerprint %s", fp)
 		}
-		e := newEntry(fp, templates, p.Files)
+		e := newEntry(fp, p.Templates, p.Files)
 		r.entries = append(r.entries, e)
 		r.byFP[fp] = e
 	}
@@ -274,15 +251,8 @@ func (r *Registry) UnmarshalJSON(data []byte) error {
 // LoadRegistry reads a registry file. A missing file yields an empty
 // registry, so first runs need no setup.
 func LoadRegistry(path string) (*Registry, error) {
-	raw, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return NewRegistry(), nil
-	}
-	if err != nil {
-		return nil, err
-	}
 	r := NewRegistry()
-	if err := json.Unmarshal(raw, r); err != nil {
+	if err := atomicfile.LoadJSON(path, r.UnmarshalJSON); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -291,13 +261,5 @@ func LoadRegistry(path string) (*Registry, error) {
 // Save writes the registry atomically (see atomicfile), indented for
 // human inspection.
 func (r *Registry) Save(path string) error {
-	compact, err := json.Marshal(r)
-	if err != nil {
-		return err
-	}
-	var buf bytes.Buffer
-	if err := json.Indent(&buf, compact, "", "  "); err != nil {
-		return err
-	}
-	return atomicfile.WriteBytes(path, append(buf.Bytes(), '\n'))
+	return atomicfile.SaveJSON(path, r)
 }

@@ -118,7 +118,12 @@ func TestRegistryRejectsBadFiles(t *testing.T) {
 		"string version": `{"version": "1", "profiles": []}`,
 		"bad fingerprint": `{"version":1,"profiles":[{"fingerprint":"0000000000000000","files":1,` +
 			`"templates":[{"kind":"struct","children":[{"kind":"field"},{"kind":"lit","text":"\n"}]}]}]}`,
-		"not json": `registry? no.`,
+		"not json":       `registry? no.`,
+		"no templates":   `{"version":1,"profiles":[{"fingerprint":"","files":-7,"templates":[]}]}`,
+		"null template":  `{"version":1,"profiles":[{"files":1,"templates":[null]}]}`,
+		"empty template": `{"version":1,"profiles":[{"files":1,"templates":[{"kind":"struct"}]}]}`,
+		"negative files": `{"version":1,"profiles":[{"files":-1,` +
+			`"templates":[{"kind":"struct","children":[{"kind":"field"},{"kind":"lit","text":"\n"}]}]}]}`,
 	}
 	for name, content := range cases {
 		p := filepath.Join(dir, strings.ReplaceAll(name, " ", "_")+".json")

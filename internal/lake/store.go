@@ -155,6 +155,35 @@ type manifestJSON struct {
 	Tables  []manTable `json:"tables"`
 }
 
+// MarshalJSON serializes the manifest with its version.
+func (m *manifest) MarshalJSON() ([]byte, error) {
+	mj := manifestJSON{Version: manifestVersion, Tables: m.Tables}
+	if mj.Tables == nil {
+		mj.Tables = []manTable{}
+	}
+	return json.Marshal(mj)
+}
+
+// UnmarshalJSON parses a manifest serialized by MarshalJSON. A manifest
+// that names a segment file by anything but a base name in the store
+// directory is refused: commits unlink the files they supersede.
+func (m *manifest) UnmarshalJSON(data []byte) error {
+	var mj manifestJSON
+	if err := atomicfile.DecodeVersioned(data, manifestVersion, "lake", "store manifest", &mj); err != nil {
+		return err
+	}
+	for _, t := range mj.Tables {
+		for _, seg := range t.Segments {
+			if f := seg.File; filepath.Base(f) != f || f == "." || f == ".." || f == "manifest.json" {
+				return fmt.Errorf("lake: store manifest names segment file %q, not a file of the store directory", f)
+			}
+		}
+	}
+	m.Tables = mj.Tables
+	m.normalize()
+	return nil
+}
+
 // clone deep-copies the manifest so a transaction can mutate freely.
 func (m *manifest) clone() *manifest {
 	out := &manifest{Tables: make([]manTable, len(m.Tables))}
@@ -214,35 +243,14 @@ type SegmentStore struct {
 
 // OpenSegmentStore opens (creating if needed) the record store rooted
 // at dir. A missing manifest yields an empty store, so first runs need
-// no setup. A manifest that names a segment file by anything but a
-// base name in dir is refused: commits unlink the files they supersede.
+// no setup.
 func OpenSegmentStore(dir string) (*SegmentStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	man := &manifest{}
-	raw, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
-	switch {
-	case os.IsNotExist(err):
-	case err != nil:
+	if err := atomicfile.LoadJSON(filepath.Join(dir, "manifest.json"), man.UnmarshalJSON); err != nil {
 		return nil, err
-	default:
-		var mj manifestJSON
-		if err := json.Unmarshal(raw, &mj); err != nil {
-			return nil, fmt.Errorf("lake: bad store manifest: %w", err)
-		}
-		if mj.Version != manifestVersion {
-			return nil, fmt.Errorf("lake: unsupported store manifest version %d (supported: %d)", mj.Version, manifestVersion)
-		}
-		for _, t := range mj.Tables {
-			for _, seg := range t.Segments {
-				if f := seg.File; filepath.Base(f) != f || f == "." || f == ".." || f == "manifest.json" {
-					return nil, fmt.Errorf("lake: store manifest names segment file %q, not a file of the store directory", f)
-				}
-			}
-		}
-		man.Tables = mj.Tables
-		man.normalize()
 	}
 	return &SegmentStore{dir: dir, man: man}, nil
 }
@@ -692,15 +700,7 @@ func (t *StoreTxn) abortLocked() {
 // saveManifest writes the manifest atomically (see atomicfile),
 // indented — the same discipline as the registry.
 func saveManifest(dir string, man *manifest) error {
-	mj := manifestJSON{Version: manifestVersion, Tables: man.Tables}
-	if mj.Tables == nil {
-		mj.Tables = []manTable{}
-	}
-	raw, err := json.MarshalIndent(mj, "", "  ")
-	if err != nil {
-		return err
-	}
-	return atomicfile.WriteBytes(filepath.Join(dir, "manifest.json"), append(raw, '\n'))
+	return atomicfile.SaveJSON(filepath.Join(dir, "manifest.json"), man)
 }
 
 // segOf finds relPath's segment in a table, or nil.

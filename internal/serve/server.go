@@ -352,31 +352,16 @@ func (s *Server) handleFormats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// profileJSON mirrors the public datamaran.Profile serialization
-// (version 1), so a fetched profile feeds straight into
-// `datamaran -profile`.
-type profileJSON struct {
-	Version   int               `json:"version"`
-	Templates []json.RawMessage `json:"templates"`
-}
-
-// handleFormat serves one profile by fingerprint.
+// handleFormat serves one profile by fingerprint, in the form
+// `datamaran -save-profile` writes, so a fetched profile feeds straight
+// into `datamaran -profile`.
 func (s *Server) handleFormat(w http.ResponseWriter, r *http.Request) {
 	e := s.st.Snapshot().Registry.Lookup(r.PathValue("fp"))
 	if e == nil {
 		httpError(w, http.StatusNotFound, "unknown format %s", r.PathValue("fp"))
 		return
 	}
-	pj := profileJSON{Version: 1}
-	for _, t := range e.Templates {
-		raw, err := json.Marshal(t)
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, "marshal profile: %v", err)
-			return
-		}
-		pj.Templates = append(pj.Templates, raw)
-	}
-	writeJSON(w, http.StatusOK, pj)
+	writeJSON(w, http.StatusOK, lake.NewProfileDoc(e.Templates))
 }
 
 // handleExtractBody extracts the request body with the named profile.

@@ -46,11 +46,27 @@ func toJSON(n *Node) jsonNode {
 
 // UnmarshalNode parses a template serialized by MarshalJSON.
 func UnmarshalNode(data []byte) (*Node, error) {
+	n := new(Node)
+	if err := n.UnmarshalJSON(data); err != nil {
+		return nil, err
+	}
+	return n, nil
+}
+
+// UnmarshalJSON parses a template serialized by MarshalJSON, so a
+// template list decodes as []*Node. (A JSON null element decodes as a
+// nil *Node without reaching here.)
+func (n *Node) UnmarshalJSON(data []byte) error {
 	var jn jsonNode
 	if err := json.Unmarshal(data, &jn); err != nil {
-		return nil, fmt.Errorf("template: %w", err)
+		return fmt.Errorf("template: %w", err)
 	}
-	return fromJSON(jn)
+	parsed, err := fromJSON(jn)
+	if err != nil {
+		return err
+	}
+	*n = *parsed
+	return nil
 }
 
 func fromJSON(jn jsonNode) (*Node, error) {
@@ -79,9 +95,6 @@ func fromJSON(jn jsonNode) (*Node, error) {
 		if jn.Sep == jn.Term {
 			return nil, fmt.Errorf("template: array sep and term must differ")
 		}
-		if len(jn.Children) == 0 {
-			return nil, fmt.Errorf("template: array with empty body")
-		}
 		body := make([]*Node, 0, len(jn.Children))
 		for _, c := range jn.Children {
 			n, err := fromJSON(c)
@@ -89,6 +102,11 @@ func fromJSON(jn jsonNode) (*Node, error) {
 				return nil, err
 			}
 			body = append(body, n)
+		}
+		// A body of empty structs normalizes to none, which would save
+		// as an empty body.
+		if len(normalizeSeq(body)) == 0 {
+			return nil, fmt.Errorf("template: array with empty body")
 		}
 		return Array(body, jn.Sep[0], jn.Term[0]), nil
 	default:

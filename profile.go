@@ -3,7 +3,6 @@ package datamaran
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 
 	"datamaran/internal/lake"
@@ -63,61 +62,20 @@ func (p *Profile) Fingerprint() string {
 	return lake.Fingerprint(p.templates)
 }
 
-// profileVersion is the serialized profile format version this package
-// reads and writes.
-const profileVersion = 1
-
-// profileJSON is the serialized profile format (versioned for forward
-// compatibility).
-type profileJSON struct {
-	Version   int               `json:"version"`
-	Templates []json.RawMessage `json:"templates"`
-}
-
-// MarshalJSON serializes the profile.
+// MarshalJSON serializes the profile in its wire form (lake.ProfileDoc).
 func (p *Profile) MarshalJSON() ([]byte, error) {
-	pj := profileJSON{Version: profileVersion}
-	for _, t := range p.templates {
-		raw, err := json.Marshal(t)
-		if err != nil {
-			return nil, err
-		}
-		pj.Templates = append(pj.Templates, raw)
-	}
-	return json.Marshal(pj)
+	return json.Marshal(lake.NewProfileDoc(p.templates))
 }
 
-// UnmarshalJSON parses a profile serialized by MarshalJSON. Profiles
-// with a missing, non-integer or unknown version are rejected with a
-// clear error rather than silently misparsed: a future profile format
-// may serialize templates differently, so guessing would produce a
-// plausible-looking but wrong profile.
+// UnmarshalJSON parses a profile serialized by MarshalJSON. A missing,
+// non-integer or unknown version is rejected with a clear error rather
+// than silently misparsed: a future profile format may serialize
+// templates differently, so guessing would produce a plausible-looking
+// but wrong profile. So is a profile with no templates or an empty one.
 func (p *Profile) UnmarshalJSON(data []byte) error {
-	// Decode the version alone first, so a version field of the wrong
-	// JSON type reports a version problem, not a template one.
-	var ver struct {
-		Version *int `json:"version"`
-	}
-	if err := json.Unmarshal(data, &ver); err != nil {
-		return fmt.Errorf("datamaran: bad profile version field (supported: %d): %w", profileVersion, err)
-	}
-	if ver.Version == nil {
-		return fmt.Errorf("datamaran: profile missing version field (supported: %d)", profileVersion)
-	}
-	if *ver.Version != profileVersion {
-		return fmt.Errorf("datamaran: unsupported profile version %d (supported: %d)", *ver.Version, profileVersion)
-	}
-	var pj profileJSON
-	if err := json.Unmarshal(data, &pj); err != nil {
-		return fmt.Errorf("datamaran: bad profile: %w", err)
-	}
-	var templates []*template.Node
-	for _, raw := range pj.Templates {
-		n, err := template.UnmarshalNode(raw)
-		if err != nil {
-			return fmt.Errorf("datamaran: bad profile template: %w", err)
-		}
-		templates = append(templates, n.Normalize())
+	templates, err := lake.DecodeProfile(data)
+	if err != nil {
+		return err
 	}
 	*p = *newProfile(templates)
 	return nil

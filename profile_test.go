@@ -156,6 +156,15 @@ func TestProfileBadJSON(t *testing.T) {
 	if err := json.Unmarshal([]byte(`{"version":1,"templates":[{"kind":"wat"}]}`), &p); err == nil {
 		t.Fatal("unknown kind should error")
 	}
+	if err := json.Unmarshal([]byte(`{"version":1,"templates":[]}`), &p); err == nil {
+		t.Fatal("no templates should error")
+	}
+	if err := json.Unmarshal([]byte(`{"version":1,"templates":[null]}`), &p); err == nil {
+		t.Fatal("null template should error")
+	}
+	if err := json.Unmarshal([]byte(`{"version":1,"templates":[{"kind":"struct","children":[{"kind":"struct"}]}]}`), &p); err == nil {
+		t.Fatal("empty template should error")
+	}
 }
 
 func TestProfileMultiTypeOrderPreserved(t *testing.T) {
